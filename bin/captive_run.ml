@@ -60,6 +60,13 @@ let engine_arg =
 let scale_arg =
   Arg.(value & opt int 1 & info [ "s"; "scale" ] ~docv:"N" ~doc:"Workload scale factor.")
 
+(* Guest exit code of a finished run; -2 and -3 mark the cycle and
+   block limits. *)
+let exit_of = function
+  | Captive.Engine.Poweroff c -> c
+  | Captive.Engine.Cycle_limit -> -2
+  | Captive.Engine.Block_limit -> -3
+
 let verbose_stats_captive (e : Captive.Engine.t) =
   let s = e.Captive.Engine.stats in
   Printf.printf "cycles: %d\n" (Captive.Engine.cycles e);
@@ -450,11 +457,6 @@ let mmucheck_cmd =
     let config =
       { Captive.Engine.default_config with Captive.Engine.sanitize = true; sanitize_every = every }
     in
-    let exit_of = function
-      | Captive.Engine.Poweroff c -> c
-      | Captive.Engine.Cycle_limit -> -2
-      | Captive.Engine.Block_limit -> -3
-    in
     let run_arm ~sanitize () =
       let e =
         Captive.Engine.create ~config:{ config with Captive.Engine.sanitize } (Guest_arm.Arm.ops ())
@@ -574,11 +576,6 @@ let stress_cmd =
       let failures = ref 0 in
       let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
       let shout line = if json then prerr_endline line else print_endline line in
-      let exit_of = function
-        | Captive.Engine.Poweroff c -> c
-        | Captive.Engine.Cycle_limit -> -2
-        | Captive.Engine.Block_limit -> -3
-      in
       (* Hot threshold 4: the stress workloads cross it early and often,
          so the job queue, the install path and SMC cancellation all see
          real traffic. *)
@@ -742,11 +739,6 @@ type bench_row = {
 
 let bench_run_one ~scale ~domains ?hot_threshold name : bench_row =
   let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
-  let exit_of = function
-    | Captive.Engine.Poweroff c -> c
-    | Captive.Engine.Cycle_limit -> -2
-    | Captive.Engine.Block_limit -> -3
-  in
   let run_captive config =
     let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ()) in
     Fun.protect
@@ -1026,36 +1018,166 @@ let bench_cmd =
        ~doc:"Run the perf benchmark set on all engines and gate against bench/baseline.json.")
     Term.(ret (const run $ json $ quick $ baseline $ scale_arg $ exact $ domains $ hot_threshold))
 
-(* --- validate ------------------------------------------------------------------------ *)
+(* --- validate / analyze / relocheck ---------------------------------------------------- *)
 
-(* End-to-end symbolic translation validation (Hostir.Equiv): boot the
-   ARM mini-OS demo, the ARM MMU-stress workload and the RISC-V
-   bare-metal MMU-stress image with `validate_translations` enabled, at
-   every offline optimization level O1-O4.  Every tier-0 block (and, when
-   tiering kicks in, every region) formed by the engine is symbolically
-   executed alongside an unoptimized per-instruction reference emission
-   from the same decode, and the exit states — PC, register file
-   (promoted offsets equated through the writeback map), ordered store
-   trace and helper-call arguments — are compared term-by-term.  Exit
-   status is non-zero on any divergence finding or wrong guest exit
-   code.  With --json, stdout carries one counter object per
-   workload/level pair plus a summary line for the CI artifact;
-   findings (with both term trees) go to stderr. *)
+(* The three translate-time check sweeps share one driver: boot the
+   workload matrix below at every offline optimization level O1-O4 with
+   one check enabled in the engine, and count what it checked and found
+   in every translation the engine forms.  Exit status is non-zero on
+   any finding or wrong guest exit code.  With --json, stdout carries
+   one counter object per workload/level pair plus a summary line for
+   the CI artifact; findings go to stderr.
 
-let validate_cmd =
+   - `validate` (Hostir.Equiv): every tier-0 block (sampled with
+     --every) and every region is symbolically executed alongside an
+     unoptimized per-instruction reference emission from the same
+     decode, and the exit states — PC, register file (promoted offsets
+     equated through the writeback map), ordered store trace and
+     helper-call arguments — are compared term-by-term.
+   - `analyze` (Hostir.Absint): every translation is pushed through the
+     dataflow analyzer and checked against the static obligations —
+     register-file accesses in bounds and aligned, spill-slot accesses
+     inside the allocated frame, the promoted writeback discipline.
+   - `relocheck` (Hostir.Reloc): every translation is decoded back from
+     its encoded bytes and classified operand by operand — no absolute
+     host addresses, control leaves only through numbered chain/exit
+     sites, environment references in bounds, helpers by stable symbol
+     id — and audited for encoding determinism.  A flagged translation
+     must never be persisted, so any finding is a hard failure. *)
+
+module CE = Captive.Engine
+
+(* Name, expected guest exit code, and how to build the workload: ARM
+   user programs run under the mini-OS, the RISC-V image bare-metal. *)
+let sweep_workloads =
+  let spec name () = `Arm_user ((Workloads.Spec.find name).Workloads.Spec.build ~scale:1) in
+  [
+    ("armv8-a-boot", 0, fun () -> `Arm_user (demo_user ()));
+    ( "armv8-a-mmu",
+      Workloads.Mmu_stress.arm_expected_exit,
+      fun () -> `Arm_user (Workloads.Mmu_stress.arm_user ()) );
+    ("armv8-a-libquantum", 8, spec "462.libquantum");
+    ("armv8-a-mcf", 0, spec "429.mcf");
+    ("armv8-a-perlbench", 212, spec "400.perlbench");
+    ("armv8-a-sjeng", 35, spec "458.sjeng");
+    ("armv8-a-gobmk", 64, spec "445.gobmk");
+    ("armv8-a-omnetpp", 220, spec "471.omnetpp");
+    ("armv8-a-xalancbmk", 0, spec "483.xalancbmk");
+    ("rv64im-mmu", Workloads.Mmu_stress.riscv_expected_exit, fun () -> `Riscv_image);
+  ]
+
+let sweep_names = List.map (fun (n, _, _) -> n) sweep_workloads
+
+(* One translate-time check: what it reports and where its findings go. *)
+type check = {
+  c_name : string; (* subcommand, and the [<name>_ms] JSON key *)
+  c_what : string; (* what the sweep runs, for the header line *)
+  c_verb : string; (* blocks_<verb> / regions_<verb> keys and counters *)
+  c_findings : string; (* summary counter for findings *)
+  c_count : CE.phase_stats -> int * int * int; (* blocks, regions, findings *)
+  c_extra : CE.phase_stats -> (string * string * int) list; (* JSON key, counter, value *)
+  c_time : CE.phase_stats -> float;
+  c_log : CE.t -> (string * string) list;
+}
+
+let sweep (c : check) ~config json workload level =
+  if workload <> "all" && not (List.mem workload sweep_names) then
+    `Error
+      ( true,
+        Printf.sprintf "unknown workload %S; valid names: all, %s" workload
+          (String.concat ", " sweep_names) )
+  else if level < 0 || level > 4 then
+    `Error (true, Printf.sprintf "level %d outside 0-4 (1-4 selects one level, 0 sweeps all)" level)
+  else begin
+    let failures = ref 0 in
+    let summary = Counters.create () in
+    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
+    let shout line = if json then prerr_endline line else print_endline line in
+    let workloads =
+      List.filter_map
+        (fun (n, expected, build) ->
+          if workload = "all" || workload = n then Some (n, expected, build ()) else None)
+        sweep_workloads
+    in
+    let levels = if level = 0 then [ 1; 2; 3; 4 ] else [ level ] in
+    say "%s: %d workload(s) x %d level(s) with %s\n%!" c.c_name (List.length workloads)
+      (List.length levels) c.c_what;
+    List.iter
+      (fun level ->
+        List.iter
+          (fun (name, expected, kind) ->
+            let e =
+              match kind with
+              | `Arm_user user ->
+                let e = CE.create ~config (Guest_arm.Arm.ops ~opt_level:level ()) in
+                Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
+                e
+              | `Riscv_image ->
+                let e = CE.create ~config (Guest_riscv.Riscv.ops ~opt_level:level ()) in
+                CE.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
+                  (Workloads.Mmu_stress.riscv_image ());
+                CE.set_entry e Workloads.Mmu_stress.riscv_entry;
+                e
+            in
+            let code = exit_of (CE.run ~max_cycles:2_000_000_000 e) in
+            let s = e.CE.stats in
+            let nb, nr, nf = c.c_count s in
+            let extra = c.c_extra s in
+            Counters.bump summary ("programs " ^ c.c_verb) ~by:(nb + nr);
+            Counters.bump summary ("blocks " ^ c.c_verb) ~by:nb;
+            Counters.bump summary ("regions " ^ c.c_verb) ~by:nr;
+            Counters.bump summary c.c_findings ~by:nf;
+            List.iter (fun (_, counter, v) -> Counters.bump summary counter ~by:v) extra;
+            if nf > 0 then begin
+              failures := !failures + nf;
+              List.iter
+                (fun (what, detail) ->
+                  shout (Printf.sprintf "  %s O%d %s\n    %s" name level what detail))
+                (List.rev (c.c_log e))
+            end;
+            if code <> expected then begin
+              incr failures;
+              shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code expected)
+            end;
+            let ms = 1000. *. c.c_time s in
+            let per = ms /. float_of_int (max 1 (nb + nr)) in
+            if json then
+              Printf.printf
+                "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,\"blocks_%s\":%d,\"regions_%s\":%d,\"findings\":%d%s,\"%s_ms\":%.1f,\"ms_per_program\":%.3f}\n"
+                (Dbt_util.Stats.json_string name) level code expected c.c_verb nb c.c_verb nr nf
+                (String.concat "" (List.map (fun (k, _, v) -> Printf.sprintf ",\"%s\":%d" k v) extra))
+                c.c_name ms per
+            else
+              say
+                "%-20s O%d: exit %d (expected %d), %5d blocks + %3d regions %s, %d finding(s)%s, %6.1fms (%.3fms/program)\n%!"
+                name level code expected nb nr c.c_verb nf
+                (String.concat "" (List.map (fun (_, counter, v) -> Printf.sprintf ", %d %s" v counter) extra))
+                ms per)
+          workloads)
+      levels;
+    if json then
+      Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"failures\":%d,\"counters\":%s}\n"
+        (List.length workloads * List.length levels)
+        !failures (Counters.to_json summary)
+    else say "\n%s counters:\n%s" c.c_name (Counters.report summary);
+    if !failures = 0 then begin
+      if not json then Printf.printf "%s: no findings\n" c.c_name;
+      `Ok ()
+    end
+    else `Error (false, Printf.sprintf "%s: %d finding(s)" c.c_name !failures)
+  end
+
+let sweep_cmd (c : check) ~doc ?(every = Term.const 1) config =
   let json =
     Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit one counter object per workload/level pair plus a summary line as \
-                 JSON on stdout; divergence findings go to stderr.")
-  in
-  let every =
-    Arg.(value & opt int 1 & info [ "every" ] ~docv:"N"
-           ~doc:"Validate every Nth translated tier-0 block (regions are always \
-                 validated).  1 validates everything.")
+           ~doc:(Printf.sprintf
+                   "Emit one counter object per workload/level pair plus a summary line as \
+                    JSON on stdout; %s go to stderr." c.c_findings))
   in
   let workload =
     Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
-           ~doc:"Restrict to one workload (armv8-a-boot, armv8-a-mmu, rv64im-mmu or all).")
+           ~doc:(Printf.sprintf "Restrict to one workload (%s, or all)."
+                   (String.concat ", " sweep_names)))
   in
   let level =
     Arg.(value & opt int 0 & info [ "l"; "level" ] ~docv:"N"
@@ -1063,389 +1185,74 @@ let validate_cmd =
   in
   let run json every workload level =
     if every < 1 then `Error (true, "--every must be >= 1")
-    else begin
-      let failures = ref 0 in
-      let summary = Counters.create () in
-      let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-      let shout line = if json then prerr_endline line else print_endline line in
-      let config =
-        { Captive.Engine.default_config with
-          Captive.Engine.validate_translations = true;
-          validate_every = every;
-        }
-      in
-      let exit_of = function
-        | Captive.Engine.Poweroff c -> c
-        | Captive.Engine.Cycle_limit -> -2
-        | Captive.Engine.Block_limit -> -3
-      in
-      let boot_user = demo_user () in
-      let spec name = (Workloads.Spec.find name).Workloads.Spec.build ~scale:1 in
-      let workloads =
-        List.filter
-          (fun (n, _, _) -> workload = "all" || workload = n)
-          [ ("armv8-a-boot", `Arm_user boot_user, 0);
-            ("armv8-a-mmu", `Arm_user (Workloads.Mmu_stress.arm_user ()), Workloads.Mmu_stress.arm_expected_exit);
-            ("armv8-a-libquantum", `Arm_user (spec "462.libquantum"), 8);
-            ("armv8-a-mcf", `Arm_user (spec "429.mcf"), 0);
-            ("armv8-a-perlbench", `Arm_user (spec "400.perlbench"), 212);
-            ("armv8-a-sjeng", `Arm_user (spec "458.sjeng"), 35);
-            ("armv8-a-gobmk", `Arm_user (spec "445.gobmk"), 64);
-            ("armv8-a-omnetpp", `Arm_user (spec "471.omnetpp"), 220);
-            ("armv8-a-xalancbmk", `Arm_user (spec "483.xalancbmk"), 0);
-            ("rv64im-mmu", `Riscv_image, Workloads.Mmu_stress.riscv_expected_exit);
-          ]
-      in
-      let levels =
-        List.filter (fun l -> level = 0 || level = l) [ 1; 2; 3; 4 ]
-      in
-      say "validate: %d workload(s) x %d level(s) with symbolic translation validation\n%!"
-        (List.length workloads) (List.length levels);
-      List.iter
-        (fun level ->
-          List.iter
-            (fun (name, kind, expected) ->
-              let e, code =
-                match kind with
-                | `Arm_user user ->
-                  let e =
-                    Captive.Engine.create ~config (Guest_arm.Arm.ops ~opt_level:level ())
-                  in
-                  Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-                  (e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-                | `Riscv_image ->
-                  let e =
-                    Captive.Engine.create ~config (Guest_riscv.Riscv.ops ~opt_level:level ())
-                  in
-                  Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-                    (Workloads.Mmu_stress.riscv_image ());
-                  Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
-                  (e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-              in
-              let s = e.Captive.Engine.stats in
-              let nb = s.Captive.Engine.blocks_validated in
-              let nr = s.Captive.Engine.regions_validated in
-              let nf = s.Captive.Engine.validation_findings in
-              let nbd = s.Captive.Engine.validations_bounded in
-              Counters.bump summary "programs validated" ~by:(nb + nr);
-              Counters.bump summary "blocks validated" ~by:nb;
-              Counters.bump summary "regions validated" ~by:nr;
-              Counters.bump summary "divergence findings" ~by:nf;
-              Counters.bump summary "bounded checks" ~by:nbd;
-              if nf > 0 then begin
-                failures := !failures + nf;
-                List.iter
-                  (fun (what, detail) ->
-                    shout (Printf.sprintf "  %s O%d %s\n    %s" name level what detail))
-                  (List.rev e.Captive.Engine.validation_log)
-              end;
-              if code <> expected then begin
-                incr failures;
-                shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code expected)
-              end;
-              let ms = 1000. *. s.Captive.Engine.t_validate in
-              let per = ms /. float_of_int (max 1 (nb + nr)) in
-              if json then
-                Printf.printf
-                  "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,\"blocks_validated\":%d,\"regions_validated\":%d,\"findings\":%d,\"bounded\":%d,\"validate_ms\":%.1f,\"ms_per_program\":%.3f}\n"
-                  (Dbt_util.Stats.json_string name)
-                  level code expected nb nr nf nbd ms per
-              else
-                say
-                  "%-14s O%d: exit %d (expected %d), %4d blocks + %2d regions validated, %d finding(s), %d bounded, %6.1fms (%.2fms/program)\n%!"
-                  name level code expected nb nr nf nbd ms per)
-            workloads)
-        levels;
-      if json then
-        Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"failures\":%d,\"counters\":%s}\n"
-          (List.length workloads * List.length levels)
-          !failures (Counters.to_json summary)
-      else say "\nvalidate counters:\n%s" (Counters.report summary);
-      if !failures = 0 then begin
-        if not json then print_endline "validate: no findings";
-        `Ok ()
-      end
-      else `Error (false, Printf.sprintf "validate: %d finding(s)" !failures)
-    end
+    else sweep c ~config:(config every) json workload level
   in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:"Symbolically validate every translation formed while running the ARM and \
-             RISC-V workloads at O1-O4 against an unoptimized reference emission.")
-    Term.(ret (const run $ json $ every $ workload $ level))
+  Cmd.v (Cmd.info c.c_name ~doc) Term.(ret (const run $ json $ every $ workload $ level))
 
-(* --- analyze ------------------------------------------------------------------------- *)
-
-(* Translate-time abstract interpretation sweep (Hostir.Absint): the same
-   workload matrix as `validate`, run with `analyze_translations`
-   enabled.  Every tier-0 block and every flattened region the engine
-   forms is pushed through the dataflow analyzer and checked against the
-   static obligations — register-file accesses in bounds and aligned,
-   spill-slot accesses inside the allocated frame, the promoted
-   writeback discipline (dirty coverage, call barriers, staleness) — at
-   every offline optimization level O1-O4.  Exit status is non-zero on
-   any obligation finding or wrong guest exit code; with --json, stdout
-   carries one counter object per workload/level pair plus a summary
-   line for the CI artifact, and findings go to stderr. *)
+let validate_cmd =
+  let every =
+    Arg.(value & opt int 1 & info [ "every" ] ~docv:"N"
+           ~doc:"Validate every Nth translated tier-0 block (regions are always \
+                 validated).  1 validates everything.")
+  in
+  sweep_cmd ~every
+    {
+      c_name = "validate";
+      c_what = "symbolic translation validation";
+      c_verb = "validated";
+      c_findings = "divergence findings";
+      c_count = (fun s -> CE.(s.blocks_validated, s.regions_validated, s.validation_findings));
+      c_extra = (fun s -> [ ("bounded", "bounded checks", s.CE.validations_bounded) ]);
+      c_time = (fun s -> s.CE.t_validate);
+      c_log = (fun e -> e.CE.validation_log);
+    }
+    ~doc:"Symbolically validate every translation formed while running the ARM and \
+          RISC-V workloads at O1-O4 against an unoptimized reference emission."
+    (fun every ->
+      { CE.default_config with CE.validate_translations = true; validate_every = every })
 
 let analyze_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit one counter object per workload/level pair plus a summary line as \
-                 JSON on stdout; obligation findings go to stderr.")
-  in
-  let workload =
-    Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
-           ~doc:"Restrict to one workload (armv8-a-boot, armv8-a-mmu, rv64im-mmu or all).")
-  in
-  let level =
-    Arg.(value & opt int 0 & info [ "l"; "level" ] ~docv:"N"
-           ~doc:"Restrict to one offline optimization level (1-4; 0 sweeps all).")
-  in
-  let run json workload level =
-    let failures = ref 0 in
-    let summary = Counters.create () in
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-    let shout line = if json then prerr_endline line else print_endline line in
-    let config =
-      { Captive.Engine.default_config with Captive.Engine.analyze_translations = true }
-    in
-    let exit_of = function
-      | Captive.Engine.Poweroff c -> c
-      | Captive.Engine.Cycle_limit -> -2
-      | Captive.Engine.Block_limit -> -3
-    in
-    let boot_user = demo_user () in
-    let spec name = (Workloads.Spec.find name).Workloads.Spec.build ~scale:1 in
-    let workloads =
-      List.filter
-        (fun (n, _, _) -> workload = "all" || workload = n)
-        [ ("armv8-a-boot", `Arm_user boot_user, 0);
-          ("armv8-a-mmu", `Arm_user (Workloads.Mmu_stress.arm_user ()), Workloads.Mmu_stress.arm_expected_exit);
-          ("armv8-a-libquantum", `Arm_user (spec "462.libquantum"), 8);
-          ("armv8-a-mcf", `Arm_user (spec "429.mcf"), 0);
-          ("armv8-a-perlbench", `Arm_user (spec "400.perlbench"), 212);
-          ("armv8-a-sjeng", `Arm_user (spec "458.sjeng"), 35);
-          ("armv8-a-gobmk", `Arm_user (spec "445.gobmk"), 64);
-          ("armv8-a-omnetpp", `Arm_user (spec "471.omnetpp"), 220);
-          ("armv8-a-xalancbmk", `Arm_user (spec "483.xalancbmk"), 0);
-          ("rv64im-mmu", `Riscv_image, Workloads.Mmu_stress.riscv_expected_exit);
-        ]
-    in
-    let levels = List.filter (fun l -> level = 0 || level = l) [ 1; 2; 3; 4 ] in
-    say "analyze: %d workload(s) x %d level(s) with translate-time obligation checking\n%!"
-      (List.length workloads) (List.length levels);
-    List.iter
-      (fun level ->
-        List.iter
-          (fun (name, kind, expected) ->
-            let e, code =
-              match kind with
-              | `Arm_user user ->
-                let e =
-                  Captive.Engine.create ~config (Guest_arm.Arm.ops ~opt_level:level ())
-                in
-                Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-                (e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-              | `Riscv_image ->
-                let e =
-                  Captive.Engine.create ~config (Guest_riscv.Riscv.ops ~opt_level:level ())
-                in
-                Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-                  (Workloads.Mmu_stress.riscv_image ());
-                Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
-                (e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-            in
-            let s = e.Captive.Engine.stats in
-            let nb = s.Captive.Engine.blocks_analyzed in
-            let nr = s.Captive.Engine.regions_analyzed in
-            let nf = s.Captive.Engine.obligation_findings in
-            Counters.bump summary "programs analyzed" ~by:(nb + nr);
-            Counters.bump summary "blocks analyzed" ~by:nb;
-            Counters.bump summary "regions analyzed" ~by:nr;
-            Counters.bump summary "obligation findings" ~by:nf;
-            Counters.bump summary "absint branches folded" ~by:s.Captive.Engine.absint_branches_folded;
-            Counters.bump summary "absint consts folded" ~by:s.Captive.Engine.absint_consts_folded;
-            Counters.bump summary "absint masks dropped" ~by:s.Captive.Engine.absint_masks_dropped;
-            Counters.bump summary "absint divs reduced" ~by:s.Captive.Engine.absint_divs_reduced;
-            Counters.bump summary "absint dead deleted" ~by:s.Captive.Engine.absint_dead_deleted;
-            if nf > 0 then begin
-              failures := !failures + nf;
-              List.iter
-                (fun (what, detail) ->
-                  shout (Printf.sprintf "  %s O%d %s\n    %s" name level what detail))
-                (List.rev e.Captive.Engine.analysis_log)
-            end;
-            if code <> expected then begin
-              incr failures;
-              shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code expected)
-            end;
-            let ms = 1000. *. s.Captive.Engine.t_analyze in
-            let per = ms /. float_of_int (max 1 (nb + nr)) in
-            if json then
-              Printf.printf
-                "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,\"blocks_analyzed\":%d,\"regions_analyzed\":%d,\"findings\":%d,\"branches_folded\":%d,\"consts_folded\":%d,\"masks_dropped\":%d,\"divs_reduced\":%d,\"dead_deleted\":%d,\"analyze_ms\":%.1f,\"ms_per_program\":%.3f}\n"
-                (Dbt_util.Stats.json_string name)
-                level code expected nb nr nf s.Captive.Engine.absint_branches_folded
-                s.Captive.Engine.absint_consts_folded s.Captive.Engine.absint_masks_dropped
-                s.Captive.Engine.absint_divs_reduced s.Captive.Engine.absint_dead_deleted ms per
-            else
-              say
-                "%-20s O%d: exit %d (expected %d), %5d blocks + %3d regions analyzed, %d finding(s), %6.1fms (%.3fms/program)\n%!"
-                name level code expected nb nr nf ms per)
-          workloads)
-      levels;
-    if json then
-      Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"failures\":%d,\"counters\":%s}\n"
-        (List.length workloads * List.length levels)
-        !failures (Counters.to_json summary)
-    else say "\nanalyze counters:\n%s" (Counters.report summary);
-    if !failures = 0 then begin
-      if not json then print_endline "analyze: no findings";
-      `Ok ()
-    end
-    else `Error (false, Printf.sprintf "analyze: %d finding(s)" !failures)
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:"Check translate-time static obligations (register-file bounds, frame bounds, \
-             writeback discipline) on every translation formed while running the ARM and \
-             RISC-V workloads at O1-O4.")
-    Term.(ret (const run $ json $ workload $ level))
-
-(* --- relocheck ----------------------------------------------------------------------- *)
-
-(* Relocation-cleanliness sweep (Hostir.Reloc): the same workload matrix
-   as `validate`/`analyze`, run with `reloc_check` enabled.  Every tier-0
-   block and every region unit the engine forms is decoded back from its
-   encoded bytes and classified operand by operand — no absolute host
-   addresses in immediates (abs-host-addr), control leaves only through
-   numbered chain/exit sites (unnumbered-exit), environment-relative
-   references in bounds (env-immediate), helper references by stable
-   symbol id (helper-by-addr) — and audited for encoding determinism:
-   decode -> re-encode must reproduce the byte stream, and re-encoding
-   the allocated instruction stream must too (nondet-encoding).  Clean
-   programs receive the certificate the persistent AOT cache consumes;
-   a single finding at any level is a hard failure, because a flagged
-   translation must never be persisted. *)
+  sweep_cmd
+    {
+      c_name = "analyze";
+      c_what = "translate-time obligation checking";
+      c_verb = "analyzed";
+      c_findings = "obligation findings";
+      c_count = (fun s -> CE.(s.blocks_analyzed, s.regions_analyzed, s.obligation_findings));
+      c_extra =
+        (fun s ->
+          CE.
+            [
+              ("branches_folded", "absint branches folded", s.absint_branches_folded);
+              ("consts_folded", "absint consts folded", s.absint_consts_folded);
+              ("masks_dropped", "absint masks dropped", s.absint_masks_dropped);
+              ("divs_reduced", "absint divs reduced", s.absint_divs_reduced);
+              ("dead_deleted", "absint dead deleted", s.absint_dead_deleted);
+            ]);
+      c_time = (fun s -> s.CE.t_analyze);
+      c_log = (fun e -> e.CE.analysis_log);
+    }
+    ~doc:"Check translate-time static obligations (register-file bounds, frame bounds, \
+          writeback discipline) on every translation formed while running the ARM and \
+          RISC-V workloads at O1-O4."
+    (fun _ -> { CE.default_config with CE.analyze_translations = true })
 
 let relocheck_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit one counter object per workload/level pair plus a summary line as \
-                 JSON on stdout; relocation findings go to stderr.")
-  in
-  let workload =
-    Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
-           ~doc:"Restrict to one workload (armv8-a-boot, armv8-a-mmu, rv64im-mmu or all).")
-  in
-  let level =
-    Arg.(value & opt int 0 & info [ "l"; "level" ] ~docv:"N"
-           ~doc:"Restrict to one offline optimization level (1-4; 0 sweeps all).")
-  in
-  let run json workload level =
-    let failures = ref 0 in
-    let summary = Counters.create () in
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-    let shout line = if json then prerr_endline line else print_endline line in
-    let config =
-      { Captive.Engine.default_config with Captive.Engine.reloc_check = true }
-    in
-    let exit_of = function
-      | Captive.Engine.Poweroff c -> c
-      | Captive.Engine.Cycle_limit -> -2
-      | Captive.Engine.Block_limit -> -3
-    in
-    let boot_user = demo_user () in
-    let spec name = (Workloads.Spec.find name).Workloads.Spec.build ~scale:1 in
-    let workloads =
-      List.filter
-        (fun (n, _, _) -> workload = "all" || workload = n)
-        [ ("armv8-a-boot", `Arm_user boot_user, 0);
-          ("armv8-a-mmu", `Arm_user (Workloads.Mmu_stress.arm_user ()), Workloads.Mmu_stress.arm_expected_exit);
-          ("armv8-a-libquantum", `Arm_user (spec "462.libquantum"), 8);
-          ("armv8-a-mcf", `Arm_user (spec "429.mcf"), 0);
-          ("armv8-a-perlbench", `Arm_user (spec "400.perlbench"), 212);
-          ("armv8-a-sjeng", `Arm_user (spec "458.sjeng"), 35);
-          ("armv8-a-gobmk", `Arm_user (spec "445.gobmk"), 64);
-          ("armv8-a-omnetpp", `Arm_user (spec "471.omnetpp"), 220);
-          ("armv8-a-xalancbmk", `Arm_user (spec "483.xalancbmk"), 0);
-          ("rv64im-mmu", `Riscv_image, Workloads.Mmu_stress.riscv_expected_exit);
-        ]
-    in
-    let levels = List.filter (fun l -> level = 0 || level = l) [ 1; 2; 3; 4 ] in
-    say "relocheck: %d workload(s) x %d level(s) with relocation-cleanliness certification\n%!"
-      (List.length workloads) (List.length levels);
-    List.iter
-      (fun level ->
-        List.iter
-          (fun (name, kind, expected) ->
-            let e, code =
-              match kind with
-              | `Arm_user user ->
-                let e =
-                  Captive.Engine.create ~config (Guest_arm.Arm.ops ~opt_level:level ())
-                in
-                Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-                (e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-              | `Riscv_image ->
-                let e =
-                  Captive.Engine.create ~config (Guest_riscv.Riscv.ops ~opt_level:level ())
-                in
-                Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-                  (Workloads.Mmu_stress.riscv_image ());
-                Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
-                (e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-            in
-            let s = e.Captive.Engine.stats in
-            let nb = s.Captive.Engine.blocks_certified in
-            let nr = s.Captive.Engine.regions_certified in
-            let nf = s.Captive.Engine.reloc_findings in
-            Counters.bump summary "programs certified" ~by:(nb + nr);
-            Counters.bump summary "blocks certified" ~by:nb;
-            Counters.bump summary "regions certified" ~by:nr;
-            Counters.bump summary "relocation findings" ~by:nf;
-            if nf > 0 then begin
-              failures := !failures + nf;
-              List.iter
-                (fun (what, detail) ->
-                  shout (Printf.sprintf "  %s O%d %s\n    %s" name level what detail))
-                (List.rev (Captive.Engine.reloc_log e))
-            end;
-            if code <> expected then begin
-              incr failures;
-              shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code expected)
-            end;
-            let ms = 1000. *. s.Captive.Engine.t_reloc in
-            let per = ms /. float_of_int (max 1 (nb + nr)) in
-            if json then
-              Printf.printf
-                "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,\"blocks_certified\":%d,\"regions_certified\":%d,\"findings\":%d,\"relocheck_ms\":%.1f,\"ms_per_program\":%.3f}\n"
-                (Dbt_util.Stats.json_string name)
-                level code expected nb nr nf ms per
-            else
-              say
-                "%-20s O%d: exit %d (expected %d), %5d blocks + %3d regions certified, %d finding(s), %6.1fms (%.3fms/program)\n%!"
-                name level code expected nb nr nf ms per)
-          workloads)
-      levels;
-    if json then
-      Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"failures\":%d,\"counters\":%s}\n"
-        (List.length workloads * List.length levels)
-        !failures (Counters.to_json summary)
-    else say "\nrelocheck counters:\n%s" (Counters.report summary);
-    if !failures = 0 then begin
-      if not json then print_endline "relocheck: no findings";
-      `Ok ()
-    end
-    else `Error (false, Printf.sprintf "relocheck: %d finding(s)" !failures)
-  in
-  Cmd.v
-    (Cmd.info "relocheck"
-       ~doc:"Certify every translation formed while running the ARM and RISC-V workloads \
-             at O1-O4 relocation-clean (no absolute host addresses, numbered exits only, \
-             environment references in bounds, deterministic encoding).")
-    Term.(ret (const run $ json $ workload $ level))
+  sweep_cmd
+    {
+      c_name = "relocheck";
+      c_what = "relocation-cleanliness certification";
+      c_verb = "certified";
+      c_findings = "relocation findings";
+      c_count = (fun s -> CE.(s.blocks_certified, s.regions_certified, s.reloc_findings));
+      c_extra = (fun _ -> []);
+      c_time = (fun s -> s.CE.t_reloc);
+      c_log = CE.reloc_log;
+    }
+    ~doc:"Certify every translation formed while running the ARM and RISC-V workloads \
+          at O1-O4 relocation-clean (no absolute host addresses, numbered exits only, \
+          environment references in bounds, deterministic encoding)."
+    (fun _ -> { CE.default_config with CE.reloc_check = true })
 
 (* --- aot ----------------------------------------------------------------------------- *)
 
@@ -1488,11 +1295,6 @@ let aot_cmd =
     let root = match dir with Some d -> d | None -> "_captive_aot" in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
-    let exit_of = function
-      | Captive.Engine.Poweroff c -> c
-      | Captive.Engine.Cycle_limit -> -2
-      | Captive.Engine.Block_limit -> -3
-    in
     let wipe d =
       if Sys.file_exists d && Sys.is_directory d then
         Array.iter
@@ -1752,11 +1554,6 @@ let templates_cmd =
     in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
-    let exit_of = function
-      | Captive.Engine.Poweroff c -> c
-      | Captive.Engine.Cycle_limit -> -2
-      | Captive.Engine.Block_limit -> -3
-    in
     let config =
       let c = Captive.Engine.default_config in
       match hot_threshold with

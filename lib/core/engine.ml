@@ -29,7 +29,6 @@ type config = {
   pcid : bool; (* use PCIDs when switching address-space roots *)
   split_va_check : bool; (* 64-bit guest address-space split handling *)
   mem_size : int;
-  max_block : int; (* maximum guest instructions per translation block *)
   sanitize : bool; (* shadow-oracle MMU invariant checking (Hvm.Sanitize) *)
   sanitize_every : int; (* extra periodic checkpoint every N translated blocks *)
   tiering : bool; (* tiered translation: profile tier-0 blocks, form hot regions *)
@@ -50,11 +49,6 @@ type config = {
      offsets in-bounds and aligned, spill slots inside the frame,
      promoted-register discipline and writeback coverage *)
   analyze_translations : bool;
-  (* the O4 absint-simplify region pass: fold branches with known
-     conditions, delete cross-block dead definitions, drop redundant
-     masks, strength-reduce division — on facts that only materialize
-     after region flattening and promotion *)
-  absint_simplify : bool;
   (* relocation-cleanliness certification (Hostir.Reloc): every encoded
      translation is analyzed at translate time — operands and control
      transfers classified relocatable or pinned, encoding determinism
@@ -85,7 +79,6 @@ let default_config =
     pcid = true;
     split_va_check = true;
     mem_size = 256 * 1024 * 1024;
-    max_block = 64;
     sanitize = false;
     sanitize_every = 32;
     tiering = true;
@@ -97,7 +90,6 @@ let default_config =
     validate_translations = false;
     validate_every = 1;
     analyze_translations = false;
-    absint_simplify = true;
     reloc_check = false;
     aot_dir = None;
     domains = 1;
@@ -344,12 +336,16 @@ type translation = {
   t_exits : (int64 * int * translation) option array;
 }
 
-(* --- concurrent JIT: pure translation jobs on worker domains --------------------- *)
+(* --- translation requests and results ---------------------------------------------- *)
 
-(* Everything the pure job runner may read: immutable configuration
-   captured at engine creation.  A worker domain never touches the
-   engine record, the machine, or live guest memory — translation is a
-   function (guest bytes, regime, config) -> (encoded program, stats). *)
+(* Blocks end after [max_block] guest instructions, at a block-ending
+   instruction, at an undefined word, or at the page end. *)
+let max_block = 64
+
+(* Everything a tier may read besides its request: immutable
+   configuration captured at engine creation.  A region job on a worker
+   domain never touches the engine record, the machine, or live guest
+   memory — translation is a function (request, config) -> result. *)
 type jit_env = {
   je_guest : Ops.ops;
   je_config : config;
@@ -357,29 +353,49 @@ type jit_env = {
   je_rf_bytes : int; (* guest register file size, for Reloc env bounds *)
 }
 
+(* One guest basic block of a request: its VA and the slice of the
+   request's guest bytes its decode may read. *)
 type member_desc = {
   md_va : int64;
-  md_off : int; (* byte offset of the member's code in the page snapshot *)
-  md_succs : int64 list; (* profiled successor VAs, hottest first *)
+  md_off : int; (* byte offset of the member's words in [rq_guest] *)
+  md_len : int; (* bytes of [rq_guest] the member's decode may read *)
+  md_succs : int64 list; (* profiled successor VAs, hottest first (regions) *)
 }
 
-(* A region-formation job: guest-PA range + EL/MMU regime in, certified
-   encoded program out.  The guest bytes travel as a snapshot of the
-   head's page taken at enqueue time (regions never cross a page), so
-   the job stays pure even while the vCPU keeps mutating guest memory. *)
-type region_request = {
-  rq_head_va : int64;
-  rq_pa_page : int64;
+(* A translation request: guest-PA site + EL/MMU regime in.  The guest
+   bytes travel with the request, copied from guest memory when it is
+   made, so no tier reads live memory and a region job stays pure while
+   the vCPU keeps mutating guest memory.  A block request copies the
+   words its decode can reach (at most [max_block], stopping at the page
+   end); a region request copies its members' words, concatenated.
+   Every member lives on the head's guest page. *)
+type request = {
+  rq_va : int64; (* head VA *)
+  rq_pa : int64; (* head PA *)
   rq_el : int;
   rq_mmu : bool;
+  rq_region : bool; (* one unit over [rq_members], one exit site per member *)
   rq_members : member_desc list;
-  rq_snapshot : bytes; (* the head page's 4 KiB at enqueue time *)
+  rq_guest : bytes;
 }
 
-(* What the worker hands back: the encoded program plus the stats delta
-   and capped finding logs it accumulated, merged on the vCPU at
-   install time. *)
-type region_result = {
+(* What one translation attempt accounts: a stats delta plus capped
+   finding logs, merged into the engine when its result installs (or
+   right away, for an AOT region probe that installed nothing). *)
+type acc = {
+  a_stats : phase_stats;
+  mutable a_validation : (string * string) list;
+  mutable a_analysis : (string * string) list;
+  mutable a_reloc : (string * string) list;
+}
+
+(* What every tier hands to [install].  [r_kind] is the AOT entry kind:
+   0 = pipeline block, 1 = region unit, 2 = template-stitched block.  A
+   result loaded from the AOT cache ([r_fresh = false]) is never stored
+   back. *)
+type result = {
+  r_kind : int;
+  r_fresh : bool;
   r_program : Encode.program;
   r_code : bytes;
   r_cert : Hostir.Reloc.certificate option;
@@ -387,20 +403,17 @@ type region_result = {
   r_n_host : int;
   r_n_slots : int;
   r_n_exits : int;
-  r_stats : phase_stats;
-  r_validation_log : (string * string) list;
-  r_analysis_log : (string * string) list;
-  r_reloc_log : (string * string) list;
+  r_cost : int; (* simulated translate cycles, charged at install *)
+  r_acc : acc;
 }
 
-type job_outcome = R_ok of region_result | R_exn of exn
+type job_outcome = R_ok of result | R_exn of exn
 
 type region_job = {
-  j_req : region_request; (* the pure part: all a worker reads *)
+  j_req : request; (* the pure part: all a worker reads *)
   j_head : translation; (* vCPU-side records, for install bookkeeping only *)
   j_members : translation list;
   j_gen : int; (* code-cache page generation at enqueue: the tombstone token *)
-  j_guest_hash : int64; (* Reloc.hash64 over the members' guest bytes at enqueue *)
   mutable j_outcome : job_outcome option; (* written by the worker under the pool lock *)
 }
 
@@ -470,6 +483,24 @@ let trace e fmt =
     Printf.eprintf fmt
   end
   else Printf.ifprintf stderr fmt
+
+(* Unlink every chain and exit edge into [dead] (a chain hit bypasses
+   the cache, so a surviving edge would re-enter replaced or stale
+   code), and the dead records' own outgoing edges: the dispatch loop
+   may still hold one of them as its current block (a block that
+   rewrote its own page), and must not chain onward from it. *)
+let unlink (e : t) (dead : translation list) =
+  let cut = function Some (_, _, tgt) when List.memq tgt dead -> None | edge -> edge in
+  Codecache.iter
+    (fun _ tr ->
+      tr.t_chain <- cut tr.t_chain;
+      Array.iteri (fun i edge -> tr.t_exits.(i) <- cut edge) tr.t_exits)
+    e.cache;
+  List.iter
+    (fun tr ->
+      tr.t_chain <- None;
+      Array.fill tr.t_exits 0 (Array.length tr.t_exits) None)
+    dead
 
 (* --- engine construction ------------------------------------------------------ *)
 
@@ -678,13 +709,15 @@ and invalidate_page e phys_page =
      job was enqueued against the pre-write bytes.  Jobs already running
      on a worker domain can't be stopped mid-flight — their install is
      rejected instead, by the page-generation tombstone ([publish_if])
-     and the guest-byte certificate hash re-check. *)
+     and the guest-byte re-check in [install]. *)
   (match e.pool with
   | None -> ()
   | Some p ->
     Mutex.lock p.p_mu;
     let cancelled, kept =
-      List.partition (fun j -> Int64.equal j.j_req.rq_pa_page phys_page) p.p_pending
+      List.partition
+        (fun j -> Int64.equal (Bits.align_down j.j_req.rq_pa 4096) phys_page)
+        p.p_pending
     in
     p.p_pending <- kept;
     Mutex.unlock p.p_mu;
@@ -693,30 +726,7 @@ and invalidate_page e phys_page =
      published — the tombstone must outlive the cache contents. *)
   let removed = Codecache.invalidate_page e.cache phys_page in
   if removed <> [] then begin
-    (* Unlink every chain edge targeting an invalidated translation: a
-       chain hit bypasses the cache, so a surviving edge would re-enter
-       stale code after self-modification (fatal for a region unit, whose
-       members just got demoted). *)
-    Codecache.iter
-      (fun _ tr ->
-        (match tr.t_chain with
-        | Some (_, _, tgt) when List.memq tgt removed -> tr.t_chain <- None
-        | _ -> ());
-        Array.iteri
-          (fun i edge ->
-            match edge with
-            | Some (_, _, tgt) when List.memq tgt removed -> tr.t_exits.(i) <- None
-            | _ -> ())
-          tr.t_exits)
-      e.cache;
-    (* Also the removed records' own outgoing edges: the dispatch loop may
-       still hold one of them as its current block (a block that rewrote
-       its own page), and must not chain onward into stale code. *)
-    List.iter
-      (fun tr ->
-        tr.t_chain <- None;
-        Array.fill tr.t_exits 0 (Array.length tr.t_exits) None)
-      removed;
+    unlink e removed;
     e.stats.smc_invalidations <- e.stats.smc_invalidations + 1
   end;
   (* Static-analysis staleness audit: unlike chain edges, there is no
@@ -828,9 +838,9 @@ and handle_fault (e : t) ctx (access : Machine.access) va ~bits ~value : Exec.fa
       sanitize_check e ~reason:"fault";
       Exec.Retry)
 
-(* --- instruction fetch and translation -------------------------------------------- *)
+(* --- instruction fetch and translation requests ------------------------------------ *)
 
-let fetch_translate (e : t) sys va : (int64, unit) result =
+let fetch_translate (e : t) sys va : (int64, unit) Stdlib.result =
   (* Translate a fetch VA to PA via the guest MMU; takes the guest
      instruction-abort path on failure. *)
   match e.guest.Ops.mmu_translate sys ~access:Ops.Afetch va with
@@ -854,249 +864,9 @@ let field_of ~el (d : Adl.Decode.decoded) =
       | Some v -> v
       | None -> invalid_arg (Printf.sprintf "no field %s in %s" name d.Adl.Decode.name)
 
-let field_fn (e : t) sys (d : Adl.Decode.decoded) =
-  field_of ~el:(e.guest.Ops.privilege_level sys) d
-
-(* Decode one guest basic block starting at [va]/[pa]; returns the
-   decoded instructions in order, or [(..., true)] when the very first
-   instruction is undefined (the caller emits an exception stub). *)
-let decode_block (e : t) ~va ~pa : Adl.Decode.decoded list * bool =
-  let model = e.guest.Ops.model in
-  let decoded = ref [] in
-  let n = ref 0 in
-  let undefined_stub = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    let insn_va = Int64.add va (Int64.of_int (4 * !n)) in
-    let insn_pa = Int64.add pa (Int64.of_int (4 * !n)) in
-    let word = Machine.phys_read e.machine ~bits:32 insn_pa in
-    match Ssa.Offline.decode model word with
-    | Some d ->
-      decoded := d :: !decoded;
-      incr n;
-      if d.Adl.Decode.ends_block || !n >= e.config.max_block
-         || Int64.logand insn_va 0xFFFL = 0xFFCL (* stop at page boundary *)
-      then continue_ := false
-    | None ->
-      if !n = 0 then undefined_stub := true;
-      continue_ := false
-  done;
-  (List.rev !decoded, !undefined_stub)
-
-(* Pure decode from a page snapshot: mirrors [decode_block]'s stop
-   conditions exactly, but reads the bytes captured at enqueue time —
-   never live guest memory, which the vCPU may be mutating while the
-   job runs on a worker domain.  [off] is the byte offset of [va]'s
-   code within the snapshot page. *)
-let decode_block_pure (je : jit_env) ~(snapshot : bytes) ~va ~off :
-    Adl.Decode.decoded list * bool =
-  let model = je.je_guest.Ops.model in
-  let decoded = ref [] in
-  let n = ref 0 in
-  let undefined_stub = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    let insn_va = Int64.add va (Int64.of_int (4 * !n)) in
-    let word =
-      Int64.logand 0xFFFF_FFFFL
-        (Int64.of_int32 (Bytes.get_int32_le snapshot (off + (4 * !n))))
-    in
-    match Ssa.Offline.decode model word with
-    | Some d ->
-      decoded := d :: !decoded;
-      incr n;
-      if d.Adl.Decode.ends_block || !n >= je.je_config.max_block
-         || Int64.logand insn_va 0xFFFL = 0xFFCL (* stop at page boundary *)
-      then continue_ := false
-    | None ->
-      if !n = 0 then undefined_stub := true;
-      continue_ := false
-  done;
-  (List.rev !decoded, !undefined_stub)
-
-let dag_config_env (je : jit_env) ~mmu_on =
-  {
-    Dag.bank_offset = je.je_guest.Ops.bank_offset;
-    slot_offset = je.je_guest.Ops.slot_offset;
-    lower_intrinsic = lower_intrinsic je.je_config;
-    effect_helper = Common.effect_helper_index;
-    coproc_read_helper = Common.h_coproc_read;
-    coproc_write_helper = Common.h_coproc_write;
-    split_va_check = je.je_config.split_va_check && mmu_on;
-    as_switch_helper = Common.h_as_switch;
-  }
-
-let dag_config_of (e : t) ~mmu_on = dag_config_env e.jenv ~mmu_on
-
-(* The per-guest template table, created on first use (the Dag config
-   helpers above are not in scope at engine construction). *)
-let templates_of (e : t) : Hostir.Template.t =
-  match e.templates with
-  | Some tt -> tt
-  | None ->
-    let tt =
-      Hostir.Template.create
-        ~config:(fun ~mmu_on -> dag_config_of e ~mmu_on)
-        ~rf_bytes:e.jenv.je_rf_bytes ~insn_size:e.guest.Ops.insn_size
-    in
-    e.templates <- Some tt;
-    tt
-
-(* Finding logs are capped: counters keep exact totals, the logs keep
-   the first [log_cap] findings in discovery order. *)
-let log_cap = 64
-
-let append_capped (log : (string * string) list) (extra : (string * string) list) =
-  List.fold_left (fun acc it -> if List.length acc < log_cap then acc @ [ it ] else acc) log extra
-
-(* The [_into] recorders write to an explicit stats record and log ref
-   instead of the engine, so the pure job runner can account its work
-   into a private delta on a worker domain; the engine-side wrappers
-   below keep the historical call shape for the synchronous paths. *)
-
-(* Account one Equiv outcome: counters, plus a capped log of findings
-   (full detail, for the validate subcommand's JSON report). *)
-let record_validation_into ~(s : phase_stats) ~log ~what ~region (r : Hostir.Equiv.outcome) =
-  if region then s.regions_validated <- s.regions_validated + 1
-  else s.blocks_validated <- s.blocks_validated + 1;
-  if not r.Hostir.Equiv.complete then s.validations_bounded <- s.validations_bounded + 1;
-  if r.Hostir.Equiv.findings <> [] then begin
-    s.validation_findings <- s.validation_findings + List.length r.Hostir.Equiv.findings;
-    List.iter
-      (fun (f : Hostir.Equiv.finding) ->
-        if List.length !log < log_cap then
-          log :=
-            !log
-            @ [ (Printf.sprintf "%s: %s" what f.Hostir.Equiv.f_name, f.Hostir.Equiv.f_detail) ])
-      r.Hostir.Equiv.findings
-  end
-
-let record_validation (e : t) ~what ~region (r : Hostir.Equiv.outcome) =
-  let log = ref e.validation_log in
-  record_validation_into ~s:e.stats ~log ~what ~region r;
-  e.validation_log <- !log
-
-(* Account one static-analysis outcome: counters, plus a capped log of
-   findings (full detail, for the analyze subcommand's JSON report). *)
-let record_analysis_into ~(s : phase_stats) ~log ~what ~region
-    (findings : Hostir.Absint.finding list) =
-  if region then s.regions_analyzed <- s.regions_analyzed + 1
-  else s.blocks_analyzed <- s.blocks_analyzed + 1;
-  if findings <> [] then begin
-    s.obligation_findings <- s.obligation_findings + List.length findings;
-    List.iter
-      (fun (f : Hostir.Absint.finding) ->
-        if List.length !log < log_cap then
-          log := !log @ [ (what, Hostir.Absint.finding_to_string f) ])
-      findings
-  end
-
-(* Static obligation checking of one translation: the pre-allocation
-   stream carries the register-file and writeback-discipline
-   obligations, the allocated stream the spill-frame bounds. *)
-let analyze_translation_into ~(s : phase_stats) ~log ~what ~region ~promoted
-    ~(pre : Hir.instr array) (ra : Regalloc.result) =
-  let ta = now () in
-  let findings =
-    Hostir.Absint.check_translation ~classify:Common.helper_kind ~promoted pre
-    @ Hostir.Absint.check_frame ~n_slots:ra.Regalloc.n_slots ra.Regalloc.instrs
-  in
-  record_analysis_into ~s ~log ~what ~region findings;
-  s.t_analyze <- s.t_analyze +. (now () -. ta)
-
-let analyze_translation (e : t) ~what ~region ?(promoted = []) ~(pre : Hir.instr array)
-    (ra : Regalloc.result) =
-  let log = ref e.analysis_log in
-  analyze_translation_into ~s:e.stats ~log ~what ~region ~promoted ~pre ra;
-  e.analysis_log <- !log
-
-(* --- relocation-cleanliness certification + persistent AOT cache ----------------- *)
-
-(* Translation-side cycle charge: wall-clock cycles the guest pays for
-   JIT/AOT work, kept out of guest-visible device time (the Machine's
-   virtual-time split) so the guest's observable execution is identical
-   whether its code was translated cold or installed warm. *)
-let charge_translate_with (e : t) ~template n =
-  Machine.charge_jit e.machine n;
-  e.stats.translate_cycles <- e.stats.translate_cycles + n;
-  if template then
-    e.stats.translate_cycles_template <- e.stats.translate_cycles_template + n
-  else e.stats.translate_cycles_pipeline <- e.stats.translate_cycles_pipeline + n
-
-let charge_translate (e : t) n = charge_translate_with e ~template:false n
-
-(* Same ledger split as [charge_translate], plus the async sub-ledger:
-   cycles charged here were spent on a worker domain while the vCPU kept
-   executing, so [async_jit_cycles / jit_cycles] is the translate-stall
-   share the pool removed from the vCPU's critical path. *)
-let charge_translate_async (e : t) n =
-  Machine.charge_jit_async e.machine n;
-  e.stats.translate_cycles <- e.stats.translate_cycles + n;
-  e.stats.translate_cycles_pipeline <- e.stats.translate_cycles_pipeline + n
-
-let reloc_env_of (je : jit_env) ~n_exits ~n_slots : Hostir.Reloc.env =
-  {
-    Hostir.Reloc.n_exits;
-    n_helpers = je.je_n_helpers;
-    n_slots;
-    rf_bytes = je.je_rf_bytes;
-  }
-
-(* Signature over everything that changes generated code for the same
-   guest bytes: guest model identity (name, offline opt level, total SSA
-   size) plus every config field the translator consults.  Two boots may
-   exchange cache entries iff their signatures agree. *)
-let aot_cfg_sig (e : t) : int64 =
-  let c = e.config in
-  Hostir.Reloc.hash64
-    (Bytes.of_string
-       (Printf.sprintf "%s|%d|%d|%d|%b|%b|%b|%b|%d|%b|%d|%d|%b|%d|%b|%b" e.guest.Ops.name
-          e.guest.Ops.model.Ssa.Offline.opt_level
-          (Ssa.Offline.total_size e.guest.Ops.model)
-          e.guest.Ops.insn_size c.hw_fp c.chaining c.pcid c.split_va_check c.max_block
-          c.tiering c.hot_threshold c.region_max_blocks c.promote c.promote_max_regs
-          c.absint_simplify c.templates))
-
-(* Account one certification outcome: counters, plus a capped log of
-   findings (full detail, for the relocheck subcommand). *)
-let record_reloc_into ~(s : phase_stats) ~log ~what ~region
-    (findings : Hostir.Reloc.finding list) =
-  if findings = [] then
-    if region then s.regions_certified <- s.regions_certified + 1
-    else s.blocks_certified <- s.blocks_certified + 1
-  else begin
-    s.reloc_findings <- s.reloc_findings + List.length findings;
-    List.iter
-      (fun f ->
-        if List.length !log < log_cap then
-          log := !log @ [ (what, Hostir.Reloc.finding_to_string f) ])
-      findings
-  end
-
-(* Certify one encoded translation relocation-clean (operand/control
-   classification + encoding-determinism audit); [Some] carries the
-   certificate the AOT cache persists. *)
-let certify_translation_into (je : jit_env) ~(s : phase_stats) ~log ~what ~region ~n_exits
-    ~n_slots ?ra (code : bytes) : Hostir.Reloc.certificate option =
-  let t0 = now () in
-  let r = Hostir.Reloc.certify ~env:(reloc_env_of je ~n_exits ~n_slots) ?ra code in
-  (match r with
-  | Ok _ -> record_reloc_into ~s ~log ~what ~region []
-  | Error fs -> record_reloc_into ~s ~log ~what ~region fs);
-  s.t_reloc <- s.t_reloc +. (now () -. t0);
-  match r with Ok c -> Some c | Error _ -> None
-
-let certify_translation (e : t) ~what ~region ~n_exits ~n_slots ?ra (code : bytes) :
-    Hostir.Reloc.certificate option =
-  let log = ref e.reloc_log in
-  let r =
-    certify_translation_into e.jenv ~s:e.stats ~log ~what ~region ~n_exits ~n_slots ?ra code
-  in
-  e.reloc_log <- !log;
-  r
-
-(* Guest code bytes currently at [pa], for content verification of AOT
-   entries (both guests use 32-bit instruction words). *)
+(* Guest code bytes currently at [pa] (both guests use 32-bit
+   instruction words).  [Machine.phys_read] of RAM is charge-free, so
+   making a request costs no guest cycles. *)
 let read_guest_bytes (e : t) ~pa ~len : bytes =
   let b = Bytes.create len in
   let words = len / 4 in
@@ -1110,734 +880,366 @@ let read_guest_bytes (e : t) ~pa ~len : bytes =
   done;
   b
 
-(* Installing from the AOT cache still costs cycles (read, verify,
-   re-bind the numbered sites) — a small fraction of a fresh
-   translation's 1400/guest-instruction charge. *)
-let aot_load_cost ~n_host = 50 + (n_host / 4)
+(* A member's guest PA: every member lives on the head's page. *)
+let member_pa (req : request) va =
+  Int64.logor (Bits.align_down req.rq_pa 4096) (Int64.logand va 0xFFFL)
 
-(* Install a certified cache entry as a block: identical cache /
-   page-protection / sanitizer bookkeeping to a cold translation, with
-   only the translation work replaced by the load cost.  [tier] is 0 for
-   kind-0 (pipeline) entries and -1 for kind-2 (template-stitched)
-   entries, whose load cost lands in the template ledger. *)
-let install_aot_block (e : t) (entry : Aotcache.entry) ?(tier = 0) ~va ~pa ~el ~mmu_on () :
-    translation =
-  let s = e.stats in
-  let program = Encode.decode_program ~n_slots:entry.Aotcache.e_n_slots entry.Aotcache.e_code in
-  charge_translate_with e ~template:(tier < 0) (aot_load_cost ~n_host:entry.Aotcache.e_n_host);
-  s.aot_hits <- s.aot_hits + 1;
-  s.blocks_translated <- s.blocks_translated + 1;
-  s.guest_instrs_translated <- s.guest_instrs_translated + entry.Aotcache.e_n_guest;
-  s.host_instrs_emitted <- s.host_instrs_emitted + entry.Aotcache.e_n_host;
-  s.host_bytes_emitted <- s.host_bytes_emitted + Bytes.length entry.Aotcache.e_code;
-  if tier < 0 then begin
-    s.template_blocks <- s.template_blocks + 1;
-    s.template_instrs <- s.template_instrs + entry.Aotcache.e_n_guest
-  end;
-  let tr =
-    {
-      t_key = (pa, el, mmu_on);
-      t_va = va;
-      t_program = program;
-      t_n_guest = entry.Aotcache.e_n_guest;
-      t_n_host = entry.Aotcache.e_n_host;
-      t_bytes = Bytes.length entry.Aotcache.e_code;
-      t_chain = None;
-      t_exec_count = 0;
-      t_cycles = 0;
-      t_tier = tier;
-      t_members = 1;
-      t_succs = [];
-      t_exits = [||];
-    }
+(* The members' guest bytes as they are in memory right now. *)
+let guest_now (e : t) (req : request) : bytes =
+  Bytes.concat Bytes.empty
+    (List.map
+       (fun md -> read_guest_bytes e ~pa:(member_pa req md.md_va) ~len:md.md_len)
+       req.rq_members)
+
+(* A block request copies the words a block's decode can reach: at
+   most [max_block], never past the page end. *)
+let block_request (e : t) ~va ~pa ~el ~mmu_on : request =
+  let off = Int64.to_int (Int64.logand pa 0xFFFL) in
+  let len = 4 * min max_block ((0x1000 - off + 3) / 4) in
+  {
+    rq_va = va;
+    rq_pa = pa;
+    rq_el = el;
+    rq_mmu = mmu_on;
+    rq_region = false;
+    rq_members = [ { md_va = va; md_off = 0; md_len = len; md_succs = [] } ];
+    rq_guest = read_guest_bytes e ~pa ~len;
+  }
+
+(* Decode one guest basic block from its slice of the request's bytes,
+   which bounds it (the request stops at [max_block] words and the page
+   end).  Returns the decoded instructions in order, up to a
+   block-ending one, or [(..., true)] when the very first word is
+   undefined (the caller emits an exception stub). *)
+let decode (je : jit_env) (req : request) (md : member_desc) : Adl.Decode.decoded list * bool =
+  let rec go n acc =
+    if 4 * (n + 1) > md.md_len then (List.rev acc, n = 0)
+    else
+      let word = Bytes.get_int32_le req.rq_guest (md.md_off + (4 * n)) in
+      let word = Int64.logand 0xFFFF_FFFFL (Int64.of_int32 word) in
+      match Ssa.Offline.decode je.je_guest.Ops.model word with
+      | None -> (List.rev acc, n = 0)
+      | Some d when d.Adl.Decode.ends_block -> (List.rev (d :: acc), false)
+      | Some d -> go (n + 1) (d :: acc)
   in
-  Codecache.publish e.cache tr.t_key tr;
-  let page = Bits.align_down pa 4096 in
-  protect_page e page;
-  (match e.sanitizer with
-  | Some sa ->
-    Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem ~pa ~el ~mmu:mmu_on
-      ~len:(e.guest.Ops.insn_size * entry.Aotcache.e_n_guest);
-    if e.config.sanitize_every > 0 && s.blocks_translated mod e.config.sanitize_every = 0 then
-      sanitize_check e ~reason:"periodic"
-  | None -> ());
-  tr
+  go 0 []
 
-(* Try to satisfy a block-translation request from the AOT cache: the
-   entry's guest bytes must match guest memory byte-for-byte, and the
-   stored code must re-certify.  A flagged or corrupted entry is
-   rejected and the request falls back to cold translation.  [kind] 0
-   carries pipeline blocks (installed at tier 0), kind 2 carries
-   template-stitched blocks (installed at tier -1); only the kind-0
-   probe counts misses, since it is the final cache fallback. *)
-let aot_try_kind (e : t) ~kind ~tier ~count_miss ~va ~pa ~el ~mmu_on : translation option =
-  match e.aot with
-  | None -> None
-  | Some cache ->
-    let cfg = aot_cfg_sig e in
-    let result =
-      List.find_map
-        (fun (entry : Aotcache.entry) ->
-          let len = Bytes.length entry.Aotcache.e_guest in
-          if len = 0 || not (Bytes.equal entry.Aotcache.e_guest (read_guest_bytes e ~pa ~len))
-          then None
-          else
-            let what = Printf.sprintf "aot block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on in
-            match
-              certify_translation e ~what ~region:false ~n_exits:0
-                ~n_slots:entry.Aotcache.e_n_slots entry.Aotcache.e_code
-            with
-            | Some _ -> Some (install_aot_block e entry ~tier ~va ~pa ~el ~mmu_on ())
-            | None ->
-              e.stats.aot_rejects <- e.stats.aot_rejects + 1;
-              None)
-        (Aotcache.candidates cache ~kind ~va ~pa ~el ~mmu:mmu_on ~cfg)
-    in
-    if count_miss && Option.is_none result then e.stats.aot_misses <- e.stats.aot_misses + 1;
-    result
+let inc_pc (je : jit_env) (d : Adl.Decode.decoded) =
+  if d.Adl.Decode.ends_block then None else Some je.je_guest.Ops.insn_size
 
-let aot_try_block (e : t) ~va ~pa ~el ~mmu_on : translation option =
-  aot_try_kind e ~kind:0 ~tier:0 ~count_miss:true ~va ~pa ~el ~mmu_on
+(* Generator-function translation of one decoded instruction. *)
+let gen_insn (je : jit_env) em ~el (d : Adl.Decode.decoded) =
+  Ssa.Gen.translate em
+    (Ssa.Offline.action je.je_guest.Ops.model d.Adl.Decode.name)
+    ~field:(field_of ~el d) ~inc_pc:(inc_pc je d)
 
-let aot_try_template (e : t) ~va ~pa ~el ~mmu_on : translation option =
-  aot_try_kind e ~kind:2 ~tier:(-1) ~count_miss:false ~va ~pa ~el ~mmu_on
-
-let equiv_items_env (je : jit_env) ~el decoded : Hostir.Equiv.item list =
-  let model = je.je_guest.Ops.model in
+let equiv_items (je : jit_env) ~el decoded : Hostir.Equiv.item list =
   List.map
     (fun d ->
       {
-        Hostir.Equiv.it_action = Ssa.Offline.action model d.Adl.Decode.name;
+        Hostir.Equiv.it_action = Ssa.Offline.action je.je_guest.Ops.model d.Adl.Decode.name;
         it_field = field_of ~el d;
-        it_inc_pc = (if d.Adl.Decode.ends_block then None else Some je.je_guest.Ops.insn_size);
+        it_inc_pc = inc_pc je d;
       })
     decoded
 
-let equiv_items (e : t) ~el decoded : Hostir.Equiv.item list = equiv_items_env e.jenv ~el decoded
+let dag_config (je : jit_env) ~mmu_on =
+  {
+    Dag.bank_offset = je.je_guest.Ops.bank_offset;
+    slot_offset = je.je_guest.Ops.slot_offset;
+    lower_intrinsic = lower_intrinsic je.je_config;
+    effect_helper = Common.effect_helper_index;
+    coproc_read_helper = Common.h_coproc_read;
+    coproc_write_helper = Common.h_coproc_write;
+    split_va_check = je.je_config.split_va_check && mmu_on;
+    as_switch_helper = Common.h_as_switch;
+  }
 
-let translate_block_cold (e : t) sys ~va ~pa ~el ~mmu_on : translation =
-  let s = e.stats in
-  ignore sys;
-  (* Phase 1: decode one guest basic block. *)
-  let t0 = now () in
-  let decoded, undefined_stub = decode_block e ~va ~pa in
-  let n = ref (List.length decoded) in
-  let undefined_stub = ref undefined_stub in
-  s.t_decode <- s.t_decode +. (now () -. t0);
-  (* Phase 2: translation via generator functions over the invocation DAG. *)
-  let t1 = now () in
-  let model = e.guest.Ops.model in
-  let dag = Dag.create (dag_config_of e ~mmu_on) in
-  let em = Dag.emitter dag in
-  if !undefined_stub then
-    (* An undefined first instruction gets a cached stub that raises the
-       guest's undefined-instruction exception. *)
-    em.Ssa.Emitter.effect "take_exception" [ em.Ssa.Emitter.const 0L; em.Ssa.Emitter.const 0L ]
+(* The per-guest template table, created on first use (the Dag config
+   helpers above are not in scope at engine construction). *)
+let templates_of (e : t) : Hostir.Template.t =
+  match e.templates with
+  | Some tt -> tt
+  | None ->
+    let tt =
+      Hostir.Template.create
+        ~config:(fun ~mmu_on -> dag_config e.jenv ~mmu_on)
+        ~rf_bytes:e.jenv.je_rf_bytes ~insn_size:e.guest.Ops.insn_size
+    in
+    e.templates <- Some tt;
+    tt
+
+(* Log context for a request's findings. *)
+let describe ?(prefix = "") (req : request) =
+  if req.rq_region then
+    Printf.sprintf "%sregion pa=0x%Lx va=0x%Lx members=%d" prefix req.rq_pa req.rq_va
+      (List.length req.rq_members)
   else
-    List.iter
-      (fun d ->
-        let action = Ssa.Offline.action model d.Adl.Decode.name in
-        let field = field_of ~el d in
-        let inc_pc = if d.Adl.Decode.ends_block then None else Some e.guest.Ops.insn_size in
-        Ssa.Gen.translate em action ~field ~inc_pc)
-      decoded;
-  Dag.raw dag (Hir.Exit 0);
-  let instrs = Dag.finish dag in
-  s.t_translate <- s.t_translate +. (now () -. t1);
-  s.t_tier0 <- s.t_tier0 +. (now () -. t1);
-  (* Symbolic translation validation (off the hot path unless enabled):
-     check the optimized stream against a per-instruction reference
-     emission from the same decode, sampled every [validate_every]th
-     block. *)
-  (if e.config.validate_translations && (not !undefined_stub) && decoded <> [] then begin
-     e.validate_tick <- e.validate_tick + 1;
-     if e.config.validate_every <= 1 || e.validate_tick mod e.config.validate_every = 0 then begin
-       let tv = now () in
-       trace e "validate: block pa=0x%Lx va=0x%Lx (%d host instrs)\n%!" pa va
-         (Array.length instrs);
-       let outcome =
-         Hostir.Equiv.check_block ~classify:Common.helper_kind ~config:(dag_config_of e ~mmu_on)
-           ~init_pc:(Hostir.Symexec.Const va) ~opt:instrs (equiv_items e ~el decoded)
-       in
-       record_validation e
-         ~what:(Printf.sprintf "block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on)
-         ~region:false outcome;
-       s.t_validate <- s.t_validate +. (now () -. tv)
+    Printf.sprintf "%sblock pa=0x%Lx va=0x%Lx el=%d mmu=%b" prefix req.rq_pa req.rq_va req.rq_el
+      req.rq_mmu
+
+(* --- accounting: stats deltas and capped finding logs --------------------------------- *)
+
+(* Finding logs are capped: counters keep exact totals, the logs keep
+   the first [log_cap] findings in discovery order. *)
+let log_cap = 64
+
+let append_capped (log : (string * string) list) (extra : (string * string) list) =
+  List.fold_left (fun acc it -> if List.length acc < log_cap then acc @ [ it ] else acc) log extra
+
+let new_acc () = { a_stats = new_phase_stats (); a_validation = []; a_analysis = []; a_reloc = [] }
+
+let merge (e : t) (acc : acc) =
+  add_stats e.stats acc.a_stats;
+  e.validation_log <- append_capped e.validation_log acc.a_validation;
+  e.analysis_log <- append_capped e.analysis_log acc.a_analysis;
+  e.reloc_log <- append_capped e.reloc_log acc.a_reloc
+
+(* Account one Equiv outcome: counters, plus the capped log (full
+   detail, for the validate subcommand's JSON report). *)
+let record_validation (acc : acc) ~what ~region (r : Hostir.Equiv.outcome) =
+  let s = acc.a_stats in
+  if region then s.regions_validated <- s.regions_validated + 1
+  else s.blocks_validated <- s.blocks_validated + 1;
+  if not r.Hostir.Equiv.complete then s.validations_bounded <- s.validations_bounded + 1;
+  s.validation_findings <- s.validation_findings + List.length r.Hostir.Equiv.findings;
+  acc.a_validation <-
+    append_capped acc.a_validation
+      (List.map
+         (fun (f : Hostir.Equiv.finding) ->
+           (Printf.sprintf "%s: %s" what f.Hostir.Equiv.f_name, f.Hostir.Equiv.f_detail))
+         r.Hostir.Equiv.findings)
+
+(* Static obligation checking of one translation: the pre-allocation
+   stream carries the register-file and writeback-discipline
+   obligations, the allocated stream the spill-frame bounds. *)
+let record_analysis (acc : acc) ~what ~region ~promoted ~(pre : Hir.instr array)
+    (ra : Regalloc.result) =
+  let s = acc.a_stats in
+  let ta = now () in
+  let findings =
+    Hostir.Absint.check_translation ~classify:Common.helper_kind ~promoted pre
+    @ Hostir.Absint.check_frame ~n_slots:ra.Regalloc.n_slots ra.Regalloc.instrs
+  in
+  if region then s.regions_analyzed <- s.regions_analyzed + 1
+  else s.blocks_analyzed <- s.blocks_analyzed + 1;
+  s.obligation_findings <- s.obligation_findings + List.length findings;
+  acc.a_analysis <-
+    append_capped acc.a_analysis
+      (List.map (fun f -> (what, Hostir.Absint.finding_to_string f)) findings);
+  s.t_analyze <- s.t_analyze +. (now () -. ta)
+
+(* Certify one encoded translation relocation-clean (operand/control
+   classification + encoding-determinism audit); [Some] carries the
+   certificate the AOT cache persists. *)
+let record_reloc (je : jit_env) (acc : acc) ~what ~region ~n_exits ~n_slots ?ra (code : bytes) :
+    Hostir.Reloc.certificate option =
+  let s = acc.a_stats in
+  let t0 = now () in
+  let env =
+    { Hostir.Reloc.n_exits; n_helpers = je.je_n_helpers; n_slots; rf_bytes = je.je_rf_bytes }
+  in
+  let r = Hostir.Reloc.certify ~env ?ra code in
+  (match r with
+  | Ok _ ->
+    if region then s.regions_certified <- s.regions_certified + 1
+    else s.blocks_certified <- s.blocks_certified + 1
+  | Error fs ->
+    s.reloc_findings <- s.reloc_findings + List.length fs;
+    acc.a_reloc <-
+      append_capped acc.a_reloc (List.map (fun f -> (what, Hostir.Reloc.finding_to_string f)) fs));
+  s.t_reloc <- s.t_reloc +. (now () -. t0);
+  match r with Ok c -> Some c | Error _ -> None
+
+(* Tier-0 and template blocks are validated every [validate_every]th
+   block; the counter lives on the vCPU, so the sampling order is
+   deterministic.  Regions are few and load-bearing: always validated. *)
+let sample_validation (e : t) () =
+  e.config.validate_translations
+  && begin
+       e.validate_tick <- e.validate_tick + 1;
+       e.config.validate_every <= 1 || e.validate_tick mod e.config.validate_every = 0
      end
-   end);
-  (* Phase 3: register allocation. *)
-  let t2 = now () in
-  let ra = Regalloc.run instrs in
-  s.t_regalloc <- s.t_regalloc +. (now () -. t2);
-  (* Static obligation checking (off the hot path unless enabled): the
-     analyzer proves register-file bounds on the emitted stream and
-     frame bounds on the allocated one; any finding is a miscompile. *)
-  if e.config.analyze_translations then
-    analyze_translation e
-      ~what:(Printf.sprintf "block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on)
-      ~region:false ~pre:instrs ra;
-  (* Phase 4: encoding to host machine code + patching. *)
+
+(* --- simulated translate costs ------------------------------------------------------- *)
+
+(* Captive's pipeline makes several passes (DAG build, liveness,
+   allocation, encode), costed per guest instruction and per emitted
+   host instruction.  The resulting translation is ~2-3x more expensive
+   than the QEMU-style engine's single direct pass (paper Sec. 3.4). *)
+let pipeline_cost ~n_guest ~n_host = (1400 * n_guest) + (260 * n_host)
+
+(* A template-stitched block: per-guest hole evaluation/patching plus
+   per-host-instruction copy/encode.  No SSA walk, DAG build, liveness
+   or linear scan happens per block, so the charge is roughly an order
+   of magnitude below the pipeline's (mining itself is an offline
+   per-opcode artifact, charged zero here; [mine-templates] builds the
+   same table ahead of time). *)
+let template_install_cost ~n_guest ~n_host = 40 + (150 * n_guest) + (25 * n_host)
+
+(* Installing from the AOT cache still costs cycles (read, verify,
+   re-bind the numbered sites) — a small fraction of a fresh
+   translation's charge. *)
+let aot_load_cost ~n_host = 50 + (n_host / 4)
+
+(* --- the shared back end ------------------------------------------------------------- *)
+
+(* Every tier's pre-allocation stream [pre] and allocation [ra] pass
+   the same trust stack in one fixed order: [Verify] the allocation,
+   sampled [Equiv] validation against a per-instruction reference
+   emission from the same decode, [Absint] obligations, encode, [Reloc]
+   certification.  Pure apart from the [validate] sampling thunk, so
+   region jobs run it on worker domains.  A [Verify] violation raises
+   [Verify.Invalid]: the template tier falls back to the pipeline on
+   it, for the pipeline tiers it is a miscompile. *)
+let back_end (je : jit_env) (acc : acc) (req : request) ~kind ~validate ~equiv ?(promoted = [])
+    ~n_guest ~cost (pre : Hir.instr array) (ra : Regalloc.result) : result =
+  let s = acc.a_stats and cfg = je.je_config and region = req.rq_region in
+  let what = describe ~prefix:(if kind = 2 then "template " else "") req in
+  (match Hostir.Verify.check ~original:pre ra with
+  | [] -> ()
+  | vs -> raise (Hostir.Verify.Invalid (what, vs)));
+  (match equiv with
+  | `Stub -> ()
+  | (`Block _ | `Region _) as reference ->
+    if validate () then begin
+      let tv = now () in
+      let config = dag_config je ~mmu_on:req.rq_mmu in
+      let init_pc = Hostir.Symexec.Const req.rq_va in
+      let classify = Common.helper_kind in
+      let outcome =
+        match reference with
+        | `Block decoded ->
+          Hostir.Equiv.check_block ~classify ~config ~init_pc ~opt:pre
+            (equiv_items je ~el:req.rq_el decoded)
+        | `Region members -> Hostir.Equiv.check_region ~classify ~config ~init_pc ~opt:pre members
+      in
+      record_validation acc ~what ~region outcome;
+      s.t_validate <- s.t_validate +. (now () -. tv)
+    end);
+  if cfg.analyze_translations then record_analysis acc ~what ~region ~promoted ~pre ra;
   let t3 = now () in
   let code = Encode.encode ra in
   let program = Encode.decode_program ~n_slots:ra.Regalloc.n_slots code in
   s.t_encode <- s.t_encode +. (now () -. t3);
-  (* Charge JIT compilation time to the cycle model: Captive's pipeline
-     makes several passes (DAG build, liveness, allocation, encode),
-     costed per guest instruction and per emitted host instruction.  The
-     resulting translation is ~2-3x more expensive than the QEMU-style
-     engine's single direct pass (paper Sec. 3.4). *)
-  let n_host = Array.length instrs in
-  charge_translate e ((1400 * !n) + (260 * n_host));
-  s.blocks_translated <- s.blocks_translated + 1;
-  s.guest_instrs_translated <- s.guest_instrs_translated + !n;
-  s.host_instrs_emitted <- s.host_instrs_emitted + n_host;
-  s.host_bytes_emitted <- s.host_bytes_emitted + Bytes.length code;
+  let n_host = Array.length pre in
+  let n_exits = if region then List.length req.rq_members else 0 in
+  let cert =
+    if cfg.reloc_check || cfg.aot_dir <> None then
+      record_reloc je acc ~what ~region ~n_exits ~n_slots:ra.Regalloc.n_slots ~ra code
+    else None
+  in
+  {
+    r_kind = kind;
+    r_fresh = true;
+    r_program = program;
+    r_code = code;
+    r_cert = cert;
+    r_n_guest = n_guest;
+    r_n_host = n_host;
+    r_n_slots = ra.Regalloc.n_slots;
+    r_n_exits = n_exits;
+    r_cost = cost ~n_guest ~n_host;
+    r_acc = acc;
+  }
+
+(* --- tier front ends ------------------------------------------------------------------ *)
+
+(* Tier 0: the translation pipeline over one decoded block — generator
+   functions over the invocation DAG, then register allocation.  An
+   undefined first instruction gets a cached stub that raises the
+   guest's undefined-instruction exception. *)
+let pipeline_front (je : jit_env) (acc : acc) (req : request) ~validate (decoded, undefined) :
+    result =
+  let s = acc.a_stats in
+  let t1 = now () in
+  let dag = Dag.create (dag_config je ~mmu_on:req.rq_mmu) in
+  let em = Dag.emitter dag in
+  if undefined then
+    em.Ssa.Emitter.effect "take_exception" [ em.Ssa.Emitter.const 0L; em.Ssa.Emitter.const 0L ]
+  else List.iter (gen_insn je em ~el:req.rq_el) decoded;
+  Dag.raw dag (Hir.Exit 0);
+  let instrs = Dag.finish dag in
+  s.t_translate <- s.t_translate +. (now () -. t1);
+  s.t_tier0 <- s.t_tier0 +. (now () -. t1);
+  let t2 = now () in
+  let ra = Regalloc.run instrs in
+  s.t_regalloc <- s.t_regalloc +. (now () -. t2);
   s.dead_marked <- s.dead_marked + ra.Regalloc.n_dead;
   s.spills <- s.spills + ra.Regalloc.n_spilled;
-  let tr =
-    {
-      t_key = (pa, el, mmu_on);
-      t_va = va;
-      t_program = program;
-      t_n_guest = !n;
-      t_n_host = n_host;
-      t_bytes = Bytes.length code;
-      t_chain = None;
-      t_exec_count = 0;
-      t_cycles = 0;
-      t_tier = 0;
-      t_members = 1;
-      t_succs = [];
-      t_exits = [||];
-    }
-  in
-  (* Register in the cache and write-protect the code's guest pages. *)
-  Codecache.publish e.cache tr.t_key tr;
-  (* Blocks never cross a page boundary (decode stops at it), so exactly
-     one guest page holds this translation's code. *)
-  let page = Bits.align_down pa 4096 in
-  protect_page e page;
-  (match e.sanitizer with
-  | Some sa ->
-    Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem ~pa ~el ~mmu:mmu_on
-      ~len:(4 * !n);
-    if e.config.sanitize_every > 0 && s.blocks_translated mod e.config.sanitize_every = 0 then
-      sanitize_check e ~reason:"periodic"
-  | None -> ());
-  (* Relocation-cleanliness certification, and persistence of certified
-     translations.  Undefined-instruction stubs are certified like any
-     other code but cover no guest bytes, so they are translated fresh
-     on every boot and never persisted. *)
-  (if e.config.reloc_check || Option.is_some e.aot then begin
-     let what = Printf.sprintf "block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on in
-     match
-       certify_translation e ~what ~region:false ~n_exits:0 ~n_slots:ra.Regalloc.n_slots ~ra
-         code
-     with
-     | Some cert when (not !undefined_stub) && !n > 0 -> (
-       match e.aot with
-       | Some cache ->
-         let len = e.guest.Ops.insn_size * !n in
-         Aotcache.store cache
-           {
-             Aotcache.e_kind = 0;
-             e_va = va;
-             e_pa = pa;
-             e_el = el;
-             e_mmu = mmu_on;
-             e_cfg = aot_cfg_sig e;
-             e_members = [| (va, len) |];
-             e_guest = read_guest_bytes e ~pa ~len;
-             e_n_slots = ra.Regalloc.n_slots;
-             e_n_exits = 0;
-             e_n_guest = !n;
-             e_n_host = n_host;
-             e_code = code;
-             e_hash = cert.Hostir.Reloc.c_hash;
-           };
-         s.aot_stores <- s.aot_stores + 1
-       | None -> ())
-     | Some _ | None -> ()
-   end);
-  tr
-
-(* Simulated cost of installing a template-stitched block: per-guest
-   hole evaluation/patching plus per-host-instruction copy/encode.  No
-   SSA walk, DAG build, liveness or linear scan happens per block, so
-   the charge is roughly an order of magnitude below the pipeline's
-   1400/260 (mining itself is an offline per-opcode artifact, charged
-   zero here; [mine-templates] builds the same table ahead of time). *)
-let template_install_cost ~n_guest ~n_host = 40 + (150 * n_guest) + (25 * n_host)
+  back_end je acc req ~kind:0 ~validate
+    ~equiv:(if undefined then `Stub else `Block decoded)
+    ~n_guest:(List.length decoded) ~cost:pipeline_cost instrs ra
 
 (* Tier minus one: stitch per-instruction template fragments instead of
-   running the translation pipeline.  Returns [None] (caller goes to
-   the pipeline) when any instruction's form is untemplatable or a hole
-   fails to patch.  The stitched block passes the same trust stack as a
-   cold one: post-regalloc [Verify], sampled [Equiv] validation of the
-   patched pre-regalloc stream, [Absint] obligations when enabled, and
-   [Reloc] certification before kind-2 AOT persistence. *)
-let translate_block_template (e : t) ~va ~pa ~el ~mmu_on : translation option =
-  let s = e.stats in
-  let t0 = now () in
-  let decoded, undefined_stub = decode_block e ~va ~pa in
-  s.t_decode <- s.t_decode +. (now () -. t0);
-  if undefined_stub || decoded = [] then None
+   running the pipeline.  [None] (the caller goes to the pipeline) when
+   any instruction's form is untemplatable, a hole fails to patch, or
+   the fabricated allocation fails [Verify]. *)
+let template_front (e : t) (acc : acc) (req : request) (decoded, undefined) : result option =
+  if undefined || decoded = [] then None
   else begin
+    let s = acc.a_stats in
+    let je = e.jenv in
     let t1 = now () in
-    let model = e.guest.Ops.model in
     let tt = templates_of e in
     (* Look up (or mine, first time per form+pins) one fragment per
        decoded instruction; any miss sends the whole block cold. *)
-    let rec gather acc = function
-      | [] -> Some (List.rev acc)
+    let rec gather frags = function
+      | [] -> Some (List.rev frags)
       | d :: rest -> (
         let name = d.Adl.Decode.name in
-        let action = Ssa.Offline.action model name in
-        let field = field_of ~el d in
-        let inc_pc = if d.Adl.Decode.ends_block then None else Some e.guest.Ops.insn_size in
-        match Hostir.Template.fragment tt ~action ~name ~inc_pc ~mmu_on ~field with
-        | Hostir.Template.Hit f -> gather ((f, field) :: acc) rest
+        let action = Ssa.Offline.action je.je_guest.Ops.model name in
+        let field = field_of ~el:req.rq_el d in
+        match
+          Hostir.Template.fragment tt ~action ~name ~inc_pc:(inc_pc je d) ~mmu_on:req.rq_mmu
+            ~field
+        with
+        | Hostir.Template.Hit f -> gather ((f, field) :: frags) rest
         | Hostir.Template.Mined f ->
           s.templates_mined <- s.templates_mined + 1;
-          gather ((f, field) :: acc) rest
+          gather ((f, field) :: frags) rest
         | Hostir.Template.Miss _ ->
           s.template_misses <- s.template_misses + 1;
           Hashtbl.replace e.template_miss name
             (1 + (try Hashtbl.find e.template_miss name with Not_found -> 0));
           None)
     in
-    let result =
-      match gather [] decoded with
-      | None -> None
-      | Some frags -> (
-        match Hostir.Template.assemble tt frags with
-        | None -> None
-        | Some (pre, ra) ->
-          (* Defensive structural check on the fabricated allocation:
-             a stitching bug must fall back cold, never reach encode. *)
-          if Hostir.Verify.check ~original:pre ra <> [] then None else Some (pre, ra))
-    in
+    let stitched = Option.bind (gather [] decoded) (Hostir.Template.assemble tt) in
     s.t_translate <- s.t_translate +. (now () -. t1);
     s.t_template <- s.t_template +. (now () -. t1);
-    match result with
-    | None ->
-      s.template_fallback_blocks <- s.template_fallback_blocks + 1;
-      None
-    | Some (pre, ra) ->
-      let n = List.length decoded in
-      (* Sampled symbolic validation of the patched stream, same cadence
-         and reference emission as the cold pipeline. *)
-      (if e.config.validate_translations then begin
-         e.validate_tick <- e.validate_tick + 1;
-         if e.config.validate_every <= 1 || e.validate_tick mod e.config.validate_every = 0 then begin
-           let tv = now () in
-           trace e "validate: template block pa=0x%Lx va=0x%Lx (%d host instrs)\n%!" pa va
-             (Array.length pre);
-           let outcome =
-             Hostir.Equiv.check_block ~classify:Common.helper_kind
-               ~config:(dag_config_of e ~mmu_on) ~init_pc:(Hostir.Symexec.Const va) ~opt:pre
-               (equiv_items e ~el decoded)
-           in
-           record_validation e
-             ~what:
-               (Printf.sprintf "template block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on)
-             ~region:false outcome;
-           s.t_validate <- s.t_validate +. (now () -. tv)
-         end
-       end);
-      if e.config.analyze_translations then
-        analyze_translation e
-          ~what:(Printf.sprintf "template block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on)
-          ~region:false ~pre ra;
-      let t3 = now () in
-      let code = Encode.encode ra in
-      let program = Encode.decode_program ~n_slots:ra.Regalloc.n_slots code in
-      s.t_encode <- s.t_encode +. (now () -. t3);
-      let n_host = Array.length pre in
-      charge_translate_with e ~template:true (template_install_cost ~n_guest:n ~n_host);
-      s.blocks_translated <- s.blocks_translated + 1;
-      s.guest_instrs_translated <- s.guest_instrs_translated + n;
-      s.host_instrs_emitted <- s.host_instrs_emitted + n_host;
-      s.host_bytes_emitted <- s.host_bytes_emitted + Bytes.length code;
-      s.template_blocks <- s.template_blocks + 1;
-      s.template_instrs <- s.template_instrs + n;
-      let tr =
-        {
-          t_key = (pa, el, mmu_on);
-          t_va = va;
-          t_program = program;
-          t_n_guest = n;
-          t_n_host = n_host;
-          t_bytes = Bytes.length code;
-          t_chain = None;
-          t_exec_count = 0;
-          t_cycles = 0;
-          t_tier = -1;
-          t_members = 1;
-          t_succs = [];
-          t_exits = [||];
-        }
-      in
-      Codecache.publish e.cache tr.t_key tr;
-      let page = Bits.align_down pa 4096 in
-      protect_page e page;
-      (match e.sanitizer with
-      | Some sa ->
-        Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem ~pa ~el ~mmu:mmu_on
-          ~len:(4 * n);
-        if e.config.sanitize_every > 0 && s.blocks_translated mod e.config.sanitize_every = 0
-        then sanitize_check e ~reason:"periodic"
-      | None -> ());
-      (* Certify and persist as a kind-2 entry so warm boots install the
-         same bits without re-stitching (and without re-mining). *)
-      (if e.config.reloc_check || Option.is_some e.aot then begin
-         let what =
-           Printf.sprintf "template block pa=0x%Lx va=0x%Lx el=%d mmu=%b" pa va el mmu_on
-         in
-         match
-           certify_translation e ~what ~region:false ~n_exits:0 ~n_slots:ra.Regalloc.n_slots
-             ~ra code
-         with
-         | Some cert -> (
-           match e.aot with
-           | Some cache ->
-             let len = e.guest.Ops.insn_size * n in
-             Aotcache.store cache
-               {
-                 Aotcache.e_kind = 2;
-                 e_va = va;
-                 e_pa = pa;
-                 e_el = el;
-                 e_mmu = mmu_on;
-                 e_cfg = aot_cfg_sig e;
-                 e_members = [| (va, len) |];
-                 e_guest = read_guest_bytes e ~pa ~len;
-                 e_n_slots = ra.Regalloc.n_slots;
-                 e_n_exits = 0;
-                 e_n_guest = n;
-                 e_n_host = n_host;
-                 e_code = code;
-                 e_hash = cert.Hostir.Reloc.c_hash;
-               };
-             s.aot_stores <- s.aot_stores + 1
-           | None -> ())
-         | None -> ()
-       end);
-      Some tr
+    let res =
+      Option.bind stitched (fun (pre, ra) ->
+          try
+            Some
+              (back_end je acc req ~kind:2 ~validate:(sample_validation e) ~equiv:(`Block decoded)
+                 ~n_guest:(List.length decoded) ~cost:template_install_cost pre ra)
+          with Hostir.Verify.Invalid _ -> None)
+    in
+    if Option.is_none res then s.template_fallback_blocks <- s.template_fallback_blocks + 1;
+    res
   end
 
-(* The old [translate_block] (AOT probe then cold pipeline), reached
-   when templates are disabled, when a block's form set is
-   untemplatable, and when a template block is promoted (promotion
-   re-translates through the full pipeline). *)
-let translate_block_pipeline (e : t) sys ~va ~pa ~el ~mmu_on : translation =
-  match aot_try_block e ~va ~pa ~el ~mmu_on with
-  | Some tr -> tr
-  | None -> translate_block_cold e sys ~va ~pa ~el ~mmu_on
-
-let translate_block (e : t) sys ~va ~pa ~el ~mmu_on : translation =
-  if e.config.templates && e.config.tiering then begin
-    let t0 = now () in
-    match aot_try_template e ~va ~pa ~el ~mmu_on with
-    | Some tr ->
-      e.stats.t_template <- e.stats.t_template +. (now () -. t0);
-      tr
-    | None -> (
-      match translate_block_template e ~va ~pa ~el ~mmu_on with
-      | Some tr -> tr
-      | None -> translate_block_pipeline e sys ~va ~pa ~el ~mmu_on)
-  end
-  else translate_block_pipeline e sys ~va ~pa ~el ~mmu_on
-
-(* --- tiered translation: hot-region formation (tier 1) ---------------------------- *)
-
-(* Bounded successor profile (space-saving, k = 4): recorded free of
-   charge in the run loop while a block is still tier 0; drives member
-   selection and dispatch ordering when the block is promoted. *)
-let record_succ (tr : translation) va el =
-  let rec bump = function
-    | [] -> None
-    | (v, e_, c) :: rest when Int64.equal v va && e_ = el -> Some ((v, e_, c + 1) :: rest)
-    | x :: rest -> Option.map (fun r -> x :: r) (bump rest)
-  in
-  match bump tr.t_succs with
-  | Some l -> tr.t_succs <- l
-  | None ->
-    if List.length tr.t_succs < 4 then tr.t_succs <- (va, el, 1) :: tr.t_succs
-    else begin
-      (* replace the coldest entry, inheriting its count *)
-      let min_c = List.fold_left (fun m (_, _, c) -> min m c) max_int tr.t_succs in
-      let replaced = ref false in
-      tr.t_succs <-
-        List.map
-          (fun (v, e_, c) ->
-            if (not !replaced) && c = min_c then begin
-              replaced := true;
-              (va, el, min_c + 1)
-            end
-            else (v, e_, c))
-          tr.t_succs
-    end
-
-(* Profiled successor VAs of [tr] at exception level [el], hottest first;
-   the recorded chain edge counts as the hottest observation. *)
-let succs_by_heat (tr : translation) ~el =
-  let base = List.filter (fun (_, e_, _) -> e_ = el) tr.t_succs in
-  let base =
-    match tr.t_chain with
-    | Some (cva, cel, _)
-      when cel = el && not (List.exists (fun (v, _, _) -> Int64.equal v cva) base) ->
-      (cva, el, max_int) :: base
-    | _ -> base
-  in
-  List.sort (fun (_, _, a) (_, _, b) -> compare b a) base |> List.map (fun (v, _, _) -> v)
-
-(* Promote a hot tier-0 block: grow a region by following the recorded
-   chain edge plus the bounded taken-target profile — limited to
-   [region_max_blocks] members on the head's guest page (so physical
-   code-cache indexing and page-granular SMC invalidation stay exact) and
-   to the head's exception level and MMU regime — and translate the
-   region as one unit.  Intra-region control flow becomes a PC-compare
-   dispatch per member, straightened into direct jumps where the target
-   is static, with no per-block prologue and cross-block dead
-   register-file stores eliminated.  Members keep their own tier-0 cache
-   entries (the region replaces only the head's), so a mid-region exit
-   falls back to block-at-a-time execution; every member entry begins
-   with a [Poll] safepoint, so interrupts, regime changes (the poison
-   register) and the run loop's cycle/block budgets are honoured at
-   block granularity exactly like the baseline dispatch loop. *)
-(* Try to satisfy a region-translation request from the AOT cache.  The
-   entry must cover exactly the members runtime profiling selected (same
-   VAs, same lengths — member selection is deterministic because guest
-   execution is), its guest bytes must match memory, and the stored code
-   must re-certify.  Installs with the same bookkeeping as a cold region
-   build: cache head replacement, member tier marks, chain-edge unlinks,
-   sanitizer records — only the translation work is replaced. *)
-let aot_try_region (e : t) ~(head : translation) ~(members : translation list) ~pa_page ~el
-    ~mmu_on : bool =
-  match e.aot with
-  | None -> false
-  | Some cache ->
-    let s = e.stats in
-    let pa_head, _, _ = head.t_key in
-    let want =
-      Array.of_list (List.map (fun m -> (m.t_va, e.guest.Ops.insn_size * m.t_n_guest)) members)
-    in
-    let matching (entry : Aotcache.entry) =
-      entry.Aotcache.e_members = want
-      &&
-      let guest = Buffer.create 256 in
-      Array.iter
-        (fun (va_m, len) ->
-          let pa_m = Int64.logor pa_page (Int64.logand va_m 0xFFFL) in
-          Buffer.add_bytes guest (read_guest_bytes e ~pa:pa_m ~len))
-        entry.Aotcache.e_members;
-      Bytes.equal entry.Aotcache.e_guest (Buffer.to_bytes guest)
-    in
-    let install (entry : Aotcache.entry) =
-      let what =
-        Printf.sprintf "aot region pa=0x%Lx va=0x%Lx members=%d" pa_head head.t_va
-          (Array.length entry.Aotcache.e_members)
-      in
-      match
-        certify_translation e ~what ~region:true ~n_exits:entry.Aotcache.e_n_exits
-          ~n_slots:entry.Aotcache.e_n_slots entry.Aotcache.e_code
-      with
-      | None ->
-        s.aot_rejects <- s.aot_rejects + 1;
-        false
-      | Some _ ->
-        let program =
-          Encode.decode_program ~n_slots:entry.Aotcache.e_n_slots entry.Aotcache.e_code
-        in
-        charge_translate e (aot_load_cost ~n_host:entry.Aotcache.e_n_host);
-        s.aot_hits <- s.aot_hits + 1;
-        s.regions_formed <- s.regions_formed + 1;
-        s.region_blocks <- s.region_blocks + List.length members;
-        s.region_host_instrs <- s.region_host_instrs + entry.Aotcache.e_n_host;
-        let region =
-          {
-            t_key = head.t_key;
-            t_va = head.t_va;
-            t_program = program;
-            t_n_guest = entry.Aotcache.e_n_guest;
-            t_n_host = entry.Aotcache.e_n_host;
-            t_bytes = Bytes.length entry.Aotcache.e_code;
-            t_chain = None;
-            t_exec_count = 0;
-            t_cycles = 0;
-            t_tier = 1;
-            t_members = List.length members;
-            t_succs = [];
-            t_exits = Array.make entry.Aotcache.e_n_exits None;
-          }
-        in
-        Codecache.publish e.cache region.t_key region;
-        List.iter (fun m -> m.t_tier <- 1) members;
-        head.t_chain <- None;
-        Codecache.iter
-          (fun _ tr ->
-            (match tr.t_chain with
-            | Some (_, _, tgt) when tgt == head -> tr.t_chain <- None
-            | _ -> ());
-            Array.iteri
-              (fun i edge ->
-                match edge with
-                | Some (_, _, tgt) when tgt == head -> tr.t_exits.(i) <- None
-                | _ -> ())
-              tr.t_exits)
-          e.cache;
-        (match e.sanitizer with
-        | Some sa ->
-          List.iter
-            (fun m ->
-              let pa_m = Int64.logor pa_page (Int64.logand m.t_va 0xFFFL) in
-              Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem ~pa:pa_m ~el
-                ~mmu:mmu_on ~len:(e.guest.Ops.insn_size * m.t_n_guest))
-            members
-        | None -> ());
-        true
-    in
-    let rec try_all = function
-      | [] ->
-        s.aot_misses <- s.aot_misses + 1;
-        false
-      | entry :: rest -> if matching entry && install entry then true else try_all rest
-    in
-    try_all
-      (Aotcache.candidates cache ~kind:1 ~va:head.t_va ~pa:pa_head ~el ~mmu:mmu_on
-         ~cfg:(aot_cfg_sig e))
-
-(* --- region formation as pure jobs ------------------------------------------------ *)
-
-(* Member selection: breadth-first over the recorded chain edge plus the
-   bounded taken-target profile — limited to [region_max_blocks] members
-   on the head's guest page (so physical code-cache indexing and
-   page-granular SMC invalidation stay exact) and to the head's
-   exception level and MMU regime.  Also reports whether the head
-   self-loops: a single-member region is still worth translating when
-   the head loops back to itself — the self-edge becomes an in-region
-   transfer with no dispatch, no per-iteration block entry and a
-   deferred PC sync, the hottest shape in loop kernels. *)
-let select_members (e : t) (head : translation) : translation list * bool =
-  let pa_head, el, mmu_on = head.t_key in
-  let va_page = Bits.align_down head.t_va 4096 in
-  let pa_page = Bits.align_down pa_head 4096 in
-  let members = ref [ head ] in
-  let queue = Queue.create () in
-  Queue.add head queue;
-  while (not (Queue.is_empty queue)) && List.length !members < e.config.region_max_blocks do
-    let m = Queue.pop queue in
-    List.iter
-      (fun va ->
-        if
-          List.length !members < e.config.region_max_blocks
-          && Int64.equal (Bits.align_down va 4096) va_page
-          && not (List.exists (fun m' -> Int64.equal m'.t_va va) !members)
-        then
-          let pa = Int64.logor pa_page (Int64.logand va 0xFFFL) in
-          match Codecache.lookup e.cache (pa, el, mmu_on) with
-          | Some tr
-            when tr.t_n_guest > 0 && tr.t_members = 1
-                 && Array.length tr.t_exits = 0
-                 && Int64.equal tr.t_va va ->
-            members := !members @ [ tr ];
-            Queue.add tr queue
-          | _ -> ())
-      (succs_by_heat m ~el)
-  done;
-  let self_loop =
-    List.exists (fun va -> Int64.equal va head.t_va) (succs_by_heat head ~el)
-  in
-  (!members, self_loop)
-
-(* Capture a region-formation job: snapshot the head's guest page
-   (regions never cross a page), freeze the member descriptors and
-   successor profiles, and record the page invalidation generation and
-   guest-byte hash that gate the eventual install.  Everything a worker
-   reads lives in [j_req]; page snapshots are charge-free
-   ([Machine.phys_read] of RAM), so capturing a job costs no guest
-   cycles. *)
-let make_region_job (e : t) ~(head : translation) ~(members : translation list) : region_job =
-  let pa_head, el, mmu_on = head.t_key in
-  let pa_page = Bits.align_down pa_head 4096 in
-  let snapshot = read_guest_bytes e ~pa:pa_page ~len:4096 in
-  let descs =
-    List.map
-      (fun m ->
-        {
-          md_va = m.t_va;
-          md_off = Int64.to_int (Int64.logand m.t_va 0xFFFL);
-          md_succs = succs_by_heat m ~el;
-        })
-      members
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun m ->
-      let off = Int64.to_int (Int64.logand m.t_va 0xFFFL) in
-      Buffer.add_bytes buf (Bytes.sub snapshot off (e.guest.Ops.insn_size * m.t_n_guest)))
-    members;
-  {
-    j_req =
-      {
-        rq_head_va = head.t_va;
-        rq_pa_page = pa_page;
-        rq_el = el;
-        rq_mmu = mmu_on;
-        rq_members = descs;
-        rq_snapshot = snapshot;
-      };
-    j_head = head;
-    j_members = members;
-    j_gen = Codecache.page_gen e.cache pa_page;
-    j_guest_hash = Hostir.Reloc.hash64 (Buffer.to_bytes buf);
-    j_outcome = None;
-  }
-
-(* The members' guest bytes as they are in memory right now, hashed for
-   comparison against [j_guest_hash] before an async install: a job
-   whose source bytes changed since enqueue is rejected even if the
-   page's invalidation generation did not move. *)
-let live_guest_hash (e : t) (job : region_job) : int64 =
-  let pa_page = job.j_req.rq_pa_page in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun m ->
-      let pa_m = Int64.logor pa_page (Int64.logand m.t_va 0xFFFL) in
-      Buffer.add_bytes buf
-        (read_guest_bytes e ~pa:pa_m ~len:(e.guest.Ops.insn_size * m.t_n_guest)))
-    job.j_members;
-  Hostir.Reloc.hash64 (Buffer.to_bytes buf)
-
-(* The pure job runner: (page snapshot, member descriptors, regime,
-   opt config) -> (certified encoded program, stats delta, finding
-   logs).  Runs on a worker domain, or inline on the vCPU when
-   [domains <= 1]; reads nothing but [je] and [req] — never the engine,
-   the machine, or live guest memory.  Intra-region control flow
-   becomes a PC-compare dispatch per member, straightened into direct
-   jumps where the target is static, with no per-block prologue and
-   cross-block dead register-file stores eliminated.  Members keep
-   their own tier-0 cache entries (the region replaces only the
-   head's), so a mid-region exit falls back to block-at-a-time
-   execution; every member entry begins with a [Poll] safepoint, so
-   interrupts, regime changes (the poison register) and the run loop's
-   cycle/block budgets are honoured at block granularity exactly like
-   the baseline dispatch loop.  Exceptions (a writeback-discipline
-   violation from [Verify.check_wb_exn]) propagate to the caller, which
-   wraps them as [R_exn] on the async path. *)
-let run_region_job (je : jit_env) (req : region_request) : region_result =
-  let s = new_phase_stats () in
-  let v_log = ref [] and a_log = ref [] and r_log = ref [] in
+(* Tier 1: translate a region of blocks on one page as one unit.
+   Intra-region control flow becomes a PC-compare dispatch per member,
+   straightened into direct jumps where the target is static, with no
+   per-block prologue and cross-block dead register-file stores
+   eliminated.  Members keep their own tier-0 cache entries (the region
+   replaces only the head's), so a mid-region exit falls back to
+   block-at-a-time execution; every member entry begins with a [Poll]
+   safepoint, so interrupts, regime changes (the poison register) and
+   the run loop's cycle/block budgets are honoured at block granularity
+   exactly like the baseline dispatch loop.  Reads nothing but [je] and
+   [req], so it runs on a worker domain or inline on the vCPU.
+   Exceptions (a writeback-discipline violation from
+   [Verify.check_wb_exn]) propagate to the caller, which wraps them as
+   [R_exn] on the async path. *)
+let region_front (je : jit_env) (req : request) : result =
+  let acc = new_acc () in
+  let s = acc.a_stats in
   let cfg = je.je_config in
-  let el = req.rq_el and mmu_on = req.rq_mmu in
-  let pa_head = Int64.logor req.rq_pa_page (Int64.logand req.rq_head_va 0xFFFL) in
-  let n_members = List.length req.rq_members in
-  s.regions_formed <- 1;
-  s.region_blocks <- n_members;
+  let el = req.rq_el in
   let t1 = now () in
-  let model = je.je_guest.Ops.model in
-  let dag = Dag.create (dag_config_env je ~mmu_on) in
+  let dag = Dag.create (dag_config je ~mmu_on:req.rq_mmu) in
   let em = Dag.emitter dag in
   let entries = List.map (fun md -> (md, em.Ssa.Emitter.create_block ())) req.rq_members in
   let entry_label va =
@@ -1853,7 +1255,7 @@ let run_region_job (je : jit_env) (req : region_request) : region_result =
     (fun mi (md, l) ->
       em.Ssa.Emitter.set_block l;
       Dag.raw dag (Hir.Poll 0);
-      let decoded, undef = decode_block_pure je ~snapshot:req.rq_snapshot ~va:md.md_va ~off:md.md_off in
+      let decoded, undef = decode je req md in
       if undef || decoded = [] then begin
         (* cannot happen for an already-translated member; bail to the
            dispatcher rather than mistranslate *)
@@ -1863,15 +1265,7 @@ let run_region_job (je : jit_env) (req : region_request) : region_result =
       end
       else begin
         n_guest := !n_guest + List.length decoded;
-        List.iter
-          (fun d ->
-            let action = Ssa.Offline.action model d.Adl.Decode.name in
-            let field = field_of ~el d in
-            let inc_pc =
-              if d.Adl.Decode.ends_block then None else Some je.je_guest.Ops.insn_size
-            in
-            Ssa.Gen.translate em action ~field ~inc_pc)
-          decoded;
+        List.iter (gen_insn je em ~el) decoded;
         (* Member epilogue: PC-compare dispatch to the profiled
            in-region successors, hottest first; anything else exits to
            the engine dispatcher. *)
@@ -1887,7 +1281,7 @@ let run_region_job (je : jit_env) (req : region_request) : region_result =
         keep_ref
           {
             Hostir.Equiv.mb_va = md.md_va;
-            mb_items = equiv_items_env je ~el decoded;
+            mb_items = equiv_items je ~el decoded;
             mb_undef = false;
             mb_targets = List.map fst targets;
           };
@@ -1938,17 +1332,9 @@ let run_region_job (je : jit_env) (req : region_request) : region_result =
            delete cross-block dead definitions, drop proved-redundant
            masks, strength-reduce division.  The writeback discipline
            is re-proved below on the simplified stream. *)
-        let instrs', ss =
-          if cfg.absint_simplify then begin
-            let ts = now () in
-            let r =
-              Hostir.Absint.simplify ~classify:Common.helper_kind promoted_instrs
-            in
-            t_simplify := !t_simplify +. (now () -. ts);
-            r
-          end
-          else (promoted_instrs, Hostir.Absint.empty_simplify_stats ())
-        in
+        let ts = now () in
+        let instrs', ss = Hostir.Absint.simplify ~classify:Common.helper_kind promoted_instrs in
+        t_simplify := !t_simplify +. (now () -. ts);
         let ra' = Regalloc.run instrs' in
         if ra'.Regalloc.n_spilled <= ra0.Regalloc.n_spilled then begin
           (* Always-on safety net: a region whose safepoint, exit or
@@ -1959,15 +1345,11 @@ let run_region_job (je : jit_env) (req : region_request) : region_result =
              can delete the dirty definition that would incriminate
              it — and again on the simplified stream the engine
              actually runs. *)
-          let wb_what pass =
-            Printf.sprintf "region pa=0x%Lx va=0x%Lx members=%d pass=%s" pa_head
-              req.rq_head_va n_members pass
-          in
+          let wb_what pass = Printf.sprintf "%s pass=%s" (describe req) pass in
           Hostir.Verify.check_wb_exn ~what:(wb_what "promote")
             ~classify:Common.helper_kind ~promoted promoted_instrs;
-          if cfg.absint_simplify then
-            Hostir.Verify.check_wb_exn ~what:(wb_what "absint-simplify")
-              ~classify:Common.helper_kind ~promoted instrs';
+          Hostir.Verify.check_wb_exn ~what:(wb_what "absint-simplify")
+            ~classify:Common.helper_kind ~promoted instrs';
           s.rf_promoted <- s.rf_promoted + ps.Hostir.Promote.promoted;
           s.region_wb_entries <- s.region_wb_entries + ps.Hostir.Promote.wb_entries;
           s.mem_loads_elided <- s.mem_loads_elided + ps.Hostir.Promote.loads_elided;
@@ -1991,54 +1373,391 @@ let run_region_job (je : jit_env) (req : region_request) : region_result =
      to the analysis phase so the bench breakdown separates them. *)
   s.t_regalloc <- s.t_regalloc +. (now () -. t2 -. !t_simplify);
   s.t_analyze <- s.t_analyze +. !t_simplify;
-  if cfg.analyze_translations then
-    analyze_translation_into ~s ~log:a_log
-      ~what:(Printf.sprintf "region pa=0x%Lx va=0x%Lx members=%d" pa_head req.rq_head_va n_members)
-      ~region:true ~promoted ~pre:instrs ra;
-  (* Symbolic translation validation of the final pre-regalloc stream
-     (region passes, promotion and Wbmap included).  Regions are few
-     and load-bearing, so they are always validated when enabled, with
-     no [validate_every] sampling. *)
-  (if cfg.validate_translations then begin
-     let tv = now () in
-     let outcome =
-       Hostir.Equiv.check_region ~classify:Common.helper_kind
-         ~config:(dag_config_env je ~mmu_on) ~init_pc:(Hostir.Symexec.Const req.rq_head_va)
-         ~opt:instrs (List.rev !member_refs)
-     in
-     record_validation_into ~s ~log:v_log
-       ~what:(Printf.sprintf "region pa=0x%Lx va=0x%Lx members=%d" pa_head req.rq_head_va n_members)
-       ~region:true outcome;
-     s.t_validate <- s.t_validate +. (now () -. tv)
-   end);
-  let t3 = now () in
-  let code = Encode.encode ra in
-  let program = Encode.decode_program ~n_slots:ra.Regalloc.n_slots code in
-  s.t_encode <- s.t_encode +. (now () -. t3);
-  let n_host = Array.length instrs in
-  s.region_host_instrs <- s.region_host_instrs + n_host;
-  (* Relocation-cleanliness certification runs inside the job — it is a
-     pure function of the encoded bytes — and the certificate travels
-     with the result; persistence happens at install on the vCPU. *)
-  let cert =
-    if cfg.reloc_check || cfg.aot_dir <> None then
-      certify_translation_into je ~s ~log:r_log
-        ~what:(Printf.sprintf "region pa=0x%Lx va=0x%Lx members=%d" pa_head req.rq_head_va n_members)
-        ~region:true ~n_exits:n_members ~n_slots:ra.Regalloc.n_slots ~ra code
-    else None
+  back_end je acc req ~kind:1
+    ~validate:(fun () -> cfg.validate_translations)
+    ~equiv:(`Region (List.rev !member_refs))
+    ~promoted ~n_guest:!n_guest ~cost:pipeline_cost instrs ra
+
+(* --- relocation-cleanliness certification + persistent AOT cache ------------------- *)
+
+(* Signature over everything that changes generated code for the same
+   guest bytes: guest model identity (name, offline opt level, total SSA
+   size) plus every config field the translator consults.  Two boots may
+   exchange cache entries iff their signatures agree. *)
+let aot_cfg_sig (e : t) : int64 =
+  let c = e.config in
+  Hostir.Reloc.hash64
+    (Bytes.of_string
+       (Printf.sprintf "%s|%d|%d|%d|%b|%b|%b|%b|%b|%d|%d|%b|%d|%b" e.guest.Ops.name
+          e.guest.Ops.model.Ssa.Offline.opt_level
+          (Ssa.Offline.total_size e.guest.Ops.model)
+          e.guest.Ops.insn_size c.hw_fp c.chaining c.pcid c.split_va_check c.tiering
+          c.hot_threshold c.region_max_blocks c.promote c.promote_max_regs c.templates))
+
+(* The AOT front end: an entry of [kind] whose guest bytes match the
+   request's and whose stored code re-certifies becomes the result a
+   fresh translation would have produced.  A block entry matches when
+   its bytes are a prefix of the request's; a region entry must cover
+   exactly the members runtime profiling selected (same VAs, same
+   lengths — member selection is deterministic because guest execution
+   is).  A flagged or corrupted entry is rejected and the request falls
+   through to the next candidate, then to translation.  The kind-2
+   (template) probe leaves misses uncounted: the kind-0 probe behind it
+   is the final cache fallback. *)
+let aot_front (e : t) (acc : acc) (req : request) ~kind : result option =
+  match e.aot with
+  | None -> None
+  | Some cache ->
+    let s = acc.a_stats in
+    let what = describe ~prefix:"aot " req in
+    let matches (entry : Aotcache.entry) =
+      let g = entry.Aotcache.e_guest in
+      let len = Bytes.length g in
+      if req.rq_region then
+        entry.Aotcache.e_members
+        = Array.of_list (List.map (fun md -> (md.md_va, md.md_len)) req.rq_members)
+        && Bytes.equal g req.rq_guest
+      else
+        len > 0 && len <= Bytes.length req.rq_guest
+        && Bytes.equal g (Bytes.sub req.rq_guest 0 len)
+    in
+    let load (entry : Aotcache.entry) =
+      if not (matches entry) then None
+      else
+        let n_slots = entry.Aotcache.e_n_slots and n_host = entry.Aotcache.e_n_host in
+        match
+          record_reloc e.jenv acc ~what ~region:req.rq_region ~n_exits:entry.Aotcache.e_n_exits
+            ~n_slots entry.Aotcache.e_code
+        with
+        | None ->
+          s.aot_rejects <- s.aot_rejects + 1;
+          None
+        | Some cert ->
+          s.aot_hits <- s.aot_hits + 1;
+          Some
+            {
+              r_kind = kind;
+              r_fresh = false;
+              r_program = Encode.decode_program ~n_slots entry.Aotcache.e_code;
+              r_code = entry.Aotcache.e_code;
+              r_cert = Some cert;
+              r_n_guest = entry.Aotcache.e_n_guest;
+              r_n_host = n_host;
+              r_n_slots = n_slots;
+              r_n_exits = entry.Aotcache.e_n_exits;
+              r_cost = aot_load_cost ~n_host;
+              r_acc = acc;
+            }
+    in
+    let res =
+      List.find_map load
+        (Aotcache.candidates cache ~kind ~va:req.rq_va ~pa:req.rq_pa ~el:req.rq_el ~mmu:req.rq_mmu
+           ~cfg:(aot_cfg_sig e))
+    in
+    if kind <> 2 && Option.is_none res then s.aot_misses <- s.aot_misses + 1;
+    res
+
+(* --- install ------------------------------------------------------------------------- *)
+
+(* Install a result: the one place a translation record is built,
+   published, page-protected, recorded with the sanitizer, charged and
+   persisted.  A region result replaces its head ([replaces]) and
+   promotes its [members]; a re-pipelined block replaces its template
+   record.  Chain and exit edges into the replaced record are unlinked,
+   so predecessors relink through the cache (one dispatch lookup) into
+   the new code instead of chaining into the orphan forever.  An
+   [async] result (finished on a worker domain) publishes only if its
+   members' guest bytes are unchanged since the request was made and,
+   through [publish_if], the page was not invalidated since [gen];
+   otherwise it is dropped as stale and the head demoted so profiling
+   can retry against the current bytes.  Returns the published record,
+   [None] when stale. *)
+let install ?(async = false) ?(gen = 0) ?replaces ?(members = []) (e : t) (req : request)
+    (res : result) : translation option =
+  let s = e.stats in
+  let region = res.r_kind = 1 in
+  let tr =
+    {
+      t_key = (req.rq_pa, req.rq_el, req.rq_mmu);
+      t_va = req.rq_va;
+      t_program = res.r_program;
+      t_n_guest = res.r_n_guest;
+      t_n_host = res.r_n_host;
+      t_bytes = Bytes.length res.r_code;
+      t_chain = None;
+      t_exec_count = 0;
+      t_cycles = 0;
+      t_tier = (match res.r_kind with 1 -> 1 | 2 -> -1 | _ -> 0);
+      t_members = (if region then List.length members else 1);
+      t_succs = [];
+      t_exits = Array.make res.r_n_exits None;
+    }
+  in
+  (* A region's head entry covers the whole unit: all members live on
+     the head's page, so one SMC invalidation sweeps the region and
+     every member, demoting the whole page to tier 0. *)
+  let published =
+    if not async then begin
+      Codecache.publish e.cache tr.t_key tr;
+      true
+    end
+    else
+      Bytes.equal (guest_now e req) req.rq_guest && Codecache.publish_if e.cache tr.t_key ~gen tr
+  in
+  if not published then begin
+    s.jobs_stale <- s.jobs_stale + 1;
+    Option.iter
+      (fun head ->
+        head.t_tier <- 0;
+        head.t_exec_count <- 0)
+      replaces;
+    None
+  end
+  else begin
+    merge e res.r_acc;
+    if region then begin
+      s.regions_formed <- s.regions_formed + 1;
+      s.region_blocks <- s.region_blocks + List.length members;
+      s.region_host_instrs <- s.region_host_instrs + res.r_n_host
+    end
+    else begin
+      s.blocks_translated <- s.blocks_translated + 1;
+      s.guest_instrs_translated <- s.guest_instrs_translated + res.r_n_guest;
+      s.host_instrs_emitted <- s.host_instrs_emitted + res.r_n_host;
+      s.host_bytes_emitted <- s.host_bytes_emitted + Bytes.length res.r_code;
+      if res.r_kind = 2 then begin
+        s.template_blocks <- s.template_blocks + 1;
+        s.template_instrs <- s.template_instrs + res.r_n_guest
+      end
+    end;
+    (* Translation-side cycle charge: wall-clock cycles the guest pays
+       for JIT/AOT work, kept out of guest-visible device time so the
+       guest's observable execution is identical whether its code was
+       translated cold or installed warm.  The per-tier ledgers split
+       template installs from the full pipeline; cycles a worker domain
+       spent while the vCPU kept executing also land in the async
+       sub-ledger. *)
+    if async then begin
+      Machine.charge_jit_async e.machine res.r_cost;
+      s.jobs_installed <- s.jobs_installed + 1
+    end
+    else Machine.charge_jit e.machine res.r_cost;
+    s.translate_cycles <- s.translate_cycles + res.r_cost;
+    if res.r_kind = 2 then
+      s.translate_cycles_template <- s.translate_cycles_template + res.r_cost
+    else s.translate_cycles_pipeline <- s.translate_cycles_pipeline + res.r_cost;
+    List.iter (fun m -> m.t_tier <- 1) members;
+    protect_page e (Bits.align_down req.rq_pa 4096);
+    Option.iter (fun old -> unlink e [ old ]) replaces;
+    (* The guest bytes the result covers, per member: a block covers
+       what it decoded, a region its members. *)
+    let covered =
+      if region then List.map (fun md -> (md, md.md_len)) req.rq_members
+      else List.map (fun md -> (md, e.guest.Ops.insn_size * res.r_n_guest)) req.rq_members
+    in
+    (match e.sanitizer with
+    | Some sa ->
+      List.iter
+        (fun (md, len) ->
+          Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem
+            ~pa:(member_pa req md.md_va) ~el:req.rq_el ~mmu:req.rq_mmu ~len)
+        covered;
+      if (not region) && e.config.sanitize_every > 0
+         && s.blocks_translated mod e.config.sanitize_every = 0
+      then sanitize_check e ~reason:"periodic"
+    | None -> ());
+    (* Persistence of a fresh certified translation, keyed by the
+       covered members' VAs and lengths: a warm boot reuses a region
+       only when runtime profiling selects the identical member set.
+       Undefined-instruction stubs cover no guest bytes, and regions
+       whose members failed to re-decode cover fewer than their
+       members, so neither is persisted. *)
+    (match (e.aot, res.r_cert) with
+    | Some cache, Some cert
+      when res.r_fresh
+           && List.for_all (fun (_, len) -> len > 0) covered
+           && List.fold_left (fun a (_, len) -> a + len) 0 covered
+              = e.guest.Ops.insn_size * res.r_n_guest ->
+      Aotcache.store cache
+        {
+          Aotcache.e_kind = res.r_kind;
+          e_va = req.rq_va;
+          e_pa = req.rq_pa;
+          e_el = req.rq_el;
+          e_mmu = req.rq_mmu;
+          e_cfg = aot_cfg_sig e;
+          e_members = Array.of_list (List.map (fun (md, len) -> (md.md_va, len)) covered);
+          e_guest =
+            Bytes.concat Bytes.empty
+              (List.map (fun (md, len) -> Bytes.sub req.rq_guest md.md_off len) covered);
+          e_n_slots = res.r_n_slots;
+          e_n_exits = res.r_n_exits;
+          e_n_guest = res.r_n_guest;
+          e_n_host = res.r_n_host;
+          e_code = res.r_code;
+          e_hash = cert.Hostir.Reloc.c_hash;
+        };
+      s.aot_stores <- s.aot_stores + 1
+    | _ -> ());
+    Some tr
+  end
+
+(* Translate and install one block: the AOT cache, then (with
+   [templates] and [tiering]) the template tier, then the pipeline.
+   [pipeline] skips the template tier — promotion re-translates a hot
+   template block through the full pipeline — and [replaces] names the
+   record the new one supersedes.  The block is decoded at most once,
+   and not at all on an AOT hit. *)
+let translate_block ?(pipeline = false) ?replaces (e : t) ~va ~pa ~el ~mmu_on : translation =
+  let req = block_request e ~va ~pa ~el ~mmu_on in
+  let acc = new_acc () in
+  let s = acc.a_stats in
+  let decoded =
+    lazy
+      (let t0 = now () in
+       let d = decode e.jenv req (List.hd req.rq_members) in
+       s.t_decode <- s.t_decode +. (now () -. t0);
+       d)
+  in
+  let through_pipeline () =
+    match aot_front e acc req ~kind:0 with
+    | Some res -> res
+    | None ->
+      pipeline_front e.jenv acc req ~validate:(sample_validation e) (Lazy.force decoded)
+  in
+  let res =
+    if e.config.templates && e.config.tiering && not pipeline then begin
+      let t0 = now () in
+      match aot_front e acc req ~kind:2 with
+      | Some res ->
+        s.t_template <- s.t_template +. (now () -. t0);
+        res
+      | None -> (
+        match template_front e acc req (Lazy.force decoded) with
+        | Some res -> res
+        | None -> through_pipeline ())
+    end
+    else through_pipeline ()
+  in
+  Option.get (install ?replaces e req res)
+
+(* --- tiered translation: hot-region formation (tier 1) ---------------------------- *)
+
+(* Bounded successor profile (space-saving, k = 4): recorded free of
+   charge in the run loop while a block is still tier 0; drives member
+   selection and dispatch ordering when the block is promoted. *)
+let record_succ (tr : translation) va el =
+  let rec bump = function
+    | [] -> None
+    | (v, e_, c) :: rest when Int64.equal v va && e_ = el -> Some ((v, e_, c + 1) :: rest)
+    | x :: rest -> Option.map (fun r -> x :: r) (bump rest)
+  in
+  match bump tr.t_succs with
+  | Some l -> tr.t_succs <- l
+  | None ->
+    if List.length tr.t_succs < 4 then tr.t_succs <- (va, el, 1) :: tr.t_succs
+    else begin
+      (* replace the coldest entry, inheriting its count *)
+      let min_c = List.fold_left (fun m (_, _, c) -> min m c) max_int tr.t_succs in
+      let replaced = ref false in
+      tr.t_succs <-
+        List.map
+          (fun (v, e_, c) ->
+            if (not !replaced) && c = min_c then begin
+              replaced := true;
+              (va, el, min_c + 1)
+            end
+            else (v, e_, c))
+          tr.t_succs
+    end
+
+(* Profiled successor VAs of [tr] at exception level [el], hottest first;
+   the recorded chain edge counts as the hottest observation. *)
+let succs_by_heat (tr : translation) ~el =
+  let base = List.filter (fun (_, e_, _) -> e_ = el) tr.t_succs in
+  let base =
+    match tr.t_chain with
+    | Some (cva, cel, _)
+      when cel = el && not (List.exists (fun (v, _, _) -> Int64.equal v cva) base) ->
+      (cva, el, max_int) :: base
+    | _ -> base
+  in
+  List.sort (fun (_, _, a) (_, _, b) -> compare b a) base |> List.map (fun (v, _, _) -> v)
+
+(* Member selection: breadth-first over the recorded chain edge plus the
+   bounded taken-target profile — limited to [region_max_blocks] members
+   on the head's guest page (so physical code-cache indexing and
+   page-granular SMC invalidation stay exact) and to the head's
+   exception level and MMU regime.  Also reports whether the head
+   self-loops: a single-member region is still worth translating when
+   the head loops back to itself — the self-edge becomes an in-region
+   transfer with no dispatch, no per-iteration block entry and a
+   deferred PC sync, the hottest shape in loop kernels. *)
+let select_members (e : t) (head : translation) : translation list * bool =
+  let pa_head, el, mmu_on = head.t_key in
+  let va_page = Bits.align_down head.t_va 4096 in
+  let pa_page = Bits.align_down pa_head 4096 in
+  let members = ref [ head ] in
+  let queue = Queue.create () in
+  Queue.add head queue;
+  while (not (Queue.is_empty queue)) && List.length !members < e.config.region_max_blocks do
+    let m = Queue.pop queue in
+    List.iter
+      (fun va ->
+        if
+          List.length !members < e.config.region_max_blocks
+          && Int64.equal (Bits.align_down va 4096) va_page
+          && not (List.exists (fun m' -> Int64.equal m'.t_va va) !members)
+        then
+          let pa = Int64.logor pa_page (Int64.logand va 0xFFFL) in
+          match Codecache.lookup e.cache (pa, el, mmu_on) with
+          | Some tr
+            when tr.t_n_guest > 0 && tr.t_members = 1
+                 && Array.length tr.t_exits = 0
+                 && Int64.equal tr.t_va va ->
+            members := !members @ [ tr ];
+            Queue.add tr queue
+          | _ -> ())
+      (succs_by_heat m ~el)
+  done;
+  let self_loop =
+    List.exists (fun va -> Int64.equal va head.t_va) (succs_by_heat head ~el)
+  in
+  (!members, self_loop)
+
+(* Capture a region-formation job: copy the members' guest bytes into
+   the request, freeze the member descriptors and successor profiles,
+   and record the page invalidation generation that gates an async
+   install. *)
+let make_region_job (e : t) ~(head : translation) ~(members : translation list) : region_job =
+  let pa_head, el, mmu_on = head.t_key in
+  let off = ref 0 in
+  let descs =
+    List.map
+      (fun m ->
+        let len = e.guest.Ops.insn_size * m.t_n_guest in
+        let md = { md_va = m.t_va; md_off = !off; md_len = len; md_succs = succs_by_heat m ~el } in
+        off := !off + len;
+        md)
+      members
+  in
+  let req =
+    {
+      rq_va = head.t_va;
+      rq_pa = pa_head;
+      rq_el = el;
+      rq_mmu = mmu_on;
+      rq_region = true;
+      rq_members = descs;
+      rq_guest = Bytes.empty;
+    }
   in
   {
-    r_program = program;
-    r_code = code;
-    r_cert = cert;
-    r_n_guest = !n_guest;
-    r_n_host = n_host;
-    r_n_slots = ra.Regalloc.n_slots;
-    r_n_exits = n_members;
-    r_stats = s;
-    r_validation_log = !v_log;
-    r_analysis_log = !a_log;
-    r_reloc_log = !r_log;
+    j_req = { req with rq_guest = guest_now e req };
+    j_head = head;
+    j_members = members;
+    j_gen = Codecache.page_gen e.cache (Bits.align_down pa_head 4096);
+    j_outcome = None;
   }
 
 (* --- the worker pool ------------------------------------------------------------- *)
@@ -2056,7 +1775,7 @@ let rec worker_loop (je : jit_env) (p : pool) : unit =
   | job :: rest ->
     p.p_pending <- rest;
     Mutex.unlock p.p_mu;
-    let outcome = try R_ok (run_region_job je job.j_req) with exn -> R_exn exn in
+    let outcome = try R_ok (region_front je job.j_req) with exn -> R_exn exn in
     Mutex.lock p.p_mu;
     job.j_outcome <- Some outcome;
     p.p_done <- p.p_done @ [ job ];
@@ -2085,132 +1804,6 @@ let ensure_pool (e : t) : pool =
       List.init (max 1 (e.config.domains - 1)) (fun _ -> Domain.spawn (fun () -> worker_loop je p));
     e.pool <- Some p;
     p
-
-(* Install a finished region unit into the engine.  [async] selects the
-   publish protocol: the synchronous path publishes unconditionally
-   (nothing can have moved under it — the job ran inline), the async
-   path re-hashes the members' live guest bytes and then publishes
-   through the page-generation check, rejecting the install as stale
-   when either moved while the job was in flight. *)
-let install_region ~async (e : t) (job : region_job) (res : region_result) : unit =
-  let s = e.stats in
-  let head = job.j_head in
-  let members = job.j_members in
-  let el = job.j_req.rq_el and mmu_on = job.j_req.rq_mmu in
-  let pa_page = job.j_req.rq_pa_page in
-  let region =
-    {
-      t_key = head.t_key;
-      t_va = head.t_va;
-      t_program = res.r_program;
-      t_n_guest = res.r_n_guest;
-      t_n_host = res.r_n_host;
-      t_bytes = Bytes.length res.r_code;
-      t_chain = None;
-      t_exec_count = 0;
-      t_cycles = 0;
-      t_tier = 1;
-      t_members = List.length members;
-      t_succs = [];
-      t_exits = Array.make res.r_n_exits None;
-    }
-  in
-  (* The head's page entry already covers the region: all members live
-     on the head's page, so one SMC invalidation sweeps the region unit
-     and every member, demoting the whole page to tier 0. *)
-  let published =
-    if not async then begin
-      Codecache.publish e.cache region.t_key region;
-      true
-    end
-    else
-      Int64.equal (live_guest_hash e job) job.j_guest_hash
-      && Codecache.publish_if e.cache region.t_key ~gen:job.j_gen region
-  in
-  if not published then begin
-    (* Stale: the page was invalidated (or rewritten) since enqueue.
-       Drop the result and demote the head so profiling can retry
-       against the current bytes. *)
-    s.jobs_stale <- s.jobs_stale + 1;
-    head.t_tier <- 0;
-    head.t_exec_count <- 0
-  end
-  else begin
-    add_stats s res.r_stats;
-    e.validation_log <- append_capped e.validation_log res.r_validation_log;
-    e.analysis_log <- append_capped e.analysis_log res.r_analysis_log;
-    e.reloc_log <- append_capped e.reloc_log res.r_reloc_log;
-    (if async then charge_translate_async else charge_translate) e
-      ((1400 * res.r_n_guest) + (260 * res.r_n_host));
-    if async then s.jobs_installed <- s.jobs_installed + 1;
-    List.iter (fun m -> m.t_tier <- 1) members;
-    (* Drop the replaced head's chain edge, and unlink every chain edge
-       that targets the replaced head record: predecessors must relink
-       through the cache (one dispatch lookup) so the hot path migrates
-       into the region unit instead of chaining into the orphaned tier-0
-       head forever. *)
-    head.t_chain <- None;
-    Codecache.iter
-      (fun _ tr ->
-        (match tr.t_chain with
-        | Some (_, _, tgt) when tgt == head -> tr.t_chain <- None
-        | _ -> ());
-        Array.iteri
-          (fun i edge ->
-            match edge with
-            | Some (_, _, tgt) when tgt == head -> tr.t_exits.(i) <- None
-            | _ -> ())
-          tr.t_exits)
-      e.cache;
-    (match e.sanitizer with
-    | Some sa ->
-      List.iter
-        (fun m ->
-          let pa_m = Int64.logor pa_page (Int64.logand m.t_va 0xFFFL) in
-          Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem ~pa:pa_m ~el
-            ~mmu:mmu_on ~len:(4 * m.t_n_guest))
-        members
-    | None -> ());
-    (* Persistence of the job's certificate, with the per-member
-       VAs/lengths as part of the key: a warm boot reuses the unit only
-       when runtime profiling selects the identical member set.  Regions
-       whose members failed to re-decode (guest instr counts disagree)
-       are never persisted. *)
-    match res.r_cert with
-    | Some cert
-      when res.r_n_guest = List.fold_left (fun a m -> a + m.t_n_guest) 0 members
-           && List.for_all (fun m -> m.t_n_guest > 0) members -> (
-      match e.aot with
-      | Some cache ->
-        let pa_head, _, _ = head.t_key in
-        let mems = List.map (fun m -> (m.t_va, e.guest.Ops.insn_size * m.t_n_guest)) members in
-        let guest = Buffer.create 256 in
-        List.iter
-          (fun (va_m, len) ->
-            let pa_m = Int64.logor pa_page (Int64.logand va_m 0xFFFL) in
-            Buffer.add_bytes guest (read_guest_bytes e ~pa:pa_m ~len))
-          mems;
-        Aotcache.store cache
-          {
-            Aotcache.e_kind = 1;
-            e_va = head.t_va;
-            e_pa = pa_head;
-            e_el = el;
-            e_mmu = mmu_on;
-            e_cfg = aot_cfg_sig e;
-            e_members = Array.of_list mems;
-            e_guest = Buffer.to_bytes guest;
-            e_n_slots = res.r_n_slots;
-            e_n_exits = res.r_n_exits;
-            e_n_guest = res.r_n_guest;
-            e_n_host = res.r_n_host;
-            e_code = res.r_code;
-            e_hash = cert.Hostir.Reloc.c_hash;
-          };
-        s.aot_stores <- s.aot_stores + 1
-      | None -> ())
-    | Some _ | None -> ()
-  end
 
 (* Queue a job for the worker pool.  The queue is bounded, so a burst
    of hot crossings cannot pile up unbounded translation work; a
@@ -2269,71 +1862,48 @@ let drain_jobs (e : t) : unit =
       (fun job ->
         e.stats.jobs_completed <- e.stats.jobs_completed + 1;
         match job.j_outcome with
-        | Some (R_ok res) -> install_region ~async:true e job res
+        | Some (R_ok res) ->
+          ignore
+            (install ~async:true ~gen:job.j_gen ~replaces:job.j_head ~members:job.j_members e
+               job.j_req res)
         | Some (R_exn exn) -> raise exn
         | None -> assert false)
       taken
 
-(* A block reaching the hot threshold must run pipeline-quality code
-   from here on — the template tier is a cold-boot device, not a
-   steady-state one.  Re-translate the template-stitched record through
-   the full pipeline; the replacement inherits the profile, and chain
-   edges into the replaced record are unlinked so predecessors relink
-   through the cache (one dispatch lookup) into the new code. *)
-let repipeline (e : t) sys (old : translation) : translation =
-  let pa, el, mmu_on = old.t_key in
-  let fresh = translate_block_pipeline e sys ~va:old.t_va ~pa ~el ~mmu_on in
-  fresh.t_exec_count <- old.t_exec_count;
-  fresh.t_succs <- old.t_succs;
-  old.t_chain <- None;
-  Codecache.iter
-    (fun _ tr ->
-      (match tr.t_chain with
-      | Some (_, _, tgt) when tgt == old -> tr.t_chain <- None
-      | _ -> ());
-      Array.iteri
-        (fun i edge ->
-          match edge with
-          | Some (_, _, tgt) when tgt == old -> tr.t_exits.(i) <- None
-          | _ -> ())
-        tr.t_exits)
-    e.cache;
-  fresh
-
 (* Promote a hot tier-0 (or template) block: select members, then
-   either translate the region inline ([domains <= 1] — bit-identical
-   in cycles and stats to the pre-concurrency engine) or enqueue the
-   formation job and keep executing the current code while a worker
-   domain translates.  Template-tier records among the head and members
-   are first re-translated through the pipeline, so every tier-1
-   translation (and every record a failed job demotes back to tier 0)
-   is pipeline-built. *)
-let promote_block (e : t) sys (head : translation) : unit =
+   install the region from the AOT cache, translate it inline
+   ([domains <= 1] — bit-identical in cycles and stats to the
+   pre-concurrency engine), or enqueue the formation job and keep
+   executing the current code while a worker domain translates.  The
+   region re-translates every member from guest bytes through the full
+   pipeline, so the hot path (region entry + chained exits) runs
+   pipeline-built code.  A lone hot template head with no region to
+   form is re-translated through the pipeline instead: the template
+   tier is a cold-boot device, not a steady-state one. *)
+let promote_block (e : t) (head : translation) : unit =
   let s = e.stats in
-  let pa_head, el, mmu_on = head.t_key in
-  let pa_page = Bits.align_down pa_head 4096 in
   s.promotions <- s.promotions + 1;
   let was_template = head.t_tier < 0 in
   head.t_tier <- 1;
   let members, self_loop = select_members e head in
   if List.length members > 1 || self_loop then begin
-    (* A region unit will replace the head's cache entry, and the job
-       re-translates every member from guest bytes through the full
-       pipeline into the unit — so no stand-alone re-translation is
-       needed: the hot path (region entry + chained exits) runs
-       pipeline-built code, and the members' stand-alone records only
-       serve stray direct dispatches. *)
-    if not (aot_try_region e ~head ~members ~pa_page ~el ~mmu_on) then begin
-      let job = make_region_job e ~head ~members in
+    let job = make_region_job e ~head ~members in
+    let acc = new_acc () in
+    match aot_front e acc job.j_req ~kind:1 with
+    | Some res -> ignore (install ~replaces:head ~members e job.j_req res)
+    | None ->
+      merge e acc;
       if e.config.domains <= 1 then
-        install_region ~async:false e job (run_region_job e.jenv job.j_req)
+        ignore (install ~replaces:head ~members e job.j_req (region_front e.jenv job.j_req))
       else enqueue_job e job
-    end
   end
   else if was_template then begin
-    (* Lone hot head, no region formed: its record stays published, so
-       re-translate it through the pipeline at the promoted tier. *)
-    let fresh = repipeline e sys head in
+    (* Its record stays published: the replacement inherits the
+       profile at the promoted tier. *)
+    let pa, el, mmu_on = head.t_key in
+    let fresh = translate_block ~pipeline:true ~replaces:head e ~va:head.t_va ~pa ~el ~mmu_on in
+    fresh.t_exec_count <- head.t_exec_count;
+    fresh.t_succs <- head.t_succs;
     fresh.t_tier <- 1
   end
 
@@ -2424,7 +1994,7 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
            let tr =
              match Codecache.lookup e.cache key with
              | Some tr -> tr
-             | None -> translate_block e sys ~va ~pa ~el ~mmu_on
+             | None -> translate_block e ~va ~pa ~el ~mmu_on
            in
            prepare_as e va;
            (* Execute, following chain links while they hit. *)
@@ -2463,7 +2033,7 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
                if e.config.tiering && !cur.t_tier <= 0 then begin
                  record_succ !cur next_va next_el;
                  if !cur.t_n_guest > 0 && !cur.t_exec_count >= e.config.hot_threshold then
-                   promote_block e sys !cur
+                   promote_block e !cur
                end;
                if
                  e.config.chaining

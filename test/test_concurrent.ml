@@ -11,8 +11,8 @@
    least as new as that invalidation.
 
    Engine-level: SMC between job capture and install must reject the
-   install (both the generation-tombstone path and the guest-byte-hash
-   path); a multi-domain run of the MMU-stress workload must be
+   install (both the generation-tombstone path and the guest-byte
+   re-check path); a multi-domain run of the MMU-stress workload must be
    guest-visibly equivalent to a single-domain run with zero sanitizer
    findings; and a single-domain engine must stay cycle-deterministic.
 
@@ -156,6 +156,12 @@ let engine_with_head () =
   | Some head -> (e, head)
   | None -> Alcotest.fail "no tier-0 block in cache"
 
+(* Install a finished job the way the run loop's drain does. *)
+let install_async e (job : CE.region_job) res =
+  ignore
+    (CE.install ~async:true ~gen:job.CE.j_gen ~replaces:job.CE.j_head ~members:job.CE.j_members e
+       job.CE.j_req res)
+
 (* Generation path: the page is invalidated (SMC) while the job is
    notionally on a worker; the install must be refused by the
    [publish_if] tombstone even though the bytes were restored
@@ -165,31 +171,31 @@ let test_smc_in_flight_generation () =
   let e, head = engine_with_head () in
   let members, _ = CE.select_members e head in
   let job = CE.make_region_job e ~head ~members in
-  let pa_page = job.CE.j_req.CE.rq_pa_page in
+  let pa_page = Int64.logand job.CE.j_req.CE.rq_pa (Int64.lognot 0xFFFL) in
   let stale0 = e.CE.stats.CE.jobs_stale in
   CE.invalidate_page e pa_page;
-  let res = CE.run_region_job e.CE.jenv job.CE.j_req in
-  CE.install_region ~async:true e job res;
+  let res = CE.region_front e.CE.jenv job.CE.j_req in
+  install_async e job res;
   Alcotest.(check int) "install counted stale" (stale0 + 1) e.CE.stats.CE.jobs_stale;
   Alcotest.(check bool) "stale region not served" true
     (CC.lookup e.CE.cache head.CE.t_key = None);
   Alcotest.(check int) "head demoted for re-profiling" 0 head.CE.t_tier
 
-(* Hash path: the guest bytes under the job change without an
+(* Byte path: the guest bytes under the job change without an
    invalidation reaching the cache (generation unchanged), so only the
-   enqueue-time guest-byte hash can catch it — a translation of pre-SMC
-   bytes must never install. *)
+   install-time comparison against the request's copy of the bytes can
+   catch it — a translation of pre-SMC bytes must never install. *)
 let test_smc_in_flight_hash () =
   let e, head = engine_with_head () in
   let members, _ = CE.select_members e head in
   let job = CE.make_region_job e ~head ~members in
-  let res = CE.run_region_job e.CE.jenv job.CE.j_req in
+  let res = CE.region_front e.CE.jenv job.CE.j_req in
   let pa_head, _, _ = head.CE.t_key in
   (* raw write: bypasses phys_write and thus the invalidate hook *)
   let mem = e.CE.machine.Hvm.Machine.mem in
   Hvm.Mem.write8 mem pa_head (Int64.logxor (Hvm.Mem.read8 mem pa_head) 0xFFL);
   let stale0 = e.CE.stats.CE.jobs_stale in
-  CE.install_region ~async:true e job res;
+  install_async e job res;
   Alcotest.(check int) "install counted stale" (stale0 + 1) e.CE.stats.CE.jobs_stale
 
 (* Control: with neither SMC path triggered, the same job installs. *)
@@ -197,9 +203,9 @@ let test_in_flight_clean_installs () =
   let e, head = engine_with_head () in
   let members, _ = CE.select_members e head in
   let job = CE.make_region_job e ~head ~members in
-  let res = CE.run_region_job e.CE.jenv job.CE.j_req in
+  let res = CE.region_front e.CE.jenv job.CE.j_req in
   let installed0 = e.CE.stats.CE.jobs_installed in
-  CE.install_region ~async:true e job res;
+  install_async e job res;
   Alcotest.(check int) "install counted" (installed0 + 1) e.CE.stats.CE.jobs_installed;
   (match CC.lookup e.CE.cache head.CE.t_key with
   | Some tr -> Alcotest.(check int) "region published" (List.length members) tr.CE.t_members

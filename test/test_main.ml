@@ -20,4 +20,5 @@ let () =
       Test_workloads.suite;
       Test_sanitize.suite;
       Test_concurrent.suite;
+      Test_parity.suite;
     ]

@@ -1,0 +1,251 @@
+(* Counter parity: the translation-side bookkeeping of both MMU-stress
+   boots, pinned to recorded values.
+
+   Each run boots the ARM or RISC-V MMU-stress workload at [domains = 1]
+   under one engine config and compares the exit code, [cycles],
+   [jit_cycles], every integer [phase_stats] field and the lengths of
+   the three finding logs against a recorded row.  The configs cover
+   every translation tier and every install path: templates on and off,
+   tiering off, the full trust stack (validate + analyze + reloc +
+   sanitize, with [validate_every = 3] so the sampling order across
+   template and tier-0 blocks is pinned), and an AOT cold boot followed
+   by a warm boot from the same fresh directory.
+
+   A mismatch prints the whole actual row, so a deliberate change to
+   the translation bookkeeping is re-recorded by pasting it in. *)
+
+module CE = Captive.Engine
+module K = Workloads.Kernel
+module MS = Workloads.Mmu_stress
+
+let int_fields (s : CE.phase_stats) =
+  [
+    ("blocks_translated", s.CE.blocks_translated);
+    ("guest_instrs_translated", s.CE.guest_instrs_translated);
+    ("host_instrs_emitted", s.CE.host_instrs_emitted);
+    ("host_bytes_emitted", s.CE.host_bytes_emitted);
+    ("dead_marked", s.CE.dead_marked);
+    ("spills", s.CE.spills);
+    ("blocks_executed", s.CE.blocks_executed);
+    ("chain_hits", s.CE.chain_hits);
+    ("smc_invalidations", s.CE.smc_invalidations);
+    ("promotions", s.CE.promotions);
+    ("regions_formed", s.CE.regions_formed);
+    ("region_blocks", s.CE.region_blocks);
+    ("region_host_instrs", s.CE.region_host_instrs);
+    ("region_entries", s.CE.region_entries);
+    ("region_block_execs", s.CE.region_block_execs);
+    ("region_dead_stores", s.CE.region_dead_stores);
+    ("rf_promoted", s.CE.rf_promoted);
+    ("region_wb_entries", s.CE.region_wb_entries);
+    ("mem_loads_elided", s.CE.mem_loads_elided);
+    ("stores_forwarded", s.CE.stores_forwarded);
+    ("blocks_validated", s.CE.blocks_validated);
+    ("regions_validated", s.CE.regions_validated);
+    ("validation_findings", s.CE.validation_findings);
+    ("validations_bounded", s.CE.validations_bounded);
+    ("blocks_analyzed", s.CE.blocks_analyzed);
+    ("regions_analyzed", s.CE.regions_analyzed);
+    ("obligation_findings", s.CE.obligation_findings);
+    ("absint_branches_folded", s.CE.absint_branches_folded);
+    ("absint_consts_folded", s.CE.absint_consts_folded);
+    ("absint_masks_dropped", s.CE.absint_masks_dropped);
+    ("absint_divs_reduced", s.CE.absint_divs_reduced);
+    ("absint_dead_deleted", s.CE.absint_dead_deleted);
+    ("translate_cycles", s.CE.translate_cycles);
+    ("translate_cycles_template", s.CE.translate_cycles_template);
+    ("translate_cycles_pipeline", s.CE.translate_cycles_pipeline);
+    ("template_blocks", s.CE.template_blocks);
+    ("template_instrs", s.CE.template_instrs);
+    ("template_misses", s.CE.template_misses);
+    ("template_fallback_blocks", s.CE.template_fallback_blocks);
+    ("templates_mined", s.CE.templates_mined);
+    ("blocks_certified", s.CE.blocks_certified);
+    ("regions_certified", s.CE.regions_certified);
+    ("reloc_findings", s.CE.reloc_findings);
+    ("aot_hits", s.CE.aot_hits);
+    ("aot_misses", s.CE.aot_misses);
+    ("aot_stores", s.CE.aot_stores);
+    ("aot_rejects", s.CE.aot_rejects);
+    ("jobs_enqueued", s.CE.jobs_enqueued);
+    ("jobs_completed", s.CE.jobs_completed);
+    ("jobs_installed", s.CE.jobs_installed);
+    ("jobs_stale", s.CE.jobs_stale);
+    ("jobs_cancelled", s.CE.jobs_cancelled);
+    ("jobs_dropped", s.CE.jobs_dropped);
+  ]
+
+let row (e : CE.t) ~code =
+  [ ("exit", code); ("cycles", CE.cycles e); ("jit_cycles", CE.jit_cycles e) ]
+  @ int_fields e.CE.stats
+  @ [
+      ("validation_log", List.length e.CE.validation_log);
+      ("analysis_log", List.length e.CE.analysis_log);
+      ("reloc_log", List.length e.CE.reloc_log);
+    ]
+
+let boot guest config =
+  let e =
+    match guest with
+    | `Arm ->
+      let e = CE.create ~config (Guest_arm.Arm.ops ()) in
+      K.install (K.captive_target e) ~user:(MS.arm_user ());
+      e
+    | `Riscv ->
+      let e = CE.create ~config (Guest_riscv.Riscv.ops ()) in
+      CE.load_image e ~addr:MS.riscv_entry (MS.riscv_image ());
+      CE.set_entry e MS.riscv_entry;
+      e
+  in
+  let code = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
+  row e ~code
+
+let temp_dir () =
+  let f = Filename.temp_file "captive_parity" "" in
+  Sys.remove f;
+  f
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
+let base = { CE.default_config with CE.domains = 1 }
+
+let configs =
+  [
+    ("default", base);
+    ("no-templates", { base with CE.templates = false });
+    ("no-tiering", { base with CE.tiering = false });
+    ( "trust-stack",
+      {
+        base with
+        CE.validate_translations = true;
+        validate_every = 3;
+        analyze_translations = true;
+        reloc_check = true;
+        sanitize = true;
+      } );
+  ]
+
+(* Recorded rows, in [row] column order. *)
+let expected : (string * int list) list =
+  [
+    ("arm/default",
+      [
+        31; 2119283; 111975; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 68; 1; 8127;
+        16; 3; 3; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 16; 111975; 80295; 31680; 43; 205;
+        0; 0; 68; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+      ]);
+    ("arm/no-templates",
+      [
+        31; 2802534; 795260; 43; 205; 1833; 11592; 5; 0; 8261; 76; 1; 1; 1; 1; 68; 1; 8127;
+        16; 3; 3; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 16; 795260; 0; 795260; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+      ]);
+    ("arm/no-tiering",
+      [
+        31; 2770854; 763580; 43; 205; 1833; 11592; 5; 0; 8261; 8203; 1; 0; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 763580; 0; 763580; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+      ]);
+    ("arm/trust-stack",
+      [
+        31; 2119283; 111975; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 68; 1; 8127;
+        16; 3; 3; 0; 0; 14; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 16; 111975; 80295; 31680; 43;
+        205; 0; 0; 68; 43; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+      ]);
+    ("arm/aot-cold",
+      [
+        31; 2119283; 111975; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 68; 1; 8127;
+        16; 3; 3; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 16; 111975; 80295; 31680; 43; 205;
+        0; 0; 68; 43; 1; 0; 0; 1; 44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+      ]);
+    ("arm/aot-warm",
+      [
+        31; 2009986; 2678; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 68; 1; 8127; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 2678; 2611; 67; 43; 205; 0; 0; 0;
+        43; 1; 0; 44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+      ]);
+    ("riscv/default",
+      [
+        13; 27830; 21450; 8; 36; 282; 1618; 2; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+      ]);
+    ("riscv/no-templates",
+      [
+        13; 118214; 112020; 8; 36; 237; 1227; 3; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 112020; 0; 112020; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+      ]);
+    ("riscv/no-tiering",
+      [
+        13; 118214; 112020; 8; 36; 237; 1227; 3; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 112020; 0; 112020; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+      ]);
+    ("riscv/trust-stack",
+      [
+        13; 27830; 21450; 8; 36; 282; 1618; 2; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+        0; 2; 0; 0; 0; 8; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 8; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+      ]);
+    ("riscv/aot-cold",
+      [
+        13; 27830; 21450; 8; 36; 282; 1618; 2; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 8; 0; 0;
+        0; 2; 8; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+      ]);
+    ("riscv/aot-warm",
+      [
+        13; 6848; 468; 8; 36; 282; 1618; 0; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 468; 364; 104; 6; 32; 0; 2; 2; 8; 0; 0; 8; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+      ])
+  ]
+
+(* Print every row that disagrees with its record, then fail on the
+   first differing field. *)
+let check rows =
+  let bad =
+    List.filter
+      (fun (name, actual) -> List.assoc_opt name expected <> Some (List.map snd actual))
+      rows
+  in
+  List.iter
+    (fun (name, actual) ->
+      Printf.printf "    (%S,\n     [ %s ]);\n" name
+        (String.concat "; " (List.map (fun (_, v) -> string_of_int v) actual)))
+    bad;
+  List.iter
+    (fun (name, actual) ->
+      match List.assoc_opt name expected with
+      | None -> Alcotest.failf "%s: no recorded row" name
+      | Some want ->
+        List.iter2
+          (fun (field, got) w -> Alcotest.(check int) (name ^ " " ^ field) w got)
+          actual want)
+    bad
+
+let test_guest guest gname () =
+  let rows = List.map (fun (cname, config) -> (gname ^ "/" ^ cname, boot guest config)) configs in
+  let dir = temp_dir () in
+  let aot =
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        let config = { base with CE.aot_dir = Some dir; sanitize = true } in
+        let cold = boot guest config in
+        let warm = boot guest config in
+        [ (gname ^ "/aot-cold", cold); (gname ^ "/aot-warm", warm) ])
+  in
+  check (rows @ aot)
+
+let suite =
+  ( "parity",
+    [
+      Alcotest.test_case "armv8-a MMU-stress counters" `Quick (test_guest `Arm "arm");
+      Alcotest.test_case "rv64im MMU-stress counters" `Quick (test_guest `Riscv "riscv");
+    ] )
