@@ -505,6 +505,20 @@ let bechamel_section () =
            let ra = Hostir.Regalloc.run (Hostir.Dag.finish dag) in
            Hostir.Encode.encode ra))
   in
+  (* Guest RAM fast paths: a resident frame, a never-written frame and an
+     access straddling a 4 KiB frame boundary. *)
+  let mem = Hvm.Mem.create (256 * 1024 * 1024) in
+  Hvm.Mem.write64 mem 0x1000L 1L;
+  Hvm.Mem.write64 mem 0x3000L 1L;
+  Hvm.Mem.write64 mem 0x4000L 1L;
+  let mem_tests =
+    [
+      Test.make ~name:"mem read64 (resident frame)" (Staged.stage (fun () -> Hvm.Mem.read64 mem 0x1008L));
+      Test.make ~name:"mem write64 (resident frame)" (Staged.stage (fun () -> Hvm.Mem.write64 mem 0x1010L 7L));
+      Test.make ~name:"mem read64 (untouched frame)" (Staged.stage (fun () -> Hvm.Mem.read64 mem 0x2008L));
+      Test.make ~name:"mem read64 (frame-straddling)" (Staged.stage (fun () -> Hvm.Mem.read64 mem 0x3FFCL));
+    ]
+  in
   let benchmark test =
     let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:(Some 300) () in
     let results = Benchmark.all cfg Instance.[ monotonic_clock ] test in
@@ -518,7 +532,7 @@ let bechamel_section () =
         | _ -> Printf.printf "  %-48s (no estimate)\n" name)
       ols
   in
-  List.iter benchmark [ decode_test; softfloat_test; translate_test ]
+  List.iter benchmark ([ decode_test; softfloat_test; translate_test ] @ mem_tests)
 
 (* --- driver ---------------------------------------------------------------------------------------------------------- *)
 

@@ -28,6 +28,152 @@ let test_mem_widths () =
        let s = Printexc.to_string e in
        s = "Mem.Bus_error(read of 32 bits at 0x1f40)")
 
+(* Flat-Bytes reference model of [Mem]: one contiguous buffer, the same
+   bounds checks and little-endian layout. *)
+module Flat = struct
+  let check b addr len ~write =
+    let a = Int64.to_int addr in
+    if addr < 0L || Int64.compare addr (Int64.of_int (Bytes.length b)) >= 0 || a + len > Bytes.length b then
+      raise (Mem.Bus_error { addr; bits = 8 * len; write });
+    a
+
+  let read b ~bits addr =
+    let a = check b addr (bits / 8) ~write:false in
+    match bits with
+    | 8 -> Int64.of_int (Bytes.get_uint8 b a)
+    | 16 -> Int64.of_int (Bytes.get_uint16_le b a)
+    | 32 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le b a)) 0xFFFFFFFFL
+    | _ -> Bytes.get_int64_le b a
+
+  let write b ~bits addr v =
+    let a = check b addr (bits / 8) ~write:true in
+    match bits with
+    | 8 -> Bytes.set_uint8 b a (Int64.to_int v land 0xFF)
+    | 16 -> Bytes.set_uint16_le b a (Int64.to_int v land 0xFFFF)
+    | 32 -> Bytes.set_int32_le b a (Int64.to_int32 v)
+    | _ -> Bytes.set_int64_le b a v
+
+  let blit_in b ~addr src =
+    let a = check b addr (String.length src) ~write:true in
+    Bytes.blit_string src 0 b a (String.length src)
+
+  let zero_range b ~addr ~len =
+    let a = check b addr len ~write:true in
+    Bytes.fill b a len '\000'
+end
+
+type mem_op =
+  | Read of int * int64
+  | Write of int * int64 * int64
+  | Blit of int64 * string
+  | Zero of int64 * int
+
+let show_mem_op = function
+  | Read (bits, a) -> Printf.sprintf "read%d 0x%Lx" bits a
+  | Write (bits, a, v) -> Printf.sprintf "write%d 0x%Lx 0x%Lx" bits a v
+  | Blit (a, s) -> Printf.sprintf "blit 0x%Lx (%d bytes)" a (String.length s)
+  | Zero (a, n) -> Printf.sprintf "zero 0x%Lx %d" a n
+
+(* Four whole frames and half of a fifth, so the last frame is partial. *)
+let model_size = (4 * 4096) + 2048
+
+let gen_mem_ops =
+  let open QCheck2.Gen in
+  let at_frame lo hi = map2 (fun f o -> Int64.of_int ((f * 4096) + o)) (int_range 0 5) (int_range lo hi) in
+  let addr =
+    oneof
+      [
+        at_frame 4089 4095 (* straddles into the next frame *);
+        at_frame 0 7;
+        map Int64.of_int (int_range 0 (model_size + 64));
+        oneofl [ -1L; -4096L; Int64.of_int (model_size - 1); Int64.of_int model_size; 0x4000_0000_0000L ];
+      ]
+  in
+  let width = oneofl [ 8; 16; 32; 64 ] in
+  let op =
+    frequency
+      [
+        (4, map2 (fun bits a -> Read (bits, a)) width addr);
+        (4, map3 (fun bits a v -> Write (bits, a, v)) width addr int64);
+        ( 1,
+          map2
+            (fun a s -> Blit (a, s))
+            (oneof [ addr; at_frame 0 4095 ])
+            (string_size ~gen:char (oneof [ int_range 0 16; int_range 4097 (3 * 4096) ])) );
+        ( 2,
+          map2
+            (fun a n -> Zero (a, n))
+            (oneof [ at_frame 0 0; addr ])
+            (oneof [ return 4096; int_range 0 100; int_range 4096 (3 * 4096); map (( * ) 4096) (int_range 1 3) ]) );
+      ]
+  in
+  list_size (int_range 1 40) op
+
+(* Property: sparse [Mem] and the flat model agree on every read result,
+   every [Bus_error] payload and, at the end, every byte. *)
+let prop_mem_matches_flat =
+  QCheck2.Test.make ~name:"sparse Mem matches a flat-Bytes model" ~count:1000
+    ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+    gen_mem_ops
+    (fun ops ->
+      let m = Mem.create model_size in
+      let b = Bytes.make model_size '\000' in
+      let outcome f =
+        try Ok (f ()) with Mem.Bus_error { addr; bits; write } -> Error (addr, bits, write)
+      in
+      let step = function
+        | Read (bits, a) -> outcome (fun () -> Mem.read m ~bits a) = outcome (fun () -> Flat.read b ~bits a)
+        | Write (bits, a, v) ->
+          outcome (fun () -> Mem.write m ~bits a v; 0L) = outcome (fun () -> Flat.write b ~bits a v; 0L)
+        | Blit (a, s) ->
+          outcome (fun () -> Mem.blit_in m ~addr:a (Bytes.of_string s); 0L)
+          = outcome (fun () -> Flat.blit_in b ~addr:a s; 0L)
+        | Zero (a, len) ->
+          outcome (fun () -> Mem.zero_range m ~addr:a ~len; 0L)
+          = outcome (fun () -> Flat.zero_range b ~addr:a ~len; 0L)
+      in
+      List.for_all step ops
+      && List.for_all
+           (fun a -> Mem.read8 m (Int64.of_int a) = Int64.of_int (Bytes.get_uint8 b a))
+           (List.init model_size Fun.id))
+
+(* Writes (including frame-straddling and bulk ones) land in private
+   frames: the shared zero frame is never written through, so a fresh
+   [Mem] still reads zero everywhere the first one was written. *)
+let test_mem_zero_frame_isolation () =
+  let m = Mem.create (1 lsl 20) in
+  let addrs = [ 0L; 0x1000L; 0x1FFCL; 0x2FF9L; 0x5000L; 0xFFFF8L ] in
+  List.iter (fun a -> Mem.write64 m a (-1L)) addrs;
+  Mem.write8 m 0x7000L 0xFFL;
+  Mem.write16 m 0x7FFFL 0xFFFFL;
+  Mem.write32 m 0x9FFEL 0xFFFFFFFFL;
+  Mem.blit_in m ~addr:0xAF00L (Bytes.make 8192 '\xff');
+  Alcotest.(check int64) "untouched frame of the written Mem" 0L (Mem.read64 m 0x40000L);
+  let fresh = Mem.create (1 lsl 20) in
+  List.iter
+    (fun a -> Alcotest.(check int64) (Printf.sprintf "fresh Mem at 0x%Lx" a) 0L (Mem.read64 fresh a))
+    (addrs @ [ 0x7000L; 0x7FFFL; 0x9FFEL; 0xAF00L; 0xBF00L; 0xCEF8L ]);
+  Alcotest.(check int) "fresh Mem has no resident frames" 0 (Mem.resident_frames fresh)
+
+let test_mem_sparse () =
+  let m = Mem.create (256 * 1024 * 1024) in
+  Alcotest.(check int) "fresh 256 MiB Mem" 0 (Mem.resident_frames m);
+  Mem.write64 m 0x3000L 1L;
+  Mem.write64 m 0x4FFCL 1L;
+  Alcotest.(check int) "one frame, then a straddling write" 3 (Mem.resident_frames m);
+  Mem.zero_range m ~addr:0x3000L ~len:0x2000;
+  Alcotest.(check int) "whole-frame zero_range releases" 1 (Mem.resident_frames m);
+  Mem.zero_range m ~addr:0x5000L ~len:8;
+  Alcotest.(check int) "partial zero_range keeps the frame" 1 (Mem.resident_frames m);
+  Alcotest.(check int64) "partial zero_range zeroes" 0L (Mem.read64 m 0x4FFCL);
+  let e = Captive.Engine.create ~config:{ Captive.Engine.default_config with domains = 1 } (Guest_arm.Arm.ops ()) in
+  Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user:(Workloads.Mmu_stress.arm_user ());
+  (match Captive.Engine.run ~max_cycles:2_000_000_000 e with
+  | Captive.Engine.Poweroff 31 -> ()
+  | _ -> Alcotest.fail "ARM MMU-stress did not power off with 31");
+  let resident = Mem.resident_frames e.Captive.Engine.machine.Machine.mem in
+  Alcotest.(check bool) (Printf.sprintf "ARM MMU-stress boot touches %d frames (< 8192)" resident) true (resident < 8192)
+
 let mk_machine () = Machine.create ~mem_size:(16 * 1024 * 1024) ()
 
 let test_pagetable_map_walk () =
@@ -196,6 +342,9 @@ let suite =
   ( "hvm",
     [
       Alcotest.test_case "memory widths" `Quick test_mem_widths;
+      Alcotest.test_case "zero frame is never written through" `Quick test_mem_zero_frame_isolation;
+      Alcotest.test_case "memory is sparse" `Quick test_mem_sparse;
+      q prop_mem_matches_flat;
       Alcotest.test_case "pagetable map/walk" `Quick test_pagetable_map_walk;
       Alcotest.test_case "protect and clear-low-half" `Quick test_pagetable_protect_and_clear;
       Alcotest.test_case "tlb pcid tagging" `Quick test_tlb_pcid;
