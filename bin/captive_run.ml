@@ -58,7 +58,17 @@ let engine_arg =
   Arg.(value & opt engine_conv Eng_captive & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc:"DBT engine: captive, qemu or reference.")
 
 let scale_arg =
-  Arg.(value & opt int 1 & info [ "s"; "scale" ] ~docv:"N" ~doc:"Workload scale factor.")
+  Arg.(value & opt int 1 & info [ "s"; "scale" ] ~docv:"N" ~env:(Cmd.Env.info "BENCH_SCALE")
+         ~doc:"Workload scale factor.")
+
+(* Guest-model selector of `lint` and `mine-templates`; an unknown name
+   is a usage error. *)
+let guests_conv = Arg.enum [ ("armv8-a", `Arm); ("rv64im", `Riscv); ("all", `All) ]
+
+let guest_models = function
+  | `Arm -> [ Guest_arm.Arm.ops () ]
+  | `Riscv -> [ Guest_riscv.Riscv.ops () ]
+  | `All -> [ Guest_arm.Arm.ops (); Guest_riscv.Riscv.ops () ]
 
 (* Guest exit code of a finished run; -2 and -3 mark the cycle and
    block limits. *)
@@ -66,6 +76,27 @@ let exit_of = function
   | Captive.Engine.Poweroff c -> c
   | Captive.Engine.Cycle_limit -> -2
   | Captive.Engine.Block_limit -> -3
+
+(* Boot a Captive engine on one program and run it to the end: an ARM
+   user program under the mini-OS, or the bare-metal RISC-V MMU-stress
+   image.  Worker domains are shut down before it returns. *)
+let boot ?(config = Captive.Engine.default_config) ?opt_level ~max_cycles program =
+  let e =
+    match program with
+    | `Arm_user user ->
+      let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ?opt_level ()) in
+      Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
+      e
+    | `Riscv_mmu ->
+      let e = Captive.Engine.create ~config (Guest_riscv.Riscv.ops ?opt_level ()) in
+      Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
+        (Workloads.Mmu_stress.riscv_image ());
+      Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
+      e
+  in
+  Fun.protect
+    ~finally:(fun () -> Captive.Engine.shutdown e)
+    (fun () -> (e, exit_of (Captive.Engine.run ~max_cycles e)))
 
 let verbose_stats_captive (e : Captive.Engine.t) =
   let s = e.Captive.Engine.stats in
@@ -210,14 +241,16 @@ let info_cmd =
 let ssa_cmd =
   let insn = Arg.(required & pos 0 (some string) None & info [] ~docv:"INSTRUCTION") in
   let level = Arg.(value & opt int 4 & info [ "l"; "level" ] ~docv:"N" ~doc:"Offline optimization level (1-4).") in
-  let guest = Arg.(value & opt string "armv8-a" & info [ "g"; "guest" ] ~doc:"Guest model (armv8-a or rv64im).") in
+  let guest =
+    Arg.(value & opt (enum [ ("armv8-a", `Arm); ("rv64im", `Riscv) ]) `Arm
+         & info [ "g"; "guest" ] ~docv:"GUEST" ~doc:"Guest model (armv8-a or rv64im).")
+  in
   let classify = Arg.(value & flag & info [ "c"; "classify" ] ~doc:"Annotate statements as [f]ixed or [d]ynamic (Sec. 2.2.2).") in
   let run insn level guest classify =
     let model =
       match guest with
-      | "armv8-a" -> Guest_arm.Arm.model_at_level level
-      | "rv64im" -> Ssa.Offline.build ~opt_level:level Guest_riscv.Riscv_descr.source
-      | g -> failwith ("unknown guest " ^ g)
+      | `Arm -> Guest_arm.Arm.model_at_level level
+      | `Riscv -> Ssa.Offline.build ~opt_level:level Guest_riscv.Riscv_descr.source
     in
     match Hashtbl.find_opt model.Ssa.Offline.actions insn with
     | Some action ->
@@ -372,7 +405,7 @@ let lint_guest ~json c failures (ops : Guest.Ops.ops) =
 
 let lint_cmd =
   let guest =
-    Arg.(value & opt string "all" & info [ "g"; "guest" ] ~docv:"GUEST"
+    Arg.(value & opt guests_conv `All & info [ "g"; "guest" ] ~docv:"GUEST"
            ~doc:"Guest model to lint (armv8-a, rv64im or all).")
   in
   let json =
@@ -381,16 +414,7 @@ let lint_cmd =
                  summary line); violations go to stderr.")
   in
   let run guest json =
-    let guests =
-      match guest with
-      | "all" -> Ok [ Guest_arm.Arm.ops (); Guest_riscv.Riscv.ops () ]
-      | "armv8-a" -> Ok [ Guest_arm.Arm.ops () ]
-      | "rv64im" -> Ok [ Guest_riscv.Riscv.ops () ]
-      | g -> Error (Printf.sprintf "unknown guest %s (expected armv8-a, rv64im or all)" g)
-    in
-    match guests with
-    | Error msg -> `Error (true, msg)
-    | Ok guests ->
+    let guests = guest_models guest in
     let summary = Counters.create () in
     let failures = ref 0 in
     List.iter
@@ -458,21 +482,8 @@ let mmucheck_cmd =
       { Captive.Engine.default_config with Captive.Engine.sanitize = true; sanitize_every = every }
     in
     let run_arm ~sanitize () =
-      let e =
-        Captive.Engine.create ~config:{ config with Captive.Engine.sanitize } (Guest_arm.Arm.ops ())
-      in
-      Workloads.Kernel.install (Workloads.Kernel.captive_target e)
-        ~user:(Workloads.Mmu_stress.arm_user ());
-      let code = exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e) in
-      (e, code)
-    in
-    let run_riscv () =
-      let e = Captive.Engine.create ~config (Guest_riscv.Riscv.ops ()) in
-      Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-        (Workloads.Mmu_stress.riscv_image ());
-      Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
-      let code = exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e) in
-      (e, code)
+      boot ~config:{ config with Captive.Engine.sanitize } ~max_cycles:2_000_000_000
+        (`Arm_user (Workloads.Mmu_stress.arm_user ()))
     in
     let report name (e : Captive.Engine.t) ~code ~expected =
       (* One final sweep so even a quiet run ends with a checkpoint. *)
@@ -504,7 +515,7 @@ let mmucheck_cmd =
     let e_arm, code_arm = run_arm ~sanitize:true () in
     report "armv8-a" e_arm ~code:code_arm ~expected:Workloads.Mmu_stress.arm_expected_exit;
     say "mmucheck: rv64im MMU stress under the shadow-oracle sanitizer\n%!";
-    let e_rv, code_rv = run_riscv () in
+    let e_rv, code_rv = boot ~config ~max_cycles:2_000_000_000 `Riscv_mmu in
     report "rv64im" e_rv ~code:code_rv ~expected:Workloads.Mmu_stress.riscv_expected_exit;
     if guard then begin
       let e_off, code_off = run_arm ~sanitize:false () in
@@ -587,26 +598,15 @@ let stress_cmd =
         }
       in
       let run_one ~config kind =
-        let e =
+        let program =
           match kind with
-          | `Arm -> Captive.Engine.create ~config (Guest_arm.Arm.ops ())
-          | `Riscv -> Captive.Engine.create ~config (Guest_riscv.Riscv.ops ())
+          | `Arm -> `Arm_user (Workloads.Mmu_stress.arm_user ())
+          | `Riscv -> `Riscv_mmu
         in
-        Fun.protect
-          ~finally:(fun () -> Captive.Engine.shutdown e)
-          (fun () ->
-            (match kind with
-            | `Arm ->
-              Workloads.Kernel.install (Workloads.Kernel.captive_target e)
-                ~user:(Workloads.Mmu_stress.arm_user ())
-            | `Riscv ->
-              Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-                (Workloads.Mmu_stress.riscv_image ());
-              Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry);
-            let code = exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e) in
-            (* One final sweep so even a quiet run ends with a checkpoint. *)
-            Captive.Engine.sanitize_check e ~reason:"final";
-            (e, code))
+        let e, code = boot ~config ~max_cycles:2_000_000_000 program in
+        (* One final sweep so even a quiet run ends with a checkpoint. *)
+        Captive.Engine.sanitize_check e ~reason:"final";
+        (e, code)
       in
       let workloads =
         [ ("armv8-a-mmu", `Arm, Workloads.Mmu_stress.arm_expected_exit);
@@ -739,15 +739,7 @@ type bench_row = {
 
 let bench_run_one ~scale ~domains ?hot_threshold name : bench_row =
   let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
-  let run_captive config =
-    let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ()) in
-    Fun.protect
-      ~finally:(fun () -> Captive.Engine.shutdown e)
-      (fun () ->
-        Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-        let code = exit_of (Captive.Engine.run ~max_cycles:50_000_000_000 e) in
-        (e, code))
-  in
+  let run_captive config = boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
   let e_t, code_t =
     let c = { Captive.Engine.default_config with Captive.Engine.domains } in
     let c =
@@ -898,10 +890,6 @@ let bench_cmd =
                  uses this to measure pure cold-boot translate cost.")
   in
   let run json quick baseline scale exact domains hot_threshold =
-    let scale =
-      if scale <> 1 then scale
-      else try int_of_string (Sys.getenv "BENCH_SCALE") with _ -> 1
-    in
     let names = if quick then bench_quick_names else bench_full_names in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
@@ -1063,7 +1051,7 @@ let sweep_workloads =
     ("armv8-a-gobmk", 64, spec "445.gobmk");
     ("armv8-a-omnetpp", 220, spec "471.omnetpp");
     ("armv8-a-xalancbmk", 0, spec "483.xalancbmk");
-    ("rv64im-mmu", Workloads.Mmu_stress.riscv_expected_exit, fun () -> `Riscv_image);
+    ("rv64im-mmu", Workloads.Mmu_stress.riscv_expected_exit, fun () -> `Riscv_mmu);
   ]
 
 let sweep_names = List.map (fun (n, _, _) -> n) sweep_workloads
@@ -1105,21 +1093,8 @@ let sweep (c : check) ~config json workload level =
     List.iter
       (fun level ->
         List.iter
-          (fun (name, expected, kind) ->
-            let e =
-              match kind with
-              | `Arm_user user ->
-                let e = CE.create ~config (Guest_arm.Arm.ops ~opt_level:level ()) in
-                Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-                e
-              | `Riscv_image ->
-                let e = CE.create ~config (Guest_riscv.Riscv.ops ~opt_level:level ()) in
-                CE.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-                  (Workloads.Mmu_stress.riscv_image ());
-                CE.set_entry e Workloads.Mmu_stress.riscv_entry;
-                e
-            in
-            let code = exit_of (CE.run ~max_cycles:2_000_000_000 e) in
+          (fun (name, expected, program) ->
+            let e, code = boot ~config ~opt_level:level ~max_cycles:2_000_000_000 program in
             let s = e.CE.stats in
             let nb, nr, nf = c.c_count s in
             let extra = c.c_extra s in
@@ -1288,10 +1263,6 @@ let aot_cmd =
            ~doc:"Fail if warm-boot translate cycles exceed this percentage of cold.")
   in
   let run json dir keep max_ratio scale =
-    let scale =
-      if scale <> 1 then scale
-      else try int_of_string (Sys.getenv "BENCH_SCALE") with _ -> 1
-    in
     let root = match dir with Some d -> d | None -> "_captive_aot" in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
@@ -1314,17 +1285,11 @@ let aot_cmd =
           let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
           let wdir = Filename.concat root name in
           wipe wdir;
-          let boot () =
-            let config =
-              { Captive.Engine.default_config with Captive.Engine.aot_dir = Some wdir }
-            in
-            let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ()) in
-            Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-            let code = exit_of (Captive.Engine.run ~max_cycles:50_000_000_000 e) in
-            (e, code)
+          let config =
+            { Captive.Engine.default_config with Captive.Engine.aot_dir = Some wdir }
           in
-          let e_c, code_c = boot () in
-          let e_w, code_w = boot () in
+          let e_c, code_c = boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
+          let e_w, code_w = boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
           let sc = e_c.Captive.Engine.stats and sw = e_w.Captive.Engine.stats in
           let tc = sc.Captive.Engine.translate_cycles in
           let tw = sw.Captive.Engine.translate_cycles in
@@ -1420,7 +1385,7 @@ let aot_cmd =
    for mining because this subcommand can build the identical table
    ahead of time. *)
 let guest_arg =
-  Arg.(value & opt string "all" & info [ "guest" ] ~docv:"GUEST"
+  Arg.(value & opt guests_conv `All & info [ "guest" ] ~docv:"GUEST"
          ~doc:"Guest model to mine: armv8-a, rv64im or all.")
 
 let mine_templates_cmd =
@@ -1428,14 +1393,8 @@ let mine_templates_cmd =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Emit one flat JSON object per (form, MMU regime) plus a summary per guest.")
   in
-  let run json guest_name =
-    let guests =
-      match guest_name with
-      | "all" -> [ Guest_arm.Arm.ops (); Guest_riscv.Riscv.ops () ]
-      | "armv8-a" | "arm" -> [ Guest_arm.Arm.ops () ]
-      | "rv64im" | "riscv" -> [ Guest_riscv.Riscv.ops () ]
-      | s -> failwith (Printf.sprintf "unknown guest %S (armv8-a|rv64im|all)" s)
-    in
+  let run json guests =
+    let guests = guest_models guests in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     List.iter
       (fun (guest : Guest.Ops.ops) ->
@@ -1548,10 +1507,6 @@ let templates_cmd =
                  no promotion-time pipeline re-translation in the denominator).")
   in
   let run json min_coverage hot_threshold scale =
-    let scale =
-      if scale <> 1 then scale
-      else try int_of_string (Sys.getenv "BENCH_SCALE") with _ -> 1
-    in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
     let config =
@@ -1560,23 +1515,16 @@ let templates_cmd =
       | Some h -> { c with Captive.Engine.hot_threshold = h }
       | None -> c
     in
-    let run_workload = function
-      | `Spec name ->
-        let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
-        let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ()) in
-        Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-        (name, e, exit_of (Captive.Engine.run ~max_cycles:50_000_000_000 e))
-      | `Arm_mmu ->
-        let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ()) in
-        Workloads.Kernel.install (Workloads.Kernel.captive_target e)
-          ~user:(Workloads.Mmu_stress.arm_user ());
-        ("armv8-a-mmu", e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
-      | `Riscv_mmu ->
-        let e = Captive.Engine.create ~config (Guest_riscv.Riscv.ops ()) in
-        Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-          (Workloads.Mmu_stress.riscv_image ());
-        Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
-        ("rv64im-mmu", e, exit_of (Captive.Engine.run ~max_cycles:2_000_000_000 e))
+    let run_workload w =
+      let name, max_cycles, program =
+        match w with
+        | `Spec name ->
+          (name, 50_000_000_000, `Arm_user ((Workloads.Spec.find name).Workloads.Spec.build ~scale))
+        | `Arm_mmu -> ("armv8-a-mmu", 2_000_000_000, `Arm_user (Workloads.Mmu_stress.arm_user ()))
+        | `Riscv_mmu -> ("rv64im-mmu", 2_000_000_000, `Riscv_mmu)
+      in
+      let e, code = boot ~config ~max_cycles program in
+      (name, e, code)
     in
     let workloads =
       List.map (fun n -> `Spec n) bench_quick_names @ [ `Arm_mmu; `Riscv_mmu ]

@@ -1,10 +1,8 @@
 (* Forward abstract interpretation over label-form HostIR streams (the
    translate-time proof layer under the engine's dynamic validators).
 
-   The value domain is the same product used by the SSA-level analysis
-   (Ssa.Absint): *known-bits* (each of the 64 bits known-0, known-1 or
-   unknown) crossed with an *unsigned interval* [lo, hi], the two halves
-   refining each other on construction.  Here it is applied below the
+   Values live in the known-bits x interval domain shared with the
+   SSA-level analysis (Dbt_util.Absval).  Here it is applied below the
    SSA layer, to the flattened instruction streams the engine actually
    allocates and encodes — tier-0 blocks and tier-1 regions, before or
    after register allocation — where facts invisible to the SSA pass
@@ -41,321 +39,94 @@
 
 open Hir
 module Bits = Dbt_util.Bits
-
-(* --- the abstract value ---------------------------------------------------- *)
-
-(* Invariants of [V] (established by [make]):
-   - zeros land ones = 0
-   - ones <=u lo <=u hi <=u lognot zeros (all comparisons unsigned) *)
-type av = { zeros : int64; ones : int64; lo : int64; hi : int64 }
-type value = Bot | V of av
-
-let umin a b = if Bits.ule a b then a else b
-let umax a b = if Bits.ule a b then b else a
-
-(* Number of significant bits of an unsigned value. *)
-let sigbits v = 64 - Bits.clz v
-
-let make zeros ones lo hi =
-  if Int64.logand zeros ones <> 0L then Bot
-  else begin
-    (* Mutual refinement of the two halves, to a fixed point: interval
-       bounds clamp to what the bits allow, and the interval's high
-       bound forces leading known-zeros. *)
-    let zeros = ref zeros and lo = ref (umax lo ones) and hi = ref (umin hi (Int64.lognot zeros)) in
-    let continue_ = ref true in
-    while !continue_ do
-      continue_ := false;
-      let z = Int64.lognot (Bits.mask (sigbits !hi)) in
-      if Int64.logand z (Int64.lognot !zeros) <> 0L then begin
-        zeros := Int64.logor !zeros z;
-        continue_ := true
-      end;
-      let hi' = umin !hi (Int64.lognot !zeros) in
-      if hi' <> !hi then begin
-        hi := hi';
-        continue_ := true
-      end
-    done;
-    if Int64.logand !zeros ones <> 0L then Bot
-    else if Bits.ult !hi !lo then Bot
-    else V { zeros = !zeros; ones; lo = !lo; hi = !hi }
-  end
-
-let bot = Bot
-let top = make 0L 0L 0L (-1L)
-let const c = make (Int64.lognot c) c c c
-let range lo hi = make 0L 0L lo hi
-let of_width w = if w >= 64 then top else if w <= 0 then const 0L else range 0L (Bits.mask w)
-let is_bot v = v = Bot
-let is_top v = v = top
-
-let is_const = function
-  | Bot -> None
-  | V { lo; hi; _ } -> if lo = hi then Some lo else None
-
-let contains v c =
-  match v with
-  | Bot -> false
-  | V { zeros; ones; lo; hi } ->
-    Int64.logand c zeros = 0L
-    && Int64.logand c ones = ones
-    && Bits.ule lo c && Bits.ule c hi
-
-let join a b =
-  match (a, b) with
-  | Bot, x | x, Bot -> x
-  | V a, V b ->
-    make (Int64.logand a.zeros b.zeros) (Int64.logand a.ones b.ones) (umin a.lo b.lo)
-      (umax a.hi b.hi)
-
-let meet a b =
-  match (a, b) with
-  | Bot, _ | _, Bot -> Bot
-  | V a, V b ->
-    make (Int64.logor a.zeros b.zeros) (Int64.logor a.ones b.ones) (umax a.lo b.lo)
-      (umin a.hi b.hi)
-
-(* Smallest all-ones value >=u v: the widening ladder. *)
-let next_mask v = if v = 0L then 0L else Bits.mask (sigbits v)
-
-(* [widen old new_] over-approximates [join old new_] and guarantees
-   convergence: the interval's hi climbs the 2^k-1 ladder and lo drops
-   straight to 0, while the known-bits half just intersects (finite
-   height, no widening needed). *)
-let widen a b =
-  match (a, b) with
-  | Bot, x | x, Bot -> x
-  | V a, V b ->
-    let lo = if Bits.ult b.lo a.lo then 0L else a.lo in
-    let hi = if Bits.ult a.hi b.hi then next_mask b.hi else a.hi in
-    make (Int64.logand a.zeros b.zeros) (Int64.logand a.ones b.ones) lo hi
-
-let leq a b =
-  match (a, b) with
-  | Bot, _ -> true
-  | _, Bot -> false
-  | V a, V b ->
-    Int64.logand b.zeros (Int64.lognot a.zeros) = 0L
-    && Int64.logand b.ones (Int64.lognot a.ones) = 0L
-    && Bits.ule b.lo a.lo && Bits.ule a.hi b.hi
-
-let value_to_string = function
-  | Bot -> "bot"
-  | V { zeros; ones; lo; hi } ->
-    if lo = hi then Printf.sprintf "{%Lu}" lo
-    else
-      Printf.sprintf "[%Lu,%Lu]%s" lo hi
-        (if zeros = Int64.lognot (Bits.mask (sigbits hi)) && ones = 0L then ""
-         else Printf.sprintf " bits(z=%Lx,o=%Lx)" zeros ones)
+module V = Dbt_util.Absval
 
 (* --- value transfer functions ---------------------------------------------- *)
 
-let bool_unknown = make (Int64.lognot 1L) 0L 0L 1L
-let of_bool b = const (if b then 1L else 0L)
-
-(* Decide a comparison from the interval/bits halves; [None] = unknown.
-   Unsigned conditions decide from the interval directly; the signed
-   ones only when both operands are provably non-negative (bit 63
-   known-zero), where the orders coincide. *)
 let decide_cond (c : cond) a b =
-  match (a, b) with
-  | Bot, _ | _, Bot -> None
-  | V va, V vb -> (
-    let disjoint =
-      Bits.ult va.hi vb.lo || Bits.ult vb.hi va.lo
-      || Int64.logand va.ones vb.zeros <> 0L
-      || Int64.logand va.zeros vb.ones <> 0L
-    in
-    let nonneg v = Bits.bit v.zeros 63 in
-    let signed_ok = nonneg va && nonneg vb in
-    let ult () = if Bits.ult va.hi vb.lo then Some true else if Bits.ule vb.hi va.lo then Some false else None in
-    let ule () = if Bits.ule va.hi vb.lo then Some true else if Bits.ult vb.hi va.lo then Some false else None in
-    let ugt () = if Bits.ult vb.hi va.lo then Some true else if Bits.ule va.hi vb.lo then Some false else None in
-    let uge () = if Bits.ule vb.hi va.lo then Some true else if Bits.ult va.hi vb.lo then Some false else None in
+  let cmp, signed =
     match c with
-    | Ceq -> (
-      match (is_const a, is_const b) with
-      | Some x, Some y -> Some (x = y)
-      | _ -> if disjoint then Some false else None)
-    | Cne -> (
-      match (is_const a, is_const b) with
-      | Some x, Some y -> Some (x <> y)
-      | _ -> if disjoint then Some true else None)
-    | Cult -> ult ()
-    | Cule -> ule ()
-    | Cugt -> ugt ()
-    | Cuge -> uge ()
-    | Cslt -> if signed_ok then ult () else None
-    | Csle -> if signed_ok then ule () else None
-    | Csgt -> if signed_ok then ugt () else None
-    | Csge -> if signed_ok then uge () else None)
+    | Ceq -> (V.Eq, false)
+    | Cne -> (V.Ne, false)
+    | Cult -> (V.Lt, false)
+    | Cule -> (V.Le, false)
+    | Cugt -> (V.Gt, false)
+    | Cuge -> (V.Ge, false)
+    | Cslt -> (V.Lt, true)
+    | Csle -> (V.Le, true)
+    | Csgt -> (V.Gt, true)
+    | Csge -> (V.Ge, true)
+  in
+  V.decide cmp ~signed a b
 
 (* ALU transfer, matching Exec exactly: shift amounts mask to 6 bits. *)
 let alu (op : aluop) a b =
-  match (a, b) with
-  | Bot, _ | _, Bot -> Bot
-  | V va, V vb -> (
-    match (is_const a, is_const b) with
-    | Some x, Some y ->
-      const
-        (match op with
-        | Aadd -> Int64.add x y
-        | Asub -> Int64.sub x y
-        | Aand -> Int64.logand x y
-        | Aor -> Int64.logor x y
-        | Axor -> Int64.logxor x y
-        | Ashl -> Bits.shl x (Int64.to_int (Int64.logand y 63L))
-        | Ashr -> Bits.shr x (Int64.to_int (Int64.logand y 63L))
-        | Asar -> Bits.sar x (Int64.to_int (Int64.logand y 63L))
-        | Amul -> Int64.mul x y)
-    | _ -> (
-      match op with
-      | Aadd ->
-        let lo = Int64.add va.lo vb.lo and hi = Int64.add va.hi vb.hi in
-        if Bits.ult lo va.lo || Bits.ult hi va.hi then top else range lo hi
-      | Asub ->
-        if Bits.ule vb.hi va.lo then range (Int64.sub va.lo vb.hi) (Int64.sub va.hi vb.lo)
-        else top
-      | Aand ->
-        make (Int64.logor va.zeros vb.zeros) (Int64.logand va.ones vb.ones) 0L
-          (umin va.hi vb.hi)
-      | Aor ->
-        make (Int64.logand va.zeros vb.zeros) (Int64.logor va.ones vb.ones)
-          (umax va.lo vb.lo)
-          (Bits.mask (max (sigbits va.hi) (sigbits vb.hi)))
-      | Axor ->
-        make
-          (Int64.logor (Int64.logand va.zeros vb.zeros) (Int64.logand va.ones vb.ones))
-          (Int64.logor (Int64.logand va.zeros vb.ones) (Int64.logand va.ones vb.zeros))
-          0L
-          (Bits.mask (max (sigbits va.hi) (sigbits vb.hi)))
-      | Ashl -> (
-        match is_const b with
-        | Some k ->
-          let k = Int64.to_int (Int64.logand k 63L) in
-          let zeros = Int64.logor (Int64.shift_left va.zeros k) (Bits.mask k) in
-          let ones = Int64.shift_left va.ones k in
-          if va.hi = 0L || sigbits va.hi + k <= 64 then
-            make zeros ones (Bits.shl va.lo k) (Bits.shl va.hi k)
-          else make zeros ones 0L (-1L)
-        | None -> top)
-      | Ashr -> (
-        match is_const b with
-        | Some k ->
-          let k = Int64.to_int (Int64.logand k 63L) in
-          let zeros =
-            Int64.logor (Bits.shr va.zeros k)
-              (if k = 0 then 0L else Int64.shift_left (Bits.mask k) (64 - k))
-          in
-          make zeros (Bits.shr va.ones k) (Bits.shr va.lo k) (Bits.shr va.hi k)
-        | None ->
-          (* Any logical right shift shrinks the value unsignedly. *)
-          range 0L va.hi)
-      | Asar -> (
-        match is_const b with
-        | Some k when Bits.bit va.zeros 63 ->
-          (* Provably non-negative: arithmetic = logical shift. *)
-          let k = Int64.to_int (Int64.logand k 63L) in
-          let zeros =
-            Int64.logor (Bits.shr va.zeros k)
-              (if k = 0 then 0L else Int64.shift_left (Bits.mask k) (64 - k))
-          in
-          make zeros (Bits.shr va.ones k) (Bits.shr va.lo k) (Bits.shr va.hi k)
-        | _ when Bits.bit va.zeros 63 -> range 0L va.hi
-        | _ -> top)
-      | Amul ->
-        if Bits.ule va.hi 0xFFFFFFFFL && Bits.ule vb.hi 0xFFFFFFFFL then
-          range (Int64.mul va.lo vb.lo) (Int64.mul va.hi vb.hi)
-        else top))
+  match (V.is_const a, V.is_const b) with
+  | Some x, Some y ->
+    V.const
+      (match op with
+      | Aadd -> Int64.add x y
+      | Asub -> Int64.sub x y
+      | Aand -> Int64.logand x y
+      | Aor -> Int64.logor x y
+      | Axor -> Int64.logxor x y
+      | Ashl -> Bits.shl x (Int64.to_int (Int64.logand y 63L))
+      | Ashr -> Bits.shr x (Int64.to_int (Int64.logand y 63L))
+      | Asar -> Bits.sar x (Int64.to_int (Int64.logand y 63L))
+      | Amul -> Int64.mul x y)
+  | _ -> (
+    match op with
+    | Aadd -> V.add a b
+    | Asub -> V.sub a b
+    | Aand -> V.logand a b
+    | Aor -> V.logor a b
+    | Axor -> V.logxor a b
+    | Ashl -> V.shl a b
+    | Ashr -> V.lshr a b
+    | Asar -> V.ashr a b
+    | Amul -> V.mul a b)
 
 let mulhi ~signed a b =
-  match (is_const a, is_const b) with
+  match (V.is_const a, V.is_const b) with
   | Some x, Some y ->
     let hi, _ = Softfloat.Sf_core.mul64_wide x y in
     let hi = if signed && x < 0L then Int64.sub hi y else hi in
     let hi = if signed && y < 0L then Int64.sub hi x else hi in
-    const hi
-  | _ -> if is_bot a || is_bot b then Bot else top
+    V.const hi
+  | _ -> if V.is_bot a || V.is_bot b then V.bot else V.top
 
 let divrem ~signed ~want_rem a b =
-  match (a, b) with
-  | Bot, _ | _, Bot -> Bot
-  | V va, V vb -> (
-    match (is_const a, is_const b) with
-    | Some x, Some y ->
-      (* ARM-style guarded divide: b = 0 yields rem = a, div = 0. *)
-      const
-        (if y = 0L then if want_rem then x else 0L
-         else if signed then if want_rem then Int64.rem x y else Int64.div x y
-         else if want_rem then Int64.unsigned_rem x y
-         else Int64.unsigned_div x y)
-    | _ ->
-      if signed then top
-      else if want_rem then
-        (* urem a b <=u a always, and < b when b <> 0. *)
-        range 0L (if contains b 0L then va.hi else umin va.hi (Int64.sub vb.hi 1L))
-      else
-        (* udiv a b <=u a for b >= 1; b = 0 yields 0. *)
-        range 0L va.hi)
+  match (V.is_const a, V.is_const b) with
+  | Some x, Some y ->
+    (* ARM-style guarded divide: b = 0 yields rem = a, div = 0. *)
+    V.const
+      (if y = 0L then if want_rem then x else 0L
+       else if signed then if want_rem then Int64.rem x y else Int64.div x y
+       else if want_rem then Int64.unsigned_rem x y
+       else Int64.unsigned_div x y)
+  | _ ->
+    if V.is_bot a || V.is_bot b then V.bot
+    else if signed then V.top
+    else if want_rem then V.urem a b
+    else V.udiv a b
 
 let cmov c a b =
-  if is_bot c then Bot
+  if V.is_bot c then V.bot
   else
-    match is_const c with
+    match V.is_const c with
     | Some 0L -> b
     | Some _ -> a
-    | None -> if not (contains c 0L) then a else join a b
-
-(* Zero/sign extension of the low [bits] bits, matching
-   Bits.zero_extend / Bits.sign_extend. *)
-let normalize ~bits ~signed a =
-  match a with
-  | Bot -> Bot
-  | V va ->
-    if bits >= 64 then a
-    else if not signed then begin
-      let m = Bits.mask bits in
-      if Bits.ule va.hi m then a
-      else make (Int64.logor va.zeros (Int64.lognot m)) (Int64.logand va.ones m) 0L m
-    end
-    else begin
-      let m = Bits.mask bits in
-      if Bits.bit va.zeros (bits - 1) then begin
-        (* Sign bit known clear: sext = zext of the low bits. *)
-        if Bits.ule va.hi (Bits.mask (bits - 1)) then a
-        else
-          make
-            (Int64.logor (Int64.logand va.zeros m) (Int64.lognot m))
-            (Int64.logand va.ones m) 0L
-            (Bits.mask (bits - 1))
-      end
-      else if Bits.bit va.ones (bits - 1) then
-        (* Sign bit known set: the high bits all become ones. *)
-        make (Int64.logand va.zeros m)
-          (Int64.logor (Int64.logand va.ones m) (Int64.lognot m))
-          0L (-1L)
-      else
-        make
-          (Int64.logand va.zeros (Bits.mask (bits - 1)))
-          (Int64.logand va.ones (Bits.mask (bits - 1)))
-          0L (-1L)
-    end
+    | None -> if not (V.contains c 0L) then a else V.join a b
 
 let neg a =
-  match is_const a with
-  | Some x -> const (Int64.neg x)
-  | None -> if is_bot a then Bot else top
-
-let not_ a =
-  match a with
-  | Bot -> Bot
-  | V va -> make va.ones va.zeros (Int64.lognot va.hi) (Int64.lognot va.lo)
+  match V.is_const a with
+  | Some x -> V.const (Int64.neg x)
+  | None -> if V.is_bot a then V.bot else V.top
 
 let bit1 (op : bit1op) a =
-  match is_const a with
+  match V.is_const a with
   | Some v ->
-    const
+    V.const
       (match op with
       | Bclz32 -> Int64.of_int (Bits.clz ~width:32 (Bits.zero_extend v ~width:32))
       | Bclz64 -> Int64.of_int (Bits.clz v)
@@ -366,35 +137,36 @@ let bit1 (op : bit1op) a =
       | Brbit32 -> Bits.bit_reverse (Bits.zero_extend v ~width:32) ~width:32
       | Brbit64 -> Bits.bit_reverse v ~width:64)
   | None ->
-    if is_bot a then Bot
+    if V.is_bot a then V.bot
     else (
       match op with
-      | Bclz32 -> range 0L 32L
-      | Bclz64 -> range 0L 64L
-      | Bpopcnt -> range 0L 64L
-      | Bswap16 -> of_width 16
-      | Bswap32 | Brbit32 -> of_width 32
-      | Bswap64 | Brbit64 -> top)
+      | Bclz32 -> V.range 0L 32L
+      | Bclz64 -> V.range 0L 64L
+      | Bpopcnt -> V.range 0L 64L
+      | Bswap16 -> V.of_width 16
+      | Bswap32 | Brbit32 -> V.of_width 32
+      | Bswap64 | Brbit64 -> V.top)
 
 let bit2 (op : bit2op) a b =
-  match (is_const a, is_const b) with
+  match (V.is_const a, V.is_const b) with
   | Some x, Some y ->
-    const
+    V.const
       (match op with
       | Bror32 ->
         Bits.rotate_right (Bits.zero_extend x ~width:32) (Int64.to_int (Int64.logand y 31L)) ~width:32
       | Bror64 -> Bits.rotate_right x (Int64.to_int (Int64.logand y 63L)) ~width:64)
   | _ ->
-    if is_bot a || is_bot b then Bot
-    else (match op with Bror32 -> of_width 32 | Bror64 -> top)
+    if V.is_bot a || V.is_bot b then V.bot
+    else (match op with Bror32 -> V.of_width 32 | Bror64 -> V.top)
 
 (* NZCV nibbles.  Fcmp produces one of {lt=8, eq=6, gt=2, unordered=3};
    Flags_logic sets N|Z only (mutually exclusive: {0, 4, 8}). *)
-let fcmp_value = make (Int64.lognot 15L) 0L 2L 8L
-let flags_add_value = make (Int64.lognot 15L) 0L 0L 15L
-let flags_logic_value = make (Int64.lognot 12L) 0L 0L 8L
+let one_of cs = List.fold_left (fun acc c -> V.join acc (V.const c)) V.bot cs
+let fcmp_value = one_of [ 8L; 6L; 2L; 3L ]
+let flags_add_value = V.of_width 4
+let flags_logic_value = one_of [ 0L; 4L; 8L ]
 let setcc (c : cond) a b =
-  match decide_cond c a b with Some r -> of_bool r | None -> bool_unknown
+  match decide_cond c a b with Some r -> V.of_bool r | None -> V.bool_unknown
 
 (* --- abstract state -------------------------------------------------------- *)
 
@@ -403,15 +175,15 @@ module Imap = Map.Make (Int)
 (* Absent entries are implicitly top, so joins only keep keys known on
    both sides and havocs are deletions. *)
 type state = {
-  s_vregs : value Imap.t;
-  s_pregs : value Imap.t;
-  s_slots : value Imap.t;
-  s_rf : value Imap.t; (* register-file qwords, by byte offset *)
-  s_pc : value;
+  s_vregs : V.t Imap.t;
+  s_pregs : V.t Imap.t;
+  s_slots : V.t Imap.t;
+  s_rf : V.t Imap.t; (* register-file qwords, by byte offset *)
+  s_pc : V.t;
 }
 
 let state_top =
-  { s_vregs = Imap.empty; s_pregs = Imap.empty; s_slots = Imap.empty; s_rf = Imap.empty; s_pc = top }
+  { s_vregs = Imap.empty; s_pregs = Imap.empty; s_slots = Imap.empty; s_rf = Imap.empty; s_pc = V.top }
 
 let map_combine f a b =
   Imap.merge
@@ -419,26 +191,26 @@ let map_combine f a b =
       match (x, y) with
       | Some x, Some y ->
         let v = f x y in
-        if is_top v then None else Some v
+        if V.is_top v then None else Some v
       | _ -> None)
     a b
 
 let state_join a b =
   {
-    s_vregs = map_combine join a.s_vregs b.s_vregs;
-    s_pregs = map_combine join a.s_pregs b.s_pregs;
-    s_slots = map_combine join a.s_slots b.s_slots;
-    s_rf = map_combine join a.s_rf b.s_rf;
-    s_pc = join a.s_pc b.s_pc;
+    s_vregs = map_combine V.join a.s_vregs b.s_vregs;
+    s_pregs = map_combine V.join a.s_pregs b.s_pregs;
+    s_slots = map_combine V.join a.s_slots b.s_slots;
+    s_rf = map_combine V.join a.s_rf b.s_rf;
+    s_pc = V.join a.s_pc b.s_pc;
   }
 
 let state_widen a b =
   {
-    s_vregs = map_combine widen a.s_vregs b.s_vregs;
-    s_pregs = map_combine widen a.s_pregs b.s_pregs;
-    s_slots = map_combine widen a.s_slots b.s_slots;
-    s_rf = map_combine widen a.s_rf b.s_rf;
-    s_pc = widen a.s_pc b.s_pc;
+    s_vregs = map_combine V.widen a.s_vregs b.s_vregs;
+    s_pregs = map_combine V.widen a.s_pregs b.s_pregs;
+    s_slots = map_combine V.widen a.s_slots b.s_slots;
+    s_rf = map_combine V.widen a.s_rf b.s_rf;
+    s_pc = V.widen a.s_pc b.s_pc;
   }
 
 let state_equal a b =
@@ -448,34 +220,34 @@ let state_equal a b =
   && Imap.equal ( = ) a.s_rf b.s_rf
   && a.s_pc = b.s_pc
 
-let read (s : state) (o : operand) : value =
-  let get m k = match Imap.find_opt k m with Some v -> v | None -> top in
+let read (s : state) (o : operand) : V.t =
+  let get m k = match Imap.find_opt k m with Some v -> v | None -> V.top in
   match o with
-  | Imm c -> const c
+  | Imm c -> V.const c
   | Vreg v -> get s.s_vregs v
   | Preg p -> get s.s_pregs p
   | Slot k -> get s.s_slots k
 
-let write (s : state) (o : operand) (v : value) : state =
-  let set m k = if is_top v then Imap.remove k m else Imap.add k v m in
+let write (s : state) (o : operand) (v : V.t) : state =
+  let set m k = if V.is_top v then Imap.remove k m else Imap.add k v m in
   match o with
   | Vreg r -> { s with s_vregs = set s.s_vregs r }
   | Preg r -> { s with s_pregs = set s.s_pregs r }
   | Slot k -> { s with s_slots = set s.s_slots k }
   | Imm _ -> s
 
-let rf_read (s : state) off = match Imap.find_opt off s.s_rf with Some v -> v | None -> top
+let rf_read (s : state) off = match Imap.find_opt off s.s_rf with Some v -> v | None -> V.top
 
 (* An 8-byte store at [off] overwrites every qword entry it overlaps;
    only an exactly-aligned entry keeps a fact. *)
 let rf_write (s : state) off v =
   let rf = Imap.filter (fun o _ -> o <= off - 8 || o >= off + 8) s.s_rf in
-  { s with s_rf = (if is_top v then rf else Imap.add off v rf) }
+  { s with s_rf = (if V.is_top v then rf else Imap.add off v rf) }
 
 (* A faulting access hands control to the fault handler, which observes
    the register file and PC and — through the guest's own abort path —
    may rewrite both before a Retry resumes the same instruction. *)
-let havoc_fault (s : state) = { s with s_rf = Imap.empty; s_pc = top }
+let havoc_fault (s : state) = { s with s_rf = Imap.empty; s_pc = V.top }
 
 (* Reserved host registers (spill scratch, AS tag, poison flag, rf base)
    may be rewritten by any traced helper; allocatable registers and
@@ -492,12 +264,12 @@ let transfer ~(classify : int -> Effects.helper_kind) (s : state) (ins : instr) 
     write s d (divrem ~signed ~want_rem (read s a) (read s b))
   | Setcc (c, d, a, b) -> write s d (setcc c (read s a) (read s b))
   | Cmov (d, c, a, b) -> write s d (cmov (read s c) (read s a) (read s b))
-  | Ext (signed, bits, d, src) -> write s d (normalize ~bits ~signed (read s src))
+  | Ext (signed, bits, d, src) -> write s d (V.normalize ~bits ~signed (read s src))
   | Neg (d, src) -> write s d (neg (read s src))
-  | Not (d, src) -> write s d (not_ (read s src))
+  | Not (d, src) -> write s d (V.lognot (read s src))
   | Bit1 (op, d, src) -> write s d (bit1 op (read s src))
   | Bit2 (op, d, a, b) -> write s d (bit2 op (read s a) (read s b))
-  | Fp2 (_, d, _, _) | Fp1 (_, d, _) -> write s d top
+  | Fp2 (_, d, _, _) | Fp1 (_, d, _) -> write s d V.top
   | Fcmp_flags (_, d, _, _) -> write s d fcmp_value
   | Flags_add (_, d, _, _, _) -> write s d flags_add_value
   | Flags_logic (_, d, _) -> write s d flags_logic_value
@@ -505,16 +277,16 @@ let transfer ~(classify : int -> Effects.helper_kind) (s : state) (ins : instr) 
   | Strf (off, src) -> rf_write s off (read s src)
   | Load_pc d -> write s d s.s_pc
   | Store_pc src -> { s with s_pc = read s src }
-  | Inc_pc n -> { s with s_pc = alu Aadd s.s_pc (const (Int64.of_int n)) }
-  | Mem_ld (_, d, _) -> write (havoc_fault s) d top
+  | Inc_pc n -> { s with s_pc = alu Aadd s.s_pc (V.const (Int64.of_int n)) }
+  | Mem_ld (_, d, _) -> write (havoc_fault s) d V.top
   | Mem_st _ -> havoc_fault s
   | Call (h, _, ret) ->
     let k = classify h in
-    if k = Effects.C_pure then (match ret with Some d -> write s d top | None -> s)
+    if k = Effects.C_pure then (match ret with Some d -> write s d V.top | None -> s)
     else begin
       let s = havoc_reserved_pregs s in
-      let s = if k = Effects.C_clobber then { s with s_rf = Imap.empty; s_pc = top } else s in
-      match ret with Some d -> write s d top | None -> s
+      let s = if k = Effects.C_clobber then { s with s_rf = Imap.empty; s_pc = V.top } else s in
+      match ret with Some d -> write s d V.top | None -> s
     end
   | Label _ | Jmp _ | Br _ | Exit _ | Poll _ | Wbmap _ -> s
 
@@ -1017,7 +789,7 @@ let simplify ?(classify = default_classify) (instrs : instr array) :
         | _ when pure ins -> (
           match dest ins with
           | Some d -> (
-            match is_const (read (transfer ~classify s ins) d) with
+            match V.is_const (read (transfer ~classify s ins) d) with
             | Some c ->
               stats.consts_folded <- stats.consts_folded + 1;
               Some (Mov (d, Imm c))
@@ -1031,7 +803,7 @@ let simplify ?(classify = default_classify) (instrs : instr array) :
         | None -> (
           match ins with
           | Br (c, t, f) -> (
-            match is_const (read s c) with
+            match V.is_const (read s c) with
             | Some 0L ->
               stats.branches_folded <- stats.branches_folded + 1;
               Some (Jmp f)
@@ -1039,22 +811,21 @@ let simplify ?(classify = default_classify) (instrs : instr array) :
               stats.branches_folded <- stats.branches_folded + 1;
               Some (Jmp t)
             | None ->
-              if not (contains (read s c) 0L) then begin
+              if not (V.contains (read s c) 0L) then begin
                 stats.branches_folded <- stats.branches_folded + 1;
                 Some (Jmp t)
               end
               else None)
-          | Alu (Aand, d, a, Imm m) when leq (read s a) (meet (read s a) (make (Int64.lognot m) 0L 0L m)) ->
+          | Alu (Aand, d, a, Imm m) when V.mask_redundant (read s a) m ->
             (* Every possibly-set bit of [a] survives the mask. *)
             stats.masks_dropped <- stats.masks_dropped + 1;
             Some (Mov (d, a))
           | Ext (false, bits, d, src)
-            when bits < 64 && leq (read s src) (meet (read s src) (of_width bits)) ->
+            when bits < 64 && V.fits ~bits ~signed:false (read s src) ->
             stats.masks_dropped <- stats.masks_dropped + 1;
             Some (Mov (d, src))
           | Ext (true, bits, d, src)
-            when bits < 64
-                 && leq (read s src) (meet (read s src) (of_width (bits - 1))) ->
+            when bits < 64 && V.fits ~bits ~signed:true (read s src) ->
             (* Value provably fits below the sign bit: sext = identity. *)
             stats.masks_dropped <- stats.masks_dropped + 1;
             Some (Mov (d, src))

@@ -20,6 +20,7 @@
 
 module Hir = Hostir.Hir
 module A = Hostir.Absint
+module Absval = Dbt_util.Absval
 module Ef = Hostir.Effects
 module Exec = Hostir.Exec
 module Prng = Dbt_util.Prng
@@ -45,9 +46,9 @@ let prop_absint_contains_concrete =
       (* abstract run from the same state's exact constants *)
       let entry =
         let s = ref A.state_top in
-        Array.iteri (fun i x -> s := A.write !s (Hir.Preg i) (A.const x)) preg0;
-        Array.iteri (fun i x -> s := A.rf_write !s (8 * i) (A.const x)) rf0;
-        { !s with A.s_pc = A.const pc0 }
+        Array.iteri (fun i x -> s := A.write !s (Hir.Preg i) (Absval.const x)) preg0;
+        Array.iteri (fun i x -> s := A.rf_write !s (8 * i) (Absval.const x)) rf0;
+        { !s with A.s_pc = Absval.const pc0 }
       in
       let facts = A.analyze ~entry prog in
       (* The concrete run stopped at some Exit; soundness means its
@@ -62,10 +63,10 @@ let prop_absint_contains_concrete =
         | s :: tl -> List.fold_left A.state_join s tl
       in
       let chk what value x =
-        if not (A.contains value x) then
+        if not (Absval.contains value x) then
           failwith
             (Printf.sprintf "%s: concrete %Ld outside abstract %s" what x
-               (A.value_to_string value))
+               (Absval.to_string value))
       in
       for g = 0 to 15 do
         chk (Printf.sprintf "r%d" g) (A.read joined (Hir.Preg g)) ctx.Exec.regs.(g)
