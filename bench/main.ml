@@ -519,7 +519,45 @@ let bechamel_section () =
       Test.make ~name:"mem read64 (frame-straddling)" (Staged.stage (fun () -> Hvm.Mem.read64 mem 0x3FFCL));
     ]
   in
-  let benchmark test =
+  (* The HostIR executor on a fixed promoted-loop region: a safepoint
+     poll per iteration, a register-promoted body, a write-back map
+     flushed at the exit.  One op runs the loop 100 times; the estimate is
+     also reported per executed host instruction. *)
+  let exec_test, exec_instrs =
+    let open Hostir.Hir in
+    let machine = Hvm.Machine.create ~mem_size:(1024 * 1024) () in
+    let ctx =
+      Hostir.Exec.create ~machine ~helpers:[||] ~fault_handler:(fun _ _ _ ~bits:_ ~value:_ -> Hostir.Exec.Retry)
+    in
+    let region =
+      [|
+        Ldrf (Preg 0, 0);
+        Ldrf (Preg 1, 8);
+        Label 0;
+        Poll 0;
+        Alu (Aadd, Preg 0, Preg 0, Preg 1);
+        Alu (Asub, Preg 1, Preg 1, Imm 1L);
+        Flags_add (64, Preg 2, Preg 1, Imm (-1L), Imm 1L);
+        Setcc (Cne, Preg 3, Preg 1, Imm 0L);
+        Inc_pc 16;
+        Br (Preg 3, 0, 1);
+        Label 1;
+        Strf (8, Preg 1);
+        Exit 1;
+        Wbmap [| (Preg 0, 0) |];
+      |]
+    in
+    let code = Hostir.Exec.compile (Hostir.Encode.decode_program (Hostir.Encode.encode_stream region)) in
+    let run () =
+      Hostir.Exec.rf_write ctx 8 100L;
+      Hostir.Exec.run ctx code
+    in
+    ignore (run ());
+    let n0 = ctx.Hostir.Exec.instrs_executed in
+    ignore (run ());
+    (Test.make ~name:"executor: promoted loop region x100" (Staged.stage run), ctx.Hostir.Exec.instrs_executed - n0)
+  in
+  let benchmark ?per_op test =
     let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:(Some 300) () in
     let results = Benchmark.all cfg Instance.[ monotonic_clock ] test in
     let ols =
@@ -527,12 +565,15 @@ let bechamel_section () =
     in
     Hashtbl.iter
       (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "  %-48s %10.1f ns/op\n" name est
+        match (Analyze.OLS.estimates result, per_op) with
+        | Some [ est ], None -> Printf.printf "  %-48s %10.1f ns/op\n" name est
+        | Some [ est ], Some (n, unit) ->
+          Printf.printf "  %-48s %10.1f ns/op  (%.2f ns/%s)\n" name est (est /. float n) unit
         | _ -> Printf.printf "  %-48s (no estimate)\n" name)
       ols
   in
-  List.iter benchmark ([ decode_test; softfloat_test; translate_test ] @ mem_tests)
+  List.iter benchmark ([ decode_test; softfloat_test; translate_test ] @ mem_tests);
+  benchmark ~per_op:(exec_instrs, "host instr") exec_test
 
 (* --- driver ---------------------------------------------------------------------------------------------------------- *)
 

@@ -315,7 +315,7 @@ let add_stats (dst : phase_stats) (d : phase_stats) =
 type translation = {
   t_key : int64 * int * bool;
   t_va : int64; (* VA it was translated from (for per-block statistics) *)
-  t_program : Encode.program;
+  t_code : Exec.code; (* compiled once, at install *)
   t_n_guest : int;
   t_n_host : int;
   t_bytes : int;
@@ -617,8 +617,8 @@ let rec create ?(config = default_config) (guest : Ops.ops) : t =
           e.current_as <- target_as;
           Machine.set_page_table ctx.Exec.machine ~root:e.roots.(target_as) ~pcid:target_as
             ~keep_tlb:e.config.pcid;
-          ctx.Exec.regs.(Dag.as_tag_preg) <- as_tag_value target_as;
-          trace e "SWITCH as=%d pc=%Lx\n%!" target_as ctx.Exec.pc;
+          Exec.set_reg ctx Dag.as_tag_preg (as_tag_value target_as);
+          trace e "SWITCH as=%d pc=%Lx\n%!" target_as (Exec.get_pc ctx);
           0L);
       cost = 5;
     };
@@ -675,7 +675,7 @@ let rec create ?(config = default_config) (guest : Ops.ops) : t =
    test this host flag at every member-entry safepoint and bail out to
    the dispatcher, which re-validates (EL, MMU regime) itself.  Cleared
    on every block entry. *)
-and poison_regions (e : t) = e.ctx.Exec.regs.(Hir.region_poison_preg) <- 1L
+and poison_regions (e : t) = Exec.set_reg e.ctx Hir.region_poison_preg 1L
 
 (* Invalidate all host page-table mappings of the guest halves (the
    paper's TLB-flush intercept: clear the low 256 PML4 entries of each
@@ -766,7 +766,7 @@ and protect_page e phys_page =
 and handle_fault (e : t) ctx (access : Machine.access) va ~bits ~value : Exec.fault_response =
   trace e "FAULT va=%Lx access=%s as=%d ring=%d pc=%Lx tag=%Lx\n%!" va
     (match access with Machine.Read -> "R" | Machine.Write -> "W" | Machine.Exec -> "X")
-    e.current_as e.machine.Machine.ring ctx.Exec.pc ctx.Exec.regs.(Dag.as_tag_preg);
+    e.current_as e.machine.Machine.ring (Exec.get_pc ctx) (Exec.get_reg ctx Dag.as_tag_preg);
   let sys = Common.sys_ctx e.guest ctx in
   (* Reconstruct the full guest VA from the masked lower-half address. *)
   let gva = if e.current_as = 1 then Int64.logor va 0xFFFF_8000_0000_0000L else va in
@@ -1476,11 +1476,14 @@ let install ?(async = false) ?(gen = 0) ?replaces ?(members = []) (e : t) (req :
     (res : result) : translation option =
   let s = e.stats in
   let region = res.r_kind = 1 in
+  let t0 = now () in
+  let code = Exec.compile res.r_program in
+  s.t_encode <- s.t_encode +. (now () -. t0);
   let tr =
     {
       t_key = (req.rq_pa, req.rq_el, req.rq_mmu);
       t_va = req.rq_va;
-      t_program = res.r_program;
+      t_code = code;
       t_n_guest = res.r_n_guest;
       t_n_host = res.r_n_host;
       t_bytes = Bytes.length res.r_code;
@@ -1944,7 +1947,7 @@ let lookup_fetch (e : t) sys va ~el ~mmu_on =
 let enter_block (e : t) ~el ~va =
   (* The dispatcher re-validated (EL, MMU regime): clear the region
      poison flag so tier-1 regions run until the next regime change. *)
-  e.ctx.Exec.regs.(Hir.region_poison_preg) <- 0L;
+  Exec.set_reg e.ctx Hir.region_poison_preg 0L;
   e.machine.Machine.ring <- (if el = 0 then 3 else 0);
   match e.sanitizer with
   | None -> ()
@@ -1961,7 +1964,7 @@ let prepare_as (e : t) va =
       ~keep_tlb:e.config.pcid
   end;
   trace e "PREPARE va=%Lx as=%d\n%!" va target_as;
-  e.ctx.Exec.regs.(Dag.as_tag_preg) <- as_tag_value target_as
+  Exec.set_reg e.ctx Dag.as_tag_preg (as_tag_value target_as)
 
 let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
   let sys = Common.sys_ctx e.guest e.ctx in
@@ -1980,11 +1983,14 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
             dispatch granularity — one well-defined interleaving point
             against lookups and SMC invalidation. *)
          if Option.is_some e.pool then drain_jobs e;
-         (* Interrupts are taken at block boundaries. *)
-         if Machine.irq_pending e.machine then ignore (e.guest.Ops.deliver_irq sys);
+         (* Interrupts are taken at block boundaries.  One the guest
+            masks is held: the next region safepoint ignores it once,
+            so a region entered here runs at least one member instead
+            of bailing straight back to this refusal forever. *)
+         e.ctx.Exec.irq_held <- Machine.irq_pending e.machine && not (e.guest.Ops.deliver_irq sys);
          let el = e.guest.Ops.privilege_level sys in
          let mmu_on = e.guest.Ops.mmu_enabled sys in
-         let va = e.ctx.Exec.pc in
+         let va = Exec.get_pc e.ctx in
          enter_block e ~el ~va;
          Machine.charge e.machine Cost.dispatch_lookup;
          match lookup_fetch e sys va ~el ~mmu_on with
@@ -2016,19 +2022,19 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
                    else max 1 (max_blocks - e.stats.blocks_executed)
                  in
                  e.ctx.Exec.poll_budget <- budget;
-                 slot := Exec.run e.ctx !cur.t_program;
+                 slot := Exec.run e.ctx !cur.t_code;
                  let consumed = max 1 (budget - e.ctx.Exec.poll_budget) in
                  e.stats.blocks_executed <- e.stats.blocks_executed + consumed;
                  e.stats.region_entries <- e.stats.region_entries + 1;
                  e.stats.region_block_execs <- e.stats.region_block_execs + consumed
                end
                else begin
-                 ignore (Exec.run e.ctx !cur.t_program);
+                 ignore (Exec.run e.ctx !cur.t_code);
                  e.stats.blocks_executed <- e.stats.blocks_executed + 1
                end;
                !cur.t_exec_count <- !cur.t_exec_count + 1;
                !cur.t_cycles <- !cur.t_cycles + (e.machine.Machine.cycles - c0);
-               let next_va = e.ctx.Exec.pc in
+               let next_va = Exec.get_pc e.ctx in
                let next_el = e.guest.Ops.privilege_level sys in
                if e.config.tiering && !cur.t_tier <= 0 then begin
                  record_succ !cur next_va next_el;
@@ -2041,6 +2047,8 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
                  && e.stats.blocks_executed <= max_blocks
                  && e.machine.Machine.cycles <= max_cycles
                then begin
+                 (* No IRQ pending: nothing is held across a chain edge. *)
+                 e.ctx.Exec.irq_held <- false;
                  (* Regions chain per exit site (each member's dispatch
                     chunk has its own patchable slot); plain blocks keep
                     the single chain edge.  Slot 0 is the safepoint bail

@@ -88,22 +88,14 @@ let alu (op : aluop) a b =
 
 let mulhi ~signed a b =
   match (V.is_const a, V.is_const b) with
-  | Some x, Some y ->
-    let hi, _ = Softfloat.Sf_core.mul64_wide x y in
-    let hi = if signed && x < 0L then Int64.sub hi y else hi in
-    let hi = if signed && y < 0L then Int64.sub hi x else hi in
-    V.const hi
+  | Some x, Some y -> V.const (Exec.exec_mulhi signed x y)
   | _ -> if V.is_bot a || V.is_bot b then V.bot else V.top
 
 let divrem ~signed ~want_rem a b =
   match (V.is_const a, V.is_const b) with
   | Some x, Some y ->
     (* ARM-style guarded divide: b = 0 yields rem = a, div = 0. *)
-    V.const
-      (if y = 0L then if want_rem then x else 0L
-       else if signed then if want_rem then Int64.rem x y else Int64.div x y
-       else if want_rem then Int64.unsigned_rem x y
-       else Int64.unsigned_div x y)
+    V.const (Exec.exec_divrem signed want_rem x y)
   | _ ->
     if V.is_bot a || V.is_bot b then V.bot
     else if signed then V.top
@@ -125,17 +117,7 @@ let neg a =
 
 let bit1 (op : bit1op) a =
   match V.is_const a with
-  | Some v ->
-    V.const
-      (match op with
-      | Bclz32 -> Int64.of_int (Bits.clz ~width:32 (Bits.zero_extend v ~width:32))
-      | Bclz64 -> Int64.of_int (Bits.clz v)
-      | Bpopcnt -> Int64.of_int (Bits.popcount v)
-      | Bswap16 -> Bits.byte_swap v ~width:16
-      | Bswap32 -> Bits.byte_swap (Bits.zero_extend v ~width:32) ~width:32
-      | Bswap64 -> Bits.byte_swap v ~width:64
-      | Brbit32 -> Bits.bit_reverse (Bits.zero_extend v ~width:32) ~width:32
-      | Brbit64 -> Bits.bit_reverse v ~width:64)
+  | Some v -> V.const (Exec.exec_bit1 op v)
   | None ->
     if V.is_bot a then V.bot
     else (
@@ -150,11 +132,7 @@ let bit1 (op : bit1op) a =
 let bit2 (op : bit2op) a b =
   match (V.is_const a, V.is_const b) with
   | Some x, Some y ->
-    V.const
-      (match op with
-      | Bror32 ->
-        Bits.rotate_right (Bits.zero_extend x ~width:32) (Int64.to_int (Int64.logand y 31L)) ~width:32
-      | Bror64 -> Bits.rotate_right x (Int64.to_int (Int64.logand y 63L)) ~width:64)
+    V.const (Exec.exec_bit2 op x y)
   | _ ->
     if V.is_bot a || V.is_bot b then V.bot
     else (match op with Bror32 -> V.of_width 32 | Bror64 -> V.top)

@@ -10,7 +10,13 @@
    starting as the shared [zero_frame].  Reads index the table directly;
    the first write to a frame swaps in a private copy.  Invariant:
    [zero_frame] is never written through, so every write goes via
-   [frame_for_write]. *)
+   [frame_for_write].
+
+   Frames are bigarrays, allocated outside the OCaml heap like guest RAM
+   mapped into a hypervisor.  As [Bytes] they counted towards the major
+   heap, and after a program that touched tens of MiB of RAM the GC's
+   pacing, sized from that heap, let the next JIT-heavy program's
+   garbage pile up for a whole slow cycle. *)
 
 exception Bus_error of { addr : int64; bits : int; write : bool }
 
@@ -26,10 +32,34 @@ let () =
 let frame_bits = 12
 let frame_size = 1 lsl frame_bits
 let frame_mask = frame_size - 1
-let zero_frame = Bytes.make frame_size '\000'
+
+type frame = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Unaligned native-endian accesses; the memory is little-endian. *)
+external get16 : frame -> int -> int = "%caml_bigstring_get16u"
+external get32 : frame -> int -> int32 = "%caml_bigstring_get32u"
+external get64 : frame -> int -> int64 = "%caml_bigstring_get64u"
+external set16 : frame -> int -> int -> unit = "%caml_bigstring_set16u"
+external set32 : frame -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external set64 : frame -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* Native <-> little-endian, in either direction. *)
+let[@inline] le16 v = if Sys.big_endian then bswap16 v else v
+let[@inline] le32 v = if Sys.big_endian then bswap32 v else v
+let[@inline] le64 v = if Sys.big_endian then bswap64 v else v
+
+let new_frame () =
+  let f = Bigarray.Array1.create Bigarray.char Bigarray.c_layout frame_size in
+  Bigarray.Array1.fill f '\000';
+  f
+
+let zero_frame = new_frame ()
 
 type t = {
-  frames : Bytes.t array;
+  frames : frame array;
   size : int;
 }
 
@@ -47,7 +77,7 @@ let check t addr len ~write =
 let[@inline] frame t a = Array.unsafe_get t.frames (a lsr frame_bits)
 
 let alloc_frame t a =
-  let f = Bytes.make frame_size '\000' in
+  let f = new_frame () in
   Array.unsafe_set t.frames (a lsr frame_bits) f;
   f
 
@@ -61,7 +91,7 @@ let slow_read t a len =
   let v = ref 0L in
   for i = len - 1 downto 0 do
     let b = a + i in
-    let byte = Char.code (Bytes.get (frame t b) (b land frame_mask)) in
+    let byte = Char.code (Bigarray.Array1.unsafe_get (frame t b) (b land frame_mask)) in
     v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int byte)
   done;
   !v
@@ -70,48 +100,48 @@ let slow_write t a len v =
   for i = 0 to len - 1 do
     let b = a + i in
     let byte = Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF in
-    Bytes.set (frame_for_write t b) (b land frame_mask) (Char.chr byte)
+    Bigarray.Array1.unsafe_set (frame_for_write t b) (b land frame_mask) (Char.chr byte)
   done
 
 let read8 t addr =
   let a = check t addr 1 ~write:false in
-  Int64.of_int (Char.code (Bytes.get (frame t a) (a land frame_mask)))
+  Int64.of_int (Char.code (Bigarray.Array1.unsafe_get (frame t a) (a land frame_mask)))
 
 let write8 t addr v =
   let a = check t addr 1 ~write:true in
-  Bytes.set (frame_for_write t a) (a land frame_mask) (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
+  Bigarray.Array1.unsafe_set (frame_for_write t a) (a land frame_mask) (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
 
 let read16 t addr =
   let a = check t addr 2 ~write:false in
   let o = a land frame_mask in
-  if o <= frame_size - 2 then Int64.of_int (Bytes.get_uint16_le (frame t a) o) else slow_read t a 2
+  if o <= frame_size - 2 then Int64.of_int (le16 (get16 (frame t a) o)) else slow_read t a 2
 
 let write16 t addr v =
   let a = check t addr 2 ~write:true in
   let o = a land frame_mask in
-  if o <= frame_size - 2 then Bytes.set_uint16_le (frame_for_write t a) o (Int64.to_int (Int64.logand v 0xFFFFL))
+  if o <= frame_size - 2 then set16 (frame_for_write t a) o (le16 (Int64.to_int (Int64.logand v 0xFFFFL)))
   else slow_write t a 2 v
 
 let read32 t addr =
   let a = check t addr 4 ~write:false in
   let o = a land frame_mask in
-  if o <= frame_size - 4 then Int64.logand (Int64.of_int32 (Bytes.get_int32_le (frame t a) o)) 0xFFFFFFFFL
+  if o <= frame_size - 4 then Int64.logand (Int64.of_int32 (le32 (get32 (frame t a) o))) 0xFFFFFFFFL
   else slow_read t a 4
 
 let write32 t addr v =
   let a = check t addr 4 ~write:true in
   let o = a land frame_mask in
-  if o <= frame_size - 4 then Bytes.set_int32_le (frame_for_write t a) o (Int64.to_int32 v) else slow_write t a 4 v
+  if o <= frame_size - 4 then set32 (frame_for_write t a) o (le32 (Int64.to_int32 v)) else slow_write t a 4 v
 
 let read64 t addr =
   let a = check t addr 8 ~write:false in
   let o = a land frame_mask in
-  if o <= frame_size - 8 then Bytes.get_int64_le (frame t a) o else slow_read t a 8
+  if o <= frame_size - 8 then le64 (get64 (frame t a) o) else slow_read t a 8
 
 let write64 t addr v =
   let a = check t addr 8 ~write:true in
   let o = a land frame_mask in
-  if o <= frame_size - 8 then Bytes.set_int64_le (frame_for_write t a) o v else slow_write t a 8 v
+  if o <= frame_size - 8 then set64 (frame_for_write t a) o (le64 v) else slow_write t a 8 v
 
 let read t ~bits addr =
   match bits with
@@ -146,7 +176,11 @@ let iter_frames a len f =
 (* Bulk load (e.g. kernel images). *)
 let blit_in t ~addr (src : Bytes.t) =
   let a0 = check t addr (Bytes.length src) ~write:true in
-  iter_frames a0 (Bytes.length src) (fun a o n -> Bytes.blit src (a - a0) (frame_for_write t a) o n)
+  iter_frames a0 (Bytes.length src) (fun a o n ->
+      let f = frame_for_write t a in
+      for i = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set f (o + i) (Bytes.unsafe_get src (a - a0 + i))
+      done)
 
 (* Untouched frames are skipped; fully covered frames go back to
    [zero_frame], so freed page-table and Palloc frames release memory. *)
@@ -156,4 +190,4 @@ let zero_range t ~addr ~len =
       let f = frame t a in
       if f == zero_frame then ()
       else if n = frame_size then Array.unsafe_set t.frames (a lsr frame_bits) zero_frame
-      else Bytes.fill f o n '\000')
+      else Bigarray.Array1.fill (Bigarray.Array1.sub f o n) '\000')

@@ -6,7 +6,8 @@
 
     Storage is page-sparse: every 4 KiB frame starts as one shared,
     never-written zero frame and gets a private copy on its first
-    write, so a fresh machine costs memory only for what it touches. *)
+    write, so a fresh machine costs memory only for what it touches.
+    Frames are bigarrays, outside the OCaml heap. *)
 
 exception Bus_error of { addr : int64; bits : int; write : bool }
 

@@ -31,7 +31,7 @@ let tlb_bytes = tlb_entries * 32
 
 type translation = {
   t_key : int64 * int * bool; (* va, el, mmu_on *)
-  t_program : Encode.program;
+  t_code : Exec.code;
   t_n_guest : int;
   t_n_host : int;
   t_bytes : int;
@@ -327,7 +327,7 @@ let translate_block (e : t) sys ~va ~pa ~el ~mmu_on : translation =
   s.t_regalloc <- s.t_regalloc +. (now () -. t2);
   let t3 = now () in
   let code = Encode.encode ra in
-  let program = Encode.decode_program ~n_slots:ra.Regalloc.n_slots code in
+  let compiled = Exec.compile (Encode.decode_program ~n_slots:ra.Regalloc.n_slots code) in
   s.t_encode <- s.t_encode +. (now () -. t3);
   (* Single-pass TCG-style translation cost (Sec. 3.4: Captive is ~2.6x
      slower to translate than QEMU). *)
@@ -342,7 +342,7 @@ let translate_block (e : t) sys ~va ~pa ~el ~mmu_on : translation =
   let tr =
     {
       t_key = (va, el, mmu_on);
-      t_program = program;
+      t_code = compiled;
       t_n_guest = !n;
       t_n_host = n_host;
       t_bytes = Bytes.length code;
@@ -393,7 +393,7 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
          if Machine.irq_pending e.machine then ignore (e.guest.Ops.deliver_irq sys);
          let el = e.guest.Ops.privilege_level sys in
          let mmu_on = e.guest.Ops.mmu_enabled sys in
-         let va = e.ctx.Exec.pc in
+         let va = Exec.get_pc e.ctx in
          Machine.charge e.machine Cost.dispatch_lookup;
          match fetch e sys va ~el with
          | Error () -> ()
@@ -410,11 +410,11 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
              while !continue_chain do
                let c0 = e.machine.Machine.cycles in
                Machine.charge e.machine Cost.block_entry;
-               ignore (Exec.run e.ctx !cur.t_program);
+               ignore (Exec.run e.ctx !cur.t_code);
                !cur.t_exec_count <- !cur.t_exec_count + 1;
                !cur.t_cycles <- !cur.t_cycles + (e.machine.Machine.cycles - c0);
                e.stats.blocks_executed <- e.stats.blocks_executed + 1;
-               let next_va = e.ctx.Exec.pc in
+               let next_va = Exec.get_pc e.ctx in
                let next_el = e.guest.Ops.privilege_level sys in
                if
                  e.config.chaining

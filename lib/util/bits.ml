@@ -58,36 +58,51 @@ let ule a b = ucompare a b <= 0
 let udiv = Int64.unsigned_div
 let urem = Int64.unsigned_rem
 
-let popcount x =
-  let rec go x acc = if x = 0L then acc else go (shr x 1) (acc + Int64.to_int (x &% 1L)) in
-  go x 0
+(* The bit-counting and reversal operations below are loop-free (SWAR):
+   the executor evaluates them on every Bit1 instruction.  Widths are
+   in [0, 64]. *)
 
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let popcount x =
+  let x = x -% (shr x 1 &% 0x5555_5555_5555_5555L) in
+  let x = (x &% 0x3333_3333_3333_3333L) +% (shr x 2 &% 0x3333_3333_3333_3333L) in
+  let x = (x +% shr x 4) &% 0x0F0F_0F0F_0F0F_0F0FL in
+  Int64.to_int (shr (x *% 0x0101_0101_0101_0101L) 56)
+
+(* Leading zeros of the low [width] bits: smear the highest set bit
+   down, then count what is left clear above it. *)
 let clz ?(width = 64) x =
   let x = zero_extend x ~width in
-  let rec go i = if i < 0 then width else if bit x i then width - 1 - i else go (i - 1) in
-  go (width - 1)
+  let x = x |% shr x 1 in
+  let x = x |% shr x 2 in
+  let x = x |% shr x 4 in
+  let x = x |% shr x 8 in
+  let x = x |% shr x 16 in
+  let x = x |% shr x 32 in
+  popcount (lnot64 x) - (64 - width)
 
+(* Trailing zeros of the low [width] bits: count the ones below the
+   lowest set bit. *)
 let ctz ?(width = 64) x =
   let x = zero_extend x ~width in
-  let rec go i = if i >= width then width else if bit x i then i else go (i + 1) in
-  go 0
+  if x = 0L then width else popcount ((x &% Int64.neg x) -% 1L)
 
-(* Reverse the low [width] bits. *)
+(* Reverse the low [width] bits: swap bits, pairs and nibbles within each
+   byte, byte-swap, then drop the bits above [width]. *)
 let bit_reverse x ~width =
-  let r = ref 0L in
-  for i = 0 to width - 1 do
-    if bit x i then r := !r |% shl 1L (width - 1 - i)
-  done;
-  !r
+  if width <= 0 then 0L
+  else
+    let swap x m k = (shr x k &% m) |% shl (x &% m) k in
+    let x = swap x 0x5555_5555_5555_5555L 1 in
+    let x = swap x 0x3333_3333_3333_3333L 2 in
+    let x = swap x 0x0F0F_0F0F_0F0F_0F0FL 4 in
+    shr (bswap64 x) (64 - width)
 
-(* Byte-swap within [width] bits (width is 16, 32 or 64). *)
+(* Byte-swap the low [width / 8] bytes (width is 16, 32 or 64). *)
 let byte_swap x ~width =
   let n = width / 8 in
-  let r = ref 0L in
-  for i = 0 to n - 1 do
-    r := !r |% shl (extract x ~lo:(8 * i) ~len:8) (8 * (n - 1 - i))
-  done;
-  !r
+  if n <= 0 then 0L else shr (bswap64 x) (64 - (8 * n))
 
 (* Align [x] down/up to a power-of-two [align]. *)
 let align_down x align = x &% lnot64 (Int64.of_int (align - 1))

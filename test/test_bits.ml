@@ -95,6 +95,70 @@ let prop_add_with_carry_matches_int64 =
       let r, _, _ = Bits.add_with_carry a b false in
       r = Int64.add a b)
 
+(* Bit-at-a-time reference models of the loop-free operations. *)
+module Model = struct
+  let bit x i = Int64.logand (Int64.shift_right_logical x i) 1L <> 0L
+
+  let popcount x =
+    let n = ref 0 in
+    for i = 0 to 63 do
+      if bit x i then incr n
+    done;
+    !n
+
+  let clz ~width x =
+    let rec go i = if i < 0 then width else if bit x i then width - 1 - i else go (i - 1) in
+    go (width - 1)
+
+  let ctz ~width x =
+    let rec go i = if i >= width then width else if bit x i then i else go (i + 1) in
+    go 0
+
+  let bit_reverse x ~width =
+    let r = ref 0L in
+    for i = 0 to width - 1 do
+      if bit x i then r := Int64.logor !r (Int64.shift_left 1L (width - 1 - i))
+    done;
+    !r
+
+  let byte_swap x ~width =
+    let n = width / 8 in
+    let r = ref 0L in
+    for i = 0 to n - 1 do
+      let byte = Int64.logand (Int64.shift_right_logical x (8 * i)) 0xFFL in
+      r := Int64.logor !r (Int64.shift_left byte (8 * (n - 1 - i)))
+    done;
+    !r
+end
+
+let check_against_model width x =
+  let x' = Bits.zero_extend x ~width in
+  let fail what a b = failwith (Printf.sprintf "%s width %d of %Lx: %Ld <> model %Ld" what width x a b) in
+  let eq what a b = if a <> b then fail what a b in
+  eq "popcount" (Int64.of_int (Bits.popcount x)) (Int64.of_int (Model.popcount x));
+  eq "clz" (Int64.of_int (Bits.clz ~width x)) (Int64.of_int (Model.clz ~width x'));
+  eq "ctz" (Int64.of_int (Bits.ctz ~width x)) (Int64.of_int (Model.ctz ~width x'));
+  eq "bit_reverse" (Bits.bit_reverse x ~width) (Model.bit_reverse x ~width);
+  eq "byte_swap" (Bits.byte_swap x ~width) (Model.byte_swap x ~width);
+  true
+
+(* Every width, including each Bit1 width (16, 32, 64), on zero, all-ones
+   and single-bit values. *)
+let test_bitops_edges () =
+  for width = 0 to 64 do
+    List.iter
+      (fun x -> ignore (check_against_model width x))
+      ([ 0L; -1L; 1L; Int64.min_int; Int64.max_int ] @ List.init 64 (fun i -> Int64.shift_left 1L i))
+  done
+
+let prop_bitops_match_model =
+  QCheck2.Test.make ~name:"loop-free bit ops match a bit-at-a-time model" ~count:3000
+    QCheck2.Gen.(
+      pair
+        (oneof [ oneofl [ 16; 32; 64 ]; int_range 0 64 ])
+        (oneof [ oneofl [ 0L; -1L ]; int64; map (fun k -> Int64.shift_right_logical (-1L) k) (int_range 0 63) ]))
+    (fun (width, x) -> check_against_model width x)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "bits",
@@ -107,9 +171,11 @@ let suite =
       Alcotest.test_case "byte_swap" `Quick test_byte_swap;
       Alcotest.test_case "add_with_carry" `Quick test_add_with_carry;
       Alcotest.test_case "align" `Quick test_align;
+      Alcotest.test_case "bit ops vs model at every width" `Quick test_bitops_edges;
       q prop_extract_insert;
       q prop_rotate_inverse;
       q prop_popcount_split;
       q prop_sign_extend_idempotent;
       q prop_add_with_carry_matches_int64;
+      q prop_bitops_match_model;
     ] )

@@ -39,10 +39,10 @@ let prop_absint_contains_concrete =
       let preg0 = Array.init 16 (fun _ -> Prng.int64 prng) in
       let rf0 = Array.init Test_symexec.n_offs (fun _ -> Prng.int64 prng) in
       let ctx = Test_symexec.mk_ctx () in
-      ctx.Exec.pc <- pc0;
-      Array.iteri (fun i x -> ctx.Exec.regs.(i) <- x) preg0;
+      Exec.set_pc ctx pc0;
+      Array.iteri (fun i x -> Exec.set_reg ctx i x) preg0;
       Array.iteri (fun i x -> Exec.rf_write ctx (8 * i) x) rf0;
-      ignore (Exec.run ctx (Test_symexec.indexify prog));
+      ignore (Exec.run ctx (Exec.compile (Test_symexec.indexify prog)));
       (* abstract run from the same state's exact constants *)
       let entry =
         let s = ref A.state_top in
@@ -69,13 +69,13 @@ let prop_absint_contains_concrete =
                (Absval.to_string value))
       in
       for g = 0 to 15 do
-        chk (Printf.sprintf "r%d" g) (A.read joined (Hir.Preg g)) ctx.Exec.regs.(g)
+        chk (Printf.sprintf "r%d" g) (A.read joined (Hir.Preg g)) (Exec.get_reg ctx g)
       done;
       for i = 0 to Test_symexec.n_offs - 1 do
         chk (Printf.sprintf "rf[%d]" (8 * i)) (A.rf_read joined (8 * i))
           (Exec.rf_read ctx (8 * i))
       done;
-      chk "pc" joined.A.s_pc ctx.Exec.pc;
+      chk "pc" joined.A.s_pc (Exec.get_pc ctx);
       true)
 
 (* --- seeded obligation violations ----------------------------------------------- *)
@@ -316,21 +316,21 @@ let prop_simplify_preserves_execution =
       let rf0 = Array.init Test_symexec.n_offs (fun _ -> Prng.int64 prng) in
       let run p =
         let ctx = Test_symexec.mk_ctx () in
-        ctx.Exec.pc <- pc0;
-        Array.iteri (fun i x -> ctx.Exec.regs.(i) <- x) preg0;
+        Exec.set_pc ctx pc0;
+        Array.iteri (fun i x -> Exec.set_reg ctx i x) preg0;
         Array.iteri (fun i x -> Exec.rf_write ctx (8 * i) x) rf0;
-        let slot = Exec.run ctx (Test_symexec.indexify p) in
+        let slot = Exec.run ctx (Exec.compile (Test_symexec.indexify p)) in
         (slot, ctx)
       in
       let slot_a, ctx_a = run prog and slot_b, ctx_b = run out in
       if slot_a <> slot_b then
         failwith (Printf.sprintf "exit slot %d <> %d after simplify" slot_a slot_b);
-      if ctx_a.Exec.pc <> ctx_b.Exec.pc then
-        failwith (Printf.sprintf "pc %Ld <> %Ld after simplify" ctx_a.Exec.pc ctx_b.Exec.pc);
+      if Exec.get_pc ctx_a <> Exec.get_pc ctx_b then
+        failwith (Printf.sprintf "pc %Ld <> %Ld after simplify" (Exec.get_pc ctx_a) (Exec.get_pc ctx_b));
       for g = 0 to Test_symexec.n_pregs - 1 do
         (* simplify only rewrites vreg destinations, so every preg must
            agree (dead vreg defs cannot change them) *)
-        if ctx_a.Exec.regs.(g) <> ctx_b.Exec.regs.(g) then
+        if Exec.get_reg ctx_a g <> Exec.get_reg ctx_b g then
           failwith (Printf.sprintf "r%d diverged after simplify" g)
       done;
       for i = 0 to Test_symexec.n_offs - 1 do

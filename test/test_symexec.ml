@@ -36,16 +36,21 @@ let bit1s =
 let bit2s = [| Hir.Bror32; Bror64 |]
 let n_pregs = 6
 let n_offs = 5
+let n_slots = 3
 
-(* A random label-form program: [nb] blocks over Preg 0..5 and rf
-   offsets 0..32, branches and jumps strictly forward (no loops, so the
-   symbolic run is complete and exactly one path matches any concrete
-   state), last block exits. *)
+(* A random label-form program: [nb] blocks over Preg 0..5, spill slots
+   0..2 and rf offsets 0..32, branches and jumps strictly forward (no
+   loops, so the symbolic run is complete and exactly one path matches
+   any concrete state), last block exits.  About one operand in five is a
+   spill slot, so the executor's generic path is checked alongside its
+   specialised register/immediate shapes. *)
 let gen_program prng =
   let nb = 2 + Prng.int prng 4 in
   let instrs = ref [] in
   let emit i = instrs := i :: !instrs in
-  let preg () = Hir.Preg (Prng.int prng n_pregs) in
+  let preg () =
+    if Prng.int prng 5 = 0 then Hir.Slot (Prng.int prng n_slots) else Hir.Preg (Prng.int prng n_pregs)
+  in
   let operand () =
     match Prng.int prng 3 with
     | 0 -> Hir.Imm (Int64.of_int (Prng.int prng 2000 - 1000))
@@ -113,7 +118,7 @@ let indexify (prog : Hir.instr array) : Encode.program =
   { Encode.code;
     offsets = Array.init (Array.length code) (fun i -> 4 * i);
     byte_size = 4 * Array.length code;
-    n_slots = 0;
+    n_slots;
     wb_map = [||]
   }
 
@@ -132,11 +137,14 @@ let prop_symexec_matches_concrete =
       let pc0 = Int64.logand (Prng.int64 prng) 0xFFFF_FFFF_FFF0L in
       let preg0 = Array.init 16 (fun _ -> Prng.int64 prng) in
       let rf0 = Array.init n_offs (fun _ -> Prng.int64 prng) in
+      let slot0 = Array.init n_slots (fun _ -> Prng.int64 prng) in
       let ctx = mk_ctx () in
-      ctx.Exec.pc <- pc0;
-      Array.iteri (fun i x -> ctx.Exec.regs.(i) <- x) preg0;
+      Exec.set_pc ctx pc0;
+      Array.iteri (fun i x -> Exec.set_reg ctx i x) preg0;
       Array.iteri (fun i x -> Exec.rf_write ctx (8 * i) x) rf0;
-      let slot = Exec.run ctx (indexify prog) in
+      ctx.Exec.slots <- Bytes.create (8 * n_slots);
+      Array.iteri (fun i x -> Bytes.set_int64_ne ctx.Exec.slots (8 * i) x) slot0;
+      let slot = Exec.run ctx (Exec.compile (indexify prog)) in
       (* symbolic run from the fully symbolic initial state *)
       let r = S.run ~init_pc:(S.Atom S.A_pc) prog in
       if not r.S.complete then failwith "bounded run on a loop-free program";
@@ -145,7 +153,7 @@ let prop_symexec_matches_concrete =
           S.e_pc = pc0;
           e_preg = (fun i -> preg0.(i));
           e_rf = (fun off -> if off / 8 < n_offs && off mod 8 = 0 then rf0.(off / 8) else 0L);
-          e_slot = (fun _ -> 0L);
+          e_slot = (fun s -> slot0.(s));
         }
       in
       let holds (t, b) = S.eval env t <> 0L = b in
@@ -160,17 +168,17 @@ let prop_symexec_matches_concrete =
       in
       if x.S.x_slot <> slot then
         failwith (Printf.sprintf "exit slot: symbolic %d <> concrete %d" x.S.x_slot slot);
-      check "pc" (S.eval env x.S.x_pc) ctx.Exec.pc;
+      check "pc" (S.eval env x.S.x_pc) (Exec.get_pc ctx);
       List.iter (fun (off, t) -> check (Printf.sprintf "rf[%d]" off) (S.eval env t) (Exec.rf_read ctx off)) x.S.x_rf;
       (* offsets absent from the canonical exit rf must be untouched *)
       for i = 0 to n_offs - 1 do
         if not (List.mem_assoc (8 * i) x.S.x_rf) then
           check (Printf.sprintf "rf[%d] untouched" (8 * i)) rf0.(i) (Exec.rf_read ctx (8 * i))
       done;
-      List.iter (fun (g, t) -> check (Printf.sprintf "r%d" g) (S.eval env t) ctx.Exec.regs.(g)) x.S.x_pregs;
+      List.iter (fun (g, t) -> check (Printf.sprintf "r%d" g) (S.eval env t) (Exec.get_reg ctx g)) x.S.x_pregs;
       for g = 0 to n_pregs - 1 do
         if not (List.mem_assoc g x.S.x_pregs) then
-          check (Printf.sprintf "r%d untouched" g) preg0.(g) ctx.Exec.regs.(g)
+          check (Printf.sprintf "r%d untouched" g) preg0.(g) (Exec.get_reg ctx g)
       done;
       true)
 

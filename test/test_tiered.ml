@@ -209,6 +209,29 @@ let prop_region_vs_block =
       let d_u, _ = run_dump untiered in
       d_t <> [] && d_t = d_u && e_t.CE.stats.CE.regions_formed >= 1)
 
+(* A region entered while the guest masks a pending IRQ must still make
+   progress.  Every region member starts with a [Poll] that bails when
+   the host interrupt line is asserted; the dispatcher then cannot
+   deliver the masked IRQ and re-enters the same region.  With a low
+   promotion threshold the kernel's timer-IRQ path becomes a region
+   early, and the first masked tick used to livelock it until the cycle
+   cap. *)
+let test_masked_irq_no_livelock () =
+  let module K = Workloads.Kernel in
+  let module QE = Qemu_ref.Qemu_engine in
+  let user = (Workloads.Spec.find "429.mcf").Workloads.Spec.build ~scale:3 in
+  let cap = 200_000_000 in
+  let e = CE.create ~config:{ CE.default_config with hot_threshold = 4 } (guest ()) in
+  K.install (K.captive_target e) ~user;
+  let code = match CE.run ~max_cycles:cap e with CE.Poweroff c -> c | _ -> -1 in
+  let q = QE.create (guest ()) in
+  K.install (K.qemu_target q) ~user;
+  let qcode = match QE.run ~max_cycles:cap q with QE.Poweroff c -> c | _ -> -1 in
+  Alcotest.(check int) "QEMU-style engine exits" 0 qcode;
+  Alcotest.(check int) "exit code matches the QEMU-style engine" qcode code;
+  Alcotest.(check bool) "regions were formed" true (e.CE.stats.CE.regions_formed > 0);
+  Alcotest.(check bool) "well below the cycle cap" true (CE.cycles e < cap / 4)
+
 let suite =
   ( "tiered",
     [
@@ -217,5 +240,6 @@ let suite =
       Alcotest.test_case "SMC re-translation re-analyzes, no stale facts" `Quick
         test_smc_reanalysis;
       Alcotest.test_case "tier-0-only cycle identity" `Quick test_tier0_cycle_identity;
+      Alcotest.test_case "masked IRQ does not livelock a region" `Quick test_masked_irq_no_livelock;
       QCheck_alcotest.to_alcotest prop_region_vs_block;
     ] )
