@@ -475,11 +475,22 @@ let bechamel_section () =
   let decode_test =
     Test.make ~name:"decode one AArch64 instruction" (Staged.stage (fun () -> Ssa.Offline.decode model word))
   in
-  let sf = Softfloat.F64.of_float 1.5 in
-  let sf2 = Softfloat.F64.of_float 3.7 in
-  let flags = Softfloat.Sf_types.new_flags () in
-  let softfloat_test =
-    Test.make ~name:"softfloat f64 multiply" (Staged.stage (fun () -> Softfloat.F64.mul flags sf sf2))
+  (* Each binary64 op twice: through F64 (inside the host-FPU window) and
+     through Sf_core, the soft path it falls back to. *)
+  let softfloat_tests =
+    let open Softfloat in
+    let sf = F64.of_float 1.5 and sf2 = F64.of_float 3.7 in
+    let flags = Sf_types.new_flags () and fmt = Sf_core.f64_fmt and rm = Sf_types.Nearest_even in
+    let pair op fast soft =
+      [
+        Test.make ~name:("softfloat f64 " ^ op) (Staged.stage fast);
+        Test.make ~name:("softfloat f64 " ^ op ^ " (Sf_core)") (Staged.stage soft);
+      ]
+    in
+    pair "add" (fun () -> F64.add flags sf sf2) (fun () -> Sf_core.add fmt flags rm sf sf2)
+    @ pair "multiply" (fun () -> F64.mul flags sf sf2) (fun () -> Sf_core.mul fmt flags rm sf sf2)
+    @ pair "divide" (fun () -> F64.div flags sf sf2) (fun () -> Sf_core.div fmt flags rm sf sf2)
+    @ pair "sqrt" (fun () -> F64.sqrt flags sf2) (fun () -> Sf_core.sqrt fmt flags rm sf2)
   in
   let action = Ssa.Offline.action model "add_sub_shreg" in
   let d = Option.get (Ssa.Offline.decode model word) in
@@ -572,7 +583,7 @@ let bechamel_section () =
         | _ -> Printf.printf "  %-48s (no estimate)\n" name)
       ols
   in
-  List.iter benchmark ([ decode_test; softfloat_test; translate_test ] @ mem_tests);
+  List.iter benchmark ((decode_test :: softfloat_tests) @ (translate_test :: mem_tests));
   benchmark ~per_op:(exec_instrs, "host instr") exec_test
 
 (* --- driver ---------------------------------------------------------------------------------------------------------- *)

@@ -1,8 +1,11 @@
 (** IEEE-754 binary64 over [int64] bit patterns.
 
-    All operations are bit-exact (the test suite checks them against the
-    host FPU on thousands of random inputs).  Exception flags accumulate
-    into the caller-provided {!Sf_types.flags}. *)
+    All operations are bit-exact and give {!Sf_core}'s exception flags.
+    [add], [sub], [mul], [div], [sqrt], [of_int64], [min_] and [max_] run
+    on the host FPU when the operands and the result lie in a window where
+    that is provably exact, and on {!Sf_core} (the soft path) otherwise;
+    the test suite checks both paths.  Exception flags
+    accumulate into the caller-provided {!Sf_types.flags}. *)
 
 open Sf_types
 
