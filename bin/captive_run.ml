@@ -9,8 +9,7 @@
      captive_run mmucheck --json --guard
      captive_run stress --json --seeds 32
      captive_run bench --quick --json
-     captive_run validate --json
-     captive_run relocheck --json
+     captive_run check --json
      captive_run aot --json
 
    `spec` runs a SPEC CPU2006 proxy under the mini guest OS, `simbench`
@@ -26,13 +25,11 @@
    worker domains, sanitizer + single-domain equivalence as oracles),
    `bench` is the CI perf-regression gate against bench/baseline.json
    (with --exact, the determinism gate: exec/jit cycle bit-identity at
-   --domains 1), `validate`
-   symbolically checks every translation formed while booting the ARM
-   and RISC-V workloads at O1-O4 against an unoptimized reference
-   emission (Hostir.Equiv), `relocheck` certifies every translation
-   relocation-clean (Hostir.Reloc: no absolute host addresses, numbered
-   exits only, environment references in bounds, deterministic
-   encoding), and `aot` is the persistent-cache warm-boot gate: each
+   --domains 1), `check` boots the ARM and RISC-V workloads at O1-O4
+   once each with every translate-time checker on (Hostir.Equiv
+   validation against an unoptimized reference emission, Hostir.Absint
+   obligations, Hostir.Reloc relocation certification), and `aot` is
+   the persistent-cache warm-boot gate: each
    quick-bench workload runs cold then warm against the same on-disk
    AOT cache, and the warm boot must spend <= 10% of the cold boot's
    translate cycles with bit-identical guest-visible execution. *)
@@ -61,8 +58,7 @@ let scale_arg =
   Arg.(value & opt int 1 & info [ "s"; "scale" ] ~docv:"N" ~env:(Cmd.Env.info "BENCH_SCALE")
          ~doc:"Workload scale factor.")
 
-(* Guest-model selector of `lint` and `mine-templates`; an unknown name
-   is a usage error. *)
+(* Guest-model selector of `lint`; an unknown name is a usage error. *)
 let guests_conv = Arg.enum [ ("armv8-a", `Arm); ("rv64im", `Riscv); ("all", `All) ]
 
 let guest_models = function
@@ -70,33 +66,7 @@ let guest_models = function
   | `Riscv -> [ Guest_riscv.Riscv.ops () ]
   | `All -> [ Guest_arm.Arm.ops (); Guest_riscv.Riscv.ops () ]
 
-(* Guest exit code of a finished run; -2 and -3 mark the cycle and
-   block limits. *)
-let exit_of = function
-  | Captive.Engine.Poweroff c -> c
-  | Captive.Engine.Cycle_limit -> -2
-  | Captive.Engine.Block_limit -> -3
-
-(* Boot a Captive engine on one program and run it to the end: an ARM
-   user program under the mini-OS, or the bare-metal RISC-V MMU-stress
-   image.  Worker domains are shut down before it returns. *)
-let boot ?(config = Captive.Engine.default_config) ?opt_level ~max_cycles program =
-  let e =
-    match program with
-    | `Arm_user user ->
-      let e = Captive.Engine.create ~config (Guest_arm.Arm.ops ?opt_level ()) in
-      Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
-      e
-    | `Riscv_mmu ->
-      let e = Captive.Engine.create ~config (Guest_riscv.Riscv.ops ?opt_level ()) in
-      Captive.Engine.load_image e ~addr:Workloads.Mmu_stress.riscv_entry
-        (Workloads.Mmu_stress.riscv_image ());
-      Captive.Engine.set_entry e Workloads.Mmu_stress.riscv_entry;
-      e
-  in
-  Fun.protect
-    ~finally:(fun () -> Captive.Engine.shutdown e)
-    (fun () -> (e, exit_of (Captive.Engine.run ~max_cycles e)))
+module W = Workloads.Registry
 
 let verbose_stats_captive (e : Captive.Engine.t) =
   let s = e.Captive.Engine.stats in
@@ -202,21 +172,8 @@ let simbench_cmd =
 
 (* --- boot ----------------------------------------------------------------------- *)
 
-let demo_user () =
-  let a = Guest_arm.Arm_asm.create ~base:Workloads.Kernel.user_va () in
-  String.iter
-    (fun ch ->
-      Guest_arm.Arm_asm.movz a Guest_arm.Arm_asm.x0 (Char.code ch);
-      Guest_arm.Arm_asm.movz a Guest_arm.Arm_asm.x8 1;
-      Guest_arm.Arm_asm.svc a 0)
-    "captive mini-OS: up at EL0 with paging, syscalls and a timer\n";
-  Guest_arm.Arm_asm.movz a Guest_arm.Arm_asm.x0 0;
-  Guest_arm.Arm_asm.movz a Guest_arm.Arm_asm.x8 0;
-  Guest_arm.Arm_asm.svc a 0;
-  Guest_arm.Arm_asm.assemble a
-
 let boot_cmd =
-  let run engine = run_user ~engine ~user:(demo_user ()) in
+  let run engine = run_user ~engine ~user:(W.demo_user ()) in
   Cmd.v (Cmd.info "boot" ~doc:"Boot the mini guest OS with a demo user program.")
     Term.(const run $ engine_arg)
 
@@ -481,10 +438,6 @@ let mmucheck_cmd =
     let config =
       { Captive.Engine.default_config with Captive.Engine.sanitize = true; sanitize_every = every }
     in
-    let run_arm ~sanitize () =
-      boot ~config:{ config with Captive.Engine.sanitize } ~max_cycles:2_000_000_000
-        (`Arm_user (Workloads.Mmu_stress.arm_user ()))
-    in
     let report name (e : Captive.Engine.t) ~code ~expected =
       (* One final sweep so even a quiet run ends with a checkpoint. *)
       Captive.Engine.sanitize_check e ~reason:"final";
@@ -511,14 +464,23 @@ let mmucheck_cmd =
           say "%s: exit %d (expected %d), %d finding(s)\n%s\n" name code expected
             (List.length fnd) (Counters.report c)
     in
-    say "mmucheck: armv8-a mini-OS MMU stress under the shadow-oracle sanitizer\n%!";
-    let e_arm, code_arm = run_arm ~sanitize:true () in
-    report "armv8-a" e_arm ~code:code_arm ~expected:Workloads.Mmu_stress.arm_expected_exit;
-    say "mmucheck: rv64im MMU stress under the shadow-oracle sanitizer\n%!";
-    let e_rv, code_rv = boot ~config ~max_cycles:2_000_000_000 `Riscv_mmu in
-    report "rv64im" e_rv ~code:code_rv ~expected:Workloads.Mmu_stress.riscv_expected_exit;
+    (* Rows are named by guest; the ARM run comes first. *)
+    let runs =
+      List.map
+        (fun (w : W.workload) ->
+          let program = w.W.w_program () in
+          let name = match program with `Arm_user _ -> "armv8-a" | `Riscv_mmu -> "rv64im" in
+          say "mmucheck: %s MMU stress under the shadow-oracle sanitizer\n%!" name;
+          let e, code = W.boot ~config program in
+          report name e ~code ~expected:w.W.w_exit;
+          (e, code))
+        W.mmu_stress
+    in
     if guard then begin
-      let e_off, code_off = run_arm ~sanitize:false () in
+      let e_arm, code_arm = List.hd runs in
+      let e_off, code_off =
+        W.boot ~config:{ config with Captive.Engine.sanitize = false } (W.arm_mmu.W.w_program ())
+      in
       let cy_off = Captive.Engine.cycles e_off and cy_on = Captive.Engine.cycles e_arm in
       let ok = code_off = code_arm && cy_off = cy_on in
       if not ok then begin
@@ -597,30 +559,21 @@ let stress_cmd =
           hot_threshold = 4;
         }
       in
-      let run_one ~config kind =
-        let program =
-          match kind with
-          | `Arm -> `Arm_user (Workloads.Mmu_stress.arm_user ())
-          | `Riscv -> `Riscv_mmu
-        in
-        let e, code = boot ~config ~max_cycles:2_000_000_000 program in
+      let run_one ~config (w : W.workload) =
+        let e, code = W.boot ~config (w.W.w_program ()) in
         (* One final sweep so even a quiet run ends with a checkpoint. *)
         Captive.Engine.sanitize_check e ~reason:"final";
         (e, code)
       in
-      let workloads =
-        [ ("armv8-a-mmu", `Arm, Workloads.Mmu_stress.arm_expected_exit);
-          ("rv64im-mmu", `Riscv, Workloads.Mmu_stress.riscv_expected_exit);
-        ]
-      in
+      let workloads = W.mmu_stress in
       say "stress: %d workload(s) x %d seed(s) at %d domains (1 vCPU + %d JIT workers)\n%!"
         (List.length workloads) seeds domains (domains - 1);
       (* Single-domain references: the guest-visible outcome every
          concurrent run must reproduce. *)
       let refs =
         List.map
-          (fun (name, kind, expected) ->
-            let e, code = run_one ~config:base_config kind in
+          (fun ({ W.w_name = name; w_exit = expected; _ } as w) ->
+            let e, code = run_one ~config:base_config w in
             if code <> expected then begin
               incr failures;
               shout
@@ -631,7 +584,7 @@ let stress_cmd =
       in
       let runs = ref 0 in
       List.iter
-        (fun (name, kind, expected) ->
+        (fun ({ W.w_name = name; w_exit = expected; _ } as w) ->
           let ref_code, ref_uart = List.assoc name refs in
           for seed = 1 to seeds do
             incr runs;
@@ -641,7 +594,7 @@ let stress_cmd =
                 stress_seed = Some (Int64.of_int seed);
               }
             in
-            let e, code = run_one ~config kind in
+            let e, code = run_one ~config w in
             let s = e.Captive.Engine.stats in
             let findings =
               match e.Captive.Engine.sanitizer with
@@ -716,9 +669,6 @@ let stress_cmd =
 
 module MJ = Dbt_util.Minijson
 
-let bench_quick_names = [ "462.libquantum"; "429.mcf"; "400.perlbench"; "458.sjeng" ]
-let bench_full_names = bench_quick_names @ [ "445.gobmk"; "471.omnetpp"; "483.xalancbmk" ]
-
 type bench_row = {
   br_name : string;
   br_exit_ok : bool;
@@ -739,7 +689,7 @@ type bench_row = {
 
 let bench_run_one ~scale ~domains ?hot_threshold name : bench_row =
   let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
-  let run_captive config = boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
+  let run_captive config = W.boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
   let e_t, code_t =
     let c = { Captive.Engine.default_config with Captive.Engine.domains } in
     let c =
@@ -890,7 +840,7 @@ let bench_cmd =
                  uses this to measure pure cold-boot translate cost.")
   in
   let run json quick baseline scale exact domains hot_threshold =
-    let names = if quick then bench_quick_names else bench_full_names in
+    let names = if quick then W.quick_bench else W.full_bench in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
     say "bench%s: %d workloads at scale %d, %d domain(s) (captive tiered / captive tier-0 / qemu)\n%!"
@@ -1006,127 +956,149 @@ let bench_cmd =
        ~doc:"Run the perf benchmark set on all engines and gate against bench/baseline.json.")
     Term.(ret (const run $ json $ quick $ baseline $ scale_arg $ exact $ domains $ hot_threshold))
 
-(* --- validate / analyze / relocheck ---------------------------------------------------- *)
+(* --- check --------------------------------------------------------------------------- *)
 
-(* The three translate-time check sweeps share one driver: boot the
-   workload matrix below at every offline optimization level O1-O4 with
-   one check enabled in the engine, and count what it checked and found
-   in every translation the engine forms.  Exit status is non-zero on
-   any finding or wrong guest exit code.  With --json, stdout carries
-   one counter object per workload/level pair plus a summary line for
-   the CI artifact; findings go to stderr.
+(* The translate-time check sweep: boot each workload of the registry's
+   check matrix once at every offline optimization level O1-O4 with all
+   three checkers on, and count what each checked and found in every
+   translation the engine forms.  Exit status is non-zero on any
+   finding or wrong guest exit code.  With --json, stdout carries one
+   counter object per workload/level pair plus a summary line for the
+   CI artifact; findings go to stderr.
 
-   - `validate` (Hostir.Equiv): every tier-0 block (sampled with
-     --every) and every region is symbolically executed alongside an
-     unoptimized per-instruction reference emission from the same
-     decode, and the exit states — PC, register file (promoted offsets
-     equated through the writeback map), ordered store trace and
-     helper-call arguments — are compared term-by-term.
-   - `analyze` (Hostir.Absint): every translation is pushed through the
+   - Equiv ("validate"): every tier-0 block (sampled with --every) and
+     every region is symbolically executed alongside an unoptimized
+     per-instruction reference emission from the same decode, and the
+     exit states — PC, register file (promoted offsets equated through
+     the writeback map), ordered store trace and helper-call arguments
+     — are compared term-by-term.
+   - Absint ("analyze"): every translation is pushed through the
      dataflow analyzer and checked against the static obligations —
      register-file accesses in bounds and aligned, spill-slot accesses
      inside the allocated frame, the promoted writeback discipline.
-   - `relocheck` (Hostir.Reloc): every translation is decoded back from
-     its encoded bytes and classified operand by operand — no absolute
-     host addresses, control leaves only through numbered chain/exit
-     sites, environment references in bounds, helpers by stable symbol
-     id — and audited for encoding determinism.  A flagged translation
-     must never be persisted, so any finding is a hard failure. *)
+   - Reloc ("reloc"): every translation is decoded back from its
+     encoded bytes and classified operand by operand — no absolute host
+     addresses, control leaves only through numbered chain/exit sites,
+     environment references in bounds, helpers by stable symbol id —
+     and audited for encoding determinism.  A flagged translation must
+     never be persisted, so any finding is a hard failure.
+
+   The checkers only observe: each one's counts and findings in a boot
+   with all three on equal a boot with it alone (test_parity). *)
 
 module CE = Captive.Engine
 
-(* Name, expected guest exit code, and how to build the workload: ARM
-   user programs run under the mini-OS, the RISC-V image bare-metal. *)
-let sweep_workloads =
-  let spec name () = `Arm_user ((Workloads.Spec.find name).Workloads.Spec.build ~scale:1) in
+(* The checkers in the back end's order: JSON key prefix ([<key>_findings],
+   [<key>_ms]), the verb of its block/region counts and its findings
+   counter. *)
+let checkers =
   [
-    ("armv8-a-boot", 0, fun () -> `Arm_user (demo_user ()));
-    ( "armv8-a-mmu",
-      Workloads.Mmu_stress.arm_expected_exit,
-      fun () -> `Arm_user (Workloads.Mmu_stress.arm_user ()) );
-    ("armv8-a-libquantum", 8, spec "462.libquantum");
-    ("armv8-a-mcf", 0, spec "429.mcf");
-    ("armv8-a-perlbench", 212, spec "400.perlbench");
-    ("armv8-a-sjeng", 35, spec "458.sjeng");
-    ("armv8-a-gobmk", 64, spec "445.gobmk");
-    ("armv8-a-omnetpp", 220, spec "471.omnetpp");
-    ("armv8-a-xalancbmk", 0, spec "483.xalancbmk");
-    ("rv64im-mmu", Workloads.Mmu_stress.riscv_expected_exit, fun () -> `Riscv_mmu);
+    (CE.Equiv, "validate", "validated", "divergence findings");
+    (CE.Absint, "analyze", "analyzed", "obligation findings");
+    (CE.Reloc, "reloc", "certified", "relocation findings");
   ]
 
-let sweep_names = List.map (fun (n, _, _) -> n) sweep_workloads
+(* Each checker's counts beyond [CE.checker_stats], as (JSON key,
+   summary counter, value). *)
+let checker_extra (s : CE.phase_stats) = function
+  | CE.Equiv -> [ ("bounded", "bounded checks", s.CE.validations_bounded) ]
+  | CE.Absint ->
+    CE.
+      [
+        ("branches_folded", "absint branches folded", s.absint_branches_folded);
+        ("consts_folded", "absint consts folded", s.absint_consts_folded);
+        ("masks_dropped", "absint masks dropped", s.absint_masks_dropped);
+        ("divs_reduced", "absint divs reduced", s.absint_divs_reduced);
+        ("dead_deleted", "absint dead deleted", s.absint_dead_deleted);
+      ]
+  | CE.Reloc -> []
 
-(* One translate-time check: what it reports and where its findings go. *)
-type check = {
-  c_name : string; (* subcommand, and the [<name>_ms] JSON key *)
-  c_what : string; (* what the sweep runs, for the header line *)
-  c_verb : string; (* blocks_<verb> / regions_<verb> keys and counters *)
-  c_findings : string; (* summary counter for findings *)
-  c_count : CE.phase_stats -> int * int * int; (* blocks, regions, findings *)
-  c_extra : CE.phase_stats -> (string * string * int) list; (* JSON key, counter, value *)
-  c_time : CE.phase_stats -> float;
-  c_log : CE.t -> (string * string) list;
-}
+let check_names = List.map (fun w -> w.W.w_name) W.check_matrix
 
-let sweep (c : check) ~config json workload level =
-  if workload <> "all" && not (List.mem workload sweep_names) then
+let check json every workload level =
+  if every < 1 then `Error (true, "--every must be >= 1")
+  else if workload <> "all" && not (List.mem workload check_names) then
     `Error
       ( true,
         Printf.sprintf "unknown workload %S; valid names: all, %s" workload
-          (String.concat ", " sweep_names) )
+          (String.concat ", " check_names) )
   else if level < 0 || level > 4 then
     `Error (true, Printf.sprintf "level %d outside 0-4 (1-4 selects one level, 0 sweeps all)" level)
   else begin
+    let config =
+      {
+        CE.default_config with
+        CE.validate_translations = true;
+        validate_every = every;
+        analyze_translations = true;
+        reloc_check = true;
+      }
+    in
     let failures = ref 0 in
     let summary = Counters.create () in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
     let workloads =
       List.filter_map
-        (fun (n, expected, build) ->
-          if workload = "all" || workload = n then Some (n, expected, build ()) else None)
-        sweep_workloads
+        (fun w -> if workload = "all" || workload = w.W.w_name then Some (w, w.W.w_program ()) else None)
+        W.check_matrix
     in
     let levels = if level = 0 then [ 1; 2; 3; 4 ] else [ level ] in
-    say "%s: %d workload(s) x %d level(s) with %s\n%!" c.c_name (List.length workloads)
-      (List.length levels) c.c_what;
+    say "check: %d workload(s) x %d level(s) with validation, obligation checking and relocation \
+         certification\n%!"
+      (List.length workloads) (List.length levels);
     List.iter
       (fun level ->
         List.iter
-          (fun (name, expected, program) ->
-            let e, code = boot ~config ~opt_level:level ~max_cycles:2_000_000_000 program in
-            let s = e.CE.stats in
-            let nb, nr, nf = c.c_count s in
-            let extra = c.c_extra s in
-            Counters.bump summary ("programs " ^ c.c_verb) ~by:(nb + nr);
-            Counters.bump summary ("blocks " ^ c.c_verb) ~by:nb;
-            Counters.bump summary ("regions " ^ c.c_verb) ~by:nr;
-            Counters.bump summary c.c_findings ~by:nf;
-            List.iter (fun (_, counter, v) -> Counters.bump summary counter ~by:v) extra;
-            if nf > 0 then begin
-              failures := !failures + nf;
-              List.iter
-                (fun (what, detail) ->
-                  shout (Printf.sprintf "  %s O%d %s\n    %s" name level what detail))
-                (List.rev (c.c_log e))
-            end;
-            if code <> expected then begin
+          (fun ((w : W.workload), program) ->
+            let name = w.W.w_name in
+            let e, code = W.boot ~config ~opt_level:level program in
+            (* One column group per checker: (JSON fields, text, programs, ms). *)
+            let cols =
+              List.map
+                (fun (checker, key, verb, findings) ->
+                  let nb, nr, nf, t = CE.checker_stats e.CE.stats checker in
+                  let extra = checker_extra e.CE.stats checker in
+                  Counters.bump summary ("programs " ^ verb) ~by:(nb + nr);
+                  Counters.bump summary ("blocks " ^ verb) ~by:nb;
+                  Counters.bump summary ("regions " ^ verb) ~by:nr;
+                  Counters.bump summary findings ~by:nf;
+                  List.iter (fun (_, counter, v) -> Counters.bump summary counter ~by:v) extra;
+                  failures := !failures + nf;
+                  List.iter
+                    (fun (what, detail) ->
+                      shout (Printf.sprintf "  %s O%d %s %s\n    %s" name level key what detail))
+                    (CE.log_of e checker);
+                  let ms = 1000. *. t in
+                  ( Printf.sprintf "\"blocks_%s\":%d,\"regions_%s\":%d,\"%s_findings\":%d%s,\"%s_ms\":%.1f"
+                      verb nb verb nr key nf
+                      (String.concat ""
+                         (List.map (fun (k, _, v) -> Printf.sprintf ",\"%s\":%d" k v) extra))
+                      key ms,
+                    Printf.sprintf "; %d+%d %s, %d finding(s)%s" nb nr verb nf
+                      (String.concat ""
+                         (List.map (fun (_, counter, v) -> Printf.sprintf ", %d %s" v counter) extra)),
+                    nb + nr,
+                    ms ))
+                checkers
+            in
+            if code <> w.W.w_exit then begin
               incr failures;
-              shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code expected)
+              shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code w.W.w_exit)
             end;
-            let ms = 1000. *. c.c_time s in
-            let per = ms /. float_of_int (max 1 (nb + nr)) in
+            let ms = List.fold_left (fun a (_, _, _, m) -> a +. m) 0. cols in
+            let programs = List.fold_left (fun a (_, _, n, _) -> max a n) 1 cols in
+            let per = ms /. float_of_int programs in
             if json then
               Printf.printf
-                "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,\"blocks_%s\":%d,\"regions_%s\":%d,\"findings\":%d%s,\"%s_ms\":%.1f,\"ms_per_program\":%.3f}\n"
-                (Dbt_util.Stats.json_string name) level code expected c.c_verb nb c.c_verb nr nf
-                (String.concat "" (List.map (fun (k, _, v) -> Printf.sprintf ",\"%s\":%d" k v) extra))
-                c.c_name ms per
+                "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,%s,\"ms_per_program\":%.3f}\n"
+                (Dbt_util.Stats.json_string name) level code w.W.w_exit
+                (String.concat "," (List.map (fun (j, _, _, _) -> j) cols))
+                per
             else
-              say
-                "%-20s O%d: exit %d (expected %d), %5d blocks + %3d regions %s, %d finding(s)%s, %6.1fms (%.3fms/program)\n%!"
-                name level code expected nb nr c.c_verb nf
-                (String.concat "" (List.map (fun (_, counter, v) -> Printf.sprintf ", %d %s" v counter) extra))
+              say "%-20s O%d: exit %d (expected %d)%s; %.1fms (%.3fms/program)\n%!" name level code
+                w.W.w_exit
+                (String.concat "" (List.map (fun (_, t, _, _) -> t) cols))
                 ms per)
           workloads)
       levels;
@@ -1134,100 +1106,40 @@ let sweep (c : check) ~config json workload level =
       Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"failures\":%d,\"counters\":%s}\n"
         (List.length workloads * List.length levels)
         !failures (Counters.to_json summary)
-    else say "\n%s counters:\n%s" c.c_name (Counters.report summary);
+    else say "\ncheck counters:\n%s" (Counters.report summary);
     if !failures = 0 then begin
-      if not json then Printf.printf "%s: no findings\n" c.c_name;
+      if not json then print_endline "check: no findings";
       `Ok ()
     end
-    else `Error (false, Printf.sprintf "%s: %d finding(s)" c.c_name !failures)
+    else `Error (false, Printf.sprintf "check: %d finding(s)" !failures)
   end
 
-let sweep_cmd (c : check) ~doc ?(every = Term.const 1) config =
+let check_cmd =
   let json =
     Arg.(value & flag & info [ "json" ]
-           ~doc:(Printf.sprintf
-                   "Emit one counter object per workload/level pair plus a summary line as \
-                    JSON on stdout; %s go to stderr." c.c_findings))
+           ~doc:"Emit one counter object per workload/level pair plus a summary line as JSON \
+                 on stdout; findings go to stderr.")
   in
-  let workload =
-    Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
-           ~doc:(Printf.sprintf "Restrict to one workload (%s, or all)."
-                   (String.concat ", " sweep_names)))
-  in
-  let level =
-    Arg.(value & opt int 0 & info [ "l"; "level" ] ~docv:"N"
-           ~doc:"Restrict to one offline optimization level (1-4; 0 sweeps all).")
-  in
-  let run json every workload level =
-    if every < 1 then `Error (true, "--every must be >= 1")
-    else sweep c ~config:(config every) json workload level
-  in
-  Cmd.v (Cmd.info c.c_name ~doc) Term.(ret (const run $ json $ every $ workload $ level))
-
-let validate_cmd =
   let every =
     Arg.(value & opt int 1 & info [ "every" ] ~docv:"N"
            ~doc:"Validate every Nth translated tier-0 block (regions are always \
                  validated).  1 validates everything.")
   in
-  sweep_cmd ~every
-    {
-      c_name = "validate";
-      c_what = "symbolic translation validation";
-      c_verb = "validated";
-      c_findings = "divergence findings";
-      c_count = (fun s -> CE.(s.blocks_validated, s.regions_validated, s.validation_findings));
-      c_extra = (fun s -> [ ("bounded", "bounded checks", s.CE.validations_bounded) ]);
-      c_time = (fun s -> s.CE.t_validate);
-      c_log = (fun e -> e.CE.validation_log);
-    }
-    ~doc:"Symbolically validate every translation formed while running the ARM and \
-          RISC-V workloads at O1-O4 against an unoptimized reference emission."
-    (fun every ->
-      { CE.default_config with CE.validate_translations = true; validate_every = every })
-
-let analyze_cmd =
-  sweep_cmd
-    {
-      c_name = "analyze";
-      c_what = "translate-time obligation checking";
-      c_verb = "analyzed";
-      c_findings = "obligation findings";
-      c_count = (fun s -> CE.(s.blocks_analyzed, s.regions_analyzed, s.obligation_findings));
-      c_extra =
-        (fun s ->
-          CE.
-            [
-              ("branches_folded", "absint branches folded", s.absint_branches_folded);
-              ("consts_folded", "absint consts folded", s.absint_consts_folded);
-              ("masks_dropped", "absint masks dropped", s.absint_masks_dropped);
-              ("divs_reduced", "absint divs reduced", s.absint_divs_reduced);
-              ("dead_deleted", "absint dead deleted", s.absint_dead_deleted);
-            ]);
-      c_time = (fun s -> s.CE.t_analyze);
-      c_log = (fun e -> e.CE.analysis_log);
-    }
-    ~doc:"Check translate-time static obligations (register-file bounds, frame bounds, \
-          writeback discipline) on every translation formed while running the ARM and \
-          RISC-V workloads at O1-O4."
-    (fun _ -> { CE.default_config with CE.analyze_translations = true })
-
-let relocheck_cmd =
-  sweep_cmd
-    {
-      c_name = "relocheck";
-      c_what = "relocation-cleanliness certification";
-      c_verb = "certified";
-      c_findings = "relocation findings";
-      c_count = (fun s -> CE.(s.blocks_certified, s.regions_certified, s.reloc_findings));
-      c_extra = (fun _ -> []);
-      c_time = (fun s -> s.CE.t_reloc);
-      c_log = CE.reloc_log;
-    }
-    ~doc:"Certify every translation formed while running the ARM and RISC-V workloads \
-          at O1-O4 relocation-clean (no absolute host addresses, numbered exits only, \
-          environment references in bounds, deterministic encoding)."
-    (fun _ -> { CE.default_config with CE.reloc_check = true })
+  let workload =
+    Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
+           ~doc:(Printf.sprintf "Restrict to one workload (%s, or all)."
+                   (String.concat ", " check_names)))
+  in
+  let level =
+    Arg.(value & opt int 0 & info [ "l"; "level" ] ~docv:"N"
+           ~doc:"Restrict to one offline optimization level (1-4; 0 sweeps all).")
+  in
+  Cmd.v
+    (Cmd.info "check"
+       ~doc:"Run every translate-time checker (Equiv validation, Absint obligations, Reloc \
+             certification) on every translation formed while running the ARM and RISC-V \
+             workloads at O1-O4, one boot per workload and level.")
+    Term.(ret (const check $ json $ every $ workload $ level))
 
 (* --- aot ----------------------------------------------------------------------------- *)
 
@@ -1278,7 +1190,7 @@ let aot_cmd =
     in
     let failures = ref 0 in
     say "aot: %d workloads at scale %d (cold boot stores, warm boot reloads; cache root %s)\n%!"
-      (List.length bench_quick_names) scale root;
+      (List.length W.quick_bench) scale root;
     let rows =
       List.map
         (fun name ->
@@ -1288,8 +1200,8 @@ let aot_cmd =
           let config =
             { Captive.Engine.default_config with Captive.Engine.aot_dir = Some wdir }
           in
-          let e_c, code_c = boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
-          let e_w, code_w = boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
+          let e_c, code_c = W.boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
+          let e_w, code_w = W.boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
           let sc = e_c.Captive.Engine.stats and sw = e_w.Captive.Engine.stats in
           let tc = sc.Captive.Engine.translate_cycles in
           let tw = sw.Captive.Engine.translate_cycles in
@@ -1325,7 +1237,7 @@ let aot_cmd =
               List.iter
                 (fun (what, detail) ->
                   shout (Printf.sprintf "  %s %s\n    %s" name what detail))
-                (List.rev (Captive.Engine.reloc_log e_w))
+                (CE.log_of e_w CE.Reloc)
             end
           end;
           if json then
@@ -1352,7 +1264,7 @@ let aot_cmd =
             rmdir_if_empty wdir
           end;
           (name, ok))
-        bench_quick_names
+        W.quick_bench
     in
     if not keep then rmdir_if_empty root;
     if json then
@@ -1373,117 +1285,6 @@ let aot_cmd =
              cache and gate: warm translate cycles <= 10% of cold, guest execution cycles \
              bit-identical, nothing rejected.")
     Term.(ret (const run $ json $ dir $ keep $ max_ratio $ scale_arg))
-
-(* --- mine-templates ------------------------------------------------------------------ *)
-
-(* Offline template mining: run every decode entry's witness encoding
-   through the template miner (the same table the engine builds lazily
-   at translate time) and report the per-form result — variants, pinned
-   fields, holes, host instructions, and untemplatable forms with the
-   reason.  This is the offline counterpart of the engine's on-demand
-   mining: the translate-time cost model charges zero simulated cycles
-   for mining because this subcommand can build the identical table
-   ahead of time. *)
-let guest_arg =
-  Arg.(value & opt guests_conv `All & info [ "guest" ] ~docv:"GUEST"
-         ~doc:"Guest model to mine: armv8-a, rv64im or all.")
-
-let mine_templates_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit one flat JSON object per (form, MMU regime) plus a summary per guest.")
-  in
-  let run json guests =
-    let guests = guest_models guests in
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-    List.iter
-      (fun (guest : Guest.Ops.ops) ->
-        let e = Captive.Engine.create guest in
-        let tt = Captive.Engine.template_table e in
-        let model = guest.Guest.Ops.model in
-        let mined = ref 0 and missed = ref 0 in
-        (* One witness per decode entry: the entry's own match value is
-           an encoding that selects it (more specific entries may still
-           shadow it — the decoder, not the miner, owns that choice). *)
-        List.iter
-          (fun (entry : Adl.Decode.entry) ->
-            match Ssa.Offline.decode model entry.Adl.Decode.value with
-            | None -> ()
-            | Some d ->
-              let action = Ssa.Offline.action model d.Adl.Decode.name in
-              let inc_pc =
-                if d.Adl.Decode.ends_block then None else Some guest.Guest.Ops.insn_size
-              in
-              List.iter
-                (fun (el, mmu_on) ->
-                  let field = Captive.Engine.field_of ~el d in
-                  match
-                    Hostir.Template.fragment tt ~action ~name:d.Adl.Decode.name ~inc_pc
-                      ~mmu_on ~field
-                  with
-                  | Hostir.Template.Hit _ -> ()
-                  | Hostir.Template.Mined _ -> incr mined
-                  | Hostir.Template.Miss _ -> incr missed)
-                [ (0, false); (0, true); (1, false); (1, true) ])
-          model.Ssa.Offline.decoder.Adl.Decode.entries;
-        let report = Captive.Engine.template_report e in
-        let live = List.filter (fun r -> r.Hostir.Template.fr_dead = None) report in
-        let dead = List.filter (fun r -> r.Hostir.Template.fr_dead <> None) report in
-        if json then
-          List.iter
-            (fun (r : Hostir.Template.form_report) ->
-              Printf.printf
-                "{\"kind\":\"form\",\"guest\":%s,\"name\":%s,\"mmu\":%b,\"variants\":%d,\"pins\":%d,\"host_instrs\":%d,\"holes\":%d,\"dead\":%s}\n"
-                (Dbt_util.Stats.json_string guest.Guest.Ops.name)
-                (Dbt_util.Stats.json_string r.Hostir.Template.fr_name)
-                r.Hostir.Template.fr_mmu r.Hostir.Template.fr_variants
-                r.Hostir.Template.fr_pins r.Hostir.Template.fr_host_instrs
-                r.Hostir.Template.fr_holes
-                (match r.Hostir.Template.fr_dead with
-                | None -> "null"
-                | Some reason -> Dbt_util.Stats.json_string reason))
-            report
-        else begin
-          say "\n=== %s: %d forms mined (%d live, %d untemplatable) ===\n\n"
-            guest.Guest.Ops.name (List.length report) (List.length live) (List.length dead);
-          say "%-28s %4s %9s %5s %11s %6s\n" "form" "mmu" "variants" "pins" "host-instrs"
-            "holes";
-          List.iter
-            (fun (r : Hostir.Template.form_report) ->
-              say "%-28s %4s %9d %5d %11d %6d\n" r.Hostir.Template.fr_name
-                (if r.Hostir.Template.fr_mmu then "on" else "off")
-                r.Hostir.Template.fr_variants r.Hostir.Template.fr_pins
-                r.Hostir.Template.fr_host_instrs r.Hostir.Template.fr_holes)
-            live;
-          if dead <> [] then begin
-            say "\nuntemplatable forms (cold-pipeline fallback):\n";
-            List.iter
-              (fun (r : Hostir.Template.form_report) ->
-                say "  %-28s %s\n" r.Hostir.Template.fr_name
-                  (Option.value ~default:"?" r.Hostir.Template.fr_dead))
-              dead
-          end
-        end;
-        if json then
-          Printf.printf
-            "{\"kind\":\"summary\",\"guest\":%s,\"forms\":%d,\"live\":%d,\"dead\":%d,\"variants\":%d,\"fragments_mined\":%d,\"witness_misses\":%d}\n"
-            (Dbt_util.Stats.json_string guest.Guest.Ops.name)
-            (List.length report) (List.length live) (List.length dead)
-            (Hostir.Template.variant_count tt)
-            !mined !missed
-        else
-          say "\n%s: %d template variants live, %d witness encodings untemplatable\n"
-            guest.Guest.Ops.name
-            (Hostir.Template.variant_count tt)
-            !missed)
-      guests;
-    `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "mine-templates"
-       ~doc:"Mine the per-opcode translation template table offline and report per-form \
-             variants, pins, holes and untemplatable forms.")
-    Term.(ret (const run $ json $ guest_arg))
 
 (* --- templates (coverage report) ------------------------------------------------------- *)
 
@@ -1515,19 +1316,10 @@ let templates_cmd =
       | Some h -> { c with Captive.Engine.hot_threshold = h }
       | None -> c
     in
-    let run_workload w =
-      let name, max_cycles, program =
-        match w with
-        | `Spec name ->
-          (name, 50_000_000_000, `Arm_user ((Workloads.Spec.find name).Workloads.Spec.build ~scale))
-        | `Arm_mmu -> ("armv8-a-mmu", 2_000_000_000, `Arm_user (Workloads.Mmu_stress.arm_user ()))
-        | `Riscv_mmu -> ("rv64im-mmu", 2_000_000_000, `Riscv_mmu)
-      in
-      let e, code = boot ~config ~max_cycles program in
-      (name, e, code)
-    in
+    (* The SPEC proxies run at --scale, under the 50 G-cycle cap. *)
     let workloads =
-      List.map (fun n -> `Spec n) bench_quick_names @ [ `Arm_mmu; `Riscv_mmu ]
+      List.map (fun n -> (n, 50_000_000_000, fun () -> W.spec ~scale n)) W.quick_bench
+      @ List.map (fun w -> (w.W.w_name, 2_000_000_000, w.W.w_program)) W.mmu_stress
     in
     let failures = ref 0 in
     let coverages = ref [] in
@@ -1537,8 +1329,8 @@ let templates_cmd =
       | Some h -> Printf.sprintf " (hot threshold %d)" h
       | None -> "");
     List.iter
-      (fun w ->
-        let name, e, code = run_workload w in
+      (fun (name, max_cycles, program) ->
+        let e, code = W.boot ~config ~max_cycles (program ()) in
         let s = e.Captive.Engine.stats in
         let covered = s.Captive.Engine.template_instrs in
         let total = s.Captive.Engine.guest_instrs_translated in
@@ -1615,11 +1407,8 @@ let () =
       `Noblank; `P "$(mname) $(b,mmucheck) [$(b,--json)] [$(b,--guard)] [$(b,--every) $(i,N)]";
       `Noblank; `P "$(mname) $(b,stress) [$(b,--json)] [$(b,--seeds) $(i,N)] [$(b,--domains) $(i,D)]";
       `Noblank; `P "$(mname) $(b,bench) [$(b,--quick)] [$(b,--json)] [$(b,--baseline) $(i,FILE)] [$(b,--exact)] [$(b,--domains) $(i,D)]";
-      `Noblank; `P "$(mname) $(b,validate) [$(b,--json)] [$(b,--every) $(i,N)]";
-      `Noblank; `P "$(mname) $(b,analyze) [$(b,--json)] [$(b,--workload) $(i,NAME)] [$(b,--level) $(i,N)]";
-      `Noblank; `P "$(mname) $(b,relocheck) [$(b,--json)] [$(b,--workload) $(i,NAME)] [$(b,--level) $(i,N)]";
+      `Noblank; `P "$(mname) $(b,check) [$(b,--json)] [$(b,--every) $(i,N)] [$(b,--workload) $(i,NAME)] [$(b,--level) $(i,N)]";
       `Noblank; `P "$(mname) $(b,aot) [$(b,--json)] [$(b,--dir) $(i,DIR)] [$(b,--keep)] [$(b,--max-ratio) $(i,PCT)]";
-      `Noblank; `P "$(mname) $(b,mine-templates) [$(b,--json)] [$(b,--guest) $(i,GUEST)]";
       `Noblank; `P "$(mname) $(b,templates) [$(b,--json)] [$(b,--min-coverage) $(i,PCT)] [$(b,--hot-threshold) $(i,N)]";
     ]
   in
@@ -1627,5 +1416,4 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "captive_run" ~doc ~man)
           [ spec_cmd; simbench_cmd; boot_cmd; info_cmd; ssa_cmd; lint_cmd; mmucheck_cmd;
-            stress_cmd; bench_cmd; validate_cmd; analyze_cmd; relocheck_cmd; aot_cmd;
-            mine_templates_cmd; templates_cmd ]))
+            stress_cmd; bench_cmd; check_cmd; aot_cmd; templates_cmd ]))

@@ -49,8 +49,6 @@ let create ?(shards = 16) () : 'a t =
   let n = pow2 1 in
   { shards = Array.init n (fun _ -> Atomic.make empty_state); mask = n - 1 }
 
-let n_shards t = Array.length t.shards
-
 let shard_of t page =
   t.shards.(Int64.to_int (Int64.shift_right_logical page 12) land t.mask)
 
@@ -100,9 +98,6 @@ let invalidate_page t page : 'a list =
       let map = List.fold_left (fun m k -> Kmap.remove k m) st.map keys in
       let gens = Pmap.update page (fun g -> Some (1 + Option.value ~default:0 g)) st.gens in
       ({ map; pages = Pmap.remove page st.pages; gens }, removed))
-
-let page_keys t page =
-  Option.value ~default:[] (Pmap.find_opt page (Atomic.get (shard_of t page)).pages)
 
 let iter f t = Array.iter (fun sh -> Kmap.iter f (Atomic.get sh).map) t.shards
 

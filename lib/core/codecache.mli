@@ -18,8 +18,6 @@ type 'a t
     (default 16). *)
 val create : ?shards:int -> unit -> 'a t
 
-val n_shards : 'a t -> int
-
 (** Lock-free: one [Atomic.get] plus a persistent-map find. *)
 val lookup : 'a t -> key -> 'a option
 
@@ -40,9 +38,6 @@ val page_gen : 'a t -> int64 -> int
     (unconditionally — tombstoning in-flight jobs needs the bump even
     when nothing is published), and return the removed entries. *)
 val invalidate_page : 'a t -> int64 -> 'a list
-
-(** Keys published on one page (snapshot). *)
-val page_keys : 'a t -> int64 -> key list
 
 (** Iteration over per-shard snapshots: sees every entry published
     before the call on a quiescent cache; per-shard-consistent under

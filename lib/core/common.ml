@@ -84,11 +84,6 @@ let softfloat_helper name : Exec.helper =
     cost = 55;
   }
 
-let nargs_of_intrinsic name =
-  match Adl.Builtins.find name with
-  | Some sg -> List.length sg.Adl.Builtins.bi_params
-  | None -> invalid_arg name
-
 (* How each helper affects symbolic state, for the translation validator
    (Hostir.Symexec) and the static analyzer (Hostir.Absint); the shared
    classification lives in Hostir.Effects. *)

@@ -33,7 +33,5 @@ val softfloat_helper : string -> Hostir.Exec.helper
 (** Softfloat helper evaluating the intrinsic through the ADL evaluator,
     bit-identical to translation-time folding. *)
 
-val nargs_of_intrinsic : string -> int
-
 val helper_kind : int -> Hostir.Symexec.helper_kind
 (** Effect classification by helper index (see {!Hostir.Effects}). *)

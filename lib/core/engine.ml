@@ -36,9 +36,7 @@ type config = {
                        (Hostir.Template); active only with [tiering], since
                        promotion is what buys back code quality *)
   hot_threshold : int; (* executions of a tier-0 block before promotion *)
-  region_max_blocks : int; (* maximum members in one region (all on one page) *)
   promote : bool; (* region-scoped register promotion + memory redundancy elim *)
-  promote_max_regs : int; (* register-file offsets cached per region *)
   (* symbolic translation validation (Hostir.Equiv): every accepted
      translation is re-derived as an unoptimized reference emission and
      checked for exit-point equivalence; any finding is a miscompile *)
@@ -72,6 +70,11 @@ type config = {
   stress_seed : int64 option;
 }
 
+(* Maximum members in one region (all on one page), and register-file
+   offsets cached per region by promotion. *)
+let region_max_blocks = 8
+let promote_max_regs = 4
+
 let default_config =
   {
     hw_fp = true;
@@ -84,9 +87,7 @@ let default_config =
     tiering = true;
     templates = true;
     hot_threshold = 64;
-    region_max_blocks = 8;
     promote = true;
-    promote_max_regs = 4;
     validate_translations = false;
     validate_every = 1;
     analyze_translations = false;
@@ -379,15 +380,17 @@ type request = {
   rq_guest : bytes;
 }
 
-(* What one translation attempt accounts: a stats delta plus capped
-   finding logs, merged into the engine when its result installs (or
+(* The translate-time checkers that log findings ([Verify] raises
+   instead), and one logged finding: its checker, the translation it
+   concerns and the detail. *)
+type checker = Equiv | Absint | Reloc
+
+type finding = { fi_checker : checker; fi_what : string; fi_detail : string }
+
+(* What one translation attempt accounts: a stats delta plus a capped
+   finding log, merged into the engine when its result installs (or
    right away, for an AOT region probe that installed nothing). *)
-type acc = {
-  a_stats : phase_stats;
-  mutable a_validation : (string * string) list;
-  mutable a_analysis : (string * string) list;
-  mutable a_reloc : (string * string) list;
-}
+type acc = { a_stats : phase_stats; mutable a_findings : finding list }
 
 (* What every tier hands to [install].  [r_kind] is the AOT entry kind:
    0 = pipeline block, 1 = region unit, 2 = template-stitched block.  A
@@ -456,21 +459,17 @@ type t = {
      later in the same process. *)
   tracing : bool;
   mutable trace_events : int;
-  (* symbolic translation validation *)
+  (* translate-time checkers *)
   mutable validate_tick : int; (* tier-0 sampling counter (validate_every) *)
-  mutable validation_log : (string * string) list; (* (context, detail), capped *)
-  (* static obligation checking *)
-  mutable analysis_log : (string * string) list; (* (context, finding), capped *)
-  (* relocation-cleanliness certification + AOT cache *)
+  mutable findings : finding list; (* every checker's, capped per checker *)
   aot : Aotcache.t option;
-  mutable reloc_log : (string * string) list; (* (context, finding), capped *)
   (* concurrent JIT *)
   jenv : jit_env;
   mutable pool : pool option; (* spawned on first enqueue when domains > 1 *)
   stress_prng : Dbt_util.Prng.t option; (* drain-schedule jitter (stress_seed) *)
-  (* template tier: the per-guest template table (mined lazily, so it
-     doubles as a warm-up memo of the offline mine-templates artifact)
-     and the per-opcode miss table behind the coverage report *)
+  (* template tier: the per-guest template table (mined lazily, on a
+     form's first use) and the per-opcode miss table behind the
+     coverage report *)
   mutable templates : Hostir.Template.t option;
   template_miss : (string, int) Hashtbl.t;
 }
@@ -655,10 +654,8 @@ let rec create ?(config = default_config) (guest : Ops.ops) : t =
       tracing = Sys.getenv_opt "CAPTIVE_TRACE" <> None;
       trace_events = 0;
       validate_tick = 0;
-      validation_log = [];
-      analysis_log = [];
+      findings = [];
       aot = Option.map Aotcache.open_dir config.aot_dir;
-      reloc_log = [];
       jenv;
       pool = None;
       stress_prng = Option.map Dbt_util.Prng.create config.stress_seed;
@@ -732,7 +729,7 @@ and invalidate_page e phys_page =
   (* Static-analysis staleness audit: unlike chain edges, there is no
      per-translation analysis state to drop here.  Abstract facts and
      obligation findings are consumed at translate time (counters plus
-     the capped [analysis_log]); helper effect summaries are pure
+     the capped finding log); helper effect summaries are pure
      functions of the helper index ([Effects.summarize]); neither is
      keyed by translation, so an invalidated page cannot leave a stale
      fact behind.  A re-translation after SMC re-runs the analyzer from
@@ -978,37 +975,57 @@ let describe ?(prefix = "") (req : request) =
     Printf.sprintf "%sblock pa=0x%Lx va=0x%Lx el=%d mmu=%b" prefix req.rq_pa req.rq_va req.rq_el
       req.rq_mmu
 
-(* --- accounting: stats deltas and capped finding logs --------------------------------- *)
+(* --- accounting: stats deltas and the capped finding log ------------------------------ *)
 
-(* Finding logs are capped: counters keep exact totals, the logs keep
-   the first [log_cap] findings in discovery order. *)
+(* The finding log is capped per checker: counters keep exact totals,
+   the log keeps each checker's first [log_cap] findings in discovery
+   order. *)
 let log_cap = 64
 
-let append_capped (log : (string * string) list) (extra : (string * string) list) =
-  List.fold_left (fun acc it -> if List.length acc < log_cap then acc @ [ it ] else acc) log extra
+let append_capped (log : finding list) (extra : finding list) =
+  List.fold_left
+    (fun acc f ->
+      let same = List.filter (fun g -> g.fi_checker = f.fi_checker) acc in
+      if List.length same < log_cap then acc @ [ f ] else acc)
+    log extra
 
-let new_acc () = { a_stats = new_phase_stats (); a_validation = []; a_analysis = []; a_reloc = [] }
+let new_acc () = { a_stats = new_phase_stats (); a_findings = [] }
 
 let merge (e : t) (acc : acc) =
   add_stats e.stats acc.a_stats;
-  e.validation_log <- append_capped e.validation_log acc.a_validation;
-  e.analysis_log <- append_capped e.analysis_log acc.a_analysis;
-  e.reloc_log <- append_capped e.reloc_log acc.a_reloc
+  e.findings <- append_capped e.findings acc.a_findings
 
-(* Account one Equiv outcome: counters, plus the capped log (full
-   detail, for the validate subcommand's JSON report). *)
+(* Count one checker's findings on one translation and log them:
+   [(what, detail)] pairs, in discovery order. *)
+let record_findings (acc : acc) checker (fs : (string * string) list) =
+  let s = acc.a_stats and n = List.length fs in
+  (match checker with
+  | Equiv -> s.validation_findings <- s.validation_findings + n
+  | Absint -> s.obligation_findings <- s.obligation_findings + n
+  | Reloc -> s.reloc_findings <- s.reloc_findings + n);
+  acc.a_findings <-
+    append_capped acc.a_findings
+      (List.map (fun (fi_what, fi_detail) -> { fi_checker = checker; fi_what; fi_detail }) fs)
+
+(* One checker's counters: blocks and regions checked, findings,
+   seconds. *)
+let checker_stats (s : phase_stats) = function
+  | Equiv -> (s.blocks_validated, s.regions_validated, s.validation_findings, s.t_validate)
+  | Absint -> (s.blocks_analyzed, s.regions_analyzed, s.obligation_findings, s.t_analyze)
+  | Reloc -> (s.blocks_certified, s.regions_certified, s.reloc_findings, s.t_reloc)
+
+(* Account one Equiv outcome: counters, plus the logged findings (full
+   detail, for the check subcommand's report). *)
 let record_validation (acc : acc) ~what ~region (r : Hostir.Equiv.outcome) =
   let s = acc.a_stats in
   if region then s.regions_validated <- s.regions_validated + 1
   else s.blocks_validated <- s.blocks_validated + 1;
   if not r.Hostir.Equiv.complete then s.validations_bounded <- s.validations_bounded + 1;
-  s.validation_findings <- s.validation_findings + List.length r.Hostir.Equiv.findings;
-  acc.a_validation <-
-    append_capped acc.a_validation
-      (List.map
-         (fun (f : Hostir.Equiv.finding) ->
-           (Printf.sprintf "%s: %s" what f.Hostir.Equiv.f_name, f.Hostir.Equiv.f_detail))
-         r.Hostir.Equiv.findings)
+  record_findings acc Equiv
+    (List.map
+       (fun (f : Hostir.Equiv.finding) ->
+         (Printf.sprintf "%s: %s" what f.Hostir.Equiv.f_name, f.Hostir.Equiv.f_detail))
+       r.Hostir.Equiv.findings)
 
 (* Static obligation checking of one translation: the pre-allocation
    stream carries the register-file and writeback-discipline
@@ -1023,10 +1040,8 @@ let record_analysis (acc : acc) ~what ~region ~promoted ~(pre : Hir.instr array)
   in
   if region then s.regions_analyzed <- s.regions_analyzed + 1
   else s.blocks_analyzed <- s.blocks_analyzed + 1;
-  s.obligation_findings <- s.obligation_findings + List.length findings;
-  acc.a_analysis <-
-    append_capped acc.a_analysis
-      (List.map (fun f -> (what, Hostir.Absint.finding_to_string f)) findings);
+  record_findings acc Absint
+    (List.map (fun f -> (what, Hostir.Absint.finding_to_string f)) findings);
   s.t_analyze <- s.t_analyze +. (now () -. ta)
 
 (* Certify one encoded translation relocation-clean (operand/control
@@ -1045,9 +1060,7 @@ let record_reloc (je : jit_env) (acc : acc) ~what ~region ~n_exits ~n_slots ?ra 
     if region then s.regions_certified <- s.regions_certified + 1
     else s.blocks_certified <- s.blocks_certified + 1
   | Error fs ->
-    s.reloc_findings <- s.reloc_findings + List.length fs;
-    acc.a_reloc <-
-      append_capped acc.a_reloc (List.map (fun f -> (what, Hostir.Reloc.finding_to_string f)) fs));
+    record_findings acc Reloc (List.map (fun f -> (what, Hostir.Reloc.finding_to_string f)) fs));
   s.t_reloc <- s.t_reloc +. (now () -. t0);
   match r with Ok c -> Some c | Error _ -> None
 
@@ -1072,9 +1085,10 @@ let pipeline_cost ~n_guest ~n_host = (1400 * n_guest) + (260 * n_host)
 (* A template-stitched block: per-guest hole evaluation/patching plus
    per-host-instruction copy/encode.  No SSA walk, DAG build, liveness
    or linear scan happens per block, so the charge is roughly an order
-   of magnitude below the pipeline's (mining itself is an offline
-   per-opcode artifact, charged zero here; [mine-templates] builds the
-   same table ahead of time). *)
+   of magnitude below the pipeline's.  Mining itself is charged zero:
+   a fragment is a pure function of the guest model, so the table is
+   an offline per-opcode artifact that mining merely memoizes (the
+   "deterministic mining" test pins this). *)
 let template_install_cost ~n_guest ~n_host = 40 + (150 * n_guest) + (25 * n_host)
 
 (* Installing from the AOT cache still costs cycles (read, verify,
@@ -1365,7 +1379,7 @@ let region_front (je : jit_env) (req : request) : result =
         else if k = 0 then (instrs, ra0, [])
         else attempt (k - 1)
       in
-      attempt cfg.promote_max_regs
+      attempt promote_max_regs
     end
   in
   s.spills <- s.spills + ra.Regalloc.n_spilled;
@@ -1392,7 +1406,7 @@ let aot_cfg_sig (e : t) : int64 =
           e.guest.Ops.model.Ssa.Offline.opt_level
           (Ssa.Offline.total_size e.guest.Ops.model)
           e.guest.Ops.insn_size c.hw_fp c.chaining c.pcid c.split_va_check c.tiering
-          c.hot_threshold c.region_max_blocks c.promote c.promote_max_regs c.templates))
+          c.hot_threshold region_max_blocks c.promote promote_max_regs c.templates))
 
 (* The AOT front end: an entry of [kind] whose guest bytes match the
    request's and whose stored code re-certifies becomes the result a
@@ -1703,12 +1717,12 @@ let select_members (e : t) (head : translation) : translation list * bool =
   let members = ref [ head ] in
   let queue = Queue.create () in
   Queue.add head queue;
-  while (not (Queue.is_empty queue)) && List.length !members < e.config.region_max_blocks do
+  while (not (Queue.is_empty queue)) && List.length !members < region_max_blocks do
     let m = Queue.pop queue in
     List.iter
       (fun va ->
         if
-          List.length !members < e.config.region_max_blocks
+          List.length !members < region_max_blocks
           && Int64.equal (Bits.align_down va 4096) va_page
           && not (List.exists (fun m' -> Int64.equal m'.t_va va) !members)
         then
@@ -2125,10 +2139,14 @@ let exec_cycles (e : t) = Machine.guest_cycles e.machine
    [domains = 1]): translate work the concurrent JIT removed from the
    vCPU's critical path. *)
 let async_jit_cycles (e : t) = e.machine.Machine.async_jit_cycles
-let reloc_log (e : t) = e.reloc_log
+
+(* One checker's logged findings, [(what, detail)] in discovery order. *)
+let log_of (e : t) checker =
+  List.filter_map
+    (fun f -> if f.fi_checker = checker then Some (f.fi_what, f.fi_detail) else None)
+    e.findings
+
 let aot_entry_count (e : t) = match e.aot with Some c -> Aotcache.entry_count c | None -> 0
-let cache_keys (e : t) = Codecache.keys e.cache
-let cache_shards (e : t) = Codecache.n_shards e.cache
 
 (* Per-translation execution statistics, for the Fig. 21 code-quality
    analysis: (translation VA, guest instrs, host instrs, executions,
@@ -2145,10 +2163,3 @@ let template_miss_table (e : t) : (string * int) list =
   Hashtbl.fold (fun name n acc -> (name, n) :: acc) e.template_miss []
   |> List.sort (fun (n1, c1) (n2, c2) ->
        if c1 <> c2 then compare c2 c1 else compare n1 n2)
-
-(* The engine's template table report, empty when the table was never
-   touched (templates off, or nothing translated). *)
-let template_report (e : t) : Hostir.Template.form_report list =
-  match e.templates with Some tt -> Hostir.Template.report tt | None -> []
-
-let template_table (e : t) : Hostir.Template.t = templates_of e

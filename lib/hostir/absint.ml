@@ -619,15 +619,6 @@ type simplify_stats = {
 let empty_simplify_stats () =
   { branches_folded = 0; consts_folded = 0; masks_dropped = 0; divs_reduced = 0; dead_deleted = 0 }
 
-let add_simplify_stats a b =
-  {
-    branches_folded = a.branches_folded + b.branches_folded;
-    consts_folded = a.consts_folded + b.consts_folded;
-    masks_dropped = a.masks_dropped + b.masks_dropped;
-    divs_reduced = a.divs_reduced + b.divs_reduced;
-    dead_deleted = a.dead_deleted + b.dead_deleted;
-  }
-
 let is_pow2 v = v <> 0L && Int64.logand v (Int64.sub v 1L) = 0L
 
 (* Cross-block liveness DCE over vregs.  Deletable: pure instructions

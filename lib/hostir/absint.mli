@@ -123,7 +123,6 @@ type simplify_stats = {
 }
 
 val empty_simplify_stats : unit -> simplify_stats
-val add_simplify_stats : simplify_stats -> simplify_stats -> simplify_stats
 
 val simplify :
   ?classify:(int -> Effects.helper_kind) ->

@@ -44,21 +44,6 @@ type stats = {
   stores_forwarded : int;  (** [Mem_ld]s satisfied by a previous store *)
 }
 
-let empty_stats =
-  { promoted = 0; wb_entries = 0; loads_rewritten = 0; stores_rewritten = 0;
-    copies_propagated = 0; rf_loads_forwarded = 0; loads_elided = 0;
-    stores_forwarded = 0 }
-
-let add_stats a b =
-  { promoted = a.promoted + b.promoted;
-    wb_entries = a.wb_entries + b.wb_entries;
-    loads_rewritten = a.loads_rewritten + b.loads_rewritten;
-    stores_rewritten = a.stores_rewritten + b.stores_rewritten;
-    copies_propagated = a.copies_propagated + b.copies_propagated;
-    rf_loads_forwarded = a.rf_loads_forwarded + b.rf_loads_forwarded;
-    loads_elided = a.loads_elided + b.loads_elided;
-    stores_forwarded = a.stores_forwarded + b.stores_forwarded }
-
 (* ------------------------------------------------------------------ *)
 (* Guest-register promotion *)
 

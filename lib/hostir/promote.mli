@@ -26,8 +26,6 @@ type stats = {
   stores_forwarded : int;  (** [Mem_ld]s satisfied by a previous store *)
 }
 
-val empty_stats : stats
-val add_stats : stats -> stats -> stats
 
 (** [run ?max_regs ?classify instrs] rewrites a region stream; returns
     the new stream, the promotion list as [(vreg, register-file byte

@@ -389,12 +389,8 @@ type frag = {
   f_labels : int;
   f_h64 : (int64, fexpr) Hashtbl.t;  (* sentinel constant -> expression *)
   f_hoff : (int, int * fexpr) Hashtbl.t;  (* sentinel rf offset -> bank, index *)
-  f_n_guest : int;
-  f_n_host : int;  (* pre-regalloc length: the pipeline-equivalent size *)
 }
 
-let frag_n_guest f = f.f_n_guest
-let frag_n_host f = f.f_n_host
 
 type variant = { v_pins : (string * int64) list; v_frag : frag }
 
@@ -592,8 +588,6 @@ let mine_variant t ~action ~name ~inc_pc ~mmu_on ~witness =
               f_labels = labels;
               f_h64 = h64;
               f_hoff = hoff;
-              f_n_guest = 1;
-              f_n_host = Array.length pre;
             };
         }
   in
@@ -705,40 +699,3 @@ let assemble t items =
   | r -> Some r
   | exception Patch_failure -> None
   | exception Division_by_zero -> None
-
-(* --- table reporting ----------------------------------------------------------- *)
-
-type form_report = {
-  fr_name : string;
-  fr_mmu : bool;
-  fr_variants : int;
-  fr_pins : int;
-  fr_host_instrs : int;
-  fr_holes : int;
-  fr_dead : string option;
-}
-
-let report t =
-  Hashtbl.fold
-    (fun (name, _ends_block, mmu) fo acc ->
-      let max_over f = List.fold_left (fun m v -> max m (f v)) 0 fo.fo_variants in
-      {
-        fr_name = name;
-        fr_mmu = mmu;
-        fr_variants = List.length fo.fo_variants;
-        fr_pins = max_over (fun v -> List.length v.v_pins);
-        fr_host_instrs = max_over (fun v -> Array.length v.v_frag.f_post);
-        fr_holes =
-          max_over (fun v ->
-              Hashtbl.length v.v_frag.f_h64 + Hashtbl.length v.v_frag.f_hoff);
-        fr_dead = fo.fo_dead;
-      }
-      :: acc)
-    t.t_forms []
-  |> List.sort compare
-
-let variant_count t =
-  Hashtbl.fold (fun _ fo acc -> acc + List.length fo.fo_variants) t.t_forms 0
-
-let dead_count t =
-  Hashtbl.fold (fun _ fo acc -> acc + (if fo.fo_dead = None then 0 else 1)) t.t_forms 0

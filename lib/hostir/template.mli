@@ -34,14 +34,6 @@ type t
     streams with holes, plus the hole tables needed to patch them. *)
 type frag
 
-(** Guest instructions covered by the fragment (always 1 today; kept in
-    the record so multi-instruction rules can ride later). *)
-val frag_n_guest : frag -> int
-
-(** Host instructions in the fragment's pre-regalloc stream (the
-    pipeline-equivalent size used by cost accounting). *)
-val frag_n_host : frag -> int
-
 (** [create ~config ~rf_bytes ~insn_size] makes an empty template table.
     [config] supplies the DAG configuration per MMU regime (the regime
     is part of the template key because it changes the emitted guard
@@ -76,23 +68,3 @@ val fragment :
     patches out of range — the caller falls back to the cold pipeline. *)
 val assemble :
   t -> (frag * (string -> int64)) list -> (Hir.instr array * Regalloc.result) option
-
-(** {2 Table reporting (mine-templates / templates subcommands)} *)
-
-type form_report = {
-  fr_name : string;  (** action name *)
-  fr_mmu : bool;
-  fr_variants : int;  (** live variants mined for this form *)
-  fr_pins : int;  (** max pinned fields across variants *)
-  fr_host_instrs : int;  (** max post-regalloc host instrs across variants *)
-  fr_holes : int;  (** max holes across variants *)
-  fr_dead : string option;  (** [Some reason] if the form is untemplatable *)
-}
-
-val report : t -> form_report list
-
-(** Total live variants in the table. *)
-val variant_count : t -> int
-
-(** Forms marked untemplatable. *)
-val dead_count : t -> int

@@ -20,8 +20,8 @@
 
 module CC = Captive.Codecache
 module CE = Captive.Engine
-module K = Workloads.Kernel
 module MS = Workloads.Mmu_stress
+module W = Workloads.Registry
 module San = Hvm.Sanitize
 
 (* --- model-based cache property ---------------------------------------- *)
@@ -131,11 +131,7 @@ let test_cache_domains () =
 
 (* --- engine: SMC between job capture and install ------------------------ *)
 
-let run_arm_stress config =
-  let e = CE.create ~config (Guest_arm.Arm.ops ()) in
-  K.install (K.captive_target e) ~user:(MS.arm_user ());
-  let code = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-  (e, code)
+let run_arm_stress config = W.boot ~config (W.arm_mmu.W.w_program ())
 
 (* A populated engine plus one plain tier-0 block to build a job from. *)
 let engine_with_head () =
@@ -230,17 +226,14 @@ let test_multi_domain_equivalence () =
       let e3, code3 =
         run_arm_stress (stress_config ~domains:3 ~seed:(Some (Int64.of_int seed)))
       in
-      Fun.protect
-        ~finally:(fun () -> CE.shutdown e3)
-        (fun () ->
-          Alcotest.(check int) "same exit code" code1 code3;
-          Alcotest.(check string) "same uart output" (CE.uart_output e1) (CE.uart_output e3);
-          CE.sanitize_check e3 ~reason:"final";
-          match e3.CE.sanitizer with
-          | Some s ->
-            List.iter (fun f -> print_endline (San.string_of_finding f)) (San.findings s);
-            Alcotest.(check bool) "no sanitizer findings" true (San.ok s)
-          | None -> Alcotest.fail "sanitizer missing"))
+      Alcotest.(check int) "same exit code" code1 code3;
+      Alcotest.(check string) "same uart output" (CE.uart_output e1) (CE.uart_output e3);
+      CE.sanitize_check e3 ~reason:"final";
+      match e3.CE.sanitizer with
+      | Some s ->
+        List.iter (fun f -> print_endline (San.string_of_finding f)) (San.findings s);
+        Alcotest.(check bool) "no sanitizer findings" true (San.ok s)
+      | None -> Alcotest.fail "sanitizer missing")
     [ 1; 2; 3 ]
 
 let test_single_domain_determinism () =

@@ -166,11 +166,9 @@ let test_mem_sparse () =
   Mem.zero_range m ~addr:0x5000L ~len:8;
   Alcotest.(check int) "partial zero_range keeps the frame" 1 (Mem.resident_frames m);
   Alcotest.(check int64) "partial zero_range zeroes" 0L (Mem.read64 m 0x4FFCL);
-  let e = Captive.Engine.create ~config:{ Captive.Engine.default_config with domains = 1 } (Guest_arm.Arm.ops ()) in
-  Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user:(Workloads.Mmu_stress.arm_user ());
-  (match Captive.Engine.run ~max_cycles:2_000_000_000 e with
-  | Captive.Engine.Poweroff 31 -> ()
-  | _ -> Alcotest.fail "ARM MMU-stress did not power off with 31");
+  let config = { Captive.Engine.default_config with domains = 1 } in
+  let e, code = Workloads.Registry.(boot ~config (arm_mmu.w_program ())) in
+  Alcotest.(check int) "ARM MMU-stress exit" 31 code;
   let resident = Mem.resident_frames e.Captive.Engine.machine.Machine.mem in
   Alcotest.(check bool) (Printf.sprintf "ARM MMU-stress boot touches %d frames (< 8192)" resident) true (resident < 8192)
 

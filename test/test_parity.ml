@@ -12,11 +12,12 @@
    by a warm boot from the same fresh directory.
 
    A mismatch prints the whole actual row, so a deliberate change to
-   the translation bookkeeping is re-recorded by pasting it in. *)
+   the translation bookkeeping is re-recorded by pasting it in.  The
+   same rows show that the checkers do not interact, and a unit test
+   pins the one finding log they share. *)
 
 module CE = Captive.Engine
-module K = Workloads.Kernel
-module MS = Workloads.Mmu_stress
+module W = Workloads.Registry
 
 let int_fields (s : CE.phase_stats) =
   [
@@ -79,37 +80,14 @@ let row (e : CE.t) ~code =
   [ ("exit", code); ("cycles", CE.cycles e); ("jit_cycles", CE.jit_cycles e) ]
   @ int_fields e.CE.stats
   @ [
-      ("validation_log", List.length e.CE.validation_log);
-      ("analysis_log", List.length e.CE.analysis_log);
-      ("reloc_log", List.length e.CE.reloc_log);
+      ("validation_log", List.length (CE.log_of e CE.Equiv));
+      ("analysis_log", List.length (CE.log_of e CE.Absint));
+      ("reloc_log", List.length (CE.log_of e CE.Reloc));
     ]
 
-let boot guest config =
-  let e =
-    match guest with
-    | `Arm ->
-      let e = CE.create ~config (Guest_arm.Arm.ops ()) in
-      K.install (K.captive_target e) ~user:(MS.arm_user ());
-      e
-    | `Riscv ->
-      let e = CE.create ~config (Guest_riscv.Riscv.ops ()) in
-      CE.load_image e ~addr:MS.riscv_entry (MS.riscv_image ());
-      CE.set_entry e MS.riscv_entry;
-      e
-  in
-  let code = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
+let boot (w : W.workload) config =
+  let e, code = W.boot ~config (w.W.w_program ()) in
   row e ~code
-
-let temp_dir () =
-  let f = Filename.temp_file "captive_parity" "" in
-  Sys.remove f;
-  f
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
 
 let base = { CE.default_config with CE.domains = 1 }
 
@@ -229,23 +207,76 @@ let check rows =
           actual want)
     bad
 
-let test_guest guest gname () =
-  let rows = List.map (fun (cname, config) -> (gname ^ "/" ^ cname, boot guest config)) configs in
-  let dir = temp_dir () in
+let test_guest w gname () =
+  let rows = List.map (fun (cname, config) -> (gname ^ "/" ^ cname, boot w config)) configs in
   let aot =
-    Fun.protect
-      ~finally:(fun () -> rm_rf dir)
-      (fun () ->
+    Temp_dir.with_dir (fun dir ->
         let config = { base with CE.aot_dir = Some dir; sanitize = true } in
-        let cold = boot guest config in
-        let warm = boot guest config in
+        let cold = boot w config in
+        let warm = boot w config in
         [ (gname ^ "/aot-cold", cold); (gname ^ "/aot-warm", warm) ])
   in
   check (rows @ aot)
 
+(* Each checker alone, with the row fields it owns. *)
+let alone =
+  [
+    ( { base with CE.validate_translations = true },
+      [ "blocks_validated"; "regions_validated"; "validation_findings"; "validations_bounded";
+        "validation_log" ] );
+    ( { base with CE.analyze_translations = true },
+      [ "blocks_analyzed"; "regions_analyzed"; "obligation_findings"; "analysis_log" ] );
+    ( { base with CE.reloc_check = true },
+      [ "blocks_certified"; "regions_certified"; "reloc_findings"; "reloc_log" ] );
+  ]
+
+(* The checkers only observe, which is what lets `check` boot each
+   (workload, level) pair once: a boot with all three on matches each
+   one-checker boot on that checker's fields and on every field no
+   checker owns (exit, cycles, ...). *)
+let test_checkers_independent w () =
+  let all =
+    boot w
+      { base with CE.validate_translations = true; analyze_translations = true; reloc_check = true }
+  in
+  let owned = List.concat_map snd alone in
+  List.iter
+    (fun (config, own) ->
+      List.iter2
+        (fun (field, got) (_, want) ->
+          if List.mem field own || not (List.mem field owned) then
+            Alcotest.(check int) field want got)
+        all (boot w config))
+    alone
+
+(* The one finding log keeps discovery order and each checker's first
+   [log_cap] findings, however they arrive; the counters stay exact. *)
+let test_finding_log () =
+  let e = CE.create (Guest_arm.Arm.ops ()) in
+  let add checker fs =
+    let acc = CE.new_acc () in
+    CE.record_findings acc checker fs;
+    CE.merge e acc
+  in
+  let names p n = List.init n (fun i -> (Printf.sprintf "%s%d" p i, "detail")) in
+  add CE.Absint (names "a" 100);
+  List.iter (fun (f, r) -> add CE.Equiv [ f ]; add CE.Reloc [ r ]) (List.combine (names "e" 100) (names "r" 100));
+  List.iter
+    (fun (checker, p) ->
+      Alcotest.(check (list (pair string string))) p (names p CE.log_cap) (CE.log_of e checker))
+    [ (CE.Equiv, "e"); (CE.Absint, "a"); (CE.Reloc, "r") ];
+  let s = e.CE.stats in
+  Alcotest.(check (list int)) "counters past the cap" [ 100; 100; 100 ]
+    [ s.CE.validation_findings; s.CE.obligation_findings; s.CE.reloc_findings ]
+
 let suite =
   ( "parity",
     [
-      Alcotest.test_case "armv8-a MMU-stress counters" `Quick (test_guest `Arm "arm");
-      Alcotest.test_case "rv64im MMU-stress counters" `Quick (test_guest `Riscv "riscv");
+      Alcotest.test_case "armv8-a MMU-stress counters" `Quick (test_guest W.arm_mmu "arm");
+      Alcotest.test_case "rv64im MMU-stress counters" `Quick (test_guest W.riscv_mmu "riscv");
+      Alcotest.test_case "armv8-a checkers do not interact" `Quick
+        (test_checkers_independent W.arm_mmu);
+      Alcotest.test_case "rv64im checkers do not interact" `Quick
+        (test_checkers_independent W.riscv_mmu);
+      Alcotest.test_case "one finding log" `Quick test_finding_log;
     ] )

@@ -22,7 +22,7 @@ module R = Reloc
 module AC = Captive.Aotcache
 module CE = Captive.Engine
 module MS = Workloads.Mmu_stress
-module K = Workloads.Kernel
+module W = Workloads.Registry
 
 let env ?(n_exits = 0) ?(n_helpers = 8) ?(n_slots = 4) ?(rf_bytes = 1024) () =
   { R.n_exits; n_helpers; n_slots; rf_bytes }
@@ -268,17 +268,6 @@ let mk_entry () =
     e_hash = R.hash64 code
   }
 
-let temp_dir () =
-  let f = Filename.temp_file "captive_aot_test" "" in
-  Sys.remove f;
-  f
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
 let test_aotcache_roundtrip () =
   let e = mk_entry () in
   let buf = Buffer.create 64 in
@@ -304,10 +293,8 @@ let test_aotcache_corruption () =
   | exception AC.Malformed _ -> ()
 
 let test_aotcache_store_reload () =
-  let dir = temp_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  Temp_dir.with_dir
+    (fun dir ->
       let t = AC.open_dir dir in
       Alcotest.(check int) "fresh cache is empty" 0 (AC.entry_count t);
       let e = mk_entry () in
@@ -338,17 +325,10 @@ let test_aotcache_store_reload () =
 (* --- warm boot: the payoff, in miniature -------------------------------------- *)
 
 let test_aot_warm_boot () =
-  let dir = temp_dir () in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
+  Temp_dir.with_dir
+    (fun dir ->
       let config = { CE.default_config with CE.aot_dir = Some dir } in
-      let boot () =
-        let e = CE.create ~config (Guest_arm.Arm.ops ()) in
-        K.install (K.captive_target e) ~user:(MS.arm_user ());
-        let code = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-        (e, code)
-      in
+      let boot () = W.boot ~config (W.arm_mmu.W.w_program ()) in
       let e_c, code_c = boot () in
       let e_w, code_w = boot () in
       Alcotest.(check int) "cold exit" MS.arm_expected_exit code_c;

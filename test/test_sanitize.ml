@@ -17,8 +17,8 @@ module Tlb = Hvm.Tlb
 module Machine = Hvm.Machine
 module San = Hvm.Sanitize
 module A = Guest_arm.Arm_asm
-module K = Workloads.Kernel
 module MS = Workloads.Mmu_stress
+module W = Workloads.Registry
 module CE = Captive.Engine
 
 (* --- unit fixtures ----------------------------------------------------- *)
@@ -162,11 +162,7 @@ let smc_stale_tlb_image () =
   A.b a "hang";
   A.assemble a
 
-let run_arm_stress config =
-  let e = CE.create ~config (Guest_arm.Arm.ops ()) in
-  K.install (K.captive_target e) ~user:(MS.arm_user ());
-  let code = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
-  (e, code)
+let run_arm_stress config = W.boot ~config (W.arm_mmu.W.w_program ())
 
 let test_smc_stale_tlb_regression () =
   let image = smc_stale_tlb_image () in
@@ -192,10 +188,7 @@ let test_sanitized_arm_stress () =
     (Dbt_util.Stats.Counters.get (San.counters s) "checkpoints" > 5)
 
 let test_sanitized_riscv_stress () =
-  let e = CE.create ~config:sanitized_config (Guest_riscv.Riscv.ops ()) in
-  CE.load_image e ~addr:MS.riscv_entry (MS.riscv_image ());
-  CE.set_entry e MS.riscv_entry;
-  let code = match CE.run ~max_cycles:2_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
+  let e, code = W.boot ~config:sanitized_config `Riscv_mmu in
   Alcotest.(check int) "riscv stress exit" MS.riscv_expected_exit code;
   CE.sanitize_check e ~reason:"final";
   let s = sanitizer_of e in
