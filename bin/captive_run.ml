@@ -10,7 +10,6 @@
      captive_run stress --json --seeds 32
      captive_run bench --quick --json
      captive_run check --json
-     captive_run aot --json
 
    `spec` runs a SPEC CPU2006 proxy under the mini guest OS, `simbench`
    one SimBench category on both engines, `boot` a demo user program on
@@ -20,19 +19,17 @@
    after every pass at O1-O4, and post-regalloc HostIR) for every guest
    model, `mmucheck` runs MMU-stress workloads on both guests with the
    online shadow-oracle sanitizer (page tables, TLB, frame accounting,
-   code-cache W^X, ring transitions) enabled, `stress` is the
-   race-focused lane for the concurrent JIT (seeded drain schedules on
-   worker domains, sanitizer + single-domain equivalence as oracles),
-   `bench` is the CI perf-regression gate against bench/baseline.json
-   (with --exact, the determinism gate: exec/jit cycle bit-identity at
-   --domains 1), `check` boots the ARM and RISC-V workloads at O1-O4
-   once each with every translate-time checker on (Hostir.Equiv
-   validation against an unoptimized reference emission, Hostir.Absint
-   obligations, Hostir.Reloc relocation certification), and `aot` is
-   the persistent-cache warm-boot gate: each
-   quick-bench workload runs cold then warm against the same on-disk
-   AOT cache, and the warm boot must spend <= 10% of the cold boot's
-   translate cycles with bit-identical guest-visible execution. *)
+   code-cache W^X, ring transitions) enabled and gates their template
+   coverage, `stress` is the race-focused lane for the concurrent JIT
+   (seeded drain schedules on worker domains, sanitizer + single-domain
+   equivalence as oracles), `bench` is the quick-workload gate (cycles
+   and speedup against bench/baseline.json, template coverage and the
+   AOT warm boot, all from one tiered boot per workload; with --exact,
+   the determinism gate: bit-identical cycles at --domains 1), and
+   `check` boots the ARM and RISC-V workloads at O1-O4 once each with
+   every translate-time checker on (Hostir.Equiv validation against an
+   unoptimized reference emission, Hostir.Absint obligations,
+   Hostir.Reloc relocation certification). *)
 
 open Cmdliner
 
@@ -67,6 +64,7 @@ let guest_models = function
   | `All -> [ Guest_arm.Arm.ops (); Guest_riscv.Riscv.ops () ]
 
 module W = Workloads.Registry
+module CE = Captive.Engine
 
 let verbose_stats_captive (e : Captive.Engine.t) =
   let s = e.Captive.Engine.stats in
@@ -399,6 +397,32 @@ let lint_cmd =
        ~doc:"Statically verify decode tables, SSA passes (O1-O4) and HostIR for every guest.")
     Term.(ret (const run $ guest $ json))
 
+(* --- template coverage ------------------------------------------------------------- *)
+
+(* The template-coverage gate of `bench` (the SPEC proxies) and
+   `mmucheck` (the OS boots): at least [min_coverage] percent of the
+   guest instructions a boot translated must come from the template
+   tier.  A boot below the floor fails through [fail], with its
+   per-opcode miss table.  Returns the percentage and the row's JSON
+   fields. *)
+let min_coverage = 75.
+
+let template_coverage ~fail name (s : CE.phase_stats) misses =
+  let pct =
+    100. *. float_of_int s.CE.template_instrs /. float_of_int (max 1 s.CE.guest_instrs_translated)
+  in
+  if pct < min_coverage then
+    fail
+      (String.concat "\n"
+         (Printf.sprintf "%s: template coverage %.1f%% below %.0f%%" name pct min_coverage
+         :: List.map (fun (op, n) -> Printf.sprintf "    miss %-24s x%d" op n) misses));
+  ( pct,
+    Printf.sprintf
+      "\"coverage_pct\":%.2f,\"template_instrs\":%d,\"guest_instrs_translated\":%d,\"template_blocks\":%d,\"blocks_translated\":%d,\"template_fallback_blocks\":%d,\"template_misses\":%d,\"templates_mined\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d"
+      pct s.CE.template_instrs s.CE.guest_instrs_translated s.CE.template_blocks
+      s.CE.blocks_translated s.CE.template_fallback_blocks s.CE.template_misses
+      s.CE.templates_mined s.CE.translate_cycles_template s.CE.translate_cycles_pipeline )
+
 (* --- mmucheck ------------------------------------------------------------------------ *)
 
 (* Online counterpart of `lint`: boot the ARM mini-OS and RISC-V
@@ -407,8 +431,10 @@ let lint_cmd =
    SMC invalidation and every N translated blocks — and report the
    per-checker counters.  All five checkers run at every checkpoint:
    page tables vs. shadow, TLB derivability, frame accounting, code
-   cache W^X/content coherence, and the ring audit.  Exit status is
-   non-zero on any finding or on a wrong guest exit code.
+   cache W^X/content coherence, and the ring audit.  The same boots
+   carry the OS boots' template-coverage gate.  Exit status is non-zero
+   on any finding, on coverage below the floor or on a wrong guest exit
+   code.
 
    --guard reruns the ARM workload with the sanitizer off and asserts
    that cycle counts and exit codes match the sanitized run exactly:
@@ -435,34 +461,32 @@ let mmucheck_cmd =
     let summary = Counters.create () in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
-    let config =
-      { Captive.Engine.default_config with Captive.Engine.sanitize = true; sanitize_every = every }
+    let fail line =
+      incr failures;
+      shout ("  " ^ line)
     in
-    let report name (e : Captive.Engine.t) ~code ~expected =
+    let config =
+      { CE.default_config with CE.sanitize = true; sanitize_every = every }
+    in
+    let report name (e : CE.t) ~code ~expected =
       (* One final sweep so even a quiet run ends with a checkpoint. *)
-      Captive.Engine.sanitize_check e ~reason:"final";
-      match e.Captive.Engine.sanitizer with
-      | None -> ()
-      | Some s ->
-        let fnd = Hvm.Sanitize.findings s in
-        List.iter
-          (fun f ->
-            incr failures;
-            shout (Printf.sprintf "  %s: %s" name (Hvm.Sanitize.string_of_finding f)))
-          fnd;
-        if code <> expected then begin
-          incr failures;
-          shout (Printf.sprintf "  %s: exit code %d, expected %d" name code expected)
-        end;
-        let c = Hvm.Sanitize.counters s in
-        List.iter (fun (n, v) -> Counters.bump summary n ~by:v) (Counters.to_list c);
-        if json then
-          Printf.printf
-            "{\"kind\":\"workload\",\"name\":%s,\"exit\":%d,\"expected\":%d,\"findings\":%d,\"counters\":%s}\n"
-            (Dbt_util.Stats.json_string name) code expected (List.length fnd) (Counters.to_json c)
-        else
-          say "%s: exit %d (expected %d), %d finding(s)\n%s\n" name code expected
-            (List.length fnd) (Counters.report c)
+      CE.sanitize_check e ~reason:"final";
+      let s = Option.get e.CE.sanitizer in
+      let fnd = Hvm.Sanitize.findings s in
+      List.iter (fun f -> fail (Printf.sprintf "%s: %s" name (Hvm.Sanitize.string_of_finding f))) fnd;
+      if code <> expected then fail (Printf.sprintf "%s: exit code %d, expected %d" name code expected);
+      let pct, coverage = template_coverage ~fail name e.CE.stats (CE.template_miss_table e) in
+      let c = Hvm.Sanitize.counters s in
+      List.iter (fun (n, v) -> Counters.bump summary n ~by:v) (Counters.to_list c);
+      if json then
+        Printf.printf
+          "{\"kind\":\"workload\",\"name\":%s,\"exit\":%d,\"expected\":%d,\"findings\":%d,%s,\"counters\":%s}\n"
+          (Dbt_util.Stats.json_string name) code expected (List.length fnd) coverage
+          (Counters.to_json c)
+      else
+        say "%s: exit %d (expected %d), %d finding(s), template coverage %.1f%%\n%s\n" name code
+          expected (List.length fnd) pct (Counters.report c);
+      pct
     in
     (* Rows are named by guest; the ARM run comes first. *)
     let runs =
@@ -472,24 +496,21 @@ let mmucheck_cmd =
           let name = match program with `Arm_user _ -> "armv8-a" | `Riscv_mmu -> "rv64im" in
           say "mmucheck: %s MMU stress under the shadow-oracle sanitizer\n%!" name;
           let e, code = W.boot ~config program in
-          report name e ~code ~expected:w.W.w_exit;
-          (e, code))
+          (e, code, report name e ~code ~expected:w.W.w_exit))
         W.mmu_stress
     in
     if guard then begin
-      let e_arm, code_arm = List.hd runs in
+      let e_arm, code_arm, _ = List.hd runs in
       let e_off, code_off =
-        W.boot ~config:{ config with Captive.Engine.sanitize = false } (W.arm_mmu.W.w_program ())
+        W.boot ~config:{ config with CE.sanitize = false } (W.arm_mmu.W.w_program ())
       in
-      let cy_off = Captive.Engine.cycles e_off and cy_on = Captive.Engine.cycles e_arm in
+      let cy_off = CE.cycles e_off and cy_on = CE.cycles e_arm in
       let ok = code_off = code_arm && cy_off = cy_on in
-      if not ok then begin
-        incr failures;
-        shout
+      if not ok then
+        fail
           (Printf.sprintf
-             "  guard: sanitizer perturbs execution (off: exit %d, %d cycles; on: exit %d, %d cycles)"
-             code_off cy_off code_arm cy_on)
-      end;
+             "guard: sanitizer perturbs execution (off: exit %d, %d cycles; on: exit %d, %d cycles)"
+             code_off cy_off code_arm cy_on);
       if json then
         Printf.printf
           "{\"kind\":\"guard\",\"cycles_off\":%d,\"cycles_on\":%d,\"exit_off\":%d,\"exit_on\":%d,\"ok\":%b}\n"
@@ -498,9 +519,11 @@ let mmucheck_cmd =
         say "guard: sanitizer-off cycles %d, sanitizer-on cycles %d: %s\n" cy_off cy_on
           (if ok then "identical" else "MISMATCH")
     end;
+    let min_pct = List.fold_left (fun a (_, _, p) -> min a p) 100. runs in
     if json then
-      Printf.printf "{\"kind\":\"summary\",\"workloads\":2,\"findings\":%d,\"counters\":%s}\n"
-        !failures (Counters.to_json summary)
+      Printf.printf
+        "{\"kind\":\"summary\",\"workloads\":2,\"findings\":%d,\"min_coverage_pct\":%.2f,\"counters\":%s}\n"
+        !failures min_pct (Counters.to_json summary)
     else say "\nmmucheck counters:\n%s" (Counters.report summary);
     if !failures = 0 then begin
       if not json then print_endline "mmucheck: no findings";
@@ -510,7 +533,8 @@ let mmucheck_cmd =
   in
   Cmd.v
     (Cmd.info "mmucheck"
-       ~doc:"Run the ARM and RISC-V MMU-stress workloads under the shadow-oracle sanitizer.")
+       ~doc:"Run the ARM and RISC-V MMU-stress workloads under the shadow-oracle sanitizer \
+             and gate their template coverage.")
     Term.(ret (const run $ json $ guard $ every))
 
 (* --- stress -------------------------------------------------------------------------- *)
@@ -655,22 +679,40 @@ let stress_cmd =
              equivalence.")
     Term.(ret (const run $ json $ seeds $ domains))
 
-(* --- bench --------------------------------------------------------------------------- *)
+(* --- bench ---------------------------------------------------------------------------- *)
 
-(* The CI perf-regression gate.  `bench --quick` runs a handful of
-   loop-heavy SPEC proxies on three engines — Captive with tiering, Captive
-   tier-0-only, and the QEMU-style reference engine — and emits one flat
-   JSON object per workload plus a summary (`--json`), in exactly the
-   shape `bench/baseline.json` is committed in.  When a baseline is
-   available the verdict gates: the run fails if tiered Captive cycles on
-   any workload regress by more than 5% over the baseline, or if the
-   Captive-vs-QEMU speedup drops below baseline - 5%.  Scaling reuses the
-   harness's BENCH_SCALE convention so the quick set stays under ~60s. *)
+(* The quick-workload gate.  `bench --quick` runs a handful of
+   loop-heavy SPEC proxies on three engines — Captive with tiering,
+   Captive tier-0-only, and the QEMU-style reference engine — and emits
+   one flat JSON object per workload plus a summary (`--json`), in the
+   shape `bench/baseline.json` is committed in.  The tiered boot answers
+   every question asked of a workload:
+
+   - perf: when a baseline is available, the run fails if tiered Captive
+     cycles regress by more than 5% over it, if the Captive-vs-QEMU
+     speedup drops below baseline - 5%, or if translate_cpgi rises by
+     more than 5%; --exact (the determinism gate) also demands
+     bit-identical exec_cycles, jit_cycles and translate_cycles_template;
+   - template coverage: the floor of [template_coverage];
+   - AOT: the tiered boot runs against a fresh cache directory, which
+     makes it the AOT cold boot without moving any of its cycles
+     (test_parity).  A warm boot on a fresh engine then reinstalls the
+     persisted code, and must spend at most [aot_max_ratio] percent of
+     the cold boot's translate cycles, with bit-identical guest
+     execution cycles (translation is pure overhead, so where the code
+     came from must be invisible to the guest), the same exit code, no
+     rejected entry and no relocation finding.
+
+   Scaling reuses the harness's BENCH_SCALE convention so the quick set
+   stays under ~60s. *)
 
 module MJ = Dbt_util.Minijson
 
+let aot_max_ratio = 10.
+
 type bench_row = {
   br_name : string;
+  br_exit : int; (* tiered Captive exit code *)
   br_exit_ok : bool;
   br_tiered : int; (* tiered Captive cycles *)
   br_untiered : int;
@@ -684,25 +726,39 @@ type bench_row = {
   br_exec : int; (* guest-execution cycles, tiered (cycles - jit) *)
   br_jit : int; (* total JIT cycles, tiered (sync + async) *)
   br_async_jit : int; (* JIT cycles charged from worker-domain installs *)
-  br_stats : Captive.Engine.phase_stats;
+  br_stats : CE.phase_stats;
+  br_coverage : float * string; (* [template_coverage] of the tiered boot *)
+  br_warm_exit : int; (* AOT warm boot *)
+  br_warm_exec : int;
+  br_warm_ratio : float; (* warm / cold translate cycles, percent *)
+  br_warm_stats : CE.phase_stats;
+  br_aot_entries : int; (* cache entries after the warm boot *)
 }
 
-let bench_run_one ~scale ~domains ?hot_threshold name : bench_row =
+(* A fresh directory path for one workload's AOT cache; the directory
+   and its entries are removed afterwards. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "captive_aot" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
+
+let bench_run_one ~scale ~domains ~fail name : bench_row =
   let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
   let run_captive config = W.boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
-  let e_t, code_t =
-    let c = { Captive.Engine.default_config with Captive.Engine.domains } in
-    let c =
-      match hot_threshold with
-      | Some h -> { c with Captive.Engine.hot_threshold = h }
-      | None -> c
-    in
-    run_captive c
+  let (e_t, code_t), (e_w, code_w) =
+    with_temp_dir (fun dir ->
+        let config = { CE.default_config with CE.domains; aot_dir = Some dir } in
+        let cold = run_captive config in
+        (cold, run_captive config))
   in
-  let e_u, code_u =
-    run_captive { Captive.Engine.default_config with Captive.Engine.tiering = false }
-  in
-  let cy_u = Captive.Engine.cycles e_u in
+  let e_u, code_u = run_captive { CE.default_config with CE.tiering = false } in
+  let cy_u = CE.cycles e_u in
   let e_q = Qemu_ref.Qemu_engine.create (Guest_arm.Arm.ops ()) in
   Workloads.Kernel.install (Workloads.Kernel.qemu_target e_q) ~user;
   let code_q =
@@ -710,102 +766,137 @@ let bench_run_one ~scale ~domains ?hot_threshold name : bench_row =
     | Qemu_ref.Qemu_engine.Poweroff c -> c
     | _ -> -2
   in
-  let cy_t = Captive.Engine.cycles e_t and cy_q = Qemu_ref.Qemu_engine.cycles e_q in
+  let cy_t = CE.cycles e_t and cy_q = Qemu_ref.Qemu_engine.cycles e_q in
+  let s = e_t.CE.stats and sw = e_w.CE.stats in
+  let exit_ok = code_t = code_u && code_t = code_q && code_t >= 0 in
+  if not exit_ok then fail (name ^ ": engines disagree on exit code");
+  let coverage = template_coverage ~fail name s (CE.template_miss_table e_t) in
+  (* The AOT warm-boot gate. *)
+  let xc = CE.exec_cycles e_t and xw = CE.exec_cycles e_w in
+  let tc = s.CE.translate_cycles and tw = sw.CE.translate_cycles in
+  let ratio = 100. *. float_of_int tw /. float_of_int (max 1 tc) in
+  if code_w <> code_t then
+    fail (Printf.sprintf "%s: AOT exit codes cold %d / warm %d" name code_t code_w);
+  if xw <> xc then
+    fail (Printf.sprintf "%s: AOT guest execution cycles differ (cold %d, warm %d)" name xc xw);
+  if ratio > aot_max_ratio then
+    fail
+      (Printf.sprintf "%s: AOT warm translate cycles %d are %.1f%% of cold %d (limit %.0f%%)"
+         name tw ratio tc aot_max_ratio);
+  if sw.CE.aot_rejects > 0 then
+    fail (Printf.sprintf "%s: AOT warm boot rejected %d cache entr(ies)" name sw.CE.aot_rejects);
+  if sw.CE.reloc_findings > 0 then
+    fail
+      (String.concat "\n"
+         (Printf.sprintf "%s: AOT warm boot: %d relocation finding(s)" name sw.CE.reloc_findings
+         :: List.map
+              (fun (what, detail) -> Printf.sprintf "  %s %s\n    %s" name what detail)
+              (CE.log_of e_w CE.Reloc)));
   {
     br_name = name;
-    br_exit_ok = code_t = code_u && code_t = code_q && code_t >= 0;
+    br_exit = code_t;
+    br_exit_ok = exit_ok;
     br_tiered = cy_t;
     br_untiered = cy_u;
     br_qemu = cy_q;
     br_speedup = float_of_int cy_q /. float_of_int (max 1 cy_t);
     br_gain_pct = 100. *. float_of_int (cy_u - cy_t) /. float_of_int (max 1 cy_u);
-    br_hinstrs = e_t.Captive.Engine.ctx.Hostir.Exec.instrs_executed;
-    br_hinstrs_u = e_u.Captive.Engine.ctx.Hostir.Exec.instrs_executed;
-    br_rf_loads = e_t.Captive.Engine.ctx.Hostir.Exec.rf_loads;
-    br_rf_stores = e_t.Captive.Engine.ctx.Hostir.Exec.rf_stores;
-    br_exec = Captive.Engine.exec_cycles e_t;
-    br_jit = Captive.Engine.jit_cycles e_t;
-    br_async_jit = Captive.Engine.async_jit_cycles e_t;
-    br_stats = e_t.Captive.Engine.stats;
+    br_hinstrs = e_t.CE.ctx.Hostir.Exec.instrs_executed;
+    br_hinstrs_u = e_u.CE.ctx.Hostir.Exec.instrs_executed;
+    br_rf_loads = e_t.CE.ctx.Hostir.Exec.rf_loads;
+    br_rf_stores = e_t.CE.ctx.Hostir.Exec.rf_stores;
+    br_exec = xc;
+    br_jit = CE.jit_cycles e_t;
+    br_async_jit = CE.async_jit_cycles e_t;
+    br_stats = s;
+    br_coverage = coverage;
+    br_warm_exit = code_w;
+    br_warm_exec = xw;
+    br_warm_ratio = ratio;
+    br_warm_stats = sw;
+    br_aot_entries = CE.aot_entry_count e_w;
   }
 
 (* translate_cpgi: simulated translate cycles per guest instruction
-   translated — the ROADMAP's translation-cost metric, and what the
-   template tier and the AOT warm-boot gate drive toward zero. *)
-let bench_cpgi (s : Captive.Engine.phase_stats) =
-  float_of_int s.Captive.Engine.translate_cycles
-  /. float_of_int (max 1 s.Captive.Engine.guest_instrs_translated)
+   translated — the ROADMAP's translation-cost metric; template_cpgi
+   is the same for the template tier alone, i.e. the cold-translate
+   cost of a boot in which nothing has been promoted yet. *)
+let per_instr cycles instrs = float_of_int cycles /. float_of_int (max 1 instrs)
+let bench_cpgi (s : CE.phase_stats) = per_instr s.CE.translate_cycles s.CE.guest_instrs_translated
 
 let bench_row_json r =
-  let s = r.br_stats in
+  let s = r.br_stats and sw = r.br_warm_stats in
   (* Per-phase translate-time breakdown (milliseconds): lets the CI perf
      gate's artifact show where translate time went, so a regression in
      e.g. the analysis phase is attributable from the JSON alone.  The
-     baseline gate itself reads only captive_cycles, speedup and
-     translate_cpgi.  The translate ledger and wall timers are split per
-     tier: template (tier minus one) vs pipeline (tier 0 + regions). *)
+     translate ledger and wall timers are split per tier: template (tier
+     minus one) vs pipeline (tier 0 + regions).  The warm_* fields are
+     the AOT warm boot's. *)
   let ms t = 1000. *. t in
-  let cpgi = bench_cpgi s in
   Printf.sprintf
-    "{\"kind\":\"workload\",\"name\":%s,\"exit_ok\":%b,\"captive_cycles\":%d,\"exec_cycles\":%d,\"jit_cycles\":%d,\"async_jit_cycles\":%d,\"captive_untiered_cycles\":%d,\"qemu_cycles\":%d,\"speedup\":%.4f,\"tiered_gain_pct\":%.2f,\"host_instrs\":%d,\"host_instrs_untiered\":%d,\"promotions\":%d,\"regions\":%d,\"region_blocks\":%d,\"region_entries\":%d,\"region_block_execs\":%d,\"region_dead_stores\":%d,\"rf_loads\":%d,\"rf_stores\":%d,\"rf_promoted\":%d,\"region_wb_entries\":%d,\"mem_loads_elided\":%d,\"stores_forwarded\":%d,\"absint_branches_folded\":%d,\"absint_consts_folded\":%d,\"absint_masks_dropped\":%d,\"absint_divs_reduced\":%d,\"absint_dead_deleted\":%d,\"translate_cycles\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"translate_cpgi\":%.2f,\"template_blocks\":%d,\"template_instrs\":%d,\"template_misses\":%d,\"template_fallback_blocks\":%d,\"templates_mined\":%d,\"t_decode_ms\":%.2f,\"t_translate_ms\":%.2f,\"t_template_ms\":%.2f,\"t_tier0_ms\":%.2f,\"t_region_ms\":%.2f,\"t_regalloc_ms\":%.2f,\"t_encode_ms\":%.2f,\"t_validate_ms\":%.2f,\"t_analyze_ms\":%.2f}"
+    "{\"kind\":\"workload\",\"name\":%s,\"exit\":%d,\"exit_ok\":%b,\"captive_cycles\":%d,\"exec_cycles\":%d,\"jit_cycles\":%d,\"async_jit_cycles\":%d,\"captive_untiered_cycles\":%d,\"qemu_cycles\":%d,\"speedup\":%.4f,\"tiered_gain_pct\":%.2f,\"host_instrs\":%d,\"host_instrs_untiered\":%d,\"promotions\":%d,\"regions\":%d,\"region_blocks\":%d,\"region_entries\":%d,\"region_block_execs\":%d,\"region_dead_stores\":%d,\"rf_loads\":%d,\"rf_stores\":%d,\"rf_promoted\":%d,\"region_wb_entries\":%d,\"mem_loads_elided\":%d,\"stores_forwarded\":%d,\"absint_branches_folded\":%d,\"absint_consts_folded\":%d,\"absint_masks_dropped\":%d,\"absint_divs_reduced\":%d,\"absint_dead_deleted\":%d,\"translate_cycles\":%d,\"translate_cpgi\":%.2f,\"template_cpgi\":%.2f,%s,\"aot_stores\":%d,\"warm_exit\":%d,\"warm_exec_cycles\":%d,\"warm_translate_cycles\":%d,\"warm_ratio_pct\":%.2f,\"warm_translate_cycles_template\":%d,\"warm_translate_cycles_pipeline\":%d,\"warm_template_blocks\":%d,\"warm_aot_hits\":%d,\"warm_aot_misses\":%d,\"warm_aot_rejects\":%d,\"aot_entries\":%d,\"t_decode_ms\":%.2f,\"t_translate_ms\":%.2f,\"t_template_ms\":%.2f,\"t_tier0_ms\":%.2f,\"t_region_ms\":%.2f,\"t_regalloc_ms\":%.2f,\"t_encode_ms\":%.2f,\"t_validate_ms\":%.2f,\"t_analyze_ms\":%.2f}"
     (Dbt_util.Stats.json_string r.br_name)
-    r.br_exit_ok r.br_tiered r.br_exec r.br_jit r.br_async_jit r.br_untiered r.br_qemu
-    r.br_speedup r.br_gain_pct r.br_hinstrs
-    r.br_hinstrs_u s.Captive.Engine.promotions s.Captive.Engine.regions_formed
-    s.Captive.Engine.region_blocks s.Captive.Engine.region_entries
-    s.Captive.Engine.region_block_execs s.Captive.Engine.region_dead_stores r.br_rf_loads
-    r.br_rf_stores s.Captive.Engine.rf_promoted s.Captive.Engine.region_wb_entries
-    s.Captive.Engine.mem_loads_elided s.Captive.Engine.stores_forwarded
-    s.Captive.Engine.absint_branches_folded s.Captive.Engine.absint_consts_folded
-    s.Captive.Engine.absint_masks_dropped s.Captive.Engine.absint_divs_reduced
-    s.Captive.Engine.absint_dead_deleted s.Captive.Engine.translate_cycles
-    s.Captive.Engine.translate_cycles_template s.Captive.Engine.translate_cycles_pipeline cpgi
-    s.Captive.Engine.template_blocks s.Captive.Engine.template_instrs
-    s.Captive.Engine.template_misses s.Captive.Engine.template_fallback_blocks
-    s.Captive.Engine.templates_mined
-    (ms s.Captive.Engine.t_decode)
-    (ms s.Captive.Engine.t_translate) (ms s.Captive.Engine.t_template)
-    (ms s.Captive.Engine.t_tier0) (ms s.Captive.Engine.t_region)
-    (ms s.Captive.Engine.t_regalloc)
-    (ms s.Captive.Engine.t_encode) (ms s.Captive.Engine.t_validate)
-    (ms s.Captive.Engine.t_analyze)
+    r.br_exit r.br_exit_ok r.br_tiered r.br_exec r.br_jit r.br_async_jit r.br_untiered r.br_qemu
+    r.br_speedup r.br_gain_pct r.br_hinstrs r.br_hinstrs_u s.CE.promotions s.CE.regions_formed
+    s.CE.region_blocks s.CE.region_entries s.CE.region_block_execs s.CE.region_dead_stores
+    r.br_rf_loads r.br_rf_stores s.CE.rf_promoted s.CE.region_wb_entries s.CE.mem_loads_elided
+    s.CE.stores_forwarded s.CE.absint_branches_folded s.CE.absint_consts_folded
+    s.CE.absint_masks_dropped s.CE.absint_divs_reduced s.CE.absint_dead_deleted
+    s.CE.translate_cycles (bench_cpgi s)
+    (per_instr s.CE.translate_cycles_template s.CE.template_instrs)
+    (snd r.br_coverage) s.CE.aot_stores r.br_warm_exit r.br_warm_exec sw.CE.translate_cycles
+    r.br_warm_ratio sw.CE.translate_cycles_template sw.CE.translate_cycles_pipeline
+    sw.CE.template_blocks sw.CE.aot_hits sw.CE.aot_misses sw.CE.aot_rejects r.br_aot_entries
+    (ms s.CE.t_decode) (ms s.CE.t_translate) (ms s.CE.t_template) (ms s.CE.t_tier0)
+    (ms s.CE.t_region) (ms s.CE.t_regalloc) (ms s.CE.t_encode) (ms s.CE.t_validate)
+    (ms s.CE.t_analyze)
 
-(* Parse a committed baseline: one flat JSON object per line, keyed by
-   "name".  "captive_cycles", "speedup" and "translate_cpgi" (when
-   present) gate with tolerance; "exec_cycles"/"jit_cycles" (when
-   present) gate bit-exactly under --exact — the determinism lane's
-   cycle-identity check. *)
-let bench_load_baseline file :
-    (string * (float * float * float option * (float * float) option)) list =
+(* A committed baseline: one flat JSON object per line; the workload
+   rows' fields keyed by "name". *)
+let bench_load_baseline file =
   if not (Sys.file_exists file) then []
-  else begin
-    let ic = open_in file in
-    let rows = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         match MJ.parse_line_opt line with
-         | Some fields when MJ.find_string fields "kind" = Some "workload" -> (
-           match
-             (MJ.find_string fields "name", MJ.find_number fields "captive_cycles",
-              MJ.find_number fields "speedup")
-           with
-           | Some n, Some c, Some s ->
-             let xj =
-               match
-                 (MJ.find_number fields "exec_cycles", MJ.find_number fields "jit_cycles")
-               with
-               | Some x, Some j -> Some (x, j)
-               | _ -> None
-             in
-             rows := (n, (c, s, MJ.find_number fields "translate_cpgi", xj)) :: !rows
-           | _ -> ())
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !rows
-  end
+  else
+    In_channel.with_open_text file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match MJ.parse_line_opt line with
+           | Some fields when MJ.find_string fields "kind" = Some "workload" ->
+             Option.map (fun n -> (n, fields)) (MJ.find_string fields "name")
+           | _ -> None)
+
+(* The baseline gate on one row: "captive_cycles", "speedup" and
+   "translate_cpgi" gate with 5% tolerance; under --exact,
+   "exec_cycles", "jit_cycles" and "translate_cycles_template" must
+   also be present and bit-identical. *)
+let bench_gate ~fail ~exact r fields =
+  let num = MJ.find_number fields in
+  let name = r.br_name in
+  (match num "captive_cycles" with
+  | Some bc when float_of_int r.br_tiered > bc *. 1.05 ->
+    fail (Printf.sprintf "%s: captive cycles regressed >5%% (%d vs baseline %.0f)" name r.br_tiered bc)
+  | _ -> ());
+  (match num "speedup" with
+  | Some bs when r.br_speedup < bs *. 0.95 ->
+    fail
+      (Printf.sprintf "%s: captive-vs-qemu speedup %.2fx below baseline %.2fx - 5%%" name
+         r.br_speedup bs)
+  | _ -> ());
+  (match num "translate_cpgi" with
+  | Some bt when bench_cpgi r.br_stats > bt *. 1.05 ->
+    fail
+      (Printf.sprintf "%s: translate_cpgi regressed >5%% (%.1f vs baseline %.1f)" name
+         (bench_cpgi r.br_stats) bt)
+  | _ -> ());
+  if exact then
+    List.iter
+      (fun (key, got) ->
+        match num key with
+        | Some want when float_of_int got = want -> ()
+        | Some want ->
+          fail (Printf.sprintf "%s: %s %d not bit-identical to baseline %.0f" name key got want)
+        | None -> fail (Printf.sprintf "%s: --exact but baseline has no %s" name key))
+      [ ("exec_cycles", r.br_exec); ("jit_cycles", r.br_jit);
+        ("translate_cycles_template", r.br_stats.CE.translate_cycles_template) ]
 
 let bench_cmd =
   let json =
@@ -823,125 +914,64 @@ let bench_cmd =
   in
   let exact =
     Arg.(value & flag & info [ "exact" ]
-           ~doc:"Determinism gate: additionally require exec_cycles and jit_cycles to be \
-                 bit-identical to the baseline's (fails if the baseline lacks those \
-                 fields).  Meaningful with --domains 1, where the cycle model is \
-                 deterministic.")
+           ~doc:"Determinism gate: additionally require exec_cycles, jit_cycles and \
+                 translate_cycles_template to be bit-identical to the baseline's (fails if \
+                 the baseline lacks those fields).  Meaningful with --domains 1, where the \
+                 cycle model is deterministic.")
   in
   let domains =
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"D"
            ~doc:"Domains for the tiered Captive engine (1 = synchronous JIT; D > 1 adds \
                  D-1 worker domains).")
   in
-  let hot_threshold =
-    Arg.(value & opt (some int) None & info [ "hot-threshold" ] ~docv:"N"
-           ~doc:"Override the tiered engine's promotion threshold.  A large value keeps \
-                 every block in the template/tier-0 stage — the CI cold-translate gate \
-                 uses this to measure pure cold-boot translate cost.")
-  in
-  let run json quick baseline scale exact domains hot_threshold =
+  let run json quick baseline scale exact domains =
     let names = if quick then W.quick_bench else W.full_bench in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
+    let failures = ref 0 in
+    let fail line =
+      incr failures;
+      shout ("bench: " ^ line)
+    in
     say "bench%s: %d workloads at scale %d, %d domain(s) (captive tiered / captive tier-0 / qemu)\n%!"
       (if quick then " --quick" else "")
       (List.length names) scale domains;
-    let rows = List.map (bench_run_one ~scale ~domains ?hot_threshold) names in
-    let failures = ref 0 in
-    List.iter
-      (fun r ->
-        if json then print_endline (bench_row_json r)
-        else
-          say "%-16s captive %11d  tier-0 %11d  qemu %11d  speedup %5.2fx  tiered gain %+5.1f%%  (regions %d/%d blocks)%s\n"
-            r.br_name r.br_tiered r.br_untiered r.br_qemu r.br_speedup r.br_gain_pct
-            r.br_stats.Captive.Engine.regions_formed r.br_stats.Captive.Engine.region_blocks
-            (if r.br_exit_ok then "" else "  EXIT MISMATCH");
-        if not r.br_exit_ok then begin
-          incr failures;
-          shout (Printf.sprintf "bench: %s: engines disagree on exit code" r.br_name)
-        end)
-      rows;
+    let rows =
+      List.map
+        (fun name ->
+          let r = bench_run_one ~scale ~domains ~fail name in
+          if json then print_endline (bench_row_json r)
+          else
+            say "%-16s captive %11d  tier-0 %11d  qemu %11d  speedup %5.2fx  tiered gain %+5.1f%%  (regions %d/%d blocks)  templates %5.1f%%  AOT warm %4.1f%%%s\n"
+              r.br_name r.br_tiered r.br_untiered r.br_qemu r.br_speedup r.br_gain_pct
+              r.br_stats.CE.regions_formed r.br_stats.CE.region_blocks (fst r.br_coverage)
+              r.br_warm_ratio
+              (if r.br_exit_ok then "" else "  EXIT MISMATCH");
+          r)
+        names
+    in
     let geomean f =
       exp (List.fold_left (fun a r -> a +. log (max 1e-9 (f r))) 0. rows
            /. float_of_int (max 1 (List.length rows)))
     in
     let gm_speedup = geomean (fun r -> r.br_speedup) in
+    let min_pct = List.fold_left (fun a r -> min a (fst r.br_coverage)) 100. rows in
     let baseline_file =
       match baseline with
       | Some f -> f
       | None -> Filename.concat "bench" "baseline.json"
     in
     let base = bench_load_baseline baseline_file in
-    let gate =
-      if base = [] then begin
-        if exact then begin
-          incr failures;
-          shout "bench: --exact requires a baseline with exec_cycles/jit_cycles"
-        end;
-        if exact then "fail" else "no-baseline"
-      end
-      else begin
-        List.iter
-          (fun r ->
-            match List.assoc_opt r.br_name base with
-            | None -> ()
-            | Some (bc, bs, bcpgi, bxj) ->
-              (* A --hot-threshold override changes the tiering policy, so
-                 the absolute-cycles and speedup gates no longer compare
-                 like with like; only translate_cpgi (what the override
-                 exists to isolate) still gates. *)
-              let comparable = hot_threshold = None in
-              if comparable && float_of_int r.br_tiered > bc *. 1.05 then begin
-                incr failures;
-                shout
-                  (Printf.sprintf
-                     "bench: %s: captive cycles regressed >5%% (%d vs baseline %.0f)" r.br_name
-                     r.br_tiered bc)
-              end;
-              if comparable && r.br_speedup < bs *. 0.95 then begin
-                incr failures;
-                shout
-                  (Printf.sprintf
-                     "bench: %s: captive-vs-qemu speedup %.2fx below baseline %.2fx - 5%%"
-                     r.br_name r.br_speedup bs)
-              end;
-              (match bcpgi with
-              | Some bt when bench_cpgi r.br_stats > bt *. 1.05 ->
-                (* The cold-translate gate: templates must keep the
-                   simulated translate cost per guest instruction from
-                   creeping back up. *)
-                incr failures;
-                shout
-                  (Printf.sprintf
-                     "bench: %s: translate_cpgi regressed >5%% (%.1f vs baseline %.1f)"
-                     r.br_name (bench_cpgi r.br_stats) bt)
-              | _ -> ());
-              if exact then begin
-                match bxj with
-                | None ->
-                  incr failures;
-                  shout
-                    (Printf.sprintf
-                       "bench: %s: --exact but baseline has no exec_cycles/jit_cycles"
-                       r.br_name)
-                | Some (bx, bj) ->
-                  if float_of_int r.br_exec <> bx || float_of_int r.br_jit <> bj then begin
-                    incr failures;
-                    shout
-                      (Printf.sprintf
-                         "bench: %s: cycle split not bit-identical to baseline (exec %d vs \
-                          %.0f, jit %d vs %.0f)"
-                         r.br_name r.br_exec bx r.br_jit bj)
-                  end
-              end)
-          rows;
-        if !failures = 0 then "pass" else "fail"
-      end
-    in
+    if base = [] && exact then
+      fail "--exact requires a baseline with exec_cycles/jit_cycles/translate_cycles_template";
+    List.iter
+      (fun r -> Option.iter (bench_gate ~fail ~exact r) (List.assoc_opt r.br_name base))
+      rows;
+    let gate = if !failures > 0 then "fail" else if base = [] then "no-baseline" else "pass" in
     if json then
       Printf.printf
-        "{\"kind\":\"summary\",\"workloads\":%d,\"scale\":%d,\"geomean_speedup\":%.4f,\"gate\":%s,\"failures\":%d}\n"
-        (List.length rows) scale gm_speedup
+        "{\"kind\":\"summary\",\"workloads\":%d,\"scale\":%d,\"geomean_speedup\":%.4f,\"min_coverage_pct\":%.2f,\"gate\":%s,\"failures\":%d}\n"
+        (List.length rows) scale gm_speedup min_pct
         (Dbt_util.Stats.json_string gate)
         !failures;
     shout
@@ -953,8 +983,9 @@ let bench_cmd =
   in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"Run the perf benchmark set on all engines and gate against bench/baseline.json.")
-    Term.(ret (const run $ json $ quick $ baseline $ scale_arg $ exact $ domains $ hot_threshold))
+       ~doc:"Run the benchmark set on all engines and gate cycles and speedup against \
+             bench/baseline.json, template coverage and the AOT warm boot.")
+    Term.(ret (const run $ json $ quick $ baseline $ scale_arg $ exact $ domains))
 
 (* --- check --------------------------------------------------------------------------- *)
 
@@ -985,8 +1016,6 @@ let bench_cmd =
 
    The checkers only observe: each one's counts and findings in a boot
    with all three on equal a boot with it alone (test_parity). *)
-
-module CE = Captive.Engine
 
 (* The checkers in the back end's order: JSON key prefix ([<key>_findings],
    [<key>_ms]), the verb of its block/region counts and its findings
@@ -1141,259 +1170,6 @@ let check_cmd =
              workloads at O1-O4, one boot per workload and level.")
     Term.(ret (const check $ json $ every $ workload $ level))
 
-(* --- aot ----------------------------------------------------------------------------- *)
-
-(* Warm-boot gate for the persistent AOT translation cache.  Each
-   quick-bench workload runs twice against the same cache directory: a
-   cold boot that translates everything and persists each certified
-   translation, then a warm boot on a fresh engine that reinstalls the
-   persisted code (guest bytes verified, certificate re-checked) instead
-   of retranslating.  The gate: the warm boot must spend at most
-   --max-ratio (default 10) percent of the cold boot's simulated
-   translate cycles, guest-visible execution cycles (total minus
-   JIT-charged) must be bit-identical — translation is pure overhead, so
-   where the code came from must be invisible to the guest — exit codes
-   must match, and the warm boot must reject nothing it stored. *)
-
-let aot_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit one flat JSON object per workload plus a summary line on stdout; the \
-                 gate verdict goes to stderr.")
-  in
-  let dir =
-    Arg.(value & opt (some string) None & info [ "dir" ] ~docv:"DIR"
-           ~doc:"Cache directory root (default: _captive_aot, wiped per workload before \
-                 the cold run and removed afterwards unless --keep).")
-  in
-  let keep =
-    Arg.(value & flag & info [ "keep" ]
-           ~doc:"Keep the cache directory after the run instead of removing it.")
-  in
-  let max_ratio =
-    Arg.(value & opt float 10.0 & info [ "max-ratio" ] ~docv:"PCT"
-           ~doc:"Fail if warm-boot translate cycles exceed this percentage of cold.")
-  in
-  let run json dir keep max_ratio scale =
-    let root = match dir with Some d -> d | None -> "_captive_aot" in
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-    let shout line = if json then prerr_endline line else print_endline line in
-    let wipe d =
-      if Sys.file_exists d && Sys.is_directory d then
-        Array.iter
-          (fun f -> if Filename.check_suffix f ".aot" then Sys.remove (Filename.concat d f))
-          (Sys.readdir d)
-    in
-    let rmdir_if_empty d =
-      if Sys.file_exists d && Sys.is_directory d && Array.length (Sys.readdir d) = 0 then
-        Sys.rmdir d
-    in
-    let failures = ref 0 in
-    say "aot: %d workloads at scale %d (cold boot stores, warm boot reloads; cache root %s)\n%!"
-      (List.length W.quick_bench) scale root;
-    let rows =
-      List.map
-        (fun name ->
-          let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
-          let wdir = Filename.concat root name in
-          wipe wdir;
-          let config =
-            { Captive.Engine.default_config with Captive.Engine.aot_dir = Some wdir }
-          in
-          let e_c, code_c = W.boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
-          let e_w, code_w = W.boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
-          let sc = e_c.Captive.Engine.stats and sw = e_w.Captive.Engine.stats in
-          let tc = sc.Captive.Engine.translate_cycles in
-          let tw = sw.Captive.Engine.translate_cycles in
-          let xc = Captive.Engine.exec_cycles e_c in
-          let xw = Captive.Engine.exec_cycles e_w in
-          let ratio = 100. *. float_of_int tw /. float_of_int (max 1 tc) in
-          let ok =
-            code_c = code_w && code_c >= 0 && xc = xw && ratio <= max_ratio
-            && sw.Captive.Engine.aot_rejects = 0
-            && sw.Captive.Engine.reloc_findings = 0
-          in
-          if not ok then begin
-            incr failures;
-            if code_c <> code_w || code_c < 0 then
-              shout (Printf.sprintf "aot: %s: exit codes cold %d / warm %d" name code_c code_w);
-            if xc <> xw then
-              shout
-                (Printf.sprintf "aot: %s: guest execution cycles differ (cold %d, warm %d)"
-                   name xc xw);
-            if ratio > max_ratio then
-              shout
-                (Printf.sprintf
-                   "aot: %s: warm translate cycles %d are %.1f%% of cold %d (limit %.0f%%)"
-                   name tw ratio tc max_ratio);
-            if sw.Captive.Engine.aot_rejects > 0 then
-              shout
-                (Printf.sprintf "aot: %s: warm boot rejected %d cache entr(ies)" name
-                   sw.Captive.Engine.aot_rejects);
-            if sw.Captive.Engine.reloc_findings > 0 then begin
-              shout
-                (Printf.sprintf "aot: %s: %d relocation finding(s)" name
-                   sw.Captive.Engine.reloc_findings);
-              List.iter
-                (fun (what, detail) ->
-                  shout (Printf.sprintf "  %s %s\n    %s" name what detail))
-                (CE.log_of e_w CE.Reloc)
-            end
-          end;
-          if json then
-            Printf.printf
-              "{\"kind\":\"workload\",\"name\":%s,\"ok\":%b,\"exit_cold\":%d,\"exit_warm\":%d,\"cold_translate_cycles\":%d,\"warm_translate_cycles\":%d,\"warm_ratio_pct\":%.2f,\"cold_template_cycles\":%d,\"cold_pipeline_cycles\":%d,\"warm_template_cycles\":%d,\"warm_pipeline_cycles\":%d,\"template_blocks_cold\":%d,\"template_blocks_warm\":%d,\"exec_cycles_cold\":%d,\"exec_cycles_warm\":%d,\"exec_identical\":%b,\"aot_stores\":%d,\"aot_hits\":%d,\"aot_misses\":%d,\"aot_rejects\":%d,\"cache_entries\":%d}\n"
-              (Dbt_util.Stats.json_string name)
-              ok code_c code_w tc tw ratio sc.Captive.Engine.translate_cycles_template
-              sc.Captive.Engine.translate_cycles_pipeline
-              sw.Captive.Engine.translate_cycles_template
-              sw.Captive.Engine.translate_cycles_pipeline sc.Captive.Engine.template_blocks
-              sw.Captive.Engine.template_blocks xc xw (xc = xw) sc.Captive.Engine.aot_stores
-              sw.Captive.Engine.aot_hits sw.Captive.Engine.aot_misses
-              sw.Captive.Engine.aot_rejects
-              (Captive.Engine.aot_entry_count e_w)
-          else
-            say
-              "%-16s cold translate %9d  warm %7d (%5.1f%%)  exec %11d %s  stored %3d, reloaded %3d%s\n"
-              name tc tw ratio xc
-              (if xc = xw then "==" else "!=")
-              sc.Captive.Engine.aot_stores sw.Captive.Engine.aot_hits
-              (if ok then "" else "  FAIL");
-          if not keep then begin
-            wipe wdir;
-            rmdir_if_empty wdir
-          end;
-          (name, ok))
-        W.quick_bench
-    in
-    if not keep then rmdir_if_empty root;
-    if json then
-      Printf.printf "{\"kind\":\"summary\",\"workloads\":%d,\"scale\":%d,\"failures\":%d,\"gate\":%s}\n"
-        (List.length rows) scale !failures
-        (Dbt_util.Stats.json_string (if !failures = 0 then "pass" else "fail"));
-    shout
-      (Printf.sprintf "aot: warm-boot gate (<= %.0f%% of cold translate cycles, \
-                       bit-identical execution): %s"
-         max_ratio
-         (if !failures = 0 then "PASS" else "FAIL"));
-    if !failures = 0 then `Ok ()
-    else `Error (false, Printf.sprintf "aot: %d gate failure(s)" !failures)
-  in
-  Cmd.v
-    (Cmd.info "aot"
-       ~doc:"Run each quick-bench workload cold then warm against the same persistent AOT \
-             cache and gate: warm translate cycles <= 10% of cold, guest execution cycles \
-             bit-identical, nothing rejected.")
-    Term.(ret (const run $ json $ dir $ keep $ max_ratio $ scale_arg))
-
-(* --- templates (coverage report) ------------------------------------------------------- *)
-
-(* Template-tier coverage: run the quick-bench workloads (plus the two
-   MMU-stress images) and report, per workload, the share of translated
-   guest instructions served by the template tier, with a per-opcode
-   miss table for whatever fell back to the cold pipeline. *)
-let templates_cmd =
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit one flat JSON object per workload plus a summary line.")
-  in
-  let min_coverage =
-    Arg.(value & opt float 0. & info [ "min-coverage" ] ~docv:"PCT"
-           ~doc:"Fail if any workload's template coverage (percent of translated guest \
-                 instructions served by the template tier) falls below this.")
-  in
-  let hot_threshold =
-    Arg.(value & opt (some int) None & info [ "hot-threshold" ] ~docv:"N"
-           ~doc:"Override the promotion threshold (a large value isolates the cold path: \
-                 no promotion-time pipeline re-translation in the denominator).")
-  in
-  let run json min_coverage hot_threshold scale =
-    let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
-    let shout line = if json then prerr_endline line else print_endline line in
-    let config =
-      let c = Captive.Engine.default_config in
-      match hot_threshold with
-      | Some h -> { c with Captive.Engine.hot_threshold = h }
-      | None -> c
-    in
-    (* The SPEC proxies run at --scale, under the 50 G-cycle cap. *)
-    let workloads =
-      List.map (fun n -> (n, 50_000_000_000, fun () -> W.spec ~scale n)) W.quick_bench
-      @ List.map (fun w -> (w.W.w_name, 2_000_000_000, w.W.w_program)) W.mmu_stress
-    in
-    let failures = ref 0 in
-    let coverages = ref [] in
-    say "templates: coverage over %d workloads at scale %d%s\n%!" (List.length workloads)
-      scale
-      (match hot_threshold with
-      | Some h -> Printf.sprintf " (hot threshold %d)" h
-      | None -> "");
-    List.iter
-      (fun (name, max_cycles, program) ->
-        let e, code = W.boot ~config ~max_cycles (program ()) in
-        let s = e.Captive.Engine.stats in
-        let covered = s.Captive.Engine.template_instrs in
-        let total = s.Captive.Engine.guest_instrs_translated in
-        let pct = 100. *. float_of_int covered /. float_of_int (max 1 total) in
-        coverages := pct :: !coverages;
-        let misses = Captive.Engine.template_miss_table e in
-        if code < 0 then begin
-          incr failures;
-          shout (Printf.sprintf "templates: %s: abnormal exit %d" name code)
-        end;
-        if pct < min_coverage then begin
-          incr failures;
-          shout
-            (Printf.sprintf "templates: %s: coverage %.1f%% below --min-coverage %.1f%%" name
-               pct min_coverage)
-        end;
-        if json then begin
-          let miss_json =
-            String.concat ","
-              (List.map
-                 (fun (op, n) ->
-                   Printf.sprintf "{\"op\":%s,\"count\":%d}" (Dbt_util.Stats.json_string op) n)
-                 misses)
-          in
-          Printf.printf
-            "{\"kind\":\"workload\",\"name\":%s,\"exit\":%d,\"coverage_pct\":%.2f,\"template_instrs\":%d,\"guest_instrs_translated\":%d,\"template_blocks\":%d,\"blocks_translated\":%d,\"template_fallback_blocks\":%d,\"template_misses\":%d,\"templates_mined\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"misses\":[%s]}\n"
-            (Dbt_util.Stats.json_string name)
-            code pct covered total s.Captive.Engine.template_blocks
-            s.Captive.Engine.blocks_translated s.Captive.Engine.template_fallback_blocks
-            s.Captive.Engine.template_misses s.Captive.Engine.templates_mined
-            s.Captive.Engine.translate_cycles_template
-            s.Captive.Engine.translate_cycles_pipeline miss_json
-        end
-        else begin
-          say "%-16s coverage %5.1f%%  (%d/%d instrs, %d/%d blocks, %d mined)%s\n" name pct
-            covered total s.Captive.Engine.template_blocks
-            s.Captive.Engine.blocks_translated s.Captive.Engine.templates_mined
-            (if code >= 0 then "" else "  ABNORMAL EXIT");
-          List.iteri
-            (fun i (op, n) -> if i < 8 then say "    miss %-24s x%d\n" op n)
-            misses
-        end)
-      workloads;
-    let min_pct = List.fold_left min 100. !coverages in
-    if json then
-      Printf.printf
-        "{\"kind\":\"summary\",\"workloads\":%d,\"scale\":%d,\"min_coverage_pct\":%.2f,\"gate\":%s,\"failures\":%d}\n"
-        (List.length workloads) scale min_pct
-        (Dbt_util.Stats.json_string (if !failures = 0 then "pass" else "fail"))
-        !failures;
-    shout
-      (Printf.sprintf "templates: min coverage %.1f%% over %d workloads: %s" min_pct
-         (List.length workloads)
-         (if !failures = 0 then "PASS" else "FAIL"));
-    if !failures = 0 then `Ok ()
-    else `Error (false, Printf.sprintf "templates: %d failure(s)" !failures)
-  in
-  Cmd.v
-    (Cmd.info "templates"
-       ~doc:"Report template-tier coverage per workload (share of translated guest \
-             instructions served by templates) with a per-opcode miss table.")
-    Term.(ret (const run $ json $ min_coverage $ hot_threshold $ scale_arg))
-
 let () =
   let doc = "Retargetable system-level DBT hypervisor (Captive reproduction)" in
   let man =
@@ -1408,12 +1184,10 @@ let () =
       `Noblank; `P "$(mname) $(b,stress) [$(b,--json)] [$(b,--seeds) $(i,N)] [$(b,--domains) $(i,D)]";
       `Noblank; `P "$(mname) $(b,bench) [$(b,--quick)] [$(b,--json)] [$(b,--baseline) $(i,FILE)] [$(b,--exact)] [$(b,--domains) $(i,D)]";
       `Noblank; `P "$(mname) $(b,check) [$(b,--json)] [$(b,--every) $(i,N)] [$(b,--workload) $(i,NAME)] [$(b,--level) $(i,N)]";
-      `Noblank; `P "$(mname) $(b,aot) [$(b,--json)] [$(b,--dir) $(i,DIR)] [$(b,--keep)] [$(b,--max-ratio) $(i,PCT)]";
-      `Noblank; `P "$(mname) $(b,templates) [$(b,--json)] [$(b,--min-coverage) $(i,PCT)] [$(b,--hot-threshold) $(i,N)]";
     ]
   in
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "captive_run" ~doc ~man)
           [ spec_cmd; simbench_cmd; boot_cmd; info_cmd; ssa_cmd; lint_cmd; mmucheck_cmd;
-            stress_cmd; bench_cmd; check_cmd; aot_cmd; templates_cmd ]))
+            stress_cmd; bench_cmd; check_cmd ]))

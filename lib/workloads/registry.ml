@@ -3,9 +3,8 @@
 
    - [check_matrix]: the ten workloads `check` boots at O1-O4.
    - [mmu_stress]: the ARM and RISC-V MMU-stress images (`mmucheck`,
-     `stress`, `templates`).
-   - [quick_bench] / [full_bench]: the SPEC proxies `bench` runs;
-     `aot` and `templates` run the quick set. *)
+     `stress`).
+   - [quick_bench] / [full_bench]: the SPEC proxies `bench` runs. *)
 
 module A = Guest_arm.Arm_asm
 

@@ -13,8 +13,9 @@
 
    A mismatch prints the whole actual row, so a deliberate change to
    the translation bookkeeping is re-recorded by pasting it in.  The
-   same rows show that the checkers do not interact, and a unit test
-   pins the one finding log they share. *)
+   same rows show that the checkers do not interact and that an AOT
+   cold boot is the plain boot, and a unit test pins the one finding
+   log they share. *)
 
 module CE = Captive.Engine
 module W = Workloads.Registry
@@ -218,6 +219,21 @@ let test_guest w gname () =
   in
   check (rows @ aot)
 
+(* A fresh-directory AOT cold boot is the plain boot: storing every
+   certified translation moves no cycle and no counter besides the
+   cache's own and the certifier's.  `bench` rests on this to make its
+   tiered boot the AOT cold boot. *)
+let test_aot_cold_is_plain w () =
+  let plain = boot w base in
+  let cold = Temp_dir.with_dir (fun dir -> boot w { base with CE.aot_dir = Some dir }) in
+  let compared (field, _) =
+    not
+      (String.starts_with ~prefix:"aot_" field
+      || List.mem field [ "blocks_certified"; "regions_certified" ])
+  in
+  Alcotest.(check (list (pair string int)))
+    "cold boot" (List.filter compared plain) (List.filter compared cold)
+
 (* Each checker alone, with the row fields it owns. *)
 let alone =
   [
@@ -274,6 +290,10 @@ let suite =
     [
       Alcotest.test_case "armv8-a MMU-stress counters" `Quick (test_guest W.arm_mmu "arm");
       Alcotest.test_case "rv64im MMU-stress counters" `Quick (test_guest W.riscv_mmu "riscv");
+      Alcotest.test_case "armv8-a AOT cold boot is the plain boot" `Quick
+        (test_aot_cold_is_plain W.arm_mmu);
+      Alcotest.test_case "rv64im AOT cold boot is the plain boot" `Quick
+        (test_aot_cold_is_plain W.riscv_mmu);
       Alcotest.test_case "armv8-a checkers do not interact" `Quick
         (test_checkers_independent W.arm_mmu);
       Alcotest.test_case "rv64im checkers do not interact" `Quick
