@@ -14,7 +14,17 @@ module Spec = Workloads.Spec
 module Table = Dbt_util.Table
 module Stats = Dbt_util.Stats
 
-let scale = try int_of_string (Sys.getenv "BENCH_SCALE") with _ -> 1
+(* BENCH_SCALE, default 1; an unparsable or non-positive value is an
+   error, not a silent 1. *)
+let scale =
+  match Sys.getenv_opt "BENCH_SCALE" with
+  | None -> 1
+  | Some v -> (
+    match int_of_string_opt v with
+    | Some n when n >= 1 -> n
+    | _ ->
+      Printf.eprintf "BENCH_SCALE=%S is not an integer >= 1\n" v;
+      exit 2)
 let header title = Printf.printf "\n=== %s ===\n\n" title
 
 (* --- shared runners ----------------------------------------------------------- *)

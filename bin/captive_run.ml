@@ -29,7 +29,13 @@
    `check` boots the ARM and RISC-V workloads at O1-O4 once each with
    every translate-time checker on (Hostir.Equiv validation against an
    unoptimized reference emission, Hostir.Absint obligations,
-   Hostir.Reloc relocation certification). *)
+   Hostir.Reloc relocation certification).
+
+   Every JSON row of `mmucheck`, `stress`, `bench` and `check` is the
+   subcommand's own fields followed by the engine's whole counter table
+   (Engine.counters_json); `spec` and `boot` print its non-zero
+   counters.  A workload scale or `bench --domains` below 1 is a usage
+   error (exit 124). *)
 
 open Cmdliner
 
@@ -51,9 +57,18 @@ let engine_conv =
 let engine_arg =
   Arg.(value & opt engine_conv Eng_captive & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc:"DBT engine: captive, qemu or reference.")
 
+(* A count of at least 1; anything else is a usage error (exit 124). *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not an integer >= 1" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let scale_arg =
-  Arg.(value & opt int 1 & info [ "s"; "scale" ] ~docv:"N" ~env:(Cmd.Env.info "BENCH_SCALE")
-         ~doc:"Workload scale factor.")
+  Arg.(value & opt positive 1 & info [ "s"; "scale" ] ~docv:"N" ~env:(Cmd.Env.info "BENCH_SCALE")
+         ~doc:"Workload scale factor (at least 1).")
 
 (* Guest-model selector of `lint`; an unknown name is a usage error. *)
 let guests_conv = Arg.enum [ ("armv8-a", `Arm); ("rv64im", `Riscv); ("all", `All) ]
@@ -66,28 +81,16 @@ let guest_models = function
 module W = Workloads.Registry
 module CE = Captive.Engine
 
-let verbose_stats_captive (e : Captive.Engine.t) =
-  let s = e.Captive.Engine.stats in
-  Printf.printf "cycles: %d\n" (Captive.Engine.cycles e);
-  Printf.printf "blocks: executed %d, translated %d, chain hits %d\n"
-    s.Captive.Engine.blocks_executed s.Captive.Engine.blocks_translated s.Captive.Engine.chain_hits;
-  Printf.printf "guest instrs translated: %d -> host instrs %d (%.1f/guest), %d bytes\n"
-    s.Captive.Engine.guest_instrs_translated s.Captive.Engine.host_instrs_emitted
-    (float_of_int s.Captive.Engine.host_instrs_emitted
-    /. float_of_int (max 1 s.Captive.Engine.guest_instrs_translated))
-    s.Captive.Engine.host_bytes_emitted;
-  Printf.printf "host page faults: %d, SMC invalidations: %d\n"
-    e.Captive.Engine.machine.Hvm.Machine.faults s.Captive.Engine.smc_invalidations;
-  Printf.printf "JIT wall time: decode %.1fms translate %.1fms regalloc %.1fms encode %.1fms\n"
-    (1000. *. s.Captive.Engine.t_decode) (1000. *. s.Captive.Engine.t_translate)
-    (1000. *. s.Captive.Engine.t_regalloc) (1000. *. s.Captive.Engine.t_encode);
-  if s.Captive.Engine.template_blocks > 0 then
-    Printf.printf
-      "template tier: %d blocks (%d instrs) stitched, %d mined, %d misses; translate cycles \
-       %d template / %d pipeline\n"
-      s.Captive.Engine.template_blocks s.Captive.Engine.template_instrs
-      s.Captive.Engine.templates_mined s.Captive.Engine.template_misses
-      s.Captive.Engine.translate_cycles_template s.Captive.Engine.translate_cycles_pipeline
+(* The stats dump of `spec` and `boot`: cycles, host page faults and
+   every non-zero counter of the engine's counter table. *)
+let verbose_stats_captive (e : CE.t) =
+  let s = e.CE.stats in
+  Printf.printf "cycles: %d\nhost page faults: %d\n" (CE.cycles e) e.CE.machine.Hvm.Machine.faults;
+  List.iter
+    (function
+      | CE.Count (n, get, _) -> if get s <> 0 then Printf.printf "%s: %d\n" n (get s)
+      | CE.Time (n, get, _) -> if get s <> 0. then Printf.printf "%s_ms: %.1f\n" n (1000. *. get s))
+    CE.counters
 
 let run_user ~engine ~user =
   let guest = Guest_arm.Arm.ops () in
@@ -403,8 +406,7 @@ let lint_cmd =
    `mmucheck` (the OS boots): at least [min_coverage] percent of the
    guest instructions a boot translated must come from the template
    tier.  A boot below the floor fails through [fail], with its
-   per-opcode miss table.  Returns the percentage and the row's JSON
-   fields. *)
+   per-opcode miss table.  Returns the percentage. *)
 let min_coverage = 75.
 
 let template_coverage ~fail name (s : CE.phase_stats) misses =
@@ -416,22 +418,17 @@ let template_coverage ~fail name (s : CE.phase_stats) misses =
       (String.concat "\n"
          (Printf.sprintf "%s: template coverage %.1f%% below %.0f%%" name pct min_coverage
          :: List.map (fun (op, n) -> Printf.sprintf "    miss %-24s x%d" op n) misses));
-  ( pct,
-    Printf.sprintf
-      "\"coverage_pct\":%.2f,\"template_instrs\":%d,\"guest_instrs_translated\":%d,\"template_blocks\":%d,\"blocks_translated\":%d,\"template_fallback_blocks\":%d,\"template_misses\":%d,\"templates_mined\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d"
-      pct s.CE.template_instrs s.CE.guest_instrs_translated s.CE.template_blocks
-      s.CE.blocks_translated s.CE.template_fallback_blocks s.CE.template_misses
-      s.CE.templates_mined s.CE.translate_cycles_template s.CE.translate_cycles_pipeline )
+  pct
 
 (* --- mmucheck ------------------------------------------------------------------------ *)
 
 (* Online counterpart of `lint`: boot the ARM mini-OS and RISC-V
    bare-metal MMU-stress workloads with the shadow-oracle sanitizer
    (Hvm.Sanitize) enabled — checkpointing at every host fault, flush,
-   SMC invalidation and every N translated blocks — and report the
-   per-checker counters.  All five checkers run at every checkpoint:
-   page tables vs. shadow, TLB derivability, frame accounting, code
-   cache W^X/content coherence, and the ring audit.  The same boots
+   SMC invalidation and every [CE.sanitize_every] translated blocks —
+   and report the per-checker counters.  All five checkers run at
+   every checkpoint: page tables vs. shadow, TLB derivability, frame
+   accounting, code cache W^X/content coherence, and the ring audit.  The same boots
    carry the OS boots' template-coverage gate.  Exit status is non-zero
    on any finding, on coverage below the floor or on a wrong guest exit
    code.
@@ -452,11 +449,7 @@ let mmucheck_cmd =
            ~doc:"Also rerun the ARM workload with the sanitizer off and assert identical \
                  cycle counts and exit code (the sanitizer is observation-free).")
   in
-  let every =
-    Arg.(value & opt int 32 & info [ "every" ] ~docv:"N"
-           ~doc:"Extra periodic checkpoint every N translated blocks.")
-  in
-  let run json guard every =
+  let run json guard =
     let failures = ref 0 in
     let summary = Counters.create () in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
@@ -465,9 +458,7 @@ let mmucheck_cmd =
       incr failures;
       shout ("  " ^ line)
     in
-    let config =
-      { CE.default_config with CE.sanitize = true; sanitize_every = every }
-    in
+    let config = { CE.default_config with CE.sanitize = true } in
     let report name (e : CE.t) ~code ~expected =
       (* One final sweep so even a quiet run ends with a checkpoint. *)
       CE.sanitize_check e ~reason:"final";
@@ -475,14 +466,14 @@ let mmucheck_cmd =
       let fnd = Hvm.Sanitize.findings s in
       List.iter (fun f -> fail (Printf.sprintf "%s: %s" name (Hvm.Sanitize.string_of_finding f))) fnd;
       if code <> expected then fail (Printf.sprintf "%s: exit code %d, expected %d" name code expected);
-      let pct, coverage = template_coverage ~fail name e.CE.stats (CE.template_miss_table e) in
+      let pct = template_coverage ~fail name e.CE.stats (CE.template_miss_table e) in
       let c = Hvm.Sanitize.counters s in
       List.iter (fun (n, v) -> Counters.bump summary n ~by:v) (Counters.to_list c);
       if json then
         Printf.printf
-          "{\"kind\":\"workload\",\"name\":%s,\"exit\":%d,\"expected\":%d,\"findings\":%d,%s,\"counters\":%s}\n"
-          (Dbt_util.Stats.json_string name) code expected (List.length fnd) coverage
-          (Counters.to_json c)
+          "{\"kind\":\"workload\",\"name\":%s,\"exit\":%d,\"expected\":%d,\"findings\":%d,\"coverage_pct\":%.2f,%s,\"counters\":%s}\n"
+          (Dbt_util.Stats.json_string name) code expected (List.length fnd) pct
+          (CE.counters_json e.CE.stats) (Counters.to_json c)
       else
         say "%s: exit %d (expected %d), %d finding(s), template coverage %.1f%%\n%s\n" name code
           expected (List.length fnd) pct (Counters.report c);
@@ -535,7 +526,7 @@ let mmucheck_cmd =
     (Cmd.info "mmucheck"
        ~doc:"Run the ARM and RISC-V MMU-stress workloads under the shadow-oracle sanitizer \
              and gate their template coverage.")
-    Term.(ret (const run $ json $ guard $ every))
+    Term.(ret (const run $ json $ guard))
 
 (* --- stress -------------------------------------------------------------------------- *)
 
@@ -579,7 +570,6 @@ let stress_cmd =
       let base_config =
         { Captive.Engine.default_config with
           Captive.Engine.sanitize = true;
-          sanitize_every = 32;
           hot_threshold = 4;
         }
       in
@@ -642,17 +632,10 @@ let stress_cmd =
             end;
             if json then
               Printf.printf
-                "{\"kind\":\"run\",\"workload\":%s,\"seed\":%d,\"domains\":%d,\"exit\":%d,\"expected\":%d,\"exit_ref\":%d,\"uart_ok\":%b,\"findings\":%d,\"jobs_enqueued\":%d,\"jobs_completed\":%d,\"jobs_installed\":%d,\"jobs_stale\":%d,\"jobs_cancelled\":%d,\"jobs_dropped\":%d,\"smc_invalidations\":%d,\"async_jit_cycles\":%d,\"translate_cycles_template\":%d,\"translate_cycles_pipeline\":%d,\"template_blocks\":%d,\"template_misses\":%d,\"ok\":%b}\n"
+                "{\"kind\":\"run\",\"workload\":%s,\"seed\":%d,\"domains\":%d,\"exit\":%d,\"expected\":%d,\"exit_ref\":%d,\"uart_ok\":%b,\"findings\":%d,\"async_jit_cycles\":%d,%s,\"ok\":%b}\n"
                 (Dbt_util.Stats.json_string name)
                 seed domains code expected ref_code uart_ok (List.length findings)
-                s.Captive.Engine.jobs_enqueued s.Captive.Engine.jobs_completed
-                s.Captive.Engine.jobs_installed s.Captive.Engine.jobs_stale
-                s.Captive.Engine.jobs_cancelled s.Captive.Engine.jobs_dropped
-                s.Captive.Engine.smc_invalidations
-                (Captive.Engine.async_jit_cycles e)
-                s.Captive.Engine.translate_cycles_template
-                s.Captive.Engine.translate_cycles_pipeline s.Captive.Engine.template_blocks
-                s.Captive.Engine.template_misses ok
+                (Captive.Engine.async_jit_cycles e) (Captive.Engine.counters_json s) ok
             else
               say "%-12s seed %3d: exit %3d, jobs %d enq / %d inst / %d stale / %d cancelled%s\n"
                 name seed code s.Captive.Engine.jobs_enqueued s.Captive.Engine.jobs_installed
@@ -727,7 +710,7 @@ type bench_row = {
   br_jit : int; (* total JIT cycles, tiered (sync + async) *)
   br_async_jit : int; (* JIT cycles charged from worker-domain installs *)
   br_stats : CE.phase_stats;
-  br_coverage : float * string; (* [template_coverage] of the tiered boot *)
+  br_coverage : float; (* [template_coverage] of the tiered boot *)
   br_warm_exit : int; (* AOT warm boot *)
   br_warm_exec : int;
   br_warm_ratio : float; (* warm / cold translate cycles, percent *)
@@ -824,32 +807,20 @@ let bench_run_one ~scale ~domains ~fail name : bench_row =
 let per_instr cycles instrs = float_of_int cycles /. float_of_int (max 1 instrs)
 let bench_cpgi (s : CE.phase_stats) = per_instr s.CE.translate_cycles s.CE.guest_instrs_translated
 
+(* A row is the workload's own fields, then the tiered boot's counters,
+   then the AOT warm boot's under the [warm_] prefix. *)
 let bench_row_json r =
-  let s = r.br_stats and sw = r.br_warm_stats in
-  (* Per-phase translate-time breakdown (milliseconds): lets the CI perf
-     gate's artifact show where translate time went, so a regression in
-     e.g. the analysis phase is attributable from the JSON alone.  The
-     translate ledger and wall timers are split per tier: template (tier
-     minus one) vs pipeline (tier 0 + regions).  The warm_* fields are
-     the AOT warm boot's. *)
-  let ms t = 1000. *. t in
+  let s = r.br_stats in
   Printf.sprintf
-    "{\"kind\":\"workload\",\"name\":%s,\"exit\":%d,\"exit_ok\":%b,\"captive_cycles\":%d,\"exec_cycles\":%d,\"jit_cycles\":%d,\"async_jit_cycles\":%d,\"captive_untiered_cycles\":%d,\"qemu_cycles\":%d,\"speedup\":%.4f,\"tiered_gain_pct\":%.2f,\"host_instrs\":%d,\"host_instrs_untiered\":%d,\"promotions\":%d,\"regions\":%d,\"region_blocks\":%d,\"region_entries\":%d,\"region_block_execs\":%d,\"region_dead_stores\":%d,\"rf_loads\":%d,\"rf_stores\":%d,\"rf_promoted\":%d,\"region_wb_entries\":%d,\"mem_loads_elided\":%d,\"stores_forwarded\":%d,\"absint_branches_folded\":%d,\"absint_consts_folded\":%d,\"absint_masks_dropped\":%d,\"absint_divs_reduced\":%d,\"absint_dead_deleted\":%d,\"translate_cycles\":%d,\"translate_cpgi\":%.2f,\"template_cpgi\":%.2f,%s,\"aot_stores\":%d,\"warm_exit\":%d,\"warm_exec_cycles\":%d,\"warm_translate_cycles\":%d,\"warm_ratio_pct\":%.2f,\"warm_translate_cycles_template\":%d,\"warm_translate_cycles_pipeline\":%d,\"warm_template_blocks\":%d,\"warm_aot_hits\":%d,\"warm_aot_misses\":%d,\"warm_aot_rejects\":%d,\"aot_entries\":%d,\"t_decode_ms\":%.2f,\"t_translate_ms\":%.2f,\"t_template_ms\":%.2f,\"t_tier0_ms\":%.2f,\"t_region_ms\":%.2f,\"t_regalloc_ms\":%.2f,\"t_encode_ms\":%.2f,\"t_validate_ms\":%.2f,\"t_analyze_ms\":%.2f}"
+    "{\"kind\":\"workload\",\"name\":%s,\"exit\":%d,\"exit_ok\":%b,\"captive_cycles\":%d,\"exec_cycles\":%d,\"jit_cycles\":%d,\"async_jit_cycles\":%d,\"captive_untiered_cycles\":%d,\"qemu_cycles\":%d,\"speedup\":%.4f,\"tiered_gain_pct\":%.2f,\"host_instrs\":%d,\"host_instrs_untiered\":%d,\"rf_loads\":%d,\"rf_stores\":%d,\"translate_cpgi\":%.2f,\"template_cpgi\":%.2f,\"coverage_pct\":%.2f,\"warm_exit\":%d,\"warm_exec_cycles\":%d,\"warm_ratio_pct\":%.2f,\"aot_entries\":%d,%s,%s}"
     (Dbt_util.Stats.json_string r.br_name)
     r.br_exit r.br_exit_ok r.br_tiered r.br_exec r.br_jit r.br_async_jit r.br_untiered r.br_qemu
-    r.br_speedup r.br_gain_pct r.br_hinstrs r.br_hinstrs_u s.CE.promotions s.CE.regions_formed
-    s.CE.region_blocks s.CE.region_entries s.CE.region_block_execs s.CE.region_dead_stores
-    r.br_rf_loads r.br_rf_stores s.CE.rf_promoted s.CE.region_wb_entries s.CE.mem_loads_elided
-    s.CE.stores_forwarded s.CE.absint_branches_folded s.CE.absint_consts_folded
-    s.CE.absint_masks_dropped s.CE.absint_divs_reduced s.CE.absint_dead_deleted
-    s.CE.translate_cycles (bench_cpgi s)
+    r.br_speedup r.br_gain_pct r.br_hinstrs r.br_hinstrs_u r.br_rf_loads r.br_rf_stores
+    (bench_cpgi s)
     (per_instr s.CE.translate_cycles_template s.CE.template_instrs)
-    (snd r.br_coverage) s.CE.aot_stores r.br_warm_exit r.br_warm_exec sw.CE.translate_cycles
-    r.br_warm_ratio sw.CE.translate_cycles_template sw.CE.translate_cycles_pipeline
-    sw.CE.template_blocks sw.CE.aot_hits sw.CE.aot_misses sw.CE.aot_rejects r.br_aot_entries
-    (ms s.CE.t_decode) (ms s.CE.t_translate) (ms s.CE.t_template) (ms s.CE.t_tier0)
-    (ms s.CE.t_region) (ms s.CE.t_regalloc) (ms s.CE.t_encode) (ms s.CE.t_validate)
-    (ms s.CE.t_analyze)
+    r.br_coverage r.br_warm_exit r.br_warm_exec r.br_warm_ratio r.br_aot_entries
+    (CE.counters_json s)
+    (CE.counters_json ~prefix:"warm_" r.br_warm_stats)
 
 (* A committed baseline: one flat JSON object per line; the workload
    rows' fields keyed by "name". *)
@@ -920,7 +891,7 @@ let bench_cmd =
                  cycle model is deterministic.")
   in
   let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"D"
+    Arg.(value & opt positive 1 & info [ "domains" ] ~docv:"D"
            ~doc:"Domains for the tiered Captive engine (1 = synchronous JIT; D > 1 adds \
                  D-1 worker domains).")
   in
@@ -944,7 +915,7 @@ let bench_cmd =
           else
             say "%-16s captive %11d  tier-0 %11d  qemu %11d  speedup %5.2fx  tiered gain %+5.1f%%  (regions %d/%d blocks)  templates %5.1f%%  AOT warm %4.1f%%%s\n"
               r.br_name r.br_tiered r.br_untiered r.br_qemu r.br_speedup r.br_gain_pct
-              r.br_stats.CE.regions_formed r.br_stats.CE.region_blocks (fst r.br_coverage)
+              r.br_stats.CE.regions_formed r.br_stats.CE.region_blocks r.br_coverage
               r.br_warm_ratio
               (if r.br_exit_ok then "" else "  EXIT MISMATCH");
           r)
@@ -955,7 +926,7 @@ let bench_cmd =
            /. float_of_int (max 1 (List.length rows)))
     in
     let gm_speedup = geomean (fun r -> r.br_speedup) in
-    let min_pct = List.fold_left (fun a r -> min a (fst r.br_coverage)) 100. rows in
+    let min_pct = List.fold_left (fun a r -> min a r.br_coverage) 100. rows in
     let baseline_file =
       match baseline with
       | Some f -> f
@@ -997,19 +968,19 @@ let bench_cmd =
    counter object per workload/level pair plus a summary line for the
    CI artifact; findings go to stderr.
 
-   - Equiv ("validate"): every tier-0 block (sampled with --every) and
-     every region is symbolically executed alongside an unoptimized
-     per-instruction reference emission from the same decode, and the
-     exit states — PC, register file (promoted offsets equated through
-     the writeback map), ordered store trace and helper-call arguments
-     — are compared term-by-term.
-   - Absint ("analyze"): every translation is pushed through the
-     dataflow analyzer and checked against the static obligations —
-     register-file accesses in bounds and aligned, spill-slot accesses
-     inside the allocated frame, the promoted writeback discipline.
-   - Reloc ("reloc"): every translation is decoded back from its
-     encoded bytes and classified operand by operand — no absolute host
-     addresses, control leaves only through numbered chain/exit sites,
+   - Equiv: every template block, tier-0 block and region is
+     symbolically executed alongside an unoptimized per-instruction
+     reference emission from the same decode, and the exit states —
+     PC, register file (promoted offsets equated through the writeback
+     map), ordered store trace and helper-call arguments — are compared
+     term-by-term.
+   - Absint: every translation is pushed through the dataflow analyzer
+     and checked against the static obligations — register-file
+     accesses in bounds and aligned, spill-slot accesses inside the
+     allocated frame, the promoted writeback discipline.
+   - Reloc: every translation is decoded back from its encoded bytes
+     and classified operand by operand — no absolute host addresses,
+     control leaves only through numbered chain/exit sites,
      environment references in bounds, helpers by stable symbol id —
      and audited for encoding determinism.  A flagged translation must
      never be persisted, so any finding is a hard failure.
@@ -1017,36 +988,10 @@ let bench_cmd =
    The checkers only observe: each one's counts and findings in a boot
    with all three on equal a boot with it alone (test_parity). *)
 
-(* The checkers in the back end's order: JSON key prefix ([<key>_findings],
-   [<key>_ms]), the verb of its block/region counts and its findings
-   counter. *)
-let checkers =
-  [
-    (CE.Equiv, "validate", "validated", "divergence findings");
-    (CE.Absint, "analyze", "analyzed", "obligation findings");
-    (CE.Reloc, "reloc", "certified", "relocation findings");
-  ]
-
-(* Each checker's counts beyond [CE.checker_stats], as (JSON key,
-   summary counter, value). *)
-let checker_extra (s : CE.phase_stats) = function
-  | CE.Equiv -> [ ("bounded", "bounded checks", s.CE.validations_bounded) ]
-  | CE.Absint ->
-    CE.
-      [
-        ("branches_folded", "absint branches folded", s.absint_branches_folded);
-        ("consts_folded", "absint consts folded", s.absint_consts_folded);
-        ("masks_dropped", "absint masks dropped", s.absint_masks_dropped);
-        ("divs_reduced", "absint divs reduced", s.absint_divs_reduced);
-        ("dead_deleted", "absint dead deleted", s.absint_dead_deleted);
-      ]
-  | CE.Reloc -> []
-
 let check_names = List.map (fun w -> w.W.w_name) W.check_matrix
 
-let check json every workload level =
-  if every < 1 then `Error (true, "--every must be >= 1")
-  else if workload <> "all" && not (List.mem workload check_names) then
+let check json workload level =
+  if workload <> "all" && not (List.mem workload check_names) then
     `Error
       ( true,
         Printf.sprintf "unknown workload %S; valid names: all, %s" workload
@@ -1058,7 +1003,6 @@ let check json every workload level =
       {
         CE.default_config with
         CE.validate_translations = true;
-        validate_every = every;
         analyze_translations = true;
         reloc_check = true;
       }
@@ -1082,52 +1026,37 @@ let check json every workload level =
           (fun ((w : W.workload), program) ->
             let name = w.W.w_name in
             let e, code = W.boot ~config ~opt_level:level program in
-            (* One column group per checker: (JSON fields, text, programs, ms). *)
+            let s = e.CE.stats in
+            List.iter (fun (n, v) -> Counters.bump summary n ~by:v) (CE.int_counters s);
+            (* Per checker: programs checked, findings and milliseconds. *)
             let cols =
               List.map
-                (fun (checker, key, verb, findings) ->
-                  let nb, nr, nf, t = CE.checker_stats e.CE.stats checker in
-                  let extra = checker_extra e.CE.stats checker in
-                  Counters.bump summary ("programs " ^ verb) ~by:(nb + nr);
-                  Counters.bump summary ("blocks " ^ verb) ~by:nb;
-                  Counters.bump summary ("regions " ^ verb) ~by:nr;
-                  Counters.bump summary findings ~by:nf;
-                  List.iter (fun (_, counter, v) -> Counters.bump summary counter ~by:v) extra;
+                (fun (checker, label) ->
+                  let nb, nr, nf, t = CE.checker_stats s checker in
                   failures := !failures + nf;
                   List.iter
                     (fun (what, detail) ->
-                      shout (Printf.sprintf "  %s O%d %s %s\n    %s" name level key what detail))
+                      shout (Printf.sprintf "  %s O%d %s %s\n    %s" name level label what detail))
                     (CE.log_of e checker);
-                  let ms = 1000. *. t in
-                  ( Printf.sprintf "\"blocks_%s\":%d,\"regions_%s\":%d,\"%s_findings\":%d%s,\"%s_ms\":%.1f"
-                      verb nb verb nr key nf
-                      (String.concat ""
-                         (List.map (fun (k, _, v) -> Printf.sprintf ",\"%s\":%d" k v) extra))
-                      key ms,
-                    Printf.sprintf "; %d+%d %s, %d finding(s)%s" nb nr verb nf
-                      (String.concat ""
-                         (List.map (fun (_, counter, v) -> Printf.sprintf ", %d %s" v counter) extra)),
-                    nb + nr,
-                    ms ))
-                checkers
+                  (nb + nr, nf, 1000. *. t))
+                [ (CE.Equiv, "Equiv"); (CE.Absint, "Absint"); (CE.Reloc, "Reloc") ]
             in
             if code <> w.W.w_exit then begin
               incr failures;
               shout (Printf.sprintf "  %s O%d: exit code %d, expected %d" name level code w.W.w_exit)
             end;
-            let ms = List.fold_left (fun a (_, _, _, m) -> a +. m) 0. cols in
-            let programs = List.fold_left (fun a (_, _, n, _) -> max a n) 1 cols in
+            let ms = List.fold_left (fun a (_, _, m) -> a +. m) 0. cols in
+            let programs = List.fold_left (fun a (n, _, _) -> max a n) 1 cols in
             let per = ms /. float_of_int programs in
             if json then
               Printf.printf
-                "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,%s,\"ms_per_program\":%.3f}\n"
-                (Dbt_util.Stats.json_string name) level code w.W.w_exit
-                (String.concat "," (List.map (fun (j, _, _, _) -> j) cols))
-                per
+                "{\"kind\":\"workload\",\"name\":%s,\"opt_level\":%d,\"exit\":%d,\"expected\":%d,\"ms_per_program\":%.3f,%s}\n"
+                (Dbt_util.Stats.json_string name) level code w.W.w_exit per (CE.counters_json s)
             else
-              say "%-20s O%d: exit %d (expected %d)%s; %.1fms (%.3fms/program)\n%!" name level code
-                w.W.w_exit
-                (String.concat "" (List.map (fun (_, t, _, _) -> t) cols))
+              say "%-20s O%d: exit %d (expected %d); %d program(s), %d finding(s); %.1fms \
+                   (%.3fms/program)\n%!"
+                name level code w.W.w_exit programs
+                (List.fold_left (fun a (_, nf, _) -> a + nf) 0 cols)
                 ms per)
           workloads)
       levels;
@@ -1149,11 +1078,6 @@ let check_cmd =
            ~doc:"Emit one counter object per workload/level pair plus a summary line as JSON \
                  on stdout; findings go to stderr.")
   in
-  let every =
-    Arg.(value & opt int 1 & info [ "every" ] ~docv:"N"
-           ~doc:"Validate every Nth translated tier-0 block (regions are always \
-                 validated).  1 validates everything.")
-  in
   let workload =
     Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME"
            ~doc:(Printf.sprintf "Restrict to one workload (%s, or all)."
@@ -1168,7 +1092,7 @@ let check_cmd =
        ~doc:"Run every translate-time checker (Equiv validation, Absint obligations, Reloc \
              certification) on every translation formed while running the ARM and RISC-V \
              workloads at O1-O4, one boot per workload and level.")
-    Term.(ret (const check $ json $ every $ workload $ level))
+    Term.(ret (const check $ json $ workload $ level))
 
 let () =
   let doc = "Retargetable system-level DBT hypervisor (Captive reproduction)" in
@@ -1180,10 +1104,10 @@ let () =
       `Noblank; `P "$(mname) $(b,info)";
       `Noblank; `P "$(mname) $(b,ssa) $(i,INSTRUCTION) [$(b,--level) $(i,N)] [$(b,--guest) $(i,GUEST)] [$(b,--classify)]";
       `Noblank; `P "$(mname) $(b,lint) [$(b,--guest) $(i,GUEST)] [$(b,--json)]";
-      `Noblank; `P "$(mname) $(b,mmucheck) [$(b,--json)] [$(b,--guard)] [$(b,--every) $(i,N)]";
+      `Noblank; `P "$(mname) $(b,mmucheck) [$(b,--json)] [$(b,--guard)]";
       `Noblank; `P "$(mname) $(b,stress) [$(b,--json)] [$(b,--seeds) $(i,N)] [$(b,--domains) $(i,D)]";
       `Noblank; `P "$(mname) $(b,bench) [$(b,--quick)] [$(b,--json)] [$(b,--baseline) $(i,FILE)] [$(b,--exact)] [$(b,--domains) $(i,D)]";
-      `Noblank; `P "$(mname) $(b,check) [$(b,--json)] [$(b,--every) $(i,N)] [$(b,--workload) $(i,NAME)] [$(b,--level) $(i,N)]";
+      `Noblank; `P "$(mname) $(b,check) [$(b,--json)] [$(b,--workload) $(i,NAME)] [$(b,--level) $(i,N)]";
     ]
   in
   exit

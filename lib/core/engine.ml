@@ -30,7 +30,6 @@ type config = {
   split_va_check : bool; (* 64-bit guest address-space split handling *)
   mem_size : int;
   sanitize : bool; (* shadow-oracle MMU invariant checking (Hvm.Sanitize) *)
-  sanitize_every : int; (* extra periodic checkpoint every N translated blocks *)
   tiering : bool; (* tiered translation: profile tier-0 blocks, form hot regions *)
   templates : bool; (* tier minus one: template-stitched cold translation
                        (Hostir.Template); active only with [tiering], since
@@ -41,7 +40,6 @@ type config = {
      translation is re-derived as an unoptimized reference emission and
      checked for exit-point equivalence; any finding is a miscompile *)
   validate_translations : bool;
-  validate_every : int; (* validate every Nth tier-0 block (regions: always) *)
   (* static obligation checking (Hostir.Absint): every translation the
      engine produces is analyzed at translate time — register-file
      offsets in-bounds and aligned, spill slots inside the frame,
@@ -75,6 +73,10 @@ type config = {
 let region_max_blocks = 8
 let promote_max_regs = 4
 
+(* With [sanitize], an extra periodic checkpoint every this many
+   translated blocks. *)
+let sanitize_every = 32
+
 let default_config =
   {
     hw_fp = true;
@@ -83,13 +85,11 @@ let default_config =
     split_va_check = true;
     mem_size = 256 * 1024 * 1024;
     sanitize = false;
-    sanitize_every = 32;
     tiering = true;
     templates = true;
     hot_threshold = 64;
     promote = true;
     validate_translations = false;
-    validate_every = 1;
     analyze_translations = false;
     reloc_check = false;
     aot_dir = None;
@@ -246,72 +246,105 @@ let new_phase_stats () =
     jobs_dropped = 0;
   }
 
+(* The counter table: every [phase_stats] field once, in declaration
+   order, with its name (JSON key and parity column), its kind (a count,
+   or seconds printed as [<name>_ms]) and its accessors.  Merging, the
+   parity rows and every JSON row are derived from it; only the record
+   literal in [new_phase_stats] names the fields again. *)
+type counter =
+  | Count of string * (phase_stats -> int) * (phase_stats -> int -> unit)
+  | Time of string * (phase_stats -> float) * (phase_stats -> float -> unit)
+
+let counters =
+  [
+    Time ("t_decode", (fun s -> s.t_decode), fun s v -> s.t_decode <- v);
+    Time ("t_translate", (fun s -> s.t_translate), fun s v -> s.t_translate <- v);
+    Time ("t_regalloc", (fun s -> s.t_regalloc), fun s v -> s.t_regalloc <- v);
+    Time ("t_encode", (fun s -> s.t_encode), fun s v -> s.t_encode <- v);
+    Time ("t_template", (fun s -> s.t_template), fun s v -> s.t_template <- v);
+    Time ("t_tier0", (fun s -> s.t_tier0), fun s v -> s.t_tier0 <- v);
+    Time ("t_region", (fun s -> s.t_region), fun s v -> s.t_region <- v);
+    Count ("blocks_translated", (fun s -> s.blocks_translated), fun s v -> s.blocks_translated <- v);
+    Count ("guest_instrs_translated", (fun s -> s.guest_instrs_translated), fun s v -> s.guest_instrs_translated <- v);
+    Count ("host_instrs_emitted", (fun s -> s.host_instrs_emitted), fun s v -> s.host_instrs_emitted <- v);
+    Count ("host_bytes_emitted", (fun s -> s.host_bytes_emitted), fun s v -> s.host_bytes_emitted <- v);
+    Count ("dead_marked", (fun s -> s.dead_marked), fun s v -> s.dead_marked <- v);
+    Count ("spills", (fun s -> s.spills), fun s v -> s.spills <- v);
+    Count ("blocks_executed", (fun s -> s.blocks_executed), fun s v -> s.blocks_executed <- v);
+    Count ("chain_hits", (fun s -> s.chain_hits), fun s v -> s.chain_hits <- v);
+    Count ("smc_invalidations", (fun s -> s.smc_invalidations), fun s v -> s.smc_invalidations <- v);
+    Count ("promotions", (fun s -> s.promotions), fun s v -> s.promotions <- v);
+    Count ("regions_formed", (fun s -> s.regions_formed), fun s v -> s.regions_formed <- v);
+    Count ("region_blocks", (fun s -> s.region_blocks), fun s v -> s.region_blocks <- v);
+    Count ("region_host_instrs", (fun s -> s.region_host_instrs), fun s v -> s.region_host_instrs <- v);
+    Count ("region_entries", (fun s -> s.region_entries), fun s v -> s.region_entries <- v);
+    Count ("region_block_execs", (fun s -> s.region_block_execs), fun s v -> s.region_block_execs <- v);
+    Count ("region_dead_stores", (fun s -> s.region_dead_stores), fun s v -> s.region_dead_stores <- v);
+    Count ("rf_promoted", (fun s -> s.rf_promoted), fun s v -> s.rf_promoted <- v);
+    Count ("region_wb_entries", (fun s -> s.region_wb_entries), fun s v -> s.region_wb_entries <- v);
+    Count ("mem_loads_elided", (fun s -> s.mem_loads_elided), fun s v -> s.mem_loads_elided <- v);
+    Count ("stores_forwarded", (fun s -> s.stores_forwarded), fun s v -> s.stores_forwarded <- v);
+    Time ("t_validate", (fun s -> s.t_validate), fun s v -> s.t_validate <- v);
+    Count ("blocks_validated", (fun s -> s.blocks_validated), fun s v -> s.blocks_validated <- v);
+    Count ("regions_validated", (fun s -> s.regions_validated), fun s v -> s.regions_validated <- v);
+    Count ("validation_findings", (fun s -> s.validation_findings), fun s v -> s.validation_findings <- v);
+    Count ("validations_bounded", (fun s -> s.validations_bounded), fun s v -> s.validations_bounded <- v);
+    Time ("t_analyze", (fun s -> s.t_analyze), fun s v -> s.t_analyze <- v);
+    Count ("blocks_analyzed", (fun s -> s.blocks_analyzed), fun s v -> s.blocks_analyzed <- v);
+    Count ("regions_analyzed", (fun s -> s.regions_analyzed), fun s v -> s.regions_analyzed <- v);
+    Count ("obligation_findings", (fun s -> s.obligation_findings), fun s v -> s.obligation_findings <- v);
+    Count ("absint_branches_folded", (fun s -> s.absint_branches_folded), fun s v -> s.absint_branches_folded <- v);
+    Count ("absint_consts_folded", (fun s -> s.absint_consts_folded), fun s v -> s.absint_consts_folded <- v);
+    Count ("absint_masks_dropped", (fun s -> s.absint_masks_dropped), fun s v -> s.absint_masks_dropped <- v);
+    Count ("absint_divs_reduced", (fun s -> s.absint_divs_reduced), fun s v -> s.absint_divs_reduced <- v);
+    Count ("absint_dead_deleted", (fun s -> s.absint_dead_deleted), fun s v -> s.absint_dead_deleted <- v);
+    Time ("t_reloc", (fun s -> s.t_reloc), fun s v -> s.t_reloc <- v);
+    Count ("translate_cycles", (fun s -> s.translate_cycles), fun s v -> s.translate_cycles <- v);
+    Count ("translate_cycles_template", (fun s -> s.translate_cycles_template), fun s v -> s.translate_cycles_template <- v);
+    Count ("translate_cycles_pipeline", (fun s -> s.translate_cycles_pipeline), fun s v -> s.translate_cycles_pipeline <- v);
+    Count ("template_blocks", (fun s -> s.template_blocks), fun s v -> s.template_blocks <- v);
+    Count ("template_instrs", (fun s -> s.template_instrs), fun s v -> s.template_instrs <- v);
+    Count ("template_misses", (fun s -> s.template_misses), fun s v -> s.template_misses <- v);
+    Count ("template_fallback_blocks", (fun s -> s.template_fallback_blocks), fun s v -> s.template_fallback_blocks <- v);
+    Count ("templates_mined", (fun s -> s.templates_mined), fun s v -> s.templates_mined <- v);
+    Count ("blocks_certified", (fun s -> s.blocks_certified), fun s v -> s.blocks_certified <- v);
+    Count ("regions_certified", (fun s -> s.regions_certified), fun s v -> s.regions_certified <- v);
+    Count ("reloc_findings", (fun s -> s.reloc_findings), fun s v -> s.reloc_findings <- v);
+    Count ("aot_hits", (fun s -> s.aot_hits), fun s v -> s.aot_hits <- v);
+    Count ("aot_misses", (fun s -> s.aot_misses), fun s v -> s.aot_misses <- v);
+    Count ("aot_stores", (fun s -> s.aot_stores), fun s v -> s.aot_stores <- v);
+    Count ("aot_rejects", (fun s -> s.aot_rejects), fun s v -> s.aot_rejects <- v);
+    Count ("jobs_enqueued", (fun s -> s.jobs_enqueued), fun s v -> s.jobs_enqueued <- v);
+    Count ("jobs_completed", (fun s -> s.jobs_completed), fun s v -> s.jobs_completed <- v);
+    Count ("jobs_installed", (fun s -> s.jobs_installed), fun s v -> s.jobs_installed <- v);
+    Count ("jobs_stale", (fun s -> s.jobs_stale), fun s v -> s.jobs_stale <- v);
+    Count ("jobs_cancelled", (fun s -> s.jobs_cancelled), fun s v -> s.jobs_cancelled <- v);
+    Count ("jobs_dropped", (fun s -> s.jobs_dropped), fun s v -> s.jobs_dropped <- v);
+  ]
+
 (* Merge a stats delta that a pure translation job accumulated
-   off-thread into the engine's totals.  Every field is additive. *)
+   off-thread into the engine's totals.  Every counter is additive. *)
 let add_stats (dst : phase_stats) (d : phase_stats) =
-  dst.t_decode <- dst.t_decode +. d.t_decode;
-  dst.t_translate <- dst.t_translate +. d.t_translate;
-  dst.t_regalloc <- dst.t_regalloc +. d.t_regalloc;
-  dst.t_encode <- dst.t_encode +. d.t_encode;
-  dst.t_template <- dst.t_template +. d.t_template;
-  dst.t_tier0 <- dst.t_tier0 +. d.t_tier0;
-  dst.t_region <- dst.t_region +. d.t_region;
-  dst.blocks_translated <- dst.blocks_translated + d.blocks_translated;
-  dst.guest_instrs_translated <- dst.guest_instrs_translated + d.guest_instrs_translated;
-  dst.host_instrs_emitted <- dst.host_instrs_emitted + d.host_instrs_emitted;
-  dst.host_bytes_emitted <- dst.host_bytes_emitted + d.host_bytes_emitted;
-  dst.dead_marked <- dst.dead_marked + d.dead_marked;
-  dst.spills <- dst.spills + d.spills;
-  dst.blocks_executed <- dst.blocks_executed + d.blocks_executed;
-  dst.chain_hits <- dst.chain_hits + d.chain_hits;
-  dst.smc_invalidations <- dst.smc_invalidations + d.smc_invalidations;
-  dst.promotions <- dst.promotions + d.promotions;
-  dst.regions_formed <- dst.regions_formed + d.regions_formed;
-  dst.region_blocks <- dst.region_blocks + d.region_blocks;
-  dst.region_host_instrs <- dst.region_host_instrs + d.region_host_instrs;
-  dst.region_entries <- dst.region_entries + d.region_entries;
-  dst.region_block_execs <- dst.region_block_execs + d.region_block_execs;
-  dst.region_dead_stores <- dst.region_dead_stores + d.region_dead_stores;
-  dst.rf_promoted <- dst.rf_promoted + d.rf_promoted;
-  dst.region_wb_entries <- dst.region_wb_entries + d.region_wb_entries;
-  dst.mem_loads_elided <- dst.mem_loads_elided + d.mem_loads_elided;
-  dst.stores_forwarded <- dst.stores_forwarded + d.stores_forwarded;
-  dst.t_validate <- dst.t_validate +. d.t_validate;
-  dst.blocks_validated <- dst.blocks_validated + d.blocks_validated;
-  dst.regions_validated <- dst.regions_validated + d.regions_validated;
-  dst.validation_findings <- dst.validation_findings + d.validation_findings;
-  dst.validations_bounded <- dst.validations_bounded + d.validations_bounded;
-  dst.t_analyze <- dst.t_analyze +. d.t_analyze;
-  dst.blocks_analyzed <- dst.blocks_analyzed + d.blocks_analyzed;
-  dst.regions_analyzed <- dst.regions_analyzed + d.regions_analyzed;
-  dst.obligation_findings <- dst.obligation_findings + d.obligation_findings;
-  dst.absint_branches_folded <- dst.absint_branches_folded + d.absint_branches_folded;
-  dst.absint_consts_folded <- dst.absint_consts_folded + d.absint_consts_folded;
-  dst.absint_masks_dropped <- dst.absint_masks_dropped + d.absint_masks_dropped;
-  dst.absint_divs_reduced <- dst.absint_divs_reduced + d.absint_divs_reduced;
-  dst.absint_dead_deleted <- dst.absint_dead_deleted + d.absint_dead_deleted;
-  dst.t_reloc <- dst.t_reloc +. d.t_reloc;
-  dst.translate_cycles <- dst.translate_cycles + d.translate_cycles;
-  dst.translate_cycles_template <- dst.translate_cycles_template + d.translate_cycles_template;
-  dst.translate_cycles_pipeline <- dst.translate_cycles_pipeline + d.translate_cycles_pipeline;
-  dst.template_blocks <- dst.template_blocks + d.template_blocks;
-  dst.template_instrs <- dst.template_instrs + d.template_instrs;
-  dst.template_misses <- dst.template_misses + d.template_misses;
-  dst.template_fallback_blocks <- dst.template_fallback_blocks + d.template_fallback_blocks;
-  dst.templates_mined <- dst.templates_mined + d.templates_mined;
-  dst.blocks_certified <- dst.blocks_certified + d.blocks_certified;
-  dst.regions_certified <- dst.regions_certified + d.regions_certified;
-  dst.reloc_findings <- dst.reloc_findings + d.reloc_findings;
-  dst.aot_hits <- dst.aot_hits + d.aot_hits;
-  dst.aot_misses <- dst.aot_misses + d.aot_misses;
-  dst.aot_stores <- dst.aot_stores + d.aot_stores;
-  dst.aot_rejects <- dst.aot_rejects + d.aot_rejects;
-  dst.jobs_enqueued <- dst.jobs_enqueued + d.jobs_enqueued;
-  dst.jobs_completed <- dst.jobs_completed + d.jobs_completed;
-  dst.jobs_installed <- dst.jobs_installed + d.jobs_installed;
-  dst.jobs_stale <- dst.jobs_stale + d.jobs_stale;
-  dst.jobs_cancelled <- dst.jobs_cancelled + d.jobs_cancelled;
-  dst.jobs_dropped <- dst.jobs_dropped + d.jobs_dropped
+  List.iter
+    (function
+      | Count (_, get, set) -> set dst (get dst + get d)
+      | Time (_, get, set) -> set dst (get dst +. get d))
+    counters
+
+(* The integer counters as (name, value), in declaration order. *)
+let int_counters (s : phase_stats) =
+  List.filter_map (function Count (n, get, _) -> Some (n, get s) | Time _ -> None) counters
+
+(* Every counter as JSON object members ("key":value, comma-separated,
+   no braces), keys prefixed with [prefix]; seconds print as
+   milliseconds under [<name>_ms]. *)
+let counters_json ?(prefix = "") (s : phase_stats) =
+  String.concat ","
+    (List.map
+       (function
+         | Count (n, get, _) -> Printf.sprintf "\"%s%s\":%d" prefix n (get s)
+         | Time (n, get, _) -> Printf.sprintf "\"%s%s_ms\":%.2f" prefix n (1000. *. get s))
+       counters)
 
 type translation = {
   t_key : int64 * int * bool;
@@ -460,7 +493,6 @@ type t = {
   tracing : bool;
   mutable trace_events : int;
   (* translate-time checkers *)
-  mutable validate_tick : int; (* tier-0 sampling counter (validate_every) *)
   mutable findings : finding list; (* every checker's, capped per checker *)
   aot : Aotcache.t option;
   (* concurrent JIT *)
@@ -653,7 +685,6 @@ let rec create ?(config = default_config) (guest : Ops.ops) : t =
       syscon;
       tracing = Sys.getenv_opt "CAPTIVE_TRACE" <> None;
       trace_events = 0;
-      validate_tick = 0;
       findings = [];
       aot = Option.map Aotcache.open_dir config.aot_dir;
       jenv;
@@ -1064,16 +1095,6 @@ let record_reloc (je : jit_env) (acc : acc) ~what ~region ~n_exits ~n_slots ?ra 
   s.t_reloc <- s.t_reloc +. (now () -. t0);
   match r with Ok c -> Some c | Error _ -> None
 
-(* Tier-0 and template blocks are validated every [validate_every]th
-   block; the counter lives on the vCPU, so the sampling order is
-   deterministic.  Regions are few and load-bearing: always validated. *)
-let sample_validation (e : t) () =
-  e.config.validate_translations
-  && begin
-       e.validate_tick <- e.validate_tick + 1;
-       e.config.validate_every <= 1 || e.validate_tick mod e.config.validate_every = 0
-     end
-
 (* --- simulated translate costs ------------------------------------------------------- *)
 
 (* Captive's pipeline makes several passes (DAG build, liveness,
@@ -1100,13 +1121,13 @@ let aot_load_cost ~n_host = 50 + (n_host / 4)
 
 (* Every tier's pre-allocation stream [pre] and allocation [ra] pass
    the same trust stack in one fixed order: [Verify] the allocation,
-   sampled [Equiv] validation against a per-instruction reference
-   emission from the same decode, [Absint] obligations, encode, [Reloc]
-   certification.  Pure apart from the [validate] sampling thunk, so
-   region jobs run it on worker domains.  A [Verify] violation raises
-   [Verify.Invalid]: the template tier falls back to the pipeline on
-   it, for the pipeline tiers it is a miscompile. *)
-let back_end (je : jit_env) (acc : acc) (req : request) ~kind ~validate ~equiv ?(promoted = [])
+   [Equiv] validation against a per-instruction reference emission
+   from the same decode, [Absint] obligations, encode, [Reloc]
+   certification.  Pure, so region jobs run it on worker domains.  A
+   [Verify] violation raises [Verify.Invalid]: the template tier falls
+   back to the pipeline on it, for the pipeline tiers it is a
+   miscompile. *)
+let back_end (je : jit_env) (acc : acc) (req : request) ~kind ~equiv ?(promoted = [])
     ~n_guest ~cost (pre : Hir.instr array) (ra : Regalloc.result) : result =
   let s = acc.a_stats and cfg = je.je_config and region = req.rq_region in
   let what = describe ~prefix:(if kind = 2 then "template " else "") req in
@@ -1116,7 +1137,7 @@ let back_end (je : jit_env) (acc : acc) (req : request) ~kind ~validate ~equiv ?
   (match equiv with
   | `Stub -> ()
   | (`Block _ | `Region _) as reference ->
-    if validate () then begin
+    if cfg.validate_translations then begin
       let tv = now () in
       let config = dag_config je ~mmu_on:req.rq_mmu in
       let init_pc = Hostir.Symexec.Const req.rq_va in
@@ -1163,7 +1184,7 @@ let back_end (je : jit_env) (acc : acc) (req : request) ~kind ~validate ~equiv ?
    functions over the invocation DAG, then register allocation.  An
    undefined first instruction gets a cached stub that raises the
    guest's undefined-instruction exception. *)
-let pipeline_front (je : jit_env) (acc : acc) (req : request) ~validate (decoded, undefined) :
+let pipeline_front (je : jit_env) (acc : acc) (req : request) (decoded, undefined) :
     result =
   let s = acc.a_stats in
   let t1 = now () in
@@ -1181,7 +1202,7 @@ let pipeline_front (je : jit_env) (acc : acc) (req : request) ~validate (decoded
   s.t_regalloc <- s.t_regalloc +. (now () -. t2);
   s.dead_marked <- s.dead_marked + ra.Regalloc.n_dead;
   s.spills <- s.spills + ra.Regalloc.n_spilled;
-  back_end je acc req ~kind:0 ~validate
+  back_end je acc req ~kind:0
     ~equiv:(if undefined then `Stub else `Block decoded)
     ~n_guest:(List.length decoded) ~cost:pipeline_cost instrs ra
 
@@ -1225,7 +1246,7 @@ let template_front (e : t) (acc : acc) (req : request) (decoded, undefined) : re
       Option.bind stitched (fun (pre, ra) ->
           try
             Some
-              (back_end je acc req ~kind:2 ~validate:(sample_validation e) ~equiv:(`Block decoded)
+              (back_end je acc req ~kind:2 ~equiv:(`Block decoded)
                  ~n_guest:(List.length decoded) ~cost:template_install_cost pre ra)
           with Hostir.Verify.Invalid _ -> None)
     in
@@ -1387,9 +1408,7 @@ let region_front (je : jit_env) (req : request) : result =
      to the analysis phase so the bench breakdown separates them. *)
   s.t_regalloc <- s.t_regalloc +. (now () -. t2 -. !t_simplify);
   s.t_analyze <- s.t_analyze +. !t_simplify;
-  back_end je acc req ~kind:1
-    ~validate:(fun () -> cfg.validate_translations)
-    ~equiv:(`Region (List.rev !member_refs))
+  back_end je acc req ~kind:1 ~equiv:(`Region (List.rev !member_refs))
     ~promoted ~n_guest:!n_guest ~cost:pipeline_cost instrs ra
 
 (* --- relocation-cleanliness certification + persistent AOT cache ------------------- *)
@@ -1579,9 +1598,7 @@ let install ?(async = false) ?(gen = 0) ?replaces ?(members = []) (e : t) (req :
           Hvm.Sanitize.record_translation sa ~mem:e.machine.Machine.mem
             ~pa:(member_pa req md.md_va) ~el:req.rq_el ~mmu:req.rq_mmu ~len)
         covered;
-      if (not region) && e.config.sanitize_every > 0
-         && s.blocks_translated mod e.config.sanitize_every = 0
-      then sanitize_check e ~reason:"periodic"
+      if (not region) && s.blocks_translated mod sanitize_every = 0 then sanitize_check e ~reason:"periodic"
     | None -> ());
     (* Persistence of a fresh certified translation, keyed by the
        covered members' VAs and lengths: a warm boot reuses a region
@@ -1640,7 +1657,7 @@ let translate_block ?(pipeline = false) ?replaces (e : t) ~va ~pa ~el ~mmu_on : 
     match aot_front e acc req ~kind:0 with
     | Some res -> res
     | None ->
-      pipeline_front e.jenv acc req ~validate:(sample_validation e) (Lazy.force decoded)
+      pipeline_front e.jenv acc req (Lazy.force decoded)
   in
   let res =
     if e.config.templates && e.config.tiering && not pipeline then begin

@@ -213,7 +213,6 @@ let stress_config ~domains ~seed =
   {
     CE.default_config with
     CE.sanitize = true;
-    sanitize_every = 32;
     hot_threshold = 4;
     domains;
     stress_seed = seed;

@@ -3,13 +3,14 @@
 
    Each run boots the ARM or RISC-V MMU-stress workload at [domains = 1]
    under one engine config and compares the exit code, [cycles],
-   [jit_cycles], every integer [phase_stats] field and the lengths of
-   the three finding logs against a recorded row.  The configs cover
-   every translation tier and every install path: templates on and off,
-   tiering off, the full trust stack (validate + analyze + reloc +
-   sanitize, with [validate_every = 3] so the sampling order across
-   template and tier-0 blocks is pinned), and an AOT cold boot followed
-   by a warm boot from the same fresh directory.
+   [jit_cycles], every integer counter of [Engine.counters] and the
+   lengths of the three finding logs against a recorded row.  The
+   configs cover every translation tier and every install path:
+   templates on and off, tiering off, the full trust stack (validate +
+   analyze + reloc + sanitize), and an AOT cold boot followed by a warm
+   boot from the same fresh directory.  The rows also pin the counter
+   table's order and coverage: a count missing from it shortens every
+   row.
 
    A mismatch prints the whole actual row, so a deliberate change to
    the translation bookkeeping is re-recorded by pasting it in.  The
@@ -20,66 +21,9 @@
 module CE = Captive.Engine
 module W = Workloads.Registry
 
-let int_fields (s : CE.phase_stats) =
-  [
-    ("blocks_translated", s.CE.blocks_translated);
-    ("guest_instrs_translated", s.CE.guest_instrs_translated);
-    ("host_instrs_emitted", s.CE.host_instrs_emitted);
-    ("host_bytes_emitted", s.CE.host_bytes_emitted);
-    ("dead_marked", s.CE.dead_marked);
-    ("spills", s.CE.spills);
-    ("blocks_executed", s.CE.blocks_executed);
-    ("chain_hits", s.CE.chain_hits);
-    ("smc_invalidations", s.CE.smc_invalidations);
-    ("promotions", s.CE.promotions);
-    ("regions_formed", s.CE.regions_formed);
-    ("region_blocks", s.CE.region_blocks);
-    ("region_host_instrs", s.CE.region_host_instrs);
-    ("region_entries", s.CE.region_entries);
-    ("region_block_execs", s.CE.region_block_execs);
-    ("region_dead_stores", s.CE.region_dead_stores);
-    ("rf_promoted", s.CE.rf_promoted);
-    ("region_wb_entries", s.CE.region_wb_entries);
-    ("mem_loads_elided", s.CE.mem_loads_elided);
-    ("stores_forwarded", s.CE.stores_forwarded);
-    ("blocks_validated", s.CE.blocks_validated);
-    ("regions_validated", s.CE.regions_validated);
-    ("validation_findings", s.CE.validation_findings);
-    ("validations_bounded", s.CE.validations_bounded);
-    ("blocks_analyzed", s.CE.blocks_analyzed);
-    ("regions_analyzed", s.CE.regions_analyzed);
-    ("obligation_findings", s.CE.obligation_findings);
-    ("absint_branches_folded", s.CE.absint_branches_folded);
-    ("absint_consts_folded", s.CE.absint_consts_folded);
-    ("absint_masks_dropped", s.CE.absint_masks_dropped);
-    ("absint_divs_reduced", s.CE.absint_divs_reduced);
-    ("absint_dead_deleted", s.CE.absint_dead_deleted);
-    ("translate_cycles", s.CE.translate_cycles);
-    ("translate_cycles_template", s.CE.translate_cycles_template);
-    ("translate_cycles_pipeline", s.CE.translate_cycles_pipeline);
-    ("template_blocks", s.CE.template_blocks);
-    ("template_instrs", s.CE.template_instrs);
-    ("template_misses", s.CE.template_misses);
-    ("template_fallback_blocks", s.CE.template_fallback_blocks);
-    ("templates_mined", s.CE.templates_mined);
-    ("blocks_certified", s.CE.blocks_certified);
-    ("regions_certified", s.CE.regions_certified);
-    ("reloc_findings", s.CE.reloc_findings);
-    ("aot_hits", s.CE.aot_hits);
-    ("aot_misses", s.CE.aot_misses);
-    ("aot_stores", s.CE.aot_stores);
-    ("aot_rejects", s.CE.aot_rejects);
-    ("jobs_enqueued", s.CE.jobs_enqueued);
-    ("jobs_completed", s.CE.jobs_completed);
-    ("jobs_installed", s.CE.jobs_installed);
-    ("jobs_stale", s.CE.jobs_stale);
-    ("jobs_cancelled", s.CE.jobs_cancelled);
-    ("jobs_dropped", s.CE.jobs_dropped);
-  ]
-
 let row (e : CE.t) ~code =
   [ ("exit", code); ("cycles", CE.cycles e); ("jit_cycles", CE.jit_cycles e) ]
-  @ int_fields e.CE.stats
+  @ CE.int_counters e.CE.stats
   @ [
       ("validation_log", List.length (CE.log_of e CE.Equiv));
       ("analysis_log", List.length (CE.log_of e CE.Absint));
@@ -101,7 +45,6 @@ let configs =
       {
         base with
         CE.validate_translations = true;
-        validate_every = 3;
         analyze_translations = true;
         reloc_check = true;
         sanitize = true;
@@ -132,7 +75,7 @@ let expected : (string * int list) list =
     ("arm/trust-stack",
       [
         31; 2119283; 111975; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 68; 1; 8127;
-        16; 3; 3; 0; 0; 14; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 16; 111975; 80295; 31680; 43;
+        16; 3; 3; 0; 0; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 16; 111975; 80295; 31680; 43;
         205; 0; 0; 68; 43; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/aot-cold",
@@ -168,7 +111,7 @@ let expected : (string * int list) list =
     ("riscv/trust-stack",
       [
         13; 27830; 21450; 8; 36; 282; 1618; 2; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
-        0; 2; 0; 0; 0; 8; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 8; 0; 0;
+        0; 8; 0; 0; 0; 8; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 8; 0; 0;
         0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("riscv/aot-cold",
@@ -285,6 +228,26 @@ let test_finding_log () =
   Alcotest.(check (list int)) "counters past the cap" [ 100; 100; 100 ]
     [ s.CE.validation_findings; s.CE.obligation_findings; s.CE.reloc_findings ]
 
+(* The counter JSON is the table: 53 counts under their own names and
+   10 timers as [<name>_ms], no key twice, every count equal to its
+   [int_counters] value; and [add_stats] onto fresh stats reproduces it,
+   so the merge covers every counter. *)
+let test_counter_json () =
+  let e, _ = W.boot ~config:base (W.riscv_mmu.W.w_program ()) in
+  let s = e.CE.stats in
+  let json = CE.counters_json s in
+  let fields = Dbt_util.Minijson.parse_line ("{" ^ json ^ "}") in
+  let is_ms k = String.starts_with ~prefix:"t_" k && String.ends_with ~suffix:"_ms" k in
+  let counts = List.filter (fun (k, _) -> not (is_ms k)) fields in
+  Alcotest.(check int) "distinct keys" 63 (List.length (List.sort_uniq compare (List.map fst fields)));
+  Alcotest.(check (pair int int)) "counts, timers" (53, 10)
+    (List.length counts, List.length fields - List.length counts);
+  Alcotest.(check (list (pair string int))) "counts" (CE.int_counters s)
+    (List.map (function k, Dbt_util.Minijson.N v -> (k, int_of_float v) | k, _ -> (k, -1)) counts);
+  let copy = CE.new_phase_stats () in
+  CE.add_stats copy s;
+  Alcotest.(check string) "add_stats onto fresh stats" json (CE.counters_json copy)
+
 let suite =
   ( "parity",
     [
@@ -299,4 +262,5 @@ let suite =
       Alcotest.test_case "rv64im checkers do not interact" `Quick
         (test_checkers_independent W.riscv_mmu);
       Alcotest.test_case "one finding log" `Quick test_finding_log;
+      Alcotest.test_case "counter JSON is the table" `Quick test_counter_json;
     ] )

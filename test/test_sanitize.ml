@@ -132,7 +132,7 @@ let test_negative_ring () =
 
 (* --- engine-level ------------------------------------------------------ *)
 
-let sanitized_config = { CE.default_config with CE.sanitize = true; sanitize_every = 16 }
+let sanitized_config = { CE.default_config with CE.sanitize = true }
 
 let sanitizer_of (e : CE.t) = Option.get e.CE.sanitizer
 
