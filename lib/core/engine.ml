@@ -29,27 +29,18 @@ type config = {
   pcid : bool; (* use PCIDs when switching address-space roots *)
   split_va_check : bool; (* 64-bit guest address-space split handling *)
   mem_size : int;
-  sanitize : bool; (* shadow-oracle MMU invariant checking (Hvm.Sanitize) *)
   tiering : bool; (* tiered translation: profile tier-0 blocks, form hot regions *)
   templates : bool; (* tier minus one: template-stitched cold translation
                        (Hostir.Template); active only with [tiering], since
                        promotion is what buys back code quality *)
   hot_threshold : int; (* executions of a tier-0 block before promotion *)
   promote : bool; (* region-scoped register promotion + memory redundancy elim *)
-  (* symbolic translation validation (Hostir.Equiv): every accepted
-     translation is re-derived as an unoptimized reference emission and
-     checked for exit-point equivalence; any finding is a miscompile *)
-  validate_translations : bool;
-  (* static obligation checking (Hostir.Absint): every translation the
-     engine produces is analyzed at translate time — register-file
-     offsets in-bounds and aligned, spill slots inside the frame,
-     promoted-register discipline and writeback coverage *)
-  analyze_translations : bool;
-  (* relocation-cleanliness certification (Hostir.Reloc): every encoded
-     translation is analyzed at translate time — operands and control
-     transfers classified relocatable or pinned, encoding determinism
-     audited; any finding means the translation can't be persisted *)
-  reloc_check : bool;
+  (* the trust stack's observers, all on or all off: every translation
+     passes the translate-time checkers of [checkers] (Hostir.Equiv,
+     Hostir.Absint, Hostir.Reloc), and the shadow-oracle MMU sanitizer
+     (Hvm.Sanitize) sweeps at every checkpoint.  They only observe:
+     cycles and every counter no checker owns are the same either way. *)
+  check : bool;
   (* persistent AOT translation cache directory: certified translations
      are stored here and reinstalled (guest bytes verified, certificate
      re-checked, chain/exit sites re-bound) instead of re-translated.
@@ -73,7 +64,7 @@ type config = {
 let region_max_blocks = 8
 let promote_max_regs = 4
 
-(* With [sanitize], an extra periodic checkpoint every this many
+(* With [check], an extra periodic sanitizer checkpoint every this many
    translated blocks. *)
 let sanitize_every = 32
 
@@ -84,14 +75,11 @@ let default_config =
     pcid = true;
     split_va_check = true;
     mem_size = 256 * 1024 * 1024;
-    sanitize = false;
     tiering = true;
     templates = true;
     hot_threshold = 64;
     promote = true;
-    validate_translations = false;
-    analyze_translations = false;
-    reloc_check = false;
+    check = false;
     aot_dir = None;
     domains = 1;
     stress_seed = None;
@@ -251,9 +239,9 @@ let new_phase_stats () =
    or seconds printed as [<name>_ms]) and its accessors.  Merging, the
    parity rows and every JSON row are derived from it; only the record
    literal in [new_phase_stats] names the fields again. *)
-type counter =
-  | Count of string * (phase_stats -> int) * (phase_stats -> int -> unit)
-  | Time of string * (phase_stats -> float) * (phase_stats -> float -> unit)
+type 'a entry = string * (phase_stats -> 'a) * (phase_stats -> 'a -> unit)
+
+type counter = Count of int entry | Time of float entry
 
 let counters =
   [
@@ -330,6 +318,19 @@ let add_stats (dst : phase_stats) (d : phase_stats) =
       | Count (_, get, set) -> set dst (get dst + get d)
       | Time (_, get, set) -> set dst (get dst +. get d))
     counters
+
+let counter_name = function Count (n, _, _) | Time (n, _, _) -> n
+
+(* A counter of the table by name, as a count or a timer. *)
+let count name : int entry =
+  match List.find (fun c -> counter_name c = name) counters with
+  | Count c -> c
+  | Time _ -> invalid_arg name
+
+let timer name : float entry =
+  match List.find (fun c -> counter_name c = name) counters with
+  | Time c -> c
+  | Count _ -> invalid_arg name
 
 (* The integer counters as (name, value), in declaration order. *)
 let int_counters (s : phase_stats) =
@@ -553,11 +554,11 @@ let make_machine config =
   let machine = Machine.create ~mem_size:config.mem_size ~devices ~intc () in
   (machine, uart, timer, syscon)
 
+(* With [hw_fp] every intrinsic is inlined; without it, the soft-FP ones
+   call their softfloat helper. *)
 let lower_intrinsic config name : Dag.lowering =
-  let is_fp = String.length name > 2 && (String.sub name 0 2 = "fp" || String.length name > 4 && String.sub name 0 4 = "sint" || String.sub name 0 4 = "uint") in
-  if (not config.hw_fp) && is_fp then
-    match Common.softfloat_index name with Some h -> Dag.L_helper h | None -> Dag.L_inline
-  else Dag.L_inline
+  if config.hw_fp then Dag.L_inline
+  else match Common.softfloat_index name with Some h -> Dag.L_helper h | None -> Dag.L_inline
 
 let rec create ?(config = default_config) (guest : Ops.ops) : t =
   let machine, uart, timer, syscon = make_machine config in
@@ -678,7 +679,7 @@ let rec create ?(config = default_config) (guest : Ops.ops) : t =
       roots;
       current_as = 0;
       itlb = Hashtbl.create 256;
-      sanitizer = (if config.sanitize then Some (Hvm.Sanitize.create ()) else None);
+      sanitizer = (if config.check then Some (Hvm.Sanitize.create ()) else None);
       stats = new_phase_stats ();
       uart;
       timer;
@@ -718,7 +719,7 @@ and flush_host_mappings (e : t) =
   (match e.sanitizer with Some s -> Hvm.Sanitize.record_clear_mappings s | None -> ());
   sanitize_check e ~reason:"flush"
 
-(* Shadow-oracle checkpoint (config.sanitize): sweep the real MMU state
+(* Shadow-oracle checkpoint (config.check): sweep the real MMU state
    against the sanitizer's shadow.  Free by construction when off. *)
 and sanitize_check (e : t) ~reason =
   match e.sanitizer with
@@ -1026,74 +1027,68 @@ let merge (e : t) (acc : acc) =
   add_stats e.stats acc.a_stats;
   e.findings <- append_capped e.findings acc.a_findings
 
-(* Count one checker's findings on one translation and log them:
-   [(what, detail)] pairs, in discovery order. *)
-let record_findings (acc : acc) checker (fs : (string * string) list) =
-  let s = acc.a_stats and n = List.length fs in
-  (match checker with
-  | Equiv -> s.validation_findings <- s.validation_findings + n
-  | Absint -> s.obligation_findings <- s.obligation_findings + n
-  | Reloc -> s.reloc_findings <- s.reloc_findings + n);
+(* The translate-time checkers, each declared once: its report label
+   and its four entries in [counters] — translations checked as a block
+   and as a region, findings, seconds.  Reloc counts a translation only
+   when it certifies it clean, since only a clean one may be persisted;
+   the others count every translation they check. *)
+type checker_entry = {
+  ck : checker;
+  ck_label : string;
+  ck_blocks : int entry;
+  ck_regions : int entry;
+  ck_findings : int entry;
+  ck_seconds : float entry;
+  ck_clean_only : bool;
+}
+
+let checkers =
+  List.map
+    (fun (ck, ck_label, b, r, f, t, ck_clean_only) ->
+      {
+        ck;
+        ck_label;
+        ck_blocks = count b;
+        ck_regions = count r;
+        ck_findings = count f;
+        ck_seconds = timer t;
+        ck_clean_only;
+      })
+    [
+      (Equiv, "Equiv", "blocks_validated", "regions_validated", "validation_findings", "t_validate", false);
+      (Absint, "Absint", "blocks_analyzed", "regions_analyzed", "obligation_findings", "t_analyze", false);
+      (Reloc, "Reloc", "blocks_certified", "regions_certified", "reloc_findings", "t_reloc", true);
+    ]
+
+let bump ((_, get, set) : _ entry) s v = set s (get s + v)
+
+(* The one checker driver: run [check] on one translation, time it,
+   count the translation and log its findings, [(what, detail)] pairs
+   in discovery order.  Returns [check]'s verdict. *)
+let run_checker (acc : acc) checker ~region (check : unit -> (string * string) list * 'a) : 'a =
+  let c = List.find (fun c -> c.ck = checker) checkers and s = acc.a_stats in
+  let t0 = now () in
+  let fs, verdict = check () in
+  if fs = [] || not c.ck_clean_only then bump (if region then c.ck_regions else c.ck_blocks) s 1;
+  bump c.ck_findings s (List.length fs);
   acc.a_findings <-
     append_capped acc.a_findings
-      (List.map (fun (fi_what, fi_detail) -> { fi_checker = checker; fi_what; fi_detail }) fs)
+      (List.map (fun (fi_what, fi_detail) -> { fi_checker = checker; fi_what; fi_detail }) fs);
+  let _, get, set = c.ck_seconds in
+  set s (get s +. (now () -. t0));
+  verdict
 
-(* One checker's counters: blocks and regions checked, findings,
-   seconds. *)
-let checker_stats (s : phase_stats) = function
-  | Equiv -> (s.blocks_validated, s.regions_validated, s.validation_findings, s.t_validate)
-  | Absint -> (s.blocks_analyzed, s.regions_analyzed, s.obligation_findings, s.t_analyze)
-  | Reloc -> (s.blocks_certified, s.regions_certified, s.reloc_findings, s.t_reloc)
-
-(* Account one Equiv outcome: counters, plus the logged findings (full
-   detail, for the check subcommand's report). *)
-let record_validation (acc : acc) ~what ~region (r : Hostir.Equiv.outcome) =
-  let s = acc.a_stats in
-  if region then s.regions_validated <- s.regions_validated + 1
-  else s.blocks_validated <- s.blocks_validated + 1;
-  if not r.Hostir.Equiv.complete then s.validations_bounded <- s.validations_bounded + 1;
-  record_findings acc Equiv
-    (List.map
-       (fun (f : Hostir.Equiv.finding) ->
-         (Printf.sprintf "%s: %s" what f.Hostir.Equiv.f_name, f.Hostir.Equiv.f_detail))
-       r.Hostir.Equiv.findings)
-
-(* Static obligation checking of one translation: the pre-allocation
-   stream carries the register-file and writeback-discipline
-   obligations, the allocated stream the spill-frame bounds. *)
-let record_analysis (acc : acc) ~what ~region ~promoted ~(pre : Hir.instr array)
-    (ra : Regalloc.result) =
-  let s = acc.a_stats in
-  let ta = now () in
-  let findings =
-    Hostir.Absint.check_translation ~classify:Common.helper_kind ~promoted pre
-    @ Hostir.Absint.check_frame ~n_slots:ra.Regalloc.n_slots ra.Regalloc.instrs
-  in
-  if region then s.regions_analyzed <- s.regions_analyzed + 1
-  else s.blocks_analyzed <- s.blocks_analyzed + 1;
-  record_findings acc Absint
-    (List.map (fun f -> (what, Hostir.Absint.finding_to_string f)) findings);
-  s.t_analyze <- s.t_analyze +. (now () -. ta)
-
-(* Certify one encoded translation relocation-clean (operand/control
-   classification + encoding-determinism audit); [Some] carries the
-   certificate the AOT cache persists. *)
-let record_reloc (je : jit_env) (acc : acc) ~what ~region ~n_exits ~n_slots ?ra (code : bytes) :
-    Hostir.Reloc.certificate option =
-  let s = acc.a_stats in
-  let t0 = now () in
-  let env =
-    { Hostir.Reloc.n_exits; n_helpers = je.je_n_helpers; n_slots; rf_bytes = je.je_rf_bytes }
-  in
-  let r = Hostir.Reloc.certify ~env ?ra code in
-  (match r with
-  | Ok _ ->
-    if region then s.regions_certified <- s.regions_certified + 1
-    else s.blocks_certified <- s.blocks_certified + 1
-  | Error fs ->
-    record_findings acc Reloc (List.map (fun f -> (what, Hostir.Reloc.finding_to_string f)) fs));
-  s.t_reloc <- s.t_reloc +. (now () -. t0);
-  match r with Ok c -> Some c | Error _ -> None
+(* Reloc: certify one encoded translation relocation-clean
+   (operand/control classification + encoding-determinism audit);
+   [Some] carries the certificate the AOT cache persists. *)
+let certify (je : jit_env) (acc : acc) ~what ~region ~n_exits ~n_slots ?ra (code : bytes) =
+  run_checker acc Reloc ~region (fun () ->
+      let env =
+        { Hostir.Reloc.n_exits; n_helpers = je.je_n_helpers; n_slots; rf_bytes = je.je_rf_bytes }
+      in
+      match Hostir.Reloc.certify ~env ?ra code with
+      | Ok c -> ([], Some c)
+      | Error fs -> (List.map (fun f -> (what, Hostir.Reloc.finding_to_string f)) fs, None))
 
 (* --- simulated translate costs ------------------------------------------------------- *)
 
@@ -1134,25 +1129,37 @@ let back_end (je : jit_env) (acc : acc) (req : request) ~kind ~equiv ?(promoted 
   (match Hostir.Verify.check ~original:pre ra with
   | [] -> ()
   | vs -> raise (Hostir.Verify.Invalid (what, vs)));
-  (match equiv with
-  | `Stub -> ()
-  | (`Block _ | `Region _) as reference ->
-    if cfg.validate_translations then begin
-      let tv = now () in
-      let config = dag_config je ~mmu_on:req.rq_mmu in
-      let init_pc = Hostir.Symexec.Const req.rq_va in
-      let classify = Common.helper_kind in
-      let outcome =
-        match reference with
-        | `Block decoded ->
-          Hostir.Equiv.check_block ~classify ~config ~init_pc ~opt:pre
-            (equiv_items je ~el:req.rq_el decoded)
-        | `Region members -> Hostir.Equiv.check_region ~classify ~config ~init_pc ~opt:pre members
-      in
-      record_validation acc ~what ~region outcome;
-      s.t_validate <- s.t_validate +. (now () -. tv)
-    end);
-  if cfg.analyze_translations then record_analysis acc ~what ~region ~promoted ~pre ra;
+  if cfg.check then begin
+    (match equiv with
+    | `Stub -> ()
+    | (`Block _ | `Region _) as reference ->
+      run_checker acc Equiv ~region (fun () ->
+          let config = dag_config je ~mmu_on:req.rq_mmu in
+          let init_pc = Hostir.Symexec.Const req.rq_va in
+          let classify = Common.helper_kind in
+          let r =
+            match reference with
+            | `Block decoded ->
+              Hostir.Equiv.check_block ~classify ~config ~init_pc ~opt:pre
+                (equiv_items je ~el:req.rq_el decoded)
+            | `Region members -> Hostir.Equiv.check_region ~classify ~config ~init_pc ~opt:pre members
+          in
+          if not r.Hostir.Equiv.complete then s.validations_bounded <- s.validations_bounded + 1;
+          ( List.map
+              (fun (f : Hostir.Equiv.finding) ->
+                (Printf.sprintf "%s: %s" what f.Hostir.Equiv.f_name, f.Hostir.Equiv.f_detail))
+              r.Hostir.Equiv.findings,
+            () )));
+    (* Absint: the pre-allocation stream carries the register-file and
+       writeback-discipline obligations, the allocated stream the
+       spill-frame bounds. *)
+    run_checker acc Absint ~region (fun () ->
+        ( List.map
+            (fun f -> (what, Hostir.Absint.finding_to_string f))
+            (Hostir.Absint.check_translation ~classify:Common.helper_kind ~promoted pre
+            @ Hostir.Absint.check_frame ~n_slots:ra.Regalloc.n_slots ra.Regalloc.instrs),
+          () ))
+  end;
   let t3 = now () in
   let code = Encode.encode ra in
   let program = Encode.decode_program ~n_slots:ra.Regalloc.n_slots code in
@@ -1160,8 +1167,8 @@ let back_end (je : jit_env) (acc : acc) (req : request) ~kind ~equiv ?(promoted 
   let n_host = Array.length pre in
   let n_exits = if region then List.length req.rq_members else 0 in
   let cert =
-    if cfg.reloc_check || cfg.aot_dir <> None then
-      record_reloc je acc ~what ~region ~n_exits ~n_slots:ra.Regalloc.n_slots ~ra code
+    if cfg.check || cfg.aot_dir <> None then
+      certify je acc ~what ~region ~n_exits ~n_slots:ra.Regalloc.n_slots ~ra code
     else None
   in
   {
@@ -1285,7 +1292,7 @@ let region_front (je : jit_env) (req : request) : result =
   (* Per-member decode record, kept only when validation is on: enough
      for Hostir.Equiv to re-create the member/dispatch skeleton. *)
   let member_refs = ref [] in
-  let keep_ref mr = if cfg.validate_translations then member_refs := mr :: !member_refs in
+  let keep_ref mr = if cfg.check then member_refs := mr :: !member_refs in
   List.iteri
     (fun mi (md, l) ->
       em.Ssa.Emitter.set_block l;
@@ -1459,8 +1466,8 @@ let aot_front (e : t) (acc : acc) (req : request) ~kind : result option =
       else
         let n_slots = entry.Aotcache.e_n_slots and n_host = entry.Aotcache.e_n_host in
         match
-          record_reloc e.jenv acc ~what ~region:req.rq_region ~n_exits:entry.Aotcache.e_n_exits
-            ~n_slots entry.Aotcache.e_code
+          certify e.jenv acc ~what ~region:req.rq_region ~n_exits:entry.Aotcache.e_n_exits ~n_slots
+            entry.Aotcache.e_code
         with
         | None ->
           s.aot_rejects <- s.aot_rejects + 1;

@@ -34,8 +34,7 @@
      drop redundant masks and extensions, strength-reduce divisions,
      and delete cross-block dead vreg definitions);
    - the engine's per-translation analysis hook, which runs the checker
-     over every translation it produces when [analyze_translations] is
-     set. *)
+     over every translation it produces when [config.check] is set. *)
 
 open Hir
 module Bits = Dbt_util.Bits

@@ -8,11 +8,10 @@
     calls are interpreted through the shared {!Effects} classification.
 
     Consumers: {!check_translation} (the static obligation checker run
-    by the engine over every translation when
-    [config.analyze_translations] is set), {!simplify} (the O4
-    absint-simplify region pass), and {!Verify.check_wb} (which
-    delegates its promoted-register discipline fixpoint to
-    {!check_wb}). *)
+    by the engine over every translation when [config.check] is set),
+    {!simplify} (the O4 absint-simplify region pass), and
+    {!Verify.check_wb} (which delegates its promoted-register discipline
+    fixpoint to {!check_wb}). *)
 
 (** {1 Abstract state and transfer} *)
 

@@ -3,7 +3,7 @@
    Little-endian, byte addressable.  Out-of-range accesses raise
    [Bus_error], which the machine surfaces like a hardware machine-check.
    The exception carries the access width and direction so that memory
-   diagnostics (e.g. `captive_run mmucheck` findings) are actionable.
+   diagnostics (e.g. `captive_run check` sanitizer findings) are actionable.
 
    Backing store is a page-sparse frame table, like host RAM that the
    host kernel faults in on first touch: one slot per 4 KiB frame, each

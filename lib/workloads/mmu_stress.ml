@@ -1,10 +1,11 @@
-(* MMU-stress workloads for `captive_run mmucheck`: guest programs that
-   deliberately exercise the paths the shadow-oracle sanitizer watches —
-   demand paging across many pages, self-modifying code (invalidate +
-   remap + TLB shoot-down), guest-visible faults, syscalls/ring
-   transitions, and a guest TLB flush on every exception return.
+(* MMU-stress workloads for `captive_run check` and `stress`: guest
+   programs that deliberately exercise the paths the shadow-oracle
+   sanitizer watches — demand paging across many pages, self-modifying
+   code (invalidate + remap + TLB shoot-down), guest-visible faults,
+   syscalls/ring transitions, and a guest TLB flush on every exception
+   return.
 
-   Both programs terminate with a deterministic exit code so mmucheck can
+   Both programs terminate with a deterministic exit code so check can
    assert end-to-end correctness on top of zero sanitizer findings. *)
 
 module A = Guest_arm.Arm_asm

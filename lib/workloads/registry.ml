@@ -2,8 +2,8 @@
    boot, and the one helper that boots it on a Captive engine.
 
    - [check_matrix]: the ten workloads `check` boots at O1-O4.
-   - [mmu_stress]: the ARM and RISC-V MMU-stress images (`mmucheck`,
-     `stress`).
+   - [mmu_stress]: the ARM and RISC-V MMU-stress images (`stress`;
+     also in the check matrix).
    - [quick_bench] / [full_bench]: the SPEC proxies `bench` runs. *)
 
 module A = Guest_arm.Arm_asm

@@ -212,7 +212,7 @@ let test_in_flight_clean_installs () =
 let stress_config ~domains ~seed =
   {
     CE.default_config with
-    CE.sanitize = true;
+    CE.check = true;
     hot_threshold = 4;
     domains;
     stress_seed = seed;

@@ -338,6 +338,20 @@ let test_spec_proxies_differential () =
       Alcotest.(check bool) (name ^ " ran") true (cc >= 0))
     [ "445.gobmk"; "456.hmmer"; "444.namd" ]
 
+(* Sec. 3.6.2's softfloat configuration: with [hw_fp] off, every soft-FP
+   intrinsic lowers to its softfloat helper instead of inline host FP.
+   The guest result must not change, and the helper calls must cost
+   more cycles than the inline instructions. *)
+let test_softfloat_helpers () =
+  let boot hw_fp =
+    Workloads.Registry.boot ~config:{ CE.default_config with CE.hw_fp }
+      (Workloads.Registry.spec ~scale:1 "444.namd")
+  in
+  let e_hw, code_hw = boot true and e_sw, code_sw = boot false in
+  Alcotest.(check (pair int int)) "exit codes" (0, 0) (code_hw, code_sw);
+  if CE.cycles e_sw <= CE.cycles e_hw then
+    Alcotest.failf "softfloat %d cycles, hardware FP %d" (CE.cycles e_sw) (CE.cycles e_hw)
+
 (* --- randomized differential testing --------------------------------------- *)
 
 (* Random straight-line programs over data-processing, memory and FP
@@ -454,5 +468,6 @@ let suite =
       Alcotest.test_case "timer interrupts" `Slow test_timer_interrupts;
       Alcotest.test_case "cache retention across TLB flush" `Slow test_cache_retention_across_tlb_flush;
       Alcotest.test_case "SPEC proxies differential" `Slow test_spec_proxies_differential;
+      Alcotest.test_case "softfloat helpers (hw_fp off)" `Slow test_softfloat_helpers;
       QCheck_alcotest.to_alcotest prop_random_programs;
     ] )

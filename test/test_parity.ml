@@ -6,17 +6,16 @@
    [jit_cycles], every integer counter of [Engine.counters] and the
    lengths of the three finding logs against a recorded row.  The
    configs cover every translation tier and every install path:
-   templates on and off, tiering off, the full trust stack (validate +
-   analyze + reloc + sanitize), and an AOT cold boot followed by a warm
-   boot from the same fresh directory.  The rows also pin the counter
-   table's order and coverage: a count missing from it shortens every
-   row.
+   templates on and off, tiering off, the full trust stack ([check]),
+   and a checked AOT cold boot followed by a warm boot from the same
+   fresh directory.  The rows also pin the counter table's order and
+   coverage: a count missing from it shortens every row.
 
    A mismatch prints the whole actual row, so a deliberate change to
    the translation bookkeeping is re-recorded by pasting it in.  The
-   same rows show that the checkers do not interact and that an AOT
-   cold boot is the plain boot, and a unit test pins the one finding
-   log they share. *)
+   same rows show that the checks only observe and that an AOT cold
+   boot is the plain boot, and a unit test pins the one finding log the
+   checkers share. *)
 
 module CE = Captive.Engine
 module W = Workloads.Registry
@@ -41,14 +40,7 @@ let configs =
     ("default", base);
     ("no-templates", { base with CE.templates = false });
     ("no-tiering", { base with CE.tiering = false });
-    ( "trust-stack",
-      {
-        base with
-        CE.validate_translations = true;
-        analyze_translations = true;
-        reloc_check = true;
-        sanitize = true;
-      } );
+    ("trust-stack", { base with CE.check = true });
   ]
 
 (* Recorded rows, in [row] column order. *)
@@ -81,7 +73,7 @@ let expected : (string * int list) list =
     ("arm/aot-cold",
       [
         31; 2119283; 111975; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 68; 1; 8127;
-        16; 3; 3; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 16; 111975; 80295; 31680; 43; 205;
+        16; 3; 3; 0; 0; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 16; 111975; 80295; 31680; 43; 205;
         0; 0; 68; 43; 1; 0; 0; 1; 44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/aot-warm",
@@ -117,7 +109,7 @@ let expected : (string * int list) list =
     ("riscv/aot-cold",
       [
         13; 27830; 21450; 8; 36; 282; 1618; 2; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 8; 0; 0;
+        0; 8; 0; 0; 0; 8; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 8; 0; 0;
         0; 2; 8; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("riscv/aot-warm",
@@ -155,7 +147,7 @@ let test_guest w gname () =
   let rows = List.map (fun (cname, config) -> (gname ^ "/" ^ cname, boot w config)) configs in
   let aot =
     Temp_dir.with_dir (fun dir ->
-        let config = { base with CE.aot_dir = Some dir; sanitize = true } in
+        let config = { base with CE.aot_dir = Some dir; check = true } in
         let cold = boot w config in
         let warm = boot w config in
         [ (gname ^ "/aot-cold", cold); (gname ^ "/aot-warm", warm) ])
@@ -177,36 +169,22 @@ let test_aot_cold_is_plain w () =
   Alcotest.(check (list (pair string int)))
     "cold boot" (List.filter compared plain) (List.filter compared cold)
 
-(* Each checker alone, with the row fields it owns. *)
-let alone =
-  [
-    ( { base with CE.validate_translations = true },
-      [ "blocks_validated"; "regions_validated"; "validation_findings"; "validations_bounded";
-        "validation_log" ] );
-    ( { base with CE.analyze_translations = true },
-      [ "blocks_analyzed"; "regions_analyzed"; "obligation_findings"; "analysis_log" ] );
-    ( { base with CE.reloc_check = true },
-      [ "blocks_certified"; "regions_certified"; "reloc_findings"; "reloc_log" ] );
-  ]
+(* The row fields a checker owns: its counts in [CE.checkers], Equiv's
+   bounded checks and the three log lengths. *)
+let owned =
+  List.concat_map
+    (fun c -> List.map (fun (n, _, _) -> n) [ c.CE.ck_blocks; c.CE.ck_regions; c.CE.ck_findings ])
+    CE.checkers
+  @ [ "validations_bounded"; "validation_log"; "analysis_log"; "reloc_log" ]
 
-(* The checkers only observe, which is what lets `check` boot each
-   (workload, level) pair once: a boot with all three on matches each
-   one-checker boot on that checker's fields and on every field no
-   checker owns (exit, cycles, ...). *)
-let test_checkers_independent w () =
-  let all =
-    boot w
-      { base with CE.validate_translations = true; analyze_translations = true; reloc_check = true }
-  in
-  let owned = List.concat_map snd alone in
-  List.iter
-    (fun (config, own) ->
-      List.iter2
-        (fun (field, got) (_, want) ->
-          if List.mem field own || not (List.mem field owned) then
-            Alcotest.(check int) field want got)
-        all (boot w config))
-    alone
+(* The checks only observe, which is what lets `check` read every
+   checker and the MMU sanitizer from one boot per (workload, level)
+   pair: a boot with [check] on equals the plain boot on every field no
+   checker owns (exit, cycles, jit_cycles, ...). *)
+let test_checks_only_observe w () =
+  let unowned = List.filter (fun (field, _) -> not (List.mem field owned)) in
+  Alcotest.(check (list (pair string int)))
+    "unowned fields" (unowned (boot w base)) (unowned (boot w { base with CE.check = true }))
 
 (* The one finding log keeps discovery order and each checker's first
    [log_cap] findings, however they arrive; the counters stay exact. *)
@@ -214,7 +192,7 @@ let test_finding_log () =
   let e = CE.create (Guest_arm.Arm.ops ()) in
   let add checker fs =
     let acc = CE.new_acc () in
-    CE.record_findings acc checker fs;
+    CE.run_checker acc checker ~region:false (fun () -> (fs, ()));
     CE.merge e acc
   in
   let names p n = List.init n (fun i -> (Printf.sprintf "%s%d" p i, "detail")) in
@@ -257,10 +235,8 @@ let suite =
         (test_aot_cold_is_plain W.arm_mmu);
       Alcotest.test_case "rv64im AOT cold boot is the plain boot" `Quick
         (test_aot_cold_is_plain W.riscv_mmu);
-      Alcotest.test_case "armv8-a checkers do not interact" `Quick
-        (test_checkers_independent W.arm_mmu);
-      Alcotest.test_case "rv64im checkers do not interact" `Quick
-        (test_checkers_independent W.riscv_mmu);
+      Alcotest.test_case "armv8-a checks only observe" `Quick (test_checks_only_observe W.arm_mmu);
+      Alcotest.test_case "rv64im checks only observe" `Quick (test_checks_only_observe W.riscv_mmu);
       Alcotest.test_case "one finding log" `Quick test_finding_log;
       Alcotest.test_case "counter JSON is the table" `Quick test_counter_json;
     ] )

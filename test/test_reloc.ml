@@ -14,7 +14,9 @@
    - a mini warm-boot determinism check: the ARM MMU-stress workload
      cold then warm against the same cache directory must agree on the
      exit code and guest-visible execution cycles bit-for-bit, with the
-     warm boot translating a fraction of the cold boot's cycles. *)
+     warm boot translating a fraction of the cold boot's cycles;
+   - a flagged region entry on disk is refused at the warm boot's
+     re-certification and the region re-translated. *)
 
 open Hostir
 module Hir = Hostir.Hir
@@ -346,6 +348,42 @@ let test_aot_warm_boot () =
         Alcotest.failf "warm boot translated too much: %d vs cold %d" sw.CE.translate_cycles
           sc.CE.translate_cycles)
 
+(* A flagged entry is refused and re-translated: rewrite the cold
+   boot's region entry (the RISC-V image forms none) with one exit site
+   too few.  The content hash covers only the code, so the file still
+   loads, and it is the warm boot's Reloc re-certification that flags
+   the region's last exit as unnumbered.  The guest must not see it;
+   the refusal shows only in [aot_rejects] and [reloc_findings], and
+   [regions_certified] counts the fresh region alone. *)
+let test_aot_flagged_entry () =
+  Temp_dir.with_dir (fun dir ->
+      let config = { CE.default_config with CE.aot_dir = Some dir } in
+      let boot () = W.boot ~config (W.arm_mmu.W.w_program ()) in
+      let e_c, _ = boot () in
+      Array.iter
+        (fun f ->
+          let path = Filename.concat dir f in
+          let entry =
+            AC.read_entry (Bytes.of_string (In_channel.with_open_bin path In_channel.input_all))
+          in
+          if entry.AC.e_kind = 1 then begin
+            let buf = Buffer.create 256 in
+            AC.write_entry buf { entry with AC.e_n_exits = entry.AC.e_n_exits - 1 };
+            Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc buf)
+          end)
+        (Sys.readdir dir);
+      let e_w, code_w = boot () in
+      let sc = e_c.CE.stats and sw = e_w.CE.stats in
+      Alcotest.(check int) "warm exit" MS.arm_expected_exit code_w;
+      Alcotest.(check int) "guest execution cycles" (CE.exec_cycles e_c) (CE.exec_cycles e_w);
+      Alcotest.(check int) "entry refused" 1 sw.CE.aot_rejects;
+      Alcotest.(check int) "one relocation finding" 1 sw.CE.reloc_findings;
+      Alcotest.(check int) "refused entry not certified" sc.CE.regions_certified
+        sw.CE.regions_certified;
+      let unnumbered (_, detail) = String.starts_with ~prefix:"unnumbered-exit" detail in
+      Alcotest.(check int) "one unnumbered-exit line" 1
+        (List.length (List.filter unnumbered (CE.log_of e_w CE.Reloc))))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "reloc",
@@ -362,5 +400,6 @@ let suite =
       Alcotest.test_case "aotcache roundtrip" `Quick test_aotcache_roundtrip;
       Alcotest.test_case "aotcache corruption" `Quick test_aotcache_corruption;
       Alcotest.test_case "aotcache store/reload" `Quick test_aotcache_store_reload;
-      Alcotest.test_case "warm boot determinism" `Slow test_aot_warm_boot
+      Alcotest.test_case "warm boot determinism" `Slow test_aot_warm_boot;
+      Alcotest.test_case "flagged AOT entry refused" `Slow test_aot_flagged_entry
     ] )

@@ -5,11 +5,12 @@
    invalidate_page, a double-mapped table frame, a ring violation — and
    must be caught by exactly the intended checker.
 
-   Engine-level tests: the MMU-stress workloads run end-to-end with the
-   sanitizer on and zero findings; a self-modifying-code sequence that
+   Engine-level tests: the MMU-stress workloads run end-to-end under
+   [config.check] (the sanitizer and the translate-time checkers) with
+   zero sanitizer findings; a self-modifying-code sequence that
    leaves a stale read-only TLB entry regresses the handle_fault
    shoot-down; and the sanitizer is observation-free (identical cycle
-   counts on and off). *)
+   counts with [check] on and off). *)
 
 module Mem = Hvm.Mem
 module Pt = Hvm.Pagetable
@@ -132,7 +133,7 @@ let test_negative_ring () =
 
 (* --- engine-level ------------------------------------------------------ *)
 
-let sanitized_config = { CE.default_config with CE.sanitize = true }
+let sanitized_config = { CE.default_config with CE.check = true }
 
 let sanitizer_of (e : CE.t) = Option.get e.CE.sanitizer
 
@@ -196,8 +197,9 @@ let test_sanitized_riscv_stress () =
   Alcotest.(check bool) "no sanitizer findings" true (San.ok s)
 
 (* The sanitizer must be observation-free: identical cycle counts and
-   exit codes with it on and off (it charges no cycles and never goes
-   through the counted TLB/memory paths). *)
+   exit codes with [check] on and off (it charges no cycles and never
+   goes through the counted TLB/memory paths, and the translate-time
+   checkers only read the translations). *)
 let test_sanitizer_observation_free () =
   let _, code_on = run_arm_stress sanitized_config
   and e_on, _ = run_arm_stress sanitized_config in

@@ -106,7 +106,7 @@ let test_smc_reanalysis () =
      growing past the first formation) and every obligation must still
      prove. *)
   let config =
-    { CE.default_config with hot_threshold = 2; analyze_translations = true }
+    { CE.default_config with hot_threshold = 2; check = true }
   in
   let code, e = run ~config (smc_image ()) in
   Alcotest.(check int) "exit unchanged under analysis" 24 code;
