@@ -712,30 +712,6 @@ let dead_code (instrs : instr array) stats : instr array =
   Array.iteri (fun idx ins -> if keep.(idx) then out := ins :: !out) instrs;
   Array.of_list (List.rev !out)
 
-(* Unreachable-block pruning that preserves the writeback map, which by
-   construction sits in a block no execution path reaches (after the
-   last exit) but must survive: its operands keep the promoted
-   registers live and the executor applies it at fault points. *)
-let prune_unreachable_keep_wb (instrs : instr array) : instr array =
-  let cfg = Region.build_cfg instrs in
-  let nb = cfg.Region.c_nb in
-  let reach = Array.make nb false in
-  let rec dfs b =
-    if not reach.(b) then begin
-      reach.(b) <- true;
-      List.iter dfs (cfg.Region.c_succs b)
-    end
-  in
-  if nb > 0 then dfs 0;
-  let out = ref [] in
-  Array.iteri
-    (fun idx ins ->
-      match ins with
-      | Wbmap _ -> out := ins :: !out
-      | _ -> if reach.(cfg.Region.c_block_of_idx idx) then out := ins :: !out)
-    instrs;
-  Array.of_list (List.rev !out)
-
 (* The O4 absint-simplify pass: runs on the flattened, promoted region
    stream before register allocation.  Rewrites are fact-driven and
    per-instruction, so the promoted-register discipline (rechecked by
@@ -807,5 +783,5 @@ let simplify ?(classify = default_classify) (instrs : instr array) :
       in
       match reduced with Some ins' -> out.(idx) <- ins' | None -> ());
   let out = dead_code out stats in
-  let out = prune_unreachable_keep_wb out in
+  let out = Region.prune_unreachable out in
   (out, stats)

@@ -145,8 +145,12 @@ let elide_jumps (instrs : instr array) : instr array =
 (* Drop label-delimited chunks that are unreachable from the region
    entry — typically a member's PC-compare dispatch chunk after
    [straighten] redirected its only inbound jump straight to a member
-   entry.  Dead chunks cost nothing at run time but inflate the
-   translation charge and the code-cache footprint. *)
+   entry, or a block whose branch absint-simplify folded away.  Dead
+   chunks cost nothing at run time but inflate the translation charge
+   and the code-cache footprint.  A promoted stream's writeback map is
+   kept: by construction it sits after the last exit, where no path
+   reaches it, but its operands keep the promoted registers live and
+   the executor applies it at fault points. *)
 let prune_unreachable (instrs : instr array) : instr array =
   let n = Array.length instrs in
   if n = 0 then instrs
@@ -155,7 +159,7 @@ let prune_unreachable (instrs : instr array) : instr array =
     Array.iteri
       (fun i ins -> match ins with Label l -> Hashtbl.replace label_idx l i | _ -> ())
       instrs;
-    let reachable = Array.make n false in
+    let reachable = Array.map (function Wbmap _ -> true | _ -> false) instrs in
     let work = Queue.create () in
     Queue.add 0 work;
     while not (Queue.is_empty work) do
@@ -171,8 +175,7 @@ let prune_unreachable (instrs : instr array) : instr array =
         | Jmp l -> target l
         | Br (_, t, f) ->
           target t;
-          target f;
-          Queue.add (i + 1) work
+          target f
         | Exit _ -> ()
         | _ -> Queue.add (i + 1) work
       end

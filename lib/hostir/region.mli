@@ -19,7 +19,8 @@ val straighten :
 (* Remove jumps to the immediately following label. *)
 val elide_jumps : Hir.instr array -> Hir.instr array
 
-(* Drop instructions unreachable from the region entry (index 0). *)
+(* Drop instructions unreachable from the region entry (index 0),
+   keeping a writeback map ([Wbmap]) wherever it sits. *)
 val prune_unreachable : Hir.instr array -> Hir.instr array
 
 (* Defer guest-PC increments to the next observation point. *)

@@ -302,6 +302,29 @@ let test_simplify_deletes_dead_keeps_wbmap () =
   Alcotest.(check bool) "wbmap survives" true
     (Array.exists (function Hir.Wbmap _ -> true | _ -> false) out)
 
+(* --- region stream rewrites ------------------------------------------------------- *)
+
+module Region = Hostir.Region
+
+let test_prune_keeps_wbmap () =
+  let out =
+    Region.prune_unreachable
+      [|
+        Hir.Label 0;
+        Hir.Strf (0, v 0);
+        Hir.Exit 0;
+        (* unreachable tail: no jump names label 1 *)
+        Hir.Label 1;
+        Hir.Strf (8, v 1);
+        Hir.Exit 1;
+        Hir.Wbmap [| (v 0, 0) |];
+      |]
+  in
+  Alcotest.(check bool) "tail pruned" false
+    (Array.exists (function Hir.Label 1 | Hir.Exit 1 -> true | _ -> false) out);
+  Alcotest.(check bool) "wbmap kept, last" true
+    (out.(Array.length out - 1) = Hir.Wbmap [| (v 0, 0) |])
+
 (* Simplification preserves concrete behaviour on random programs: run
    the original and the simplified stream from the same state, compare
    exit slot, PC, registers and register file. *)
@@ -363,4 +386,5 @@ let suite =
         test_simplify_reduces_division;
       Alcotest.test_case "simplify deletes dead defs, keeps the writeback map" `Quick
         test_simplify_deletes_dead_keeps_wbmap;
+      Alcotest.test_case "prune keeps the writeback map" `Quick test_prune_keeps_wbmap;
     ] )
