@@ -137,19 +137,22 @@ module Timer = struct
           | _ -> ());
       tick =
         (fun n ->
+          (* A loop, not a local recursive function: this runs on every
+             interrupt poll and must not allocate. *)
           if st.enabled && st.load > 0 then begin
-            let rec burn n =
-              if n > 0 then
-                if st.value > n then st.value <- st.value - n
-                else begin
-                  let rem = n - st.value in
-                  st.fired <- st.fired + 1;
-                  if st.irq_enabled then Intc.raise_line st.intc st.line;
-                  st.value <- st.load;
-                  burn rem
-                end
-            in
-            burn n
+            let n = ref n in
+            while !n > 0 do
+              if st.value > !n then begin
+                st.value <- st.value - !n;
+                n := 0
+              end
+              else begin
+                n := !n - st.value;
+                st.fired <- st.fired + 1;
+                if st.irq_enabled then Intc.raise_line st.intc st.line;
+                st.value <- st.load
+              end
+            done
           end);
     }
 end

@@ -65,12 +65,20 @@ let guest_cycles t = t.cycles - t.jit_cycles
 (* Lazy device time: devices are advanced to the current guest cycle count
    when something might observe them (MMIO access, interrupt poll).  Guest
    time excludes JIT charges, so a timer interrupt lands at the same guest
-   instruction whether the code was translated cold or loaded warm. *)
+   instruction whether the code was translated cold or loaded warm.
+   Every region [Poll] reaches this through [irq_pending], so the walk
+   over the device list is a top-level function: no closure per call. *)
+let rec tick_devices delta = function
+  | [] -> ()
+  | d :: ds ->
+    d.Device.tick delta;
+    tick_devices delta ds
+
 let sync_devices t =
   let now = guest_cycles t in
   let delta = now - t.devs_ticked_at in
   if delta > 0 then begin
-    List.iter (fun d -> d.Device.tick delta) t.devices;
+    tick_devices delta t.devices;
     t.devs_ticked_at <- now
   end
 

@@ -319,6 +319,36 @@ let test_devices () =
   tdev.Hvm.Device.write 12 32 0L; (* ack *)
   Alcotest.(check bool) "irq cleared" false (Hvm.Device.Intc.asserted intc)
 
+(* One tick spanning several periods fires once per period and leaves
+   the remainder in the counter: 35 cycles of a 10-cycle timer. *)
+let test_timer_multi_period_tick () =
+  let intc = Hvm.Device.Intc.create () in
+  let timer = Hvm.Device.Timer.create intc in
+  let tdev = Hvm.Device.Timer.device timer in
+  tdev.Hvm.Device.write 0 32 10L;
+  tdev.Hvm.Device.write 8 32 3L;
+  tdev.Hvm.Device.tick 35;
+  Alcotest.(check int) "fired three times" 3 timer.Hvm.Device.Timer.fired;
+  Alcotest.(check int) "remainder" 5 timer.Hvm.Device.Timer.value
+
+(* Every region [Poll] asks [irq_pending], which advances the devices:
+   the poll path must not allocate. *)
+let test_irq_poll_allocates_nothing () =
+  let intc = Hvm.Device.Intc.create () in
+  let timer = Hvm.Device.Timer.create intc in
+  let tdev = Hvm.Device.Timer.device timer in
+  tdev.Hvm.Device.write 0 32 7L;
+  tdev.Hvm.Device.write 8 32 3L;
+  let m = Machine.create ~mem_size:(16 * 1024 * 1024) ~devices:[ tdev ] ~intc () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Machine.charge m 3;
+    ignore (Machine.irq_pending m)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words < 100" words) true (words < 100.);
+  Alcotest.(check bool) "timer ran" true (timer.Hvm.Device.Timer.fired > 0)
+
 (* Property: any mapping installed is returned by the walk with its exact
    frame and flags. *)
 let prop_map_walk =
@@ -350,6 +380,8 @@ let suite =
       Alcotest.test_case "free_subtree/clear_low_half accounting" `Quick test_free_subtree_accounting;
       Alcotest.test_case "machine rings" `Quick test_machine_translate_rings;
       Alcotest.test_case "devices" `Quick test_devices;
+      Alcotest.test_case "timer tick spanning periods" `Quick test_timer_multi_period_tick;
+      Alcotest.test_case "irq poll allocates nothing" `Quick test_irq_poll_allocates_nothing;
       q prop_map_walk;
       q prop_frame_accounting;
     ] )
