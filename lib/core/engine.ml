@@ -135,6 +135,8 @@ type phase_stats = {
   mutable absint_masks_dropped : int; (* redundant masks/extensions elided *)
   mutable absint_divs_reduced : int; (* unsigned div/rem by 2^k reduced *)
   mutable absint_dead_deleted : int; (* cross-block dead definitions removed *)
+  mutable absint_jumps_threaded : int; (* jumps removed by jump threading *)
+  mutable absint_copies_retargeted : int; (* single-use temp/copy pairs merged *)
   (* relocation-cleanliness certification (Hostir.Reloc) *)
   mutable t_reloc : float;
   mutable translate_cycles : int; (* simulated cycles charged to translation/AOT *)
@@ -210,6 +212,8 @@ let new_phase_stats () =
     absint_masks_dropped = 0;
     absint_divs_reduced = 0;
     absint_dead_deleted = 0;
+    absint_jumps_threaded = 0;
+    absint_copies_retargeted = 0;
     t_reloc = 0.;
     translate_cycles = 0;
     translate_cycles_template = 0;
@@ -286,6 +290,8 @@ let counters =
     Count ("absint_masks_dropped", (fun s -> s.absint_masks_dropped), fun s v -> s.absint_masks_dropped <- v);
     Count ("absint_divs_reduced", (fun s -> s.absint_divs_reduced), fun s v -> s.absint_divs_reduced <- v);
     Count ("absint_dead_deleted", (fun s -> s.absint_dead_deleted), fun s v -> s.absint_dead_deleted <- v);
+    Count ("absint_jumps_threaded", (fun s -> s.absint_jumps_threaded), fun s v -> s.absint_jumps_threaded <- v);
+    Count ("absint_copies_retargeted", (fun s -> s.absint_copies_retargeted), fun s v -> s.absint_copies_retargeted <- v);
     Time ("t_reloc", (fun s -> s.t_reloc), fun s v -> s.t_reloc <- v);
     Count ("translate_cycles", (fun s -> s.translate_cycles), fun s v -> s.translate_cycles <- v);
     Count ("translate_cycles_template", (fun s -> s.translate_cycles_template), fun s v -> s.translate_cycles_template <- v);
@@ -1402,6 +1408,9 @@ let region_front (je : jit_env) (req : request) : result =
           s.absint_masks_dropped <- s.absint_masks_dropped + ss.Hostir.Absint.masks_dropped;
           s.absint_divs_reduced <- s.absint_divs_reduced + ss.Hostir.Absint.divs_reduced;
           s.absint_dead_deleted <- s.absint_dead_deleted + ss.Hostir.Absint.dead_deleted;
+          s.absint_jumps_threaded <- s.absint_jumps_threaded + ss.Hostir.Absint.jumps_threaded;
+          s.absint_copies_retargeted <-
+            s.absint_copies_retargeted + ss.Hostir.Absint.copies_retargeted;
           (instrs', ra', promoted)
         end
         else if k = 0 then (instrs, ra0, [])

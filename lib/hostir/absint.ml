@@ -613,10 +613,20 @@ type simplify_stats = {
   mutable masks_dropped : int; (* redundant And masks / extensions elided *)
   mutable divs_reduced : int; (* unsigned div/rem by 2^k strength-reduced *)
   mutable dead_deleted : int; (* cross-block dead vreg definitions removed *)
+  mutable jumps_threaded : int; (* Jmps removed by jump threading *)
+  mutable copies_retargeted : int; (* single-use temp/copy pairs merged *)
 }
 
 let empty_simplify_stats () =
-  { branches_folded = 0; consts_folded = 0; masks_dropped = 0; divs_reduced = 0; dead_deleted = 0 }
+  {
+    branches_folded = 0;
+    consts_folded = 0;
+    masks_dropped = 0;
+    divs_reduced = 0;
+    dead_deleted = 0;
+    jumps_threaded = 0;
+    copies_retargeted = 0;
+  }
 
 let is_pow2 v = v <> 0L && Int64.logand v (Int64.sub v 1L) = 0L
 
@@ -782,6 +792,13 @@ let simplify ?(classify = default_classify) (instrs : instr array) :
           | _ -> None)
       in
       match reduced with Some ins' -> out.(idx) <- ins' | None -> ());
-  let out = dead_code out stats in
-  let out = Region.prune_unreachable out in
-  (out, stats)
+  let out = dead_code out stats |> Region.prune_unreachable in
+  (* Folded branches and deleted chunk bodies leave chains of jumps to
+     the next label, and promotion leaves single-use temporaries copied
+     into promoted registers: both cost an executed host instruction. *)
+  let jmps p = Array.fold_left (fun k -> function Jmp _ -> k + 1 | _ -> k) 0 p in
+  let threaded = Region.thread_jumps out in
+  stats.jumps_threaded <- jmps out - jmps threaded;
+  let retargeted = Region.retarget_copies threaded in
+  stats.copies_retargeted <- Array.length threaded - Array.length retargeted;
+  (retargeted, stats)

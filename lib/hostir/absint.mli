@@ -119,6 +119,8 @@ type simplify_stats = {
   mutable masks_dropped : int;  (** redundant [And] masks / extensions elided *)
   mutable divs_reduced : int;  (** unsigned div/rem by [2^k] strength-reduced *)
   mutable dead_deleted : int;  (** cross-block dead vreg definitions removed *)
+  mutable jumps_threaded : int;  (** [Jmp]s removed by {!Region.thread_jumps} *)
+  mutable copies_retargeted : int;  (** copies removed by {!Region.retarget_copies} *)
 }
 
 val empty_simplify_stats : unit -> simplify_stats
@@ -132,5 +134,6 @@ val simplify :
     conditions, rewrite fully-known pure results to constants, drop
     masks and extensions the facts prove redundant, strength-reduce
     unsigned division by powers of two, delete cross-block dead vreg
-    definitions, and prune unreachable blocks (preserving the
-    writeback map). *)
+    definitions, prune unreachable blocks (preserving the writeback
+    map), then thread jumps and retarget single-use copies
+    ({!Region.thread_jumps}, {!Region.retarget_copies}). *)

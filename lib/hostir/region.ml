@@ -12,10 +12,10 @@
      this common), so intra-region direct branches cost a single host jump
      with no dispatch at all;
 
-   - [elide_jumps] removes jumps to the immediately following label, making
-     each member's hand-off to its own dispatch chunk fall through;
-
-   - [prune_unreachable] drops dispatch chunks orphaned by [straighten];
+   - [thread_jumps] redirects jumps past label+jump chunks, drops the
+     dispatch chunks orphaned by [straighten] ([prune_unreachable]) and
+     deletes jumps to a label reached by falling through, making each
+     member's hand-off to its own dispatch chunk fall through;
 
    - [coalesce_inc_pc] defers guest-PC increments to the next observation
      point, eliminating the per-instruction PC sync inside a member;
@@ -127,21 +127,6 @@ let label_refs (instrs : instr array) =
   Array.iter (function Jmp l -> bump l | Br (_, t, f) -> bump t; bump f | _ -> ()) instrs;
   refs
 
-(* Remove [Jmp l] when the next instruction is [Label l]: control falls
-   through.  Turns each member's hand-off into its own dispatch chunk
-   into straight-line code (the label stays as a placeholder; if the
-   jump was its only reference it becomes an unreferenced marker). *)
-let elide_jumps (instrs : instr array) : instr array =
-  let n = Array.length instrs in
-  let keep = ref [] in
-  Array.iteri
-    (fun i ins ->
-      match ins with
-      | Jmp l when i + 1 < n && instrs.(i + 1) = Label l -> ()
-      | _ -> keep := ins :: !keep)
-    instrs;
-  Array.of_list (List.rev !keep)
-
 (* Drop label-delimited chunks that are unreachable from the region
    entry — typically a member's PC-compare dispatch chunk after
    [straighten] redirected its only inbound jump straight to a member
@@ -186,6 +171,87 @@ let prune_unreachable (instrs : instr array) : instr array =
         (List.filteri (fun i _ -> reachable.(i)) (Array.to_list instrs))
   end
 
+(* Jump threading.  Every [Jmp] and both [Br] arms are redirected past
+   chunks that hold only labels and a [Jmp] (the seams left behind when
+   a dispatch chunk is straightened away or absint-simplify folds a
+   branch and deletes the dead chunk body), the chunks that leaves
+   unreachable are pruned, and each [Jmp] whose target is reached by
+   falling through nothing but labels is deleted.  A cycle of such
+   chunks (a self-loop [Label l; Jmp l]) resolves to a label on the
+   cycle.  Labels stay as placeholders; one a jump no longer names
+   becomes an unreferenced marker. *)
+let thread_jumps (instrs : instr array) : instr array =
+  let n = Array.length instrs in
+  let label_idx = Hashtbl.create 16 in
+  Array.iteri
+    (fun i ins -> match ins with Label l -> Hashtbl.replace label_idx l i | _ -> ())
+    instrs;
+  (* The target of a [Jmp] that follows nothing but labels from [i]. *)
+  let rec jump_after i =
+    if i >= n then None
+    else match instrs.(i) with Label _ -> jump_after (i + 1) | Jmp l -> Some l | _ -> None
+  in
+  let rec final seen l =
+    match Hashtbl.find_opt label_idx l with
+    | Some i when not (Iset.mem l seen) -> (
+      match jump_after i with Some l' -> final (Iset.add l seen) l' | None -> l)
+    | _ -> l
+  in
+  let threaded =
+    prune_unreachable
+      (Array.map
+         (function
+           | Jmp l -> Jmp (final Iset.empty l)
+           | Br (c, t, f) -> Br (c, final Iset.empty t, final Iset.empty f)
+           | ins -> ins)
+         instrs)
+  in
+  let rec falls_to l i =
+    i < Array.length threaded
+    && match threaded.(i) with Label l' -> l' = l || falls_to l (i + 1) | _ -> false
+  in
+  let keep = ref [] in
+  Array.iteri
+    (fun i ins ->
+      match ins with Jmp l when falls_to l (i + 1) -> () | _ -> keep := ins :: !keep)
+    threaded;
+  Array.of_list (List.rev !keep)
+
+(* Copy retargeting.  An adjacent [op v_s <- ...; mov d <- v_s] whose
+   temporary [v_s] has exactly one definition and one use (a writeback
+   map's mention counts as a use) becomes [op d <- ...].  The op reads
+   its sources before writing its destination, so [op] may read [d]
+   itself ([add v1 <- v0, 1; mov v0 <- v1] becomes [add v0 <- v0, 1]);
+   nothing sits between the two, so no instruction observes [d]'s new
+   value one step early, and a faulting op writes neither.  Helper
+   calls keep their result register: a call's effects are opaque. *)
+let retarget_copies (instrs : instr array) : instr array =
+  let defs = Hashtbl.create 64 and uses = Hashtbl.create 64 in
+  let bump tbl = function
+    | Vreg v -> Hashtbl.replace tbl v (1 + Option.value (Hashtbl.find_opt tbl v) ~default:0)
+    | _ -> ()
+  in
+  Array.iter
+    (fun ins ->
+      Option.iter (bump defs) (dest ins);
+      List.iter (bump uses) (sources ins))
+    instrs;
+  let once tbl v = Hashtbl.find_opt tbl v = Some 1 in
+  let out = ref [] in
+  let i = ref 0 in
+  let n = Array.length instrs in
+  while !i < n do
+    (match (instrs.(!i), if !i + 1 < n then Some instrs.(!i + 1) else None) with
+    | (Call _ as ins), _ -> out := ins :: !out
+    | ins, Some (Mov (d, Vreg s))
+      when dest ins = Some (Vreg s) && once defs s && once uses s ->
+      out := map_operands (fun o -> if o = Vreg s then d else o) ins :: !out;
+      incr i
+    | ins, _ -> out := ins :: !out);
+    incr i
+  done;
+  Array.of_list (List.rev !out)
+
 (* Defer guest-PC increments to the points that observe the PC: a run of
    [Inc_pc] collapses into one write before anything that can read or
    publish it — a [Load_pc], a helper call, a (possibly faulting) memory
@@ -222,7 +288,7 @@ let coalesce_inc_pc (instrs : instr array) : instr array =
    deleted and [d] renamed to [v] everywhere.  Fires on the seam the
    region emitter creates between a member body (which ends by storing
    the branch target to the PC) and its dispatch chunk (which reloads
-   the PC to compare it against member VAs) once [elide_jumps] has made
+   the PC to compare it against member VAs) once [thread_jumps] has made
    the seam straight-line.  The rename is only applied when both vregs
    are single-assignment and [v] is not redefined, so it is a pure SSA
    rename; adjacency may span unreferenced labels but nothing that can
@@ -414,5 +480,5 @@ let eliminate_dead_stores (instrs : instr array) : instr array =
    so the translation validator checks exactly what the engine runs. *)
 let optimize ~dispatch_labels ~member_entry (instrs : instr array) : instr array =
   straighten ~dispatch_labels ~member_entry instrs
-  |> elide_jumps |> prune_unreachable |> coalesce_inc_pc |> forward_store_pc
+  |> thread_jumps |> coalesce_inc_pc |> forward_store_pc
   |> eliminate_dead_stores

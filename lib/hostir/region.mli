@@ -16,12 +16,21 @@ module Iset : Set.S with type elt = int
 val straighten :
   dispatch_labels:Iset.t -> member_entry:(int64 * int) list -> Hir.instr array -> Hir.instr array
 
-(* Remove jumps to the immediately following label. *)
-val elide_jumps : Hir.instr array -> Hir.instr array
-
 (* Drop instructions unreachable from the region entry (index 0),
    keeping a writeback map ([Wbmap]) wherever it sits. *)
 val prune_unreachable : Hir.instr array -> Hir.instr array
+
+(* Redirect every [Jmp] and both [Br] arms past chunks holding only
+   labels and a [Jmp], prune what that leaves unreachable
+   ([prune_unreachable]), and delete each [Jmp] whose target is reached
+   by falling through nothing but labels. *)
+val thread_jumps : Hir.instr array -> Hir.instr array
+
+(* Rewrite an adjacent [op v_s <- ...; mov d <- v_s] into
+   [op d <- ...] when vreg [v_s] has exactly one definition and one
+   use, a [Wbmap] mention counting as a use.  Helper calls are left
+   alone. *)
+val retarget_copies : Hir.instr array -> Hir.instr array
 
 (* Defer guest-PC increments to the next observation point. *)
 val coalesce_inc_pc : Hir.instr array -> Hir.instr array
@@ -33,8 +42,8 @@ val forward_store_pc : Hir.instr array -> Hir.instr array
 (* Remove register-file stores overwritten before any possible read. *)
 val eliminate_dead_stores : Hir.instr array -> Hir.instr array
 
-(* The full pipeline: straighten -> elide_jumps -> prune_unreachable ->
-   coalesce_inc_pc -> forward_store_pc -> eliminate_dead_stores. *)
+(* The full pipeline: straighten -> thread_jumps -> coalesce_inc_pc ->
+   forward_store_pc -> eliminate_dead_stores. *)
 val optimize :
   dispatch_labels:Iset.t -> member_entry:(int64 * int) list -> Hir.instr array -> Hir.instr array
 

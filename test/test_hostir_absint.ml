@@ -15,8 +15,9 @@
    a non-promoted register — are each rejected with the named finding,
    and Verify.check_wb reports the identical messages (it delegates
    here).  The shared helper-effect classification is pinned to its
-   semantic anchors, and the absint-simplify rewrites are exercised one
-   by one. *)
+   semantic anchors, and the absint-simplify rewrites, including the
+   closing jump threading and copy retargeting, are exercised one by
+   one. *)
 
 module Hir = Hostir.Hir
 module A = Hostir.Absint
@@ -253,6 +254,8 @@ let test_simplify_drops_masks () =
         Hir.Ext (false, 8, v 0, Hir.Preg 0);
         Hir.Alu (Aand, v 1, v 0, Imm 0xFFL);
         Hir.Strf (0, v 1);
+        (* a second use of v0, so the copy is not retargeted away *)
+        Hir.Strf (8, v 0);
         Hir.Exit 0;
       |]
   in
@@ -325,41 +328,238 @@ let test_prune_keeps_wbmap () =
   Alcotest.(check bool) "wbmap kept, last" true
     (out.(Array.length out - 1) = Hir.Wbmap [| (v 0, 0) |])
 
-(* Simplification preserves concrete behaviour on random programs: run
-   the original and the simplified stream from the same state, compare
-   exit slot, PC, registers and register file. *)
+let jumps p = List.filter (function Hir.Jmp _ | Hir.Br _ -> true | _ -> false) (Array.to_list p)
+
+let test_thread_jmp_chain () =
+  let out =
+    Region.thread_jumps
+      [|
+        Hir.Label 0;
+        Hir.Poll 0;
+        Hir.Label 4;
+        Hir.Alu (Aadd, Hir.Preg 0, Hir.Preg 0, Imm 1L);
+        Hir.Strf (0, Hir.Preg 0);
+        Hir.Jmp 1;
+        Hir.Label 1;
+        Hir.Jmp 2;
+        Hir.Label 2;
+        Hir.Jmp 3;
+        Hir.Label 3;
+        Hir.Jmp 4;
+      |]
+  in
+  Alcotest.(check bool) "one jump, to the final label" true (jumps out = [ Hir.Jmp 4 ]);
+  Alcotest.(check bool) "chain chunks pruned" false
+    (Array.exists (function Hir.Label (1 | 2 | 3) -> true | _ -> false) out)
+
+let test_thread_deletes_fallthrough_jmp () =
+  let out =
+    Region.thread_jumps
+      [|
+        Hir.Label 0;
+        Hir.Br (Hir.Preg 0, 3, 1);
+        Hir.Label 3;
+        Hir.Strf (0, Imm 3L);
+        Hir.Jmp 2;
+        (* only labels between the jump and its target *)
+        Hir.Label 1;
+        Hir.Label 2;
+        Hir.Strf (8, Hir.Preg 1);
+        Hir.Exit 0;
+      |]
+  in
+  Alcotest.(check bool) "jump deleted, branch kept" true (jumps out = [ Hir.Br (Hir.Preg 0, 3, 1) ])
+
+let test_thread_br_arms () =
+  let out =
+    Region.thread_jumps
+      [|
+        Hir.Label 0;
+        Hir.Br (Hir.Preg 0, 1, 2);
+        Hir.Label 1;
+        Hir.Jmp 3;
+        Hir.Label 2;
+        Hir.Jmp 4;
+        Hir.Label 3;
+        Hir.Strf (0, Imm 3L);
+        Hir.Exit 3;
+        Hir.Label 4;
+        Hir.Strf (0, Imm 4L);
+        Hir.Exit 4;
+      |]
+  in
+  Alcotest.(check bool) "both arms threaded" true (jumps out = [ Hir.Br (Hir.Preg 0, 3, 4) ])
+
+let test_thread_self_loop () =
+  let out = Region.thread_jumps [| Hir.Label 0; Hir.Jmp 1; Hir.Label 1; Hir.Jmp 1 |] in
+  Alcotest.(check bool) "self-loop kept" true
+    (out = [| Hir.Label 0; Hir.Label 1; Hir.Jmp 1 |])
+
+let test_retarget_copy () =
+  let stream tail =
+    Array.concat
+      [
+        [| Hir.Label 0; Hir.Alu (Aadd, v 1, v 0, Imm 1L); Hir.Mov (v 0, v 1); Hir.Strf (0, v 0) |];
+        tail;
+        [| Hir.Exit 0 |];
+      ]
+  in
+  Alcotest.(check bool) "retargeted" true
+    (Region.retarget_copies (stream [||])
+    = [| Hir.Label 0; Hir.Alu (Aadd, v 0, v 0, Imm 1L); Hir.Strf (0, v 0); Hir.Exit 0 |]);
+  List.iter
+    (fun (what, p) -> Alcotest.(check bool) what true (Region.retarget_copies p = p))
+    [
+      ("second use kept", stream [| Hir.Strf (8, v 1) |]);
+      ("wbmap-named kept", stream [| Hir.Wbmap [| (v 1, 8) |] |]);
+      ( "non-adjacent kept",
+        [|
+          Hir.Label 0;
+          Hir.Alu (Aadd, v 1, v 0, Imm 1L);
+          Hir.Strf (8, Hir.Preg 0);
+          Hir.Mov (v 0, v 1);
+          Hir.Strf (0, v 0);
+          Hir.Exit 0;
+        |] );
+    ]
+
+(* Run [prog] and its simplified [out] from the same random state and
+   fail on any difference in exit slot, PC, the generator's host
+   registers or the register file.  Vregs (temporaries only) run in the
+   host registers above the generator's: the executor has no vregs. *)
+let check_same_execution prng prog out =
+  let pc0 = Int64.logand (Prng.int64 prng) 0xFFFF_FFFF_FFF0L in
+  let preg0 = Array.init 16 (fun _ -> Prng.int64 prng) in
+  let rf0 = Array.init Test_symexec.n_offs (fun _ -> Prng.int64 prng) in
+  let in_pregs = function
+    | Hir.Vreg k -> Hir.Preg (Test_symexec.n_pregs + (k mod (16 - Test_symexec.n_pregs)))
+    | o -> o
+  in
+  let run p =
+    let ctx = Test_symexec.mk_ctx () in
+    Exec.set_pc ctx pc0;
+    Array.iteri (fun i x -> Exec.set_reg ctx i x) preg0;
+    Array.iteri (fun i x -> Exec.rf_write ctx (8 * i) x) rf0;
+    let p = Array.map (Hir.map_operands in_pregs) p in
+    let slot = Exec.run ctx (Exec.compile (Test_symexec.indexify p)) in
+    (slot, ctx)
+  in
+  let slot_a, ctx_a = run prog and slot_b, ctx_b = run out in
+  if slot_a <> slot_b then
+    failwith (Printf.sprintf "exit slot %d <> %d after simplify" slot_a slot_b);
+  if Exec.get_pc ctx_a <> Exec.get_pc ctx_b then
+    failwith (Printf.sprintf "pc %Ld <> %Ld after simplify" (Exec.get_pc ctx_a) (Exec.get_pc ctx_b));
+  for g = 0 to Test_symexec.n_pregs - 1 do
+    (* simplify only rewrites vreg destinations and retargets copies
+       into registers that were written anyway, so every generator
+       register must agree *)
+    if Exec.get_reg ctx_a g <> Exec.get_reg ctx_b g then
+      failwith (Printf.sprintf "r%d diverged after simplify" g)
+  done;
+  for i = 0 to Test_symexec.n_offs - 1 do
+    if Exec.rf_read ctx_a (8 * i) <> Exec.rf_read ctx_b (8 * i) then
+      failwith (Printf.sprintf "rf[%d] diverged after simplify" (8 * i))
+  done
+
+(* Simplification preserves concrete behaviour on random programs. *)
 let prop_simplify_preserves_execution =
   QCheck2.Test.make ~name:"simplify preserves concrete execution" ~count:500
     QCheck2.Gen.int64 (fun seed ->
       let prng = Prng.create (if seed = 0L then 1L else seed) in
       let prog = Test_symexec.gen_program prng in
       let out, _ = simplify prog in
-      let pc0 = Int64.logand (Prng.int64 prng) 0xFFFF_FFFF_FFF0L in
-      let preg0 = Array.init 16 (fun _ -> Prng.int64 prng) in
-      let rf0 = Array.init Test_symexec.n_offs (fun _ -> Prng.int64 prng) in
-      let run p =
-        let ctx = Test_symexec.mk_ctx () in
-        Exec.set_pc ctx pc0;
-        Array.iteri (fun i x -> Exec.set_reg ctx i x) preg0;
-        Array.iteri (fun i x -> Exec.rf_write ctx (8 * i) x) rf0;
-        let slot = Exec.run ctx (Exec.compile (Test_symexec.indexify p)) in
-        (slot, ctx)
+      check_same_execution prng prog out;
+      true)
+
+(* Random programs with the shapes the last two rewrites target: some
+   jump and branch targets are reached through a chain of one to three
+   label+jump trampolines, some block boundaries get an explicit jump to
+   the next label, and some destinations become a vreg temporary copied
+   into the real register, now and then with a second use.  Simplify
+   must remove every single-use temporary, leave no jump aimed at a
+   label+jump chunk or reached by falling through labels, and still
+   compute the same result. *)
+let gen_threadable prng =
+  let prog = Test_symexec.gen_program prng in
+  let next_label = ref 1000 and next_vreg = ref 0 and tramps = ref [] and shared = ref [] in
+  let rec tramp l k =
+    if k = 0 then l
+    else begin
+      let t = !next_label in
+      incr next_label;
+      tramps := Hir.Label t :: Hir.Jmp l :: !tramps;
+      tramp t (k - 1)
+    end
+  in
+  let maybe_tramp l = if Prng.bool prng then tramp l (1 + Prng.int prng 3) else l in
+  let retemp t = function
+    | Hir.Mov (d, a) -> Some (Hir.Mov (t, a), d)
+    | Hir.Alu (op, d, a, b) -> Some (Hir.Alu (op, t, a, b), d)
+    | Hir.Setcc (c, d, a, b) -> Some (Hir.Setcc (c, t, a, b), d)
+    | Hir.Ext (sg, w, d, a) -> Some (Hir.Ext (sg, w, t, a), d)
+    | Hir.Neg (d, a) -> Some (Hir.Neg (t, a), d)
+    | _ -> None
+  in
+  let out = ref [] in
+  let emit i = out := i :: !out in
+  Array.iteri
+    (fun idx ins ->
+      match ins with
+      | Hir.Jmp l -> emit (Hir.Jmp (maybe_tramp l))
+      | Hir.Br (c, t, f) -> emit (Hir.Br (c, maybe_tramp t, maybe_tramp f))
+      | Hir.Label l ->
+        if idx > 0 && Prng.int prng 3 = 0 then emit (Hir.Jmp l);
+        emit ins
+      | _ -> (
+        let t = Hir.Vreg !next_vreg in
+        match retemp t ins with
+        | Some (ins', d) when Prng.int prng 3 = 0 ->
+          incr next_vreg;
+          emit ins';
+          emit (Hir.Mov (d, t));
+          (* now and then a second use, which must keep the copy *)
+          if Prng.int prng 4 = 0 then begin
+            shared := t :: !shared;
+            emit (Hir.Strf (8 * Prng.int prng Test_symexec.n_offs, t))
+          end
+        | _ -> emit ins))
+    prog;
+  (Array.of_list (List.rev !out @ !tramps), !shared)
+
+let prop_rewrites_preserve_execution =
+  QCheck2.Test.make ~name:"jump threading and copy retargeting preserve execution" ~count:500
+    QCheck2.Gen.int64 (fun seed ->
+      let prng = Prng.create (if seed = 0L then 1L else seed) in
+      let prog, shared = gen_threadable prng in
+      let out, _ = simplify prog in
+      let single_use = function Hir.Vreg _ as t -> not (List.mem t shared) | _ -> false in
+      if Array.exists (fun ins -> List.exists single_use (Hir.sources ins)) out then
+        failwith "a single-use temporary survived simplify";
+      let n = Array.length out in
+      let label_at l =
+        let rec go i = if out.(i) = Hir.Label l then i else go (i + 1) in
+        go 0
       in
-      let slot_a, ctx_a = run prog and slot_b, ctx_b = run out in
-      if slot_a <> slot_b then
-        failwith (Printf.sprintf "exit slot %d <> %d after simplify" slot_a slot_b);
-      if Exec.get_pc ctx_a <> Exec.get_pc ctx_b then
-        failwith (Printf.sprintf "pc %Ld <> %Ld after simplify" (Exec.get_pc ctx_a) (Exec.get_pc ctx_b));
-      for g = 0 to Test_symexec.n_pregs - 1 do
-        (* simplify only rewrites vreg destinations, so every preg must
-           agree (dead vreg defs cannot change them) *)
-        if Exec.get_reg ctx_a g <> Exec.get_reg ctx_b g then
-          failwith (Printf.sprintf "r%d diverged after simplify" g)
-      done;
-      for i = 0 to Test_symexec.n_offs - 1 do
-        if Exec.rf_read ctx_a (8 * i) <> Exec.rf_read ctx_b (8 * i) then
-          failwith (Printf.sprintf "rf[%d] diverged after simplify" (8 * i))
-      done;
+      let rec after_labels i =
+        if i < n && (match out.(i) with Hir.Label _ -> true | _ -> false) then after_labels (i + 1)
+        else i
+      in
+      let aimed_at_chunk l =
+        let j = after_labels (label_at l) in
+        j < n && match out.(j) with Hir.Jmp _ -> true | _ -> false
+      in
+      Array.iteri
+        (fun i ins ->
+          match ins with
+          | Hir.Jmp l ->
+            if aimed_at_chunk l then failwith "jump into a label+jump chunk";
+            let j = after_labels (i + 1) in
+            if label_at l > i && label_at l < j then failwith "jump to a fall-through label"
+          | Hir.Br (_, t, f) ->
+            if aimed_at_chunk t || aimed_at_chunk f then failwith "branch into a label+jump chunk"
+          | _ -> ())
+        out;
+      check_same_execution prng prog out;
       true)
 
 let suite =
@@ -368,6 +568,7 @@ let suite =
     [
       q prop_absint_contains_concrete;
       q prop_simplify_preserves_execution;
+      q prop_rewrites_preserve_execution;
       Alcotest.test_case "oob register-file access rejected" `Quick test_ob_rf_oob;
       Alcotest.test_case "misaligned register-file access rejected" `Quick test_ob_rf_align;
       Alcotest.test_case "spill slot outside frame rejected" `Quick test_ob_frame_oob;
@@ -387,4 +588,9 @@ let suite =
       Alcotest.test_case "simplify deletes dead defs, keeps the writeback map" `Quick
         test_simplify_deletes_dead_keeps_wbmap;
       Alcotest.test_case "prune keeps the writeback map" `Quick test_prune_keeps_wbmap;
+      Alcotest.test_case "jump threaded through a chain" `Quick test_thread_jmp_chain;
+      Alcotest.test_case "fall-through jump deleted" `Quick test_thread_deletes_fallthrough_jmp;
+      Alcotest.test_case "branch threaded on both arms" `Quick test_thread_br_arms;
+      Alcotest.test_case "self-loop threading terminates" `Quick test_thread_self_loop;
+      Alcotest.test_case "single-use copy retargeted" `Quick test_retarget_copy;
     ] )

@@ -9,9 +9,11 @@
 
    Then Equiv itself: normalization equates intentionally-different but
    equivalent programs (commuted adds, mask-vs-zext), a promoted loop
-   validates against its unpromoted original, and three seeded
-   miscompiles — swapped compare operands, a dropped writeback-map
-   entry, a widened store — are each rejected with findings. *)
+   validates against its unpromoted original (also after absint-simplify's
+   jump threading and copy retargeting), and four seeded miscompiles —
+   swapped compare operands, a dropped writeback-map entry, a widened
+   store, a copy retargeted although its temporary has a second use —
+   are each rejected with findings. *)
 
 module Hir = Hostir.Hir
 module S = Hostir.Symexec
@@ -308,6 +310,41 @@ let test_rejects_widened_store () =
        | _ -> None)
   |> expect_rejected "widened store"
 
+(* absint-simplify's closing rewrites on the promoted loop: the compare
+   result's single-use temporary is retargeted into its promoted
+   register, and Equiv still accepts the stream. *)
+let simplified_stream () =
+  let out, ss =
+    Hostir.Absint.simplify ~classify:Hostir.Effects.classify (promoted_stream ())
+  in
+  Alcotest.(check bool) "a copy was retargeted" true (ss.Hostir.Absint.copies_retargeted > 0);
+  out
+
+let test_equiv_accepts_rewrites () =
+  let r = check_equiv ~opt:(simplified_stream ()) ~reference:promo_stream in
+  if not r.E.ok then
+    Alcotest.failf "rewritten loop rejected: %s"
+      (String.concat "\n" (List.map (fun f -> f.E.f_name ^ ": " ^ f.E.f_detail) r.E.findings))
+
+(* The miscompile the use count guards against: retarget the counter
+   increment's temporary into its promoted register although the
+   compare and the store still read the temporary. *)
+let test_rejects_multi_use_retarget () =
+  let out = simplified_stream () in
+  let bad = ref [] and hit = ref false and i = ref 0 in
+  while !i < Array.length out do
+    (match (out.(!i), if !i + 1 < Array.length out then Some out.(!i + 1) else None) with
+    | Hir.Alu (op, (Hir.Vreg _ as t), a, b), Some (Hir.Mov (d, t')) when t = t' && not !hit ->
+      hit := true;
+      bad := Hir.Alu (op, d, a, b) :: !bad;
+      incr i
+    | ins, _ -> bad := ins :: !bad);
+    incr i
+  done;
+  let bad = Array.of_list (List.rev !bad) in
+  Alcotest.(check bool) "mutation applied" true !hit;
+  expect_rejected "multi-use retarget" bad
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "symexec",
@@ -320,4 +357,6 @@ let suite =
       Alcotest.test_case "swapped compare operands rejected" `Quick test_rejects_swapped_compare;
       Alcotest.test_case "dropped Wbmap entry rejected" `Quick test_rejects_dropped_wbmap_entry;
       Alcotest.test_case "widened store rejected" `Quick test_rejects_widened_store;
+      Alcotest.test_case "rewritten promoted loop validates" `Quick test_equiv_accepts_rewrites;
+      Alcotest.test_case "multi-use copy retarget rejected" `Quick test_rejects_multi_use_retarget;
     ] )
