@@ -7,7 +7,7 @@
      captive_run ssa add_sub_imm --level 4
      captive_run lint
      captive_run stress --json --seeds 32
-     captive_run bench --quick --json
+     captive_run bench --json
      captive_run check --json
 
    `spec` runs a SPEC CPU2006 proxy under the mini guest OS, `simbench`
@@ -19,7 +19,7 @@
    model, `stress` is the race-focused lane for the concurrent JIT
    (seeded drain schedules on worker domains, the sanitizer, the
    translate-time checkers and single-domain equivalence as oracles),
-   `bench` is the quick-workload gate (cycles and speedup against
+   `bench` is the SPEC-proxy gate (cycles and speedup against
    bench/baseline.json, template coverage and the AOT warm boot, all
    from one tiered boot per workload; with --exact, the determinism
    gate: bit-identical cycles at --domains 1), and `check` boots the
@@ -567,8 +567,8 @@ let stress_cmd =
 
 (* --- bench ---------------------------------------------------------------------------- *)
 
-(* The quick-workload gate.  `bench --quick` runs a handful of
-   loop-heavy SPEC proxies on three engines — Captive with tiering,
+(* The SPEC-proxy gate.  `bench` runs all 17 SPEC proxies
+   ([Workloads.Spec.all]) on three engines — Captive with tiering,
    Captive tier-0-only, and the QEMU-style reference engine — and emits
    one flat JSON object per workload plus a summary (`--json`), in the
    shape `bench/baseline.json` is committed in.  The tiered boot answers
@@ -589,8 +589,8 @@ let stress_cmd =
      came from must be invisible to the guest), the same exit code, no
      rejected entry and no relocation finding.
 
-   Scaling reuses the harness's BENCH_SCALE convention so the quick set
-   stays under ~60s. *)
+   Scaling reuses the harness's BENCH_SCALE convention; at the default
+   scale 1 the 17 proxies take a few seconds. *)
 
 module MJ = Dbt_util.Minijson
 
@@ -778,10 +778,6 @@ let bench_cmd =
            ~doc:"Emit one flat JSON object per workload plus a summary line on stdout; the \
                  gate verdict goes to stderr.")
   in
-  let quick =
-    Arg.(value & flag & info [ "quick" ]
-           ~doc:"Run the quick loop-heavy subset (under ~60s) used by the CI gate.")
-  in
   let baseline =
     Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE"
            ~doc:"Baseline to gate against (default: bench/baseline.json when present).")
@@ -798,8 +794,8 @@ let bench_cmd =
            ~doc:"Domains for the tiered Captive engine (1 = synchronous JIT; D > 1 adds \
                  D-1 worker domains).")
   in
-  let run json quick baseline scale exact domains =
-    let names = if quick then W.quick_bench else W.full_bench in
+  let run json baseline scale exact domains =
+    let names = List.map (fun b -> b.Workloads.Spec.name) Workloads.Spec.all in
     let say fmt = if json then Printf.ifprintf stdout fmt else Printf.printf fmt in
     let shout line = if json then prerr_endline line else print_endline line in
     let failures = ref 0 in
@@ -807,8 +803,7 @@ let bench_cmd =
       incr failures;
       shout ("bench: " ^ line)
     in
-    say "bench%s: %d workloads at scale %d, %d domain(s) (captive tiered / captive tier-0 / qemu)\n%!"
-      (if quick then " --quick" else "")
+    say "bench: %d workloads at scale %d, %d domain(s) (captive tiered / captive tier-0 / qemu)\n%!"
       (List.length names) scale domains;
     let rows =
       List.map
@@ -859,7 +854,7 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:"Run the benchmark set on all engines and gate cycles and speedup against \
              bench/baseline.json, template coverage and the AOT warm boot.")
-    Term.(ret (const run $ json $ quick $ baseline $ scale_arg $ exact $ domains))
+    Term.(ret (const run $ json $ baseline $ scale_arg $ exact $ domains))
 
 (* --- check --------------------------------------------------------------------------- *)
 
@@ -1031,7 +1026,7 @@ let () =
       `Noblank; `P "$(mname) $(b,ssa) $(i,INSTRUCTION) [$(b,--level) $(i,N)] [$(b,--guest) $(i,GUEST)] [$(b,--classify)]";
       `Noblank; `P "$(mname) $(b,lint) [$(b,--guest) $(i,GUEST)] [$(b,--json)]";
       `Noblank; `P "$(mname) $(b,stress) [$(b,--json)] [$(b,--seeds) $(i,N)] [$(b,--domains) $(i,D)]";
-      `Noblank; `P "$(mname) $(b,bench) [$(b,--quick)] [$(b,--json)] [$(b,--baseline) $(i,FILE)] [$(b,--exact)] [$(b,--domains) $(i,D)]";
+      `Noblank; `P "$(mname) $(b,bench) [$(b,--json)] [$(b,--baseline) $(i,FILE)] [$(b,--exact)] [$(b,--domains) $(i,D)]";
       `Noblank; `P "$(mname) $(b,check) [$(b,--json)] [$(b,--workload) $(i,NAME)] [$(b,--level) $(i,N)]";
     ]
   in
