@@ -544,22 +544,6 @@ let unlink (e : t) (dead : translation list) =
 
 let as_tag_value = function 0 -> 0L | _ -> 0x1FFFFL (* va >> 47 for each half *)
 
-let make_machine config =
-  let intc = Hvm.Device.Intc.create () in
-  let uart = Hvm.Device.Uart.create () in
-  let timer = Hvm.Device.Timer.create intc in
-  let syscon = Hvm.Device.Syscon.create () in
-  let devices =
-    [
-      Hvm.Device.Intc.device intc;
-      Hvm.Device.Uart.device uart;
-      Hvm.Device.Timer.device timer;
-      Hvm.Device.Syscon.device syscon;
-    ]
-  in
-  let machine = Machine.create ~mem_size:config.mem_size ~devices ~intc () in
-  (machine, uart, timer, syscon)
-
 (* With [hw_fp] every intrinsic is inlined; without it, the soft-FP ones
    call their softfloat helper. *)
 let lower_intrinsic config name : Dag.lowering =
@@ -567,7 +551,7 @@ let lower_intrinsic config name : Dag.lowering =
   else match Common.softfloat_index name with Some h -> Dag.L_helper h | None -> Dag.L_inline
 
 let rec create ?(config = default_config) (guest : Ops.ops) : t =
-  let machine, uart, timer, syscon = make_machine config in
+  let machine, uart, timer, syscon = Machine.board ~mem_size:config.mem_size in
   machine.Machine.paging <- true;
   let roots = [| Hvm.Palloc.alloc machine.Machine.palloc; Hvm.Palloc.alloc machine.Machine.palloc |] in
   machine.Machine.cr3 <- roots.(0);

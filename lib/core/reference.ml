@@ -22,19 +22,7 @@ type t = {
 exception Insn_aborted
 
 let create ?(mem_size = 256 * 1024 * 1024) (guest : Ops.ops) : t =
-  let intc = Hvm.Device.Intc.create () in
-  let uart = Hvm.Device.Uart.create () in
-  let timer = Hvm.Device.Timer.create intc in
-  let syscon = Hvm.Device.Syscon.create () in
-  let devices =
-    [
-      Hvm.Device.Intc.device intc;
-      Hvm.Device.Uart.device uart;
-      Hvm.Device.Timer.device timer;
-      Hvm.Device.Syscon.device syscon;
-    ]
-  in
-  let machine = Machine.create ~mem_size ~devices ~intc () in
+  let machine, uart, timer, syscon = Machine.board ~mem_size in
   let ctx =
     Exec.create ~machine ~helpers:[||] ~fault_handler:(fun _ _ _ ~bits:_ ~value:_ -> Exec.Retry)
   in

@@ -273,86 +273,58 @@ let default_classify : int -> Effects.helper_kind = fun _ -> Effects.C_clobber
 
 type facts = {
   f_instrs : instr array;
-  f_cfg : Region.cfg;
+  f_cfg : Cfg.t;
   f_entry : state option array; (* per-block entry state; None = unreachable *)
   f_classify : int -> Effects.helper_kind;
 }
 
-(* Depth-first order and loop heads (targets of back edges). *)
-let loop_heads (cfg : Region.cfg) =
-  let nb = cfg.Region.c_nb in
-  let visited = Array.make nb false and on_stack = Array.make nb false in
-  let heads = Array.make nb false in
-  let rec dfs b =
-    visited.(b) <- true;
-    on_stack.(b) <- true;
-    List.iter
-      (fun s -> if not visited.(s) then dfs s else if on_stack.(s) then heads.(s) <- true)
-      (cfg.Region.c_succs b);
-    on_stack.(b) <- false
-  in
-  if nb > 0 then dfs 0;
-  heads
-
-let flow_block ~classify (instrs : instr array) (cfg : Region.cfg) b (s : state) : state =
+let flow_block ~classify (cfg : Cfg.t) b (s : state) : state =
   let s = ref s in
-  for idx = cfg.Region.c_starts.(b) to cfg.Region.c_block_end b - 1 do
-    s := transfer ~classify !s instrs.(idx)
+  for idx = cfg.Cfg.starts.(b) to Cfg.block_end cfg b - 1 do
+    s := transfer ~classify !s cfg.Cfg.instrs.(idx)
   done;
   !s
 
+(* Widening at the DFS loop heads bounds every cycle reachable from the
+   entry.  The result depends on the solver's FIFO visiting order. *)
 let analyze ?(classify = default_classify) ?(entry = state_top) (instrs : instr array) : facts =
-  let cfg = Region.build_cfg instrs in
-  let nb = cfg.Region.c_nb in
-  let heads = loop_heads cfg in
-  let in_s : state option array = Array.make nb None in
-  if nb > 0 then in_s.(0) <- Some entry;
-  let queued = Array.make nb false in
-  let work = Queue.create () in
-  if nb > 0 then begin
-    Queue.add 0 work;
-    queued.(0) <- true
-  end;
-  while not (Queue.is_empty work) do
-    let b = Queue.pop work in
-    queued.(b) <- false;
-    match in_s.(b) with
-    | None -> ()
-    | Some s ->
-      let out = flow_block ~classify instrs cfg b s in
-      List.iter
-        (fun succ ->
-          let merged =
-            match in_s.(succ) with
-            | None -> out
-            | Some old -> if heads.(succ) then state_widen old out else state_join old out
-          in
-          let changed = match in_s.(succ) with None -> true | Some old -> not (state_equal old merged) in
-          if changed then begin
-            in_s.(succ) <- Some merged;
-            if not queued.(succ) then begin
-              queued.(succ) <- true;
-              Queue.add succ work
-            end
-          end)
-        (cfg.Region.c_succs b)
-  done;
-  { f_instrs = instrs; f_cfg = cfg; f_entry = in_s; f_classify = classify }
+  let cfg = Cfg.build instrs in
+  let f_entry =
+    Cfg.forward cfg ~seeds:[ (0, entry) ]
+      ~merge:(fun ~head old s -> if head then state_widen old s else state_join old s)
+      ~equal:state_equal ~transfer:(flow_block ~classify cfg)
+  in
+  { f_instrs = instrs; f_cfg = cfg; f_entry; f_classify = classify }
+
+(* The abstract state immediately before instruction [idx]; [None] when
+   its block is unreachable. *)
+let state_before (facts : facts) idx =
+  let cfg = facts.f_cfg in
+  let b = cfg.Cfg.block_of.(idx) in
+  Option.map
+    (fun s0 ->
+      let s = ref s0 in
+      for i = cfg.Cfg.starts.(b) to idx - 1 do
+        s := transfer ~classify:facts.f_classify !s facts.f_instrs.(i)
+      done;
+      !s)
+    facts.f_entry.(b)
 
 (* Walk every reachable instruction in [facts], calling [f idx state ins]
    with the abstract state immediately before the instruction. *)
 let iter_facts (facts : facts) f =
   let cfg = facts.f_cfg in
-  for b = 0 to cfg.Region.c_nb - 1 do
-    match facts.f_entry.(b) with
-    | None -> ()
-    | Some s0 ->
-      let s = ref s0 in
-      for idx = cfg.Region.c_starts.(b) to cfg.Region.c_block_end b - 1 do
-        f idx !s facts.f_instrs.(idx);
-        s := transfer ~classify:facts.f_classify !s facts.f_instrs.(idx)
-      done
-  done
+  Array.iteri
+    (fun b entry ->
+      Option.iter
+        (fun s0 ->
+          let s = ref s0 in
+          for idx = cfg.Cfg.starts.(b) to Cfg.block_end cfg b - 1 do
+            f idx !s facts.f_instrs.(idx);
+            s := transfer ~classify:facts.f_classify !s facts.f_instrs.(idx)
+          done)
+        entry)
+    facts.f_entry
 
 (* --- obligation checking --------------------------------------------------- *)
 
@@ -390,7 +362,7 @@ let finding_to_string f =
   | Some i -> Printf.sprintf "[%d] %s: %s" i (obligation_name f.f_class) f.f_msg
   | None -> Printf.sprintf "%s: %s" (obligation_name f.f_class) f.f_msg
 
-module Is = Set.Make (Int)
+module Is = Cfg.Iset
 
 (* Register-file bounds and alignment: offsets are static, so the facts
    are immediate — but stating them as checked obligations means the
@@ -482,11 +454,32 @@ let check_wb ?(classify = default_classify) ~(promoted : (int * int) list)
       | _ -> ())
     instrs;
   let covered pv = Hashtbl.mem wb_covered pv in
+  (* A constant move into a promoted vreg whose slot provably holds that
+     constant is a reload: absint-simplify folds the promoter's reloads
+     after a barrier helper that leaves the register file alone into
+     exactly that.  The facts are computed only for a move in such a
+     reload run, right after the call. *)
+  let rec after_barrier i =
+    i >= 0
+    &&
+    match instrs.(i) with
+    | Call (h, _, _) -> (
+      match classify h with C_read | C_as_switch | C_event -> true | C_pure | C_clobber -> false)
+    | Ldrf (Vreg v, _) | Mov (Vreg v, Imm _) -> Is.mem v all_pvs && after_barrier (i - 1)
+    | _ -> false
+  in
+  let facts = lazy (analyze ~classify instrs) in
+  let holds_slot idx pv =
+    match instrs.(idx) with
+    | Mov (_, Imm c) when after_barrier (idx - 1) -> (
+      match state_before (Lazy.force facts) idx with
+      | Some s -> V.is_const (rf_read s (Hashtbl.find off_of_pv pv)) = Some c
+      | None -> false)
+    | _ -> false
+  in
   if promoted = [] then List.rev !findings
   else begin
-    let cfg = Region.build_cfg instrs in
-    let nb = cfg.Region.c_nb in
-    let in_dirty = Array.make nb Is.empty and in_stale = Array.make nb Is.empty in
+    let cfg = Cfg.build instrs in
     (* Transfer over one block; [report] enables finding emission on the
        final sweep (the fixpoint iterations stay silent). *)
     let flow ~report b (dirty0, stale0) =
@@ -510,7 +503,7 @@ let check_wb ?(classify = default_classify) ~(promoted : (int * int) list)
                 what pv (Hashtbl.find off_of_pv pv))
           !stale
       in
-      for idx = cfg.Region.c_starts.(b) to cfg.Region.c_block_end b - 1 do
+      for idx = cfg.Cfg.starts.(b) to Cfg.block_end cfg b - 1 do
         let ins = instrs.(idx) in
         (* A use of a stale vreg reads a value the register file has
            since overtaken. *)
@@ -560,38 +553,23 @@ let check_wb ?(classify = default_classify) ~(promoted : (int * int) list)
           match dest ins with
           | Some (Vreg d) when Is.mem d all_pvs ->
             (* A redefinition makes the vreg the authoritative (dirty)
-               value for its slot. *)
-            dirty := Is.add d !dirty;
+               value for its slot, unless it provably equals the slot. *)
+            dirty := (if holds_slot idx d then Is.remove else Is.add) d !dirty;
             stale := Is.remove d !stale
           | _ -> ()))
       done;
       (!dirty, !stale)
     in
-    (* Worklist fixpoint with union join (may-dirty, may-stale). *)
-    let work = Queue.create () in
-    Queue.add 0 work;
-    let queued = Array.make nb false in
-    queued.(0) <- true;
-    while not (Queue.is_empty work) do
-      let b = Queue.pop work in
-      queued.(b) <- false;
-      let out_d, out_s = flow ~report:false b (in_dirty.(b), in_stale.(b)) in
-      List.iter
-        (fun s ->
-          let d' = Is.union in_dirty.(s) out_d and s' = Is.union in_stale.(s) out_s in
-          if not (Is.equal d' in_dirty.(s) && Is.equal s' in_stale.(s)) then begin
-            in_dirty.(s) <- d';
-            in_stale.(s) <- s';
-            if not queued.(s) then begin
-              queued.(s) <- true;
-              Queue.add s work
-            end
-          end)
-        (cfg.Region.c_succs b)
-    done;
-    for b = 0 to nb - 1 do
-      ignore (flow ~report:true b (in_dirty.(b), in_stale.(b)))
-    done;
+    (* Forward fixpoint with union join (may-dirty, may-stale); the
+       final sweep reports, visiting unreachable blocks with empty sets. *)
+    let empty = (Is.empty, Is.empty) in
+    let entry =
+      Cfg.forward cfg ~seeds:[ (0, empty) ]
+        ~merge:(fun ~head:_ (d, s) (d', s') -> (Is.union d d', Is.union s s'))
+        ~equal:(fun (d, s) (d', s') -> Is.equal d d' && Is.equal s s')
+        ~transfer:(flow ~report:false)
+    in
+    Array.iteri (fun b st -> ignore (flow ~report:true b (Option.value st ~default:empty))) entry;
     List.rev !findings
   end
 
@@ -648,76 +626,23 @@ let dead_code (instrs : instr array) stats : instr array =
         | _ -> acc)
       Is.empty instrs
   in
-  let cfg = Region.build_cfg instrs in
-  let nb = cfg.Region.c_nb in
-  (* Predecessor lists for the backward fixpoint. *)
-  let preds = Array.make nb [] in
-  for b = 0 to nb - 1 do
-    List.iter (fun s -> preds.(s) <- b :: preds.(s)) (cfg.Region.c_succs b)
-  done;
-  let live_in = Array.make nb Is.empty in
-  let vregs_of_sources ins =
-    List.fold_left
-      (fun acc o -> match o with Vreg v -> Is.add v acc | _ -> acc)
-      Is.empty (sources ins)
-  in
-  let flow_back b live_out =
-    let live = ref live_out in
-    for idx = cfg.Region.c_block_end b - 1 downto cfg.Region.c_starts.(b) do
-      let ins = instrs.(idx) in
-      (match dest ins with
-      | Some (Vreg d) when not (Is.mem d pinned) -> live := Is.remove d !live
-      | _ -> ());
-      live := Is.union !live (vregs_of_sources ins)
-    done;
-    !live
-  in
-  let work = Queue.create () in
-  let queued = Array.make nb false in
-  for b = 0 to nb - 1 do
-    Queue.add b work;
-    queued.(b) <- true
-  done;
-  while not (Queue.is_empty work) do
-    let b = Queue.pop work in
-    queued.(b) <- false;
-    let live_out =
-      List.fold_left (fun acc s -> Is.union acc live_in.(s)) Is.empty (cfg.Region.c_succs b)
-    in
-    let l = flow_back b live_out in
-    if not (Is.equal l live_in.(b)) then begin
-      live_in.(b) <- l;
-      List.iter
-        (fun p ->
-          if not queued.(p) then begin
-            queued.(p) <- true;
-            Queue.add p work
-          end)
-        preds.(b)
-    end
-  done;
-  (* Final sweep: delete pure definitions of dead, unpinned vregs. *)
+  let cfg = Cfg.build instrs in
+  let _, live_out = Cfg.live_vregs cfg ~pinned in
+  (* Sweep: delete pure definitions of dead vregs (pinned ones are live
+     everywhere); a deleted definition's sources stay unread. *)
   let keep = Array.make (Array.length instrs) true in
-  for b = 0 to nb - 1 do
-    let live =
-      ref
-        (List.fold_left (fun acc s -> Is.union acc live_in.(s)) Is.empty (cfg.Region.c_succs b))
-    in
-    for idx = cfg.Region.c_block_end b - 1 downto cfg.Region.c_starts.(b) do
-      let ins = instrs.(idx) in
-      (match (pure ins, dest ins) with
-      | true, Some (Vreg d) when (not (Is.mem d pinned)) && not (Is.mem d !live) ->
-        keep.(idx) <- false;
-        stats.dead_deleted <- stats.dead_deleted + 1
-      | _ -> ());
-      if keep.(idx) then begin
-        (match dest ins with
-        | Some (Vreg d) when not (Is.mem d pinned) -> live := Is.remove d !live
-        | _ -> ());
-        live := Is.union !live (vregs_of_sources ins)
-      end
-    done
-  done;
+  Array.iteri
+    (fun b out ->
+      let live = ref out in
+      for idx = Cfg.block_end cfg b - 1 downto cfg.Cfg.starts.(b) do
+        let ins = instrs.(idx) in
+        match (pure ins, dest ins) with
+        | true, Some (Vreg d) when not (Is.mem d !live) ->
+          keep.(idx) <- false;
+          stats.dead_deleted <- stats.dead_deleted + 1
+        | _ -> live := Cfg.live_step ~pinned !live ins
+      done)
+    live_out;
   let out = ref [] in
   Array.iteri (fun idx ins -> if keep.(idx) then out := ins :: !out) instrs;
   Array.of_list (List.rev !out)

@@ -1,6 +1,6 @@
 (** Forward abstract interpretation over label-form HostIR streams.
 
-    A dataflow framework over the {!Region} CFG with the shared
+    A dataflow framework over the {!Cfg} CFG with the shared
     known-bits x interval value domain ({!Dbt_util.Absval}), mapping
     every storage location the executor models (vregs, host GPRs, spill
     slots, register-file qwords, the PC register) to an abstract value.  Every transfer function
@@ -45,14 +45,14 @@ val transfer : classify:(int -> Effects.helper_kind) -> state -> Hir.instr -> st
 
 type facts = {
   f_instrs : Hir.instr array;
-  f_cfg : Region.cfg;
+  f_cfg : Cfg.t;
   f_entry : state option array;  (** block entry states; [None] = unreachable *)
   f_classify : int -> Effects.helper_kind;
 }
 
 val analyze :
   ?classify:(int -> Effects.helper_kind) -> ?entry:state -> Hir.instr array -> facts
-(** Worklist fixpoint over the {!Region} CFG, widening at loop heads.
+(** {!Cfg.forward} fixpoint from block 0, widening at {!Cfg.loop_heads}.
     [classify] defaults to treating every helper as a clobber; [entry]
     defaults to the all-top state. *)
 
@@ -99,7 +99,10 @@ val check_wb :
 (** Promoted-register discipline and writeback coverage: the forward
     may-analysis over dirty/stale promoted vregs on the region CFG
     (the engine of {!Verify.check_wb}).  Helpers classified [C_pure]
-    are transparent; by default every helper is a barrier. *)
+    are transparent; by default every helper is a barrier.  A constant
+    move into a promoted vreg right after a barrier that leaves the
+    register file alone, whose slot the {!analyze} facts pin to the same
+    constant, is a reload (what {!simplify} folds a reload into). *)
 
 val check_translation :
   ?classify:(int -> Effects.helper_kind) ->

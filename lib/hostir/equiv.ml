@@ -159,11 +159,11 @@ let lits_str lits =
 
 let pair_str a b = Printf.sprintf "optimized:  %s\n  reference:  %s" a b
 
-let check ?(limits = S.default_limits) ?classify ?(assume_as_hit = true) ~init_pc
+let check ?classify ~init_pc
     ~(opt : instr array) ~(reference : instr array) () : outcome =
   let run what prog =
     let t0 = Sys.time () in
-    let r = S.run ~limits ?classify ~assume_as_hit ~init_pc prog in
+    let r = S.run ?classify ~init_pc prog in
     if Lazy.force debug then
       Printf.eprintf "equiv: %s %d instrs: steps=%d paths=%d exits=%d complete=%b (%.2fs cpu)\n%!"
         what (Array.length prog) r.S.o_steps r.S.o_paths (List.length r.S.exits) r.S.complete
@@ -311,10 +311,10 @@ let check ?(limits = S.default_limits) ?classify ?(assume_as_hit = true) ~init_p
 
 (* Convenience wrappers tying the oracle to the comparison. *)
 
-let check_block ?limits ?classify ?assume_as_hit ~config ~init_pc ~opt items : outcome =
-  check ?limits ?classify ?assume_as_hit ~init_pc ~opt
+let check_block ?classify ~config ~init_pc ~opt items : outcome =
+  check ?classify ~init_pc ~opt
     ~reference:(block_reference ~config items) ()
 
-let check_region ?limits ?classify ?assume_as_hit ~config ~init_pc ~opt members : outcome =
-  check ?limits ?classify ?assume_as_hit ~init_pc ~opt
+let check_region ?classify ~config ~init_pc ~opt members : outcome =
+  check ?classify ~init_pc ~opt
     ~reference:(region_reference ~config members) ()

@@ -45,9 +45,7 @@ val region_reference : config:Dag.config -> member_ref list -> Hir.instr array
 
 (** Compare two label-form programs from a common initial state. *)
 val check :
-  ?limits:Symexec.limits ->
   ?classify:(int -> Symexec.helper_kind) ->
-  ?assume_as_hit:bool ->
   init_pc:Symexec.term ->
   opt:Hir.instr array ->
   reference:Hir.instr array ->
@@ -56,9 +54,7 @@ val check :
 
 (** [check] against {!block_reference} of [items]. *)
 val check_block :
-  ?limits:Symexec.limits ->
   ?classify:(int -> Symexec.helper_kind) ->
-  ?assume_as_hit:bool ->
   config:Dag.config ->
   init_pc:Symexec.term ->
   opt:Hir.instr array ->
@@ -67,9 +63,7 @@ val check_block :
 
 (** [check] against {!region_reference} of [members]. *)
 val check_region :
-  ?limits:Symexec.limits ->
   ?classify:(int -> Symexec.helper_kind) ->
-  ?assume_as_hit:bool ->
   config:Dag.config ->
   init_pc:Symexec.term ->
   opt:Hir.instr array ->

@@ -62,24 +62,19 @@ let max_vreg instrs =
 
 (* Static execution-frequency weights: an instruction inside a loop body
    runs many times per region entry, one outside runs about once.  Each
-   enclosing loop (detected as a backedge to an earlier block; regions
+   enclosing loop (a layout back edge, [Cfg.back_edges]; regions
    are laid out contiguously by [Region.straighten], so the loop body is
    the span between the target's start and the backedge) multiplies the
    weight by 8, capped to keep deep nests from dominating. *)
 let loop_weights (instrs : instr array) : int array =
-  let n = Array.length instrs in
-  let w = Array.make n 1 in
-  let cfg = Region.build_cfg instrs in
-  for b = 0 to cfg.Region.c_nb - 1 do
-    List.iter
-      (fun s ->
-        if cfg.Region.c_starts.(s) <= cfg.Region.c_starts.(b) then
-          for i = cfg.Region.c_starts.(s) to cfg.Region.c_block_end b - 1 do
-            w.(i) <- min (w.(i) * 8) 4096
-          done)
-      (cfg.Region.c_succs b)
-  done;
-  ignore n;
+  let w = Array.make (Array.length instrs) 1 in
+  let cfg = Cfg.build instrs in
+  List.iter
+    (fun (b, s) ->
+      for i = cfg.Cfg.starts.(s) to Cfg.block_end cfg b - 1 do
+        w.(i) <- min (w.(i) * 8) 4096
+      done)
+    (Cfg.back_edges cfg);
   w
 
 (* Register-file offsets worth caching in a host register, picked by a

@@ -54,90 +54,24 @@ let analyze (instrs : instr array) =
      actually live at the branch target need to survive the whole loop —
      a value defined and consumed within one iteration keeps its short
      range, so loop bodies (tier-1 regions especially) don't spill
-     everything that merely sits inside the loop span.  Liveness is a
-     standard backward fixpoint over label-delimited chunks. *)
-  let n = Array.length instrs in
-  let label_idx = Hashtbl.create 8 in
-  Array.iteri (fun idx i -> match i with Label l -> Hashtbl.replace label_idx l idx | _ -> ()) instrs;
-  let backedges = ref [] in
-  Array.iteri
-    (fun idx i ->
-      let check l =
-        match Hashtbl.find_opt label_idx l with
-        | Some target when target < idx -> backedges := (target, idx) :: !backedges
-        | _ -> ()
-      in
-      match i with Jmp l -> check l | Br (_, a, b) -> check a; check b | _ -> ())
-    instrs;
-  if !backedges <> [] then begin
-    let module Iset = Set.Make (Int) in
-    let is_terminator = function Jmp _ | Br _ | Exit _ -> true | _ -> false in
-    let start_set = ref (Iset.singleton 0) in
-    Array.iteri
-      (fun i ins ->
-        (match ins with Label _ -> start_set := Iset.add i !start_set | _ -> ());
-        if is_terminator ins && i + 1 < n then start_set := Iset.add (i + 1) !start_set)
-      instrs;
-    let starts = Array.of_list (Iset.elements !start_set) in
-    let nb = Array.length starts in
-    let block_of_idx i =
-      let lo = ref 0 and hi = ref (nb - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if starts.(mid) <= i then lo := mid else hi := mid - 1
-      done;
-      !lo
-    in
-    let block_end b = if b + 1 < nb then starts.(b + 1) else n in
-    let succs b =
-      let e = block_end b in
-      match instrs.(e - 1) with
-      | Jmp l -> [ block_of_idx (Hashtbl.find label_idx l) ]
-      | Br (_, t, f) ->
-        [ block_of_idx (Hashtbl.find label_idx t); block_of_idx (Hashtbl.find label_idx f) ]
-      | Exit _ -> []
-      | _ -> if b + 1 < nb then [ b + 1 ] else []
-    in
-    let vregs_of ops =
-      List.filter_map (function Vreg v -> Some v | _ -> None) ops
-    in
-    let transfer b out =
-      let live = ref out in
-      for i = block_end b - 1 downto starts.(b) do
-        (match dest instrs.(i) with
-        | Some (Vreg v) -> live := Iset.remove v !live
-        | _ -> ());
-        List.iter (fun v -> live := Iset.add v !live) (vregs_of (sources instrs.(i)))
-      done;
-      !live
-    in
-    let live_in = Array.make nb Iset.empty in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for b = nb - 1 downto 0 do
-        let out =
-          List.fold_left (fun acc s -> Iset.union acc live_in.(s)) Iset.empty (succs b)
-        in
-        let inew = transfer b out in
-        if not (Iset.equal inew live_in.(b)) then begin
-          live_in.(b) <- inew;
-          changed := true
-        end
-      done
-    done;
+     everything that merely sits inside the loop span. *)
+  let cfg = Cfg.build instrs in
+  (match Cfg.back_edges cfg with
+  | [] -> ()
+  | edges ->
+    let live_in, _ = Cfg.live_vregs cfg ~pinned:Cfg.Iset.empty in
     List.iter
-      (fun (target, branch) ->
-        Iset.iter
+      (fun (b, s) ->
+        let target = cfg.Cfg.starts.(s) and branch = Cfg.block_end cfg b - 1 in
+        Cfg.Iset.iter
           (fun v ->
             match Hashtbl.find_opt tbl v with
             | Some it ->
               it.istart <- min it.istart target;
               it.iend <- max it.iend branch
             | None -> ())
-          live_in.(block_of_idx target))
-      !backedges
-  end;
+          live_in.(s))
+      edges);
   tbl
 
 let run (instrs : instr array) : result =

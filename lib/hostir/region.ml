@@ -31,7 +31,7 @@
    stay deterministic and observation-free for the sanitizer's guard. *)
 
 open Hir
-module Iset = Set.Make (Int)
+module Iset = Cfg.Iset
 
 (* ------------------------------------------------------------------ *)
 (* Static guest-PC dataflow.                                           *)
@@ -56,15 +56,12 @@ let addk a k = match a with Known v -> Known (Int64.add v (Int64.of_int k)) | x 
 let straighten ~(dispatch_labels : Iset.t) ~(member_entry : (int64 * int) list)
     (instrs : instr array) : instr array =
   let n = Array.length instrs in
-  let label_idx = Hashtbl.create 16 in
-  Array.iteri
-    (fun i ins -> match ins with Label l -> Hashtbl.replace label_idx l i | _ -> ())
-    instrs;
+  let cfg = Cfg.build instrs in
   let rec leads_to_dispatch seen l =
     if Iset.mem l seen then false
     else if Iset.mem l dispatch_labels then true
     else
-      match Hashtbl.find_opt label_idx l with
+      match Hashtbl.find_opt cfg.Cfg.labels l with
       | Some i when i + 1 < n -> (
         match instrs.(i + 1) with
         | Jmp l' -> leads_to_dispatch (Iset.add l seen) l'
@@ -73,48 +70,41 @@ let straighten ~(dispatch_labels : Iset.t) ~(member_entry : (int64 * int) list)
   in
   let entry_of_va = Hashtbl.create 8 in
   List.iter (fun (va, l) -> Hashtbl.replace entry_of_va va l) member_entry;
-  (* PC known to be the member VA at every member entry label: all inbound
+  let step pc = function
+    | Inc_pc k -> addk pc k
+    | Store_pc _ | Call _ -> Top
+    | _ -> pc
+  in
+  (* Every block is analyzed, from [Bot] if nothing flows in; the PC is
+     known to be the member VA at every member entry label: all inbound
      edges (fall-in from the region prologue, dispatch hits, straightened
      direct jumps) establish it. *)
-  let in_label : (int, pcval) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (va, l) -> Hashtbl.replace in_label l (Known va)) member_entry;
-  let get_in l = Option.value (Hashtbl.find_opt in_label l) ~default:Bot in
-  let before = Array.make n Bot in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let flow_to l v =
-      let j = join (get_in l) v in
-      if j <> get_in l then (
-        Hashtbl.replace in_label l j;
-        changed := true)
-    in
-    let cur = ref Bot in
-    for i = 0 to n - 1 do
-      before.(i) <- !cur;
-      match instrs.(i) with
-      | Label l -> cur := join !cur (get_in l)
-      | Inc_pc k -> cur := addk !cur k
-      | Store_pc _ | Call _ -> cur := Top
-      | Jmp l ->
-        flow_to l !cur;
-        cur := Bot
-      | Br (_, t, f) ->
-        flow_to t !cur;
-        flow_to f !cur;
-        cur := Bot
-      | Exit _ -> cur := Bot
-      | _ -> ()
-    done
-  done;
+  let seeds =
+    List.init (Cfg.nb cfg) (fun b -> (b, Bot))
+    @ List.filter_map
+        (fun (va, l) -> Option.map (fun b -> (b, Known va)) (Cfg.block_of_label cfg l))
+        member_entry
+  in
+  let entry =
+    Cfg.forward cfg ~seeds ~merge:(fun ~head:_ -> join) ~equal:( = ) ~transfer:(fun b pc ->
+        let pc = ref pc in
+        for i = cfg.Cfg.starts.(b) to Cfg.block_end cfg b - 1 do
+          pc := step !pc instrs.(i)
+        done;
+        !pc)
+  in
   let out = Array.copy instrs in
+  let pc = ref Bot in
   for i = 0 to n - 1 do
-    match (instrs.(i), before.(i)) with
+    let b = cfg.Cfg.block_of.(i) in
+    if i = cfg.Cfg.starts.(b) then pc := Option.value entry.(b) ~default:Bot;
+    (match (instrs.(i), !pc) with
     | Jmp l, Known va when leads_to_dispatch Iset.empty l -> (
       match Hashtbl.find_opt entry_of_va va with
       | Some lj -> out.(i) <- Jmp lj
       | None -> ())
-    | _ -> ()
+    | _ -> ());
+    pc := step !pc instrs.(i)
   done;
   out
 
@@ -137,39 +127,11 @@ let label_refs (instrs : instr array) =
    reaches it, but its operands keep the promoted registers live and
    the executor applies it at fault points. *)
 let prune_unreachable (instrs : instr array) : instr array =
-  let n = Array.length instrs in
-  if n = 0 then instrs
-  else begin
-    let label_idx = Hashtbl.create 16 in
-    Array.iteri
-      (fun i ins -> match ins with Label l -> Hashtbl.replace label_idx l i | _ -> ())
-      instrs;
-    let reachable = Array.map (function Wbmap _ -> true | _ -> false) instrs in
-    let work = Queue.create () in
-    Queue.add 0 work;
-    while not (Queue.is_empty work) do
-      let i = Queue.pop work in
-      if i < n && not reachable.(i) then begin
-        reachable.(i) <- true;
-        let target l =
-          match Hashtbl.find_opt label_idx l with
-          | Some j -> Queue.add j work
-          | None -> ()
-        in
-        match instrs.(i) with
-        | Jmp l -> target l
-        | Br (_, t, f) ->
-          target t;
-          target f
-        | Exit _ -> ()
-        | _ -> Queue.add (i + 1) work
-      end
-    done;
-    if Array.for_all Fun.id reachable then instrs
-    else
-      Array.of_list
-        (List.filteri (fun i _ -> reachable.(i)) (Array.to_list instrs))
-  end
+  let cfg = Cfg.build instrs in
+  let reachable = Cfg.reachable cfg in
+  let keep i = function Wbmap _ -> true | _ -> reachable.(cfg.Cfg.block_of.(i)) in
+  if Array.for_all Fun.id reachable then instrs
+  else Array.of_list (List.filteri keep (Array.to_list instrs))
 
 (* Jump threading.  Every [Jmp] and both [Br] arms are redirected past
    chunks that hold only labels and a [Jmp] (the seams left behind when
@@ -182,10 +144,7 @@ let prune_unreachable (instrs : instr array) : instr array =
    becomes an unreferenced marker. *)
 let thread_jumps (instrs : instr array) : instr array =
   let n = Array.length instrs in
-  let label_idx = Hashtbl.create 16 in
-  Array.iteri
-    (fun i ins -> match ins with Label l -> Hashtbl.replace label_idx l i | _ -> ())
-    instrs;
+  let label_idx = Cfg.label_index instrs in
   (* The target of a [Jmp] that follows nothing but labels from [i]. *)
   let rec jump_after i =
     if i >= n then None
@@ -362,117 +321,43 @@ let l_add off = function All -> All | Offs s -> Offs (Iset.add off s)
 (* Removing from [All] stays [All]: conservative (keeps the store). *)
 let l_rem off = function All -> All | Offs s -> Offs (Iset.remove off s)
 
-let is_terminator = function Jmp _ | Br _ | Exit _ -> true | _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Region CFG over label-delimited blocks: shared by the dataflow
-   passes here, the promotion layer ([Promote]) and the writeback-map
-   checker ([Verify.check_wb]). *)
-
-type cfg = {
-  c_starts : int array; (* block start indices, ascending; c_starts.(0) = 0 *)
-  c_nb : int; (* number of blocks *)
-  c_block_of_idx : int -> int; (* enclosing block of an instruction index *)
-  c_block_end : int -> int; (* one past a block's last instruction *)
-  c_succs : int -> int list; (* successor blocks *)
-}
-
-let build_cfg (instrs : instr array) : cfg =
-  let n = Array.length instrs in
-  let label_idx = Hashtbl.create 16 in
-  Array.iteri
-    (fun i ins -> match ins with Label l -> Hashtbl.replace label_idx l i | _ -> ())
-    instrs;
-  (* Block boundaries: at every label and after every terminator. *)
-  let start_set = ref (Iset.singleton 0) in
-  Array.iteri
-    (fun i ins ->
-      (match ins with Label _ -> start_set := Iset.add i !start_set | _ -> ());
-      if is_terminator ins && i + 1 < n then start_set := Iset.add (i + 1) !start_set)
-    instrs;
-  let starts = Array.of_list (Iset.elements !start_set) in
-  let nb = Array.length starts in
-  let block_of_idx i =
-    (* greatest start <= i *)
-    let lo = ref 0 and hi = ref (nb - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if starts.(mid) <= i then lo := mid else hi := mid - 1
-    done;
-    !lo
-  in
-  let block_end b = if b + 1 < nb then starts.(b + 1) else n in
-  let block_of_label l = block_of_idx (Hashtbl.find label_idx l) in
-  let succs b =
-    let e = block_end b in
-    if e = 0 then []
-    else
-      match instrs.(e - 1) with
-      | Jmp l -> [ block_of_label l ]
-      | Br (_, t, f) -> [ block_of_label t; block_of_label f ]
-      | Exit _ -> []
-      | _ -> if b + 1 < nb then [ b + 1 ] else []
-  in
-  { c_starts = starts; c_nb = nb; c_block_of_idx = block_of_idx; c_block_end = block_end; c_succs = succs }
-
 (* Backward liveness of register-file byte offsets over the region CFG.
    Anything that can leave the region or observe the register file from
    outside the instruction stream — helper calls, memory accesses (whose
    fault handlers read and write guest state), polls and exits — makes
-   every offset live. *)
+   every offset live, and so does leaving through a block with no
+   successor: the engine reads the register file after an exit. *)
 let eliminate_dead_stores (instrs : instr array) : instr array =
-  let n = Array.length instrs in
-  if n = 0 then instrs
-  else begin
-    let cfg = build_cfg instrs in
-    let starts = cfg.c_starts and nb = cfg.c_nb in
-    let block_end = cfg.c_block_end and succs = cfg.c_succs in
-    (* Backward transfer of one instruction; [mark] is [Some dead] on the
-       final marking pass. *)
-    let step ?mark i live =
-      match instrs.(i) with
-      | Strf (off, _) ->
-        if l_mem off live then l_rem off live
-        else (
-          (match mark with Some dead -> dead.(i) <- true | None -> ());
-          live)
-      | Ldrf (_, off) -> l_add off live
-      | Call _ | Exit _ | Poll _ | Mem_ld _ | Mem_st _ -> All
-      | _ -> live
-    in
-    let live_in = Array.make nb (Offs Iset.empty) in
-    let transfer ?mark b out =
-      let live = ref out in
-      for i = block_end b - 1 downto starts.(b) do
-        live := step ?mark i !live
-      done;
-      !live
-    in
-    let out_of b =
-      match succs b with
-      | [] -> All (* the engine reads the register file after an exit *)
-      | ss -> List.fold_left (fun acc s -> l_union acc live_in.(s)) (Offs Iset.empty) ss
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for b = nb - 1 downto 0 do
-        let inew = transfer b (out_of b) in
-        if not (l_equal inew live_in.(b)) then (
-          live_in.(b) <- inew;
-          changed := true)
-      done
+  let cfg = Cfg.build instrs in
+  (* Backward transfer of one instruction; [mark] is [Some dead] on the
+     final marking pass. *)
+  let step ?mark i live =
+    match instrs.(i) with
+    | Strf (off, _) ->
+      if l_mem off live then l_rem off live
+      else (
+        (match mark with Some dead -> dead.(i) <- true | None -> ());
+        live)
+    | Ldrf (_, off) -> l_add off live
+    | Call _ | Exit _ | Poll _ | Mem_ld _ | Mem_st _ -> All
+    | _ -> live
+  in
+  let transfer ?mark b out =
+    let live = ref out in
+    for i = Cfg.block_end cfg b - 1 downto cfg.Cfg.starts.(b) do
+      live := step ?mark i !live
     done;
-    let dead = Array.make n false in
-    for b = 0 to nb - 1 do
-      ignore (transfer ~mark:dead b (out_of b))
-    done;
-    if Array.exists Fun.id dead then
-      Array.of_list
-        (List.filteri (fun i _ -> not dead.(i)) (Array.to_list instrs))
-    else instrs
-  end
-
+    !live
+  in
+  let _, live_out =
+    Cfg.backward cfg ~bottom:(Offs Iset.empty) ~exit:All ~join:l_union ~equal:l_equal
+      ~transfer:(fun b out -> transfer b out)
+  in
+  let dead = Array.make (Array.length instrs) false in
+  Array.iteri (fun b out -> ignore (transfer ~mark:dead b out)) live_out;
+  if Array.exists Fun.id dead then
+    Array.of_list (List.filteri (fun i _ -> not dead.(i)) (Array.to_list instrs))
+  else instrs
 
 (* The full region pipeline in canonical order, as run by the engine for
    every tier-1 translation (promotion, which needs the member list and

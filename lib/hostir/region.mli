@@ -7,7 +7,7 @@
    allocation; [optimize] chains them in the canonical order.  All passes
    are pure functions of the instruction stream. *)
 
-module Iset : Set.S with type elt = int
+module Iset = Cfg.Iset
 
 (* Rewrite jumps into a dispatch chunk with a direct jump to the member
    entry whenever the guest PC at the jump is statically known.
@@ -46,15 +46,3 @@ val eliminate_dead_stores : Hir.instr array -> Hir.instr array
    forward_store_pc -> eliminate_dead_stores. *)
 val optimize :
   dispatch_labels:Iset.t -> member_entry:(int64 * int) list -> Hir.instr array -> Hir.instr array
-
-(* A lightweight CFG over the flattened stream, shared by the dead-store
-   pass, register promotion (Promote), and the structural verifier. *)
-type cfg = {
-  c_starts : int array; (* block start indices, ascending; c_starts.(0) = 0 *)
-  c_nb : int; (* number of blocks *)
-  c_block_of_idx : int -> int; (* enclosing block of an instruction index *)
-  c_block_end : int -> int; (* one past a block's last instruction *)
-  c_succs : int -> int list; (* successor blocks *)
-}
-
-val build_cfg : Hir.instr array -> cfg

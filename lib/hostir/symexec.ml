@@ -408,34 +408,25 @@ type exit_state = {
   x_lits : (term * bool) list; (* sorted path condition: the path's identity *)
 }
 
-type limits = {
-  max_paths : int;
-  max_steps_per_path : int;
-  max_total_steps : int;
-  max_loop_iters : int;
-      (* k-bounded unrolling: a path that crosses the same backedge more
-         than this many times is abandoned (complete=false). *)
-  max_term_nodes : int;
-      (* abandon a path when a term stored into its state exceeds this
-         tree size.  Terms are DAGs in memory, but normalization and the
-         structural equality the equivalence check rests on walk them as
-         trees; repeated self-combination (x' = f(x, x) chains, loop
-         iterations) makes that walk exponential without this cap. *)
-}
+(* Exploration bounds.  Every step is O(max_term_nodes) in the worst
+   case, so the step and term budgets multiply; these keep a
+   pathological program (loop-carried term growth, e.g. chained xor/bit2
+   over loads) under a second while leaving real tier-0 blocks and early
+   region iterations far inside the bounds. *)
+let max_paths = 256
+let max_steps_per_path = 20_000
+let max_total_steps = 100_000
 
-(* Every step is O(max_term_nodes) in the worst case, so the step and
-   term budgets multiply; these defaults keep a pathological program
-   (loop-carried term growth, e.g. chained xor/bit2 over loads) under a
-   second while leaving real tier-0 blocks and early region iterations
-   far inside the bounds. *)
-let default_limits =
-  {
-    max_paths = 256;
-    max_steps_per_path = 20_000;
-    max_total_steps = 100_000;
-    max_loop_iters = 4;
-    max_term_nodes = 4_096;
-  }
+(* k-bounded unrolling: a path that crosses the same backedge more than
+   this many times is abandoned (complete=false). *)
+let max_loop_iters = 4
+
+(* Abandon a path when a term stored into its state exceeds this tree
+   size.  Terms are DAGs in memory, but normalization and the structural
+   equality the equivalence check rests on walk them as trees; repeated
+   self-combination (x' = f(x, x) chains, loop iterations) makes that
+   walk exponential without this cap. *)
+let max_term_nodes = 4_096
 
 (* Per-step tracing for debugging validator stalls (SYMEXEC_TRACE=1). *)
 let trace_steps = lazy (Sys.getenv_opt "SYMEXEC_TRACE" <> None)
@@ -610,16 +601,15 @@ let canon_pregs p =
 (* ------------------------------------------------------------------ *)
 
 (* Recognize the address-space guard from Dag.guarded_address: a Cne
-   compare whose operand is [addr >> 47].  Under [assume_as_hit] the
-   validator follows only the matched-tag fast path (the slow path calls
+   compare whose operand is [addr >> 47].  The validator follows only
+   the matched-tag fast path (the slow path calls
    the as-switch helper and re-runs the same masked access, so validating
    it adds nothing but paths). *)
 let is_as_guard t =
   let shift47 = function TAlu ((Ashr | Asar), _, Const 47L) -> true | _ -> false in
   match t with TCmp (Cne, a, b) -> shift47 a || shift47 b | _ -> false
 
-let run ?(limits = default_limits) ?(classify = fun _ -> C_clobber) ?(assume_as_hit = true)
-    ~init_pc (prog : instr array) : outcome =
+let run ?(classify = fun _ -> C_clobber) ~init_pc (prog : instr array) : outcome =
   let n = Array.length prog in
   let labels = Hashtbl.create 16 in
   Array.iteri
@@ -653,7 +643,7 @@ let run ?(limits = default_limits) ?(classify = fun _ -> C_clobber) ?(assume_as_
       :: !exits
   in
   let rec drive p =
-    if p.p_steps > limits.max_steps_per_path || !steps > limits.max_total_steps then
+    if p.p_steps > max_steps_per_path || !steps > max_total_steps then
       complete := false
     else if p.p_idx >= n || p.p_idx < 0 then complete := false (* fell off the program *)
     else begin
@@ -664,7 +654,7 @@ let run ?(limits = default_limits) ?(classify = fun _ -> C_clobber) ?(assume_as_
       let p = { p with p_steps = p.p_steps + 1 } in
       let next = p.p_idx + 1 in
       let guard t =
-        check_size limits.max_term_nodes t;
+        check_size max_term_nodes t;
         t
       in
       let assign d t = drive { (wr p d (guard (apply_rw p.p_rw t))) with p_idx = next } in
@@ -673,7 +663,7 @@ let run ?(limits = default_limits) ?(classify = fun _ -> C_clobber) ?(assume_as_
       let jump p i =
         if i <= p.p_idx then begin
           let c = match Imap.find_opt i p.p_back with Some c -> c | None -> 0 in
-          if c + 1 > limits.max_loop_iters then complete := false
+          if c + 1 > max_loop_iters then complete := false
           else drive { p with p_idx = i; p_back = Imap.add i (c + 1) p.p_back }
         end
         else drive { p with p_idx = i }
@@ -759,9 +749,9 @@ let run ?(limits = default_limits) ?(classify = fun _ -> C_clobber) ?(assume_as_
           match List.find_opt (fun (t', _) -> t' = cv) p.p_lits with
           | Some (_, b) -> goto p b
           | None ->
-            if assume_as_hit && is_as_guard cv then goto (with_lit p cv false) false
+            if is_as_guard cv then goto (with_lit p cv false) false
             else begin
-              if !paths_started < limits.max_paths then begin
+              if !paths_started < max_paths then begin
                 incr paths_started;
                 pending := with_lit { p with p_idx = p.p_idx } cv false :: !pending
                 (* the stashed path re-executes the Br, now resolved by its lit *)

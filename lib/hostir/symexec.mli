@@ -74,20 +74,6 @@ type exit_state = {
   x_lits : (term * bool) list;  (** sorted path condition *)
 }
 
-type limits = {
-  max_paths : int;
-  max_steps_per_path : int;
-  max_total_steps : int;
-  max_loop_iters : int;
-      (** k-bounded unrolling: abandon a path after this many crossings of
-          the same backedge (keeps loop-carried terms tractable) *)
-  max_term_nodes : int;
-      (** abandon a path when a state term's tree size exceeds this bound
-          (terms are shared DAGs; the structural walks are over trees) *)
-}
-
-val default_limits : limits
-
 type outcome = {
   exits : exit_state list;
   complete : bool;  (** false when any bound was hit or a path fell off *)
@@ -97,12 +83,12 @@ type outcome = {
 
 (** Execute [prog] (label form: [Jmp]/[Br] carry label ids) from a fresh
     symbolic state with the given initial PC term.  [classify] assigns
-    helper kinds (default: everything clobbers); [assume_as_hit] follows
-    only the matched-tag fast path of Dag.guarded_address AS guards. *)
+    helper kinds (default: everything clobbers).  Only the matched-tag
+    fast path of Dag.guarded_address AS guards is followed; exploration
+    is bounded (256 paths, 20,000 steps per path, 100,000 in all, 4
+    crossings of one backedge, 4,096-node terms). *)
 val run :
-  ?limits:limits ->
   ?classify:(int -> helper_kind) ->
-  ?assume_as_hit:bool ->
   init_pc:term ->
   Hir.instr array ->
   outcome

@@ -51,11 +51,7 @@ let check ?original (r : Regalloc.result) : violation list =
   if Array.length r.Regalloc.dead <> Array.length r.Regalloc.instrs then
     add "dead map has %d entries for %d instructions"
       (Array.length r.Regalloc.dead) (Array.length r.Regalloc.instrs);
-  (* Labels present in the stream, for branch-target resolution. *)
-  let labels = Hashtbl.create 16 in
-  Array.iter
-    (fun i -> match i with Label l -> Hashtbl.replace labels l () | _ -> ())
-    r.Regalloc.instrs;
+  let labels = Cfg.label_index r.Regalloc.instrs in
   let pregs_used = Hashtbl.create 16 in
   Array.iteri
     (fun idx i ->

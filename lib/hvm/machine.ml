@@ -119,6 +119,19 @@ let create ?(mem_size = 256 * 1024 * 1024) ?(devices = []) ?(intc = Device.Intc.
     devs_ticked_at = 0;
   }
 
+(* The board every engine boots: interrupt controller, UART, timer and
+   system controller on the device bus of a [mem_size]-byte machine. *)
+let board ~mem_size =
+  let intc = Device.Intc.create () in
+  let uart = Device.Uart.create () in
+  let timer = Device.Timer.create intc in
+  let syscon = Device.Syscon.create () in
+  let devices =
+    [ Device.Intc.device intc; Device.Uart.device uart; Device.Timer.device timer;
+      Device.Syscon.device syscon ]
+  in
+  (create ~mem_size ~devices ~intc (), uart, timer, syscon)
+
 (* RAM sits below the MMIO window, so nearly every access resolves with a
    single compare against [dev_floor]; the rare MMIO hit binary-searches the
    sorted range array for the greatest base <= pa. *)

@@ -135,19 +135,7 @@ let softmmu_fill (e : t) ctx ~write va =
     Int64.add va addend
 
 let create ?(config = default_config) (guest : Ops.ops) : t =
-  let intc = Hvm.Device.Intc.create () in
-  let uart = Hvm.Device.Uart.create () in
-  let timer = Hvm.Device.Timer.create intc in
-  let syscon = Hvm.Device.Syscon.create () in
-  let devices =
-    [
-      Hvm.Device.Intc.device intc;
-      Hvm.Device.Uart.device uart;
-      Hvm.Device.Timer.device timer;
-      Hvm.Device.Syscon.device syscon;
-    ]
-  in
-  let machine = Machine.create ~mem_size:config.mem_size ~devices ~intc () in
+  let machine, uart, timer, syscon = Machine.board ~mem_size:config.mem_size in
   machine.Machine.paging <- false;
   (* QEMU runtime structures live above guest RAM, below the (unused)
      page-table area. *)

@@ -3,7 +3,7 @@
    The repo deliberately carries no JSON dependency; the bench baseline
    (`bench/baseline.json`) is a sequence of one-line flat objects with
    string / number / boolean fields, exactly as emitted by
-   `captive_run bench --quick --json`.  This reader parses that shape
+   `captive_run bench --json`.  This reader parses that shape
    and nothing more (no nesting, no arrays). *)
 
 type value = S of string | N of float | B of bool | Null

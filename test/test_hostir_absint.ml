@@ -305,6 +305,35 @@ let test_simplify_deletes_dead_keeps_wbmap () =
   Alcotest.(check bool) "wbmap survives" true
     (Array.exists (function Hir.Wbmap _ -> true | _ -> false) out)
 
+(* The promoter's barrier pattern around two register-file reads
+   (helpers classified [C_read]): a dirty promoted register is flushed
+   before the first call and reloaded after each.  The slot then holds a
+   known constant, so simplify folds both reloads into constant moves;
+   the writeback discipline must accept the folded stream as it did the
+   original (a constant move equal to the slot is a reload, not a dirty
+   redefinition). *)
+let test_folded_reload_keeps_discipline () =
+  let stream =
+    [|
+      Hir.Label 0;
+      Hir.Mov (v 0, Hir.Imm 5L);
+      Hir.Strf (8, v 0);
+      Hir.Call (Ef.h_coproc_read, [||], Some (v 5));
+      Hir.Ldrf (v 0, 8);
+      Hir.Call (Ef.h_coproc_read, [||], Some (v 6));
+      Hir.Ldrf (v 0, 8);
+      Hir.Exit 0;
+      Hir.Label 1;
+      Hir.Wbmap [| (v 0, 8) |];
+    |]
+  in
+  let promoted = [ (0, 8) ] in
+  let findings p = List.map A.finding_to_string (A.check_wb ~classify:Ef.classify ~promoted p) in
+  Alcotest.(check (list string)) "original stream" [] (findings stream);
+  let out, ss = simplify stream in
+  Alcotest.(check int) "both reloads folded" 2 ss.A.consts_folded;
+  Alcotest.(check (list string)) "simplified stream" [] (findings out)
+
 (* --- region stream rewrites ------------------------------------------------------- *)
 
 module Region = Hostir.Region
@@ -587,6 +616,8 @@ let suite =
         test_simplify_reduces_division;
       Alcotest.test_case "simplify deletes dead defs, keeps the writeback map" `Quick
         test_simplify_deletes_dead_keeps_wbmap;
+      Alcotest.test_case "folded reloads keep the writeback discipline" `Quick
+        test_folded_reload_keeps_discipline;
       Alcotest.test_case "prune keeps the writeback map" `Quick test_prune_keeps_wbmap;
       Alcotest.test_case "jump threaded through a chain" `Quick test_thread_jmp_chain;
       Alcotest.test_case "fall-through jump deleted" `Quick test_thread_deletes_fallthrough_jmp;

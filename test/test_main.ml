@@ -17,6 +17,7 @@ let () =
       Test_promote.suite;
       Test_symexec.suite;
       Test_hostir_absint.suite;
+      Test_cfg.suite;
       Test_workloads.suite;
       Test_sanitize.suite;
       Test_concurrent.suite;
