@@ -512,7 +512,7 @@ let stress_cmd =
             let e, code = run_one ~config w in
             let s = e.Captive.Engine.stats in
             let findings =
-              match e.Captive.Engine.sanitizer with
+              match Captive.Engine.sanitizer e with
               | Some sa -> Hvm.Sanitize.findings sa
               | None -> []
             in
@@ -634,9 +634,13 @@ let with_temp_dir f =
       end)
     (fun () -> f dir)
 
+(* Every bench boot stops at [Registry.boot]'s default cap per unit of
+   scale (the largest baseline row is under 80 M cycles at scale 1), so
+   a miscompile that loops fails the row in seconds, by name. *)
 let bench_run_one ~scale ~domains ~fail name : bench_row =
   let user = (Workloads.Spec.find name).Workloads.Spec.build ~scale in
-  let run_captive config = W.boot ~config ~max_cycles:50_000_000_000 (`Arm_user user) in
+  let max_cycles = scale * 2_000_000_000 in
+  let run_captive config = W.boot ~config ~max_cycles (`Arm_user user) in
   let (e_t, code_t), (e_w, code_w) =
     with_temp_dir (fun dir ->
         let config = { CE.default_config with CE.domains; aot_dir = Some dir } in
@@ -648,12 +652,17 @@ let bench_run_one ~scale ~domains ~fail name : bench_row =
   let e_q = Qemu_ref.Qemu_engine.create (Guest_arm.Arm.ops ()) in
   Workloads.Kernel.install (Workloads.Kernel.qemu_target e_q) ~user;
   let code_q =
-    match Qemu_ref.Qemu_engine.run ~max_cycles:50_000_000_000 e_q with
+    match Qemu_ref.Qemu_engine.run ~max_cycles e_q with
     | Qemu_ref.Qemu_engine.Poweroff c -> c
     | _ -> -2
   in
   let cy_t = CE.cycles e_t and cy_q = Qemu_ref.Qemu_engine.cycles e_q in
   let s = e_t.CE.stats and sw = e_w.CE.stats in
+  List.iter
+    (fun (boot, code) ->
+      if code = -2 then
+        fail (Printf.sprintf "%s: %s boot hit the cycle cap (%d cycles)" name boot max_cycles))
+    [ ("tiered", code_t); ("AOT warm", code_w); ("untiered", code_u); ("QEMU-style", code_q) ];
   let exit_ok = code_t = code_u && code_t = code_q && code_t >= 0 in
   if not exit_ok then fail (name ^ ": engines disagree on exit code");
   let coverage = template_coverage ~fail name s (CE.template_miss_table e_t) in
@@ -885,10 +894,10 @@ let bench_cmd =
      and audited for encoding determinism.  A flagged translation must
      never be persisted, so any finding is a hard failure.
    - The MMU sanitizer (Hvm.Sanitize) checkpoints at every host fault,
-     flush, SMC invalidation, every [CE.sanitize_every] translated
-     blocks and once at the end of the boot: page tables vs. shadow,
-     TLB derivability, frame accounting, code-cache W^X/content
-     coherence, and the ring audit.
+     flush, SMC invalidation, every 32 translated blocks and once at
+     the end of the boot: page tables vs. shadow, TLB derivability,
+     frame accounting, code-cache W^X/content coherence, and the ring
+     audit.
    - Template coverage is gated at O4 only, the default level: the
      lower levels' coverage (49-97%) is lower by design.
 
@@ -947,7 +956,7 @@ let check json workload level =
             List.iter (fun l -> shout (Printf.sprintf "  %s %s" name l)) (checker_findings e);
             (* One final sweep so even a quiet run ends with a checkpoint. *)
             CE.sanitize_check e ~reason:"final";
-            let sa = Option.get e.CE.sanitizer in
+            let sa = Option.get (CE.sanitizer e) in
             List.iter
               (fun f -> fail (Printf.sprintf "%s: %s" name (Hvm.Sanitize.string_of_finding f)))
               (Hvm.Sanitize.findings sa);

@@ -87,8 +87,3 @@ let flush_pcid t pcid =
 let flush_page t vpn =
   let e = t.entries.(slot t vpn) in
   if e.valid && e.vpn = vpn then e.valid <- false
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.flushes <- 0

@@ -42,4 +42,3 @@ val flush_pcid : t -> int -> unit
     the VPN covers all PCIDs; aliasing entries for other VPNs in the
     same slot survive.) *)
 val flush_page : t -> int64 -> unit
-val reset_stats : t -> unit

@@ -123,4 +123,3 @@ let add_with_carry ?(width = 64) a b carry_in =
   (result, carry, overflow)
 
 let hex x = Printf.sprintf "0x%Lx" x
-let hex_w width x = Printf.sprintf "0x%0*Lx" (width / 4) (zero_extend x ~width)

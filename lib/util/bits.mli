@@ -78,7 +78,5 @@ val is_aligned : int64 -> int -> bool
     ARM pseudo-code's AddWithCarry computes them. *)
 val add_with_carry : ?width:int -> int64 -> int64 -> bool -> int64 * bool * bool
 
-(** Hexadecimal rendering helpers. *)
+(** Hexadecimal rendering. *)
 val hex : int64 -> string
-
-val hex_w : int -> int64 -> string

@@ -104,4 +104,3 @@ let parse_line (line : string) : (string * value) list =
 let parse_line_opt line = try Some (parse_line line) with Malformed _ | Failure _ -> None
 let find_string fields k = match List.assoc_opt k fields with Some (S s) -> Some s | _ -> None
 let find_number fields k = match List.assoc_opt k fields with Some (N f) -> Some f | _ -> None
-let find_bool fields k = match List.assoc_opt k fields with Some (B b) -> Some b | _ -> None

@@ -16,4 +16,3 @@ val parse_line_opt : string -> (string * value) list option
 
 val find_string : (string * value) list -> string -> string option
 val find_number : (string * value) list -> string -> float option
-val find_bool : (string * value) list -> string -> bool option

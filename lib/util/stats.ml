@@ -107,10 +107,6 @@ let geomean = function
   | [] -> nan
   | xs -> exp (mean (List.map log xs))
 
-let min_max = function
-  | [] -> (nan, nan)
-  | x :: xs -> List.fold_left (fun (lo, hi) v -> (min lo v, max hi v)) (x, x) xs
-
 (* Least-squares fit y = a + b*x; returns (a, b). Used for the Fig. 21
    log-log regression over per-block execution times. *)
 let linear_regression pts =
@@ -123,11 +119,3 @@ let linear_regression pts =
   let b = ((n *. sxy) -. (sx *. sy)) /. ((n *. sxx) -. (sx *. sx)) in
   let a = (sy -. (b *. sx)) /. n in
   (a, b)
-
-let percentile xs p =
-  match List.sort compare xs with
-  | [] -> nan
-  | sorted ->
-    let arr = Array.of_list sorted in
-    let idx = int_of_float (p /. 100.0 *. float_of_int (Array.length arr - 1)) in
-    arr.(max 0 (min idx (Array.length arr - 1)))

@@ -35,12 +35,7 @@ val mean : float list -> float
 (** Geometric mean (the aggregate the paper reports for Figs. 17/18). *)
 val geomean : float list -> float
 
-val min_max : float list -> float * float
-
 (** Least-squares fit [y = a + b*x]; returns [(a, b)].  Used for the
     Fig. 21 log-log regression over per-block execution times.
     @raise Invalid_argument on fewer than two points. *)
 val linear_regression : (float * float) list -> float * float
-
-(** [percentile xs p] for [p] in 0..100; nan on the empty list. *)
-val percentile : float list -> float -> float

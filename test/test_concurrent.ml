@@ -133,30 +133,14 @@ let test_cache_domains () =
 
 let run_arm_stress config = W.boot ~config (W.arm_mmu.W.w_program ())
 
-(* A populated engine plus one plain tier-0 block to build a job from. *)
-let engine_with_head () =
+(* A populated engine plus a region job headed by one of its plain
+   tier-0 blocks. *)
+let engine_with_job () =
   let e, code = run_arm_stress CE.default_config in
   Alcotest.(check int) "workload ran" MS.arm_expected_exit code;
-  let head =
-    CC.fold
-      (fun _ tr acc ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          if tr.CE.t_n_guest > 1 && tr.CE.t_members = 1 && Array.length tr.CE.t_exits = 0
-          then Some tr
-          else None)
-      e.CE.cache None
-  in
-  match head with
-  | Some head -> (e, head)
+  match CE.Internal.job e with
+  | Some job -> (e, job)
   | None -> Alcotest.fail "no tier-0 block in cache"
-
-(* Install a finished job the way the run loop's drain does. *)
-let install_async e (job : CE.region_job) res =
-  ignore
-    (CE.install ~async:true ~gen:job.CE.j_gen ~replaces:job.CE.j_head ~members:job.CE.j_members e
-       job.CE.j_req res)
 
 (* Generation path: the page is invalidated (SMC) while the job is
    notionally on a worker; the install must be refused by the
@@ -164,48 +148,40 @@ let install_async e (job : CE.region_job) res =
    identically (the generation, not the content, is authoritative for
    entries removed from the cache). *)
 let test_smc_in_flight_generation () =
-  let e, head = engine_with_head () in
-  let members, _ = CE.select_members e head in
-  let job = CE.make_region_job e ~head ~members in
-  let pa_page = Int64.logand job.CE.j_req.CE.rq_pa (Int64.lognot 0xFFFL) in
+  let e, job = engine_with_job () in
+  let pa_page = Int64.logand (CE.Internal.head_pa job) (Int64.lognot 0xFFFL) in
   let stale0 = e.CE.stats.CE.jobs_stale in
-  CE.invalidate_page e pa_page;
-  let res = CE.region_front e.CE.jenv job.CE.j_req in
-  install_async e job res;
+  CE.Internal.invalidate_page e pa_page;
+  CE.Internal.install e job (CE.Internal.translate e job);
   Alcotest.(check int) "install counted stale" (stale0 + 1) e.CE.stats.CE.jobs_stale;
-  Alcotest.(check bool) "stale region not served" true
-    (CC.lookup e.CE.cache head.CE.t_key = None);
-  Alcotest.(check int) "head demoted for re-profiling" 0 head.CE.t_tier
+  Alcotest.(check (option int)) "stale region not served" None
+    (CE.Internal.published_members e job);
+  Alcotest.(check int) "head demoted for re-profiling" 0 (CE.Internal.head_tier job)
 
 (* Byte path: the guest bytes under the job change without an
    invalidation reaching the cache (generation unchanged), so only the
    install-time comparison against the request's copy of the bytes can
    catch it — a translation of pre-SMC bytes must never install. *)
 let test_smc_in_flight_hash () =
-  let e, head = engine_with_head () in
-  let members, _ = CE.select_members e head in
-  let job = CE.make_region_job e ~head ~members in
-  let res = CE.region_front e.CE.jenv job.CE.j_req in
-  let pa_head, _, _ = head.CE.t_key in
+  let e, job = engine_with_job () in
+  let res = CE.Internal.translate e job in
+  let pa_head = CE.Internal.head_pa job in
   (* raw write: bypasses phys_write and thus the invalidate hook *)
   let mem = e.CE.machine.Hvm.Machine.mem in
   Hvm.Mem.write8 mem pa_head (Int64.logxor (Hvm.Mem.read8 mem pa_head) 0xFFL);
   let stale0 = e.CE.stats.CE.jobs_stale in
-  install_async e job res;
+  CE.Internal.install e job res;
   Alcotest.(check int) "install counted stale" (stale0 + 1) e.CE.stats.CE.jobs_stale
 
 (* Control: with neither SMC path triggered, the same job installs. *)
 let test_in_flight_clean_installs () =
-  let e, head = engine_with_head () in
-  let members, _ = CE.select_members e head in
-  let job = CE.make_region_job e ~head ~members in
-  let res = CE.region_front e.CE.jenv job.CE.j_req in
+  let e, job = engine_with_job () in
   let installed0 = e.CE.stats.CE.jobs_installed in
-  install_async e job res;
+  CE.Internal.install e job (CE.Internal.translate e job);
   Alcotest.(check int) "install counted" (installed0 + 1) e.CE.stats.CE.jobs_installed;
-  (match CC.lookup e.CE.cache head.CE.t_key with
-  | Some tr -> Alcotest.(check int) "region published" (List.length members) tr.CE.t_members
-  | None -> Alcotest.fail "region not published")
+  match CE.Internal.published_members e job with
+  | Some n -> Alcotest.(check int) "region published" (CE.Internal.job_members job) n
+  | None -> Alcotest.fail "region not published"
 
 (* --- engine: multi-domain equivalence and determinism ------------------- *)
 
@@ -228,7 +204,7 @@ let test_multi_domain_equivalence () =
       Alcotest.(check int) "same exit code" code1 code3;
       Alcotest.(check string) "same uart output" (CE.uart_output e1) (CE.uart_output e3);
       CE.sanitize_check e3 ~reason:"final";
-      match e3.CE.sanitizer with
+      match CE.sanitizer e3 with
       | Some s ->
         List.iter (fun f -> print_endline (San.string_of_finding f)) (San.findings s);
         Alcotest.(check bool) "no sanitizer findings" true (San.ok s)

@@ -276,7 +276,7 @@ let test_timer_interrupts () =
   | CE.Poweroff 0 -> ()
   | CE.Poweroff c -> Alcotest.failf "captive: unexpected exit %d" c
   | _ -> Alcotest.fail "captive: timer ticks never reached 2");
-  Alcotest.(check bool) "timer fired" true (e.CE.timer.Hvm.Device.Timer.fired >= 2);
+  Alcotest.(check bool) "timer fired" true ((CE.Internal.timer e).Hvm.Device.Timer.fired >= 2);
   let q = QE.create (guest ()) in
   K.install (K.qemu_target q) ~user;
   match QE.run ~max_cycles:500_000_000 q with

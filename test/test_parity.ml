@@ -190,11 +190,7 @@ let test_checks_only_observe w () =
    [log_cap] findings, however they arrive; the counters stay exact. *)
 let test_finding_log () =
   let e = CE.create (Guest_arm.Arm.ops ()) in
-  let add checker fs =
-    let acc = CE.new_acc () in
-    CE.run_checker acc checker ~region:false (fun () -> (fs, ()));
-    CE.merge e acc
-  in
+  let add = CE.Internal.log_findings e in
   let names p n = List.init n (fun i -> (Printf.sprintf "%s%d" p i, "detail")) in
   add CE.Absint (names "a" 100);
   List.iter (fun (f, r) -> add CE.Equiv [ f ]; add CE.Reloc [ r ]) (List.combine (names "e" 100) (names "r" 100));

@@ -135,7 +135,7 @@ let test_negative_ring () =
 
 let sanitized_config = { CE.default_config with CE.check = true }
 
-let sanitizer_of (e : CE.t) = Option.get e.CE.sanitizer
+let sanitizer_of (e : CE.t) = Option.get (CE.sanitizer e)
 
 (* Regression for the handle_fault TLB shoot-down: read a code page
    (leaving a read-only host-TLB entry), then patch an instruction on it.

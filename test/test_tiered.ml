@@ -232,6 +232,51 @@ let test_masked_irq_no_livelock () =
   Alcotest.(check bool) "regions were formed" true (e.CE.stats.CE.regions_formed > 0);
   Alcotest.(check bool) "well below the cycle cap" true (CE.cycles e < cap / 4)
 
+(* A self-loop that never exits, promoted to a one-member region: the
+   run limits must stop it from inside the region, at its member
+   safepoints.  Each run also sets the other limit, finite but out of
+   reach, so a region that ignored the limit under test would stop on
+   the other one instead of spinning forever. *)
+let spin_forever () =
+  let e = CE.create ~config:{ CE.default_config with hot_threshold = 4; domains = 1 } (guest ()) in
+  CE.load_image e ~addr:0x80000L
+    (bare_metal (fun a ->
+         A.movz a A.x0 0;
+         A.label a "spin";
+         A.add_imm a A.x0 A.x0 1;
+         A.b a "spin"));
+  CE.set_entry e 0x80000L;
+  e
+
+let exit_name = function
+  | CE.Poweroff c -> Printf.sprintf "Poweroff %d" c
+  | CE.Cycle_limit -> "Cycle_limit"
+  | CE.Block_limit -> "Block_limit"
+
+let test_cycle_limit_in_region () =
+  let e = spin_forever () in
+  let max_cycles = 1_000_000 in
+  Alcotest.(check string) "stopped on cycles" "Cycle_limit"
+    (exit_name (CE.run ~max_cycles ~max_blocks:10_000_000 e));
+  Alcotest.(check int) "loop promoted to a region" 1 e.CE.stats.CE.regions_formed;
+  Alcotest.(check bool) "stopped inside the region" true
+    (e.CE.stats.CE.region_block_execs > 10_000);
+  (* At most one dispatch (20 cycles) and one loop iteration past the
+     ceiling. *)
+  Alcotest.(check bool) "overshoot within 100 cycles" true
+    (CE.cycles e > max_cycles && CE.cycles e <= max_cycles + 100)
+
+let test_block_limit_in_region () =
+  let e = spin_forever () in
+  let max_blocks = 10_000 in
+  Alcotest.(check string) "stopped on blocks" "Block_limit"
+    (exit_name (CE.run ~max_cycles:50_000_000 ~max_blocks e));
+  Alcotest.(check int) "loop promoted to a region" 1 e.CE.stats.CE.regions_formed;
+  Alcotest.(check bool) "stopped inside the region" true
+    (e.CE.stats.CE.region_block_execs > max_blocks / 2);
+  Alcotest.(check bool) "at most one block past the limit" true
+    (e.CE.stats.CE.blocks_executed <= max_blocks + 1)
+
 let suite =
   ( "tiered",
     [
@@ -241,5 +286,7 @@ let suite =
         test_smc_reanalysis;
       Alcotest.test_case "tier-0-only cycle identity" `Quick test_tier0_cycle_identity;
       Alcotest.test_case "masked IRQ does not livelock a region" `Quick test_masked_irq_no_livelock;
+      Alcotest.test_case "cycle limit inside a promoted region" `Quick test_cycle_limit_in_region;
+      Alcotest.test_case "block limit inside a promoted region" `Quick test_block_limit_in_region;
       QCheck_alcotest.to_alcotest prop_region_vs_block;
     ] )
