@@ -71,6 +71,8 @@ type phase_stats = Tally.phase_stats = {
   mutable region_entries : int; (* dispatches that entered a region unit *)
   mutable region_block_execs : int; (* member blocks executed inside regions *)
   mutable region_dead_stores : int; (* cross-block dead register-file stores removed *)
+  mutable region_pc_writes_relativized : int; (* PC stores of known targets -> Inc_pc *)
+  mutable region_dispatch_straightened : int; (* dispatch-bound edges sent to a member *)
   (* register promotion / memory redundancy elimination (Promote) *)
   mutable rf_promoted : int; (* register-file offsets promoted across regions *)
   mutable region_wb_entries : int; (* writeback-map entries across regions *)

@@ -30,6 +30,8 @@ type phase_stats = {
   mutable region_entries : int;
   mutable region_block_execs : int;
   mutable region_dead_stores : int;
+  mutable region_pc_writes_relativized : int;
+  mutable region_dispatch_straightened : int;
   mutable rf_promoted : int;
   mutable region_wb_entries : int;
   mutable mem_loads_elided : int;
@@ -99,6 +101,8 @@ let new_phase_stats () =
     region_entries = 0;
     region_block_execs = 0;
     region_dead_stores = 0;
+    region_pc_writes_relativized = 0;
+    region_dispatch_straightened = 0;
     rf_promoted = 0;
     region_wb_entries = 0;
     mem_loads_elided = 0;
@@ -177,6 +181,8 @@ let counters =
     Count ("region_entries", (fun s -> s.region_entries), fun s v -> s.region_entries <- v);
     Count ("region_block_execs", (fun s -> s.region_block_execs), fun s v -> s.region_block_execs <- v);
     Count ("region_dead_stores", (fun s -> s.region_dead_stores), fun s v -> s.region_dead_stores <- v);
+    Count ("region_pc_writes_relativized", (fun s -> s.region_pc_writes_relativized), fun s v -> s.region_pc_writes_relativized <- v);
+    Count ("region_dispatch_straightened", (fun s -> s.region_dispatch_straightened), fun s v -> s.region_dispatch_straightened <- v);
     Count ("rf_promoted", (fun s -> s.rf_promoted), fun s v -> s.rf_promoted <- v);
     Count ("region_wb_entries", (fun s -> s.region_wb_entries), fun s v -> s.region_wb_entries <- v);
     Count ("mem_loads_elided", (fun s -> s.mem_loads_elided), fun s v -> s.mem_loads_elided <- v);

@@ -352,7 +352,7 @@ let region_front (je : jit_env) (req : request) : result =
   let entry_label va =
     List.find_map (fun (md, l) -> if Int64.equal md.md_va va then Some l else None) entries
   in
-  let dispatch_labels = ref Hostir.Region.Iset.empty in
+  let dispatch = ref [] in
   let n_guest = ref 0 in
   (* Per-member decode record, kept only when validation is on: enough
      for Hostir.Equiv to re-create the member/dispatch skeleton. *)
@@ -379,12 +379,12 @@ let region_front (je : jit_env) (req : request) : result =
         let l_d = em.Ssa.Emitter.create_block () in
         Dag.raw dag (Hir.Jmp l_d);
         em.Ssa.Emitter.set_block l_d;
-        dispatch_labels := Hostir.Region.Iset.add l_d !dispatch_labels;
         let targets =
           List.filter_map
             (fun va -> Option.map (fun lt -> (va, lt)) (entry_label va))
             md.md_succs
         in
+        dispatch := (l_d, List.map fst targets) :: !dispatch;
         keep_ref
           {
             Hostir.Equiv.mb_va = md.md_va;
@@ -410,11 +410,12 @@ let region_front (je : jit_env) (req : request) : result =
     entries;
   let instrs = Dag.finish dag in
   let member_entry = List.map (fun (md, l) -> (md.md_va, l)) entries in
-  let n0 = Array.length instrs in
-  let instrs =
-    Hostir.Region.optimize ~dispatch_labels:!dispatch_labels ~member_entry instrs
-  in
-  s.region_dead_stores <- s.region_dead_stores + (n0 - Array.length instrs);
+  let instrs, rs = Hostir.Region.optimize ~dispatch:!dispatch ~member_entry instrs in
+  s.region_pc_writes_relativized <-
+    s.region_pc_writes_relativized + rs.Hostir.Region.pc_writes_relativized;
+  s.region_dispatch_straightened <-
+    s.region_dispatch_straightened + rs.Hostir.Region.dispatch_straightened;
+  s.region_dead_stores <- s.region_dead_stores + rs.Hostir.Region.dead_stores;
   s.t_translate <- s.t_translate +. (now () -. t1);
   s.t_region <- s.t_region +. (now () -. t1);
   let t2 = now () in

@@ -627,20 +627,36 @@ let dead_code (instrs : instr array) stats : instr array =
       Is.empty instrs
   in
   let cfg = Cfg.build instrs in
-  let _, live_out = Cfg.live_vregs cfg ~pinned in
+  (* Faint-variable liveness: a pure definition of a dead vreg reads
+     nothing, so a chain of dead definitions (a [Load_pc] feeding only
+     PC arithmetic whose [Store_pc] the region pass made relative) goes
+     in one sweep. *)
+  let dead live ins =
+    match dest ins with Some (Vreg d) when pure ins -> not (Is.mem d live) | _ -> false
+  in
+  let step live ins = if dead live ins then live else Cfg.live_step ~pinned live ins in
+  let _, live_out =
+    Cfg.backward cfg ~bottom:pinned ~exit:pinned ~join:Is.union ~equal:Is.equal
+      ~transfer:(fun b out ->
+        let live = ref out in
+        for idx = Cfg.block_end cfg b - 1 downto cfg.Cfg.starts.(b) do
+          live := step !live instrs.(idx)
+        done;
+        !live)
+  in
   (* Sweep: delete pure definitions of dead vregs (pinned ones are live
-     everywhere); a deleted definition's sources stay unread. *)
+     everywhere). *)
   let keep = Array.make (Array.length instrs) true in
   Array.iteri
     (fun b out ->
       let live = ref out in
       for idx = Cfg.block_end cfg b - 1 downto cfg.Cfg.starts.(b) do
         let ins = instrs.(idx) in
-        match (pure ins, dest ins) with
-        | true, Some (Vreg d) when not (Is.mem d !live) ->
+        if dead !live ins then begin
           keep.(idx) <- false;
           stats.dead_deleted <- stats.dead_deleted + 1
-        | _ -> live := Cfg.live_step ~pinned !live ins
+        end
+        else live := Cfg.live_step ~pinned !live ins
       done)
     live_out;
   let out = ref [] in
@@ -720,9 +736,12 @@ let simplify ?(classify = default_classify) (instrs : instr array) :
   let out = dead_code out stats |> Region.prune_unreachable in
   (* Folded branches and deleted chunk bodies leave chains of jumps to
      the next label, and promotion leaves single-use temporaries copied
-     into promoted registers: both cost an executed host instruction. *)
+     into promoted registers: both cost an executed host instruction.
+     Once the chains are threaded and the dead PC reads deleted, PC
+     increments sink further into branch arms, where they often cancel
+     and leave an arm that only jumps, so threading runs again. *)
   let jmps p = Array.fold_left (fun k -> function Jmp _ -> k + 1 | _ -> k) 0 p in
-  let threaded = Region.thread_jumps out in
+  let threaded = Region.thread_jumps out |> Region.coalesce_inc_pc |> Region.thread_jumps in
   stats.jumps_threaded <- jmps out - jmps threaded;
   let retargeted = Region.retarget_copies threaded in
   stats.copies_retargeted <- Array.length threaded - Array.length retargeted;

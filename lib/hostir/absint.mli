@@ -137,6 +137,9 @@ val simplify :
     conditions, rewrite fully-known pure results to constants, drop
     masks and extensions the facts prove redundant, strength-reduce
     unsigned division by powers of two, delete cross-block dead vreg
-    definitions, prune unreachable blocks (preserving the writeback
-    map), then thread jumps and retarget single-use copies
-    ({!Region.thread_jumps}, {!Region.retarget_copies}). *)
+    definitions (faint ones too: a dead definition's sources are not
+    uses), prune unreachable blocks (preserving the writeback map),
+    then thread jumps, sink PC increments into the arms that now allow
+    it and thread again, and retarget single-use copies
+    ({!Region.thread_jumps}, {!Region.coalesce_inc_pc},
+    {!Region.retarget_copies}). *)

@@ -30,6 +30,7 @@ val nb : t -> int
 val block_end : t -> int -> int  (** one past a block's last instruction *)
 
 val block_of_label : t -> int -> int option
+val is_terminator : Hir.instr -> bool  (** [Jmp], [Br] or [Exit] *)
 
 val loop_heads : t -> bool array
 (** Targets of DFS back edges from block 0: every cycle reachable from

@@ -6,11 +6,13 @@
    below run over the flattened instruction stream before register
    allocation, in this order:
 
-   - [straighten] rewrites jumps into a dispatch chunk with a direct jump
-     to the member entry whenever the guest PC at the jump is statically
-     known (the Dag's Fig. 9(d) [Inc_pc] collapse of direct branches makes
-     this common), so intra-region direct branches cost a single host jump
-     with no dispatch at all;
+   - [straighten] solves the guest PC forward over the region CFG and,
+     where it is known, makes a [Store_pc] of a PC-derived value a
+     relative [Inc_pc] (the Dag ends every conditional guest branch that
+     way) and sends an edge into a dispatch chunk straight to the member
+     entry its compare would pick, so intra-region branches — direct ones
+     collapsed to [Inc_pc] by the Dag (Fig. 9(d)) and conditional ones
+     alike — cost a host jump with no dispatch at all;
 
    - [thread_jumps] redirects jumps past label+jump chunks, drops the
      dispatch chunks orphaned by [straighten] ([prune_unreachable]) and
@@ -18,7 +20,8 @@
      member's hand-off to its own dispatch chunk fall through;
 
    - [coalesce_inc_pc] defers guest-PC increments to the next observation
-     point, eliminating the per-instruction PC sync inside a member;
+     point, across branches into arms only they reach, eliminating the
+     per-instruction PC sync inside a member;
 
    - [forward_store_pc] deletes the PC reload on the member/dispatch seam,
      comparing the just-computed branch target directly;
@@ -36,77 +39,154 @@ module Iset = Cfg.Iset
 (* ------------------------------------------------------------------ *)
 (* Static guest-PC dataflow.                                           *)
 
-type pcval = Bot | Known of int64 | Top
+module Imap = Map.Make (Int)
 
-let join a b =
-  match (a, b) with
-  | Bot, x | x, Bot -> x
-  | Known x, Known y when Int64.equal x y -> Known x
-  | _ -> Top
+(* What is known at a program point: the guest PC, if it is a known
+   value, and the vregs holding known PC-derived values (a [Load_pc],
+   copies of one, and immediate adds and subtracts of those).  Both are
+   relative to the member entry VA the region was formed at: a region
+   head entered through another VA mapping of its page shifts every one
+   of them by the same amount, so only their differences are ever
+   emitted. *)
+type pcfacts = { pc : int64 option; vals : int64 Imap.t }
 
-let addk a k = match a with Known v -> Known (Int64.add v (Int64.of_int k)) | x -> x
+let join_facts a b =
+  {
+    pc = (if a.pc = b.pc then a.pc else None);
+    vals = Imap.merge (fun _ x y -> if x = y then x else None) a.vals b.vals;
+  }
 
-(* [straighten ~dispatch_labels ~member_entry instrs] rewrites
-   [Jmp l] -> [Jmp member_label] when [l] is (or trivially forwards to) a
-   dispatch chunk and the guest PC at the jump is statically known to be a
-   member entry VA.  Sound because a dispatch chunk only compares the PC
-   against member VAs and otherwise exits to the engine dispatcher, which
-   would re-enter the region at that same member; member entries begin
-   with a [Poll], so safepoints are preserved. *)
-let straighten ~(dispatch_labels : Iset.t) ~(member_entry : (int64 * int) list)
-    (instrs : instr array) : instr array =
+let equal_facts a b = a.pc = b.pc && Imap.equal Int64.equal a.vals b.vals
+
+let value facts = function Vreg v -> Imap.find_opt v facts.vals | _ -> None
+
+(* Forward transfer of one instruction.  A helper call keeps the PC
+   unless the helper may write it (a clobber: exceptions, coprocessor
+   writes).  A [Store_pc] of anything but a tracked vreg makes the PC
+   unknown — an immediate too: it is a VA of one mapping, while the
+   facts hold for whichever mapping the region was entered through. *)
+let pc_step facts ins =
+  let vals = match dest ins with Some (Vreg d) -> Imap.remove d facts.vals | _ -> facts.vals in
+  let def d x = { facts with vals = (match x with Some a -> Imap.add d a vals | None -> vals) } in
+  match ins with
+  | Load_pc (Vreg d) -> def d facts.pc
+  | Mov (Vreg d, s) -> def d (value facts s)
+  | Alu (Aadd, Vreg d, a, Imm k) | Alu (Aadd, Vreg d, Imm k, a) ->
+    def d (Option.map (Int64.add k) (value facts a))
+  | Alu (Asub, Vreg d, a, Imm k) -> def d (Option.map (fun x -> Int64.sub x k) (value facts a))
+  | Inc_pc k -> { vals; pc = Option.map (Int64.add (Int64.of_int k)) facts.pc }
+  | Store_pc s -> { vals; pc = value facts s }
+  | Call (h, _, _) when (Effects.summarize h).Effects.s_writes_pc -> { vals; pc = None }
+  | _ -> { facts with vals }
+
+type stats = {
+  pc_writes_relativized : int; (* Store_pc of a PC-derived value -> Inc_pc *)
+  dispatch_straightened : int; (* dispatch-bound edges sent to a member entry *)
+  dead_stores : int; (* Strf deleted by [eliminate_dead_stores] *)
+}
+
+(* [straighten ~dispatch ~member_entry instrs] resolves the guest PC
+   statically with one forward dataflow over the region CFG and makes
+   two rewrites where it is known:
+
+   - [Store_pc v] with [v] a known PC-derived value becomes
+     [Inc_pc (v - pc)] — the Dag ends every conditional guest branch by
+     storing [Load_pc + k] on each arm;
+
+   - an edge into a dispatch chunk ([dispatch] maps its label to its
+     compare targets, hottest first) — a [Jmp], directly or through
+     label+jump chunks, or a fall-through — goes straight to the member
+     entry when the PC there is one of that chunk's targets.  Only the
+     chunk's own targets qualify: for any other VA the chunk exits to
+     the engine dispatcher, and the validator's reference does too.
+
+   Every member entry starts from its own VA and no vreg facts,
+   whatever flows in: all inbound edges (fall-in from the region
+   prologue, dispatch hits, straightened jumps) establish that PC, and
+   each member entry begins with a [Poll], so safepoints are kept.
+   Returns the rewritten stream and the two rewrite counts. *)
+let straighten ~(dispatch : (int * int64 list) list) ~(member_entry : (int64 * int) list)
+    (instrs : instr array) : instr array * int * int =
   let n = Array.length instrs in
   let cfg = Cfg.build instrs in
-  let rec leads_to_dispatch seen l =
-    if Iset.mem l seen then false
-    else if Iset.mem l dispatch_labels then true
-    else
+  let targets_of = Hashtbl.create 8 in
+  List.iter (fun (l, ts) -> Hashtbl.replace targets_of l ts) dispatch;
+  (* The compare targets of the dispatch chunk [l] leads to, through
+     label+jump chunks. *)
+  let rec chunk_targets seen l =
+    match Hashtbl.find_opt targets_of l with
+    | Some ts -> Some ts
+    | None when Iset.mem l seen -> None
+    | None -> (
       match Hashtbl.find_opt cfg.Cfg.labels l with
       | Some i when i + 1 < n -> (
-        match instrs.(i + 1) with
-        | Jmp l' -> leads_to_dispatch (Iset.add l seen) l'
-        | _ -> false)
-      | _ -> false
+        match instrs.(i + 1) with Jmp l' -> chunk_targets (Iset.add l seen) l' | _ -> None)
+      | _ -> None)
   in
-  let entry_of_va = Hashtbl.create 8 in
-  List.iter (fun (va, l) -> Hashtbl.replace entry_of_va va l) member_entry;
-  let step pc = function
-    | Inc_pc k -> addk pc k
-    | Store_pc _ | Call _ -> Top
-    | _ -> pc
+  let entry_va = Hashtbl.create 8 and entry_of_va = Hashtbl.create 8 in
+  List.iter
+    (fun (va, l) ->
+      Hashtbl.replace entry_of_va va l;
+      Option.iter (fun b -> Hashtbl.replace entry_va b va) (Cfg.block_of_label cfg l))
+    member_entry;
+  let at_entry va = { pc = Some va; vals = Imap.empty } in
+  let block_in b facts = match Hashtbl.find_opt entry_va b with Some va -> at_entry va | None -> facts in
+  let run b facts =
+    let f = ref (block_in b facts) in
+    for i = cfg.Cfg.starts.(b) to Cfg.block_end cfg b - 1 do
+      f := pc_step !f instrs.(i)
+    done;
+    !f
   in
-  (* Every block is analyzed, from [Bot] if nothing flows in; the PC is
-     known to be the member VA at every member entry label: all inbound
-     edges (fall-in from the region prologue, dispatch hits, straightened
-     direct jumps) establish it. *)
-  let seeds =
-    List.init (Cfg.nb cfg) (fun b -> (b, Bot))
-    @ List.filter_map
-        (fun (va, l) -> Option.map (fun b -> (b, Known va)) (Cfg.block_of_label cfg l))
-        member_entry
-  in
+  let seeds = Hashtbl.fold (fun b va acc -> (b, at_entry va) :: acc) entry_va [] in
   let entry =
-    Cfg.forward cfg ~seeds ~merge:(fun ~head:_ -> join) ~equal:( = ) ~transfer:(fun b pc ->
-        let pc = ref pc in
-        for i = cfg.Cfg.starts.(b) to Cfg.block_end cfg b - 1 do
-          pc := step !pc instrs.(i)
-        done;
-        !pc)
+    Cfg.forward cfg ~seeds ~merge:(fun ~head:_ -> join_facts) ~equal:equal_facts ~transfer:run
   in
-  let out = Array.copy instrs in
-  let pc = ref Bot in
-  for i = 0 to n - 1 do
-    let b = cfg.Cfg.block_of.(i) in
-    if i = cfg.Cfg.starts.(b) then pc := Option.value entry.(b) ~default:Bot;
-    (match (instrs.(i), !pc) with
-    | Jmp l, Known va when leads_to_dispatch Iset.empty l -> (
-      match Hashtbl.find_opt entry_of_va va with
-      | Some lj -> out.(i) <- Jmp lj
-      | None -> ())
-    | _ -> ());
-    pc := step !pc instrs.(i)
+  (* The member label a dispatch-bound edge to [l] takes at [facts]. *)
+  let redirect facts l =
+    match (facts.pc, chunk_targets Iset.empty l) with
+    | Some va, Some ts when List.mem va ts -> Hashtbl.find_opt entry_of_va va
+    | _ -> None
+  in
+  let relativized = ref 0 and straightened = ref 0 in
+  let out = ref [] in
+  let emit ins = out := ins :: !out in
+  for b = 0 to Cfg.nb cfg - 1 do
+    let first = cfg.Cfg.starts.(b) and last = Cfg.block_end cfg b - 1 in
+    match entry.(b) with
+    | None -> for i = first to last do emit instrs.(i) done
+    | Some facts ->
+      let f = ref (block_in b facts) in
+      for i = first to last do
+        let ins = instrs.(i) in
+        (match ins with
+        | Store_pc s -> (
+          match (value !f s, !f.pc) with
+          | Some a, Some p ->
+            incr relativized;
+            emit (Inc_pc (Int64.to_int (Int64.sub a p)))
+          | _ -> emit ins)
+        | Jmp l -> (
+          match redirect !f l with
+          | Some lj ->
+            incr straightened;
+            emit (Jmp lj)
+          | None -> emit ins)
+        | _ -> emit ins);
+        f := pc_step !f ins
+      done;
+      (* A fall-through into a dispatch chunk becomes a jump. *)
+      if last + 1 < n && not (Cfg.is_terminator instrs.(last)) then (
+        match instrs.(last + 1) with
+        | Label l ->
+          Option.iter
+            (fun lj ->
+              incr straightened;
+              emit (Jmp lj))
+            (redirect !f l)
+        | _ -> ())
   done;
-  out
+  (Array.of_list (List.rev !out), !relativized, !straightened)
 
 (* ------------------------------------------------------------------ *)
 (* Straight-line peepholes.                                            *)
@@ -214,12 +294,28 @@ let retarget_copies (instrs : instr array) : instr array =
 (* Defer guest-PC increments to the points that observe the PC: a run of
    [Inc_pc] collapses into one write before anything that can read or
    publish it — a [Load_pc], a helper call, a (possibly faulting) memory
-   access, a control transfer, or a label (so every join sees a synced
-   PC).  A [Store_pc] overwrites the PC wholesale, discarding whatever
-   increment is still pending.  The PC is a guest register like any
-   other, so this is dead-write elimination for the one register the
-   block-at-a-time translator must keep synced after every instruction. *)
+   access, a [Poll], an [Exit] or a [Jmp] — and before a label that more
+   than a fall-through reaches (so every join sees a synced PC).  A [Br]
+   whose arms both lead to blocks it alone reaches hands the pending
+   increment to both arms instead of writing it; the region entry
+   (block 0) never takes one, the engine enters it too.  A [Store_pc]
+   overwrites the PC wholesale, discarding whatever increment is still
+   pending.  The PC is a guest register like any other, so this is
+   dead-write elimination for the one register the block-at-a-time
+   translator must keep synced after every instruction. *)
 let coalesce_inc_pc (instrs : instr array) : instr array =
+  let cfg = Cfg.build instrs in
+  let only_from p b = b > p && cfg.Cfg.preds.(b) = [ p ] in
+  (* The blocks a [Br] or [Jmp] closing block [b] hands the pending
+     increment to: every target, when each is a later block that only
+     [b] reaches. *)
+  let heirs b ins =
+    let targets = match ins with Br (_, t, f) -> [ t; f ] | Jmp l -> [ l ] | _ -> [] in
+    let bs = List.filter_map (Cfg.block_of_label cfg) targets in
+    if List.length bs = List.length targets && List.for_all (only_from b) bs then Some bs
+    else None
+  in
+  let carried = Array.make (Cfg.nb cfg) 0 in
   let out = ref [] in
   let pending = ref 0 in
   let flush () =
@@ -228,14 +324,28 @@ let coalesce_inc_pc (instrs : instr array) : instr array =
       pending := 0
     end
   in
-  Array.iter
-    (fun ins ->
+  Array.iteri
+    (fun i ins ->
+      let b = cfg.Cfg.block_of.(i) in
       match ins with
       | Inc_pc k -> pending := !pending + k
       | Store_pc _ ->
         pending := 0;
         out := ins :: !out
-      | Load_pc _ | Call _ | Mem_ld _ | Mem_st _ | Exit _ | Poll _ | Br _ | Jmp _ | Label _ ->
+      | Label _ when only_from (b - 1) b && not (Cfg.is_terminator instrs.(i - 1)) ->
+        (* reached only by falling through: straight-line *)
+        out := ins :: !out
+      | Label _ when carried.(b) <> 0 ->
+        pending := carried.(b);
+        out := ins :: !out
+      | Br _ | Jmp _ ->
+        (match heirs b ins with
+        | Some bs ->
+          List.iter (fun s -> carried.(s) <- !pending) bs;
+          pending := 0
+        | None -> flush ());
+        out := ins :: !out
+      | Load_pc _ | Call _ | Mem_ld _ | Mem_st _ | Exit _ | Poll _ | Label _ ->
         flush ();
         out := ins :: !out
       | _ -> out := ins :: !out)
@@ -363,7 +473,15 @@ let eliminate_dead_stores (instrs : instr array) : instr array =
    every tier-1 translation (promotion, which needs the member list and
    acceptance policy, stays in the engine).  Exposed as one entry point
    so the translation validator checks exactly what the engine runs. *)
-let optimize ~dispatch_labels ~member_entry (instrs : instr array) : instr array =
-  straighten ~dispatch_labels ~member_entry instrs
-  |> thread_jumps |> coalesce_inc_pc |> forward_store_pc
-  |> eliminate_dead_stores
+let optimize ~dispatch ~member_entry (instrs : instr array) : instr array * stats =
+  let straightened, pc_writes_relativized, dispatch_straightened =
+    straighten ~dispatch ~member_entry instrs
+  in
+  let pre = straightened |> thread_jumps |> coalesce_inc_pc |> forward_store_pc in
+  let out = eliminate_dead_stores pre in
+  ( out,
+    {
+      pc_writes_relativized;
+      dispatch_straightened;
+      dead_stores = Array.length pre - Array.length out;
+    } )

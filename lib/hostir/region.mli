@@ -7,15 +7,6 @@
    allocation; [optimize] chains them in the canonical order.  All passes
    are pure functions of the instruction stream. *)
 
-module Iset = Cfg.Iset
-
-(* Rewrite jumps into a dispatch chunk with a direct jump to the member
-   entry whenever the guest PC at the jump is statically known.
-   [dispatch_labels] are the labels of the PC-compare dispatch chunks;
-   [member_entry] maps each member's guest VA to its entry label. *)
-val straighten :
-  dispatch_labels:Iset.t -> member_entry:(int64 * int) list -> Hir.instr array -> Hir.instr array
-
 (* Drop instructions unreachable from the region entry (index 0),
    keeping a writeback map ([Wbmap]) wherever it sits. *)
 val prune_unreachable : Hir.instr array -> Hir.instr array
@@ -32,7 +23,9 @@ val thread_jumps : Hir.instr array -> Hir.instr array
    alone. *)
 val retarget_copies : Hir.instr array -> Hir.instr array
 
-(* Defer guest-PC increments to the next observation point. *)
+(* Defer guest-PC increments to the next observation point, carrying a
+   pending increment across a [Br] or [Jmp] into later blocks that edge
+   alone reaches (never into the region entry, block 0). *)
 val coalesce_inc_pc : Hir.instr array -> Hir.instr array
 
 (* Delete the PC reload on the member/dispatch seam, comparing the
@@ -42,7 +35,30 @@ val forward_store_pc : Hir.instr array -> Hir.instr array
 (* Remove register-file stores overwritten before any possible read. *)
 val eliminate_dead_stores : Hir.instr array -> Hir.instr array
 
+(* What [optimize] rewrote: [Store_pc]s of a known PC-derived value
+   made relative ([Inc_pc]), dispatch-bound edges sent straight to a
+   member entry, and register-file stores deleted as dead. *)
+type stats = {
+  pc_writes_relativized : int;
+  dispatch_straightened : int;
+  dead_stores : int;
+}
+
 (* The full pipeline: straighten -> thread_jumps -> coalesce_inc_pc ->
-   forward_store_pc -> eliminate_dead_stores. *)
+   forward_store_pc -> eliminate_dead_stores.  [straighten] solves the
+   guest PC forward over the region CFG — every member entry at its own
+   VA, helper calls transparent unless they may write the PC, vregs
+   holding [Load_pc] plus or minus an immediate tracked — and rewrites
+   [Store_pc v] with [v] and the PC known into [Inc_pc] of their
+   difference (never an absolute VA: the code cache is physically
+   indexed, so a region may run under another VA mapping of its page),
+   and a [Jmp] or fall-through into a dispatch chunk into a jump to the
+   member entry when the known PC is one of that chunk's own compare
+   targets.  [dispatch] maps each dispatch chunk's label to its compare
+   targets; [member_entry] maps each member's guest VA to its entry
+   label. *)
 val optimize :
-  dispatch_labels:Iset.t -> member_entry:(int64 * int) list -> Hir.instr array -> Hir.instr array
+  dispatch:(int * int64 list) list ->
+  member_entry:(int64 * int) list ->
+  Hir.instr array ->
+  Hir.instr array * stats

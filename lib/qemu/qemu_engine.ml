@@ -34,7 +34,6 @@ type translation = {
   t_code : Exec.code;
   t_n_guest : int;
   t_n_host : int;
-  t_bytes : int;
   mutable t_chain : (int64 * int * translation) option;
   mutable t_exec_count : int;
   mutable t_cycles : int;
@@ -333,7 +332,6 @@ let translate_block (e : t) sys ~va ~pa ~el ~mmu_on : translation =
       t_code = compiled;
       t_n_guest = !n;
       t_n_host = n_host;
-      t_bytes = Bytes.length code;
       t_chain = None;
       t_exec_count = 0;
       t_cycles = 0;

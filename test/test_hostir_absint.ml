@@ -305,6 +305,29 @@ let test_simplify_deletes_dead_keeps_wbmap () =
   Alcotest.(check bool) "wbmap survives" true
     (Array.exists (function Hir.Wbmap _ -> true | _ -> false) out)
 
+(* A dead chain across blocks — a [Load_pc] copied and offset on both
+   branch arms, the shape the region pass leaves once it has made the
+   arms' PC stores relative — goes in one sweep. *)
+let test_simplify_deletes_dead_chain () =
+  let out, ss =
+    simplify
+      [|
+        Hir.Label 0;
+        Hir.Load_pc (v 0);
+        Hir.Mov (v 1, v 0);
+        Hir.Br (Hir.Preg 0, 1, 2);
+        Hir.Label 1;
+        Hir.Alu (Aadd, v 2, v 1, Imm (-8L));
+        Hir.Exit 1;
+        Hir.Label 2;
+        Hir.Alu (Aadd, v 3, v 1, Imm 4L);
+        Hir.Exit 2;
+      |]
+  in
+  Alcotest.(check int) "four dead defs deleted" 4 ss.A.dead_deleted;
+  Alcotest.(check bool) "Load_pc gone" false
+    (Array.exists (function Hir.Load_pc _ -> true | _ -> false) out)
+
 (* The promoter's barrier pattern around two register-file reads
    (helpers classified [C_read]): a dirty promoted register is flushed
    before the first call and reloaded after each.  The slot then holds a
@@ -451,6 +474,227 @@ let test_retarget_copy () =
           Hir.Exit 0;
         |] );
     ]
+
+(* A pending PC increment crosses a branch into both arms when the
+   branch alone reaches them, and a jump into a later block only it
+   reaches; it is written before a join, a jump back to the region entry
+   and a jump to an earlier block, which the in-order sweep has already
+   emitted. *)
+let test_coalesce_sinks_inc_pc () =
+  Alcotest.(check bool) "sunk into both arms" true
+    (Region.coalesce_inc_pc
+       [|
+         Hir.Label 0;
+         Hir.Inc_pc 8;
+         Hir.Br (Hir.Preg 0, 1, 2);
+         Hir.Label 1;
+         Hir.Inc_pc (-16);
+         Hir.Jmp 0;
+         Hir.Label 2;
+         Hir.Inc_pc 4;
+         Hir.Jmp 3;
+         Hir.Label 3;
+         Hir.Inc_pc 4;
+         Hir.Exit 1;
+       |]
+    = [|
+        Hir.Label 0;
+        Hir.Br (Hir.Preg 0, 1, 2);
+        Hir.Label 1;
+        Hir.Inc_pc (-8);
+        Hir.Jmp 0;
+        Hir.Label 2;
+        Hir.Jmp 3;
+        Hir.Label 3;
+        Hir.Inc_pc 16;
+        Hir.Exit 1;
+      |]);
+  List.iter
+    (fun (what, p) -> Alcotest.(check bool) what true (Region.coalesce_inc_pc p = p))
+    [
+      ( "arm is a join",
+        [|
+          Hir.Label 0;
+          Hir.Inc_pc 8;
+          Hir.Br (Hir.Preg 0, 1, 2);
+          Hir.Label 1;
+          Hir.Exit 2;
+          Hir.Label 2;
+          Hir.Inc_pc 4;
+          Hir.Jmp 1;
+        |] );
+      ( "jump to an earlier block",
+        [|
+          Hir.Label 0;
+          Hir.Jmp 2;
+          Hir.Label 1;
+          Hir.Inc_pc 4;
+          Hir.Exit 1;
+          Hir.Label 2;
+          Hir.Inc_pc 8;
+          Hir.Jmp 1;
+        |] );
+    ]
+
+(* --- the region pass's guest-PC rewrites ------------------------------------------- *)
+
+(* A one-member region at [head_va] (entry label 0) whose loop is closed
+   by a conditional guest branch, as the Dag emits it: the body counts
+   rf[0] down, the branch stores [Load_pc - 8] (taken, back to the
+   head) or [Load_pc + 4], and the member's dispatch chunk (label 9)
+   compares the PC against its one profiled successor, the head. *)
+let head_va = 0x1000L
+
+let cond_loop =
+  [|
+    Hir.Label 0;
+    Hir.Ldrf (v 0, 0);
+    Hir.Alu (Asub, v 1, v 0, Imm 1L);
+    Hir.Strf (0, v 1);
+    Hir.Inc_pc 8;
+    Hir.Load_pc (v 2);
+    Hir.Setcc (Cne, v 3, v 1, Imm 0L);
+    Hir.Br (v 3, 1, 2);
+    Hir.Label 1;
+    Hir.Alu (Aadd, v 4, v 2, Imm (-8L));
+    Hir.Store_pc (v 4);
+    Hir.Jmp 9;
+    Hir.Label 2;
+    Hir.Alu (Aadd, v 5, v 2, Imm 4L);
+    Hir.Store_pc (v 5);
+    Hir.Label 9;
+    Hir.Load_pc (v 6);
+    Hir.Setcc (Ceq, v 7, v 6, Imm head_va);
+    Hir.Br (v 7, 0, 10);
+    Hir.Label 10;
+    Hir.Exit 1;
+  |]
+
+let region_optimize ?(targets = [ head_va ]) ?(members = [ (head_va, 0) ]) p =
+  Region.optimize ~dispatch:[ (9, targets) ] ~member_entry:members p
+
+let imms p =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun ins ->
+         List.filter_map (function Hir.Imm k -> Some k | _ -> None) (Hir.sources ins))
+       (Array.to_list p))
+
+(* Run a region stream through the back end from [pc0] with rf[0] = 3;
+   returns the exit slot, the final PC and rf[0]. *)
+let run_region p ~pc0 =
+  let ra = Hostir.Regalloc.run p in
+  let program =
+    Hostir.Encode.decode_program ~n_slots:ra.Hostir.Regalloc.n_slots (Hostir.Encode.encode ra)
+  in
+  let ctx = Test_symexec.mk_ctx () in
+  Exec.set_pc ctx pc0;
+  Exec.rf_write ctx 0 3L;
+  let slot = Exec.run ctx (Exec.compile program) in
+  (slot, Exec.get_pc ctx, Exec.rf_read ctx 0)
+
+let test_region_cond_loop () =
+  let out, st = region_optimize cond_loop in
+  (* Downstream, absint-simplify deletes the now-dead PC arithmetic and
+     the [Load_pc] that fed it, and sinks the body's PC increment into
+     the branch arms, where it cancels on the back edge: the loop is the
+     guest's own work and one branch back to the head. *)
+  let simplified, _ = simplify out in
+  Alcotest.(check (list string)) "the loop has no PC work"
+    (List.map Hir.to_string
+       [
+         Hir.Label 0;
+         Hir.Ldrf (v 0, 0);
+         Hir.Alu (Asub, v 1, v 0, Imm 1L);
+         Hir.Strf (0, v 1);
+         Hir.Setcc (Cne, v 3, v 1, Imm 0L);
+         Hir.Br (v 3, 0, 2);
+       ])
+    (List.map Hir.to_string (Array.to_list (Array.sub simplified 0 6)));
+  Alcotest.(check int) "one Load_pc left, the exit arm's dispatch compare" 1
+    (Array.fold_left (fun k -> function Hir.Load_pc _ -> k + 1 | _ -> k) 0 simplified);
+  Alcotest.(check int) "both branch-arm PC stores relativized" 2 st.Region.pc_writes_relativized;
+  Alcotest.(check int) "one dispatch edge straightened" 1 st.Region.dispatch_straightened;
+  Alcotest.(check int) "no rf store dead" 0 st.Region.dead_stores;
+  Alcotest.(check bool) "no PC store left" false
+    (Array.exists (function Hir.Store_pc _ -> true | _ -> false) out);
+  Alcotest.(check bool) "no new immediate" true
+    (List.for_all (fun k -> List.mem k (imms cond_loop)) (imms out));
+  (* Same result as the unoptimized stream at the formation VA, and the
+     same result shifted by the alias distance under another VA mapping
+     of the page: nothing absolute was introduced. *)
+  let alias = 0x7_0000L in
+  let at_va = run_region out ~pc0:head_va in
+  Alcotest.(check (triple int int64 int64)) "optimized = unoptimized" (run_region cond_loop ~pc0:head_va)
+    at_va;
+  Alcotest.(check (triple int int64 int64)) "loop exits at the fall-through" (1, 0x100cL, 0L) at_va;
+  List.iter
+    (fun (what, p) ->
+      Alcotest.(check (triple int int64 int64)) (what ^ " under an alias")
+        (1, Int64.add 0x100cL alias, 0L)
+        (run_region p ~pc0:(Int64.add head_va alias)))
+    [ ("optimized", out); ("simplified", simplified) ];
+  Alcotest.(check (triple int int64 int64)) "simplified = optimized" at_va
+    (run_region simplified ~pc0:head_va)
+
+(* A helper call between the [Load_pc] and the [Store_pc]: one that may
+   write the PC (an exception entry) blocks the relative rewrite; the
+   address-space switch in front of user-mode accesses does not. *)
+let test_region_call_blocks_rewrite () =
+  let stream h =
+    [|
+      Hir.Label 0;
+      Hir.Inc_pc 4;
+      Hir.Load_pc (v 1);
+      Hir.Call (h, [||], None);
+      Hir.Alu (Aadd, v 2, v 1, Imm (-4L));
+      Hir.Store_pc (v 2);
+      Hir.Jmp 9;
+      Hir.Label 9;
+      Hir.Load_pc (v 6);
+      Hir.Setcc (Ceq, v 7, v 6, Imm head_va);
+      Hir.Br (v 7, 0, 10);
+      Hir.Label 10;
+      Hir.Exit 1;
+    |]
+  in
+  let stores p = Array.exists (function Hir.Store_pc _ -> true | _ -> false) p in
+  let out, st = region_optimize (stream Ef.h_take_exception) in
+  Alcotest.(check bool) "clobber: PC store kept" true (stores out);
+  Alcotest.(check int) "clobber: nothing relativized" 0 st.Region.pc_writes_relativized;
+  let out, st = region_optimize (stream Ef.h_as_switch) in
+  Alcotest.(check bool) "as-switch: PC store gone" false (stores out);
+  Alcotest.(check int) "as-switch: relativized" 1 st.Region.pc_writes_relativized;
+  Alcotest.(check int) "as-switch: straightened" 1 st.Region.dispatch_straightened
+
+(* A known PC that is a member VA but not one of the dispatch chunk's
+   compare targets stays on the dispatch: the chunk would exit to the
+   engine there, and the validator's reference does. *)
+let test_region_other_member_not_redirected () =
+  let stream =
+    [|
+      Hir.Label 0;
+      Hir.Inc_pc 16;
+      Hir.Jmp 9;
+      Hir.Label 9;
+      Hir.Load_pc (v 6);
+      Hir.Setcc (Ceq, v 7, v 6, Imm head_va);
+      Hir.Br (v 7, 0, 10);
+      Hir.Label 10;
+      Hir.Exit 1;
+      Hir.Label 5;
+      Hir.Exit 2;
+    |]
+  in
+  let members = [ (head_va, 0); (0x1010L, 5) ] in
+  let out, st = region_optimize ~members stream in
+  Alcotest.(check int) "not straightened" 0 st.Region.dispatch_straightened;
+  Alcotest.(check bool) "no jump to the other member" false
+    (Array.exists (function Hir.Jmp 5 | Hir.Br (_, 5, _) | Hir.Br (_, _, 5) -> true | _ -> false) out);
+  Alcotest.(check bool) "dispatch compare kept" true
+    (Array.exists (function Hir.Setcc (Ceq, _, _, Imm 0x1000L) -> true | _ -> false) out);
+  let _, st = region_optimize ~members ~targets:[ head_va; 0x1010L ] stream in
+  Alcotest.(check int) "a target of the chunk is straightened" 1 st.Region.dispatch_straightened
 
 (* Run [prog] and its simplified [out] from the same random state and
    fail on any difference in exit slot, PC, the generator's host
@@ -616,6 +860,8 @@ let suite =
         test_simplify_reduces_division;
       Alcotest.test_case "simplify deletes dead defs, keeps the writeback map" `Quick
         test_simplify_deletes_dead_keeps_wbmap;
+      Alcotest.test_case "simplify deletes a dead chain in one sweep" `Quick
+        test_simplify_deletes_dead_chain;
       Alcotest.test_case "folded reloads keep the writeback discipline" `Quick
         test_folded_reload_keeps_discipline;
       Alcotest.test_case "prune keeps the writeback map" `Quick test_prune_keeps_wbmap;
@@ -624,4 +870,10 @@ let suite =
       Alcotest.test_case "branch threaded on both arms" `Quick test_thread_br_arms;
       Alcotest.test_case "self-loop threading terminates" `Quick test_thread_self_loop;
       Alcotest.test_case "single-use copy retargeted" `Quick test_retarget_copy;
+      Alcotest.test_case "PC increment sunk across a branch" `Quick test_coalesce_sinks_inc_pc;
+      Alcotest.test_case "conditional-branch loop skips its dispatch" `Quick test_region_cond_loop;
+      Alcotest.test_case "PC-writing call blocks the relative rewrite" `Quick
+        test_region_call_blocks_rewrite;
+      Alcotest.test_case "non-target member VA not redirected" `Quick
+        test_region_other_member_not_redirected;
     ] )
