@@ -70,7 +70,7 @@ type phase_stats = Tally.phase_stats = {
   mutable region_host_instrs : int; (* host instrs emitted for region units *)
   mutable region_entries : int; (* dispatches that entered a region unit *)
   mutable region_block_execs : int; (* member blocks executed inside regions *)
-  mutable region_dead_stores : int; (* cross-block dead register-file stores removed *)
+  mutable region_dead_stores : int; (* always 0: the dead-store pass is gone; kept for perfbench *)
   mutable region_pc_writes_relativized : int; (* PC stores of known targets -> Inc_pc *)
   mutable region_dispatch_straightened : int; (* dispatch-bound edges sent to a member *)
   (* register promotion / memory redundancy elimination (Promote) *)

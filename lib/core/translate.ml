@@ -329,8 +329,7 @@ let template_front (e : t) (acc : acc) (req : request) (decoded, undefined) : re
 (* Tier 1: translate a region of blocks on one page as one unit.
    Intra-region control flow becomes a PC-compare dispatch per member,
    straightened into direct jumps where the target is static, with no
-   per-block prologue and cross-block dead register-file stores
-   eliminated.  Members keep their own tier-0 cache entries (the region
+   per-block prologue.  Members keep their own tier-0 cache entries (the region
    replaces only the head's), so a mid-region exit falls back to
    block-at-a-time execution; every member entry begins with a [Poll]
    safepoint, so interrupts, regime changes (the poison register) and
@@ -415,7 +414,6 @@ let region_front (je : jit_env) (req : request) : result =
     s.region_pc_writes_relativized + rs.Hostir.Region.pc_writes_relativized;
   s.region_dispatch_straightened <-
     s.region_dispatch_straightened + rs.Hostir.Region.dispatch_straightened;
-  s.region_dead_stores <- s.region_dead_stores + rs.Hostir.Region.dead_stores;
   s.t_translate <- s.t_translate +. (now () -. t1);
   s.t_region <- s.t_region +. (now () -. t1);
   let t2 = now () in

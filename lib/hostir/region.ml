@@ -23,13 +23,6 @@
      point, across branches into arms only they reach, eliminating the
      per-instruction PC sync inside a member;
 
-   - [forward_store_pc] deletes the PC reload on the member/dispatch seam,
-     comparing the just-computed branch target directly;
-
-   - [eliminate_dead_stores] removes register-file stores ([Strf]) that are
-     overwritten before any possible read — cross-block dead flag and
-     register writes that block-at-a-time translation cannot see.
-
    All passes are pure functions of the instruction stream, so regions
    stay deterministic and observation-free for the sanitizer's guard. *)
 
@@ -82,7 +75,6 @@ let pc_step facts ins =
 type stats = {
   pc_writes_relativized : int; (* Store_pc of a PC-derived value -> Inc_pc *)
   dispatch_straightened : int; (* dispatch-bound edges sent to a member entry *)
-  dead_stores : int; (* Strf deleted by [eliminate_dead_stores] *)
 }
 
 (* [straighten ~dispatch ~member_entry instrs] resolves the guest PC
@@ -190,12 +182,6 @@ let straighten ~(dispatch : (int * int64 list) list) ~(member_entry : (int64 * i
 
 (* ------------------------------------------------------------------ *)
 (* Straight-line peepholes.                                            *)
-
-let label_refs (instrs : instr array) =
-  let refs = Hashtbl.create 16 in
-  let bump l = Hashtbl.replace refs l (1 + Option.value (Hashtbl.find_opt refs l) ~default:0) in
-  Array.iter (function Jmp l -> bump l | Br (_, t, f) -> bump t; bump f | _ -> ()) instrs;
-  refs
 
 (* Drop label-delimited chunks that are unreachable from the region
    entry — typically a member's PC-compare dispatch chunk after
@@ -353,122 +339,6 @@ let coalesce_inc_pc (instrs : instr array) : instr array =
   flush ();
   Array.of_list (List.rev !out)
 
-(* Forward a [Store_pc v] into an adjacent [Load_pc d]: the load is
-   deleted and [d] renamed to [v] everywhere.  Fires on the seam the
-   region emitter creates between a member body (which ends by storing
-   the branch target to the PC) and its dispatch chunk (which reloads
-   the PC to compare it against member VAs) once [thread_jumps] has made
-   the seam straight-line.  The rename is only applied when both vregs
-   are single-assignment and [v] is not redefined, so it is a pure SSA
-   rename; adjacency may span unreferenced labels but nothing that can
-   change the PC. *)
-let forward_store_pc (instrs : instr array) : instr array =
-  let n = Array.length instrs in
-  let refs = label_refs instrs in
-  let def_count = Hashtbl.create 32 in
-  Array.iter
-    (fun ins ->
-      match dest ins with
-      | Some (Vreg v) ->
-        Hashtbl.replace def_count v (1 + Option.value (Hashtbl.find_opt def_count v) ~default:0)
-      | _ -> ())
-    instrs;
-  let single v = Hashtbl.find_opt def_count v = Some 1 in
-  let rename : (int, operand) Hashtbl.t = Hashtbl.create 8 in
-  let deleted = Array.make n false in
-  let avail = ref None in
-  Array.iteri
-    (fun i ins ->
-      match ins with
-      | Store_pc src ->
-        avail :=
-          (match src with
-          | Imm _ -> Some src
-          | Vreg v when single v -> Some src
-          | _ -> None)
-      | Load_pc (Vreg d) when single d -> (
-        match !avail with
-        | Some src ->
-          deleted.(i) <- true;
-          Hashtbl.replace rename d src
-        | None -> ())
-      | Label l when Hashtbl.mem refs l -> avail := None
-      | Label _ -> () (* unreferenced marker: straight-line *)
-      | Call _ | Mem_ld _ | Mem_st _ | Inc_pc _ | Load_pc _ | Exit _ | Poll _ | Jmp _ | Br _ ->
-        avail := None
-      | _ -> ())
-    instrs;
-  if Hashtbl.length rename = 0 then instrs
-  else begin
-    let rec resolve op =
-      match op with
-      | Vreg v -> (
-        match Hashtbl.find_opt rename v with Some op' -> resolve op' | None -> op)
-      | _ -> op
-    in
-    Array.of_list
-      (List.filteri (fun i _ -> not deleted.(i)) (Array.to_list instrs))
-    |> Array.map (map_operands resolve)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Cross-block dead register-file store elimination.                   *)
-
-type live = All | Offs of Iset.t
-
-let l_union a b =
-  match (a, b) with All, _ | _, All -> All | Offs x, Offs y -> Offs (Iset.union x y)
-
-let l_mem off = function All -> true | Offs s -> Iset.mem off s
-
-let l_equal a b =
-  match (a, b) with
-  | All, All -> true
-  | Offs x, Offs y -> Iset.equal x y
-  | _ -> false
-let l_add off = function All -> All | Offs s -> Offs (Iset.add off s)
-
-(* Removing from [All] stays [All]: conservative (keeps the store). *)
-let l_rem off = function All -> All | Offs s -> Offs (Iset.remove off s)
-
-(* Backward liveness of register-file byte offsets over the region CFG.
-   Anything that can leave the region or observe the register file from
-   outside the instruction stream — helper calls, memory accesses (whose
-   fault handlers read and write guest state), polls and exits — makes
-   every offset live, and so does leaving through a block with no
-   successor: the engine reads the register file after an exit. *)
-let eliminate_dead_stores (instrs : instr array) : instr array =
-  let cfg = Cfg.build instrs in
-  (* Backward transfer of one instruction; [mark] is [Some dead] on the
-     final marking pass. *)
-  let step ?mark i live =
-    match instrs.(i) with
-    | Strf (off, _) ->
-      if l_mem off live then l_rem off live
-      else (
-        (match mark with Some dead -> dead.(i) <- true | None -> ());
-        live)
-    | Ldrf (_, off) -> l_add off live
-    | Call _ | Exit _ | Poll _ | Mem_ld _ | Mem_st _ -> All
-    | _ -> live
-  in
-  let transfer ?mark b out =
-    let live = ref out in
-    for i = Cfg.block_end cfg b - 1 downto cfg.Cfg.starts.(b) do
-      live := step ?mark i !live
-    done;
-    !live
-  in
-  let _, live_out =
-    Cfg.backward cfg ~bottom:(Offs Iset.empty) ~exit:All ~join:l_union ~equal:l_equal
-      ~transfer:(fun b out -> transfer b out)
-  in
-  let dead = Array.make (Array.length instrs) false in
-  Array.iteri (fun b out -> ignore (transfer ~mark:dead b out)) live_out;
-  if Array.exists Fun.id dead then
-    Array.of_list (List.filteri (fun i _ -> not dead.(i)) (Array.to_list instrs))
-  else instrs
-
 (* The full region pipeline in canonical order, as run by the engine for
    every tier-1 translation (promotion, which needs the member list and
    acceptance policy, stays in the engine).  Exposed as one entry point
@@ -477,11 +347,5 @@ let optimize ~dispatch ~member_entry (instrs : instr array) : instr array * stat
   let straightened, pc_writes_relativized, dispatch_straightened =
     straighten ~dispatch ~member_entry instrs
   in
-  let pre = straightened |> thread_jumps |> coalesce_inc_pc |> forward_store_pc in
-  let out = eliminate_dead_stores pre in
-  ( out,
-    {
-      pc_writes_relativized;
-      dispatch_straightened;
-      dead_stores = Array.length pre - Array.length out;
-    } )
+  ( straightened |> thread_jumps |> coalesce_inc_pc,
+    { pc_writes_relativized; dispatch_straightened } )

@@ -28,24 +28,12 @@ val retarget_copies : Hir.instr array -> Hir.instr array
    alone reaches (never into the region entry, block 0). *)
 val coalesce_inc_pc : Hir.instr array -> Hir.instr array
 
-(* Delete the PC reload on the member/dispatch seam, comparing the
-   just-computed branch target directly. *)
-val forward_store_pc : Hir.instr array -> Hir.instr array
-
-(* Remove register-file stores overwritten before any possible read. *)
-val eliminate_dead_stores : Hir.instr array -> Hir.instr array
-
 (* What [optimize] rewrote: [Store_pc]s of a known PC-derived value
-   made relative ([Inc_pc]), dispatch-bound edges sent straight to a
-   member entry, and register-file stores deleted as dead. *)
-type stats = {
-  pc_writes_relativized : int;
-  dispatch_straightened : int;
-  dead_stores : int;
-}
+   made relative ([Inc_pc]) and dispatch-bound edges sent straight to a
+   member entry. *)
+type stats = { pc_writes_relativized : int; dispatch_straightened : int }
 
-(* The full pipeline: straighten -> thread_jumps -> coalesce_inc_pc ->
-   forward_store_pc -> eliminate_dead_stores.  [straighten] solves the
+(* The full pipeline: straighten -> thread_jumps -> coalesce_inc_pc.  [straighten] solves the
    guest PC forward over the region CFG — every member entry at its own
    VA, helper calls transparent unless they may write the PC, vregs
    holding [Load_pc] plus or minus an immediate tracked — and rewrites

@@ -615,7 +615,6 @@ let test_region_cond_loop () =
     (Array.fold_left (fun k -> function Hir.Load_pc _ -> k + 1 | _ -> k) 0 simplified);
   Alcotest.(check int) "both branch-arm PC stores relativized" 2 st.Region.pc_writes_relativized;
   Alcotest.(check int) "one dispatch edge straightened" 1 st.Region.dispatch_straightened;
-  Alcotest.(check int) "no rf store dead" 0 st.Region.dead_stores;
   Alcotest.(check bool) "no PC store left" false
     (Array.exists (function Hir.Store_pc _ -> true | _ -> false) out);
   Alcotest.(check bool) "no new immediate" true
