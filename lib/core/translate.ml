@@ -383,7 +383,6 @@ let region_front (je : jit_env) (req : request) : result =
             (fun va -> Option.map (fun lt -> (va, lt)) (entry_label va))
             md.md_succs
         in
-        dispatch := (l_d, List.map fst targets) :: !dispatch;
         keep_ref
           {
             Hostir.Equiv.mb_va = md.md_va;
@@ -393,17 +392,22 @@ let region_front (je : jit_env) (req : request) : result =
           };
         let pc = Dag.fresh_vreg dag in
         if targets <> [] then Dag.raw dag (Hir.Load_pc pc);
-        List.iter
-          (fun (va_t, lt) ->
-            let c = Dag.fresh_vreg dag in
-            Dag.raw dag (Hir.Setcc (Hir.Ceq, c, pc, Hir.Imm va_t));
-            let l_next = em.Ssa.Emitter.create_block () in
-            Dag.raw dag (Hir.Br (c, lt, l_next));
-            em.Ssa.Emitter.set_block l_next)
-          targets;
+        let l_exit =
+          List.fold_left
+            (fun _ (va_t, lt) ->
+              let c = Dag.fresh_vreg dag in
+              Dag.raw dag (Hir.Setcc (Hir.Ceq, c, pc, Hir.Imm va_t));
+              let l_next = em.Ssa.Emitter.create_block () in
+              Dag.raw dag (Hir.Br (c, lt, l_next));
+              em.Ssa.Emitter.set_block l_next;
+              l_next)
+            l_d targets
+        in
+        dispatch := (l_d, List.map fst targets, l_exit) :: !dispatch;
         (* Slot mi+1: this member's own exit site, so the engine can
            patch a per-site chain edge (slot 0 = safepoint bail,
-           never chained). *)
+           never chained).  [l_exit] labels it, so an edge whose PC is
+           known to match no target can skip the compares. *)
         Dag.raw dag (Hir.Exit (mi + 1))
       end)
     entries;

@@ -32,7 +32,9 @@
    - [simplify]: the O4 `absint-simplify` region pass (fold branches
      with known conditions, rewrite fully-known results to constants,
      drop redundant masks and extensions, strength-reduce divisions,
-     and delete cross-block dead vreg definitions);
+     and delete cross-block dead vreg definitions), closed by a tail of
+     jump threading, CFG-wide copy propagation, branch inversion,
+     copy retargeting and add-chain folding;
    - the engine's per-translation analysis hook, which runs the checker
      over every translation it produces when [config.check] is set. *)
 
@@ -415,8 +417,9 @@ let check_frame ~n_slots (instrs : instr array) : finding list =
    (vreg newer than its rf slot) and stale (slot possibly newer than the
    vreg) promoted registers, run on the region CFG.  This subsumes the
    verifier's previous ad-hoc fixpoint — Verify.check_wb delegates here
-   — and is classification-aware: helpers that cannot observe the
-   register file (pure softfloat) are transparent to the discipline. *)
+   — and is classification-aware: helpers that can neither observe the
+   register file nor escape (not an [Effects.barrier]: pure softfloat
+   and the address-space switch) are transparent to the discipline. *)
 let check_wb ?(classify = default_classify) ~(promoted : (int * int) list)
     (instrs : instr array) : finding list =
   let findings = ref [] in
@@ -463,8 +466,9 @@ let check_wb ?(classify = default_classify) ~(promoted : (int * int) list)
     i >= 0
     &&
     match instrs.(i) with
-    | Call (h, _, _) -> (
-      match classify h with C_read | C_as_switch | C_event -> true | C_pure | C_clobber -> false)
+    | Call (h, _, _) ->
+      let k = classify h in
+      Effects.barrier k && k <> C_clobber
     | Ldrf (Vreg v, _) | Mov (Vreg v, Imm _) -> Is.mem v all_pvs && after_barrier (i - 1)
     | _ -> false
   in
@@ -532,7 +536,7 @@ let check_wb ?(classify = default_classify) ~(promoted : (int * int) list)
           | _ ->
             add ~index:idx Ob_wb_coverage
               "write to promoted rf offset 0x%x bypasses cache register %%v%d" off pv)
-        | Call (h, _, _) when classify h <> Effects.C_pure ->
+        | Call (h, _, _) when Effects.barrier (classify h) ->
           Is.iter
             (fun pv ->
               add ~index:idx Ob_dirty_call "helper call reachable while %%v%d (rf 0x%x) is dirty"
@@ -542,7 +546,7 @@ let check_wb ?(classify = default_classify) ~(promoted : (int * int) list)
              is stale until reloaded. *)
           dirty := Is.empty;
           stale := all_pvs
-        | Call _ -> () (* pure: cannot observe or write the register file *)
+        | Call _ -> () (* not a barrier: cannot observe or write the register file *)
         | Mem_ld _ | Mem_st _ -> check_escape idx "faulting memory access"
         | Poll _ -> check_escape idx "safepoint"
         | Exit _ -> check_escape idx "region exit"
@@ -614,18 +618,17 @@ let is_pow2 v = v <> 0L && Int64.logand v (Int64.sub v 1L) = 0L
    allocator's never-used marking.  Vregs named by a writeback map are
    pinned live everywhere: the executor reads them at any fault point,
    not just where the stream mentions them. *)
+let wbmap_vregs (instrs : instr array) =
+  Array.fold_left
+    (fun acc ins ->
+      match ins with
+      | Wbmap m ->
+        Array.fold_left (fun acc (o, _) -> match o with Vreg v -> Is.add v acc | _ -> acc) acc m
+      | _ -> acc)
+    Is.empty instrs
+
 let dead_code (instrs : instr array) stats : instr array =
-  let pinned =
-    Array.fold_left
-      (fun acc ins ->
-        match ins with
-        | Wbmap m ->
-          Array.fold_left
-            (fun acc (o, _) -> match o with Vreg v -> Is.add v acc | _ -> acc)
-            acc m
-        | _ -> acc)
-      Is.empty instrs
-  in
+  let pinned = wbmap_vregs instrs in
   let cfg = Cfg.build instrs in
   (* Faint-variable liveness: a pure definition of a dead vreg reads
      nothing, so a chain of dead definitions (a [Load_pc] feeding only
@@ -662,6 +665,133 @@ let dead_code (instrs : instr array) stats : instr array =
   let out = ref [] in
   Array.iteri (fun idx ins -> if keep.(idx) then out := ins :: !out) instrs;
   Array.of_list (List.rev !out)
+
+(* CFG-wide copy propagation: forward available copies [d := s]
+   (vreg to vreg) over the region CFG, joined by intersection, each
+   killed by a redefinition of either side; every use of [d] where the
+   copy is available reads [s] instead.  It sees across the labels that
+   Promote's block-local [copy_prop] stops at, once jump threading has
+   left them as plain joins.  Writeback-map vregs are never rewritten:
+   a [Wbmap]'s operands stay untouched ([map_sources]), and no copy
+   into a pinned vreg is tracked, so a use of one — the barrier flush
+   [Strf (off, pv)] included — keeps reading the authoritative cache
+   register.  A barrier call forgets every copy: a promoted register
+   is stale after it until reloaded, and a reload the dead-code pass
+   deleted must not be replaced by a use of the stale register. *)
+let copy_prop ~classify (instrs : instr array) : instr array =
+  let pinned = wbmap_vregs instrs in
+  let cfg = Cfg.build instrs in
+  let subst m ins =
+    map_sources
+      (function Vreg v as o -> (match Imap.find_opt v m with Some s -> Vreg s | None -> o) | o -> o)
+      ins
+  in
+  let step m ins =
+    match ins with
+    | Call (h, _, _) when Effects.barrier (classify h) -> Imap.empty
+    | _ -> (
+      let m =
+        match dest ins with
+        | Some (Vreg d) -> Imap.filter (fun d' s -> d' <> d && s <> d) m
+        | _ -> m
+      in
+      match ins with
+      | Mov (Vreg d, Vreg s) when d <> s && not (Is.mem d pinned) -> Imap.add d s m
+      | _ -> m)
+  in
+  let block b m f =
+    let m = ref m in
+    for i = cfg.Cfg.starts.(b) to Cfg.block_end cfg b - 1 do
+      let ins = subst !m instrs.(i) in
+      f i ins;
+      m := step !m ins
+    done;
+    !m
+  in
+  let entry =
+    Cfg.forward cfg ~seeds:[ (0, Imap.empty) ]
+      ~merge:(fun ~head:_ a b ->
+        Imap.merge (fun _ x y -> match (x, y) with Some x, Some y when x = y -> Some x | _ -> None) a b)
+      ~equal:(Imap.equal ( = ))
+      ~transfer:(fun b m -> block b m (fun _ _ -> ()))
+  in
+  let out = Array.copy instrs in
+  Array.iteri (fun b m -> Option.iter (fun m -> ignore (block b m (fun i ins -> out.(i) <- ins))) m) entry;
+  out
+
+(* A [Jmp] to a block that is nothing but labels and a [Br] takes the
+   [Br] itself: the condition is read at the same value, and the jump's
+   executed host instruction is gone.  A jump to the next instruction
+   is left for [Region.thread_jumps] to delete. *)
+let branch_to_branch (instrs : instr array) : instr array =
+  let n = Array.length instrs in
+  let label_idx = Cfg.label_index instrs in
+  let rec br_after i =
+    if i >= n then None
+    else match instrs.(i) with Label _ -> br_after (i + 1) | Br _ as br -> Some br | _ -> None
+  in
+  let rec falls_to l i =
+    i < n && match instrs.(i) with Label l' -> l' = l || falls_to l (i + 1) | _ -> false
+  in
+  Array.mapi
+    (fun i ins ->
+      match ins with
+      | Jmp l when not (falls_to l (i + 1)) -> (
+        match Option.bind (Hashtbl.find_opt label_idx l) br_after with
+        | Some br -> br
+        | None -> ins)
+      | _ -> ins)
+    instrs
+
+(* A zero test feeding only a branch is the branch: [setne v <- c, $0;
+   br v, A, B] becomes [br c, A, B], and [sete v <- c, $0; br v, A, B]
+   inverts instead of negating, to [br c, B, A].  The branch must be
+   the test's one use, later in the same block, with nothing in between
+   writing [c]; the test itself goes ([v] has no other definition). *)
+let invert_branches (instrs : instr array) : instr array =
+  let n = Array.length instrs in
+  let count tbl = function
+    | Vreg v -> Hashtbl.replace tbl v (1 + Option.value (Hashtbl.find_opt tbl v) ~default:0)
+    | _ -> ()
+  in
+  let defs = Hashtbl.create 64 and uses = Hashtbl.create 64 in
+  Array.iter
+    (fun ins ->
+      Option.iter (count defs) (dest ins);
+      List.iter (count uses) (sources ins))
+    instrs;
+  let once tbl v = Hashtbl.find_opt tbl v = Some 1 in
+  let out = Array.copy instrs and gone = Array.make n false in
+  let rec find_br v c j =
+    if j >= n then None
+    else
+      match instrs.(j) with
+      | Br (Vreg v', t, f) when v' = v -> Some (j, t, f)
+      | Label _ | Jmp _ | Br _ | Exit _ -> None
+      | ins when dest ins = Some c -> None
+      | _ -> find_br v c (j + 1)
+  in
+  Array.iteri
+    (fun i ins ->
+      let zero_test =
+        match ins with
+        | Setcc (((Ceq | Cne) as cc), Vreg v, (Vreg _ as c), Imm 0L)
+        | Setcc (((Ceq | Cne) as cc), Vreg v, Imm 0L, (Vreg _ as c)) ->
+          Some (cc, v, c)
+        | _ -> None
+      in
+      match zero_test with
+      | Some (cc, v, c) when once defs v && once uses v -> (
+        match find_br v c (i + 1) with
+        | Some (j, t, f) ->
+          gone.(i) <- true;
+          out.(j) <- (if cc = Ceq then Br (c, f, t) else Br (c, t, f))
+        | None -> ())
+      | _ -> ())
+    instrs;
+  if Array.exists Fun.id gone then
+    Array.of_list (List.filteri (fun i _ -> not gone.(i)) (Array.to_list out))
+  else instrs
 
 (* The O4 absint-simplify pass: runs on the flattened, promoted region
    stream before register allocation.  Rewrites are fact-driven and
@@ -739,10 +869,17 @@ let simplify ?(classify = default_classify) (instrs : instr array) :
      into promoted registers: both cost an executed host instruction.
      Once the chains are threaded and the dead PC reads deleted, PC
      increments sink further into branch arms, where they often cancel
-     and leave an arm that only jumps, so threading runs again. *)
+     and leave an arm that only jumps; a jump to a lone branch takes
+     the branch, and threading runs again. *)
   let jmps p = Array.fold_left (fun k -> function Jmp _ -> k + 1 | _ -> k) 0 p in
-  let threaded = Region.thread_jumps out |> Region.coalesce_inc_pc |> Region.thread_jumps in
+  let threaded =
+    Region.thread_jumps out |> Region.coalesce_inc_pc |> branch_to_branch |> Region.thread_jumps
+  in
   stats.jumps_threaded <- jmps out - jmps threaded;
-  let retargeted = Region.retarget_copies threaded in
-  stats.copies_retargeted <- Array.length threaded - Array.length retargeted;
+  (* With the jumps gone, copies meet across labels that were only
+     seams; the moves they leave dead go, and a zero test whose copies
+     resolved becomes its branch. *)
+  let propagated = dead_code (copy_prop ~classify threaded) stats |> invert_branches in
+  let retargeted = Region.retarget_copies propagated in
+  stats.copies_retargeted <- Array.length propagated - Array.length retargeted;
   (retargeted, stats)

@@ -98,8 +98,9 @@ val check_wb :
   finding list
 (** Promoted-register discipline and writeback coverage: the forward
     may-analysis over dirty/stale promoted vregs on the region CFG
-    (the engine of {!Verify.check_wb}).  Helpers classified [C_pure]
-    are transparent; by default every helper is a barrier.  A constant
+    (the engine of {!Verify.check_wb}).  Helpers that are not an
+    {!Effects.barrier} ([C_pure], [C_as_switch]) are transparent; by
+    default every helper is a barrier.  A constant
     move into a promoted vreg right after a barrier that leaves the
     register file alone, whose slot the {!analyze} facts pin to the same
     constant, is a reload (what {!simplify} folds a reload into). *)
@@ -122,8 +123,12 @@ type simplify_stats = {
   mutable masks_dropped : int;  (** redundant [And] masks / extensions elided *)
   mutable divs_reduced : int;  (** unsigned div/rem by [2^k] strength-reduced *)
   mutable dead_deleted : int;  (** cross-block dead vreg definitions removed *)
-  mutable jumps_threaded : int;  (** [Jmp]s removed by {!Region.thread_jumps} *)
-  mutable copies_retargeted : int;  (** copies removed by {!Region.retarget_copies} *)
+  mutable jumps_threaded : int;
+      (** [Jmp]s removed by {!Region.thread_jumps} and by jumps that take
+          the lone branch they target *)
+  mutable copies_retargeted : int;
+      (** instructions merged by {!Region.retarget_copies}: copies
+          retargeted and add chains folded *)
 }
 
 val empty_simplify_stats : unit -> simplify_stats
@@ -139,7 +144,13 @@ val simplify :
     unsigned division by powers of two, delete cross-block dead vreg
     definitions (faint ones too: a dead definition's sources are not
     uses), prune unreachable blocks (preserving the writeback map),
-    then thread jumps, sink PC increments into the arms that now allow
-    it and thread again, and retarget single-use copies
+    then the tail: thread jumps, sink PC increments into the arms that
+    now allow it, let a jump to a lone [Br] take that branch, and thread
+    again; propagate vreg copies across the CFG (never into or for a
+    writeback-map vreg, forgetting every copy at a barrier call) and
+    delete what that leaves dead; turn a [setne v <- c, $0] feeding
+    only a [Br v] into [Br c], and a [sete] into [Br c] with swapped
+    arms; finally retarget
+    single-use copies and fold adjacent add-immediate pairs
     ({!Region.thread_jumps}, {!Region.coalesce_inc_pc},
     {!Region.retarget_copies}). *)

@@ -54,7 +54,9 @@ let classify h =
    its explicit operands.  [s_escapes] records helpers that can leave the
    executor without running the ordinary exit path (h_halt raises
    Powered_off out of Exec.run before any writeback flush), so promoted
-   state must be clean across them exactly as across clobbers. *)
+   state must be clean across them exactly as across clobbers.  The
+   address-space switch neither observes the register file nor escapes:
+   it reloads the page-table root, sets the AS tag preg and returns. *)
 type summary = {
   s_kind : helper_kind;
   s_writes_rf : bool;
@@ -64,21 +66,28 @@ type summary = {
   s_escapes : bool;
 }
 
-let summarize h =
-  let k = classify h in
+let summary_of_kind k =
+  let opaque = match k with C_pure | C_as_switch -> false | C_read | C_event | C_clobber -> true in
   {
     s_kind = k;
     s_writes_rf = k = C_clobber;
     s_writes_pc = k = C_clobber;
     s_writes_as_tag = k = C_as_switch;
-    s_observes_rf = (match k with C_pure -> false | _ -> true);
-    s_escapes = (match k with C_pure -> false | _ -> true);
+    s_observes_rf = opaque;
+    s_escapes = opaque;
   }
 
-(* A call is transparent to promoted-register discipline only when it can
-   neither observe the register file nor escape the translation: pure
-   softfloat helpers.  Everything else is a writeback barrier. *)
-let barrier h = (summarize h).s_observes_rf || (summarize h).s_escapes
+let summarize h = summary_of_kind (classify h)
+
+(* The one writeback-barrier test.  A call is transparent to
+   promoted-register discipline when it can neither observe the
+   register file nor escape the translation: pure softfloat helpers and
+   the address-space switch.  Everything else needs dirty promoted
+   values flushed before it and every promoted value reloaded after.
+   A predicate on the kind, so callers' [~classify] overrides apply. *)
+let barrier k =
+  let s = summary_of_kind k in
+  s.s_observes_rf || s.s_escapes
 
 (* Stable symbol name for a helper index.  Encoded translations reference
    helpers by table index; the names below are the stable identities those

@@ -50,9 +50,11 @@ type summary = {
 
 val summarize : int -> summary
 
-val barrier : int -> bool
-(** [true] unless the helper is transparent to promoted-register
-    discipline (pure helpers only). *)
+val barrier : helper_kind -> bool
+(** The one writeback-barrier test: [true] when a helper of this kind
+    may observe the register file or escape the translation, so dirty
+    promoted registers must be flushed before it and reloaded after.
+    [false] for [C_pure] and [C_as_switch]. *)
 
 val symbol_name : int -> string
 (** Stable symbol name for a helper index — the identity a table index

@@ -7,10 +7,11 @@
 
    - promotion: the hottest register-file byte offsets are loaded into
      dedicated vregs once at region entry; every interior [Ldrf]/[Strf]
-     of a promoted offset becomes a vreg move.  Helper calls are full
-     barriers: dirty promoted values are stored back before the call
-     and everything is reloaded after, since helpers read and write the
-     register file directly.  Faults, [Poll] exits and [Exit]s are
+     of a promoted offset becomes a vreg move.  Barrier helper calls
+     ([Effects.barrier]) flush dirty promoted values before the call
+     and reload everything after, since such helpers read and write the
+     register file directly; pure softfloat helpers and the
+     address-space switch pass through untouched.  Faults, [Poll] exits and [Exit]s are
      covered instead by the [Wbmap] appended to the stream, which the
      executor applies before the register file becomes observable, so
      a [Mem_ld]/[Mem_st] fault anywhere in the region still delivers an
@@ -81,15 +82,17 @@ let loop_weights (instrs : instr array) : int array =
    static cost model.  A candidate's benefit is the weighted count of
    its [Ldrf]/[Strf] sites (each becomes a move that copy propagation
    and dead-marking usually make free); its cost is the entry prologue
-   load, the exit writeback when dirty, and the per-helper-call barrier
+   load, the exit writeback when dirty, and the per-barrier-call
    traffic (a reload per call, plus a flush when dirty), all weighted
    by the same loop frequencies.  This keeps promotion out of regions
    that are entered often but left quickly — there the barriers and
-   writebacks outweigh the interior savings.  Offsets overlapping
+   writebacks outweigh the interior savings.  Only barrier calls
+   ([Effects.barrier]) are priced: a pure softfloat call or an
+   address-space switch costs a promoted register nothing.  Offsets overlapping
    another accessed offset are excluded outright: [Ldrf]/[Strf] move 8
    bytes, so offsets closer than 8 bytes alias through the register
    file and caching one would miss accesses to the other. *)
-let pick_candidates ~max_regs (instrs : instr array) : int list =
+let pick_candidates ~max_regs ~classify (instrs : instr array) : int list =
   let w = loop_weights instrs in
   let score = Hashtbl.create 16 and dirty = Hashtbl.create 16 in
   let bump off x =
@@ -104,7 +107,7 @@ let pick_candidates ~max_regs (instrs : instr array) : int list =
       | Strf (off, _) ->
         bump off w.(i);
         Hashtbl.replace dirty off ()
-      | Call _ -> call_weight := !call_weight + w.(i)
+      | Call (h, _, _) when Effects.barrier (classify h) -> call_weight := !call_weight + w.(i)
       | _ -> ())
     instrs;
   let offs = Hashtbl.fold (fun off _ acc -> off :: acc) score [] in
@@ -124,7 +127,7 @@ let pick_candidates ~max_regs (instrs : instr array) : int list =
    new stream, the (vreg, offset) promotion list, the rewrite counts
    and the ever-dirty offset list (= the writeback map's domain). *)
 let promote_regs ~max_regs ~classify (instrs : instr array) =
-  let cands = pick_candidates ~max_regs instrs in
+  let cands = pick_candidates ~max_regs ~classify instrs in
   if cands = [] then (instrs, [], 0, 0, [])
   else begin
     let base = max_vreg instrs + 1 in
@@ -155,13 +158,13 @@ let promote_regs ~max_regs ~classify (instrs : instr array) =
         | Strf (off, s) when Hashtbl.mem pv_of off ->
           incr stores_rw;
           emit (Mov (pv off, s))
-        | Call (h, _, _) when classify h <> Effects.C_pure ->
-          (* Full barrier: traced helpers may read and write the
-             register file directly (or escape the translation without
-             the ordinary exit path), so flush dirty values before and
-             reload every promoted offset after (the helper may have
-             changed any of them).  Pure helpers — the softfloat table —
-             can do neither, so they fall through barrier-free. *)
+        | Call (h, _, _) when Effects.barrier (classify h) ->
+          (* Barrier: the helper may read and write the register file
+             directly (or escape the translation without the ordinary
+             exit path), so flush dirty values before and reload every
+             promoted offset after (the helper may have changed any of
+             them).  Pure helpers and the address-space switch can do
+             neither, so they fall through barrier-free. *)
           List.iter (fun off -> emit (Strf (off, pv off))) dirty;
           emit ins;
           List.iter (fun off -> emit (Ldrf (pv off, off))) cands

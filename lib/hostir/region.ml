@@ -10,9 +10,10 @@
      where it is known, makes a [Store_pc] of a PC-derived value a
      relative [Inc_pc] (the Dag ends every conditional guest branch that
      way) and sends an edge into a dispatch chunk straight to the member
-     entry its compare would pick, so intra-region branches — direct ones
+     entry its compare would pick, or to the chunk's own exit when the
+     compare would pick none, so intra-region branches — direct ones
      collapsed to [Inc_pc] by the Dag (Fig. 9(d)) and conditional ones
-     alike — cost a host jump with no dispatch at all;
+     alike — and loop exits cost a host jump with no dispatch at all;
 
    - [thread_jumps] redirects jumps past label+jump chunks, drops the
      dispatch chunks orphaned by [straighten] ([prune_unreachable]) and
@@ -86,28 +87,31 @@ type stats = {
      storing [Load_pc + k] on each arm;
 
    - an edge into a dispatch chunk ([dispatch] maps its label to its
-     compare targets, hottest first) — a [Jmp], directly or through
-     label+jump chunks, or a fall-through — goes straight to the member
-     entry when the PC there is one of that chunk's targets.  Only the
-     chunk's own targets qualify: for any other VA the chunk exits to
+     compare targets, hottest first, and the label of its [Exit]) — a
+     [Jmp], directly or through label+jump chunks, or a fall-through —
+     goes straight to the member entry when the PC there is one of that
+     chunk's targets, and straight to the chunk's [Exit] when it is
+     any other VA.  Only the chunk's own targets qualify as members:
+     for any other VA, another member's included, the chunk exits to
      the engine dispatcher, and the validator's reference does too.
 
    Every member entry starts from its own VA and no vreg facts,
    whatever flows in: all inbound edges (fall-in from the region
    prologue, dispatch hits, straightened jumps) establish that PC, and
    each member entry begins with a [Poll], so safepoints are kept.
-   Returns the rewritten stream and the two rewrite counts. *)
-let straighten ~(dispatch : (int * int64 list) list) ~(member_entry : (int64 * int) list)
+   Returns the rewritten stream, the number of PC writes made relative
+   and the number of edges sent to a member entry. *)
+let straighten ~(dispatch : (int * int64 list * int) list) ~(member_entry : (int64 * int) list)
     (instrs : instr array) : instr array * int * int =
   let n = Array.length instrs in
   let cfg = Cfg.build instrs in
-  let targets_of = Hashtbl.create 8 in
-  List.iter (fun (l, ts) -> Hashtbl.replace targets_of l ts) dispatch;
-  (* The compare targets of the dispatch chunk [l] leads to, through
-     label+jump chunks. *)
+  let chunk_of = Hashtbl.create 8 in
+  List.iter (fun (l, ts, x) -> Hashtbl.replace chunk_of l (ts, x)) dispatch;
+  (* The compare targets and exit label of the dispatch chunk [l] leads
+     to, through label+jump chunks. *)
   let rec chunk_targets seen l =
-    match Hashtbl.find_opt targets_of l with
-    | Some ts -> Some ts
+    match Hashtbl.find_opt chunk_of l with
+    | Some c -> Some c
     | None when Iset.mem l seen -> None
     | None -> (
       match Hashtbl.find_opt cfg.Cfg.labels l with
@@ -134,13 +138,22 @@ let straighten ~(dispatch : (int * int64 list) list) ~(member_entry : (int64 * i
   let entry =
     Cfg.forward cfg ~seeds ~merge:(fun ~head:_ -> join_facts) ~equal:equal_facts ~transfer:run
   in
-  (* The member label a dispatch-bound edge to [l] takes at [facts]. *)
+  (* Where a dispatch-bound edge to [l] goes at [facts]: a member entry
+     ([`Member]) or the chunk's exit ([`Exit]). *)
   let redirect facts l =
     match (facts.pc, chunk_targets Iset.empty l) with
-    | Some va, Some ts when List.mem va ts -> Hashtbl.find_opt entry_of_va va
+    | Some va, Some (ts, _) when List.mem va ts ->
+      Option.map (fun l -> `Member l) (Hashtbl.find_opt entry_of_va va)
+    | Some _, Some (_, x) -> Some (`Exit x)
     | _ -> None
   in
   let relativized = ref 0 and straightened = ref 0 in
+  let target = function
+    | `Member l ->
+      incr straightened;
+      l
+    | `Exit x -> x
+  in
   let out = ref [] in
   let emit ins = out := ins :: !out in
   for b = 0 to Cfg.nb cfg - 1 do
@@ -159,23 +172,14 @@ let straighten ~(dispatch : (int * int64 list) list) ~(member_entry : (int64 * i
             emit (Inc_pc (Int64.to_int (Int64.sub a p)))
           | _ -> emit ins)
         | Jmp l -> (
-          match redirect !f l with
-          | Some lj ->
-            incr straightened;
-            emit (Jmp lj)
-          | None -> emit ins)
+          match redirect !f l with Some r -> emit (Jmp (target r)) | None -> emit ins)
         | _ -> emit ins);
         f := pc_step !f ins
       done;
       (* A fall-through into a dispatch chunk becomes a jump. *)
       if last + 1 < n && not (Cfg.is_terminator instrs.(last)) then (
         match instrs.(last + 1) with
-        | Label l ->
-          Option.iter
-            (fun lj ->
-              incr straightened;
-              emit (Jmp lj))
-            (redirect !f l)
+        | Label l -> Option.iter (fun r -> emit (Jmp (target r))) (redirect !f l)
         | _ -> ())
   done;
   (Array.of_list (List.rev !out), !relativized, !straightened)
@@ -242,14 +246,24 @@ let thread_jumps (instrs : instr array) : instr array =
     threaded;
   Array.of_list (List.rev !keep)
 
-(* Copy retargeting.  An adjacent [op v_s <- ...; mov d <- v_s] whose
-   temporary [v_s] has exactly one definition and one use (a writeback
-   map's mention counts as a use) becomes [op d <- ...].  The op reads
-   its sources before writing its destination, so [op] may read [d]
-   itself ([add v1 <- v0, 1; mov v0 <- v1] becomes [add v0 <- v0, 1]);
-   nothing sits between the two, so no instruction observes [d]'s new
-   value one step early, and a faulting op writes neither.  Helper
-   calls keep their result register: a call's effects are opaque. *)
+(* Copy retargeting and add-chain folding, in one sweep over adjacent
+   pairs whose first instruction defines a temporary [v_s] with exactly
+   one definition and one use (a writeback map's mention counts as a
+   use), that use being in the second:
+
+   - [op v_s <- ...; mov d <- v_s] becomes [op d <- ...].  The op reads
+     its sources before writing its destination, so [op] may read [d]
+     itself ([add v1 <- v0, 1; mov v0 <- v1] becomes [add v0 <- v0, 1]);
+     nothing sits between the two, so no instruction observes [d]'s new
+     value one step early, and a faulting op writes neither.  Helper
+     calls keep their result register: a call's effects are opaque.
+
+   - [add v_s <- a, $k1; add d <- v_s, $k2] becomes [add d <- a,
+     $(k1+k2)] (a move when the sum is 0): the Dag lowers a guest
+     subtract-immediate as exactly such a pair.
+
+   A merged instruction is the first of the next pair, so a chain folds
+   in one sweep. *)
 let retarget_copies (instrs : instr array) : instr array =
   let defs = Hashtbl.create 64 and uses = Hashtbl.create 64 in
   let bump tbl = function
@@ -261,21 +275,34 @@ let retarget_copies (instrs : instr array) : instr array =
       Option.iter (bump defs) (dest ins);
       List.iter (bump uses) (sources ins))
     instrs;
-  let once tbl v = Hashtbl.find_opt tbl v = Some 1 in
-  let out = ref [] in
-  let i = ref 0 in
-  let n = Array.length instrs in
-  while !i < n do
-    (match (instrs.(!i), if !i + 1 < n then Some instrs.(!i + 1) else None) with
-    | (Call _ as ins), _ -> out := ins :: !out
-    | ins, Some (Mov (d, Vreg s))
-      when dest ins = Some (Vreg s) && once defs s && once uses s ->
-      out := map_operands (fun o -> if o = Vreg s then d else o) ins :: !out;
-      incr i
-    | ins, _ -> out := ins :: !out);
-    incr i
-  done;
-  Array.of_list (List.rev !out)
+  let temp s = Hashtbl.find_opt defs s = Some 1 && Hashtbl.find_opt uses s = Some 1 in
+  let add_imm = function
+    | Alu (Aadd, d, (Vreg _ | Preg _ as a), Imm k) | Alu (Aadd, d, Imm k, (Vreg _ | Preg _ as a)) ->
+      Some (d, a, k)
+    | _ -> None
+  in
+  let merge prev ins =
+    match (prev, ins) with
+    | Call _, _ -> None
+    | _, Mov (d, Vreg s) when dest prev = Some (Vreg s) && temp s ->
+      Some (map_operands (fun o -> if o = Vreg s then d else o) prev)
+    | _ -> (
+      match (add_imm prev, add_imm ins) with
+      | Some (Vreg s, a, k1), Some (d, Vreg s', k2) when s = s' && temp s ->
+        let k = Int64.add k1 k2 in
+        Some (if k = 0L then Mov (d, a) else Alu (Aadd, d, a, Imm k))
+      | _ -> None)
+  in
+  let out =
+    Array.fold_left
+      (fun out ins ->
+        match out with
+        | prev :: rest -> (
+          match merge prev ins with Some m -> m :: rest | None -> ins :: out)
+        | [] -> [ ins ])
+      [] instrs
+  in
+  Array.of_list (List.rev out)
 
 (* Defer guest-PC increments to the points that observe the PC: a run of
    [Inc_pc] collapses into one write before anything that can read or

@@ -18,9 +18,10 @@ val prune_unreachable : Hir.instr array -> Hir.instr array
 val thread_jumps : Hir.instr array -> Hir.instr array
 
 (* Rewrite an adjacent [op v_s <- ...; mov d <- v_s] into
-   [op d <- ...] when vreg [v_s] has exactly one definition and one
-   use, a [Wbmap] mention counting as a use.  Helper calls are left
-   alone. *)
+   [op d <- ...], and an adjacent [add v_s <- a, $k1; add d <- v_s, $k2]
+   into [add d <- a, $(k1+k2)], when vreg [v_s] has exactly one
+   definition and one use, a [Wbmap] mention counting as a use.  Helper
+   calls keep their result register. *)
 val retarget_copies : Hir.instr array -> Hir.instr array
 
 (* Defer guest-PC increments to the next observation point, carrying a
@@ -42,11 +43,12 @@ type stats = { pc_writes_relativized : int; dispatch_straightened : int }
    indexed, so a region may run under another VA mapping of its page),
    and a [Jmp] or fall-through into a dispatch chunk into a jump to the
    member entry when the known PC is one of that chunk's own compare
-   targets.  [dispatch] maps each dispatch chunk's label to its compare
-   targets; [member_entry] maps each member's guest VA to its entry
-   label. *)
+   targets, or to the chunk's [Exit] when it is any other VA.
+   [dispatch] lists each dispatch chunk as (its label, its compare
+   targets, the label of its [Exit]); [member_entry] maps each member's
+   guest VA to its entry label. *)
 val optimize :
-  dispatch:(int * int64 list) list ->
+  dispatch:(int * int64 list * int) list ->
   member_entry:(int64 * int) list ->
   Hir.instr array ->
   Hir.instr array * stats

@@ -508,15 +508,40 @@ let add_rewrite p x c =
       p_rw = p.p_rw @ [ (x, c) ];
     }
 
-(* Record a path literal; equality literals additionally rewrite the term
-   to its pinned constant throughout the state so that later computation
-   normalizes identically on both programs being compared. *)
+(* Record a path literal [t <> 0 = b]; equality literals additionally
+   rewrite the term to its pinned constant throughout the state so that
+   later computation normalizes identically on both programs being
+   compared. *)
 let with_lit p t b =
   let p = { p with p_lits = (t, b) :: p.p_lits } in
   match (t, b) with
   | TCmp (Ceq, x, Const c), true | TCmp (Cne, x, Const c), false -> add_rewrite p x c
   | TCmp (Ceq, Const c, x), true | TCmp (Cne, Const c, x), false -> add_rewrite p x c
+  | (TCmp _ | TPollFired _), _ -> p
+  | x, false -> add_rewrite p x 0L
   | _ -> p
+
+(* A branch condition as a canonical literal term and its polarity:
+   [c <> 0] holds iff [(t <> 0) = pos].  Comparisons with zero are
+   stripped and [ne] becomes a flipped [eq], so a branch on [x], on
+   [x != 0] and an inverted branch on [x == 0] all record the same
+   literal and reach the same path key. *)
+let rec canon_cond t pos =
+  match t with
+  | TCmp (Cne, x, Const 0L) -> canon_cond x pos
+  | TCmp (Ceq, x, Const 0L) -> canon_cond x (not pos)
+  | TCmp (Cne, a, b) -> (TCmp (Ceq, a, b), not pos)
+  | _ -> (t, pos)
+
+(* Take a branch on [c] in direction [taken]. *)
+let with_cond p c taken =
+  let t, pos = canon_cond c true in
+  with_lit p t (taken = pos)
+
+(* The direction of a branch on [c] if the path already decided it. *)
+let known_cond p c =
+  let t, pos = canon_cond c true in
+  Option.map (fun (_, b) -> b = pos) (List.find_opt (fun (t', _) -> t' = t) p.p_lits)
 
 (* ------------------------------------------------------------------ *)
 (* Memory log                                                         *)
@@ -708,6 +733,14 @@ let run ?(classify = fun _ -> C_clobber) ~init_pc (prog : instr array) : outcome
           match ret with Some d -> assign d v | None -> drive { p with p_idx = next })
         | _ -> (
           let ord = p.p_calls in
+          (* A barrier helper reads the raw register file, which the
+             promoter flushed before the call.  Any other traced helper
+             (the address-space switch) cannot observe it, and promoted
+             registers may still be dirty across it: snapshot the
+             architectural file, the raw one with the writeback map
+             applied as at an exit, so the guest state at the call is
+             still compared in full. *)
+          let arch = if Effects.barrier kind then p else apply_wb p in
           let ev =
             E_call
               {
@@ -715,7 +748,7 @@ let run ?(classify = fun _ -> C_clobber) ~init_pc (prog : instr array) : outcome
                 c_kind = kind;
                 c_args = argts;
                 c_pc = p.p_pc;
-                c_rf = canon_rf p;
+                c_rf = canon_rf arch;
                 c_epoch = p.p_epoch;
               }
           in
@@ -746,18 +779,18 @@ let run ?(classify = fun _ -> C_clobber) ~init_pc (prog : instr array) : outcome
         match cv with
         | Const v -> goto p (v <> 0L)
         | _ -> (
-          match List.find_opt (fun (t', _) -> t' = cv) p.p_lits with
-          | Some (_, b) -> goto p b
+          match known_cond p cv with
+          | Some b -> goto p b
           | None ->
-            if is_as_guard cv then goto (with_lit p cv false) false
+            if is_as_guard cv then goto (with_cond p cv false) false
             else begin
               if !paths_started < max_paths then begin
                 incr paths_started;
-                pending := with_lit { p with p_idx = p.p_idx } cv false :: !pending
+                pending := with_cond { p with p_idx = p.p_idx } cv false :: !pending
                 (* the stashed path re-executes the Br, now resolved by its lit *)
               end
               else complete := false;
-              goto (with_lit p cv true) true
+              goto (with_cond p cv true) true
             end))
       | Exit slot -> finish p slot ~poll:false
       | Poll slot ->

@@ -189,26 +189,38 @@ let test_effects_single_source () =
   Alcotest.check kind "halt is an event" Ef.C_event (Ef.classify Ef.h_halt);
   Alcotest.check kind "softfloat is pure" Ef.C_pure (Ef.classify Ef.first_softfloat);
   Alcotest.check kind "coproc write clobbers" Ef.C_clobber (Ef.classify Ef.h_coproc_write)
+  ;
+  (* the one writeback-barrier test *)
+  List.iter
+    (fun (k, b) -> Alcotest.(check bool) (Ef.kind_to_string k ^ " is a barrier") b (Ef.barrier k))
+    [ (Ef.C_pure, false); (Ef.C_as_switch, false); (Ef.C_read, true); (Ef.C_event, true); (Ef.C_clobber, true) ]
 
 (* A pure helper is transparent to the writeback discipline: a dirty
    promoted register may stay live across it (flushed before the exit),
    which the default everything-clobbers classification rejects. *)
-let test_pure_call_transparent () =
-  let stream =
-    [|
-      Hir.Label 0;
-      Hir.Ldrf (v 0, 8);
-      Hir.Alu (Aadd, v 0, v 0, Imm 1L);
-      Hir.Call (Ef.first_softfloat, [| Hir.Preg 0 |], Some (v 5));
-      Hir.Strf (8, v 0);
-      Hir.Exit 0;
-    |]
-  in
+let transparent_call_stream h =
+  [|
+    Hir.Label 0;
+    Hir.Ldrf (v 0, 8);
+    Hir.Alu (Aadd, v 0, v 0, Imm 1L);
+    Hir.Call (h, [| Hir.Preg 0 |], Some (v 5));
+    Hir.Strf (8, v 0);
+    Hir.Exit 0;
+  |]
+
+let check_transparent h =
+  let stream = transparent_call_stream h in
   let promoted = [ (0, 8) ] in
   Alcotest.(check int) "accepted with effect classification" 0
     (List.length (A.check_wb ~classify:Ef.classify ~promoted stream));
   Alcotest.(check bool) "rejected when every helper clobbers" true
     (A.check_wb ~promoted stream <> [])
+
+let test_pure_call_transparent () = check_transparent Ef.first_softfloat
+
+(* So is the address-space switch: it reloads the page-table root and
+   the AS tag, and neither reads the register file nor escapes. *)
+let test_as_switch_transparent () = check_transparent Ef.h_as_switch
 
 (* --- the absint-simplify pass ---------------------------------------------------- *)
 
@@ -260,8 +272,12 @@ let test_simplify_drops_masks () =
       |]
   in
   Alcotest.(check int) "mask dropped" 1 ss.A.masks_dropped;
-  Alcotest.(check bool) "mask became a move" true
-    (Array.exists (( = ) (Hir.Mov (v 1, v 0))) out)
+  (* The mask became a move, which copy propagation then forwards into
+     the store. *)
+  Alcotest.(check bool) "no mask left" false
+    (Array.exists (function Hir.Alu (Aand, _, _, _) -> true | _ -> false) out);
+  Alcotest.(check bool) "the store reads the unmasked value" true
+    (Array.exists (( = ) (Hir.Strf (0, v 0))) out)
 
 let test_simplify_reduces_division () =
   let out, ss =
@@ -571,7 +587,7 @@ let cond_loop =
   |]
 
 let region_optimize ?(targets = [ head_va ]) ?(members = [ (head_va, 0) ]) p =
-  Region.optimize ~dispatch:[ (9, targets) ] ~member_entry:members p
+  Region.optimize ~dispatch:[ (9, targets, 10) ] ~member_entry:members p
 
 let imms p =
   List.sort_uniq compare
@@ -598,7 +614,7 @@ let test_region_cond_loop () =
   (* Downstream, absint-simplify deletes the now-dead PC arithmetic and
      the [Load_pc] that fed it, and sinks the body's PC increment into
      the branch arms, where it cancels on the back edge: the loop is the
-     guest's own work and one branch back to the head. *)
+     guest's own work and one branch on the counter back to the head. *)
   let simplified, _ = simplify out in
   Alcotest.(check (list string)) "the loop has no PC work"
     (List.map Hir.to_string
@@ -607,11 +623,10 @@ let test_region_cond_loop () =
          Hir.Ldrf (v 0, 0);
          Hir.Alu (Asub, v 1, v 0, Imm 1L);
          Hir.Strf (0, v 1);
-         Hir.Setcc (Cne, v 3, v 1, Imm 0L);
-         Hir.Br (v 3, 0, 2);
+         Hir.Br (v 1, 0, 2);
        ])
-    (List.map Hir.to_string (Array.to_list (Array.sub simplified 0 6)));
-  Alcotest.(check int) "one Load_pc left, the exit arm's dispatch compare" 1
+    (List.map Hir.to_string (Array.to_list (Array.sub simplified 0 5)));
+  Alcotest.(check int) "no Load_pc left: the exit arm skips the dispatch compare" 0
     (Array.fold_left (fun k -> function Hir.Load_pc _ -> k + 1 | _ -> k) 0 simplified);
   Alcotest.(check int) "both branch-arm PC stores relativized" 2 st.Region.pc_writes_relativized;
   Alcotest.(check int) "one dispatch edge straightened" 1 st.Region.dispatch_straightened;
@@ -667,8 +682,9 @@ let test_region_call_blocks_rewrite () =
   Alcotest.(check int) "as-switch: straightened" 1 st.Region.dispatch_straightened
 
 (* A known PC that is a member VA but not one of the dispatch chunk's
-   compare targets stays on the dispatch: the chunk would exit to the
-   engine there, and the validator's reference does. *)
+   compare targets does not enter that member: the chunk would exit to
+   the engine there, and the validator's reference does.  The edge goes
+   straight to the chunk's own exit instead. *)
 let test_region_other_member_not_redirected () =
   let stream =
     [|
@@ -690,7 +706,10 @@ let test_region_other_member_not_redirected () =
   Alcotest.(check int) "not straightened" 0 st.Region.dispatch_straightened;
   Alcotest.(check bool) "no jump to the other member" false
     (Array.exists (function Hir.Jmp 5 | Hir.Br (_, 5, _) | Hir.Br (_, _, 5) -> true | _ -> false) out);
-  Alcotest.(check bool) "dispatch compare kept" true
+  Alcotest.(check (list string)) "straight to the chunk's exit"
+    (List.map Hir.to_string [ Hir.Label 0; Hir.Label 10; Hir.Inc_pc 16; Hir.Exit 1 ])
+    (List.map Hir.to_string (Array.to_list (Array.sub out 0 4)));
+  Alcotest.(check bool) "dispatch compare skipped" false
     (Array.exists (function Hir.Setcc (Ceq, _, _, Imm 0x1000L) -> true | _ -> false) out);
   let _, st = region_optimize ~members ~targets:[ head_va; 0x1010L ] stream in
   Alcotest.(check int) "a target of the chunk is straightened" 1 st.Region.dispatch_straightened
@@ -743,17 +762,24 @@ let prop_simplify_preserves_execution =
       check_same_execution prng prog out;
       true)
 
-(* Random programs with the shapes the last two rewrites target: some
-   jump and branch targets are reached through a chain of one to three
-   label+jump trampolines, some block boundaries get an explicit jump to
-   the next label, and some destinations become a vreg temporary copied
-   into the real register, now and then with a second use.  Simplify
-   must remove every single-use temporary, leave no jump aimed at a
-   label+jump chunk or reached by falling through labels, and still
-   compute the same result. *)
+(* Random programs with the shapes simplify's closing rewrites target:
+   some jump and branch targets are reached through a chain of one to
+   three label+jump trampolines, some block boundaries get an explicit
+   jump to the next label, and some destinations become a vreg
+   temporary copied into the real register, now and then with a second
+   use.  Riding on those, vreg copies that cross labels (among vregs
+   6-9, now and then redefined on one path), adds of an immediate split
+   into a pair through a temporary, and branches on a zero test of a
+   copy.
+   Simplify must remove every single-use temporary, leave no jump aimed
+   at a label+jump chunk or reached by falling through labels, and
+   still compute the same result.  At most ten vregs appear, so each
+   runs in its own host register in [check_same_execution]. *)
 let gen_threadable prng =
   let prog = Test_symexec.gen_program prng in
-  let next_label = ref 1000 and next_vreg = ref 0 and tramps = ref [] and shared = ref [] in
+  let next_label = ref 1000 and next_vreg = ref 0 and tramps = ref [] in
+  let copies = List.init 4 (fun i -> Hir.Vreg (6 + i)) in
+  let shared = ref copies in
   let rec tramp l k =
     if k = 0 then l
     else begin
@@ -772,21 +798,57 @@ let gen_threadable prng =
     | Hir.Neg (d, a) -> Some (Hir.Neg (t, a), d)
     | _ -> None
   in
+  (* A fresh single-definition temporary, while vregs 0-5 last. *)
+  let fresh () =
+    if !next_vreg < 6 then begin
+      incr next_vreg;
+      Some (Hir.Vreg (!next_vreg - 1))
+    end
+    else None
+  in
+  let copy () = List.nth copies (Prng.int prng 4) in
   let out = ref [] in
   let emit i = out := i :: !out in
+  let ride () =
+    match Prng.int prng 8 with
+    | 0 -> emit (Hir.Mov (copy (), copy ()))
+    | 1 -> emit (Hir.Alu (Aadd, copy (), copy (), Imm (Int64.of_int (Prng.int prng 9 - 4))))
+    | 2 -> emit (Hir.Strf (8 * Prng.int prng Test_symexec.n_offs, copy ()))
+    | 3 -> (
+      match fresh () with
+      | Some t ->
+        let k1 = Int64.of_int (Prng.int prng 9 - 4) and k2 = Int64.of_int (Prng.int prng 9 - 4) in
+        emit (Hir.Alu (Aadd, t, Hir.Preg (Prng.int prng Test_symexec.n_pregs), Imm k1));
+        emit (Hir.Alu (Aadd, Hir.Preg (Prng.int prng Test_symexec.n_pregs), t, Imm k2))
+      | None -> ())
+    | _ -> ()
+  in
   Array.iteri
     (fun idx ins ->
       match ins with
       | Hir.Jmp l -> emit (Hir.Jmp (maybe_tramp l))
-      | Hir.Br (c, t, f) -> emit (Hir.Br (c, maybe_tramp t, maybe_tramp f))
+      | Hir.Br (c, t, f) -> (
+        let t = maybe_tramp t and f = maybe_tramp f in
+        match if Prng.int prng 3 = 0 then fresh () else None with
+        | Some n ->
+          (* a branch on a zero test of a copy; a duplicated branch
+             may keep the test, so its temporary may survive *)
+          shared := n :: !shared;
+          emit (Hir.Setcc ((if Prng.bool prng then Ceq else Cne), n, copy (), Imm 0L));
+          ride ();
+          emit (Hir.Br (n, f, t))
+        | None -> emit (Hir.Br (c, t, f)))
       | Hir.Label l ->
         if idx > 0 && Prng.int prng 3 = 0 then emit (Hir.Jmp l);
-        emit ins
+        emit ins;
+        ride ()
       | _ -> (
-        let t = Hir.Vreg !next_vreg in
-        match retemp t ins with
-        | Some (ins', d) when Prng.int prng 3 = 0 ->
-          incr next_vreg;
+        ride ();
+        let t =
+          if Prng.int prng 3 = 0 && retemp (Hir.Vreg 0) ins <> None then fresh () else None
+        in
+        match Option.bind t (fun t -> Option.map (fun r -> (t, r)) (retemp t ins)) with
+        | Some (t, (ins', d)) ->
           emit ins';
           emit (Hir.Mov (d, t));
           (* now and then a second use, which must keep the copy *)
@@ -794,7 +856,7 @@ let gen_threadable prng =
             shared := t :: !shared;
             emit (Hir.Strf (8 * Prng.int prng Test_symexec.n_offs, t))
           end
-        | _ -> emit ins))
+        | None -> emit ins))
     prog;
   (Array.of_list (List.rev !out @ !tramps), !shared)
 
@@ -834,6 +896,229 @@ let prop_rewrites_preserve_execution =
       check_same_execution prng prog out;
       true)
 
+(* --- the simplify tail: copy propagation, branch inversion, add chains ------------ *)
+
+let strs p = List.map Hir.to_string (Array.to_list p)
+let has p ins = Array.exists (( = ) ins) p
+
+(* Execute [prog] and its simplification from a few random states. *)
+let same_execution prog out =
+  let prng = Prng.create 7L in
+  for _ = 1 to 8 do
+    check_same_execution prng prog out
+  done
+
+(* A copy [v1 := v0] made before a branch whose arms rejoin at label 1,
+   where [v1] is stored; [redefine] sits on the else arm only. *)
+let copy_join redefine =
+  Array.concat
+    [
+      [| Hir.Label 0; Hir.Ldrf (v 0, 0); Hir.Mov (v 1, v 0); Hir.Br (v 0, 1, 2) |];
+      [| Hir.Label 2; Hir.Strf (16, Hir.Preg 0) |];
+      redefine;
+      [| Hir.Label 1; Hir.Strf (8, v 1); Hir.Strf (24, v 0); Hir.Exit 0 |];
+    ]
+
+let test_copy_prop_across_label () =
+  let prog = copy_join [||] in
+  let out, _ = simplify prog in
+  Alcotest.(check bool) "the use past the join reads the source" true (has out (Hir.Strf (8, v 0)));
+  Alcotest.(check bool) "the copy is gone" false (has out (Hir.Mov (v 1, v 0)));
+  same_execution prog out
+
+let test_copy_prop_killed_at_join () =
+  List.iter
+    (fun (what, redefine) ->
+      let prog = copy_join redefine in
+      let out, _ = simplify prog in
+      Alcotest.(check bool) (what ^ ": the use keeps its copy") true (has out (Hir.Strf (8, v 1)));
+      Alcotest.(check bool) (what ^ ": the copy stays") true (has out (Hir.Mov (v 1, v 0)));
+      same_execution prog out)
+    [
+      ("source redefined", [| Hir.Alu (Aadd, v 0, v 0, Imm 1L) |]);
+      ("copy redefined", [| Hir.Ldrf (v 1, 32) |]);
+    ]
+
+(* A promoted rf[16] ([v5], dirty: it is in the writeback map) copied
+   from [v0] and flushed across the join before a clobber call: the
+   flush and the writeback map keep naming [v5], and so does every other
+   use of the pinned register. *)
+let test_copy_prop_spares_pinned () =
+  let prog =
+    [|
+      Hir.Ldrf (v 5, 16);
+      Hir.Label 0;
+      Hir.Ldrf (v 0, 0);
+      Hir.Mov (v 5, v 0);
+      Hir.Br (v 0, 1, 2);
+      Hir.Label 2;
+      Hir.Strf (24, Hir.Preg 0);
+      Hir.Label 1;
+      Hir.Alu (Aadd, v 6, v 5, Imm 1L);
+      Hir.Strf (32, v 6);
+      Hir.Strf (16, v 5);
+      Hir.Call (Ef.h_coproc_write, [| v 5 |], None);
+      Hir.Ldrf (v 5, 16);
+      Hir.Strf (8, v 5);
+      Hir.Exit 0;
+      Hir.Label 3;
+      Hir.Wbmap [| (v 5, 16) |];
+    |]
+  in
+  let out, _ = simplify prog in
+  Alcotest.(check bool) "flush reads the cache register" true (has out (Hir.Strf (16, v 5)));
+  Alcotest.(check bool) "writeback map untouched" true (has out (Hir.Wbmap [| (v 5, 16) |]));
+  Alcotest.(check bool) "the call still passes v5" true
+    (has out (Hir.Call (Ef.h_coproc_write, [| v 5 |], None)));
+  Alcotest.(check bool) "the add still reads v5" true
+    (Array.exists (function Hir.Alu (Aadd, _, Hir.Vreg 5, Imm 1L) -> true | _ -> false) out);
+  Alcotest.(check (list string)) "discipline holds" []
+    (List.map A.finding_to_string (A.check_wb ~classify:Ef.classify ~promoted:[ (5, 16) ] out))
+
+(* A copy of a clean promoted register ([v5], rf[16]) used after a
+   barrier call whose reload of [v5] was dead and deleted: [v5] is stale
+   there, so the use must keep reading the copy. *)
+let test_copy_prop_stops_at_barrier () =
+  let prog =
+    [|
+      Hir.Ldrf (v 5, 16);
+      Hir.Label 0;
+      Hir.Mov (v 1, v 5);
+      Hir.Call (Ef.h_coproc_write, [| Hir.Preg 0 |], None);
+      Hir.Strf (8, v 1);
+      Hir.Exit 0;
+      Hir.Label 1;
+      Hir.Wbmap [||];
+    |]
+  in
+  let out, _ = simplify prog in
+  Alcotest.(check bool) "the use keeps its copy" true (has out (Hir.Strf (8, v 1)));
+  Alcotest.(check (list string)) "no stale use" []
+    (List.map A.finding_to_string (A.check_wb ~classify:Ef.classify ~promoted:[ (5, 16) ] out))
+
+(* The negated-branch shape the Dag leaves at a guest conditional
+   branch: the body jumps forward to a chunk that negates the
+   condition into the branch register and jumps back to the branch.
+   The jump to a lone branch takes the branch itself, copy propagation
+   resolves the condition, and the negation becomes swapped arms.  A
+   [setne] against zero becomes the branch with its arms kept. *)
+let test_negated_branch_inverted () =
+  let prog =
+    [|
+      Hir.Label 0;
+      Hir.Poll 0;
+      Hir.Ldrf (v 47, 0x310);
+      Hir.Mov (v 55, v 47);
+      Hir.Jmp 22;
+      Hir.Label 21;
+      Hir.Br (v 55, 23, 24);
+      Hir.Label 22;
+      Hir.Setcc (Ceq, v 74, v 55, Imm 0L);
+      Hir.Mov (v 55, v 74);
+      Hir.Inc_pc 12;
+      Hir.Jmp 21;
+      Hir.Label 23;
+      Hir.Inc_pc (-48);
+      Hir.Exit 2;
+      Hir.Label 24;
+      Hir.Inc_pc 4;
+      Hir.Exit 1;
+    |]
+  in
+  let out, _ = simplify prog in
+  Alcotest.(check bool) "no jump left" false
+    (Array.exists (function Hir.Jmp _ -> true | _ -> false) out);
+  Alcotest.(check bool) "no negation left" false
+    (Array.exists (function Hir.Setcc _ -> true | _ -> false) out);
+  Alcotest.(check bool) "the branch reads the value with swapped arms" true
+    (has out (Hir.Br (v 47, 24, 23)));
+  same_execution prog out;
+  (* the value redefined between the negation and the branch *)
+  let prog =
+    [|
+      Hir.Label 0;
+      Hir.Ldrf (v 1, 0);
+      Hir.Setcc (Ceq, v 2, v 1, Imm 0L);
+      Hir.Alu (Aadd, v 1, v 1, Imm 1L);
+      Hir.Strf (8, v 1);
+      Hir.Br (v 2, 1, 2);
+      Hir.Label 1;
+      Hir.Exit 1;
+      Hir.Label 2;
+      Hir.Exit 2;
+    |]
+  in
+  let out, _ = simplify prog in
+  Alcotest.(check bool) "negation kept when its operand changes" true
+    (has out (Hir.Setcc (Ceq, v 2, v 1, Imm 0L)));
+  same_execution prog out;
+  let prog =
+    [|
+      Hir.Label 0;
+      Hir.Ldrf (v 1, 0);
+      Hir.Setcc (Cne, v 2, Imm 0L, v 1);
+      Hir.Inc_pc 4;
+      Hir.Br (v 2, 1, 2);
+      Hir.Label 1;
+      Hir.Exit 1;
+      Hir.Label 2;
+      Hir.Exit 2;
+    |]
+  in
+  let out, _ = simplify prog in
+  Alcotest.(check bool) "setne: the branch reads the value" true (has out (Hir.Br (v 1, 1, 2)));
+  Alcotest.(check bool) "setne: the test is gone" false
+    (Array.exists (function Hir.Setcc _ -> true | _ -> false) out);
+  same_execution prog out
+
+let test_add_chain_folded () =
+  let sub1 = [| Hir.Label 0; Hir.Ldrf (v 0, 0); Hir.Alu (Aadd, v 1, v 0, Imm (-2L)); Hir.Alu (Aadd, v 0, v 1, Imm 1L) |] in
+  let tail = [| Hir.Strf (0, v 0); Hir.Exit 0 |] in
+  Alcotest.(check (list string)) "sub #1 as one add"
+    (strs [| Hir.Label 0; Hir.Ldrf (v 0, 0); Hir.Alu (Aadd, v 0, v 0, Imm (-1L)); Hir.Strf (0, v 0); Hir.Exit 0 |])
+    (strs (Region.retarget_copies (Array.append sub1 tail)));
+  Alcotest.(check (list string)) "a chain folds in one sweep, its copy too"
+    (strs [| Hir.Label 0; Hir.Ldrf (v 0, 0); Hir.Alu (Aadd, v 4, v 0, Imm 6L); Hir.Strf (0, v 4); Hir.Exit 0 |])
+    (strs
+       (Region.retarget_copies
+          [|
+            Hir.Label 0;
+            Hir.Ldrf (v 0, 0);
+            Hir.Alu (Aadd, v 1, v 0, Imm 1L);
+            Hir.Alu (Aadd, v 2, Imm 2L, v 1);
+            Hir.Alu (Aadd, v 3, v 2, Imm 3L);
+            Hir.Mov (v 4, v 3);
+            Hir.Strf (0, v 4);
+            Hir.Exit 0;
+          |]));
+  Alcotest.(check (list string)) "a zero sum is a move"
+    (strs [| Hir.Label 0; Hir.Ldrf (v 0, 0); Hir.Mov (v 2, v 0); Hir.Strf (0, v 2); Hir.Exit 0 |])
+    (strs
+       (Region.retarget_copies
+          [|
+            Hir.Label 0;
+            Hir.Ldrf (v 0, 0);
+            Hir.Alu (Aadd, v 1, v 0, Imm 5L);
+            Hir.Alu (Aadd, v 2, v 1, Imm (-5L));
+            Hir.Strf (0, v 2);
+            Hir.Exit 0;
+          |]));
+  List.iter
+    (fun (what, p) -> Alcotest.(check bool) what true (Region.retarget_copies p = p))
+    [
+      ("second use kept", Array.concat [ sub1; [| Hir.Strf (8, v 1) |]; tail ]);
+      ( "non-adjacent kept",
+        [|
+          Hir.Label 0;
+          Hir.Ldrf (v 0, 0);
+          Hir.Alu (Aadd, v 1, v 0, Imm (-2L));
+          Hir.Strf (8, Hir.Preg 0);
+          Hir.Alu (Aadd, v 0, v 1, Imm 1L);
+          Hir.Strf (0, v 0);
+          Hir.Exit 0;
+        |] );
+    ]
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "hostir-absint",
@@ -852,6 +1137,8 @@ let suite =
         test_effects_single_source;
       Alcotest.test_case "pure helper transparent to writeback discipline" `Quick
         test_pure_call_transparent;
+      Alcotest.test_case "as-switch transparent to writeback discipline" `Quick
+        test_as_switch_transparent;
       Alcotest.test_case "simplify folds decided branches" `Quick test_simplify_folds_branch;
       Alcotest.test_case "simplify folds constants" `Quick test_simplify_folds_consts;
       Alcotest.test_case "simplify drops redundant masks" `Quick test_simplify_drops_masks;
@@ -870,6 +1157,16 @@ let suite =
       Alcotest.test_case "self-loop threading terminates" `Quick test_thread_self_loop;
       Alcotest.test_case "single-use copy retargeted" `Quick test_retarget_copy;
       Alcotest.test_case "PC increment sunk across a branch" `Quick test_coalesce_sinks_inc_pc;
+      Alcotest.test_case "copy propagates across a label" `Quick test_copy_prop_across_label;
+      Alcotest.test_case "copy killed at a join that redefines a side" `Quick
+        test_copy_prop_killed_at_join;
+      Alcotest.test_case "copy propagation spares the writeback map and flushes" `Quick
+        test_copy_prop_spares_pinned;
+      Alcotest.test_case "copy of a promoted register stops at a barrier" `Quick
+        test_copy_prop_stops_at_barrier;
+      Alcotest.test_case "negated branch inverted, its jump pair gone" `Quick
+        test_negated_branch_inverted;
+      Alcotest.test_case "add chain folded" `Quick test_add_chain_folded;
       Alcotest.test_case "conditional-branch loop skips its dispatch" `Quick test_region_cond_loop;
       Alcotest.test_case "PC-writing call blocks the relative rewrite" `Quick
         test_region_call_blocks_rewrite;

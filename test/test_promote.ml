@@ -55,6 +55,31 @@ let test_promotion_rewrite () =
       V.check_wb_exn ~promoted out;
       raise Not_found)
 
+(* The cost model prices only barrier calls: a loop whose calls are an
+   address-space switch and a softfloat helper keeps its counter in a
+   register with no flush or reload around them, while the same loop
+   with every helper a clobber is not worth promoting. *)
+let test_cost_model_prices_barriers () =
+  let stream =
+    [|
+      H.Label 0;
+      H.Ldrf (v 0, 8);
+      H.Alu (H.Aadd, v 0, v 0, H.Imm 1L);
+      H.Call (Hostir.Effects.h_as_switch, [| v 0 |], None);
+      H.Call (Hostir.Effects.first_softfloat, [| v 0 |], Some (v 1));
+      H.Strf (8, v 0);
+      H.Br (v 1, 0, 1);
+      H.Label 1;
+      H.Exit 1;
+    |]
+  in
+  let _, promoted, _ = P.run stream in
+  Alcotest.(check int) "every call a barrier: not promoted" 0 (List.length promoted);
+  let out, promoted, _ = P.run ~classify:Hostir.Effects.classify stream in
+  Alcotest.(check int) "transparent calls: promoted" 1 (List.length promoted);
+  Alcotest.(check int) "no register-file access but the prologue" 1
+    (count (function H.Ldrf _ | H.Strf _ -> true | _ -> false) out)
+
 let test_store_forward_width () =
   (* A 32-bit store forwarded into a 32-bit load must zero-extend: the
      stored operand may carry garbage above bit 31. *)
@@ -327,6 +352,8 @@ let suite =
   ( "promote",
     [
       Alcotest.test_case "promotion rewrite + writeback map" `Quick test_promotion_rewrite;
+      Alcotest.test_case "cost model prices barrier calls only" `Quick
+        test_cost_model_prices_barriers;
       Alcotest.test_case "store-to-load forward widths" `Quick test_store_forward_width;
       Alcotest.test_case "redundant load + alias kill" `Quick test_redundant_load_and_alias_kill;
       Alcotest.test_case "rf forwarding + canonicalize" `Quick test_rf_forward_and_canonicalize;

@@ -345,6 +345,79 @@ let test_rejects_multi_use_retarget () =
   Alcotest.(check bool) "mutation applied" true !hit;
   expect_rejected "multi-use retarget" bad
 
+(* A loop that bumps rf[8] on both sides of a helper call [h].  The
+   address-space switch cannot observe the register file, so the
+   promoted counter stays dirty across it; a clobber helper is a
+   barrier, so Promote flushes the counter before it and reloads it
+   after. *)
+let call_stream h =
+  [|
+    Hir.Label 0;
+    Hir.Ldrf (v 0, 8);
+    Hir.Alu (Aadd, v 0, v 0, Imm 1L);
+    Hir.Strf (8, v 0);
+    Hir.Call (h, [| Hir.Preg 0 |], None);
+    Hir.Ldrf (v 1, 8);
+    Hir.Alu (Aadd, v 1, v 1, Imm 2L);
+    Hir.Strf (8, v 1);
+    Hir.Br (v 1, 0, 1);
+    Hir.Label 1;
+    Hir.Exit 1;
+  |]
+
+let classify = Hostir.Effects.classify
+
+let check_calls ~opt h = E.check ~classify ~init_pc:(S.Const 0x1000L) ~opt ~reference:(call_stream h) ()
+
+let promote_calls h =
+  match P.run ~classify (call_stream h) with
+  | out, [ (pv, 8) ], _ -> (out, pv)
+  | _ -> Alcotest.fail "rf[8] not promoted"
+
+let call_rf_rejected what r =
+  Alcotest.(check bool) (what ^ " rejected") false r.E.ok;
+  Alcotest.(check bool) (what ^ ": call-rf finding") true
+    (List.exists (fun f -> f.E.f_name = "call-rf") r.E.findings)
+
+(* Across an as-switch call the validator compares the architectural
+   register file (the raw one with the writeback map applied), so a
+   promoted value that is wrong only at the call — bumped before it and
+   restored after, leaving every exit state intact — is still caught. *)
+let test_rejects_wrong_value_at_as_switch () =
+  let h = Hostir.Effects.h_as_switch in
+  let out, pv = promote_calls h in
+  Alcotest.(check bool) "no flush before the call" false
+    (Array.exists (function Hir.Strf (8, _) -> true | _ -> false) out);
+  let r = check_calls ~opt:out h in
+  if not r.E.ok then
+    Alcotest.failf "promoted loop rejected: %s"
+      (String.concat "\n" (List.map (fun f -> f.E.f_name ^ ": " ^ f.E.f_detail) r.E.findings));
+  let bad =
+    Array.concat
+      (List.map
+         (function
+           | Hir.Call (h', _, _) as c when h' = h ->
+             [| Hir.Alu (Aadd, v pv, v pv, Imm 1L); c; Hir.Alu (Aadd, v pv, v pv, Imm (-1L)) |]
+           | ins -> [| ins |])
+         (Array.to_list out))
+  in
+  call_rf_rejected "wrong value at the as-switch call" (check_calls ~opt:bad h)
+
+(* A barrier helper reads the raw register file: dropping the flush in
+   front of it is caught at the call, although the reload after the
+   clobber hides it from every exit. *)
+let test_rejects_dropped_flush () =
+  let h = Hostir.Effects.h_take_exception in
+  let out, pv = promote_calls h in
+  let r = check_calls ~opt:out h in
+  Alcotest.(check bool) "promoted loop validates" true r.E.ok;
+  let bad =
+    mutate1 "flush-drop"
+      (function Hir.Strf (8, Hir.Vreg p) when p = pv -> Some (Hir.Label 99) | _ -> None)
+      out
+  in
+  call_rf_rejected "dropped flush" (check_calls ~opt:bad h)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "symexec",
@@ -359,4 +432,8 @@ let suite =
       Alcotest.test_case "widened store rejected" `Quick test_rejects_widened_store;
       Alcotest.test_case "rewritten promoted loop validates" `Quick test_equiv_accepts_rewrites;
       Alcotest.test_case "multi-use copy retarget rejected" `Quick test_rejects_multi_use_retarget;
+      Alcotest.test_case "wrong value carried into an as-switch call rejected" `Quick
+        test_rejects_wrong_value_at_as_switch;
+      Alcotest.test_case "dropped flush before a clobber call rejected" `Quick
+        test_rejects_dropped_flush;
     ] )

@@ -277,6 +277,90 @@ let test_block_limit_in_region () =
   Alcotest.(check bool) "at most one block past the limit" true
     (e.CE.stats.CE.blocks_executed <= max_blocks + 1)
 
+(* An EL1 loop with the MMU on that alternates between the two halves
+   of the address space: running from the upper (TTBR1) half it loads
+   and stores through a lower-half (TTBR0) identity mapping, so each
+   iteration crosses between the halves twice and the address-space
+   guard's slow path calls the as-switch helper each time.  Page tables as the mini-OS builds them: TTBR1
+   maps PA 0 as one 1 GiB block at [kva 0], TTBR0 maps PA 0..2 MiB as an
+   identity block. *)
+let kva p = Int64.add 0xFFFF_FF80_0000_0000L p
+
+let split_halves_image iters =
+  let a = A.create ~base:0x80000L () in
+  let block_desc = 0x401L (* AF | block *) in
+  A.mov_const a A.x0 0x10000L;
+  A.mov_const a A.x1 block_desc;
+  A.str a A.x1 A.x0;
+  A.mov_const a A.x0 0x11000L;
+  A.mov_const a A.x1 0x12003L (* table *);
+  A.str a A.x1 A.x0;
+  A.mov_const a A.x0 0x12000L;
+  A.mov_const a A.x1 block_desc;
+  A.str a A.x1 A.x0;
+  A.mov_const a A.x0 0x11000L;
+  A.msr_ttbr0 a A.x0;
+  A.mov_const a A.x0 0x10000L;
+  A.msr_ttbr1 a A.x0;
+  A.movz a A.x0 1;
+  A.msr_sctlr a A.x0;
+  A.isb a;
+  A.mov_const a A.x0 (kva 0x80200L);
+  A.br a A.x0;
+  A.pad_to a 0x200;
+  A.mov_const a A.x20 0x88000L;
+  A.mov_const a A.x21 (kva 0x89000L);
+  A.movz a A.x0 0;
+  A.movz a A.x3 7;
+  A.str a A.x3 A.x20;
+  A.mov_const a A.x19 (Int64.of_int iters);
+  A.label a "loop";
+  A.ldr a A.x1 A.x20;
+  A.add_reg a A.x0 A.x0 A.x1;
+  A.add_imm a A.x1 A.x1 3;
+  A.str a A.x1 A.x21;
+  A.ldr a A.x2 A.x21;
+  A.eor_reg a A.x0 A.x0 A.x2;
+  A.str a A.x0 A.x20;
+  A.subs_imm a A.x19 A.x19 1;
+  A.cbnz a A.x19 "loop";
+  A.mov_const a A.x25 (kva syscon);
+  A.str a A.x0 A.x25;
+  A.label a "__hang";
+  A.b a "__hang";
+  A.assemble a
+
+let test_as_switch_in_promoted_loop () =
+  let iters = 500 in
+  let image = split_halves_image iters in
+  let e = CE.create ~config:{ CE.default_config with hot_threshold = 8 } (guest ()) in
+  (* Count the slow path: wrap the engine's as-switch helper. *)
+  let switches = ref 0 in
+  let helpers = e.CE.ctx.Hostir.Exec.helpers in
+  let h = helpers.(Hostir.Effects.h_as_switch) in
+  helpers.(Hostir.Effects.h_as_switch) <-
+    { h with Hostir.Exec.fn = (fun ctx args -> incr switches; h.Hostir.Exec.fn ctx args) };
+  CE.load_image e ~addr:0x80000L image;
+  CE.set_entry e 0x80000L;
+  let code = match CE.run ~max_cycles:200_000_000 e with CE.Poweroff c -> c | _ -> -1 in
+  let r = Captive.Reference.create (guest ()) in
+  Captive.Reference.load_image r ~addr:0x80000L image;
+  Captive.Reference.set_entry r 0x80000L;
+  let code_r =
+    match Captive.Reference.run ~max_instrs:1_000_000 r with
+    | Captive.Reference.Poweroff c -> c
+    | _ -> -1
+  in
+  Alcotest.(check int) "exit code = reference" code_r code;
+  Alcotest.(check bool) "loop ran as a promoted region" true
+    (e.CE.stats.CE.rf_promoted > 0 && e.CE.stats.CE.region_block_execs >= iters / 2);
+  Alcotest.(check bool) "two address-space switches per iteration" true (!switches >= 2 * iters);
+  (* X0-X30 and NZCV, written back from the promoted registers *)
+  let gprs rf = List.init 31 (fun i -> Bytes.get_int64_le rf (8 * i)) in
+  Alcotest.(check (list int64)) "registers = reference"
+    (gprs (Captive.Reference.regfile r))
+    (gprs e.CE.ctx.Hostir.Exec.regfile)
+
 let suite =
   ( "tiered",
     [
@@ -288,5 +372,7 @@ let suite =
       Alcotest.test_case "masked IRQ does not livelock a region" `Quick test_masked_irq_no_livelock;
       Alcotest.test_case "cycle limit inside a promoted region" `Quick test_cycle_limit_in_region;
       Alcotest.test_case "block limit inside a promoted region" `Quick test_block_limit_in_region;
+      Alcotest.test_case "promoted loop across as-switch calls = reference" `Quick
+        test_as_switch_in_promoted_loop;
       QCheck_alcotest.to_alcotest prop_region_vs_block;
     ] )
