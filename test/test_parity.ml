@@ -48,15 +48,15 @@ let expected : (string * int list) list =
   [
     ("arm/default",
       [
-        31; 2116943; 109635; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 59; 1; 8127; 0;
-        2; 1; 3; 3; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 20; 0; 1; 109635; 80295; 29340; 43;
-        205; 0; 0; 68; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        31; 2112783; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
+        1; 4; 4; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43; 205;
+        0; 0; 68; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/no-templates",
       [
-        31; 2800194; 792920; 43; 205; 1833; 11592; 5; 0; 8261; 76; 1; 1; 1; 1; 59; 1; 8127; 0;
-        2; 1; 3; 3; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 20; 0; 1; 792920; 0; 792920; 0; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        31; 2796034; 788760; 43; 205; 1833; 11592; 5; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
+        1; 4; 4; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 24; 0; 3; 788760; 0; 788760; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/no-tiering",
       [
@@ -66,20 +66,20 @@ let expected : (string * int list) list =
       ]);
     ("arm/trust-stack",
       [
-        31; 2116943; 109635; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 59; 1; 8127; 0;
-        2; 1; 3; 3; 0; 0; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 20; 0; 1; 109635; 80295; 29340; 43;
+        31; 2112783; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
+        1; 4; 4; 0; 0; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43;
         205; 0; 0; 68; 43; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/aot-cold",
       [
-        31; 2116943; 109635; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 59; 1; 8127; 0;
-        2; 1; 3; 3; 0; 0; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 20; 0; 1; 109635; 80295; 29340; 43;
+        31; 2112783; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
+        1; 4; 4; 0; 0; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43;
         205; 0; 0; 68; 43; 1; 0; 0; 1; 44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/aot-warm",
       [
-        31; 2009983; 2675; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 59; 1; 8127; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 2675; 2611; 64; 43; 205; 0; 0;
+        31; 2009979; 2671; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 2671; 2611; 60; 43; 205; 0; 0;
         0; 43; 1; 0; 44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("riscv/default",
