@@ -329,14 +329,14 @@ let template_front (e : t) (acc : acc) (req : request) (decoded, undefined) : re
 (* Tier 1: translate a region of blocks on one page as one unit.
    Intra-region control flow becomes a PC-compare dispatch per member,
    straightened into direct jumps where the target is static, with no
-   per-block prologue.  Members keep their own tier-0 cache entries (the region
-   replaces only the head's), so a mid-region exit falls back to
-   block-at-a-time execution; every member entry begins with a [Poll]
-   safepoint, so interrupts, regime changes (the poison register) and
-   the run loop's cycle/block budgets are honoured at block granularity
-   exactly like the baseline dispatch loop.  Reads nothing but [je] and
-   [req], so it runs on a worker domain or inline on the vCPU.
-   Exceptions (a writeback-discipline violation from
+   per-block prologue.  Members keep their own tier-0 cache entries
+   (the region replaces only the head's), so a mid-region exit falls
+   back to block-at-a-time execution; every member entry begins with a
+   [Poll] safepoint, so interrupts, regime changes (the poison
+   register) and the run loop's cycle/block budgets are honoured at
+   block granularity exactly like the baseline dispatch loop.  Reads
+   nothing but [je] and [req], so it runs on a worker domain or inline
+   on the vCPU.  Exceptions (a writeback-discipline violation from
    [Verify.check_wb_exn]) propagate to the caller; on the async path
    the pool hands them back as [Error]. *)
 let region_front (je : jit_env) (req : request) : result =
@@ -404,10 +404,9 @@ let region_front (je : jit_env) (req : request) : result =
             l_d targets
         in
         dispatch := (l_d, List.map fst targets, l_exit) :: !dispatch;
-        (* Slot mi+1: this member's own exit site, so the engine can
-           patch a per-site chain edge (slot 0 = safepoint bail,
-           never chained).  [l_exit] labels it, so an edge whose PC is
-           known to match no target can skip the compares. *)
+        (* Slot mi+1: this member's own exit site, labelled [l_exit],
+           so the engine can patch a per-site chain edge (slot 0 =
+           safepoint bail, never chained). *)
         Dag.raw dag (Hir.Exit (mi + 1))
       end)
     entries;

@@ -719,80 +719,6 @@ let copy_prop ~classify (instrs : instr array) : instr array =
   Array.iteri (fun b m -> Option.iter (fun m -> ignore (block b m (fun i ins -> out.(i) <- ins))) m) entry;
   out
 
-(* A [Jmp] to a block that is nothing but labels and a [Br] takes the
-   [Br] itself: the condition is read at the same value, and the jump's
-   executed host instruction is gone.  A jump to the next instruction
-   is left for [Region.thread_jumps] to delete. *)
-let branch_to_branch (instrs : instr array) : instr array =
-  let n = Array.length instrs in
-  let label_idx = Cfg.label_index instrs in
-  let rec br_after i =
-    if i >= n then None
-    else match instrs.(i) with Label _ -> br_after (i + 1) | Br _ as br -> Some br | _ -> None
-  in
-  let rec falls_to l i =
-    i < n && match instrs.(i) with Label l' -> l' = l || falls_to l (i + 1) | _ -> false
-  in
-  Array.mapi
-    (fun i ins ->
-      match ins with
-      | Jmp l when not (falls_to l (i + 1)) -> (
-        match Option.bind (Hashtbl.find_opt label_idx l) br_after with
-        | Some br -> br
-        | None -> ins)
-      | _ -> ins)
-    instrs
-
-(* A zero test feeding only a branch is the branch: [setne v <- c, $0;
-   br v, A, B] becomes [br c, A, B], and [sete v <- c, $0; br v, A, B]
-   inverts instead of negating, to [br c, B, A].  The branch must be
-   the test's one use, later in the same block, with nothing in between
-   writing [c]; the test itself goes ([v] has no other definition). *)
-let invert_branches (instrs : instr array) : instr array =
-  let n = Array.length instrs in
-  let count tbl = function
-    | Vreg v -> Hashtbl.replace tbl v (1 + Option.value (Hashtbl.find_opt tbl v) ~default:0)
-    | _ -> ()
-  in
-  let defs = Hashtbl.create 64 and uses = Hashtbl.create 64 in
-  Array.iter
-    (fun ins ->
-      Option.iter (count defs) (dest ins);
-      List.iter (count uses) (sources ins))
-    instrs;
-  let once tbl v = Hashtbl.find_opt tbl v = Some 1 in
-  let out = Array.copy instrs and gone = Array.make n false in
-  let rec find_br v c j =
-    if j >= n then None
-    else
-      match instrs.(j) with
-      | Br (Vreg v', t, f) when v' = v -> Some (j, t, f)
-      | Label _ | Jmp _ | Br _ | Exit _ -> None
-      | ins when dest ins = Some c -> None
-      | _ -> find_br v c (j + 1)
-  in
-  Array.iteri
-    (fun i ins ->
-      let zero_test =
-        match ins with
-        | Setcc (((Ceq | Cne) as cc), Vreg v, (Vreg _ as c), Imm 0L)
-        | Setcc (((Ceq | Cne) as cc), Vreg v, Imm 0L, (Vreg _ as c)) ->
-          Some (cc, v, c)
-        | _ -> None
-      in
-      match zero_test with
-      | Some (cc, v, c) when once defs v && once uses v -> (
-        match find_br v c (i + 1) with
-        | Some (j, t, f) ->
-          gone.(i) <- true;
-          out.(j) <- (if cc = Ceq then Br (c, f, t) else Br (c, t, f))
-        | None -> ())
-      | _ -> ())
-    instrs;
-  if Array.exists Fun.id gone then
-    Array.of_list (List.filteri (fun i _ -> not gone.(i)) (Array.to_list out))
-  else instrs
-
 (* The O4 absint-simplify pass: runs on the flattened, promoted region
    stream before register allocation.  Rewrites are fact-driven and
    per-instruction, so the promoted-register discipline (rechecked by
@@ -873,13 +799,14 @@ let simplify ?(classify = default_classify) (instrs : instr array) :
      the branch, and threading runs again. *)
   let jmps p = Array.fold_left (fun k -> function Jmp _ -> k + 1 | _ -> k) 0 p in
   let threaded =
-    Region.thread_jumps out |> Region.coalesce_inc_pc |> branch_to_branch |> Region.thread_jumps
+    Region.thread_jumps out |> Region.coalesce_inc_pc |> Region.jump_to_branch
+    |> Region.thread_jumps
   in
   stats.jumps_threaded <- jmps out - jmps threaded;
   (* With the jumps gone, copies meet across labels that were only
      seams; the moves they leave dead go, and a zero test whose copies
      resolved becomes its branch. *)
-  let propagated = dead_code (copy_prop ~classify threaded) stats |> invert_branches in
+  let propagated = dead_code (copy_prop ~classify threaded) stats |> Region.invert_branches in
   let retargeted = Region.retarget_copies propagated in
   stats.copies_retargeted <- Array.length propagated - Array.length retargeted;
   (retargeted, stats)

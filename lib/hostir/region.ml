@@ -22,9 +22,11 @@
 
    - [coalesce_inc_pc] defers guest-PC increments to the next observation
      point, across branches into arms only they reach, eliminating the
-     per-instruction PC sync inside a member;
+     per-instruction PC sync inside a member.
 
-   All passes are pure functions of the instruction stream, so regions
+   absint-simplify's tail reuses [thread_jumps] and [coalesce_inc_pc]
+   and adds the peepholes [jump_to_branch], [invert_branches] and
+   [retarget_copies].  All passes are pure functions of the instruction stream, so regions
    stay deterministic and observation-free for the sanitizer's guard. *)
 
 open Hir
@@ -212,18 +214,23 @@ let prune_unreachable (instrs : instr array) : instr array =
    chunks (a self-loop [Label l; Jmp l]) resolves to a label on the
    cycle.  Labels stay as placeholders; one a jump no longer names
    becomes an unreferenced marker. *)
+(* The first instruction from [i] on that is not a label. *)
+let rec past_labels (instrs : instr array) i =
+  if i >= Array.length instrs then None
+  else match instrs.(i) with Label _ -> past_labels instrs (i + 1) | ins -> Some ins
+
+(* Whether nothing but labels, one of them [l], lie from [i] on: a jump
+   to [l] just before [i] falls through. *)
+let rec falls_to (instrs : instr array) l i =
+  i < Array.length instrs
+  && match instrs.(i) with Label l' -> l' = l || falls_to instrs l (i + 1) | _ -> false
+
 let thread_jumps (instrs : instr array) : instr array =
-  let n = Array.length instrs in
   let label_idx = Cfg.label_index instrs in
-  (* The target of a [Jmp] that follows nothing but labels from [i]. *)
-  let rec jump_after i =
-    if i >= n then None
-    else match instrs.(i) with Label _ -> jump_after (i + 1) | Jmp l -> Some l | _ -> None
-  in
   let rec final seen l =
     match Hashtbl.find_opt label_idx l with
     | Some i when not (Iset.mem l seen) -> (
-      match jump_after i with Some l' -> final (Iset.add l seen) l' | None -> l)
+      match past_labels instrs i with Some (Jmp l') -> final (Iset.add l seen) l' | _ -> l)
     | _ -> l
   in
   let threaded =
@@ -235,16 +242,78 @@ let thread_jumps (instrs : instr array) : instr array =
            | ins -> ins)
          instrs)
   in
-  let rec falls_to l i =
-    i < Array.length threaded
-    && match threaded.(i) with Label l' -> l' = l || falls_to l (i + 1) | _ -> false
-  in
   let keep = ref [] in
   Array.iteri
     (fun i ins ->
-      match ins with Jmp l when falls_to l (i + 1) -> () | _ -> keep := ins :: !keep)
+      match ins with Jmp l when falls_to threaded l (i + 1) -> () | _ -> keep := ins :: !keep)
     threaded;
   Array.of_list (List.rev !keep)
+
+(* A [Jmp] to a block that is nothing but labels and a [Br] takes the
+   [Br] itself: the condition is read at the same value, and the jump's
+   executed host instruction is gone.  A jump to the next instruction
+   is left for [thread_jumps] to delete. *)
+let jump_to_branch (instrs : instr array) : instr array =
+  let label_idx = Cfg.label_index instrs in
+  Array.mapi
+    (fun i ins ->
+      match ins with
+      | Jmp l when not (falls_to instrs l (i + 1)) -> (
+        match Option.bind (Hashtbl.find_opt label_idx l) (past_labels instrs) with
+        | Some (Br _ as br) -> br
+        | _ -> ins)
+      | _ -> ins)
+    instrs
+
+(* [temp instrs v]: vreg [v] has exactly one definition and one use in
+   [instrs], a writeback map's mention counting as a use. *)
+let temp (instrs : instr array) : int -> bool =
+  let defs = Hashtbl.create 64 and uses = Hashtbl.create 64 in
+  let bump tbl = function
+    | Vreg v -> Hashtbl.replace tbl v (1 + Option.value (Hashtbl.find_opt tbl v) ~default:0)
+    | _ -> ()
+  in
+  Array.iter
+    (fun ins ->
+      Option.iter (bump defs) (dest ins);
+      List.iter (bump uses) (sources ins))
+    instrs;
+  fun v -> Hashtbl.find_opt defs v = Some 1 && Hashtbl.find_opt uses v = Some 1
+
+(* A zero test feeding only a branch is the branch: [setne v <- c, $0;
+   br v, A, B] becomes [br c, A, B], and [sete v <- c, $0; br v, A, B]
+   inverts instead of negating, to [br c, B, A].  The branch must be
+   the test's one use, later in the same block, with nothing in between
+   writing [c]; the test itself goes ([v] has no other definition). *)
+let invert_branches (instrs : instr array) : instr array =
+  let n = Array.length instrs in
+  let temp = temp instrs in
+  let out = Array.copy instrs and gone = Array.make n false in
+  let rec find_br v c j =
+    if j >= n then None
+    else
+      match instrs.(j) with
+      | Br (Vreg v', t, f) when v' = v -> Some (j, t, f)
+      | Label _ | Jmp _ | Br _ | Exit _ -> None
+      | ins when dest ins = Some c -> None
+      | _ -> find_br v c (j + 1)
+  in
+  Array.iteri
+    (fun i ins ->
+      match ins with
+      | Setcc (((Ceq | Cne) as cc), Vreg v, (Vreg _ as c), Imm 0L)
+      | Setcc (((Ceq | Cne) as cc), Vreg v, Imm 0L, (Vreg _ as c))
+        when temp v -> (
+        match find_br v c (i + 1) with
+        | Some (j, t, f) ->
+          gone.(i) <- true;
+          out.(j) <- (if cc = Ceq then Br (c, f, t) else Br (c, t, f))
+        | None -> ())
+      | _ -> ())
+    instrs;
+  if Array.exists Fun.id gone then
+    Array.of_list (List.filteri (fun i _ -> not gone.(i)) (Array.to_list out))
+  else instrs
 
 (* Copy retargeting and add-chain folding, in one sweep over adjacent
    pairs whose first instruction defines a temporary [v_s] with exactly
@@ -265,17 +334,7 @@ let thread_jumps (instrs : instr array) : instr array =
    A merged instruction is the first of the next pair, so a chain folds
    in one sweep. *)
 let retarget_copies (instrs : instr array) : instr array =
-  let defs = Hashtbl.create 64 and uses = Hashtbl.create 64 in
-  let bump tbl = function
-    | Vreg v -> Hashtbl.replace tbl v (1 + Option.value (Hashtbl.find_opt tbl v) ~default:0)
-    | _ -> ()
-  in
-  Array.iter
-    (fun ins ->
-      Option.iter (bump defs) (dest ins);
-      List.iter (bump uses) (sources ins))
-    instrs;
-  let temp s = Hashtbl.find_opt defs s = Some 1 && Hashtbl.find_opt uses s = Some 1 in
+  let temp = temp instrs in
   let add_imm = function
     | Alu (Aadd, d, (Vreg _ | Preg _ as a), Imm k) | Alu (Aadd, d, Imm k, (Vreg _ | Preg _ as a)) ->
       Some (d, a, k)

@@ -17,6 +17,16 @@ val prune_unreachable : Hir.instr array -> Hir.instr array
    by falling through nothing but labels. *)
 val thread_jumps : Hir.instr array -> Hir.instr array
 
+(* Replace each [Jmp] to a block holding only labels and a [Br] with
+   that [Br], unless the jump falls through to its target. *)
+val jump_to_branch : Hir.instr array -> Hir.instr array
+
+(* Turn [setne v <- c, $0; ...; br v, A, B] into [...; br c, A, B] and
+   [sete v <- c, $0; ...; br v, A, B] into [...; br c, B, A], when vreg
+   [v] has one definition and one use, the branch is in the same block
+   and nothing in between writes [c]. *)
+val invert_branches : Hir.instr array -> Hir.instr array
+
 (* Rewrite an adjacent [op v_s <- ...; mov d <- v_s] into
    [op d <- ...], and an adjacent [add v_s <- a, $k1; add d <- v_s, $k2]
    into [add d <- a, $(k1+k2)], when vreg [v_s] has exactly one
