@@ -708,15 +708,17 @@ let copy_prop ~classify (instrs : instr array) : instr array =
     done;
     !m
   in
+  let meet _ x y = match (x, y) with Some x, Some y when x = y -> Some x | _ -> None in
   let entry =
     Cfg.forward cfg ~seeds:[ (0, Imap.empty) ]
-      ~merge:(fun ~head:_ a b ->
-        Imap.merge (fun _ x y -> match (x, y) with Some x, Some y when x = y -> Some x | _ -> None) a b)
+      ~merge:(fun ~head:_ a b -> Imap.merge meet a b)
       ~equal:(Imap.equal ( = ))
       ~transfer:(fun b m -> block b m (fun _ _ -> ()))
   in
   let out = Array.copy instrs in
-  Array.iteri (fun b m -> Option.iter (fun m -> ignore (block b m (fun i ins -> out.(i) <- ins))) m) entry;
+  Array.iteri
+    (fun b m -> Option.iter (fun m -> ignore (block b m (fun i ins -> out.(i) <- ins))) m)
+    entry;
   out
 
 (* The O4 absint-simplify pass: runs on the flattened, promoted region

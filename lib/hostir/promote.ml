@@ -11,11 +11,12 @@
      ([Effects.barrier]) flush dirty promoted values before the call
      and reload everything after, since such helpers read and write the
      register file directly; pure softfloat helpers and the
-     address-space switch pass through untouched.  Faults, [Poll] exits and [Exit]s are
-     covered instead by the [Wbmap] appended to the stream, which the
-     executor applies before the register file becomes observable, so
-     a [Mem_ld]/[Mem_st] fault anywhere in the region still delivers an
-     architecturally consistent register state.
+     address-space switch pass through untouched.  Faults, [Poll] exits
+     and [Exit]s are covered instead by the [Wbmap] appended to the
+     stream, which the executor applies before the register file
+     becomes observable, so a [Mem_ld]/[Mem_st] fault anywhere in the
+     region still delivers an architecturally consistent register
+     state.
 
    - copy propagation: forward substitution within a basic block so a
      promoted load's residue ([Mov (d, pv)]) leaves [d] unused and the
@@ -88,10 +89,11 @@ let loop_weights (instrs : instr array) : int array =
    that are entered often but left quickly — there the barriers and
    writebacks outweigh the interior savings.  Only barrier calls
    ([Effects.barrier]) are priced: a pure softfloat call or an
-   address-space switch costs a promoted register nothing.  Offsets overlapping
-   another accessed offset are excluded outright: [Ldrf]/[Strf] move 8
-   bytes, so offsets closer than 8 bytes alias through the register
-   file and caching one would miss accesses to the other. *)
+   address-space switch costs a promoted register nothing.  Offsets
+   overlapping another accessed offset are excluded outright:
+   [Ldrf]/[Strf] move 8 bytes, so offsets closer than 8 bytes alias
+   through the register file and caching one would miss accesses to
+   the other. *)
 let pick_candidates ~max_regs ~classify (instrs : instr array) : int list =
   let w = loop_weights instrs in
   let score = Hashtbl.create 16 and dirty = Hashtbl.create 16 in

@@ -193,7 +193,13 @@ let test_effects_single_source () =
   (* the one writeback-barrier test *)
   List.iter
     (fun (k, b) -> Alcotest.(check bool) (Ef.kind_to_string k ^ " is a barrier") b (Ef.barrier k))
-    [ (Ef.C_pure, false); (Ef.C_as_switch, false); (Ef.C_read, true); (Ef.C_event, true); (Ef.C_clobber, true) ]
+    [
+      (Ef.C_pure, false);
+      (Ef.C_as_switch, false);
+      (Ef.C_read, true);
+      (Ef.C_event, true);
+      (Ef.C_clobber, true);
+    ]
 
 (* A pure helper is transparent to the writeback discipline: a dirty
    promoted register may stay live across it (flushed before the exit),
@@ -1072,13 +1078,34 @@ let test_negated_branch_inverted () =
   same_execution prog out
 
 let test_add_chain_folded () =
-  let sub1 = [| Hir.Label 0; Hir.Ldrf (v 0, 0); Hir.Alu (Aadd, v 1, v 0, Imm (-2L)); Hir.Alu (Aadd, v 0, v 1, Imm 1L) |] in
+  let sub1 =
+    [|
+      Hir.Label 0;
+      Hir.Ldrf (v 0, 0);
+      Hir.Alu (Aadd, v 1, v 0, Imm (-2L));
+      Hir.Alu (Aadd, v 0, v 1, Imm 1L);
+    |]
+  in
   let tail = [| Hir.Strf (0, v 0); Hir.Exit 0 |] in
   Alcotest.(check (list string)) "sub #1 as one add"
-    (strs [| Hir.Label 0; Hir.Ldrf (v 0, 0); Hir.Alu (Aadd, v 0, v 0, Imm (-1L)); Hir.Strf (0, v 0); Hir.Exit 0 |])
+    (strs
+       [|
+         Hir.Label 0;
+         Hir.Ldrf (v 0, 0);
+         Hir.Alu (Aadd, v 0, v 0, Imm (-1L));
+         Hir.Strf (0, v 0);
+         Hir.Exit 0;
+       |])
     (strs (Region.retarget_copies (Array.append sub1 tail)));
   Alcotest.(check (list string)) "a chain folds in one sweep, its copy too"
-    (strs [| Hir.Label 0; Hir.Ldrf (v 0, 0); Hir.Alu (Aadd, v 4, v 0, Imm 6L); Hir.Strf (0, v 4); Hir.Exit 0 |])
+    (strs
+       [|
+         Hir.Label 0;
+         Hir.Ldrf (v 0, 0);
+         Hir.Alu (Aadd, v 4, v 0, Imm 6L);
+         Hir.Strf (0, v 4);
+         Hir.Exit 0;
+       |])
     (strs
        (Region.retarget_copies
           [|

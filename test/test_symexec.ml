@@ -367,7 +367,8 @@ let call_stream h =
 
 let classify = Hostir.Effects.classify
 
-let check_calls ~opt h = E.check ~classify ~init_pc:(S.Const 0x1000L) ~opt ~reference:(call_stream h) ()
+let check_calls ~opt h =
+  E.check ~classify ~init_pc:(S.Const 0x1000L) ~opt ~reference:(call_stream h) ()
 
 let promote_calls h =
   match P.run ~classify (call_stream h) with

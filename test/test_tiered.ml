@@ -281,9 +281,9 @@ let test_block_limit_in_region () =
    of the address space: running from the upper (TTBR1) half it loads
    and stores through a lower-half (TTBR0) identity mapping, so each
    iteration crosses between the halves twice and the address-space
-   guard's slow path calls the as-switch helper each time.  Page tables as the mini-OS builds them: TTBR1
-   maps PA 0 as one 1 GiB block at [kva 0], TTBR0 maps PA 0..2 MiB as an
-   identity block. *)
+   guard's slow path calls the as-switch helper each time.  Page
+   tables as the mini-OS builds them: TTBR1 maps PA 0 as one 1 GiB
+   block at [kva 0], TTBR0 maps PA 0..2 MiB as an identity block. *)
 let kva p = Int64.add 0xFFFF_FF80_0000_0000L p
 
 let split_halves_image iters =
