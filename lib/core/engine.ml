@@ -54,10 +54,7 @@ let create_core config (guest : Ops.ops) : State.t =
   set Common.h_halt 0 (fun _ _ -> raise (Machine.Powered_off 0));
   (* Fast-forward to the next timer event if one is pending. *)
   set Common.h_wfi 10 (fun ctx _ ->
-      let t = (engine ()).timer in
-      if t.Hvm.Device.Timer.enabled && t.Hvm.Device.Timer.irq_enabled then
-        Machine.charge ctx.Exec.machine (t.Hvm.Device.Timer.value + 1)
-      else Machine.charge ctx.Exec.machine 1000;
+      Machine.wfi ctx.Exec.machine (engine ()).timer;
       0L);
   set Common.h_barrier 0 (fun _ _ -> 0L);
   set Common.h_as_switch 5 (fun ctx args ->

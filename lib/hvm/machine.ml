@@ -243,3 +243,11 @@ let set_page_table t ~root ~pcid ~keep_tlb =
 let irq_pending t =
   sync_devices t;
   Device.Intc.asserted t.intc
+
+(* Wait-for-interrupt: fast-forward guest time to one cycle past the
+   timer's next expiry, or by 1000 cycles when the timer cannot raise an
+   interrupt.  The devices are synced first, so the skip is measured from
+   the timer's value now, not at the last device sync. *)
+let wfi t (timer : Device.Timer.state) =
+  sync_devices t;
+  charge t (if timer.enabled && timer.irq_enabled then timer.value + 1 else 1000)

@@ -185,11 +185,7 @@ let create ?(config = default_config) (guest : Ops.ops) : t =
     {
       Exec.fn =
         (fun ctx _ ->
-          let e = engine () in
-          let t = e.timer in
-          if t.Hvm.Device.Timer.enabled && t.Hvm.Device.Timer.irq_enabled then
-            Machine.charge ctx.Exec.machine (t.Hvm.Device.Timer.value + 1)
-          else Machine.charge ctx.Exec.machine 1000;
+          Machine.wfi ctx.Exec.machine (engine ()).timer;
           0L);
       cost = 10;
     };

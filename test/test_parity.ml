@@ -48,37 +48,37 @@ let expected : (string * int list) list =
   [
     ("arm/default",
       [
-        31; 2112783; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
+        31; 2112711; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
         1; 4; 4; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43; 205;
         0; 0; 68; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/no-templates",
       [
-        31; 2796034; 788760; 43; 205; 1833; 11592; 5; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
+        31; 2795962; 788760; 43; 205; 1833; 11592; 5; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
         1; 4; 4; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 24; 0; 3; 788760; 0; 788760; 0; 0; 0; 0;
         0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/no-tiering",
       [
-        31; 2770854; 763580; 43; 205; 1833; 11592; 5; 0; 8261; 8203; 1; 0; 0; 0; 0; 0; 0; 0; 0;
+        31; 2770782; 763580; 43; 205; 1833; 11592; 5; 0; 8261; 8203; 1; 0; 0; 0; 0; 0; 0; 0; 0;
         0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 763580; 0; 763580; 0; 0; 0; 0;
         0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/trust-stack",
       [
-        31; 2112783; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
+        31; 2112711; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
         1; 4; 4; 0; 0; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43;
         205; 0; 0; 68; 43; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/aot-cold",
       [
-        31; 2112783; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
+        31; 2112711; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
         1; 4; 4; 0; 0; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43;
         205; 0; 0; 68; 43; 1; 0; 0; 1; 44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/aot-warm",
       [
-        31; 2009979; 2671; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 0;
+        31; 2009907; 2671; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 0;
         0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 2671; 2611; 60; 43; 205; 0; 0;
         0; 43; 1; 0; 44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
