@@ -578,6 +578,36 @@ let bechamel_section () =
     ignore (run ());
     (Test.make ~name:"executor: promoted loop region x100" (Staged.stage run), ctx.Hostir.Exec.instrs_executed - n0)
   in
+  (* Guest loads and stores through the executor that hit in the host TLB
+     model (paging on, page mapped and TLB-resident): the executor's
+     memory fast path.  One op is 100 accesses in a straight line. *)
+  let tlb_hit_tests =
+    let open Hostir.Hir in
+    let machine = Hvm.Machine.create ~mem_size:(4 * 1024 * 1024) () in
+    let root = Hvm.Palloc.alloc machine.Hvm.Machine.palloc in
+    let va = 0x40_0000L in
+    Hvm.Pagetable.map machine.Hvm.Machine.mem machine.Hvm.Machine.palloc ~root va 0x10_0000L
+      { Hvm.Pagetable.writable = true; user = true; executable = false };
+    machine.Hvm.Machine.cr3 <- root;
+    machine.Hvm.Machine.paging <- true;
+    ignore (Hvm.Machine.translate machine ~access:Hvm.Machine.Read va);
+    let ctx =
+      Hostir.Exec.create ~machine ~helpers:[||] ~fault_handler:(fun _ _ _ ~bits:_ ~value:_ -> Hostir.Exec.Retry)
+    in
+    let test name access =
+      let body = Array.to_list (Array.make 100 access) in
+      let code =
+        Hostir.Exec.compile
+          (Hostir.Encode.decode_program
+             (Hostir.Encode.encode_stream (Array.of_list ((Mov (Preg 1, Imm va) :: body) @ [ Exit 0 ]))))
+      in
+      Test.make ~name (Staged.stage (fun () -> Hostir.Exec.run ctx code))
+    in
+    [
+      test "executor: TLB-hit load64 x100" (Mem_ld (64, Preg 2, Preg 1));
+      test "executor: TLB-hit store64 x100" (Mem_st (64, Preg 1, Preg 2));
+    ]
+  in
   let benchmark ?per_op test =
     let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:(Some 300) () in
     let results = Benchmark.all cfg Instance.[ monotonic_clock ] test in
@@ -594,7 +624,8 @@ let bechamel_section () =
       ols
   in
   List.iter benchmark ((decode_test :: softfloat_tests) @ (translate_test :: mem_tests));
-  benchmark ~per_op:(exec_instrs, "host instr") exec_test
+  benchmark ~per_op:(exec_instrs, "host instr") exec_test;
+  List.iter (benchmark ~per_op:(100, "access")) tlb_hit_tests
 
 (* --- driver ---------------------------------------------------------------------------------------------------------- *)
 

@@ -136,13 +136,11 @@ let handle_fault (e : t) ctx (access : Machine.access) va ~bits ~value : Exec.fa
     | Some d ->
       (* MMIO: emulated by the hypervisor (an exit from the HVM). *)
       Machine.charge e.machine Cost.soft_interrupt;
-      Machine.sync_devices e.machine;
-      let off = Int64.to_int (Int64.sub pa d.Hvm.Device.base) in
       (match access with
       | Machine.Write ->
-        d.Hvm.Device.write off bits (Option.value value ~default:0L);
+        ignore (Machine.device_access e.machine d ~bits pa (Some (Option.value value ~default:0L)));
         Exec.Mmio_done
-      | Machine.Read | Machine.Exec -> Exec.Mmio_value (d.Hvm.Device.read off bits))
+      | Machine.Read | Machine.Exec -> Exec.Mmio_value (Machine.device_access e.machine d ~bits pa None))
     | None ->
       let phys_page = Bits.align_down pa 4096 in
       let va_page = Bits.align_down va 4096 in

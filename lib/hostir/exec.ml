@@ -84,13 +84,17 @@ external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
-let[@inline] rf_get b off = if Sys.big_endian then bswap64 (get64 b off) else get64 b off
-let[@inline] rf_set b off v = set64 b off (if Sys.big_endian then bswap64 v else v)
+(* Native <-> little-endian, in either direction. *)
+let[@inline] rf_le v = if Sys.big_endian then bswap64 v else v
+let[@inline] rf_get b off = rf_le (get64 b off)
+let[@inline] rf_set b off v = set64 b off (rf_le v)
 
 let rf_read ctx off = Bytes.get_int64_le ctx.regfile off
 let rf_write ctx off v = Bytes.set_int64_le ctx.regfile off v
 
 let check_reg r = if r < 0 || r >= n_regs then invalid_arg "index out of bounds"
+let ok_reg r = r >= 0 && r < n_regs
+let ok_rf off = off >= 0 && off <= regfile_bytes - 8
 
 let get_reg ctx r =
   check_reg r;
@@ -298,14 +302,27 @@ type code = {
    register file: the precise-state step before the world outside the
    translation (fault handler, engine dispatcher) reads it.  Each entry
    costs one cycle, like the [Strf] it stands in for (spilled entries
-   charge their slot read on top). *)
-let flush_wb map ctx =
-  Array.iter
-    (fun (o, off) ->
-      charge ctx 1;
-      ctx.rf_stores <- ctx.rf_stores + 1;
-      rf_write ctx off (rd ctx o))
-    map
+   charge their slot read on top).  A map of physical registers only,
+   the common case, is compiled into offset arrays and copies unboxed. *)
+let flush_wb map =
+  let n = Array.length map in
+  if Array.for_all (function Preg r, off -> ok_reg r && ok_rf off | _ -> false) map then begin
+    let regs = Array.map (function Preg r, _ -> 8 * r | _ -> assert false) map in
+    let offs = Array.map snd map in
+    fun ctx ->
+      charge ctx n;
+      ctx.rf_stores <- ctx.rf_stores + n;
+      for i = 0 to n - 1 do
+        rf_set ctx.regfile (Array.unsafe_get offs i) (get64 ctx.regs (Array.unsafe_get regs i))
+      done
+  end
+  else fun ctx ->
+    Array.iter
+      (fun (o, off) ->
+        charge ctx 1;
+        ctx.rf_stores <- ctx.rf_stores + 1;
+        rf_write ctx off (rd ctx o))
+      map
 
 (* Hand a host page fault to the engine; returns the index to continue at. *)
 let deliver_fault ctx wb ins idx va access =
@@ -331,6 +348,10 @@ let deliver_fault ctx wb ins idx va access =
     | _ -> invalid_arg "Mmio_value for a non-load")
   | Mmio_done -> idx + 1
 
+(* [Machine.irq_pending]'s own first test, made here so that a poll in
+   the quiet window makes no call. *)
+let[@inline] quiet_over m = m.Machine.cycles - m.Machine.jit_cycles >= m.Machine.quiet_until
+
 (* Region safepoint.  An IRQ the dispatcher could not deliver (the guest
    masks it) is held: the first [Poll] after dispatch ignores it, so the
    translation always makes progress; later ones see it again, so an
@@ -342,7 +363,7 @@ let[@inline] poll ctx wb slot next =
     get64 ctx.regs (8 * region_poison_preg) <> 0L
     || ctx.poll_budget <= 0
     || ctx.machine.Machine.cycles >= ctx.poll_deadline
-    || (Machine.irq_pending ctx.machine && not held)
+    || (quiet_over ctx.machine && Machine.irq_pending ctx.machine && not held)
   then begin
     wb ctx;
     lnot slot
@@ -351,6 +372,88 @@ let[@inline] poll ctx wb slot next =
     ctx.poll_budget <- ctx.poll_budget - 1;
     next
   end
+
+(* --- the memory fast path ---------------------------------------------
+
+   A register-addressed load or store that hits in the host TLB model
+   with its permissions passing, on plain RAM and inside one frame, is
+   completed here without a call into [Machine] and with no allocation.
+   It bumps exactly what [Machine.mem_read]/[mem_write] would: [mem_ops],
+   [Cost.mem_access] and, with paging on, the TLB's hit count.  Every
+   other access (a miss, a fault, MMIO, out of RAM, a frame straddle)
+   takes the unchanged [Machine] path. *)
+
+module Mem = Hvm.Mem
+module Tlb = Hvm.Tlb
+
+external ram_get16 : Mem.frame -> int -> int = "%caml_bigstring_get16u"
+external ram_get32 : Mem.frame -> int -> int32 = "%caml_bigstring_get32u"
+external ram_get64 : Mem.frame -> int -> int64 = "%caml_bigstring_get64u"
+external ram_set16 : Mem.frame -> int -> int -> unit = "%caml_bigstring_set16u"
+external ram_set32 : Mem.frame -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external ram_set64 : Mem.frame -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let frame_mask = Mem.frame_size - 1
+let[@inline] le16 v = if Sys.big_endian then bswap16 v else v
+let[@inline] le32 v = if Sys.big_endian then bswap32 v else v
+
+(* The RAM address of a [len]-byte access at [va], or -1 when the access
+   must take the [Machine] path.  With paging off, pa = va.  A TLB entry
+   answers only if it is valid, holds [va]'s page and is global or of the
+   current PCID, the same test as [Tlb.lookup]; a write needs [writable]
+   and ring 3 needs [user], as in [Machine.translate]. *)
+let[@inline] ram_addr m ~write ~len va =
+  let pa =
+    if not m.Machine.paging then va
+    else begin
+      let tlb = m.Machine.tlb in
+      let vpn = Int64.shift_right_logical va 12 in
+      let e = Array.unsafe_get tlb.Tlb.entries (Int64.to_int vpn land (tlb.Tlb.size - 1)) in
+      if
+        e.Tlb.valid && e.Tlb.vpn = vpn
+        && (e.Tlb.global || e.Tlb.pcid = m.Machine.pcid)
+        && (e.Tlb.writable || not write)
+        && (e.Tlb.user || m.Machine.ring <> 3)
+      then Int64.logor e.Tlb.frame (Int64.logand va 0xFFFL)
+      else -1L (* above every [ram_limit] *)
+    end
+  in
+  let lim = m.Machine.ram_limit in
+  if ult pa (Int64.of_int lim) then begin
+    let a = Int64.to_int pa in
+    if a + len <= lim && a land frame_mask <= Mem.frame_size - len then a else -1
+  end
+  else -1
+
+let[@inline] ram_hit m =
+  m.Machine.mem_ops <- m.Machine.mem_ops + 1;
+  m.Machine.cycles <- m.Machine.cycles + Cost.mem_access;
+  if m.Machine.paging then begin
+    let tlb = m.Machine.tlb in
+    tlb.Tlb.hits <- tlb.Tlb.hits + 1
+  end
+
+(* Little-endian RAM access of [w] bits at RAM address [a], as [Mem.read]
+   and [Mem.write] do it for an access inside one frame. *)
+let[@inline] ram_read mem w a =
+  let f = Mem.frame mem a and o = a land frame_mask in
+  match w with
+  | 8 -> Int64.of_int (Char.code (Bigarray.Array1.unsafe_get f o))
+  | 16 -> Int64.of_int (le16 (ram_get16 f o))
+  | 32 -> Int64.logand (Int64.of_int32 (le32 (ram_get32 f o))) 0xFFFFFFFFL
+  | _ -> rf_le (ram_get64 f o)
+
+let[@inline] ram_write mem w a v =
+  let f = Mem.frame_for_write mem a and o = a land frame_mask in
+  match w with
+  | 8 -> Bigarray.Array1.unsafe_set f o (Char.unsafe_chr (Int64.to_int v land 0xFF))
+  | 16 -> ram_set16 f o (le16 (Int64.to_int v land 0xFFFF))
+  | 32 -> ram_set32 f o (le32 (Int64.to_int32 v))
+  | _ -> ram_set64 f o (rf_le v)
+
+let ok_width w = w = 8 || w = 16 || w = 32 || w = 64
 
 (* Clamp a jump target to the fall-off sentinel at index [n]. *)
 let target n t = if t < 0 || t > n then n else t
@@ -541,10 +644,8 @@ let small k = Int64.equal (Int64.of_int (Int64.to_int k)) k
    the immediate. *)
 let[@inline] src regs o k = if o < 0 then Int64.of_int k else get64 regs o
 
-let ok_reg r = r >= 0 && r < n_regs
 let ok_src = function Preg r -> ok_reg r | Imm k -> small k | _ -> false
 let src_of = function Preg r -> (8 * r, 0) | Imm k -> (-1, Int64.to_int k) | _ -> assert false
-let ok_rf off = off >= 0 && off <= regfile_bytes - 8
 
 let compile_step ~n ~wb idx ins : ctx -> int =
   let next = idx + 1 in
@@ -595,21 +696,47 @@ let compile_step ~n ~wb idx ins : ctx -> int =
   | Store_pc s when ok_src s ->
     let s, sk = src_of s in
     fun ctx -> tick ctx c; let r = ctx.regs in set64 r pc_off (src r s sk); next
-  | Mem_ld (w, Preg d, Preg a) when ok_reg d && ok_reg a ->
-    let d = 8 * d and a = 8 * a in
+  | Mem_ld (w, Preg d, Preg a) when ok_reg d && ok_reg a && ok_width w ->
+    let d = 8 * d and a = 8 * a and len = w / 8 in
     fun ctx ->
       tick ctx c;
-      (match Machine.mem_read ctx.machine ~bits:w (get64 ctx.regs a) with
-      | v -> set64 ctx.regs d v; next
-      | exception Machine.Host_fault { va; access } -> deliver_fault ctx wb ins idx va access)
-  | Mem_st (w, Preg a, v) when ok_reg a && ok_src v ->
-    let a = 8 * a and v, vk = src_of v in
+      let m = ctx.machine and r = ctx.regs in
+      let ra = ram_addr m ~write:false ~len (get64 r a) in
+      if ra >= 0 then begin
+        ram_hit m;
+        set64 r d (ram_read m.Machine.mem w ra);
+        next
+      end
+      else (
+        match Machine.mem_read m ~bits:w (get64 r a) with
+        | v -> set64 r d v; next
+        | exception Machine.Host_fault { va; access } -> deliver_fault ctx wb ins idx va access)
+  | Mem_st (w, Preg a, v) when ok_reg a && ok_src v && ok_width w ->
+    let a = 8 * a and v, vk = src_of v and len = w / 8 in
+    fun ctx ->
+      tick ctx c;
+      let m = ctx.machine and r = ctx.regs in
+      let ra = ram_addr m ~write:true ~len (get64 r a) in
+      if ra >= 0 then begin
+        ram_hit m;
+        ram_write m.Machine.mem w ra (src r v vk);
+        next
+      end
+      else (
+        match Machine.mem_write m ~bits:w (get64 r a) (src r v vk) with
+        | () -> next
+        | exception Machine.Host_fault { va; access } -> deliver_fault ctx wb ins idx va access)
+  | Bit2 (Bror64, Preg d, Preg a, b) when ok_reg d && ok_reg a && ok_src b ->
+    let d = 8 * d and a = 8 * a and b, bk = src_of b in
     fun ctx ->
       tick ctx c;
       let r = ctx.regs in
-      (match Machine.mem_write ctx.machine ~bits:w (get64 r a) (src r v vk) with
-      | () -> next
-      | exception Machine.Host_fault { va; access } -> deliver_fault ctx wb ins idx va access)
+      let x = get64 r a and n = Int64.to_int (src r b bk) land 63 in
+      set64 r d (Int64.logor (Int64.shift_right_logical x n) (Int64.shift_left x ((64 - n) land 63)));
+      next
+  | Bit1 (Bswap64, Preg d, Preg s) when ok_reg d && ok_reg s ->
+    let d = 8 * d and s = 8 * s in
+    fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (bswap64 (get64 r s)); next
   | Flags_add (w, Preg d, a, b, cin) when ok_reg d && ok_src a && ok_src b && ok_src cin ->
     let d = 8 * d and mask = Bits.mask w and sign = Bits.shl 1L (w - 1) in
     let a, ak = src_of a and b, bk = src_of b and cin, ck = src_of cin in
@@ -628,13 +755,13 @@ let compile (p : Encode.program) : code =
   Array.iteri (fun i ins -> steps.(i) <- compile_step ~n ~wb i ins) p.Encode.code;
   { n_slots = p.Encode.n_slots; steps }
 
-(* Run compiled code; returns the chain-slot id of the exit taken.  Every
-   index a step returns is within [0, n], so the fetch needs no check. *)
+(* Every index a step returns is within [0, n], so the fetch needs no
+   check.  A top-level loop, so that a run allocates no closure. *)
+let rec run_from steps ctx i =
+  let r = (Array.unsafe_get steps i) ctx in
+  if r >= 0 then run_from steps ctx r else lnot r
+
+(* Run compiled code; returns the chain-slot id of the exit taken. *)
 let run (ctx : ctx) (code : code) : int =
   if Bytes.length ctx.slots < 8 * code.n_slots then ctx.slots <- Bytes.make (8 * code.n_slots) '\000';
-  let steps = code.steps in
-  let rec go i =
-    let r = (Array.unsafe_get steps i) ctx in
-    if r >= 0 then go r else lnot r
-  in
-  go 0
+  run_from code.steps ctx 0

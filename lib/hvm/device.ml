@@ -10,7 +10,12 @@ type t = {
   read : int -> int -> int64; (* offset, width-bits *)
   write : int -> int -> int64 -> unit; (* offset, width-bits, value *)
   tick : int -> unit; (* advance device time by n host cycles *)
+  until_irq : unit -> int;
+      (* device time that must pass before the device can next raise an
+         interrupt line ([max_int]: not until it is accessed) *)
 }
+
+let never () = max_int
 
 (* --- interrupt controller (GIC-lite) -------------------------------------- *)
 
@@ -52,6 +57,7 @@ module Intc = struct
           | 0xC -> raise_line st (Int64.to_int (Int64.logand v 31L)) (* software-set *)
           | _ -> ());
       tick = (fun _ -> ());
+      until_irq = never;
     }
 end
 
@@ -91,6 +97,7 @@ module Uart = struct
           | 0x0 -> Buffer.add_char st.output (Char.chr (Int64.to_int (Int64.logand v 0xFFL)))
           | _ -> ());
       tick = (fun _ -> ());
+      until_irq = never;
     }
 end
 
@@ -154,6 +161,9 @@ module Timer = struct
               end
             done
           end);
+      (* [tick] raises the line once [value] cycles have passed, and no
+         sooner, while the timer runs with its interrupt enabled. *)
+      until_irq = (fun () -> if st.enabled && st.load > 0 && st.irq_enabled then st.value else max_int);
     }
 end
 
@@ -178,5 +188,6 @@ module Syscon = struct
             st.exit_code <- Int64.to_int (Int64.logand v 0xFFL)
           | _ -> ());
       tick = (fun _ -> ());
+      until_irq = never;
     }
 end

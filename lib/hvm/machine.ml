@@ -18,6 +18,9 @@ type t = {
      common plain-RAM access skips the search entirely. *)
   dev_ranges : (int64 * int64 * Device.t) array;
   dev_floor : int64;
+  ram_limit : int;
+      (* every physical address below it is plain RAM: the smaller of
+         [dev_floor] (unsigned) and the RAM size *)
   intc : Device.Intc.state;
   mutable cr3 : int64; (* current page-table root *)
   mutable pcid : int;
@@ -38,6 +41,9 @@ type t = {
   mutable mem_ops : int;
   mutable faults : int;
   mutable devs_ticked_at : int; (* in guest time (cycles - jit_cycles) *)
+  mutable quiet_until : int;
+      (* guest time before which no device can raise a line, so
+         [irq_pending] is false without syncing; 0 when unknown *)
 }
 
 let charge t n = t.cycles <- t.cycles + n
@@ -99,6 +105,9 @@ let create ?(mem_size = 256 * 1024 * 1024) ?(devices = []) ?(intc = Device.Intc.
     if Array.length dev_ranges = 0 then -1L
     else (fun (b, _, _) -> b) dev_ranges.(0)
   in
+  let ram_limit =
+    if Int64.unsigned_compare dev_floor (Int64.of_int mem_size) < 0 then Int64.to_int dev_floor else mem_size
+  in
   {
     mem;
     tlb = Tlb.create ();
@@ -106,6 +115,7 @@ let create ?(mem_size = 256 * 1024 * 1024) ?(devices = []) ?(intc = Device.Intc.
     devices;
     dev_ranges;
     dev_floor;
+    ram_limit;
     intc;
     cr3 = 0L;
     pcid = 0;
@@ -117,6 +127,7 @@ let create ?(mem_size = 256 * 1024 * 1024) ?(devices = []) ?(intc = Device.Intc.
     mem_ops = 0;
     faults = 0;
     devs_ticked_at = 0;
+    quiet_until = 0;
   }
 
 (* The board every engine boots: interrupt controller, UART, timer and
@@ -153,6 +164,20 @@ let find_device t pa =
     !found
   end
 
+(* The one path to a device register: a read when [value] is [None],
+   else a write of the value (answering 0).  The devices are synced to
+   now first, and the quiet window closes, since the access may change
+   when a device next raises a line. *)
+let device_access t (d : Device.t) ~bits pa value =
+  sync_devices t;
+  t.quiet_until <- 0;
+  let off = Int64.to_int (Int64.sub pa d.Device.base) in
+  match value with
+  | None -> d.Device.read off bits
+  | Some v ->
+    d.Device.write off bits v;
+    0L
+
 (* Translate a virtual address through the host MMU model: TLB lookup, then
    hardware page walk on miss; permission checks against the current ring.
    Raises [Host_fault]; the DBT engine installs the handler that services
@@ -188,42 +213,29 @@ let translate t ~(access : access) va =
         result)
   end
 
-(* Memory access from generated code: translation plus the physical access,
-   with MMIO routed to devices. *)
-let mem_read t ~bits va =
-  t.mem_ops <- t.mem_ops + 1;
-  charge t Cost.mem_access;
-  let pa = translate t ~access:Read va in
-  match find_device t pa with
-  | Some d ->
-    sync_devices t;
-    d.Device.read (Int64.to_int (Int64.sub pa d.Device.base)) bits
-  | None -> Mem.read t.mem ~bits pa
-
-let mem_write t ~bits va v =
-  t.mem_ops <- t.mem_ops + 1;
-  charge t Cost.mem_access;
-  let pa = translate t ~access:Write va in
-  match find_device t pa with
-  | Some d ->
-    sync_devices t;
-    d.Device.write (Int64.to_int (Int64.sub pa d.Device.base)) bits v
-  | None -> Mem.write t.mem ~bits pa v
-
-(* Physical (ring-independent) access, used by the hypervisor itself. *)
+(* Physical (ring-independent) access, with MMIO routed to devices. *)
 let phys_read t ~bits pa =
   match find_device t pa with
-  | Some d ->
-    sync_devices t;
-    d.Device.read (Int64.to_int (Int64.sub pa d.Device.base)) bits
+  | Some d -> device_access t d ~bits pa None
   | None -> Mem.read t.mem ~bits pa
 
 let phys_write t ~bits pa v =
   match find_device t pa with
-  | Some d ->
-    sync_devices t;
-    d.Device.write (Int64.to_int (Int64.sub pa d.Device.base)) bits v
+  | Some d -> ignore (device_access t d ~bits pa (Some v))
   | None -> Mem.write t.mem ~bits pa v
+
+(* Memory access from generated code: translation plus the physical
+   access.  [Hostir.Exec] completes TLB hits on plain RAM itself and
+   bumps the same counters; everything else comes here. *)
+let mem_read t ~bits va =
+  t.mem_ops <- t.mem_ops + 1;
+  charge t Cost.mem_access;
+  phys_read t ~bits (translate t ~access:Read va)
+
+let mem_write t ~bits va v =
+  t.mem_ops <- t.mem_ops + 1;
+  charge t Cost.mem_access;
+  phys_write t ~bits (translate t ~access:Write va) v
 
 (* Switch page-table root.  With [pcid] the TLB entries of the previous
    address space stay resident (paper Sec. 2.7.5); without it the current
@@ -240,9 +252,28 @@ let set_page_table t ~root ~pcid ~keep_tlb =
     charge t Cost.tlb_flush
   end
 
+(* The guest time at which the first device can next raise a line. *)
+let rec next_irq_at now acc = function
+  | [] -> acc
+  | d :: ds ->
+    let n = d.Device.until_irq () in
+    next_irq_at now (if n < max_int && now + n < acc then now + n else acc) ds
+
+(* Is an interrupt line asserted?  After a false answer no device changes
+   a line until [quiet_until] or a device access, so until then the
+   answer stays false without syncing.  That is exact because ticking is
+   additive ([tick a; tick b] = [tick (a + b)]): a later sync lands every
+   device in the state that syncing at each poll would have. *)
 let irq_pending t =
-  sync_devices t;
-  Device.Intc.asserted t.intc
+  if guest_cycles t < t.quiet_until then false
+  else begin
+    sync_devices t;
+    Device.Intc.asserted t.intc
+    || begin
+      t.quiet_until <- next_irq_at t.devs_ticked_at max_int t.devices;
+      false
+    end
+  end
 
 (* Wait-for-interrupt: fast-forward guest time to one cycle past the
    timer's next expiry, or by 1000 cycles when the timer cannot raise an

@@ -34,6 +34,24 @@ val read : t -> bits:int -> int64 -> int64
 
 val write : t -> bits:int -> int64 -> int64 -> unit
 
+(** {2 Frame access}
+
+    For a caller that completes an access itself, such as the executor's
+    memory fast path: it must already know that the access lies in RAM
+    and inside one frame, because these accessors check neither. *)
+
+type frame = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val frame_size : int
+
+(** [frame t a] is the frame holding byte address [a], for reading; it
+    may be the shared zero frame, which must not be written. *)
+val frame : t -> int -> frame
+
+(** [frame_for_write t a] is the frame holding byte address [a], first
+    giving it a private copy if it is still the shared zero frame. *)
+val frame_for_write : t -> int -> frame
+
 (** Bulk load (kernel and user images). *)
 val blit_in : t -> addr:int64 -> Bytes.t -> unit
 

@@ -25,6 +25,7 @@ type t = {
 }
 
 let create ?(size = 1024) () =
+  if size <= 0 || size land (size - 1) <> 0 then invalid_arg "Tlb.create: size must be a power of two";
   {
     entries =
       Array.init size (fun _ ->
@@ -44,7 +45,8 @@ let create ?(size = 1024) () =
     flushes = 0;
   }
 
-let slot t vpn = Int64.to_int (Int64.unsigned_rem vpn (Int64.of_int t.size))
+(* [size] is a power of two, so the slot is [vpn]'s low bits. *)
+let slot t vpn = Int64.to_int vpn land (t.size - 1)
 
 let lookup t ~pcid vpn =
   let e = t.entries.(slot t vpn) in

@@ -1,6 +1,7 @@
 (** Model of the host CPU's hardware TLB, with PCID tags.
 
-    Direct-mapped by virtual page number.  Entries carry the PCID they
+    Direct-mapped by virtual page number: page [vpn] lives in slot
+    [vpn land (size - 1)] of [entries].  Entries carry the PCID they
     were filled under; lookups hit only entries of the current PCID (or
     global ones), so switching page-table sets under PCIDs (paper
     Sec. 2.7.5) keeps both address spaces resident. *)
@@ -24,6 +25,7 @@ type t = {
   mutable flushes : int;
 }
 
+(** [size] (default 1024) must be a power of two. *)
 val create : ?size:int -> unit -> t
 
 (** Lookup; counts a hit or miss. *)

@@ -384,7 +384,12 @@ let test_fault_sees_flushed_wb () =
   ignore (Exec.run ctx (Exec.compile (indexed ~wb_map:[| (Preg 4, 24) |] p)));
   Alcotest.(check int64) "handler reads the promoted register" 99L !flushed;
   (* one flush before the handler, one at the exit *)
-  Alcotest.(check int) "writebacks counted as rf stores" 2 ctx.Exec.rf_stores
+  Alcotest.(check int) "writebacks counted as rf stores" 2 ctx.Exec.rf_stores;
+  (* two movs; the load's access, walk and fault round trip; one cycle
+     per writeback *)
+  Alcotest.(check int) "writebacks charged"
+    (Cost.mov + Cost.mov + Cost.mem_access + Cost.tlb_miss_walk + Cost.fault_roundtrip + 2)
+    ctx.Exec.machine.Machine.cycles
 
 let test_exit_and_poll_apply_wb () =
   let open Hir in
@@ -457,6 +462,205 @@ let test_errors_at_execution () =
       ignore (Exec.run ctx off_end));
   Alcotest.(check int) "nothing counted past the end" 1 ctx.Exec.instrs_executed
 
+(* --- executor: the memory fast path against the [Machine] path ---------
+
+   A register-addressed [Mem_ld]/[Mem_st] may complete in the executor;
+   the same access with an immediate address always goes through the
+   generic closure and [Machine.mem_read]/[mem_write].  Each case runs
+   both on identically prepared machines and compares everything the
+   access may touch. *)
+
+module Pt = Hvm.Pagetable
+module Tlb = Hvm.Tlb
+
+let rw = { Pt.writable = true; user = true; executable = false }
+let page_va = 0x40_0000L
+let page_pa = 0x20_0000L (* below the page-table reserve, the top 1 MiB *)
+
+(* A 4 MiB board with paging on and [page_va] mapped to [page_pa] with
+   [flags]; the fault handler makes the page user-writable and retries. *)
+let paged_machine flags =
+  let m, _, _, _ = Machine.board ~mem_size:(4 * 1024 * 1024) in
+  let root = Hvm.Palloc.alloc m.Machine.palloc in
+  m.Machine.cr3 <- root;
+  m.Machine.paging <- true;
+  Pt.map m.Machine.mem m.Machine.palloc ~root page_va page_pa flags;
+  let handler ctx _ va ~bits:_ ~value:_ =
+    let m = ctx.Exec.machine in
+    let page = Dbt_util.Bits.align_down va 4096 in
+    let pa = match fst (Pt.walk m.Machine.mem ~root page) with Some (_, pte) -> Pt.frame_of pte | None -> page in
+    Pt.map m.Machine.mem m.Machine.palloc ~root page pa rw;
+    Tlb.flush_page m.Machine.tlb (Int64.shift_right_logical page 12);
+    Exec.Retry
+  in
+  (m, handler)
+
+(* Fill the TLB entry of [va] through the hardware walk. *)
+let prime m va = ignore (Machine.translate m ~access:Machine.Read va)
+
+let mem_outcome ~setup ~write ~bits va =
+  let run fast =
+    let m, handler = setup () in
+    let ctx = Exec.create ~machine:m ~helpers:[||] ~fault_handler:handler in
+    let open Hir in
+    let access =
+      match (write, fast) with
+      | false, true -> Mem_ld (bits, Preg 2, Preg 1)
+      | false, false -> Mem_ld (bits, Preg 2, Imm va)
+      | true, true -> Mem_st (bits, Preg 1, Imm 0x1122334455667788L)
+      | true, false -> Mem_st (bits, Imm va, Imm 0x1122334455667788L)
+    in
+    let result =
+      match Exec.run ctx (Exec.compile (indexed [| Mov (Preg 1, Imm va); access; Exit 0 |])) with
+      | _ -> "ok"
+      | exception e -> Printexc.to_string e
+    in
+    let tlb = m.Machine.tlb in
+    let counts =
+      [
+        m.Machine.cycles; m.Machine.mem_ops; m.Machine.faults; tlb.Tlb.hits; tlb.Tlb.misses;
+        ctx.Exec.instrs_executed; Hvm.Mem.resident_frames m.Machine.mem;
+      ]
+    in
+    (* the RAM word holding the access; translating it moves the counters *)
+    let word =
+      try Hvm.Mem.read64 m.Machine.mem (Int64.logand (Machine.translate m ~access:Machine.Read va) (-8L))
+      with Hvm.Mem.Bus_error _ -> 0L
+    in
+    (result, counts, Exec.get_reg ctx 2, word)
+  in
+  (run true, run false)
+
+let check_mem_case name ~setup ~write ?(bits = 64) va () =
+  let (r, counts, v, word), (r', counts', v', word') = mem_outcome ~setup ~write ~bits va in
+  Alcotest.(check string) (name ^ ": outcome") r' r;
+  Alcotest.(check (list int)) (name ^ ": cycles, mem_ops, faults, tlb hits/misses, instrs, frames") counts' counts;
+  Alcotest.(check int64) (name ^ ": loaded value") v' v;
+  Alcotest.(check int64) (name ^ ": memory") word' word
+
+let with_data flags () =
+  let m, h = paged_machine flags in
+  Hvm.Mem.write64 m.Machine.mem (Int64.add page_pa 0xFF8L) 0x0102030405060708L;
+  Hvm.Mem.write64 m.Machine.mem (Int64.add page_pa 0x1000L) 0x1112131415161718L;
+  (m, h)
+
+let primed flags () =
+  let m, h = with_data flags () in
+  prime m page_va;
+  (m, h)
+
+let test_fast_hit () =
+  List.iter
+    (fun bits ->
+      let name = Printf.sprintf "hit, %d-bit" bits in
+      check_mem_case (name ^ " load") ~setup:(primed rw) ~write:false ~bits (Int64.add page_va 0xFF8L) ();
+      check_mem_case (name ^ " store") ~setup:(primed rw) ~write:true ~bits (Int64.add page_va 0xFF8L) ())
+    [ 8; 16; 32; 64 ];
+  let (_, counts, _, _), _ = mem_outcome ~setup:(primed rw) ~write:false ~bits:64 page_va in
+  Alcotest.(check int) "the hit counts as a TLB hit" 1 (List.nth counts 3)
+
+let test_fast_paging_off () =
+  let setup () =
+    let m, h = with_data rw () in
+    m.Machine.paging <- false;
+    (m, h)
+  in
+  check_mem_case "paging off load" ~setup ~write:false (Int64.add page_pa 0xFF8L) ();
+  check_mem_case "paging off store" ~setup ~write:true (Int64.add page_pa 0xFF8L) ()
+
+let test_fast_tlb_miss () = check_mem_case "miss" ~setup:(with_data rw) ~write:false page_va ()
+
+let test_fast_pcid () =
+  let other_pcid global () =
+    let m, h = with_data rw () in
+    if global then
+      Tlb.insert m.Machine.tlb ~pcid:0 ~vpn:(Int64.shift_right_logical page_va 12) ~frame:page_pa ~flags:rw
+        ~global:true
+    else prime m page_va;
+    m.Machine.pcid <- 1;
+    (m, h)
+  in
+  check_mem_case "pcid mismatch" ~setup:(other_pcid false) ~write:false page_va ();
+  check_mem_case "global entry" ~setup:(other_pcid true) ~write:false page_va ()
+
+let test_fast_permissions () =
+  let kernel_page () =
+    let m, h = primed { rw with Pt.user = false } () in
+    m.Machine.ring <- 3;
+    (m, h)
+  in
+  check_mem_case "ring 3, kernel page" ~setup:kernel_page ~write:false page_va ();
+  check_mem_case "write to a read-only page" ~setup:(primed { rw with Pt.writable = false }) ~write:true page_va ()
+
+let test_fast_fallbacks () =
+  let mapped_to pa () =
+    let m, h = paged_machine rw in
+    Pt.map m.Machine.mem m.Machine.palloc ~root:m.Machine.cr3 0x50_0000L pa rw;
+    prime m 0x50_0000L;
+    (m, h)
+  in
+  (* UART status register: tx ready *)
+  check_mem_case "MMIO" ~setup:(mapped_to 0x0910_0000L) ~write:false ~bits:32 0x50_0004L ();
+  check_mem_case "frame straddle load" ~setup:(primed rw) ~write:false (Int64.add page_va 0xFFCL) ();
+  check_mem_case "frame straddle store" ~setup:(primed rw) ~write:true (Int64.add page_va 0xFFCL) ();
+  let (r, _, _, _), _ =
+    mem_outcome ~setup:(mapped_to 0x80_0000L) ~write:false ~bits:64 0x50_0000L
+  in
+  Alcotest.(check bool) ("out of RAM: " ^ r) true (String.length r > 13 && String.sub r 0 13 = "Mem.Bus_error");
+  check_mem_case "out of RAM" ~setup:(mapped_to 0x80_0000L) ~write:false 0x50_0000L ();
+  check_mem_case "first write to a zero frame" ~setup:(mapped_to 0x10_0000L) ~write:true 0x50_0010L ()
+
+(* The quiet window after a false [irq_pending] ends on the timer
+   event's own cycle, in [Machine] and in [Exec]'s inline test, and a
+   device write closes it. *)
+let test_quiet_window_edges () =
+  let m, _, _, _ = Machine.board ~mem_size:(4 * 1024 * 1024) in
+  let ctx = Exec.create ~machine:m ~helpers:[||] ~fault_handler:(fun _ _ _ ~bits:_ ~value:_ -> Exec.Retry) in
+  let code = Exec.compile (indexed Hir.[| Poll 1; Exit 0 |]) in
+  let poll () =
+    ctx.Exec.irq_held <- false;
+    Exec.run ctx code = 1
+  in
+  Machine.phys_write m ~bits:32 0x0900_0004L 2L (* intc: enable the timer's line *);
+  Machine.phys_write m ~bits:32 0x0920_0000L 10L (* timer: load 10 *);
+  Machine.phys_write m ~bits:32 0x0920_0008L 3L (* timer: run, interrupt on *);
+  Alcotest.(check bool) "no IRQ at 0" false (Machine.irq_pending m);
+  Machine.charge m 9;
+  Alcotest.(check bool) "Exec: none at 9" false (poll ());
+  Alcotest.(check bool) "Machine: none at 9" false (Machine.irq_pending m);
+  Machine.charge m 1;
+  Alcotest.(check bool) "Exec: IRQ at 10" true (poll ());
+  Machine.phys_write m ~bits:32 0x0920_000CL 0L (* ack *);
+  Machine.phys_write m ~bits:32 0x0920_0008L 0L (* stop the timer *);
+  Alcotest.(check bool) "quiet for good" false (Machine.irq_pending m);
+  Machine.phys_write m ~bits:32 0x0900_000CL 1L (* software-set line 1 *);
+  Alcotest.(check bool) "Exec: the write closed the window" true (poll ())
+
+(* Loads and stores that hit, and the run itself, allocate nothing. *)
+let test_fast_allocates_nothing () =
+  let m, h = primed rw () in
+  let ctx = Exec.create ~machine:m ~helpers:[||] ~fault_handler:h in
+  let open Hir in
+  let code =
+    Exec.compile
+      (indexed
+         [|
+           Mov (Preg 1, Imm page_va);
+           Mem_ld (64, Preg 2, Preg 1);
+           Mem_st (32, Preg 1, Preg 2);
+           Mem_ld (8, Preg 3, Preg 1);
+           Mem_st (16, Preg 1, Imm 7L);
+           Exit 0;
+         |])
+  in
+  ignore (Exec.run ctx code);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Exec.run ctx code)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words < 100" words) true (words < 100.)
+
 (* The specialised register/immediate shapes agree with the generic
    interpreter (reached by putting an operand in a spill slot). *)
 let prop_specialised_matches_generic =
@@ -474,6 +678,9 @@ let prop_specialised_matches_generic =
           Setcc (conds.(k mod 10), Preg 5, Preg 1, Preg 2);
           Setcc (conds.((k + 3) mod 10), Preg 6, Preg 1, Imm y);
           Flags_add ((if k land 4 = 0 then 32 else 64), Preg 7, Preg 1, Preg 2, Imm (Int64.of_int (k land 1)));
+          Bit2 (Bror64, Preg 8, Preg 1, Preg 2);
+          Bit2 (Bror64, Preg 9, Preg 1, Imm y);
+          Bit1 (Bswap64, Preg 10, Preg 1);
         ]
       in
       (* the generic twin reads its first operand from a spill slot *)
@@ -484,7 +691,7 @@ let prop_specialised_matches_generic =
         Exec.set_reg ctx 2 y;
         let code = Array.of_list ((Mov (Slot 0, Preg 1) :: body) @ [ Exit 0 ]) in
         ignore (Exec.run ctx (Exec.compile (indexed ~n_slots:1 code)));
-        List.init 8 (Exec.get_reg ctx)
+        List.init 11 (Exec.get_reg ctx)
       in
       run body = run slotted)
 
@@ -526,6 +733,14 @@ let suite =
       Alcotest.test_case "exec: Exit and Poll apply wb_map" `Quick test_exit_and_poll_apply_wb;
       Alcotest.test_case "exec: exact cycles with Slot operands" `Quick test_exact_cycles_with_slots;
       Alcotest.test_case "exec: bad operands raise when executed" `Quick test_errors_at_execution;
+      Alcotest.test_case "exec fast path: TLB hit" `Quick test_fast_hit;
+      Alcotest.test_case "exec fast path: paging off" `Quick test_fast_paging_off;
+      Alcotest.test_case "exec fast path: TLB miss" `Quick test_fast_tlb_miss;
+      Alcotest.test_case "exec fast path: PCID mismatch, global entry" `Quick test_fast_pcid;
+      Alcotest.test_case "exec fast path: permission faults" `Quick test_fast_permissions;
+      Alcotest.test_case "exec fast path: MMIO, straddle, out of RAM, zero frame" `Quick test_fast_fallbacks;
+      Alcotest.test_case "exec fast path: allocates nothing" `Quick test_fast_allocates_nothing;
+      Alcotest.test_case "exec: quiet window edges" `Quick test_quiet_window_edges;
       q prop_specialised_matches_generic;
       q prop_nzcv_matches_add_with_carry;
     ] )

@@ -349,6 +349,83 @@ let test_irq_poll_allocates_nothing () =
   Alcotest.(check bool) (Printf.sprintf "%.0f minor words < 100" words) true (words < 100.);
   Alcotest.(check bool) "timer ran" true (timer.Hvm.Device.Timer.fired > 0)
 
+(* Property: [irq_pending]'s quiet window is exact.  A machine that
+   syncs its devices at every step, and answers every poll from a fresh
+   sync, sees the same interrupt answers, register reads and final timer
+   state as the lazy one, over random cycle advances, timer and
+   interrupt-controller writes, WFIs and polls. *)
+type dev_op =
+  | Advance of int
+  | Advance_jit of int
+  | Timer_write of int * int (* register offset, value *)
+  | Intc_write of int * int
+  | Timer_read of int
+  | Wfi
+  | Poll
+
+let show_dev_op = function
+  | Advance n -> Printf.sprintf "Advance %d" n
+  | Advance_jit n -> Printf.sprintf "Advance_jit %d" n
+  | Timer_write (o, v) -> Printf.sprintf "Timer_write (0x%x, %d)" o v
+  | Intc_write (o, v) -> Printf.sprintf "Intc_write (0x%x, %d)" o v
+  | Timer_read o -> Printf.sprintf "Timer_read 0x%x" o
+  | Wfi -> "Wfi"
+  | Poll -> "Poll"
+
+let prop_quiet_window_exact =
+  let open QCheck2.Gen in
+  let op =
+    frequency
+      [
+        (* short advances and periods, so that polls land on a timer
+           event's exact cycle *)
+        (4, map (fun n -> Advance n) (oneof [ int_range 1 4; int_range 1 300 ]));
+        (1, map (fun n -> Advance_jit n) (int_range 1 300));
+        (2, map2 (fun o v -> Timer_write (o, v)) (oneofl [ 0x0; 0x8; 0xC ]) (oneof [ int_range 0 8; int_range 0 400 ]));
+        (1, map2 (fun o v -> Intc_write (o, v)) (oneofl [ 0x4; 0x8; 0xC ]) (int_range 0 3));
+        (1, map (fun o -> Timer_read o) (oneofl [ 0x4; 0xC ]));
+        (1, pure Wfi);
+        (4, pure Poll);
+      ]
+  in
+  QCheck2.Test.make ~name:"lazy irq polling = syncing at every step" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_dev_op ops))
+    (list_size (int_range 1 80) op)
+    (fun ops ->
+      let run ~eager =
+        let m, _, timer, _ = Machine.board ~mem_size:(1024 * 1024) in
+        let step = function
+          | Advance n -> Machine.charge m n; None
+          | Advance_jit n -> Machine.charge_jit m n; None
+          | Timer_write (o, v) ->
+            Machine.phys_write m ~bits:32 (Int64.add 0x0920_0000L (Int64.of_int o)) (Int64.of_int v); None
+          | Intc_write (o, v) ->
+            Machine.phys_write m ~bits:32 (Int64.add 0x0900_0000L (Int64.of_int o)) (Int64.of_int v); None
+          | Timer_read o -> Some (Machine.phys_read m ~bits:32 (Int64.add 0x0920_0000L (Int64.of_int o)))
+          | Wfi -> Machine.wfi m timer; None
+          | Poll ->
+            let irq =
+              if eager then begin
+                Machine.sync_devices m;
+                Hvm.Device.Intc.asserted m.Machine.intc
+              end
+              else Machine.irq_pending m
+            in
+            Some (if irq then 1L else 0L)
+        in
+        let seen =
+          List.filter_map
+            (fun op ->
+              let r = step op in
+              if eager then Machine.sync_devices m;
+              r)
+            ops
+        in
+        Machine.sync_devices m;
+        (seen, timer.Hvm.Device.Timer.value, timer.Hvm.Device.Timer.fired, m.Machine.intc.Hvm.Device.Intc.pending)
+      in
+      run ~eager:true = run ~eager:false)
+
 (* Property: any mapping installed is returned by the walk with its exact
    frame and flags. *)
 let prop_map_walk =
@@ -382,6 +459,7 @@ let suite =
       Alcotest.test_case "devices" `Quick test_devices;
       Alcotest.test_case "timer tick spanning periods" `Quick test_timer_multi_period_tick;
       Alcotest.test_case "irq poll allocates nothing" `Quick test_irq_poll_allocates_nothing;
+      q prop_quiet_window_exact;
       q prop_map_walk;
       q prop_frame_accounting;
     ] )
