@@ -592,7 +592,8 @@ let bechamel_section () =
     machine.Hvm.Machine.paging <- true;
     ignore (Hvm.Machine.translate machine ~access:Hvm.Machine.Read va);
     let ctx =
-      Hostir.Exec.create ~machine ~helpers:[||] ~fault_handler:(fun _ _ _ ~bits:_ ~value:_ -> Hostir.Exec.Retry)
+      Hostir.Exec.create ~machine ~helpers:[||]
+        ~fault_handler:(fun _ _ _ ~bits:_ ~value:_ -> Hostir.Exec.Retry)
     in
     let test name access =
       let body = Array.to_list (Array.make 100 access) in

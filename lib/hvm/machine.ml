@@ -72,8 +72,9 @@ let guest_cycles t = t.cycles - t.jit_cycles
    when something might observe them (MMIO access, interrupt poll).  Guest
    time excludes JIT charges, so a timer interrupt lands at the same guest
    instruction whether the code was translated cold or loaded warm.
-   Every region [Poll] reaches this through [irq_pending], so the walk
-   over the device list is a top-level function: no closure per call. *)
+   A region [Poll] outside the quiet window reaches this through
+   [irq_pending], so the walk over the device list is a top-level
+   function: no closure per call. *)
 let rec tick_devices delta = function
   | [] -> ()
   | d :: ds ->

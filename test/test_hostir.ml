@@ -488,7 +488,9 @@ let paged_machine flags =
   let handler ctx _ va ~bits:_ ~value:_ =
     let m = ctx.Exec.machine in
     let page = Dbt_util.Bits.align_down va 4096 in
-    let pa = match fst (Pt.walk m.Machine.mem ~root page) with Some (_, pte) -> Pt.frame_of pte | None -> page in
+    let pa =
+      match fst (Pt.walk m.Machine.mem ~root page) with Some (_, pte) -> Pt.frame_of pte | None -> page
+    in
     Pt.map m.Machine.mem m.Machine.palloc ~root page pa rw;
     Tlb.flush_page m.Machine.tlb (Int64.shift_right_logical page 12);
     Exec.Retry
@@ -534,7 +536,9 @@ let mem_outcome ~setup ~write ~bits va =
 let check_mem_case name ~setup ~write ?(bits = 64) va () =
   let (r, counts, v, word), (r', counts', v', word') = mem_outcome ~setup ~write ~bits va in
   Alcotest.(check string) (name ^ ": outcome") r' r;
-  Alcotest.(check (list int)) (name ^ ": cycles, mem_ops, faults, tlb hits/misses, instrs, frames") counts' counts;
+  Alcotest.(check (list int))
+    (name ^ ": cycles, mem_ops, faults, tlb hits/misses, instrs, frames")
+    counts' counts;
   Alcotest.(check int64) (name ^ ": loaded value") v' v;
   Alcotest.(check int64) (name ^ ": memory") word' word
 
@@ -590,7 +594,9 @@ let test_fast_permissions () =
     (m, h)
   in
   check_mem_case "ring 3, kernel page" ~setup:kernel_page ~write:false page_va ();
-  check_mem_case "write to a read-only page" ~setup:(primed { rw with Pt.writable = false }) ~write:true page_va ()
+  check_mem_case "write to a read-only page"
+    ~setup:(primed { rw with Pt.writable = false })
+    ~write:true page_va ()
 
 let test_fast_fallbacks () =
   let mapped_to pa () =
@@ -606,7 +612,8 @@ let test_fast_fallbacks () =
   let (r, _, _, _), _ =
     mem_outcome ~setup:(mapped_to 0x80_0000L) ~write:false ~bits:64 0x50_0000L
   in
-  Alcotest.(check bool) ("out of RAM: " ^ r) true (String.length r > 13 && String.sub r 0 13 = "Mem.Bus_error");
+  Alcotest.(check bool) ("out of RAM: " ^ r) true
+    (String.length r > 13 && String.sub r 0 13 = "Mem.Bus_error");
   check_mem_case "out of RAM" ~setup:(mapped_to 0x80_0000L) ~write:false 0x50_0000L ();
   check_mem_case "first write to a zero frame" ~setup:(mapped_to 0x10_0000L) ~write:true 0x50_0010L ()
 

@@ -381,7 +381,11 @@ let prop_quiet_window_exact =
            event's exact cycle *)
         (4, map (fun n -> Advance n) (oneof [ int_range 1 4; int_range 1 300 ]));
         (1, map (fun n -> Advance_jit n) (int_range 1 300));
-        (2, map2 (fun o v -> Timer_write (o, v)) (oneofl [ 0x0; 0x8; 0xC ]) (oneof [ int_range 0 8; int_range 0 400 ]));
+        ( 2,
+          map2
+            (fun o v -> Timer_write (o, v))
+            (oneofl [ 0x0; 0x8; 0xC ])
+            (oneof [ int_range 0 8; int_range 0 400 ]) );
         (1, map2 (fun o v -> Intc_write (o, v)) (oneofl [ 0x4; 0x8; 0xC ]) (int_range 0 3));
         (1, map (fun o -> Timer_read o) (oneofl [ 0x4; 0xC ]));
         (1, pure Wfi);
@@ -422,7 +426,10 @@ let prop_quiet_window_exact =
             ops
         in
         Machine.sync_devices m;
-        (seen, timer.Hvm.Device.Timer.value, timer.Hvm.Device.Timer.fired, m.Machine.intc.Hvm.Device.Intc.pending)
+        ( seen,
+          timer.Hvm.Device.Timer.value,
+          timer.Hvm.Device.Timer.fired,
+          m.Machine.intc.Hvm.Device.Intc.pending )
       in
       run ~eager:true = run ~eager:false)
 
