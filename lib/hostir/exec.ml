@@ -82,12 +82,16 @@ let create ~machine ~helpers ~fault_handler =
    because the guest's system state reads it. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
 (* Native <-> little-endian, in either direction. *)
-let[@inline] rf_le v = if Sys.big_endian then bswap64 v else v
-let[@inline] rf_get b off = rf_le (get64 b off)
-let[@inline] rf_set b off v = set64 b off (rf_le v)
+let[@inline] le16 v = if Sys.big_endian then bswap16 v else v
+let[@inline] le32 v = if Sys.big_endian then bswap32 v else v
+let[@inline] le64 v = if Sys.big_endian then bswap64 v else v
+let[@inline] rf_get b off = le64 (get64 b off)
+let[@inline] rf_set b off v = set64 b off (le64 v)
 
 let rf_read ctx off = Bytes.get_int64_le ctx.regfile off
 let rf_write ctx off v = Bytes.set_int64_le ctx.regfile off v
@@ -392,12 +396,8 @@ external ram_get64 : Mem.frame -> int -> int64 = "%caml_bigstring_get64u"
 external ram_set16 : Mem.frame -> int -> int -> unit = "%caml_bigstring_set16u"
 external ram_set32 : Mem.frame -> int -> int32 -> unit = "%caml_bigstring_set32u"
 external ram_set64 : Mem.frame -> int -> int64 -> unit = "%caml_bigstring_set64u"
-external bswap16 : int -> int = "%bswap16"
-external bswap32 : int32 -> int32 = "%bswap_int32"
 
 let frame_mask = Mem.frame_size - 1
-let[@inline] le16 v = if Sys.big_endian then bswap16 v else v
-let[@inline] le32 v = if Sys.big_endian then bswap32 v else v
 
 (* The RAM address of a [len]-byte access at [va], or -1 when the access
    must take the [Machine] path.  With paging off, pa = va.  A TLB entry
@@ -443,7 +443,7 @@ let[@inline] ram_read mem w a =
   | 8 -> Int64.of_int (Char.code (Bigarray.Array1.unsafe_get f o))
   | 16 -> Int64.of_int (le16 (ram_get16 f o))
   | 32 -> Int64.logand (Int64.of_int32 (le32 (ram_get32 f o))) 0xFFFFFFFFL
-  | _ -> rf_le (ram_get64 f o)
+  | _ -> le64 (ram_get64 f o)
 
 let[@inline] ram_write mem w a v =
   let f = Mem.frame_for_write mem a and o = a land frame_mask in
@@ -451,7 +451,7 @@ let[@inline] ram_write mem w a v =
   | 8 -> Bigarray.Array1.unsafe_set f o (Char.unsafe_chr (Int64.to_int v land 0xFF))
   | 16 -> ram_set16 f o (le16 (Int64.to_int v land 0xFFFF))
   | 32 -> ram_set32 f o (le32 (Int64.to_int32 v))
-  | _ -> ram_set64 f o (rf_le v)
+  | _ -> ram_set64 f o (le64 v)
 
 let ok_width w = w = 8 || w = 16 || w = 32 || w = 64
 
