@@ -531,7 +531,8 @@ let mem_outcome ~setup ~write ~bits va =
     in
     (result, counts, Exec.get_reg ctx 2, word)
   in
-  (run true, run false)
+  let fast = run true in
+  (fast, run false)
 
 let check_mem_case name ~setup ~write ?(bits = 64) va () =
   let (r, counts, v, word), (r', counts', v', word') = mem_outcome ~setup ~write ~bits va in
