@@ -216,7 +216,7 @@ let ssa_cmd =
     let model =
       match guest with
       | `Arm -> Guest_arm.Arm.model_at_level level
-      | `Riscv -> Ssa.Offline.build ~opt_level:level Guest_riscv.Riscv_descr.source
+      | `Riscv -> Guest_riscv.Riscv.model_at_level level
     in
     match Hashtbl.find_opt model.Ssa.Offline.actions insn with
     | Some action ->

@@ -1,8 +1,7 @@
 (* The assembled ARMv8-A guest: ADL model plus system-level hooks. *)
 
-let model = lazy (Ssa.Offline.build ~opt_level:4 Arm_descr.source)
-
-let model_at_level level = Ssa.Offline.build ~opt_level:level Arm_descr.source
+(* One model per optimization level, built on first use. *)
+let model_at_level = Ssa.Offline.per_level Arm_descr.source
 
 (* Lines of architecture description (the paper compares its 8,100-line
    model against QEMU's hand-written 17,766). *)
@@ -10,9 +9,7 @@ let adl_lines =
   List.length (String.split_on_char '\n' Arm_descr.source)
 
 let ops ?opt_level () : Guest.Ops.ops =
-  let model =
-    match opt_level with None -> Lazy.force model | Some l -> model_at_level l
-  in
+  let model = model_at_level (Option.value opt_level ~default:4) in
   {
     Guest.Ops.name = "armv8-a";
     description = "64-bit ARMv8-A (AArch64) guest";

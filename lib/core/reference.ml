@@ -16,7 +16,8 @@ type t = {
   uart : Hvm.Device.Uart.state;
   timer : Hvm.Device.Timer.state;
   syscon : Hvm.Device.Syscon.state;
-  mutable instrs_executed : int;
+  mutable instrs_executed : int; (* decoded guest instructions *)
+  mutable steps : int; (* loop steps: decoded instructions, aborts, undefined *)
 }
 
 exception Insn_aborted
@@ -26,7 +27,7 @@ let create ?(mem_size = 256 * 1024 * 1024) (guest : Ops.ops) : t =
   let ctx =
     Exec.create ~machine ~helpers:[||] ~fault_handler:(fun _ _ _ ~bits:_ ~value:_ -> Exec.Retry)
   in
-  let t = { guest; machine; ctx; uart; timer; syscon; instrs_executed = 0 } in
+  let t = { guest; machine; ctx; uart; timer; syscon; instrs_executed = 0; steps = 0 } in
   guest.Ops.reset (Common.sys_ctx guest ctx) ~entry:0L;
   t
 
@@ -89,7 +90,10 @@ let interp_state (t : t) : Ssa.Interp.state =
 
 type exit_reason = Poweroff of int | Step_limit
 
-(* Execute up to [max_instrs] guest instructions. *)
+(* Execute up to [max_instrs] steps.  Every step counts, whether it
+   decodes an instruction or ends in a fetch abort or an undefined
+   instruction (an IRQ entry happens within a step), so a guest that
+   faults forever still stops. *)
 let run ?(max_instrs = max_int) (t : t) : exit_reason =
   let sysc = sys t in
   let st = interp_state t in
@@ -99,8 +103,9 @@ let run ?(max_instrs = max_int) (t : t) : exit_reason =
      while !result = None do
        if t.syscon.Hvm.Device.Syscon.poweroff then
          result := Some (Poweroff t.syscon.Hvm.Device.Syscon.exit_code)
-       else if t.instrs_executed >= max_instrs then result := Some Step_limit
+       else if t.steps >= max_instrs then result := Some Step_limit
        else begin
+         t.steps <- t.steps + 1;
          Machine.charge t.machine 1; (* nominal time so devices advance *)
          if Machine.irq_pending t.machine then ignore (t.guest.Ops.deliver_irq sysc);
          let va = sysc.Ops.get_pc () in

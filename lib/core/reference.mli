@@ -12,7 +12,10 @@ type t = {
   uart : Hvm.Device.Uart.state;
   timer : Hvm.Device.Timer.state;
   syscon : Hvm.Device.Syscon.state;
-  mutable instrs_executed : int;
+  mutable instrs_executed : int;  (** decoded guest instructions *)
+  mutable steps : int;
+      (** steps taken: decoded instructions plus fetch aborts and
+          undefined instructions *)
 }
 
 exception Insn_aborted
@@ -24,7 +27,8 @@ val set_entry : t -> int64 -> unit
 
 type exit_reason = Poweroff of int | Step_limit
 
-(** Interpret up to [max_instrs] guest instructions. *)
+(** Interpret up to [max_instrs] steps (see [steps]); [Step_limit] once
+    they are taken, even if no instruction decoded. *)
 val run : ?max_instrs:int -> t -> exit_reason
 
 val uart_output : t -> string

@@ -644,6 +644,31 @@ let small k = Int64.equal (Int64.of_int (Int64.to_int k)) k
    the immediate. *)
 let[@inline] src regs o k = if o < 0 then Int64.of_int k else get64 regs o
 
+(* [Bits.clz] and [Bits.bit_reverse] at width 64, repeated here so that
+   they inline and their operands stay unboxed. *)
+let[@inline] popcount64 x =
+  let x = Int64.sub x (Int64.logand (Int64.shift_right_logical x 1) 0x5555_5555_5555_5555L) in
+  let x =
+    Int64.add (Int64.logand x 0x3333_3333_3333_3333L)
+      (Int64.logand (Int64.shift_right_logical x 2) 0x3333_3333_3333_3333L)
+  in
+  let x = Int64.logand (Int64.add x (Int64.shift_right_logical x 4)) 0x0F0F_0F0F_0F0F_0F0FL in
+  Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0101_0101_0101_0101L) 56)
+
+let[@inline] smear x k = Int64.logor x (Int64.shift_right_logical x k)
+
+let[@inline] clz64 x =
+  let x = smear (smear (smear x 1) 2) 4 in
+  popcount64 (Int64.lognot (smear (smear (smear x 8) 16) 32))
+
+let[@inline] swap_bits x m k =
+  Int64.logor (Int64.logand (Int64.shift_right_logical x k) m) (Int64.shift_left (Int64.logand x m) k)
+
+let[@inline] rbit64 x =
+  let x = swap_bits x 0x5555_5555_5555_5555L 1 in
+  let x = swap_bits x 0x3333_3333_3333_3333L 2 in
+  bswap64 (swap_bits x 0x0F0F_0F0F_0F0F_0F0FL 4)
+
 let ok_src = function Preg r -> ok_reg r | Imm k -> small k | _ -> false
 let src_of = function Preg r -> (8 * r, 0) | Imm k -> (-1, Int64.to_int k) | _ -> assert false
 
@@ -737,6 +762,12 @@ let compile_step ~n ~wb idx ins : ctx -> int =
   | Bit1 (Bswap64, Preg d, Preg s) when ok_reg d && ok_reg s ->
     let d = 8 * d and s = 8 * s in
     fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (bswap64 (get64 r s)); next
+  | Bit1 (Bclz64, Preg d, Preg s) when ok_reg d && ok_reg s ->
+    let d = 8 * d and s = 8 * s in
+    fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.of_int (clz64 (get64 r s))); next
+  | Bit1 (Brbit64, Preg d, Preg s) when ok_reg d && ok_reg s ->
+    let d = 8 * d and s = 8 * s in
+    fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (rbit64 (get64 r s)); next
   | Flags_add (w, Preg d, a, b, cin) when ok_reg d && ok_src a && ok_src b && ok_src cin ->
     let d = 8 * d and mask = Bits.mask w and sign = Bits.shl 1L (w - 1) in
     let a, ak = src_of a and b, bk = src_of b and cin, ck = src_of cin in

@@ -8,15 +8,13 @@
 
 open Guest.Ops
 
-let model = lazy (Ssa.Offline.build ~opt_level:4 Riscv_descr.source)
-let model_at_level level = Ssa.Offline.build ~opt_level:level Riscv_descr.source
+(* One model per optimization level, built on first use. *)
+let model_at_level = Ssa.Offline.per_level Riscv_descr.source
 
 let flat_perms = { pr = true; pw = true; px = true; puser = true }
 
 let ops ?opt_level () : ops =
-  let model =
-    match opt_level with None -> Lazy.force model | Some l -> model_at_level l
-  in
+  let model = model_at_level (Option.value opt_level ~default:4) in
   {
     name = "rv64im";
     description = "64-bit RISC-V (RV64IM) guest, user-level";

@@ -119,18 +119,21 @@ let intrinsic name args =
 type verdict = Always | Never | Unknown
 
 type summary = {
-  values : (Ir.id, V.t) Hashtbl.t;
+  values : V.t array; (* by statement id *)
+  assigned : Bytes.t; (* '\001' where [values] holds a computed result *)
   reached : (int, unit) Hashtbl.t;
   verdicts : (int, verdict) Hashtbl.t; (* block id -> branch verdict *)
 }
 
-let value s id = match Hashtbl.find_opt s.values id with Some v -> v | None -> V.bot
+let value s id =
+  if id >= 0 && id < Array.length s.values && Bytes.get s.assigned id <> '\000' then s.values.(id)
+  else V.bot
 let block_reachable s bid = Hashtbl.mem s.reached bid
 let branch_verdict s bid =
   match Hashtbl.find_opt s.verdicts bid with Some v -> v | None -> Unknown
 
-(* Reverse postorder over the CFG, and the set of DFS back-edge targets
-   (loop heads, where widening applies). *)
+(* The reachable blocks in reverse postorder, and the set of DFS back-edge
+   targets (loop heads, where widening applies). *)
 let rpo_and_loop_heads (action : Ir.action) =
   let state = Hashtbl.create 16 in (* 1 = on stack, 2 = done *)
   let heads = Hashtbl.create 4 in
@@ -144,7 +147,7 @@ let rpo_and_loop_heads (action : Ir.action) =
       let b = Ir.find_block action bid in
       List.iter visit (Ir.successors b);
       Hashtbl.replace state bid 2;
-      order := bid :: !order
+      order := b :: !order
   in
   (match action.Ir.blocks with [] -> () | b :: _ -> visit b.Ir.bid);
   (!order, heads)
@@ -174,15 +177,20 @@ let refine_var_by_cmp op ~outcome v bound =
 
 let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
   let nvars = action.Ir.next_var in
-  let values : (Ir.id, V.t) Hashtbl.t = Hashtbl.create 64 in
-  let value_of id = match Hashtbl.find_opt values id with Some v -> v | None -> V.top in
+  (* Values are indexed by statement id; one not computed yet reads as top. *)
+  let nids =
+    List.fold_left
+      (fun n (b : Ir.block) -> List.fold_left (fun n (i : Ir.inst) -> max n (i.Ir.id + 1)) n b.Ir.insts)
+      0 action.Ir.blocks
+  in
+  let values = Array.make nids V.top in
+  let assigned = Bytes.make nids '\000' in
+  let value_of id = if id >= 0 && id < nids then values.(id) else V.top in
   let instates : (int, V.t array) Hashtbl.t = Hashtbl.create 8 in
   let visits : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let order, heads = rpo_and_loop_heads action in
-  let defs = Hashtbl.create 64 in
-  List.iter
-    (fun b -> List.iter (fun i -> Hashtbl.replace defs i.Ir.id i.Ir.desc) b.Ir.insts)
-    action.Ir.blocks;
+  let defs = Array.make nids Ir.Pc_read in
+  List.iter (fun b -> List.iter (fun i -> defs.(i.Ir.id) <- i.Ir.desc) b.Ir.insts) action.Ir.blocks;
   let changed = ref false in
   (* Merge an edge's variable state into [target]'s in-state. *)
   let flow target (vars : V.t array) =
@@ -195,10 +203,14 @@ let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
       Hashtbl.replace visits target vcount;
       let op = if Hashtbl.mem heads target && vcount > 2 then V.widen else V.join in
       for v = 0 to nvars - 1 do
-        let merged = op cur.(v) vars.(v) in
-        if merged <> cur.(v) then begin
-          cur.(v) <- merged;
-          changed := true
+        (* Join and widening are idempotent, so an entry the edge carries
+           unchanged cannot move. *)
+        if cur.(v) != vars.(v) then begin
+          let merged = op cur.(v) vars.(v) in
+          if not (V.equal merged cur.(v)) then begin
+            cur.(v) <- merged;
+            changed := true
+          end
         end
       done
   in
@@ -241,9 +253,12 @@ let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
     let fresh_reads = ref [] in
     List.iter
       (fun (i : Ir.inst) ->
-        let v = eval_desc vars i.Ir.desc in
-        if Ir.produces_value i.Ir.desc then Hashtbl.replace values i.Ir.id v;
-        match i.Ir.desc with
+        let d = i.Ir.desc in
+        if Ir.produces_value d then begin
+          values.(i.Ir.id) <- eval_desc vars d;
+          Bytes.set assigned i.Ir.id '\001'
+        end;
+        match d with
         | Ir.Var_write (x, src) ->
           if x >= 0 && x < nvars then vars.(x) <- value_of src;
           fresh_reads := List.filter (fun (_, var) -> var <> x) !fresh_reads
@@ -265,11 +280,10 @@ let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
       invalid_arg (Printf.sprintf "Absint.analyze: no fixpoint in %s" action.Ir.name);
     changed := false;
     List.iter
-      (fun bid ->
-        match Hashtbl.find_opt instates bid with
+      (fun (b : Ir.block) ->
+        match Hashtbl.find_opt instates b.Ir.bid with
         | None -> ()
         | Some in_vars -> (
-          let b = Ir.find_block action bid in
           let out_vars, fresh_reads = transfer b in_vars in
           match b.Ir.term with
           | Ir.Ret -> ()
@@ -280,8 +294,8 @@ let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
                feeds an unsigned comparison condition. *)
             let refined outcome =
               let vars = Array.copy out_vars in
-              (match Hashtbl.find_opt defs c with
-              | Some (Ir.Binary (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne) as op), false, x, y)) ->
+              (match if c >= 0 && c < nids then defs.(c) else Ir.Pc_read with
+              | Ir.Binary (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne) as op), false, x, y) ->
                 let refine_side id other_v op' =
                   match List.assoc_opt id fresh_reads with
                   | Some var -> vars.(var) <- refine_var_by_cmp op' ~outcome vars.(var) other_v
@@ -312,7 +326,7 @@ let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
     (fun (b : Ir.block) ->
       match b.Ir.term with
       | Ir.Branch (c, _, _) when Hashtbl.mem reached b.Ir.bid ->
-        let vc = match Hashtbl.find_opt values c with Some v -> v | None -> V.top in
+        let vc = value_of c in
         let v =
           if V.is_const vc = Some 0L then Never
           else if (not (V.is_bot vc)) && not (V.contains vc 0L) then Always
@@ -321,7 +335,7 @@ let analyze ?(ctx = no_ctx) (action : Ir.action) : summary =
         Hashtbl.replace verdicts b.Ir.bid v
       | _ -> ())
     action.Ir.blocks;
-  { values; reached; verdicts }
+  { values; assigned; reached; verdicts }
 
 (* --- findings (validator and range checker) -------------------------------- *)
 
@@ -476,10 +490,12 @@ let reset_simplify_stats () =
      about a local width bound);
    - branches with an Always/Never verdict become jumps, with stale phi
      arms on the abandoned edge pruned.
-   [replace_uses] is passed in by {!Opt} to avoid a dependency cycle. *)
-let simplify ~replace_uses ctx (action : Ir.action) =
+   Aliased statements are renamed through an {!Ir.renaming}. *)
+let simplify ctx (action : Ir.action) =
   let s = analyze ~ctx action in
   let changed = ref false in
+  let ren = Ir.renaming () in
+  let replace_uses action ~from ~to_ = Ir.alias ren action ~from ~to_ in
   let foldable = function
     | Ir.Const _ -> false (* already folded *)
     | Ir.Struct _ -> false (* fields are per-instance, not per-class *)
@@ -492,6 +508,7 @@ let simplify ~replace_uses ctx (action : Ir.action) =
       if block_reachable s b.Ir.bid then
         List.iter
           (fun (i : Ir.inst) ->
+            Ir.rename ren i;
             let aval op = value s op in
             let redundant_mask a m =
               match V.is_const (aval m) with Some mv -> V.mask_redundant (aval a) mv | None -> false
@@ -544,6 +561,7 @@ let simplify ~replace_uses ctx (action : Ir.action) =
             | _ -> ())
           b.Ir.insts)
     action.Ir.blocks;
+  Ir.rename_action ren action;
   (* Fold decided branches.  The abandoned target may keep other
      predecessors, so only its phi arms for *this* edge are pruned. *)
   List.iter

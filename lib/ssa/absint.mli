@@ -108,11 +108,6 @@ val reset_simplify_stats : unit -> unit
 
 (** One application of the analysis-driven simplification: fold
     fully-known statements to constants, drop provably redundant masks
-    and extensions, and fold decided branches.  [replace_uses] is
-    injected by {!Opt} (which registers this as the O3 pass
-    [absint-simplify]) to avoid a module cycle. *)
-val simplify :
-  replace_uses:(Ir.action -> from:Ir.id -> to_:Ir.id -> unit) ->
-  ctx ->
-  Ir.action ->
-  bool
+    and extensions, and fold decided branches.  {!Opt} registers it as
+    the O3 pass [absint-simplify]. *)
+val simplify : ctx -> Ir.action -> bool

@@ -139,6 +139,37 @@ let successors b = term_targets b.term
 let predecessors action bid =
   List.filter (fun b -> List.mem bid (successors b)) action.blocks
 
+(* --- renaming ----------------------------------------------------------- *)
+
+(* Aliases a pass records while it walks an action ([from] now stands for
+   [to_]).  The pass renames each statement just before it looks at it,
+   and [rename_action] renames every use once at the end: the result of
+   rewriting the whole action at each alias, in one walk. *)
+type renaming = (id, id) Hashtbl.t
+
+let renaming () : renaming = Hashtbl.create 8
+
+let rec resolve (r : renaming) x =
+  match Hashtbl.find_opt r x with Some y -> resolve r y | None -> x
+
+let alias (r : renaming) action ~from ~to_ =
+  if from = to_ then
+    invalid_arg (Printf.sprintf "Ir.alias: s_%d -> itself in action %s" from action.name);
+  Hashtbl.replace r from to_
+
+let rename (r : renaming) i =
+  if Hashtbl.length r > 0 then i.desc <- map_operands (resolve r) i.desc
+
+let rename_action (r : renaming) action =
+  if Hashtbl.length r > 0 then
+    List.iter
+      (fun b ->
+        List.iter (rename r) b.insts;
+        match b.term with
+        | Branch (c, t, f) when Hashtbl.mem r c -> b.term <- Branch (resolve r c, t, f)
+        | _ -> ())
+      action.blocks
+
 (* Statement count, the metric used for the Sec. 3.6.1 experiment. *)
 let size action = List.fold_left (fun acc b -> acc + List.length b.insts + 1) 0 action.blocks
 

@@ -41,6 +41,17 @@ let build ?(opt_level = 4) ?(verify = false) (source : string) : model =
     arch.Adl.Ast.a_executes;
   { arch; decoder; actions; opt_level }
 
+(* The models of one description at levels 0-4, each built on first use
+   and shared from then on: nothing mutates a model once it is built.
+   [Lazy] is not domain-safe, so a model is first forced on the main
+   domain.  A level outside 0-4 builds a fresh model on every call. *)
+let per_level source =
+  let memo = Array.init 5 (fun opt_level -> lazy (build ~opt_level source)) in
+  fun level ->
+    if level < 0 || level >= Array.length memo then build ~opt_level:level source
+    else if Lazy.is_val memo.(level) || Domain.is_main_domain () then Lazy.force memo.(level)
+    else invalid_arg (Printf.sprintf "Offline.per_level: O%d model first needed off the main domain" level)
+
 let action model name =
   match Hashtbl.find_opt model.actions name with
   | Some a -> a

@@ -26,6 +26,15 @@ val opt_context : Adl.Ast.arch -> string -> Opt.context
     @raise Verify.Invalid if [verify] and a pass breaks an invariant. *)
 val build : ?opt_level:int -> ?verify:bool -> string -> model
 
+(** [per_level source] is a function from optimization level to the
+    model of [source] built at that level.  Levels 0-4 are built once, on
+    first use, and the same model is returned from then on (nothing
+    mutates a model after {!build}); any other level is built afresh on
+    each call.
+    @raise Invalid_argument if a level 0-4 model is first needed on a
+    domain other than the main one ([Lazy] is not domain-safe). *)
+val per_level : string -> int -> model
+
 (** Look up one instruction's optimized SSA action.
     @raise Invalid_argument if the action does not exist. *)
 val action : model -> string -> Ir.action

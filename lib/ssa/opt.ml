@@ -24,24 +24,21 @@ let no_context = Absint.no_ctx
 
 (* --- utilities ------------------------------------------------------------ *)
 
-let defs_of (action : Ir.action) : (Ir.id, Ir.desc) Hashtbl.t =
-  let t = Hashtbl.create 64 in
-  List.iter
-    (fun b -> List.iter (fun i -> Hashtbl.replace t i.Ir.id i.Ir.desc) b.Ir.insts)
-    action.Ir.blocks;
+(* Statement descriptions by id, as of the call.  An id no statement
+   defines maps to [Pc_read], which no lookup below takes for a value. *)
+let defs_of (action : Ir.action) : Ir.desc array =
+  let n =
+    List.fold_left
+      (fun n b -> List.fold_left (fun n i -> max n (i.Ir.id + 1)) n b.Ir.insts)
+      0 action.Ir.blocks
+  in
+  let t = Array.make n Ir.Pc_read in
+  List.iter (fun b -> List.iter (fun i -> t.(i.Ir.id) <- i.Ir.desc) b.Ir.insts) action.Ir.blocks;
   t
 
-let iter_uses (action : Ir.action) f =
-  List.iter
-    (fun b ->
-      List.iter (fun i -> List.iter f (Ir.operands i.Ir.desc)) b.Ir.insts;
-      match b.Ir.term with Ir.Branch (c, _, _) -> f c | Ir.Jump _ | Ir.Ret -> ())
-    action.Ir.blocks
-
-let used_ids action =
-  let t = Hashtbl.create 64 in
-  iter_uses action (fun id -> Hashtbl.replace t id ());
-  t
+let const_def (defs : Ir.desc array) id =
+  if id >= 0 && id < Array.length defs then match defs.(id) with Ir.Const v -> Some v | _ -> None
+  else None
 
 (* Rewrite every use of [from] to [to_].  Malformed requests raise a
    descriptive error instead of silently corrupting the IR: [to_] must be
@@ -64,35 +61,63 @@ let replace_uses (action : Ir.action) ~from ~to_ =
     invalid_arg
       (Printf.sprintf "Opt.replace_uses: replacement s_%d is not defined in action %s" to_
          action.Ir.name));
-  let subst x = if x = from then to_ else x in
-  List.iter
-    (fun b ->
-      List.iter (fun i -> i.Ir.desc <- Ir.map_operands subst i.Ir.desc) b.Ir.insts;
-      match b.Ir.term with
-      | Ir.Branch (c, t, f) when c = from -> b.Ir.term <- Ir.Branch (to_, t, f)
-      | _ -> ())
-    action.Ir.blocks
+  let ren = Ir.renaming () in
+  Ir.alias ren action ~from ~to_;
+  Ir.rename_action ren action
 
 (* --- dead code elimination ------------------------------------------------ *)
 
+(* Removes every removable statement whose value is unused, then what
+   that leaves unused, and so on: the fixed point of repeated sweeps,
+   reached in one pass with use counts and a worklist.  Statements that
+   only use each other in a cycle stay, as they would under sweeps. *)
 let dead_code_elim _ctx (action : Ir.action) =
-  let changed = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    let used = used_ids action in
-    let removed = ref false in
+  let top = ref 0 in
+  let see id = if id >= !top then top := id + 1 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun i ->
+          see i.Ir.id;
+          List.iter see (Ir.operands i.Ir.desc))
+        b.Ir.insts;
+      match b.Ir.term with Ir.Branch (c, _, _) -> see c | Ir.Jump _ | Ir.Ret -> ())
+    action.Ir.blocks;
+  let uses = Array.make !top 0 in
+  let removable = Array.make !top [] in
+  let use id = uses.(id) <- uses.(id) + 1 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun i ->
+          List.iter use (Ir.operands i.Ir.desc);
+          if Ir.removable i.Ir.desc then removable.(i.Ir.id) <- i :: removable.(i.Ir.id))
+        b.Ir.insts;
+      match b.Ir.term with Ir.Branch (c, _, _) -> use c | Ir.Jump _ | Ir.Ret -> ())
+    action.Ir.blocks;
+  let work = ref [] in
+  Array.iteri (fun id defs -> if defs <> [] && uses.(id) = 0 then work := id :: !work) removable;
+  let removed = ref false in
+  while !work <> [] do
+    let id = List.hd !work in
+    work := List.tl !work;
+    removed := true;
+    List.iter
+      (fun i ->
+        List.iter
+          (fun o ->
+            uses.(o) <- uses.(o) - 1;
+            if uses.(o) = 0 && removable.(o) <> [] then work := o :: !work)
+          (Ir.operands i.Ir.desc))
+      removable.(id)
+  done;
+  if !removed then
     List.iter
       (fun b ->
-        let keep i =
-          (not (Ir.removable i.Ir.desc)) || Hashtbl.mem used i.Ir.id
-        in
-        let before = List.length b.Ir.insts in
-        b.Ir.insts <- List.filter keep b.Ir.insts;
-        if List.length b.Ir.insts <> before then removed := true)
+        b.Ir.insts <-
+          List.filter (fun i -> not (Ir.removable i.Ir.desc && uses.(i.Ir.id) = 0)) b.Ir.insts)
       action.Ir.blocks;
-    if !removed then changed := true else continue_ := false
-  done;
-  !changed
+  !removed
 
 (* --- unreachable block elimination ---------------------------------------- *)
 
@@ -133,8 +158,8 @@ let control_flow_simplify _ctx (action : Ir.action) =
         b.Ir.term <- Ir.Jump t;
         changed := true
       | Ir.Branch (c, t, f) -> (
-        match Hashtbl.find_opt defs c with
-        | Some (Ir.Const v) ->
+        match const_def defs c with
+        | Some v ->
           b.Ir.term <- Ir.Jump (if v <> 0L then t else f);
           changed := true
         | _ -> ())
@@ -144,54 +169,76 @@ let control_flow_simplify _ctx (action : Ir.action) =
 
 (* --- block merging ---------------------------------------------------------- *)
 
+(* Merges a block into its jump's target when it is the target's only
+   predecessor and the target is not the entry.  Merging [b] into [a]
+   changes no other block's predecessor count and only [a]'s terminator,
+   so one walk that retries each block until it stops merging finds the
+   merges in the order rescans from the first block would. *)
 let block_merge _ctx (action : Ir.action) =
-  let changed = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    continue_ := false;
-    let merged =
-      List.find_map
-        (fun a ->
-          match a.Ir.term with
-          | Ir.Jump tb when tb <> a.Ir.bid ->
-            let b = Ir.find_block action tb in
-            let preds = Ir.predecessors action tb in
-            if List.length preds = 1 && tb <> (Ir.entry_block action).Ir.bid then Some (a, b)
-            else None
-          | _ -> None)
+  match action.Ir.blocks with
+  | [] -> false
+  | entry :: _ ->
+    let by_bid = Hashtbl.create 16 in
+    let npreds = Hashtbl.create 16 in
+    List.iter
+      (fun x ->
+        Hashtbl.replace by_bid x.Ir.bid x;
+        List.iter
+          (fun t -> Hashtbl.replace npreds t (1 + Option.value ~default:0 (Hashtbl.find_opt npreds t)))
+          (List.sort_uniq compare (Ir.successors x)))
+      action.Ir.blocks;
+    let has_phis =
+      List.exists
+        (fun b -> List.exists (fun i -> match i.Ir.desc with Ir.Phi _ -> true | _ -> false) b.Ir.insts)
         action.Ir.blocks
     in
-    match merged with
-    | Some (a, b) ->
-      (* Single-predecessor phis are aliases. *)
-      List.iter
-        (fun i ->
-          match i.Ir.desc with
-          | Ir.Phi [ (_, v) ] -> replace_uses action ~from:i.Ir.id ~to_:v
-          | _ -> ())
-        b.Ir.insts;
+    let find bid =
+      match Hashtbl.find_opt by_bid bid with Some b -> b | None -> Ir.find_block action bid
+    in
+    let changed = ref false in
+    let merge a b =
+      if has_phis then begin
+        (* Single-predecessor phis are aliases. *)
+        List.iter
+          (fun i ->
+            match i.Ir.desc with
+            | Ir.Phi [ (_, v) ] -> replace_uses action ~from:i.Ir.id ~to_:v
+            | _ -> ())
+          b.Ir.insts;
+        (* Phis in b's successors referring to b must now refer to a. *)
+        List.iter
+          (fun blk ->
+            List.iter
+              (fun i ->
+                match i.Ir.desc with
+                | Ir.Phi ins ->
+                  i.Ir.desc <-
+                    Ir.Phi (List.map (fun (p, v) -> ((if p = b.Ir.bid then a.Ir.bid else p), v)) ins)
+                | _ -> ())
+              blk.Ir.insts)
+          action.Ir.blocks
+      end;
       let non_phi =
         List.filter (fun i -> match i.Ir.desc with Ir.Phi _ -> false | _ -> true) b.Ir.insts
       in
       a.Ir.insts <- a.Ir.insts @ non_phi;
       a.Ir.term <- b.Ir.term;
-      (* Phis in b's successors referring to b must now refer to a. *)
-      List.iter
-        (fun blk ->
-          List.iter
-            (fun i ->
-              match i.Ir.desc with
-              | Ir.Phi ins ->
-                i.Ir.desc <- Ir.Phi (List.map (fun (p, v) -> ((if p = b.Ir.bid then a.Ir.bid else p), v)) ins)
-              | _ -> ())
-            blk.Ir.insts)
-        action.Ir.blocks;
+      Hashtbl.remove by_bid b.Ir.bid;
       action.Ir.blocks <- List.filter (fun blk -> blk.Ir.bid <> b.Ir.bid) action.Ir.blocks;
-      changed := true;
-      continue_ := true
-    | None -> ()
-  done;
-  !changed
+      changed := true
+    in
+    let rec absorb a =
+      match a.Ir.term with
+      | Ir.Jump tb when tb <> a.Ir.bid ->
+        let b = find tb in
+        if Hashtbl.find_opt npreds tb = Some 1 && tb <> entry.Ir.bid then begin
+          merge a b;
+          absorb a
+        end
+      | _ -> ()
+    in
+    List.iter (fun a -> if Hashtbl.mem by_bid a.Ir.bid then absorb a) action.Ir.blocks;
+    !changed
 
 (* --- jump threading (O2) ---------------------------------------------------- *)
 
@@ -253,19 +300,19 @@ let dead_variable_elim _ctx (action : Ir.action) =
 
 let const_fold _ctx (action : Ir.action) =
   let defs = defs_of action in
-  let const_of id =
-    match Hashtbl.find_opt defs id with Some (Ir.Const v) -> Some v | _ -> None
-  in
+  let const_of = const_def defs in
   let changed = ref false in
+  let ren = Ir.renaming () in
   List.iter
     (fun b ->
       List.iter
         (fun i ->
           let set v =
             i.Ir.desc <- Ir.Const v;
-            Hashtbl.replace defs i.Ir.id (Ir.Const v);
+            defs.(i.Ir.id) <- Ir.Const v;
             changed := true
           in
+          Ir.rename ren i;
           match i.Ir.desc with
           | Ir.Binary (op, signed, a, bb) -> (
             match (const_of a, const_of bb) with
@@ -279,7 +326,7 @@ let const_fold _ctx (action : Ir.action) =
             | None -> ())
           | Ir.Select (c, t, f) -> (
             match const_of c with
-            | Some vc -> replace_uses action ~from:i.Ir.id ~to_:(if vc <> 0L then t else f)
+            | Some vc -> Ir.alias ren action ~from:i.Ir.id ~to_:(if vc <> 0L then t else f)
             | None -> ())
           | Ir.Intrinsic (name, args) -> (
             let vals = List.map const_of args in
@@ -290,16 +337,16 @@ let const_fold _ctx (action : Ir.action) =
           | _ -> ())
         b.Ir.insts)
     action.Ir.blocks;
+  Ir.rename_action ren action;
   !changed
 
 (* --- value propagation (O3) --------------------------------------------------- *)
 
 (* Known upper bound on the number of significant (unsigned) bits of each
    value; used to remove provably redundant truncations and masks. *)
-let width_analysis ctx (action : Ir.action) =
-  let defs = defs_of action in
-  let widths = Hashtbl.create 64 in
-  let width_of id = try Hashtbl.find widths id with Not_found -> 64 in
+let width_analysis ctx (action : Ir.action) defs =
+  let widths = Array.make (Array.length defs) 64 in
+  let width_of id = if id >= 0 && id < Array.length widths then widths.(id) else 64 in
   (* Intrinsic result widths are shared with the abstract interpreter so
      both layers assume identical facts about builtins. *)
   let intrinsic_width = Absint.intrinsic_width in
@@ -321,13 +368,13 @@ let width_analysis ctx (action : Ir.action) =
               | Ir.Binary ((Ast.Or | Ast.Xor), _, a, bb) -> max (width_of a) (width_of bb)
               | Ir.Binary (Ast.Add, _, a, bb) -> min 64 (1 + max (width_of a) (width_of bb))
               | Ir.Binary (Ast.Shl, _, a, bb) -> (
-                match Hashtbl.find_opt defs bb with
-                | Some (Ir.Const c) when c >= 0L && c < 64L ->
+                match const_def defs bb with
+                | Some c when c >= 0L && c < 64L ->
                   min 64 (width_of a + Int64.to_int c)
                 | _ -> 64)
               | Ir.Binary (Ast.Shr, false, a, bb) -> (
-                match Hashtbl.find_opt defs bb with
-                | Some (Ir.Const c) when c >= 0L && c < 64L -> max 0 (width_of a - Int64.to_int c)
+                match const_def defs bb with
+                | Some c when c >= 0L && c < 64L -> max 0 (width_of a - Int64.to_int c)
                 | _ -> width_of a)
               | Ir.Binary ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), _, _, _) -> 1
               | Ir.Unary (Ast.Lnot, _) -> 1
@@ -342,7 +389,7 @@ let width_analysis ctx (action : Ir.action) =
               | _ -> 64
             in
             if w < width_of i.Ir.id then begin
-              Hashtbl.replace widths i.Ir.id w;
+              widths.(i.Ir.id) <- w;
               stable := false
             end)
           b.Ir.insts)
@@ -352,20 +399,20 @@ let width_analysis ctx (action : Ir.action) =
 
 let value_propagation ctx (action : Ir.action) =
   let defs = defs_of action in
-  let widths = width_analysis ctx action in
-  let width_of id = try Hashtbl.find widths id with Not_found -> 64 in
-  let const_of id =
-    match Hashtbl.find_opt defs id with Some (Ir.Const v) -> Some v | _ -> None
-  in
+  let widths = width_analysis ctx action defs in
+  let width_of id = if id >= 0 && id < Array.length widths then widths.(id) else 64 in
+  let const_of = const_def defs in
   let changed = ref false in
+  let ren = Ir.renaming () in
   let alias from to_ =
-    replace_uses action ~from ~to_;
+    Ir.alias ren action ~from ~to_;
     changed := true
   in
   List.iter
     (fun b ->
       List.iter
         (fun i ->
+          Ir.rename ren i;
           match i.Ir.desc with
           (* A truncation that cannot change the value. *)
           | Ir.Normalize (w, false, a) when width_of a <= w -> alias i.Ir.id a
@@ -390,6 +437,7 @@ let value_propagation ctx (action : Ir.action) =
           | _ -> ())
         b.Ir.insts)
     action.Ir.blocks;
+  Ir.rename_action ren action;
   !changed
 
 (* --- load coalescing (O3) ------------------------------------------------------ *)
@@ -398,12 +446,14 @@ let value_propagation ctx (action : Ir.action) =
    repeated loads. *)
 let load_coalescing _ctx (action : Ir.action) =
   let changed = ref false in
+  let ren = Ir.renaming () in
   List.iter
     (fun b ->
       let known : (int, Ir.id) Hashtbl.t = Hashtbl.create 8 in
       let kept =
         List.filter
           (fun i ->
+            Ir.rename ren i;
             match i.Ir.desc with
             | Ir.Var_write (v, x) ->
               Hashtbl.replace known v x;
@@ -411,7 +461,7 @@ let load_coalescing _ctx (action : Ir.action) =
             | Ir.Var_read v -> (
               match Hashtbl.find_opt known v with
               | Some x ->
-                replace_uses action ~from:i.Ir.id ~to_:x;
+                Ir.alias ren action ~from:i.Ir.id ~to_:x;
                 changed := true;
                 false
               | None ->
@@ -422,6 +472,7 @@ let load_coalescing _ctx (action : Ir.action) =
       in
       b.Ir.insts <- kept)
     action.Ir.blocks;
+  Ir.rename_action ren action;
   !changed
 
 (* --- dead write elimination (O3) ------------------------------------------------ *)
@@ -465,81 +516,130 @@ type reach = Bot | Val of Ir.id | Top
 let meet a b =
   match (a, b) with
   | Bot, x | x, Bot -> x
-  | Val x, Val y -> if x = y then Val x else Top
+  | Val x, Val y -> if x = y then a else Top
   | Top, _ | _, Top -> Top
+
+let same_reach a b =
+  match (a, b) with
+  | Bot, Bot | Top, Top -> true
+  | Val x, Val y -> x = y
+  | _ -> false
 
 (* Promote variables to SSA values with phi nodes, then immediately lower
    phis back to variable copies on the incoming edges (the paper runs "PHI
    Analysis" and "PHI Elimination" as an O4 pair).  The net effect is that
-   variables with a single reaching definition disappear entirely. *)
+   variables with a single reaching definition disappear entirely.
+
+   The reaching-value analysis works on dense arrays indexed by block
+   position (the entry block is position 0) and tracked variable, with
+   the predecessor table built once per run.  Only variables both written
+   and read somewhere are tracked: every other one reaches each block as
+   Bot.  It is a monotone join over the finite lattice Bot < Val < Top,
+   iterated from Bot, so it reaches the least fixed point whatever the
+   visiting order. *)
 let phi_passes _ctx (action : Ir.action) =
   let nvars = action.Ir.next_var in
   if nvars = 0 then false
   else begin
-    let blocks = action.Ir.blocks in
-    let bids = List.map (fun b -> b.Ir.bid) blocks in
-    (* last write per var per block *)
-    let last_write = Hashtbl.create 16 in
-    List.iter
+    let barr = Array.of_list action.Ir.blocks in
+    let nb = Array.length barr in
+    let written = Array.make nvars false and read = Array.make nvars false in
+    Array.iter
       (fun b ->
         List.iter
           (fun i ->
             match i.Ir.desc with
-            | Ir.Var_write (v, x) -> Hashtbl.replace last_write (b.Ir.bid, v) x
+            | Ir.Var_write (v, _) -> written.(v) <- true
+            | Ir.Var_read v -> read.(v) <- true
             | _ -> ())
           b.Ir.insts)
-      blocks;
-    (* Iterative reaching-value analysis. *)
-    let in_ = Hashtbl.create 16 in
-    let get_in bid v = try Hashtbl.find in_ (bid, v) with Not_found -> Bot in
-    let out bid v =
-      match Hashtbl.find_opt last_write (bid, v) with
-      | Some x -> Val x
-      | None -> get_in bid v
-    in
-    let entry = (Ir.entry_block action).Ir.bid in
-    let preds_tbl = Hashtbl.create 16 in
-    List.iter (fun bid -> Hashtbl.replace preds_tbl bid (List.map (fun b -> b.Ir.bid) (Ir.predecessors action bid))) bids;
-    let stable = ref false in
-    while not !stable do
-      stable := true;
-      List.iter
-        (fun bid ->
-          if bid <> entry then
-            for v = 0 to nvars - 1 do
-              let preds = Hashtbl.find preds_tbl bid in
-              let m = List.fold_left (fun acc p -> meet acc (out p v)) Bot preds in
-              if m <> get_in bid v then begin
-                Hashtbl.replace in_ (bid, v) m;
-                stable := false
-              end
-            done)
-        bids
+      barr;
+    (* [slot.(v)]: v's column in the analysis arrays, or -1 if untracked. *)
+    let slot = Array.make nvars (-1) in
+    let nt = ref 0 in
+    for v = 0 to nvars - 1 do
+      if written.(v) && read.(v) then begin
+        slot.(v) <- !nt;
+        incr nt
+      end
     done;
+    let nt = !nt in
+    (* [in_.(k * nt + t)]: the value of tracked variable t reaching the
+       start of block k. *)
+    let in_ = Array.make (nb * nt) Bot in
+    if nt > 0 then begin
+      let pos = Hashtbl.create nb in
+      Array.iteri (fun k b -> Hashtbl.replace pos b.Ir.bid k) barr;
+      let preds = Array.make nb [] in
+      Array.iteri
+        (fun k b ->
+          List.iter
+            (fun s ->
+              match Hashtbl.find_opt pos s with
+              | Some j -> if not (List.mem k preds.(j)) then preds.(j) <- k :: preds.(j)
+              | None -> ())
+            (Ir.successors b))
+        barr;
+      (* [last.(k * nt + t)]: the last value block k writes to t, or Bot. *)
+      let last = Array.make (nb * nt) Bot in
+      Array.iteri
+        (fun k b ->
+          List.iter
+            (fun i ->
+              match i.Ir.desc with
+              | Ir.Var_write (v, x) when slot.(v) >= 0 -> last.((k * nt) + slot.(v)) <- Val x
+              | _ -> ())
+            b.Ir.insts)
+        barr;
+      let out p t = match last.((p * nt) + t) with Bot -> in_.((p * nt) + t) | w -> w in
+      let rec join_preds t acc = function
+        | [] -> acc
+        | p :: ps -> join_preds t (meet acc (out p t)) ps
+      in
+      let stable = ref false in
+      while not !stable do
+        stable := true;
+        for k = 1 to nb - 1 do
+          for t = 0 to nt - 1 do
+            let m = join_preds t Bot preds.(k) in
+            if not (same_reach m in_.((k * nt) + t)) then begin
+              in_.((k * nt) + t) <- m;
+              stable := false
+            end
+          done
+        done
+      done
+    end;
     (* Materialization.  A reaching value may itself be a Var_read that
        this pass also eliminates, so first collect the full alias map
        (read id -> reaching value id), resolve it transitively, and only
-       then rewrite operands and drop the aliased reads in one sweep. *)
+       then rewrite operands and drop the aliased reads in one sweep.
+       In block k, [current.(v)] is the id v holds at this point (-1 for
+       none) once [seen.(v) = k]; before that, v holds what reaches k. *)
     let alias : (Ir.id, Ir.id) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun b ->
-        let current = Array.make nvars None in
-        for v = 0 to nvars - 1 do
-          match get_in b.Ir.bid v with
-          | Val x -> current.(v) <- Some x
-          | Bot | Top -> current.(v) <- None
-        done;
+    let current = Array.make nvars (-1) and seen = Array.make nvars (-1) in
+    Array.iteri
+      (fun k b ->
+        let holds v =
+          if seen.(v) = k then current.(v)
+          else if slot.(v) < 0 then -1
+          else match in_.((k * nt) + slot.(v)) with Val x -> x | Bot | Top -> -1
+        in
+        let set v x =
+          seen.(v) <- k;
+          current.(v) <- x
+        in
         List.iter
           (fun i ->
             match i.Ir.desc with
-            | Ir.Var_write (v, x) -> current.(v) <- Some x
-            | Ir.Var_read v -> (
-              match current.(v) with
-              | Some x -> Hashtbl.replace alias i.Ir.id x
-              | None -> current.(v) <- Some i.Ir.id (* later reads share this one *))
+            | Ir.Var_write (v, x) -> set v x
+            | Ir.Var_read v ->
+              let x = holds v in
+              if x >= 0 then Hashtbl.replace alias i.Ir.id x
+              else set v i.Ir.id (* later reads share this one *)
             | _ -> ())
           b.Ir.insts)
-      blocks;
+      barr;
     if Hashtbl.length alias = 0 then false
     else begin
       let rec resolve fuel x =
@@ -560,7 +660,7 @@ let phi_passes _ctx (action : Ir.action) =
       if Hashtbl.length alias = 0 then false
       else begin
       let subst x = resolve 64 x in
-      List.iter
+      Array.iter
         (fun b ->
           b.Ir.insts <-
             List.filter
@@ -574,7 +674,7 @@ let phi_passes _ctx (action : Ir.action) =
           match b.Ir.term with
           | Ir.Branch (c, t, f) when subst c <> c -> b.Ir.term <- Ir.Branch (subst c, t, f)
           | _ -> ())
-        blocks;
+        barr;
       true
       end
     end
@@ -585,9 +685,8 @@ let phi_passes _ctx (action : Ir.action) =
 (* Analysis-driven simplification over the known-bits/interval domain of
    {!Absint}: strictly stronger than local value propagation (facts flow
    through decode-field seeds, selects, variable states and branch
-   pruning).  The pass body lives in Absint; replace_uses is injected to
-   avoid a module cycle. *)
-let absint_simplify ctx (action : Ir.action) = Absint.simplify ~replace_uses ctx action
+   pruning).  The pass body lives in Absint. *)
+let absint_simplify ctx (action : Ir.action) = Absint.simplify ctx action
 
 (* --- pass manager ----------------------------------------------------------------- *)
 

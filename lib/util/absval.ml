@@ -65,8 +65,15 @@ let range lo hi = make 0L 0L lo hi
 let of_width w = if w >= 64 then top else if w <= 0 then const 0L else range 0L (Bits.mask w)
 let of_bool b = const (if b then 1L else 0L)
 let bool_unknown = of_width 1
-let is_bot v = v = Bot
-let is_top v = v = top
+let is_bot = function Bot -> true | V _ -> false
+
+let equal a b =
+  match (a, b) with
+  | Bot, Bot -> true
+  | V a, V b -> a.zeros = b.zeros && a.ones = b.ones && a.lo = b.lo && a.hi = b.hi
+  | _ -> false
+
+let is_top v = equal v top
 
 let is_const = function
   | Bot -> None

@@ -37,6 +37,9 @@ val bool_unknown : t
 val is_bot : t -> bool
 val is_top : t -> bool
 
+(** Structural equality of two abstractions. *)
+val equal : t -> t -> bool
+
 (** [Some c] iff the abstraction is the singleton [{c}]. *)
 val is_const : t -> int64 option
 

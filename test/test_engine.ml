@@ -34,6 +34,25 @@ let run_reference ~image ~entry () =
   let code = match RE.run ~max_instrs:30_000_000 r with RE.Poweroff c -> c | _ -> -1 in
   { exit_code = code; uart = RE.uart_output r }
 
+(* ARM random-word image, seed 1: 256 [Prng] words at 0x80000, MMU off.
+   From some point on every step is an undefined instruction or a fetch
+   abort, so a bound on decoded instructions alone is never reached. *)
+let test_reference_step_limit () =
+  let prng = Dbt_util.Prng.create 1L in
+  let image = Bytes.create 1024 in
+  for i = 0 to 255 do
+    Bytes.set_int32_le image (4 * i) (Int64.to_int32 (Dbt_util.Prng.int64 prng))
+  done;
+  let r = RE.create (guest ()) in
+  RE.load_image r ~addr:0x80000L image;
+  RE.set_entry r 0x80000L;
+  (match RE.run ~max_instrs:20_000 r with
+  | RE.Step_limit -> ()
+  | RE.Poweroff c -> Alcotest.failf "powered off with %d" c);
+  Alcotest.(check int) "every step counted" 20_000 r.RE.steps;
+  Alcotest.(check bool) "instrs_executed counts decoded instructions only" true
+    (r.RE.instrs_executed < r.RE.steps)
+
 let check_all_agree name image entry =
   let c, _ = run_captive ~image ~entry () in
   let q = run_qemu ~image ~entry () in
@@ -470,4 +489,5 @@ let suite =
       Alcotest.test_case "SPEC proxies differential" `Slow test_spec_proxies_differential;
       Alcotest.test_case "softfloat helpers (hw_fp off)" `Slow test_softfloat_helpers;
       QCheck_alcotest.to_alcotest prop_random_programs;
+      Alcotest.test_case "Reference stops on random words (ARM seed 1)" `Quick test_reference_step_limit;
     ] )

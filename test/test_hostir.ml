@@ -644,7 +644,8 @@ let test_quiet_window_edges () =
   Machine.phys_write m ~bits:32 0x0900_000CL 1L (* software-set line 1 *);
   Alcotest.(check bool) "Exec: the write closed the window" true (poll ())
 
-(* Loads and stores that hit, and the run itself, allocate nothing. *)
+(* Loads and stores that hit, clz and bit reversal, and the run itself,
+   allocate nothing. *)
 let test_fast_allocates_nothing () =
   let m, h = primed rw () in
   let ctx = Exec.create ~machine:m ~helpers:[||] ~fault_handler:h in
@@ -658,6 +659,8 @@ let test_fast_allocates_nothing () =
            Mem_st (32, Preg 1, Preg 2);
            Mem_ld (8, Preg 3, Preg 1);
            Mem_st (16, Preg 1, Imm 7L);
+           Bit1 (Bclz64, Preg 4, Preg 2);
+           Bit1 (Brbit64, Preg 5, Preg 2);
            Exit 0;
          |])
   in
@@ -689,17 +692,24 @@ let prop_specialised_matches_generic =
           Bit2 (Bror64, Preg 8, Preg 1, Preg 2);
           Bit2 (Bror64, Preg 9, Preg 1, Imm y);
           Bit1 (Bswap64, Preg 10, Preg 1);
+          Bit1 (Brbit64, Preg 11, Preg 1);
+          Bit1 (Bclz64, Preg 12, Preg 1);
+          Bit1 (Bclz64, Preg 13, Preg 14);
         ]
       in
-      (* the generic twin reads its first operand from a spill slot *)
-      let slotted = List.map (Hir.map_sources (function Preg 1 -> Slot 0 | o -> o)) body in
+      (* the generic twin reads its first operand, and r14 (x shifted
+         right by k, so clz sees every count), from spill slots *)
+      let slotted =
+        List.map (Hir.map_sources (function Preg 1 -> Slot 0 | Preg 14 -> Slot 1 | o -> o)) body
+      in
       let run body =
         let ctx = mk_ctx () in
         Exec.set_reg ctx 1 x;
         Exec.set_reg ctx 2 y;
-        let code = Array.of_list ((Mov (Slot 0, Preg 1) :: body) @ [ Exit 0 ]) in
-        ignore (Exec.run ctx (Exec.compile (indexed ~n_slots:1 code)));
-        List.init 11 (Exec.get_reg ctx)
+        Exec.set_reg ctx 14 (Int64.shift_right_logical x k);
+        let code = Array.of_list ((Mov (Slot 0, Preg 1) :: Mov (Slot 1, Preg 14) :: body) @ [ Exit 0 ]) in
+        ignore (Exec.run ctx (Exec.compile (indexed ~n_slots:2 code)));
+        List.init 14 (Exec.get_reg ctx)
       in
       run body = run slotted)
 

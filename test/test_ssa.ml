@@ -222,7 +222,7 @@ let test_arm_opt_levels_agree () =
 
 let test_fixed_dynamic_analysis () =
   (* Paper Sec. 2.2.2: struct reads are fixed, bankregreads dynamic. *)
-  let m = Lazy.force Guest_arm.Arm.model in
+  let m = Guest_arm.Arm.model_at_level 4 in
   let action = Ssa.Offline.action m "add_sub_imm" in
   let r = Analysis.classify action in
   let seen_fixed_struct = ref false and seen_dyn_bankread = ref false in
@@ -249,6 +249,163 @@ let test_fixed_dynamic_analysis () =
   let rbc = Analysis.classify bc in
   Alcotest.(check bool) "b_cond has a dynamic branch" true (rbc.Analysis.dynamic_branches > 0)
 
+(* --- PHI analysis on hand-built CFGs ------------------------------------- *)
+
+let phi_pass = List.find (fun p -> p.Opt.pname = "PHI Analysis/Elimination") Opt.passes
+
+(* An action from (block id, statements, terminator) triples; statement
+   ids are whatever the fixture says, and next_id is one past the last. *)
+let hand_action blocks =
+  let a = Ir.create_action "fixture" in
+  ignore (Ir.fresh_var a "v");
+  a.Ir.blocks <-
+    List.map
+      (fun (bid, insts, term) ->
+        { Ir.bid; insts = List.map (fun (id, desc) -> { Ir.id; desc }) insts; term })
+      blocks;
+  a.Ir.next_id <-
+    1 + List.fold_left (fun m b -> List.fold_left (fun m i -> max m i.Ir.id) m b.Ir.insts) 0 a.Ir.blocks;
+  a
+
+let stmt a id =
+  List.find_map (fun b -> List.find_opt (fun i -> i.Ir.id = id) b.Ir.insts) a.Ir.blocks
+
+let check_clean a =
+  Alcotest.(check (list string)) "well-formed" [] (List.map Verify.string_of_violation (Verify.check a))
+
+let test_phi_one_def_across_back_edge () =
+  (* v is written once before the loop: the loop head's read sees that
+     write along the entry edge and itself along the back edge. *)
+  let a =
+    hand_action
+      [
+        (0, [ (0, Ir.Const 5L); (1, Ir.Var_write (0, 0)) ], Ir.Jump 1);
+        ( 1,
+          [ (2, Ir.Var_read 0); (3, Ir.Reg_read 0); (4, Ir.Binary (Adl.Ast.Add, false, 2, 3));
+            (5, Ir.Reg_write (1, 4)) ],
+          Ir.Branch (3, 1, 2) );
+        (2, [], Ir.Ret);
+      ]
+  in
+  Alcotest.(check bool) "changed" true (phi_pass.Opt.run Opt.no_context a);
+  Alcotest.(check bool) "read promoted" true (stmt a 2 = None);
+  Alcotest.(check bool) "use rewritten to the write's value" true
+    (Option.map (fun i -> i.Ir.desc) (stmt a 4) = Some (Ir.Binary (Adl.Ast.Add, false, 0, 3)));
+  check_clean a
+
+let test_phi_two_defs_keep_read () =
+  (* The loop body writes v, so its head sees two definitions; the exit
+     block sees only the body's write. *)
+  let a =
+    hand_action
+      [
+        (0, [ (0, Ir.Const 5L); (1, Ir.Var_write (0, 0)) ], Ir.Jump 1);
+        ( 1,
+          [ (2, Ir.Var_read 0); (3, Ir.Const 1L); (4, Ir.Binary (Adl.Ast.Add, false, 2, 3));
+            (5, Ir.Var_write (0, 4)); (6, Ir.Reg_read 0) ],
+          Ir.Branch (6, 1, 2) );
+        (2, [ (7, Ir.Var_read 0); (8, Ir.Reg_write (1, 7)) ], Ir.Ret);
+      ]
+  in
+  Alcotest.(check bool) "changed" true (phi_pass.Opt.run Opt.no_context a);
+  Alcotest.(check bool) "loop-head read kept" true (stmt a 2 <> None);
+  Alcotest.(check bool) "exit read promoted to the body's write" true
+    (stmt a 7 = None && Option.map (fun i -> i.Ir.desc) (stmt a 8) = Some (Ir.Reg_write (1, 4)));
+  check_clean a
+
+let test_phi_read_before_write_stays () =
+  (* Only the other arm writes v: the read reaches Bot and stays, and a
+     second read in its block shares it. *)
+  let a =
+    hand_action
+      [
+        (0, [ (0, Ir.Reg_read 0) ], Ir.Branch (0, 1, 2));
+        (1, [ (1, Ir.Const 3L); (2, Ir.Var_write (0, 1)) ], Ir.Jump 3);
+        ( 2,
+          [ (3, Ir.Var_read 0); (4, Ir.Var_read 0); (5, Ir.Binary (Adl.Ast.Add, false, 3, 4));
+            (6, Ir.Reg_write (1, 5)) ],
+          Ir.Jump 3 );
+        (3, [], Ir.Ret);
+      ]
+  in
+  Alcotest.(check bool) "changed" true (phi_pass.Opt.run Opt.no_context a);
+  Alcotest.(check bool) "first read stays" true (stmt a 3 <> None);
+  Alcotest.(check bool) "second read shares it" true
+    (stmt a 4 = None
+    && Option.map (fun i -> i.Ir.desc) (stmt a 5) = Some (Ir.Binary (Adl.Ast.Add, false, 3, 3)));
+  check_clean a
+
+(* A pass sees the aliases it made earlier in the same walk, as if every
+   use had been rewritten at once: s3 = s0 + 0 makes the select's arms
+   equal, so one run folds the select too, and the write and the branch
+   end up on s0. *)
+let test_aliases_within_one_pass () =
+  let vp = List.find (fun p -> p.Opt.pname = "Value Propagation") Opt.passes in
+  let a =
+    hand_action
+      [
+        ( 0,
+          [ (0, Ir.Reg_read 0); (1, Ir.Reg_read 1); (2, Ir.Const 0L);
+            (3, Ir.Binary (Adl.Ast.Add, false, 0, 2)); (4, Ir.Select (1, 3, 0));
+            (5, Ir.Reg_write (2, 4)) ],
+          Ir.Branch (4, 1, 1) );
+        (1, [], Ir.Ret);
+      ]
+  in
+  Alcotest.(check bool) "changed" true (vp.Opt.run Opt.no_context a);
+  Alcotest.(check bool) "write renamed through both aliases" true
+    (Option.map (fun i -> i.Ir.desc) (stmt a 5) = Some (Ir.Reg_write (2, 0)));
+  Alcotest.(check bool) "branch condition renamed" true
+    ((List.hd a.Ir.blocks).Ir.term = Ir.Branch (0, 1, 1));
+  (* Block 1 comes first in the list but runs after block 2: its alias
+     s5 -> s3 is made before s3 -> s0, and the write follows the chain. *)
+  let a =
+    hand_action
+      [
+        (0, [], Ir.Jump 2);
+        (1, [ (4, Ir.Const 0L); (5, Ir.Binary (Adl.Ast.Or, false, 3, 4)); (6, Ir.Reg_write (2, 5)) ], Ir.Ret);
+        (2, [ (0, Ir.Reg_read 0); (2, Ir.Const 0L); (3, Ir.Binary (Adl.Ast.Add, false, 0, 2)) ], Ir.Jump 1);
+      ]
+  in
+  Alcotest.(check bool) "changed" true (vp.Opt.run Opt.no_context a);
+  Alcotest.(check bool) "write renamed along the chain" true
+    (Option.map (fun i -> i.Ir.desc) (stmt a 6) = Some (Ir.Reg_write (2, 0)))
+
+(* --- the offline pipeline's output, pinned ------------------------------- *)
+
+(* MD5 of [Ir.to_string] of every action of both guest models at O1-O4,
+   in declaration order.  A change meant to move the pipeline's output
+   updates this digest and says so. *)
+let test_model_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun model_at_level ->
+      List.iter
+        (fun level ->
+          let m = model_at_level level in
+          List.iter
+            (fun x -> Buffer.add_string buf (Ir.to_string (Offline.action m x.Adl.Ast.x_name)))
+            m.Offline.arch.Adl.Ast.a_executes)
+        [ 1; 2; 3; 4 ])
+    [ Guest_arm.Arm.model_at_level; Guest_riscv.Riscv.model_at_level ];
+  Alcotest.(check string) "digest" "eb9bc937738e74e1d9268d4742d2cc3e"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_models_built_once () =
+  Alcotest.(check bool) "same O2 model twice" true
+    (Guest_arm.Arm.model_at_level 2 == Guest_arm.Arm.model_at_level 2);
+  Alcotest.(check bool) "default ops share the O4 model" true
+    ((Guest_arm.Arm.ops ()).Guest.Ops.model == Guest_arm.Arm.model_at_level 4
+    && (Guest_riscv.Riscv.ops ~opt_level:4 ()).Guest.Ops.model
+       == (Guest_riscv.Riscv.ops ()).Guest.Ops.model);
+  (* A model not built yet may not be forced off the main domain. *)
+  let levels = Offline.per_level Toy_arch.source in
+  let off_main = Domain.join (Domain.spawn (fun () -> try ignore (levels 3); false with Invalid_argument _ -> true)) in
+  Alcotest.(check bool) "first use off the main domain refused" true off_main;
+  Alcotest.(check bool) "built on the main domain, then shared" true
+    (let m = levels 3 in
+     Domain.join (Domain.spawn (fun () -> levels 3 == m)))
+
 let suite =
   ( "ssa",
     [
@@ -260,4 +417,11 @@ let suite =
       Alcotest.test_case "offline fp folding" `Quick test_offline_fold_fp;
       Alcotest.test_case "ARM model O1 vs O4 (differential)" `Slow test_arm_opt_levels_agree;
       Alcotest.test_case "fixed/dynamic analysis" `Quick test_fixed_dynamic_analysis;
+      Alcotest.test_case "PHI: one definition across a back edge" `Quick
+        test_phi_one_def_across_back_edge;
+      Alcotest.test_case "PHI: two definitions keep the read" `Quick test_phi_two_defs_keep_read;
+      Alcotest.test_case "PHI: read before any write stays" `Quick test_phi_read_before_write_stays;
+      Alcotest.test_case "aliases within one pass" `Quick test_aliases_within_one_pass;
+      Alcotest.test_case "model digest O1-O4" `Quick test_model_digest;
+      Alcotest.test_case "models built once per level" `Quick test_models_built_once;
     ] )

@@ -468,7 +468,7 @@ let prop_toy_optimize_preserves_interp =
    of Build.execute vs every optimization level, on random instances of a
    set of template encodings. *)
 let test_arm_optimize_preserves_interp () =
-  let m = Lazy.force Guest_arm.Arm.model in
+  let m = Guest_arm.Arm.model_at_level 4 in
   let arch = m.Offline.arch in
   let prng = Dbt_util.Prng.create 20260806L in
   let templates =
