@@ -44,10 +44,8 @@ type run_result = {
 let exec_guest_instrs stats =
   List.fold_left (fun acc (_, ng, _, ex, _, _) -> acc + (ng * ex)) 0 stats
 
-let run_captive ?(config = CE.default_config) ?ops user =
-  let guest = match ops with Some o -> o | None -> Guest_arm.Arm.ops () in
-  let e = CE.create ~config guest in
-  K.install (K.captive_target e) ~user;
+(* Run either engine (both are [CE.t]) and read its counters. *)
+let run_engine e =
   let exit_code = match CE.run ~max_cycles:20_000_000_000 e with CE.Poweroff c -> c | _ -> -1 in
   let s = e.CE.stats in
   let bs = CE.block_stats e in
@@ -63,24 +61,16 @@ let run_captive ?(config = CE.default_config) ?ops user =
     block_stats = bs;
   }
 
+let run_captive ?(config = CE.default_config) ?ops user =
+  let guest = match ops with Some o -> o | None -> Guest_arm.Arm.ops () in
+  let e = CE.create ~config guest in
+  K.install (K.captive_target e) ~user;
+  run_engine e
+
 let run_qemu ?(config = QE.default_config) user =
-  let guest = Guest_arm.Arm.ops () in
-  let e = QE.create ~config guest in
+  let e = QE.create ~config (Guest_arm.Arm.ops ()) in
   K.install (K.qemu_target e) ~user;
-  let exit_code = match QE.run ~max_cycles:20_000_000_000 e with QE.Poweroff c -> c | _ -> -1 in
-  let s = e.QE.stats in
-  let bs = QE.block_stats e in
-  {
-    cycles = QE.cycles e;
-    exit_code;
-    guest_instrs_exec = exec_guest_instrs bs;
-    host_per_guest = float_of_int s.QE.host_instrs_emitted /. float_of_int (max 1 s.QE.guest_instrs_translated);
-    bytes_per_guest = float_of_int s.QE.host_bytes_emitted /. float_of_int (max 1 s.QE.guest_instrs_translated);
-    blocks_translated = s.QE.blocks_translated;
-    phases = (s.QE.t_decode, s.QE.t_translate, s.QE.t_regalloc, s.QE.t_encode);
-    tiers = (0., 0., 0.); (* the QEMU-style engine has one tier *)
-    block_stats = bs;
-  }
+  run_engine e
 
 (* Cache: fig17/18/20/22 share the SPEC runs. *)
 let spec_cache : (string, run_result * run_result) Hashtbl.t = Hashtbl.create 32
@@ -277,7 +267,7 @@ let fig21 () =
     (fun name ->
       let user = (Spec.find name).Spec.build ~scale in
       let c = run_captive ~config:{ CE.default_config with CE.chaining = false } user in
-      let q = run_qemu ~config:{ QE.default_config with QE.chaining = false } user in
+      let q = run_qemu ~config:{ QE.chaining = false } user in
       hpg := (c.host_per_guest, q.host_per_guest);
       let qtbl = Hashtbl.create 256 in
       List.iter

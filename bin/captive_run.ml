@@ -83,7 +83,7 @@ module CE = Captive.Engine
 
 (* The stats dump of `spec` and `boot`: cycles, host page faults and
    every non-zero counter of the engine's counter table. *)
-let verbose_stats_captive (e : CE.t) =
+let verbose_stats (e : CE.t) =
   let s = e.CE.stats in
   Printf.printf "cycles: %d\nhost page faults: %d\n" (CE.cycles e) e.CE.machine.Hvm.Machine.faults;
   List.iter
@@ -102,8 +102,10 @@ let run_user ~engine ~scale ~user =
     | None -> Printf.printf "hit the cycle cap (%d cycles)\n" max_cycles
   in
   match engine with
-  | Eng_captive ->
-    let e = Captive.Engine.create guest in
+  | Eng_captive | Eng_qemu ->
+    let e =
+      if engine = Eng_captive then Captive.Engine.create guest else Qemu_ref.Qemu_engine.create guest
+    in
     Workloads.Kernel.install (Workloads.Kernel.captive_target e) ~user;
     let code =
       match Captive.Engine.run ~max_cycles e with
@@ -112,18 +114,7 @@ let run_user ~engine ~scale ~user =
     in
     print_string (Captive.Engine.uart_output e);
     print_exit code;
-    verbose_stats_captive e
-  | Eng_qemu ->
-    let e = Qemu_ref.Qemu_engine.create guest in
-    Workloads.Kernel.install (Workloads.Kernel.qemu_target e) ~user;
-    let code =
-      match Qemu_ref.Qemu_engine.run ~max_cycles e with
-      | Qemu_ref.Qemu_engine.Poweroff c -> Some c
-      | _ -> None
-    in
-    print_string (Qemu_ref.Qemu_engine.uart_output e);
-    print_exit code;
-    Printf.printf "cycles: %d\n" (Qemu_ref.Qemu_engine.cycles e)
+    verbose_stats e
   | Eng_reference ->
     let r = Captive.Reference.create guest in
     Workloads.Kernel.install (Workloads.Kernel.reference_target r) ~user;
@@ -765,8 +756,9 @@ let bench_load_baseline file =
 
 (* The baseline gate on one row: "captive_cycles", "speedup" and
    "translate_cpgi" gate with 5% tolerance; under --exact,
-   "exec_cycles", "jit_cycles" and "translate_cycles_template" must
-   also be present and bit-identical. *)
+   "exec_cycles", "jit_cycles", "translate_cycles_template" and the
+   QEMU-style engine's "qemu_cycles" must also be present and
+   bit-identical. *)
 let bench_gate ~fail ~exact r fields =
   let num = MJ.find_number fields in
   let name = r.br_name in
@@ -795,7 +787,8 @@ let bench_gate ~fail ~exact r fields =
           fail (Printf.sprintf "%s: %s %d not bit-identical to baseline %.0f" name key got want)
         | None -> fail (Printf.sprintf "%s: --exact but baseline has no %s" name key))
       [ ("exec_cycles", r.br_exec); ("jit_cycles", r.br_jit);
-        ("translate_cycles_template", r.br_stats.CE.translate_cycles_template) ]
+        ("translate_cycles_template", r.br_stats.CE.translate_cycles_template);
+        ("qemu_cycles", r.br_qemu) ]
 
 let bench_cmd =
   let json =
@@ -809,10 +802,10 @@ let bench_cmd =
   in
   let exact =
     Arg.(value & flag & info [ "exact" ]
-           ~doc:"Determinism gate: additionally require exec_cycles, jit_cycles and \
-                 translate_cycles_template to be bit-identical to the baseline's (fails if \
-                 the baseline lacks those fields).  Meaningful with --domains 1, where the \
-                 cycle model is deterministic.")
+           ~doc:"Determinism gate: additionally require exec_cycles, jit_cycles, \
+                 translate_cycles_template and qemu_cycles to be bit-identical to the \
+                 baseline's (fails if the baseline lacks those fields).  Meaningful with \
+                 --domains 1, where the cycle model is deterministic.")
   in
   let domains =
     Arg.(value & opt positive 1 & info [ "domains" ] ~docv:"D"

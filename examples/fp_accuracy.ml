@@ -56,7 +56,7 @@ let run_qemu () =
   Qemu_ref.Qemu_engine.set_entry e 0x80000L;
   ignore (Qemu_ref.Qemu_engine.run ~max_cycles:50_000_000 e);
   List.mapi
-    (fun i _ -> Hvm.Mem.read64 e.Qemu_ref.Qemu_engine.machine.Hvm.Machine.mem (Int64.of_int (0x100000 + (8 * i))))
+    (fun i _ -> Hvm.Mem.read64 e.Captive.Engine.machine.Hvm.Machine.mem (Int64.of_int (0x100000 + (8 * i))))
     inputs
 
 let () =

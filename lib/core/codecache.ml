@@ -1,7 +1,10 @@
 (* PA-sharded, published-immutable code cache (the concurrent-JIT
    successor to the engine's single-owner Hashtbl).
 
-   The cache is split into N shards by guest-physical page.  Each shard
+   The cache is split into N shards by guest-physical page, and every
+   operation names the page its entry lives on: a key is a guest PA for
+   Captive but a guest VA for the QEMU-style baseline, so the key alone
+   does not say which page holds the code.  Each shard
    is one [Atomic.t] holding an immutable state record (persistent maps
    for the key index, the page index, and per-page invalidation
    generations).  Readers take a snapshot with a single [Atomic.get] and
@@ -19,7 +22,7 @@
    refused if the page was invalidated in between, so a translation of
    pre-SMC guest bytes is never served. *)
 
-type key = int64 * int * bool (* (guest PA, exception level, mmu on) *)
+type key = int64 * int * bool (* (guest PA or VA, exception level, mmu on) *)
 
 module Kmap = Map.Make (struct
   type t = key
@@ -39,9 +42,6 @@ type 'a t = { shards : 'a state Atomic.t array; mask : int }
 
 let empty_state = { map = Kmap.empty; pages = Pmap.empty; gens = Pmap.empty }
 
-let page_of_pa pa = Int64.logand pa (Int64.lognot 0xFFFL)
-let page_of_key (pa, _, _) = page_of_pa pa
-
 let create ?(shards = 16) () : 'a t =
   let n = max 1 shards in
   (* round up to a power of two so the shard index is a mask *)
@@ -59,13 +59,12 @@ let rec update (shard : 'a state Atomic.t) (f : 'a state -> 'a state * 'b) : 'b 
   let next, r = f old in
   if Atomic.compare_and_set shard old next then r else update shard f
 
-let lookup t key = Kmap.find_opt key (Atomic.get (shard_of t (page_of_key key))).map
+let lookup t ~page key = Kmap.find_opt key (Atomic.get (shard_of t page)).map
 
 let gen_of st page = Option.value ~default:0 (Pmap.find_opt page st.gens)
 let page_gen t page = gen_of (Atomic.get (shard_of t page)) page
 
-let add_key st key v =
-  let page = page_of_key key in
+let add_key st ~page key v =
   let pages =
     if Kmap.mem key st.map then st.pages (* replacement: key already indexed *)
     else
@@ -75,17 +74,17 @@ let add_key st key v =
   in
   { st with map = Kmap.add key v st.map; pages }
 
-let publish t key v = update (shard_of t (page_of_key key)) (fun st -> (add_key st key v, ()))
+let publish t ~page key v = update (shard_of t page) (fun st -> (add_key st ~page key v, ()))
 
 (* Conditional publish: the caller holds a generation token for the
    code's page from when the translation job was enqueued; if the page
    was invalidated since (SMC), the install is refused and the stale
    code is dropped on the floor. *)
-let publish_if t key ~gen v =
-  update
-    (shard_of t (page_of_key key))
-    (fun st ->
-      if gen_of st (page_of_key key) <> gen then (st, false) else (add_key st key v, true))
+let publish_if t ~page key ~gen v =
+  update (shard_of t page) (fun st ->
+      if gen_of st page <> gen then (st, false) else (add_key st ~page key v, true))
+
+let holds_code t page = Pmap.mem page (Atomic.get (shard_of t page)).pages
 
 (* Remove every translation on [page] and bump the page's generation —
    unconditionally, so in-flight jobs for the page are tombstoned even
@@ -98,6 +97,11 @@ let invalidate_page t page : 'a list =
       let map = List.fold_left (fun m k -> Kmap.remove k m) st.map keys in
       let gens = Pmap.update page (fun g -> Some (1 + Option.value ~default:0 g)) st.gens in
       ({ map; pages = Pmap.remove page st.pages; gens }, removed))
+
+(* Drop every translation; the generations stay, so a tombstone still
+   refuses a job enqueued before the clear. *)
+let clear t =
+  Array.iter (fun sh -> update sh (fun st -> ({ st with map = Kmap.empty; pages = Pmap.empty }, ()))) t.shards
 
 let iter f t = Array.iter (fun sh -> Kmap.iter f (Atomic.get sh).map) t.shards
 

@@ -77,7 +77,7 @@ let select_members (e : t) (head : translation) : translation list * bool =
           && not (List.exists (fun m' -> Int64.equal m'.t_va va) !members)
         then
           let pa = Int64.logor pa_page (Int64.logand va 0xFFFL) in
-          match Codecache.lookup e.cache (pa, el, mmu_on) with
+          match Codecache.lookup e.cache ~page:pa_page (pa, el, mmu_on) with
           | Some tr
             when tr.t_n_guest > 0 && tr.t_members = 1
                  && Array.length tr.t_exits = 0
@@ -287,8 +287,13 @@ let prepare_as (e : t) va =
   trace e "PREPARE va=%Lx as=%d\n%!" va target_as;
   Exec.set_reg e.ctx Dag.as_tag_preg (as_tag_value target_as)
 
+(* One loop for both designs.  Where the QEMU-style baseline differs,
+   it differs by policy: its cache is keyed by VA ([key_of]), and
+   without host paging there is no address-space switch to prepare, so
+   a chain edge may cross the VA halves. *)
 let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
   let sys = Common.sys_ctx e.guest e.ctx in
+  let paging = e.machine.Machine.paging in
   (* Region safepoints honour this run's cycle ceiling. *)
   e.ctx.Exec.poll_deadline <- max_cycles;
   let result = ref None in
@@ -317,13 +322,13 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
          match lookup_fetch e sys va ~el ~mmu_on with
          | Error () -> () (* instruction abort redirected the PC *)
          | Ok pa -> (
-           let key = (pa, el, mmu_on) in
+           let key = key_of e ~va ~pa ~el ~mmu_on in
            let tr =
-             match Codecache.lookup e.cache key with
+             match Codecache.lookup e.cache ~page:(Bits.align_down pa 4096) key with
              | Some tr -> tr
              | None -> Translate.translate_block e ~va ~pa ~el ~mmu_on
            in
-           prepare_as e va;
+           if paging then prepare_as e va;
            (* Execute, following chain links while they hit. *)
            try
              let cur = ref tr in
@@ -396,13 +401,21 @@ let run ?(max_cycles = max_int) ?(max_blocks = max_int) (e : t) : exit_reason =
                    cur := target
                  | _ -> (
                    (* Try to link: only when the target is already
-                      translated and the MMU regime is unchanged. *)
+                      translated and the MMU regime is unchanged (and,
+                      with host paging, the address space too). *)
                    let mmu_on' = e.guest.Ops.mmu_enabled sys in
-                   if mmu_on' = mmu_on && Int64.shift_right_logical next_va 47 = Int64.shift_right_logical va 47 then begin
+                   if
+                     mmu_on' = mmu_on
+                     && ((not paging)
+                        || Int64.shift_right_logical next_va 47 = Int64.shift_right_logical va 47)
+                   then begin
                      match Hashtbl.find_opt e.itlb (Bits.align_down next_va 4096, next_el, mmu_on') with
                      | Some pa_page -> (
                        let npa = Int64.logor pa_page (Int64.logand next_va 0xFFFL) in
-                       match Codecache.lookup e.cache (npa, next_el, mmu_on') with
+                       match
+                         Codecache.lookup e.cache ~page:pa_page
+                           (key_of e ~va:next_va ~pa:npa ~el:next_el ~mmu_on:mmu_on')
+                       with
                        | Some target ->
                          (match site with
                          | Some s when s >= 0 -> !cur.t_exits.(s) <- Some (next_va, next_el, target)

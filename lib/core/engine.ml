@@ -10,21 +10,12 @@ open State
 
 type exit_reason = Dispatch.exit_reason = Poweroff of int | Cycle_limit | Block_limit
 
-(* The helper callbacks reach the engine through [engine_ref], set last. *)
-let create_core config (guest : Ops.ops) : State.t =
-  let machine, uart, timer, syscon = Machine.board ~mem_size:config.mem_size in
-  machine.Machine.paging <- true;
-  let roots = [| Hvm.Palloc.alloc machine.Machine.palloc; Hvm.Palloc.alloc machine.Machine.palloc |] in
-  machine.Machine.cr3 <- roots.(0);
-  let engine_ref = ref None in
-  let engine () = Option.get !engine_ref in
+(* Captive's helpers: guest system operations run inside the ring-0
+   execution engine, and a page-table or TLB change drops the host
+   mappings but keeps every translation. *)
+let captive_helpers (guest : Ops.ops) (engine : unit -> State.t) : (int * Exec.helper) list =
   let sys ctx = Common.sys_ctx guest ctx in
   let charge_int ctx = Machine.charge ctx.Exec.machine Cost.soft_interrupt in
-  let helpers =
-    Array.make (Common.first_softfloat + List.length Common.softfloat_names)
-      { Exec.fn = (fun _ _ -> 0L); cost = 0 }
-  in
-  let set h cost fn = helpers.(h) <- { Exec.fn; cost } in
   (* The TLB-flush intercept; a single-page invalidation conservatively
      flushes everything too. *)
   let flush ctx _ =
@@ -32,43 +23,67 @@ let create_core config (guest : Ops.ops) : State.t =
     Fault.flush_host_mappings (engine ());
     0L
   in
-  set Common.h_coproc_read 30 (fun ctx args -> guest.Ops.coproc_read (sys ctx) args.(0));
-  set Common.h_coproc_write 30 (fun ctx args ->
-      charge_int ctx;
-      (match guest.Ops.coproc_write (sys ctx) args.(0) args.(1) with
-      | Ops.Ce_none -> ()
-      | Ops.Ce_mmu_changed | Ops.Ce_tlb_flush -> Fault.flush_host_mappings (engine ()));
-      0L);
-  (* Guest exception entry/return is a direct transfer inside the
-     ring-0 execution engine - no software interrupt needed. *)
-  set Common.h_take_exception 60 (fun ctx args ->
-      Fault.poison_regions (engine ());
-      guest.Ops.take_exception (sys ctx) ~ec:args.(0) ~iss:args.(1);
-      0L);
-  set Common.h_eret 60 (fun ctx _ ->
-      Fault.poison_regions (engine ());
-      guest.Ops.eret (sys ctx);
-      0L);
-  set Common.h_tlb_flush 40 flush;
-  set Common.h_tlb_flush_page 40 flush;
+  let h i cost fn = (i, { Exec.fn; cost }) in
+  [
+    h Common.h_coproc_read 30 (fun ctx args -> guest.Ops.coproc_read (sys ctx) args.(0));
+    h Common.h_coproc_write 30 (fun ctx args ->
+        charge_int ctx;
+        (match guest.Ops.coproc_write (sys ctx) args.(0) args.(1) with
+        | Ops.Ce_none -> ()
+        | Ops.Ce_mmu_changed | Ops.Ce_tlb_flush -> Fault.flush_host_mappings (engine ()));
+        0L);
+    (* Guest exception entry/return is a direct transfer inside the
+       ring-0 execution engine - no software interrupt needed. *)
+    h Common.h_take_exception 60 (fun ctx args ->
+        Fault.poison_regions (engine ());
+        guest.Ops.take_exception (sys ctx) ~ec:args.(0) ~iss:args.(1);
+        0L);
+    h Common.h_eret 60 (fun ctx _ ->
+        Fault.poison_regions (engine ());
+        guest.Ops.eret (sys ctx);
+        0L);
+    h Common.h_tlb_flush 40 flush;
+    h Common.h_tlb_flush_page 40 flush;
+    h Common.h_as_switch 5 (fun ctx args ->
+        let e = engine () in
+        let target_as = if args.(0) = 0L then 0 else 1 in
+        e.current_as <- target_as;
+        Machine.set_page_table ctx.Exec.machine ~root:e.roots.(target_as) ~pcid:target_as
+          ~keep_tlb:e.config.pcid;
+        Exec.set_reg ctx Dag.as_tag_preg (as_tag_value target_as);
+        trace e "SWITCH as=%d pc=%Lx\n%!" target_as (Exec.get_pc ctx);
+        0L);
+  ]
+
+(* An engine of either design over a fresh board: Captive's with host
+   paging, or, given [baseline], the QEMU-style one without.  The helper
+   table holds the helpers both designs share, then the design's own;
+   the helpers reach the engine through [engine_ref], set last. *)
+let create_core ?baseline config (guest : Ops.ops) design_helpers : State.t =
+  let machine, uart, timer, syscon = Machine.board ~mem_size:config.mem_size in
+  let paging = Option.is_none baseline in
+  machine.Machine.paging <- paging;
+  let roots =
+    if paging then [| Hvm.Palloc.alloc machine.Machine.palloc; Hvm.Palloc.alloc machine.Machine.palloc |]
+    else [||]
+  in
+  if paging then machine.Machine.cr3 <- roots.(0);
+  let engine_ref = ref None in
+  let engine () = Option.get !engine_ref in
+  let helpers =
+    Array.make (Common.first_softfloat + List.length Common.softfloat_names)
+      { Exec.fn = (fun _ _ -> 0L); cost = 0 }
+  in
+  let set h cost fn = helpers.(h) <- { Exec.fn; cost } in
   set Common.h_halt 0 (fun _ _ -> raise (Machine.Powered_off 0));
   (* Fast-forward to the next timer event if one is pending. *)
   set Common.h_wfi 10 (fun ctx _ ->
-      Machine.wfi ctx.Exec.machine (engine ()).timer;
-      0L);
-  set Common.h_barrier 0 (fun _ _ -> 0L);
-  set Common.h_as_switch 5 (fun ctx args ->
-      let e = engine () in
-      let target_as = if args.(0) = 0L then 0 else 1 in
-      e.current_as <- target_as;
-      Machine.set_page_table ctx.Exec.machine ~root:e.roots.(target_as) ~pcid:target_as
-        ~keep_tlb:e.config.pcid;
-      Exec.set_reg ctx Dag.as_tag_preg (as_tag_value target_as);
-      trace e "SWITCH as=%d pc=%Lx\n%!" target_as (Exec.get_pc ctx);
+      Machine.wfi ctx.Exec.machine timer;
       0L);
   List.iteri
     (fun i name -> helpers.(Common.first_softfloat + i) <- Common.softfloat_helper name)
     Common.softfloat_names;
+  List.iter (fun (i, h) -> helpers.(i) <- h) (design_helpers engine);
   let fault_handler ctx access va ~bits ~value = Fault.handle_fault (engine ()) ctx access va ~bits ~value in
   let ctx = Exec.create ~machine ~helpers ~fault_handler in
   let jenv =
@@ -86,7 +101,7 @@ let create_core config (guest : Ops.ops) : State.t =
       machine;
       ctx;
       cache = Codecache.create ();
-      protected = Hashtbl.create 64;
+      baseline;
       mappings = Hashtbl.create 1024;
       roots;
       current_as = 0;
@@ -108,7 +123,7 @@ let create_core config (guest : Ops.ops) : State.t =
     }
   in
   engine_ref := Some e;
-  guest.Ops.reset (sys ctx) ~entry:0L;
+  guest.Ops.reset (Common.sys_ctx guest ctx) ~entry:0L;
   e
 
 type core = State.t
@@ -117,9 +132,27 @@ type core = State.t
    context are read directly; everything else stays behind [core]. *)
 type t = { stats : phase_stats; machine : Machine.t; ctx : Exec.ctx; core : core }
 
-let create ?(config = default_config) guest =
-  let c = create_core config guest in
-  { stats = c.stats; machine = c.machine; ctx = c.ctx; core = c }
+let public (c : core) = { stats = c.stats; machine = c.machine; ctx = c.ctx; core = c }
+let create ?(config = default_config) guest = public (create_core config guest (captive_helpers guest))
+
+(* --- the QEMU-style baseline over the same dispatcher ---------------------------------- *)
+
+include State.Baseline
+
+(* All floating point goes through softfloat helpers, and nothing is
+   tiered, stitched or promoted. *)
+let create_baseline ~chaining baseline ~helpers guest =
+  let config =
+    { default_config with chaining; hw_fp = false; tiering = false; templates = false; promote = false }
+  in
+  public (create_core ~baseline config guest (fun _ -> helpers))
+
+let flush_translations (e : t) =
+  Codecache.clear e.core.cache;
+  Hashtbl.reset e.core.itlb
+
+let holds_code (e : t) page = Codecache.holds_code e.core.cache page
+let invalidate_page (e : t) page = Fault.invalidate_page e.core page
 
 let run ?max_cycles ?max_blocks (e : t) = Dispatch.run ?max_cycles ?max_blocks e.core
 
@@ -193,10 +226,10 @@ module Internal = struct
   let job_members (j : job) = List.length j.j_members
   let translate (e : t) (j : job) = Translate.region_front e.core.jenv j.j_req
   let install (e : t) j res = Dispatch.install_job e.core j res
-  let invalidate_page (e : t) page = Fault.invalidate_page e.core page
-
   let published_members (e : t) (j : job) =
-    Option.map (fun tr -> tr.t_members) (Codecache.lookup e.core.cache j.j_head.t_key)
+    Option.map
+      (fun tr -> tr.t_members)
+      (Codecache.lookup e.core.cache ~page:(Bits.align_down j.j_req.rq_pa 4096) j.j_head.t_key)
 
   let log_findings (e : t) checker fs =
     let acc = new_acc () in

@@ -14,7 +14,7 @@ type config = State.config = {
          active only with [tiering], since promotion is what buys back code
          quality *)
   hot_threshold : int; (* executions of a tier-0 block before promotion *)
-  promote : bool; (* region-scoped register promotion + memory redundancy elim *)
+  promote : bool; (* region-scoped register promotion *)
   check : bool;
       (* the trust stack's observers, all on or all off: every translation
          passes the translate-time checkers of [checkers] (Hostir.Equiv,
@@ -73,11 +73,9 @@ type phase_stats = Tally.phase_stats = {
   mutable region_dead_stores : int; (* always 0: the dead-store pass is gone; kept for perfbench *)
   mutable region_pc_writes_relativized : int; (* PC stores of known targets -> Inc_pc *)
   mutable region_dispatch_straightened : int; (* dispatch-bound edges sent to a member *)
-  (* register promotion / memory redundancy elimination (Promote) *)
+  (* register promotion (Promote) *)
   mutable rf_promoted : int; (* register-file offsets promoted across regions *)
   mutable region_wb_entries : int; (* writeback-map entries across regions *)
-  mutable mem_loads_elided : int; (* Mem_lds satisfied by a previous load *)
-  mutable stores_forwarded : int; (* Mem_lds satisfied by a previous store *)
   (* symbolic translation validation (Hostir.Equiv) *)
   mutable t_validate : float;
   mutable blocks_validated : int; (* tier-0 blocks checked against the oracle *)
@@ -171,6 +169,41 @@ type exit_reason = Dispatch.exit_reason = Poweroff of int | Cycle_limit | Block_
 
 val create : ?config:config -> Guest.Ops.ops -> t
 
+(* --- the QEMU-style baseline over the same dispatcher --- *)
+
+(* A backend's emitter for one block: the generator-function callbacks,
+   one raw host instruction, the finished stream. *)
+type 'v block_emitter = 'v State.block_emitter = {
+  em : 'v Ssa.Emitter.t;
+  raw : Hostir.Hir.instr -> unit;
+  finish : unit -> Hostir.Hir.instr array;
+}
+
+(* The baseline's front end: a fresh emitter for a block at an
+   exception level, and the simulated translate cycles of a block. *)
+type baseline = State.baseline = {
+  emitter : el:int -> Hostir.Hir.operand block_emitter;
+  cost : n_guest:int -> n_host:int -> int;
+}
+
+(* An engine of the QEMU-style design, run by the same [run]: its code
+   cache is keyed by guest VA, it has no host paging, tiers, templates
+   or promotion, and it translates through [baseline].  [helpers] are
+   the design's helpers by index; halt, WFI, barrier and the softfloat
+   helpers are the ones both designs share. *)
+val create_baseline :
+  chaining:bool -> baseline -> helpers:(int * Hostir.Exec.helper) list -> Guest.Ops.ops -> t
+
+(* Drop every translation and the fetch itlb. *)
+val flush_translations : t -> unit
+
+(* Whether a translation lives on the guest-physical page. *)
+val holds_code : t -> int64 -> bool
+
+(* SMC invalidation of one guest-physical page: its translations go,
+   and every chain edge into them is cut. *)
+val invalidate_page : t -> int64 -> unit
+
 (* Run until the guest powers off ([Poweroff]), the cycle count passes
    [max_cycles] ([Cycle_limit]) or more than [max_blocks] blocks have
    executed ([Block_limit]).  Region units check both limits at every
@@ -234,9 +267,6 @@ module Internal : sig
 
   (* Install a finished job the way the run loop's drain does. *)
   val install : t -> job -> result -> unit
-
-  (* SMC invalidation of one guest physical page. *)
-  val invalidate_page : t -> int64 -> unit
 
   (* Members of the translation published at the job's head, if any. *)
   val published_members : t -> job -> int option

@@ -80,31 +80,29 @@ let invalidate_page e phys_page =
      keyed by translation, so an invalidated page cannot leave a stale
      fact behind.  A re-translation after SMC re-runs the analyzer from
      scratch (regression-tested in test_engine). *)
-  Hashtbl.remove e.protected phys_page;
   (match e.sanitizer with Some s -> Hvm.Sanitize.record_invalidate_page s ~pa_page:phys_page | None -> ());
   sanitize_check e ~reason:"invalidate"
 
+(* Write-protect a page that has just begun to hold code (a page holds
+   code while the code cache has a translation on it). *)
 let protect_page e phys_page =
-  if not (Hashtbl.mem e.protected phys_page) then begin
-    Hashtbl.replace e.protected phys_page ();
-    (match e.sanitizer with Some s -> Hvm.Sanitize.record_protect_page s ~pa_page:phys_page | None -> ());
-    (* Downgrade any existing writable host mapping of this guest page. *)
-    match Hashtbl.find_opt e.mappings phys_page with
-    | Some lst ->
-      List.iter
-        (fun (asid, va_page) ->
-          let root = e.roots.(asid) in
-          match fst (Hvm.Pagetable.walk e.machine.Machine.mem ~root va_page) with
-          | Some (pte_addr, pte) when Int64.logand pte Hvm.Pagetable.pte_present <> 0L ->
-            let flags = Hvm.Pagetable.flags_of_bits pte in
-            Hvm.Pagetable.protect e.machine.Machine.mem ~root va_page
-              { flags with Hvm.Pagetable.writable = false };
-            ignore pte_addr;
-            Hvm.Tlb.flush_page e.machine.Machine.tlb (Int64.shift_right_logical va_page 12)
-          | _ -> ())
-        !lst
-    | None -> ()
-  end
+  (match e.sanitizer with Some s -> Hvm.Sanitize.record_protect_page s ~pa_page:phys_page | None -> ());
+  (* Downgrade any existing writable host mapping of this guest page. *)
+  match Hashtbl.find_opt e.mappings phys_page with
+  | Some lst ->
+    List.iter
+      (fun (asid, va_page) ->
+        let root = e.roots.(asid) in
+        match fst (Hvm.Pagetable.walk e.machine.Machine.mem ~root va_page) with
+        | Some (pte_addr, pte) when Int64.logand pte Hvm.Pagetable.pte_present <> 0L ->
+          let flags = Hvm.Pagetable.flags_of_bits pte in
+          Hvm.Pagetable.protect e.machine.Machine.mem ~root va_page
+            { flags with Hvm.Pagetable.writable = false };
+          ignore pte_addr;
+          Hvm.Tlb.flush_page e.machine.Machine.tlb (Int64.shift_right_logical va_page 12)
+        | _ -> ())
+      !lst
+  | None -> ()
 
 let handle_fault (e : t) ctx (access : Machine.access) va ~bits ~value : Exec.fault_response =
   trace e "FAULT va=%Lx access=%s as=%d ring=%d pc=%Lx tag=%Lx\n%!" va
@@ -146,9 +144,9 @@ let handle_fault (e : t) ctx (access : Machine.access) va ~bits ~value : Exec.fa
       let va_page = Bits.align_down va 4096 in
       (* Self-modifying code: a permitted write to a protected code page
          invalidates that page's translations and restores write access. *)
-      if access = Machine.Write && Hashtbl.mem e.protected phys_page then
+      if access = Machine.Write && Codecache.holds_code e.cache phys_page then
         invalidate_page e phys_page;
-      let writable = perms.Ops.pw && not (Hashtbl.mem e.protected phys_page) in
+      let writable = perms.Ops.pw && not (Codecache.holds_code e.cache phys_page) in
       let flags =
         {
           Hvm.Pagetable.writable;

@@ -153,6 +153,28 @@ type region_job = {
   j_gen : int; (* code-cache page generation at enqueue: the tombstone token *)
 }
 
+(* The QEMU-style baseline's front end: a fresh emitter of its own
+   backend for one block at an exception level, and its simulated
+   translate cost.  The rest of that design is policy here: its cache
+   is keyed by guest VA, it runs without host paging, tiers, templates
+   or promotion, and its helpers flush every translation on a
+   page-table or TLB change.  In a structure of its own so Engine can
+   re-export it whole. *)
+module Baseline = struct
+  type 'v block_emitter = {
+    em : 'v Ssa.Emitter.t;
+    raw : Hir.instr -> unit;
+    finish : unit -> Hir.instr array;
+  }
+
+  type baseline = {
+    emitter : el:int -> Hir.operand block_emitter;
+    cost : n_guest:int -> n_host:int -> int;
+  }
+end
+
+include Baseline
+
 type t = {
   guest : Ops.ops;
   config : config;
@@ -162,7 +184,7 @@ type t = {
      vCPU is the only publisher and invalidator; worker domains never
      touch it — they hand results back and the vCPU installs them. *)
   cache : translation Codecache.t;
-  protected : (int64, unit) Hashtbl.t; (* guest phys pages holding code *)
+  baseline : baseline option; (* the QEMU-style design; [None] for Captive *)
   mappings : (int64, (int * int64) list ref) Hashtbl.t; (* phys page -> (as, masked va page) *)
   roots : int64 array; (* host page-table roots: [|low; high|] *)
   mutable current_as : int;
@@ -198,5 +220,9 @@ let trace e fmt =
     Printf.eprintf fmt
   end
   else Printf.ifprintf stderr fmt
+
+(* The code-cache key of a block: the guest PA for Captive, the VA for
+   the baseline. *)
+let key_of e ~va ~pa ~el ~mmu_on = ((if Option.is_some e.baseline then va else pa), el, mmu_on)
 
 let as_tag_value = function 0 -> 0L | _ -> 0x1FFFFL (* va >> 47 for each half *)

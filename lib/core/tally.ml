@@ -34,8 +34,6 @@ type phase_stats = {
   mutable region_dispatch_straightened : int;
   mutable rf_promoted : int;
   mutable region_wb_entries : int;
-  mutable mem_loads_elided : int;
-  mutable stores_forwarded : int;
   mutable t_validate : float;
   mutable blocks_validated : int;
   mutable regions_validated : int;
@@ -105,8 +103,6 @@ let new_phase_stats () =
     region_dispatch_straightened = 0;
     rf_promoted = 0;
     region_wb_entries = 0;
-    mem_loads_elided = 0;
-    stores_forwarded = 0;
     t_validate = 0.;
     blocks_validated = 0;
     regions_validated = 0;
@@ -185,8 +181,6 @@ let counters =
     Count ("region_dispatch_straightened", (fun s -> s.region_dispatch_straightened), fun s v -> s.region_dispatch_straightened <- v);
     Count ("rf_promoted", (fun s -> s.rf_promoted), fun s v -> s.rf_promoted <- v);
     Count ("region_wb_entries", (fun s -> s.region_wb_entries), fun s v -> s.region_wb_entries <- v);
-    Count ("mem_loads_elided", (fun s -> s.mem_loads_elided), fun s v -> s.mem_loads_elided <- v);
-    Count ("stores_forwarded", (fun s -> s.stores_forwarded), fun s v -> s.stores_forwarded <- v);
     Time ("t_validate", (fun s -> s.t_validate), fun s v -> s.t_validate <- v);
     Count ("blocks_validated", (fun s -> s.blocks_validated), fun s v -> s.blocks_validated <- v);
     Count ("regions_validated", (fun s -> s.regions_validated), fun s v -> s.regions_validated <- v);

@@ -252,21 +252,22 @@ let back_end (je : jit_env) (acc : acc) (req : request) ~kind ~equiv ?(promoted 
 
 (* --- tier front ends ------------------------------------------------------------------ *)
 
-(* Tier 0: the translation pipeline over one decoded block — generator
-   functions over the invocation DAG, then register allocation.  An
-   undefined first instruction gets a cached stub that raises the
-   guest's undefined-instruction exception. *)
-let pipeline_front (je : jit_env) (acc : acc) (req : request) (decoded, undefined) :
-    result =
+(* One decoded block through a backend's emitter — generator functions
+   per instruction, then register allocation — at translate cost
+   [cost].  An undefined first instruction gets a cached stub that
+   raises the guest's undefined-instruction exception.  Captive's tier 0
+   emits through the invocation DAG; the QEMU-style baseline through its
+   own single-pass emitter. *)
+let block_front (je : jit_env) (acc : acc) (req : request) (b : _ block_emitter) ~cost
+    (decoded, undefined) : result =
   let s = acc.a_stats in
   let t1 = now () in
-  let dag = Dag.create (dag_config je ~mmu_on:req.rq_mmu) in
-  let em = Dag.emitter dag in
+  let em = b.em in
   if undefined then
     em.Ssa.Emitter.effect "take_exception" [ em.Ssa.Emitter.const 0L; em.Ssa.Emitter.const 0L ]
   else List.iter (gen_insn je em ~el:req.rq_el) decoded;
-  Dag.raw dag (Hir.Exit 0);
-  let instrs = Dag.finish dag in
+  b.raw (Hir.Exit 0);
+  let instrs = b.finish () in
   s.t_translate <- s.t_translate +. (now () -. t1);
   s.t_tier0 <- s.t_tier0 +. (now () -. t1);
   let t2 = now () in
@@ -276,7 +277,13 @@ let pipeline_front (je : jit_env) (acc : acc) (req : request) (decoded, undefine
   s.spills <- s.spills + ra.Regalloc.n_spilled;
   back_end je acc req ~kind:0
     ~equiv:(if undefined then `Stub else `Block decoded)
-    ~n_guest:(List.length decoded) ~cost:pipeline_cost instrs ra
+    ~n_guest:(List.length decoded) ~cost instrs ra
+
+(* Tier 0: the translation pipeline over the invocation DAG. *)
+let pipeline_front (je : jit_env) (acc : acc) (req : request) block : result =
+  let dag = Dag.create (dag_config je ~mmu_on:req.rq_mmu) in
+  let b = { em = Dag.emitter dag; raw = Dag.raw dag; finish = (fun () -> Dag.finish dag) } in
+  block_front je acc req b ~cost:pipeline_cost block
 
 (* Tier minus one: stitch per-instruction template fragments instead of
    running the pipeline.  [None] (the caller goes to the pipeline) when
@@ -429,8 +436,7 @@ let region_front (je : jit_env) (req : request) : result =
          [Ldrf] it replaced — so promotion is only accepted when
          allocation stays spill-free relative to the unpromoted
          stream, narrowing the candidate set until it does.  Width 0
-         still runs copy propagation and memory redundancy
-         elimination. *)
+         still runs copy propagation and register-file forwarding. *)
       let ra0 = Regalloc.run instrs in
       let rec attempt k =
         let promoted_instrs, promoted, ps =
@@ -461,8 +467,6 @@ let region_front (je : jit_env) (req : request) : result =
             ~classify:Common.helper_kind ~promoted instrs';
           s.rf_promoted <- s.rf_promoted + ps.Hostir.Promote.promoted;
           s.region_wb_entries <- s.region_wb_entries + ps.Hostir.Promote.wb_entries;
-          s.mem_loads_elided <- s.mem_loads_elided + ps.Hostir.Promote.loads_elided;
-          s.stores_forwarded <- s.stores_forwarded + ps.Hostir.Promote.stores_forwarded;
           s.absint_branches_folded <-
             s.absint_branches_folded + ss.Hostir.Absint.branches_folded;
           s.absint_consts_folded <- s.absint_consts_folded + ss.Hostir.Absint.consts_folded;
@@ -591,7 +595,7 @@ let install ?(async = false) ?(gen = 0) ?replaces ?(members = []) (e : t) (req :
   s.t_encode <- s.t_encode +. (now () -. t0);
   let tr =
     {
-      t_key = (req.rq_pa, req.rq_el, req.rq_mmu);
+      t_key = key_of e ~va:req.rq_va ~pa:req.rq_pa ~el:req.rq_el ~mmu_on:req.rq_mmu;
       t_va = req.rq_va;
       t_code = code;
       t_n_guest = res.r_n_guest;
@@ -608,13 +612,16 @@ let install ?(async = false) ?(gen = 0) ?replaces ?(members = []) (e : t) (req :
   (* A region's head entry covers the whole unit: all members live on
      the head's page, so one SMC invalidation sweeps the region and
      every member, demoting the whole page to tier 0. *)
+  let page = Bits.align_down req.rq_pa 4096 in
+  let new_code_page = not (Codecache.holds_code e.cache page) in
   let published =
     if not async then begin
-      Codecache.publish e.cache tr.t_key tr;
+      Codecache.publish e.cache ~page tr.t_key tr;
       true
     end
     else
-      Bytes.equal (guest_now e req) req.rq_guest && Codecache.publish_if e.cache tr.t_key ~gen tr
+      Bytes.equal (guest_now e req) req.rq_guest
+      && Codecache.publish_if e.cache ~page tr.t_key ~gen tr
   in
   if not published then begin
     s.jobs_stale <- s.jobs_stale + 1;
@@ -659,7 +666,7 @@ let install ?(async = false) ?(gen = 0) ?replaces ?(members = []) (e : t) (req :
       s.translate_cycles_template <- s.translate_cycles_template + res.r_cost
     else s.translate_cycles_pipeline <- s.translate_cycles_pipeline + res.r_cost;
     List.iter (fun m -> m.t_tier <- 1) members;
-    Fault.protect_page e (Bits.align_down req.rq_pa 4096);
+    if new_code_page && e.machine.Machine.paging then Fault.protect_page e page;
     Option.iter (fun old -> Fault.unlink e [ old ]) replaces;
     (* The guest bytes the result covers, per member: a block covers
        what it decoded, a region its members. *)
@@ -713,8 +720,8 @@ let install ?(async = false) ?(gen = 0) ?replaces ?(members = []) (e : t) (req :
   end
 
 (* Translate and install one block: the AOT cache, then (with
-   [templates] and [tiering]) the template tier, then the pipeline.
-   [pipeline] skips the template tier — promotion re-translates a hot
+   [templates] and [tiering]) the template tier, then the pipeline, or
+   the QEMU-style baseline's front end for that engine.  [pipeline] skips the template tier — promotion re-translates a hot
    template block through the full pipeline — and [replaces] names the
    record the new one supersedes.  The block is decoded at most once,
    and not at all on an AOT hit. *)
@@ -730,10 +737,10 @@ let translate_block ?(pipeline = false) ?replaces (e : t) ~va ~pa ~el ~mmu_on : 
        d)
   in
   let through_pipeline () =
-    match aot_front e acc req ~kind:0 with
-    | Some res -> res
-    | None ->
-      pipeline_front e.jenv acc req (Lazy.force decoded)
+    match (aot_front e acc req ~kind:0, e.baseline) with
+    | Some res, _ -> res
+    | None, None -> pipeline_front e.jenv acc req (Lazy.force decoded)
+    | None, Some b -> block_front e.jenv acc req (b.emitter ~el) ~cost:b.cost (Lazy.force decoded)
   in
   let res =
     if e.config.templates && e.config.tiering && not pipeline then begin

@@ -1,5 +1,4 @@
-(* Region-scoped guest-register promotion and alias-aware memory
-   redundancy elimination.
+(* Region-scoped guest-register promotion.
 
    Three cooperating passes over a region's flattened instruction
    stream, run after the [Region] passes and before register
@@ -23,13 +22,8 @@
      register allocator's dead-marking erases it.  Without this the
      rewrite would only swap a [Ldrf] for a [Mov] of identical cost.
 
-   - memory redundancy elimination: store-to-load forwarding and
-     redundant-load elimination for guest memory accesses, keyed on
-     (base vreg, constant offset) with width-exact matching, killed
-     conservatively by aliasing or unanalyzable stores, helper calls,
-     safepoints and block boundaries.  Guest device pages are never
-     host-mapped (every MMIO access faults to the device model), so
-     forwarding cannot swallow a volatile MMIO read.
+   - register-file forwarding: the last value stored to or loaded from
+     an unpromoted offset serves later loads of it in the same block.
 
    All three passes are pure functions of the instruction stream. *)
 
@@ -42,8 +36,6 @@ type stats = {
   stores_rewritten : int;  (** interior [Strf]s turned into moves *)
   copies_propagated : int;  (** source operands substituted by copy-prop *)
   rf_loads_forwarded : int;  (** [Ldrf]s satisfied by an earlier rf access *)
-  loads_elided : int;  (** [Mem_ld]s satisfied by a previous load *)
-  stores_forwarded : int;  (** [Mem_ld]s satisfied by a previous store *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -298,139 +290,6 @@ let rf_forward (instrs : instr array) =
   (out, !forwarded)
 
 (* ------------------------------------------------------------------ *)
-(* Alias-aware memory redundancy elimination *)
-
-(* An analyzable address: either a compile-time constant, or a base
-   vreg plus a constant displacement.  Bases are tracked by (vreg,
-   version): every definition of a vreg bumps its version, so a key
-   naming an old version can never match again and redefinition needs
-   no explicit kill.  Two keys with the same versioned base name the
-   same dynamic base value even when the base vreg is multiply defined
-   (e.g. a promoted register), which is what makes forwarding fire on
-   promoted address bases at all. *)
-type akey = KBase of int * int * int64 (* vreg, version, displacement *) | KConst of int64
-
-let overlap o1 w1 o2 w2 =
-  let e1 = Int64.add o1 (Int64.of_int (w1 / 8)) in
-  let e2 = Int64.add o2 (Int64.of_int (w2 / 8)) in
-  Int64.compare o1 e2 < 0 && Int64.compare o2 e1 < 0
-
-(* Whether a store under [k2] can touch the bytes named by [k1].  Two
-   displacements off the same versioned base are disjoint iff their
-   byte ranges are; everything else is conservatively aliasing (two
-   distinct bases may hold the same address). *)
-let may_alias (k1, w1) (k2, w2) =
-  match (k1, k2) with
-  | KBase (b1, v1, o1), KBase (b2, v2, o2) ->
-    if b1 = b2 && v1 = v2 then overlap o1 w1 o2 w2 else true
-  | KConst o1, KConst o2 -> overlap o1 w1 o2 w2
-  | _ -> true
-
-let mem_elim (instrs : instr array) =
-  let n = Array.length instrs in
-  (* Current version of each vreg (bumped at every definition) and, per
-     vreg, its latest definition's base decomposition: [v := b + k] with
-     [b]'s version captured at that point. *)
-  let ver = Hashtbl.create 64 in
-  let version v = Option.value (Hashtbl.find_opt ver v) ~default:0 in
-  let decomp : (int, int * int * int64) Hashtbl.t = Hashtbl.create 64 in
-  let key_of = function
-    | Imm k -> Some (KConst k)
-    | Vreg v -> (
-      match Hashtbl.find_opt decomp v with
-      | Some (b, bv, k) when version b = bv -> Some (KBase (b, bv, k))
-      | _ -> Some (KBase (v, version v, 0L)))
-    | _ -> None
-  in
-  (* (key, width) -> (value operand, provenance) *)
-  let avail : (akey * int, operand * [ `Load | `Store ]) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  (* Base redefinition is handled by versioning; only entries whose
-     forwarded value reads the redefined vreg need explicit killing. *)
-  let kill_def d =
-    let stale =
-      Hashtbl.fold
-        (fun kw (v, _) acc -> if v = Vreg d then kw :: acc else acc)
-        avail []
-    in
-    List.iter (Hashtbl.remove avail) stale
-  in
-  let kill_aliasing kw =
-    let stale =
-      Hashtbl.fold
-        (fun kw' _ acc -> if may_alias kw' kw then kw' :: acc else acc)
-        avail []
-    in
-    List.iter (Hashtbl.remove avail) stale
-  in
-  let loads_elided = ref 0 and stores_forwarded = ref 0 in
-  let out = Array.make n (Label 0) in
-  for i = 0 to n - 1 do
-    let ins = instrs.(i) in
-    (* The address key is captured before the destination's version
-       bump: a load into its own address register must key on the
-       address value, not the loaded one. *)
-    let addr_key =
-      match ins with
-      | Mem_ld (w, _, a) | Mem_st (w, a, _) -> (
-        match key_of a with Some k -> Some (k, w) | None -> None)
-      | _ -> None
-    in
-    let ins', forwarded =
-      match (ins, addr_key) with
-      | Mem_ld (w, d, _), Some kw -> (
-        match Hashtbl.find_opt avail kw with
-        | Some (v, `Load) ->
-          incr loads_elided;
-          (Mov (d, v), true)
-        | Some (v, `Store) ->
-          incr stores_forwarded;
-          (* A forwarded store value may carry garbage above bit [w];
-             the load's contract is zero-extension. *)
-          ((if w = 64 then Mov (d, v) else Ext (false, w, d, v)), true)
-        | None -> (ins, false))
-      | _ -> (ins, false)
-    in
-    (match ins' with
-     | Label _ | Jmp _ | Br _ | Exit _ | Poll _ | Call _ ->
-       (* Block boundaries, safepoints and helpers invalidate
-          everything: helpers access guest memory directly, and a
-          resumed safepoint may re-enter after arbitrary writes. *)
-       Hashtbl.reset avail
-     | _ -> (match dest ins' with Some (Vreg d) -> kill_def d | _ -> ()));
-    (* Version bump and base decomposition for every definition.  A
-       plain copy aliases its source, so address chains survive the
-       moves that promotion and forwarding leave behind. *)
-    (match dest ins' with
-     | Some (Vreg d) ->
-       Hashtbl.replace ver d (version d + 1);
-       (match ins' with
-        | Alu (Aadd, _, Vreg b, Imm k) when b <> d ->
-          Hashtbl.replace decomp d (b, version b, k)
-        | Alu (Aadd, _, Imm k, Vreg b) when b <> d ->
-          Hashtbl.replace decomp d (b, version b, k)
-        | Mov (_, Vreg s) when s <> d ->
-          Hashtbl.replace decomp d (s, version s, 0L)
-        | _ -> Hashtbl.remove decomp d)
-     | _ -> ());
-    (match (ins, addr_key) with
-     | Mem_st (_, _, v), Some kw ->
-       kill_aliasing kw;
-       (match v with
-        | Vreg _ | Imm _ -> Hashtbl.replace avail kw (v, `Store)
-        | _ -> ())
-     | Mem_st _, None ->
-       (* A store through an unanalyzable address can hit anything. *)
-       Hashtbl.reset avail
-     | Mem_ld (_, (Vreg _ as d), _), Some kw when not forwarded ->
-       Hashtbl.replace avail kw (d, `Load)
-     | _ -> ());
-    out.(i) <- ins'
-  done;
-  (out, !loads_elided, !stores_forwarded)
-
-(* ------------------------------------------------------------------ *)
 
 (* Run the full pipeline; returns the rewritten stream, the (vreg,
    register-file offset) promotion list and the pass statistics. *)
@@ -443,7 +302,6 @@ let run ?(max_regs = 4) ?(classify = fun _ -> Effects.C_clobber) (instrs : instr
   List.iter (fun (_, off) -> Hashtbl.replace promoted_offs off ()) promoted;
   let instrs, cp1 = copy_prop ~promoted_offs instrs in
   let instrs, rf_fwd = rf_forward instrs in
-  let instrs, loads_elided, stores_forwarded = mem_elim instrs in
   let instrs, cp2 = copy_prop ~promoted_offs instrs in
   let stats =
     { promoted = List.length promoted;
@@ -451,8 +309,6 @@ let run ?(max_regs = 4) ?(classify = fun _ -> Effects.C_clobber) (instrs : instr
       loads_rewritten = loads_rw;
       stores_rewritten = stores_rw;
       copies_propagated = cp1 + cp2;
-      rf_loads_forwarded = rf_fwd;
-      loads_elided;
-      stores_forwarded }
+      rf_loads_forwarded = rf_fwd }
   in
   (instrs, promoted, stats)

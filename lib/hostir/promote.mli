@@ -1,5 +1,4 @@
-(** Region-scoped guest-register promotion and alias-aware memory
-    redundancy elimination.
+(** Region-scoped guest-register promotion.
 
     Runs after the {!Region} passes and before register allocation, on
     the flattened instruction stream of a tier-1 region:
@@ -11,9 +10,8 @@
       [Exit]s;
     - copy propagation cleans up the rewrite residue so promoted loads
       become genuinely free after dead-code marking;
-    - store-to-load forwarding and redundant-load elimination remove
-      guest memory accesses whose value is already in a host register,
-      with conservative alias killing. *)
+    - register-file forwarding serves an unpromoted offset's later
+      loads from its last access in the same block. *)
 
 type stats = {
   promoted : int;  (** register-file offsets promoted to vregs *)
@@ -22,8 +20,6 @@ type stats = {
   stores_rewritten : int;  (** interior [Strf]s turned into moves *)
   copies_propagated : int;  (** source operands substituted by copy-prop *)
   rf_loads_forwarded : int;  (** [Ldrf]s satisfied by an earlier rf access *)
-  loads_elided : int;  (** [Mem_ld]s satisfied by a previous load *)
-  stores_forwarded : int;  (** [Mem_ld]s satisfied by a previous store *)
 }
 
 

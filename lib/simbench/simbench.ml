@@ -259,9 +259,8 @@ type result = {
   speedup : float;
 }
 
-let run_captive (b : bench) =
-  let guest = Guest_arm.Arm.ops () in
-  let e = Captive.Engine.create guest in
+(* Boot one benchmark on either engine (both are [Captive.Engine.t]). *)
+let run_on engine (e : Captive.Engine.t) (b : bench) =
   (match b.kind with
   | Bare | Bare_mmu ->
     Captive.Engine.load_image e ~addr:0x80000L b.image;
@@ -269,27 +268,13 @@ let run_captive (b : bench) =
   | User -> K.install ~enable_timer:false (K.captive_target e) ~user:b.image);
   (match Captive.Engine.run ~max_cycles:2_000_000_000 e with
   | Captive.Engine.Poweroff 0 -> ()
-  | Captive.Engine.Poweroff c -> invalid_arg (Printf.sprintf "%s: captive exited %d" b.name c)
-  | _ -> invalid_arg (b.name ^ ": captive did not finish"));
+  | Captive.Engine.Poweroff c -> invalid_arg (Printf.sprintf "%s: %s exited %d" b.name engine c)
+  | _ -> invalid_arg (Printf.sprintf "%s: %s did not finish" b.name engine));
   Captive.Engine.cycles e
 
-let run_qemu (b : bench) =
-  let guest = Guest_arm.Arm.ops () in
-  let e = Qemu_ref.Qemu_engine.create guest in
-  (match b.kind with
-  | Bare | Bare_mmu ->
-    Qemu_ref.Qemu_engine.load_image e ~addr:0x80000L b.image;
-    Qemu_ref.Qemu_engine.set_entry e 0x80000L
-  | User -> K.install ~enable_timer:false (K.qemu_target e) ~user:b.image);
-  (match Qemu_ref.Qemu_engine.run ~max_cycles:2_000_000_000 e with
-  | Qemu_ref.Qemu_engine.Poweroff 0 -> ()
-  | Qemu_ref.Qemu_engine.Poweroff c -> invalid_arg (Printf.sprintf "%s: qemu exited %d" b.name c)
-  | _ -> invalid_arg (b.name ^ ": qemu did not finish"));
-  Qemu_ref.Qemu_engine.cycles e
-
 let run_one (b : bench) : result =
-  let c = run_captive b in
-  let q = run_qemu b in
+  let c = run_on "captive" (Captive.Engine.create (Guest_arm.Arm.ops ())) b in
+  let q = run_on "qemu" (Qemu_ref.Qemu_engine.create (Guest_arm.Arm.ops ())) b in
   { bench = b.name; captive_cycles = c; qemu_cycles = q; speedup = float_of_int q /. float_of_int c }
 
 let run_all () = List.map run_one (all ())

@@ -280,9 +280,8 @@ let captive_target (e : Captive.Engine.t) : target =
   { load = (fun ~addr b -> Captive.Engine.load_image e ~addr b);
     set_entry = (fun v -> Captive.Engine.set_entry e v) }
 
-let qemu_target (e : Qemu_ref.Qemu_engine.t) : target =
-  { load = (fun ~addr b -> Qemu_ref.Qemu_engine.load_image e ~addr b);
-    set_entry = (fun v -> Qemu_ref.Qemu_engine.set_entry e v) }
+(* The QEMU-style engine is a [Captive.Engine.t] too. *)
+let qemu_target : Qemu_ref.Qemu_engine.t -> target = captive_target
 
 let reference_target (r : Captive.Reference.t) : target =
   { load = (fun ~addr b -> Captive.Reference.load_image r ~addr b);

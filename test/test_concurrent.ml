@@ -36,6 +36,7 @@ let test_cache_model =
       let model : (CC.key, int) Hashtbl.t = Hashtbl.create 16 in
       let page_addr p = Int64.of_int (0x10000 + (p * 4096)) in
       let key_of p s = (Int64.add (page_addr p) (Int64.of_int (s * 64)), 1, false) in
+      let page_of ((pa, _, _) : CC.key) = Int64.logand pa (Int64.lognot 0xFFFL) in
       let model_drop_page p =
         let pg = page_addr p in
         Hashtbl.iter
@@ -47,10 +48,10 @@ let test_cache_model =
       List.iter
         (fun x ->
           let p = x / 5 mod 4 and s = x / 20 mod 4 in
-          let k = key_of p s in
-          match x mod 5 with
+          let k = key_of p s and page = page_addr p in
+          match x mod 6 with
           | 0 ->
-            CC.publish cc k x;
+            CC.publish cc ~page k x;
             Hashtbl.replace model k x
           | 1 ->
             let n_model =
@@ -66,30 +67,39 @@ let test_cache_model =
               QCheck2.Test.fail_report "invalidate removed wrong count";
             model_drop_page p
           | 2 ->
-            if CC.lookup cc k <> Hashtbl.find_opt model k then
-              QCheck2.Test.fail_report "lookup disagrees with model"
+            if CC.lookup cc ~page k <> Hashtbl.find_opt model k then
+              QCheck2.Test.fail_report "lookup disagrees with model";
+            let model_holds = Hashtbl.fold (fun k' _ b -> b || page_of k' = page) model false in
+            if CC.holds_code cc page <> model_holds then
+              QCheck2.Test.fail_report "holds_code disagrees with model"
           | 3 ->
             (* fresh token: taken now, used now — must install *)
             let g = CC.page_gen cc (page_addr p) in
-            if not (CC.publish_if cc k ~gen:g x) then
+            if not (CC.publish_if cc ~page k ~gen:g x) then
               QCheck2.Test.fail_report "fresh publish_if refused";
             Hashtbl.replace model k x
-          | _ ->
+          | 4 ->
             (* stale token: page invalidated between take and use — the
                SMC tombstone must refuse the install *)
             let g = CC.page_gen cc (page_addr p) in
             ignore (CC.invalidate_page cc (page_addr p));
             model_drop_page p;
-            if CC.publish_if cc k ~gen:g x then
+            if CC.publish_if cc ~page k ~gen:g x then
               QCheck2.Test.fail_report "stale publish_if installed";
-            if CC.lookup cc k <> None then
-              QCheck2.Test.fail_report "tombstoned entry served")
+            if CC.lookup cc ~page k <> None then
+              QCheck2.Test.fail_report "tombstoned entry served"
+          | _ ->
+            (* clear drops every entry but keeps the generations *)
+            let g = CC.page_gen cc page in
+            CC.clear cc;
+            Hashtbl.reset model;
+            if CC.page_gen cc page <> g then QCheck2.Test.fail_report "clear reset a generation")
         ops;
       if CC.length cc <> Hashtbl.length model then
         QCheck2.Test.fail_report "length disagrees with model";
       Hashtbl.iter
         (fun k v ->
-          if CC.lookup cc k <> Some v then
+          if CC.lookup cc ~page:(page_of k) k <> Some v then
             QCheck2.Test.fail_report "final lookup disagrees with model")
         model;
       true)
@@ -113,7 +123,7 @@ let test_cache_domains () =
         Domain.spawn (fun () ->
             while not (Atomic.get stop) do
               let g = CC.page_gen cc page in
-              ignore (CC.publish_if cc key ~gen:g g)
+              ignore (CC.publish_if cc ~page key ~gen:g g)
             done))
   in
   let violations = ref 0 in
@@ -121,7 +131,7 @@ let test_cache_domains () =
     let g_before = CC.page_gen cc page in
     ignore (CC.invalidate_page cc page);
     (* generation is now at least g_before + 1 *)
-    match CC.lookup cc key with
+    match CC.lookup cc ~page key with
     | Some token when token < g_before + 1 -> incr violations
     | _ -> ()
   done;
@@ -151,7 +161,7 @@ let test_smc_in_flight_generation () =
   let e, job = engine_with_job () in
   let pa_page = Int64.logand (CE.Internal.head_pa job) (Int64.lognot 0xFFFL) in
   let stale0 = e.CE.stats.CE.jobs_stale in
-  CE.Internal.invalidate_page e pa_page;
+  CE.invalidate_page e pa_page;
   CE.Internal.install e job (CE.Internal.translate e job);
   Alcotest.(check int) "install counted stale" (stale0 + 1) e.CE.stats.CE.jobs_stale;
   Alcotest.(check (option int)) "stale region not served" None

@@ -199,6 +199,40 @@ let test_self_modifying_code () =
   let r = run_reference ~image ~entry:0x80000L () in
   Alcotest.(check int) "reference agrees" 3 r.exit_code
 
+let test_smc_chained_target () =
+  (* A loop calls a snippet on the next page three times and patches it
+     after the second call, when the call block already chains into it:
+     the patch must cut that chain edge, or the third call runs the old
+     code (1+1+1 instead of 1+1+2). *)
+  let image =
+    bare_metal (fun a ->
+        A.movz a A.x20 0;
+        A.movz a A.x19 3;
+        A.adr a A.x21 "snippet";
+        (let w = (0b110100101 lsl 23) lor (2 lsl 5) lor 0 in
+         A.mov_const a A.x22 (Int64.of_int w));
+        A.label a "loop";
+        A.bl a "snippet";
+        A.add_reg a A.x20 A.x20 A.x0;
+        A.sub_imm a A.x19 A.x19 1;
+        A.cmp_imm a A.x19 1;
+        A.b_cond a A.NE "next";
+        A.str32 a A.x22 A.x21;
+        A.label a "next";
+        A.cbnz a A.x19 "loop";
+        A.mov_reg a A.x0 A.x20;
+        A.b a "done";
+        while Int64.logand (A.here a) 0xFFFL <> 0L do
+          A.nop a
+        done;
+        A.label a "snippet";
+        A.movz a A.x0 1;
+        A.ret a;
+        A.label a "done")
+  in
+  let r = check_all_agree "smc-chained" image 0x80000L in
+  Alcotest.(check int) "patched on the third call (1+1+2)" 4 r.exit_code
+
 (* --- full OS boot ------------------------------------------------------------------ *)
 
 let os_user body =
@@ -328,20 +362,12 @@ let test_cache_retention_across_tlb_flush () =
      every flush. *)
   Alcotest.(check bool) "captive retains translations" true (e.CE.stats.CE.blocks_translated < 10);
   Alcotest.(check bool)
-    (Printf.sprintf "qemu retranslates (%d blocks)" q.QE.stats.QE.blocks_translated)
+    (Printf.sprintf "qemu retranslates (%d blocks)" q.CE.stats.CE.blocks_translated)
     true
-    (q.QE.stats.QE.blocks_translated > 50)
+    (q.CE.stats.CE.blocks_translated > 50)
 
 let test_spec_proxies_differential () =
   (* A representative subset of the SPEC proxies, all three engines. *)
-  List.iter
-    (fun name ->
-      let bench = Workloads.Spec.find name in
-      let user = bench.Workloads.Spec.build ~scale:1 in
-      let (c, _), q, _ = install_and_run_all (Bytes.sub user 0 (Bytes.length user)) in
-      ignore q;
-      ignore c)
-    [];
   (* keep runtime modest: captive vs qemu on three benchmarks *)
   List.iter
     (fun name ->
@@ -462,7 +488,7 @@ let prop_random_programs =
         QE.load_image e ~addr:0x80000L image;
         QE.set_entry e 0x80000L;
         match QE.run ~max_cycles:100_000_000 e with
-        | QE.Poweroff _ -> dump_region e.QE.machine.Hvm.Machine.mem
+        | QE.Poweroff _ -> dump_region e.CE.machine.Hvm.Machine.mem
         | _ -> []
       in
       let run_r () =
@@ -482,6 +508,7 @@ let suite =
       Alcotest.test_case "bare-metal differential" `Slow test_bare_metal_agreement;
       Alcotest.test_case "Table 2 via guest fsqrt" `Slow test_sqrt_bit_accuracy_guest;
       Alcotest.test_case "self-modifying code" `Slow test_self_modifying_code;
+      Alcotest.test_case "SMC on a chained target" `Slow test_smc_chained_target;
       Alcotest.test_case "OS boot + syscalls" `Slow test_os_boot_and_syscalls;
       Alcotest.test_case "user/kernel isolation" `Slow test_user_kernel_isolation;
       Alcotest.test_case "timer interrupts" `Slow test_timer_interrupts;

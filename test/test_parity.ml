@@ -49,74 +49,74 @@ let expected : (string * int list) list =
     ("arm/default",
       [
         31; 2112711; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
-        1; 4; 4; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43; 205;
-        0; 0; 68; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        1; 4; 4; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43; 205; 0; 0;
+        68; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/no-templates",
       [
         31; 2795962; 788760; 43; 205; 1833; 11592; 5; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
-        1; 4; 4; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 24; 0; 3; 788760; 0; 788760; 0; 0; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        1; 4; 4; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 24; 0; 3; 788760; 0; 788760; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/no-tiering",
       [
         31; 2770782; 763580; 43; 205; 1833; 11592; 5; 0; 8261; 8203; 1; 0; 0; 0; 0; 0; 0; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 763580; 0; 763580; 0; 0; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 763580; 0; 763580; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/trust-stack",
       [
         31; 2112711; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
-        1; 4; 4; 0; 0; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43;
-        205; 0; 0; 68; 43; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        1; 4; 4; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43; 205; 0;
+        0; 68; 43; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/aot-cold",
       [
         31; 2112711; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
-        1; 4; 4; 0; 0; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43;
-        205; 0; 0; 68; 43; 1; 0; 0; 1; 44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        1; 4; 4; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43; 205; 0;
+        0; 68; 43; 1; 0; 0; 1; 44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/aot-warm",
       [
         31; 2009907; 2671; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 2671; 2611; 60; 43; 205; 0; 0;
-        0; 43; 1; 0; 44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 2671; 2611; 60; 43; 205; 0; 0; 0; 43;
+        1; 0; 44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("riscv/default",
       [
         13; 27830; 21450; 8; 36; 282; 1618; 2; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("riscv/no-templates",
       [
         13; 118214; 112020; 8; 36; 237; 1227; 3; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 112020; 0; 112020; 0; 0; 0; 0; 0; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 112020; 0; 112020; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("riscv/no-tiering",
       [
         13; 118214; 112020; 8; 36; 237; 1227; 3; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 112020; 0; 112020; 0; 0; 0; 0; 0; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 112020; 0; 112020; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("riscv/trust-stack",
       [
-        13; 27830; 21450; 8; 36; 282; 1618; 2; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
-        0; 8; 0; 0; 0; 8; 0; 0; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 8; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        13; 27830; 21450; 8; 36; 282; 1618; 2; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 8;
+        0; 0; 0; 8; 0; 0; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 8; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("riscv/aot-cold",
       [
-        13; 27830; 21450; 8; 36; 282; 1618; 2; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
-        0; 8; 0; 0; 0; 8; 0; 0; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 8; 0;
-        0; 0; 2; 8; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        13; 27830; 21450; 8; 36; 282; 1618; 2; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 8;
+        0; 0; 0; 8; 0; 0; 0; 0; 0; 0; 0; 0; 0; 21450; 11690; 9760; 6; 32; 0; 2; 23; 8; 0; 0; 0;
+        2; 8; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("riscv/aot-warm",
       [
         13; 6848; 468; 8; 36; 282; 1618; 0; 0; 21; 13; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 468; 364; 104; 6; 32; 0; 2; 2; 8; 0; 0; 8; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 468; 364; 104; 6; 32; 0; 2; 2; 8; 0; 0; 8; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0
       ])
   ]
 
@@ -202,7 +202,7 @@ let test_finding_log () =
   Alcotest.(check (list int)) "counters past the cap" [ 100; 100; 100 ]
     [ s.CE.validation_findings; s.CE.obligation_findings; s.CE.reloc_findings ]
 
-(* The counter JSON is the table: 57 counts under their own names and
+(* The counter JSON is the table: 55 counts under their own names and
    10 timers as [<name>_ms], no key twice, every count equal to its
    [int_counters] value; and [add_stats] onto fresh stats reproduces it,
    so the merge covers every counter. *)
@@ -213,8 +213,8 @@ let test_counter_json () =
   let fields = Dbt_util.Minijson.parse_line ("{" ^ json ^ "}") in
   let is_ms k = String.starts_with ~prefix:"t_" k && String.ends_with ~suffix:"_ms" k in
   let counts = List.filter (fun (k, _) -> not (is_ms k)) fields in
-  Alcotest.(check int) "distinct keys" 67 (List.length (List.sort_uniq compare (List.map fst fields)));
-  Alcotest.(check (pair int int)) "counts, timers" (57, 10)
+  Alcotest.(check int) "distinct keys" 65 (List.length (List.sort_uniq compare (List.map fst fields)));
+  Alcotest.(check (pair int int)) "counts, timers" (55, 10)
     (List.length counts, List.length fields - List.length counts);
   Alcotest.(check (list (pair string int))) "counts" (CE.int_counters s)
     (List.map (function k, Dbt_util.Minijson.N v -> (k, int_of_float v) | k, _ -> (k, -1)) counts);

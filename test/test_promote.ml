@@ -80,59 +80,6 @@ let test_cost_model_prices_barriers () =
   Alcotest.(check int) "no register-file access but the prologue" 1
     (count (function H.Ldrf _ | H.Strf _ -> true | _ -> false) out)
 
-let test_store_forward_width () =
-  (* A 32-bit store forwarded into a 32-bit load must zero-extend: the
-     stored operand may carry garbage above bit 31. *)
-  let stream =
-    [| H.Mem_st (32, v 0, v 1); H.Mem_ld (32, v 2, v 0); H.Exit 0 |]
-  in
-  let out, _, st = P.run stream in
-  Alcotest.(check int) "store forwarded" 1 st.P.stores_forwarded;
-  Alcotest.(check int) "forward is a zero-extension"
-    1 (count (function H.Ext (false, 32, _, _) -> true | _ -> false) out);
-  Alcotest.(check int) "the load is gone"
-    0 (count (function H.Mem_ld _ -> true | _ -> false) out);
-  (* At 64 bits the forward is a plain move. *)
-  let out64, _, st64 =
-    P.run [| H.Mem_st (64, v 0, v 1); H.Mem_ld (64, v 2, v 0); H.Exit 0 |]
-  in
-  Alcotest.(check int) "64-bit store forwarded" 1 st64.P.stores_forwarded;
-  Alcotest.(check int) "no extension at full width"
-    0 (count (function H.Ext _ -> true | _ -> false) out64)
-
-let test_redundant_load_and_alias_kill () =
-  (* Second load of the same address is elided; a store through an
-     unrelated base vreg may alias and must kill the availability. *)
-  let _, _, st =
-    P.run [| H.Mem_ld (64, v 2, v 0); H.Mem_ld (64, v 3, v 0); H.Exit 0 |]
-  in
-  Alcotest.(check int) "redundant load elided" 1 st.P.loads_elided;
-  let out, _, st =
-    P.run
-      [|
-        H.Mem_ld (64, v 2, v 0);
-        H.Mem_st (64, v 1, H.Imm 5L);
-        H.Mem_ld (64, v 3, v 0);
-        H.Exit 0;
-      |]
-  in
-  Alcotest.(check int) "aliasing store kills the forward" 0 st.P.loads_elided;
-  Alcotest.(check int) "both loads survive"
-    2 (count (function H.Mem_ld _ -> true | _ -> false) out);
-  (* A store at a provably disjoint displacement off the same base does
-     not kill it. *)
-  let _, _, st =
-    P.run
-      [|
-        H.Mem_ld (64, v 2, v 0);
-        H.Alu (H.Aadd, v 1, v 0, H.Imm 64L);
-        H.Mem_st (64, v 1, H.Imm 7L);
-        H.Mem_ld (64, v 3, v 0);
-        H.Exit 0;
-      |]
-  in
-  Alcotest.(check int) "disjoint store preserves the forward" 1 st.P.loads_elided
-
 let test_rf_forward_and_canonicalize () =
   (* Below the promotion threshold, a register-file store still forwards
      into the next load of the same offset. *)
@@ -354,8 +301,6 @@ let suite =
       Alcotest.test_case "promotion rewrite + writeback map" `Quick test_promotion_rewrite;
       Alcotest.test_case "cost model prices barrier calls only" `Quick
         test_cost_model_prices_barriers;
-      Alcotest.test_case "store-to-load forward widths" `Quick test_store_forward_width;
-      Alcotest.test_case "redundant load + alias kill" `Quick test_redundant_load_and_alias_kill;
       Alcotest.test_case "rf forwarding + canonicalize" `Quick test_rf_forward_and_canonicalize;
       Alcotest.test_case "writeback verifier fixtures" `Quick test_wb_fixtures;
       Alcotest.test_case "guest faults mid-region" `Quick test_fault_mid_region;
