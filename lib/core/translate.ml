@@ -721,9 +721,10 @@ let install ?(async = false) ?(gen = 0) ?replaces ?(members = []) (e : t) (req :
 
 (* Translate and install one block: the AOT cache, then (with
    [templates] and [tiering]) the template tier, then the pipeline, or
-   the QEMU-style baseline's front end for that engine.  [pipeline] skips the template tier — promotion re-translates a hot
-   template block through the full pipeline — and [replaces] names the
-   record the new one supersedes.  The block is decoded at most once,
+   the QEMU-style baseline's front end for that engine.  [pipeline]
+   skips the template tier — promotion re-translates a hot template
+   block through the full pipeline — and [replaces] names the record
+   the new one supersedes.  The block is decoded at most once,
    and not at all on an AOT hit. *)
 let translate_block ?(pipeline = false) ?replaces (e : t) ~va ~pa ~el ~mmu_on : translation =
   let req = block_request e ~va ~pa ~el ~mmu_on in
