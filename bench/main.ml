@@ -536,16 +536,30 @@ let bechamel_section () =
       Test.make ~name:"mem read64 (frame-straddling)" (Staged.stage (fun () -> Hvm.Mem.read64 mem 0x3FFCL));
     ]
   in
-  (* The HostIR executor on a fixed promoted-loop region: a safepoint
-     poll per iteration, a register-promoted body, a write-back map
-     flushed at the exit.  One op runs the loop 100 times; the estimate is
-     also reported per executed host instruction. *)
-  let exec_test, exec_instrs =
-    let open Hostir.Hir in
+  (* The HostIR executor on two fixed loops, each also reported per
+     executed host instruction.  The promoted-loop region has a safepoint
+     poll per iteration, a register-promoted body and a write-back map
+     flushed at the exit; one op runs its loop 100 times.  The
+     straight-line loop is ten register ALU ops, a counter and a branch
+     per iteration, 100 iterations per op: one segment dispatch each, so
+     it isolates the per-operation cost. *)
+  let exec_case name program =
     let machine = Hvm.Machine.create ~mem_size:(1024 * 1024) () in
     let ctx =
       Hostir.Exec.create ~machine ~helpers:[||] ~fault_handler:(fun _ _ _ ~bits:_ ~value:_ -> Hostir.Exec.Retry)
     in
+    let code = Hostir.Exec.compile (Hostir.Encode.decode_program (Hostir.Encode.encode_stream program)) in
+    let run () =
+      Hostir.Exec.rf_write ctx 8 100L;
+      Hostir.Exec.run ctx code
+    in
+    ignore (run ());
+    let n0 = ctx.Hostir.Exec.instrs_executed in
+    ignore (run ());
+    (Test.make ~name (Staged.stage run), ctx.Hostir.Exec.instrs_executed - n0)
+  in
+  let exec_cases =
+    let open Hostir.Hir in
     let region =
       [|
         Ldrf (Preg 0, 0);
@@ -564,15 +578,22 @@ let bechamel_section () =
         Wbmap [| (Preg 0, 0) |];
       |]
     in
-    let code = Hostir.Exec.compile (Hostir.Encode.decode_program (Hostir.Encode.encode_stream region)) in
-    let run () =
-      Hostir.Exec.rf_write ctx 8 100L;
-      Hostir.Exec.run ctx code
+    let body =
+      List.init 10 (fun i ->
+          let d = Preg (2 + (i mod 4)) and a = Preg (2 + ((i + 1) mod 4)) in
+          if i mod 2 = 0 then Alu (Aadd, d, a, Preg 1) else Alu (Axor, d, a, Imm (Int64.of_int (i + 1))))
     in
-    ignore (run ());
-    let n0 = ctx.Hostir.Exec.instrs_executed in
-    ignore (run ());
-    (Test.make ~name:"executor: promoted loop region x100" (Staged.stage run), ctx.Hostir.Exec.instrs_executed - n0)
+    let straight =
+      Array.of_list
+        ((Ldrf (Preg 1, 8) :: Label 0 :: body)
+        @ [
+            Alu (Asub, Preg 1, Preg 1, Imm 1L); Setcc (Cne, Preg 0, Preg 1, Imm 0L); Br (Preg 0, 0, 1); Label 1; Exit 0;
+          ])
+    in
+    [
+      exec_case "executor: promoted loop region x100" region;
+      exec_case "executor: 10-op straight-line loop" straight;
+    ]
   in
   (* Guest loads and stores through the executor that hit in the host TLB
      model (paging on, page mapped and TLB-resident): the executor's
@@ -621,7 +642,7 @@ let bechamel_section () =
       ols
   in
   List.iter benchmark ((build_test :: decode_test :: softfloat_tests) @ (translate_test :: mem_tests));
-  benchmark ~per_op:(exec_instrs, "host instr") exec_test;
+  List.iter (fun (test, instrs) -> benchmark ~per_op:(instrs, "host instr") test) exec_cases;
   List.iter (benchmark ~per_op:(100, "access")) tlb_hit_tests
 
 (* --- driver ---------------------------------------------------------------------------------------------------------- *)

@@ -1,11 +1,25 @@
 (* Execution of encoded host machine code against the HVM.
 
    A decoded program (Encode.program) is compiled once per translation
-   into an array of closures, one per instruction, each specialised on
-   its operand shapes; [run] then only calls closures.  Each closure
-   charges the instruction's Hvm.Cost before its operation, counts it,
-   performs it and returns the index of the next instruction, or
+   into segment closures ({!compile}); [run] then only calls closures.  A
+   segment is a straight-line run of instructions that starts at a
+   segment head (index 0, a jump target, or the instruction after a
+   segment's end) and ends at control flow ([Jmp], [Br], [Exit],
+   [Poll]), at an instruction that can observe the cycle count from
+   outside the executor's own arithmetic ([Mem_ld], [Mem_st], [Call]),
+   or at a step that can raise (a [Vreg] or otherwise invalid operand).
+   Its body instructions run as closures specialised on their operand
+   shapes that neither charge nor return an index; its terminator
+   charges the whole segment's Hvm.Cost and instruction count at once,
+   then acts and returns the index of the next segment head, or
    [lnot slot] for an exit through chain slot [slot].
+
+   This is exact.  Only a segment's terminator can observe
+   [Machine.cycles] or [instrs_executed], and every charge ([Slot]
+   accesses included) is additive, so the terminator sees the same totals
+   that charging each instruction before its operation would give.  A
+   raising step is its segment's terminator, so it is charged and counted
+   and nothing after it is.
 
    Host registers, the guest PC and spill slots live unboxed in [Bytes],
    so the specialised shapes (physical-register destination,
@@ -21,10 +35,12 @@
 
    Host page faults raised by the MMU are delivered to the engine-installed
    fault handler after the translation's write-back map is flushed;
-   [Retry] re-executes (re-charges and re-counts) the faulting
-   instruction once the handler has populated the host page tables,
-   [Mmio_*] completes the access by device emulation, and guest exceptions
-   simply propagate as OCaml exceptions to the engine's run loop. *)
+   [Retry] re-executes the faulting instruction once the handler has
+   populated the host page tables, entering at an entry of that
+   instruction alone so that it is re-charged and re-counted exactly
+   once; [Mmio_*] completes the access by device emulation and continues
+   at the next segment head; guest exceptions simply propagate as OCaml
+   exceptions to the engine's run loop. *)
 
 open Hir
 module Machine = Hvm.Machine
@@ -115,10 +131,11 @@ let[@inline] charge ctx n =
   let m = ctx.machine in
   m.Machine.cycles <- m.Machine.cycles + n
 
-(* Every executed instruction: its cost up front, then the count. *)
-let[@inline] tick ctx c =
-  charge ctx c;
-  ctx.instrs_executed <- ctx.instrs_executed + 1
+(* A segment's summed cost and instruction count, charged once by its
+   terminator before it acts. *)
+let[@inline] enter ctx cost count =
+  charge ctx cost;
+  ctx.instrs_executed <- ctx.instrs_executed + count
 
 (* Generic operand access; spill-slot traffic costs an extra L1 access. *)
 let get_slot ctx s = Bytes.get_int64_ne ctx.slots (8 * s)
@@ -299,7 +316,9 @@ let instr_cost = function
 
 type code = {
   n_slots : int;
-  steps : (ctx -> int) array; (* one per instruction, then the fall-off sentinel *)
+  (* a closure at every segment head and every retryable instruction
+     ([Mem_ld], [Mem_st], [Call]), then the fall-off sentinel *)
+  entries : (ctx -> int) array;
 }
 
 (* Flush dirty promoted guest registers ([Encode.program.wb_map]) to the
@@ -328,7 +347,8 @@ let flush_wb map =
         rf_write ctx off (rd ctx o))
       map
 
-(* Hand a host page fault to the engine; returns the index to continue at. *)
+(* Hand a host page fault to the engine; returns the index to continue
+   at: the access's own entry on [Retry], else the next segment head. *)
 let deliver_fault ctx wb ins idx va access =
   let m = ctx.machine in
   m.Machine.faults <- m.Machine.faults + 1;
@@ -356,11 +376,12 @@ let deliver_fault ctx wb ins idx va access =
    the quiet window makes no call. *)
 let[@inline] quiet_over m = m.Machine.cycles - m.Machine.jit_cycles >= m.Machine.quiet_until
 
-(* Region safepoint.  An IRQ the dispatcher could not deliver (the guest
-   masks it) is held: the first [Poll] after dispatch ignores it, so the
+(* Region safepoint: true (after the write-back flush) when the region
+   must exit.  An IRQ the dispatcher could not deliver (the guest masks
+   it) is held: the first [Poll] after dispatch ignores it, so the
    translation always makes progress; later ones see it again, so an
    unmask inside the region is honoured at the next member boundary. *)
-let[@inline] poll ctx wb slot next =
+let[@inline] poll_exits ctx wb =
   let held = ctx.irq_held in
   ctx.irq_held <- false;
   if
@@ -370,11 +391,11 @@ let[@inline] poll ctx wb slot next =
     || (quiet_over ctx.machine && Machine.irq_pending ctx.machine && not held)
   then begin
     wb ctx;
-    lnot slot
+    true
   end
   else begin
     ctx.poll_budget <- ctx.poll_budget - 1;
-    next
+    false
   end
 
 (* --- the memory fast path ---------------------------------------------
@@ -458,142 +479,98 @@ let ok_width w = w = 8 || w = 16 || w = 32 || w = 64
 (* Clamp a jump target to the fall-off sentinel at index [n]. *)
 let target n t = if t < 0 || t > n then n else t
 
-(* The interpretive step for [Slot] operands and the rare forms. *)
-let exec_generic ctx wb n idx ins =
-  let next = idx + 1 in
+(* The interpretive operation for [Slot] operands and the rare forms;
+   control flow is its caller's. *)
+let exec_op ctx ins =
   match ins with
-  | Label _ | Wbmap _ -> next
-  | Mov (d, s) ->
-    wr ctx d (rd ctx s);
-    next
+  | Label _ | Wbmap _ | Jmp _ | Br _ | Exit _ | Poll _ -> ()
+  | Mov (d, s) -> wr ctx d (rd ctx s)
   | Alu (op, d, a, b) ->
     let a = rd ctx a and b = rd ctx b in
-    wr ctx d (exec_alu op a b);
-    next
+    wr ctx d (exec_alu op a b)
   | Mulhi (signed, d, a, b) ->
     let a = rd ctx a and b = rd ctx b in
-    wr ctx d (exec_mulhi signed a b);
-    next
+    wr ctx d (exec_mulhi signed a b)
   | Divrem (signed, want_rem, d, a, b) ->
     let a = rd ctx a and b = rd ctx b in
-    wr ctx d (exec_divrem signed want_rem a b);
-    next
-  | Setcc (c, d, a, b) ->
-    wr ctx d (if cond_holds c (rd ctx a) (rd ctx b) then 1L else 0L);
-    next
-  | Cmov (d, c, a, b) ->
-    wr ctx d (if rd ctx c <> 0L then rd ctx a else rd ctx b);
-    next
-  | Ext (signed, bits, d, s) ->
-    wr ctx d (exec_ext signed bits (rd ctx s));
-    next
-  | Neg (d, s) ->
-    wr ctx d (Int64.neg (rd ctx s));
-    next
-  | Not (d, s) ->
-    wr ctx d (Int64.lognot (rd ctx s));
-    next
-  | Bit1 (op, d, s) ->
-    wr ctx d (exec_bit1 op (rd ctx s));
-    next
+    wr ctx d (exec_divrem signed want_rem a b)
+  | Setcc (c, d, a, b) -> wr ctx d (if cond_holds c (rd ctx a) (rd ctx b) then 1L else 0L)
+  | Cmov (d, c, a, b) -> wr ctx d (if rd ctx c <> 0L then rd ctx a else rd ctx b)
+  | Ext (signed, bits, d, s) -> wr ctx d (exec_ext signed bits (rd ctx s))
+  | Neg (d, s) -> wr ctx d (Int64.neg (rd ctx s))
+  | Not (d, s) -> wr ctx d (Int64.lognot (rd ctx s))
+  | Bit1 (op, d, s) -> wr ctx d (exec_bit1 op (rd ctx s))
   | Bit2 (op, d, a, b) ->
     let a = rd ctx a and b = rd ctx b in
-    wr ctx d (exec_bit2 op a b);
-    next
-  | Fp2 (op, d, a, b) ->
-    wr ctx d (exec_fp2 op (rd ctx a) (rd ctx b));
-    next
-  | Fp1 (op, d, s) ->
-    wr ctx d (exec_fp1 op (rd ctx s));
-    next
-  | Fcmp_flags (w, d, a, b) ->
-    wr ctx d (fcmp_nzcv w (rd ctx a) (rd ctx b));
-    next
+    wr ctx d (exec_bit2 op a b)
+  | Fp2 (op, d, a, b) -> wr ctx d (exec_fp2 op (rd ctx a) (rd ctx b))
+  | Fp1 (op, d, s) -> wr ctx d (exec_fp1 op (rd ctx s))
+  | Fcmp_flags (w, d, a, b) -> wr ctx d (fcmp_nzcv w (rd ctx a) (rd ctx b))
   | Flags_add (w, d, a, b, c) ->
     let a = rd ctx a and b = rd ctx b and cin = rd ctx c in
-    wr ctx d (flags_add_nzcv ~width:w a b cin);
-    next
-  | Flags_logic (w, d, s) ->
-    wr ctx d (flags_logic_nzcv ~width:w (rd ctx s));
-    next
+    wr ctx d (flags_add_nzcv ~width:w a b cin)
+  | Flags_logic (w, d, s) -> wr ctx d (flags_logic_nzcv ~width:w (rd ctx s))
   | Ldrf (d, off) ->
     ctx.rf_loads <- ctx.rf_loads + 1;
-    wr ctx d (rf_read ctx off);
-    next
+    wr ctx d (rf_read ctx off)
   | Strf (off, s) ->
     ctx.rf_stores <- ctx.rf_stores + 1;
-    rf_write ctx off (rd ctx s);
-    next
-  | Load_pc d ->
-    wr ctx d (get_pc ctx);
-    next
-  | Store_pc s ->
-    set_pc ctx (rd ctx s);
-    next
-  | Inc_pc k ->
-    set_pc ctx (Int64.add (get_pc ctx) (Int64.of_int k));
-    next
-  | Mem_ld (w, d, a) ->
-    wr ctx d (Machine.mem_read ctx.machine ~bits:w (rd ctx a));
-    next
-  | Mem_st (w, a, v) ->
-    Machine.mem_write ctx.machine ~bits:w (rd ctx a) (rd ctx v);
-    next
-  | Call (h, args, ret) ->
+    rf_write ctx off (rd ctx s)
+  | Load_pc d -> wr ctx d (get_pc ctx)
+  | Store_pc s -> set_pc ctx (rd ctx s)
+  | Inc_pc k -> set_pc ctx (Int64.add (get_pc ctx) (Int64.of_int k))
+  | Mem_ld (w, d, a) -> wr ctx d (Machine.mem_read ctx.machine ~bits:w (rd ctx a))
+  | Mem_st (w, a, v) -> Machine.mem_write ctx.machine ~bits:w (rd ctx a) (rd ctx v)
+  | Call (h, args, ret) -> (
     let helper = ctx.helpers.(h) in
     charge ctx helper.cost;
     let vals = Array.map (rd ctx) args in
     let r = helper.fn ctx vals in
-    (match ret with Some dst -> wr ctx dst r | None -> ());
-    next
-  | Jmp t -> target n t
-  | Br (c, t, f) -> if rd ctx c <> 0L then target n t else target n f
-  | Exit slot ->
-    wb ctx;
-    lnot slot
-  | Poll slot -> poll ctx wb slot next
+    match ret with Some dst -> wr ctx dst r | None -> ())
 
-let generic ~wb ~n idx ins =
-  let cost = instr_cost ins in
+(* The generic terminator: charges its segment, then interprets. *)
+let generic ~wb ~n ~cost ~count idx ins : ctx -> int =
+  let next = idx + 1 in
   fun ctx ->
-    tick ctx cost;
-    match exec_generic ctx wb n idx ins with
-    | next -> next
-    | exception Machine.Host_fault { va; access } -> deliver_fault ctx wb ins idx va access
+    enter ctx cost count;
+    match ins with
+    | Br (c, t, f) -> if rd ctx c <> 0L then target n t else target n f
+    | _ -> (
+      match exec_op ctx ins with
+      | () -> next
+      | exception Machine.Host_fault { va; access } -> deliver_fault ctx wb ins idx va access)
 
-(* Specialised shapes.  [d], [a], [b], [s] below are byte offsets into
-   [ctx.regs]; [ki] is an immediate captured as an OCaml [int]. *)
+(* Specialised body shapes.  [d], [a], [b], [s] below are byte offsets
+   into [ctx.regs]; [ki] is an immediate captured as an OCaml [int]. *)
 
-let alu_rr op c d a b next : ctx -> int =
+let alu_rr op d a b : ctx -> unit =
   match op with
-  | Aadd -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.add (get64 r a) (get64 r b)); next
-  | Asub -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.sub (get64 r a) (get64 r b)); next
-  | Aand -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.logand (get64 r a) (get64 r b)); next
-  | Aor -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.logor (get64 r a) (get64 r b)); next
-  | Axor -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.logxor (get64 r a) (get64 r b)); next
-  | Amul -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.mul (get64 r a) (get64 r b)); next
+  | Aadd -> fun ctx -> let r = ctx.regs in set64 r d (Int64.add (get64 r a) (get64 r b))
+  | Asub -> fun ctx -> let r = ctx.regs in set64 r d (Int64.sub (get64 r a) (get64 r b))
+  | Aand -> fun ctx -> let r = ctx.regs in set64 r d (Int64.logand (get64 r a) (get64 r b))
+  | Aor -> fun ctx -> let r = ctx.regs in set64 r d (Int64.logor (get64 r a) (get64 r b))
+  | Axor -> fun ctx -> let r = ctx.regs in set64 r d (Int64.logxor (get64 r a) (get64 r b))
+  | Amul -> fun ctx -> let r = ctx.regs in set64 r d (Int64.mul (get64 r a) (get64 r b))
   | Ashl ->
-    fun ctx -> tick ctx c; let r = ctx.regs in
-      set64 r d (Int64.shift_left (get64 r a) (Int64.to_int (get64 r b) land 63)); next
+    fun ctx -> let r = ctx.regs in set64 r d (Int64.shift_left (get64 r a) (Int64.to_int (get64 r b) land 63))
   | Ashr ->
-    fun ctx -> tick ctx c; let r = ctx.regs in
-      set64 r d (Int64.shift_right_logical (get64 r a) (Int64.to_int (get64 r b) land 63)); next
+    fun ctx -> let r = ctx.regs in
+      set64 r d (Int64.shift_right_logical (get64 r a) (Int64.to_int (get64 r b) land 63))
   | Asar ->
-    fun ctx -> tick ctx c; let r = ctx.regs in
-      set64 r d (Int64.shift_right (get64 r a) (Int64.to_int (get64 r b) land 63)); next
+    fun ctx -> let r = ctx.regs in set64 r d (Int64.shift_right (get64 r a) (Int64.to_int (get64 r b) land 63))
 
-let alu_ri op c d a ki next : ctx -> int =
+let alu_ri op d a ki : ctx -> unit =
   let sh = ki land 63 in
   match op with
-  | Aadd -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.add (get64 r a) (Int64.of_int ki)); next
-  | Asub -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.sub (get64 r a) (Int64.of_int ki)); next
-  | Aand -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.logand (get64 r a) (Int64.of_int ki)); next
-  | Aor -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.logor (get64 r a) (Int64.of_int ki)); next
-  | Axor -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.logxor (get64 r a) (Int64.of_int ki)); next
-  | Amul -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.mul (get64 r a) (Int64.of_int ki)); next
-  | Ashl -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.shift_left (get64 r a) sh); next
-  | Ashr -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.shift_right_logical (get64 r a) sh); next
-  | Asar -> fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.shift_right (get64 r a) sh); next
+  | Aadd -> fun ctx -> let r = ctx.regs in set64 r d (Int64.add (get64 r a) (Int64.of_int ki))
+  | Asub -> fun ctx -> let r = ctx.regs in set64 r d (Int64.sub (get64 r a) (Int64.of_int ki))
+  | Aand -> fun ctx -> let r = ctx.regs in set64 r d (Int64.logand (get64 r a) (Int64.of_int ki))
+  | Aor -> fun ctx -> let r = ctx.regs in set64 r d (Int64.logor (get64 r a) (Int64.of_int ki))
+  | Axor -> fun ctx -> let r = ctx.regs in set64 r d (Int64.logxor (get64 r a) (Int64.of_int ki))
+  | Amul -> fun ctx -> let r = ctx.regs in set64 r d (Int64.mul (get64 r a) (Int64.of_int ki))
+  | Ashl -> fun ctx -> let r = ctx.regs in set64 r d (Int64.shift_left (get64 r a) sh)
+  | Ashr -> fun ctx -> let r = ctx.regs in set64 r d (Int64.shift_right_logical (get64 r a) sh)
+  | Asar -> fun ctx -> let r = ctx.regs in set64 r d (Int64.shift_right (get64 r a) sh)
 
 (* Setcc: an unsigned comparison is the signed one with both operands'
    sign bits flipped ([flip] = min_int), so six relations cover all ten
@@ -613,27 +590,27 @@ let rel_of : cond -> Absval.cmp * int64 = function
 
 let[@inline] set_bool r d b = set64 r d (Int64.of_int (Bool.to_int b))
 
-let setcc_rr cond c d a b next : ctx -> int =
+let setcc_rr cond d a b : ctx -> unit =
   let rel, flip = rel_of cond in
   let rel, a, b = match rel with Gt -> (Absval.Lt, b, a) | Ge -> (Le, b, a) | _ -> (rel, a, b) in
   let[@inline] x r o = Int64.logxor (get64 r o) flip in
   match rel with
-  | Eq -> fun ctx -> tick ctx c; let r = ctx.regs in set_bool r d (get64 r a = get64 r b); next
-  | Ne -> fun ctx -> tick ctx c; let r = ctx.regs in set_bool r d (get64 r a <> get64 r b); next
-  | Lt | Gt -> fun ctx -> tick ctx c; let r = ctx.regs in set_bool r d (x r a < x r b); next
-  | Le | Ge -> fun ctx -> tick ctx c; let r = ctx.regs in set_bool r d (x r a <= x r b); next
+  | Eq -> fun ctx -> let r = ctx.regs in set_bool r d (get64 r a = get64 r b)
+  | Ne -> fun ctx -> let r = ctx.regs in set_bool r d (get64 r a <> get64 r b)
+  | Lt | Gt -> fun ctx -> let r = ctx.regs in set_bool r d (x r a < x r b)
+  | Le | Ge -> fun ctx -> let r = ctx.regs in set_bool r d (x r a <= x r b)
 
-let setcc_ri cond c d a ki next : ctx -> int =
+let setcc_ri cond d a ki : ctx -> unit =
   let rel, flip = rel_of cond in
   let[@inline] x r o = Int64.logxor (get64 r o) flip in
   let[@inline] k () = Int64.logxor (Int64.of_int ki) flip in
   match rel with
-  | Eq -> fun ctx -> tick ctx c; let r = ctx.regs in set_bool r d (get64 r a = Int64.of_int ki); next
-  | Ne -> fun ctx -> tick ctx c; let r = ctx.regs in set_bool r d (get64 r a <> Int64.of_int ki); next
-  | Lt -> fun ctx -> tick ctx c; let r = ctx.regs in set_bool r d (x r a < k ()); next
-  | Le -> fun ctx -> tick ctx c; let r = ctx.regs in set_bool r d (x r a <= k ()); next
-  | Gt -> fun ctx -> tick ctx c; let r = ctx.regs in set_bool r d (x r a > k ()); next
-  | Ge -> fun ctx -> tick ctx c; let r = ctx.regs in set_bool r d (x r a >= k ()); next
+  | Eq -> fun ctx -> let r = ctx.regs in set_bool r d (get64 r a = Int64.of_int ki)
+  | Ne -> fun ctx -> let r = ctx.regs in set_bool r d (get64 r a <> Int64.of_int ki)
+  | Lt -> fun ctx -> let r = ctx.regs in set_bool r d (x r a < k ())
+  | Le -> fun ctx -> let r = ctx.regs in set_bool r d (x r a <= k ())
+  | Gt -> fun ctx -> let r = ctx.regs in set_bool r d (x r a > k ())
+  | Ge -> fun ctx -> let r = ctx.regs in set_bool r d (x r a >= k ())
 
 (* Immediates the specialised shapes capture as an OCaml [int] (every
    63-bit value; wider ones take the generic path), so a closure retains
@@ -672,59 +649,77 @@ let[@inline] rbit64 x =
 let ok_src = function Preg r -> ok_reg r | Imm k -> small k | _ -> false
 let src_of = function Preg r -> (8 * r, 0) | Imm k -> (-1, Int64.to_int k) | _ -> assert false
 
-let compile_step ~n ~wb idx ins : ctx -> int =
-  let next = idx + 1 in
-  let c = instr_cost ins in
+(* A body instruction: performs its operation, neither charging nor
+   returning an index. *)
+let compile_op ins : ctx -> unit =
   match ins with
-  | Label _ -> fun ctx -> tick ctx c; next
-  | Jmp t ->
-    let t = target n t in
-    fun ctx -> tick ctx c; t
-  | Exit slot -> fun ctx -> tick ctx c; wb ctx; lnot slot
-  | Poll slot -> fun ctx -> tick ctx c; poll ctx wb slot next
-  | Inc_pc k ->
-    fun ctx -> tick ctx c; let r = ctx.regs in set64 r pc_off (Int64.add (get64 r pc_off) (Int64.of_int k)); next
+  | Inc_pc k -> fun ctx -> let r = ctx.regs in set64 r pc_off (Int64.add (get64 r pc_off) (Int64.of_int k))
   | Mov (Preg d, Imm k) when ok_reg d && small k ->
     let d = 8 * d and k = Int64.to_int k in
-    fun ctx -> tick ctx c; set64 ctx.regs d (Int64.of_int k); next
+    fun ctx -> set64 ctx.regs d (Int64.of_int k)
   | Mov (Preg d, Preg s) when ok_reg d && ok_reg s ->
     let d = 8 * d and s = 8 * s in
-    fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (get64 r s); next
+    fun ctx -> let r = ctx.regs in set64 r d (get64 r s)
   | Alu (op, Preg d, Preg a, Imm k) when ok_reg d && ok_reg a && small k ->
-    alu_ri op c (8 * d) (8 * a) (Int64.to_int k) next
-  | Alu (op, Preg d, Preg a, Preg b) when ok_reg d && ok_reg a && ok_reg b ->
-    alu_rr op c (8 * d) (8 * a) (8 * b) next
+    alu_ri op (8 * d) (8 * a) (Int64.to_int k)
+  | Alu (op, Preg d, Preg a, Preg b) when ok_reg d && ok_reg a && ok_reg b -> alu_rr op (8 * d) (8 * a) (8 * b)
   | Setcc (cond, Preg d, Preg a, Imm k) when ok_reg d && ok_reg a && small k ->
-    setcc_ri cond c (8 * d) (8 * a) (Int64.to_int k) next
+    setcc_ri cond (8 * d) (8 * a) (Int64.to_int k)
   | Setcc (cond, Preg d, Preg a, Preg b) when ok_reg d && ok_reg a && ok_reg b ->
-    setcc_rr cond c (8 * d) (8 * a) (8 * b) next
-  | Br (Preg cond, t, f) when ok_reg cond ->
-    let cond = 8 * cond and t = target n t and f = target n f in
-    fun ctx -> tick ctx c; if get64 ctx.regs cond <> 0L then t else f
+    setcc_rr cond (8 * d) (8 * a) (8 * b)
   | Ldrf (Preg d, off) when ok_reg d && ok_rf off ->
     let d = 8 * d in
     fun ctx ->
-      tick ctx c;
       ctx.rf_loads <- ctx.rf_loads + 1;
-      set64 ctx.regs d (rf_get ctx.regfile off);
-      next
+      set64 ctx.regs d (rf_get ctx.regfile off)
   | Strf (off, s) when ok_src s && ok_rf off ->
     let s, sk = src_of s in
     fun ctx ->
-      tick ctx c;
       ctx.rf_stores <- ctx.rf_stores + 1;
-      rf_set ctx.regfile off (src ctx.regs s sk);
-      next
+      rf_set ctx.regfile off (src ctx.regs s sk)
   | Load_pc (Preg d) when ok_reg d ->
     let d = 8 * d in
-    fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (get64 r pc_off); next
+    fun ctx -> let r = ctx.regs in set64 r d (get64 r pc_off)
   | Store_pc s when ok_src s ->
     let s, sk = src_of s in
-    fun ctx -> tick ctx c; let r = ctx.regs in set64 r pc_off (src r s sk); next
+    fun ctx -> let r = ctx.regs in set64 r pc_off (src r s sk)
+  | Bit2 (Bror64, Preg d, Preg a, b) when ok_reg d && ok_reg a && ok_src b ->
+    let d = 8 * d and a = 8 * a and b, bk = src_of b in
+    fun ctx ->
+      let r = ctx.regs in
+      let x = get64 r a and n = Int64.to_int (src r b bk) land 63 in
+      set64 r d (Int64.logor (Int64.shift_right_logical x n) (Int64.shift_left x ((64 - n) land 63)))
+  | Bit1 (Bswap64, Preg d, Preg s) when ok_reg d && ok_reg s ->
+    let d = 8 * d and s = 8 * s in
+    fun ctx -> let r = ctx.regs in set64 r d (bswap64 (get64 r s))
+  | Bit1 (Bclz64, Preg d, Preg s) when ok_reg d && ok_reg s ->
+    let d = 8 * d and s = 8 * s in
+    fun ctx -> let r = ctx.regs in set64 r d (Int64.of_int (clz64 (get64 r s)))
+  | Bit1 (Brbit64, Preg d, Preg s) when ok_reg d && ok_reg s ->
+    let d = 8 * d and s = 8 * s in
+    fun ctx -> let r = ctx.regs in set64 r d (rbit64 (get64 r s))
+  | Flags_add (w, Preg d, a, b, cin) when ok_reg d && ok_src a && ok_src b && ok_src cin ->
+    let d = 8 * d and mask = Bits.mask w and sign = Bits.shl 1L (w - 1) in
+    let a, ak = src_of a and b, bk = src_of b and cin, ck = src_of cin in
+    fun ctx ->
+      let r = ctx.regs in
+      set64 r d (add_nzcv ~mask ~sign (src r a ak) (src r b bk) (src r cin ck))
+  | _ -> fun ctx -> exec_op ctx ins
+
+(* A terminator that is not inlined into its segment: charges the
+   segment's [cost] and [count], then acts and returns the next index. *)
+let compile_step ~wb ~n ~cost ~count idx ins : ctx -> int =
+  let next = idx + 1 in
+  match ins with
+  | Exit slot ->
+    fun ctx ->
+      enter ctx cost count;
+      wb ctx;
+      lnot slot
   | Mem_ld (w, Preg d, Preg a) when ok_reg d && ok_reg a && ok_width w ->
     let d = 8 * d and a = 8 * a and len = w / 8 in
     fun ctx ->
-      tick ctx c;
+      enter ctx cost count;
       let m = ctx.machine and r = ctx.regs in
       let ra = ram_addr m ~write:false ~len (get64 r a) in
       if ra >= 0 then begin
@@ -739,7 +734,7 @@ let compile_step ~n ~wb idx ins : ctx -> int =
   | Mem_st (w, Preg a, v) when ok_reg a && ok_src v && ok_width w ->
     let a = 8 * a and v, vk = src_of v and len = w / 8 in
     fun ctx ->
-      tick ctx c;
+      enter ctx cost count;
       let m = ctx.machine and r = ctx.regs in
       let ra = ram_addr m ~write:true ~len (get64 r a) in
       if ra >= 0 then begin
@@ -751,48 +746,182 @@ let compile_step ~n ~wb idx ins : ctx -> int =
         match Machine.mem_write m ~bits:w (get64 r a) (src r v vk) with
         | () -> next
         | exception Machine.Host_fault { va; access } -> deliver_fault ctx wb ins idx va access)
-  | Bit2 (Bror64, Preg d, Preg a, b) when ok_reg d && ok_reg a && ok_src b ->
-    let d = 8 * d and a = 8 * a and b, bk = src_of b in
+  | _ -> generic ~wb ~n ~cost ~count idx ins
+
+(* Operands the generic operation reads or writes without raising. *)
+let safe_src n_slots = function
+  | Preg r -> ok_reg r
+  | Slot s -> s >= 0 && s < n_slots
+  | Imm _ -> true
+  | Vreg _ -> false
+
+let safe_dst n_slots = function Imm _ -> false | o -> safe_src n_slots o
+
+(* A segment ends at control flow, at an instruction that can observe the
+   cycle count (the MMU model charges and devices read time; a helper may
+   do either), and at one that can raise: an invalid operand, an
+   immediate destination or a register-file offset out of range.  Ending
+   a segment early is always exact. *)
+let ends_segment ~n_slots:n ins =
+  not
+    (match ins with
+    | Label _ | Wbmap _ | Inc_pc _ -> true
+    | Jmp _ | Br _ | Exit _ | Poll _ | Mem_ld _ | Mem_st _ | Call _ -> false
+    | Load_pc x -> safe_dst n x
+    | Store_pc a -> safe_src n a
+    | Ldrf (x, off) -> safe_dst n x && ok_rf off
+    | Strf (off, a) -> ok_rf off && safe_src n a
+    | Mov (x, a) | Neg (x, a) | Not (x, a) | Ext (_, _, x, a) | Bit1 (_, x, a) | Fp1 (_, x, a)
+    | Flags_logic (_, x, a) ->
+      safe_dst n x && safe_src n a
+    | Alu (_, x, a, b)
+    | Mulhi (_, x, a, b)
+    | Divrem (_, _, x, a, b)
+    | Setcc (_, x, a, b)
+    | Bit2 (_, x, a, b)
+    | Fp2 (_, x, a, b)
+    | Fcmp_flags (_, x, a, b) ->
+      safe_dst n x && safe_src n a && safe_src n b
+    | Cmov (x, a, b, c) | Flags_add (_, x, a, b, c) ->
+      safe_dst n x && safe_src n a && safe_src n b && safe_src n c)
+
+(* How a segment ends when its terminator is inlined: continue at a
+   head, branch on a register (its byte offset), or poll and, unless
+   that exits through [slot], go straight on to the next head. *)
+type term =
+  | Goto of int
+  | Branch of int * int * int
+  | Poll_then of int * int
+  | Step of (ctx -> int)
+
+let[@inline] run_ops ops ctx =
+  for i = 0 to Array.length ops - 1 do
+    (Array.unsafe_get ops i) ctx
+  done
+
+(* One closure per segment: its body, unrolled up to four operations,
+   then its terminator, which charges the segment before it acts. *)
+let segment entries ~wb ~cost ~count ops term : ctx -> int =
+  match (term, ops) with
+  | Goto t, [] -> fun ctx -> enter ctx cost count; t
+  | Goto t, [ a ] -> fun ctx -> a ctx; enter ctx cost count; t
+  | Goto t, [ a; b ] -> fun ctx -> a ctx; b ctx; enter ctx cost count; t
+  | Goto t, [ a; b; c ] -> fun ctx -> a ctx; b ctx; c ctx; enter ctx cost count; t
+  | Goto t, [ a; b; c; d ] -> fun ctx -> a ctx; b ctx; c ctx; d ctx; enter ctx cost count; t
+  | Goto t, _ ->
+    let ops = Array.of_list ops in
+    fun ctx -> run_ops ops ctx; enter ctx cost count; t
+  | Branch (r, t, f), [] -> fun ctx -> enter ctx cost count; if get64 ctx.regs r <> 0L then t else f
+  | Branch (r, t, f), [ a ] -> fun ctx -> a ctx; enter ctx cost count; if get64 ctx.regs r <> 0L then t else f
+  | Branch (r, t, f), [ a; b ] ->
+    fun ctx -> a ctx; b ctx; enter ctx cost count; if get64 ctx.regs r <> 0L then t else f
+  | Branch (r, t, f), [ a; b; c ] ->
+    fun ctx -> a ctx; b ctx; c ctx; enter ctx cost count; if get64 ctx.regs r <> 0L then t else f
+  | Branch (r, t, f), [ a; b; c; d ] ->
+    fun ctx -> a ctx; b ctx; c ctx; d ctx; enter ctx cost count; if get64 ctx.regs r <> 0L then t else f
+  | Branch (r, t, f), _ ->
+    let ops = Array.of_list ops in
+    fun ctx -> run_ops ops ctx; enter ctx cost count; if get64 ctx.regs r <> 0L then t else f
+  | Poll_then (slot, next), [] ->
     fun ctx ->
-      tick ctx c;
-      let r = ctx.regs in
-      let x = get64 r a and n = Int64.to_int (src r b bk) land 63 in
-      set64 r d (Int64.logor (Int64.shift_right_logical x n) (Int64.shift_left x ((64 - n) land 63)));
-      next
-  | Bit1 (Bswap64, Preg d, Preg s) when ok_reg d && ok_reg s ->
-    let d = 8 * d and s = 8 * s in
-    fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (bswap64 (get64 r s)); next
-  | Bit1 (Bclz64, Preg d, Preg s) when ok_reg d && ok_reg s ->
-    let d = 8 * d and s = 8 * s in
-    fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (Int64.of_int (clz64 (get64 r s))); next
-  | Bit1 (Brbit64, Preg d, Preg s) when ok_reg d && ok_reg s ->
-    let d = 8 * d and s = 8 * s in
-    fun ctx -> tick ctx c; let r = ctx.regs in set64 r d (rbit64 (get64 r s)); next
-  | Flags_add (w, Preg d, a, b, cin) when ok_reg d && ok_src a && ok_src b && ok_src cin ->
-    let d = 8 * d and mask = Bits.mask w and sign = Bits.shl 1L (w - 1) in
-    let a, ak = src_of a and b, bk = src_of b and cin, ck = src_of cin in
+      enter ctx cost count;
+      if poll_exits ctx wb then lnot slot else (Array.unsafe_get entries next) ctx
+  | Poll_then (slot, next), [ a ] ->
     fun ctx ->
-      tick ctx c;
-      let r = ctx.regs in
-      set64 r d (add_nzcv ~mask ~sign (src r a ak) (src r b bk) (src r cin ck));
-      next
-  | _ -> generic ~wb ~n idx ins
+      a ctx;
+      enter ctx cost count;
+      if poll_exits ctx wb then lnot slot else (Array.unsafe_get entries next) ctx
+  | Poll_then (slot, next), [ a; b ] ->
+    fun ctx ->
+      a ctx; b ctx;
+      enter ctx cost count;
+      if poll_exits ctx wb then lnot slot else (Array.unsafe_get entries next) ctx
+  | Poll_then (slot, next), [ a; b; c ] ->
+    fun ctx ->
+      a ctx; b ctx; c ctx;
+      enter ctx cost count;
+      if poll_exits ctx wb then lnot slot else (Array.unsafe_get entries next) ctx
+  | Poll_then (slot, next), [ a; b; c; d ] ->
+    fun ctx ->
+      a ctx; b ctx; c ctx; d ctx;
+      enter ctx cost count;
+      if poll_exits ctx wb then lnot slot else (Array.unsafe_get entries next) ctx
+  | Poll_then (slot, next), _ ->
+    let ops = Array.of_list ops in
+    fun ctx ->
+      run_ops ops ctx;
+      enter ctx cost count;
+      if poll_exits ctx wb then lnot slot else (Array.unsafe_get entries next) ctx
+  | Step s, [] -> s
+  | Step s, [ a ] -> fun ctx -> a ctx; s ctx
+  | Step s, [ a; b ] -> fun ctx -> a ctx; b ctx; s ctx
+  | Step s, [ a; b; c ] -> fun ctx -> a ctx; b ctx; c ctx; s ctx
+  | Step s, [ a; b; c; d ] -> fun ctx -> a ctx; b ctx; c ctx; d ctx; s ctx
+  | Step s, _ ->
+    let ops = Array.of_list ops in
+    fun ctx -> run_ops ops ctx; s ctx
 
 let compile (p : Encode.program) : code =
-  let n = Array.length p.Encode.code in
+  let code = p.Encode.code and n_slots = p.Encode.n_slots in
+  let n = Array.length code in
   let wb = flush_wb p.Encode.wb_map in
+  let ends = Array.map (ends_segment ~n_slots) code in
+  let head = Array.make (n + 1) false in
+  head.(0) <- true;
+  head.(n) <- true;
+  for i = 0 to n - 1 do
+    if ends.(i) then head.(i + 1) <- true;
+    match code.(i) with
+    | Jmp t -> head.(target n t) <- true
+    | Br (_, t, f) ->
+      head.(target n t) <- true;
+      head.(target n f) <- true
+    | _ -> ()
+  done;
   let fell_off _ = invalid_arg "translation fell off the end without an exit" in
-  let steps = Array.make (n + 1) fell_off in
-  Array.iteri (fun i ins -> steps.(i) <- compile_step ~n ~wb i ins) p.Encode.code;
-  { n_slots = p.Encode.n_slots; steps }
+  let entries = Array.make (n + 1) fell_off in
+  (* Backwards: [last] is the current segment's last instruction; [cost]
+     and [ops] cover it down to [i]. *)
+  let last = ref n and cost = ref 0 and ops = ref [] in
+  for i = n - 1 downto 0 do
+    let ins = code.(i) in
+    if head.(i + 1) then begin
+      last := i;
+      cost := 0;
+      ops := []
+    end;
+    cost := !cost + instr_cost ins;
+    (match ins with
+    | Label _ | Wbmap _ -> ()
+    | (Mem_ld _ | Mem_st _ | Call _) when not head.(i) ->
+      (* a [Retry] re-enters at the access itself: an entry that charges
+         and counts it alone *)
+      entries.(i) <- compile_step ~wb ~n ~cost:(instr_cost ins) ~count:1 i ins
+    | _ -> if not ends.(i) then ops := compile_op ins :: !ops);
+    if head.(i) then begin
+      let cost = !cost and count = !last - i + 1 in
+      let term =
+        if not ends.(!last) then Goto (!last + 1)
+        else
+          match code.(!last) with
+          | Jmp t -> Goto (target n t)
+          | Br (Preg r, t, f) when ok_reg r -> Branch (8 * r, target n t, target n f)
+          | Poll slot -> Poll_then (slot, !last + 1)
+          | ins -> Step (compile_step ~wb ~n ~cost ~count !last ins)
+      in
+      entries.(i) <- segment entries ~wb ~cost ~count !ops term
+    end
+  done;
+  { n_slots; entries }
 
-(* Every index a step returns is within [0, n], so the fetch needs no
-   check.  A top-level loop, so that a run allocates no closure. *)
-let rec run_from steps ctx i =
-  let r = (Array.unsafe_get steps i) ctx in
-  if r >= 0 then run_from steps ctx r else lnot r
+(* Every index an entry returns is a segment head or a retryable
+   instruction within [0, n], so the fetch needs no check.  A top-level
+   loop, so that a run allocates no closure. *)
+let rec run_from entries ctx i =
+  let r = (Array.unsafe_get entries i) ctx in
+  if r >= 0 then run_from entries ctx r else lnot r
 
 (* Run compiled code; returns the chain-slot id of the exit taken. *)
 let run (ctx : ctx) (code : code) : int =
   if Bytes.length ctx.slots < 8 * code.n_slots then ctx.slots <- Bytes.make (8 * code.n_slots) '\000';
-  run_from code.steps ctx 0
+  run_from code.entries ctx 0

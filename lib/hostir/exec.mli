@@ -1,13 +1,13 @@
 (* Execution of encoded host machine code against the HVM.
 
-   Decoded programs (Encode.program) are compiled once into closures
-   ({!compile}) and run with per-instruction cycle charging from
-   Hvm.Cost.  Host page faults raised by the MMU are
-   delivered to the engine-installed fault handler; [Retry] re-executes
-   the faulting instruction once the handler has populated the host page
-   tables, [Mmio_*] completes the access by device emulation, and guest
-   exceptions simply propagate as OCaml exceptions to the engine's run
-   loop. *)
+   Decoded programs (Encode.program) are compiled once into segment
+   closures ({!compile}) and run with the cycle costs of Hvm.Cost,
+   charged once per straight-line segment.  Host page faults raised by
+   the MMU are delivered to the engine-installed fault handler; [Retry]
+   re-executes the faulting instruction once the handler has populated
+   the host page tables, [Mmio_*] completes the access by device
+   emulation, and guest exceptions simply propagate as OCaml exceptions
+   to the engine's run loop. *)
 
 (* What the engine-installed fault handler tells the executor to do with
    a faulting access. *)
@@ -91,10 +91,19 @@ val flags_logic_nzcv : width:int -> int64 -> int64
 (* Per-instruction cycle cost (Hvm.Cost model). *)
 val instr_cost : Hir.instr -> int
 
-(* A decoded program compiled for execution: one closure per instruction.
-   Translation records keep only this, not the decoded program. *)
+(* A decoded program compiled for execution: one closure per segment, a
+   straight-line run that ends at control flow, at an access or helper
+   call (which can observe the cycle count) or at an instruction that
+   can raise.  Each segment's summed {!instr_cost} and instruction count
+   are charged once, before its last instruction acts, so the cycle and
+   instruction counts anything outside the executor observes equal
+   per-instruction charging.  Translation records keep only this, not
+   the decoded program. *)
 type code
 
+(* Never raises: a [Vreg] operand or falling off the end raises
+   [Invalid_argument] when executed, after everything before it (the
+   raising instruction included) has been charged and counted. *)
 val compile : Encode.program -> code
 
 (* Run compiled code; returns the chain-slot id of the exit taken. *)

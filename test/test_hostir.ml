@@ -315,11 +315,11 @@ let indexed ?(n_slots = 0) ?(wb_map = [||]) code =
 
 (* A context whose data accesses fault: paging on, over an empty page
    table.  [handler] sees every fault and answers it. *)
-let faulting_ctx handler =
+let faulting_ctx ?(helpers = [||]) handler =
   let machine = Machine.create ~mem_size:(4 * 1024 * 1024) () in
   machine.Machine.paging <- true;
   machine.Machine.cr3 <- 0x10000L;
-  (machine, Exec.create ~machine ~helpers:[||] ~fault_handler:handler)
+  (machine, Exec.create ~machine ~helpers ~fault_handler:handler)
 
 let test_fault_retry () =
   let calls = ref 0 in
@@ -461,6 +461,304 @@ let test_errors_at_execution () =
     (Invalid_argument "translation fell off the end without an exit") (fun () ->
       ignore (Exec.run ctx off_end));
   Alcotest.(check int) "nothing counted past the end" 1 ctx.Exec.instrs_executed
+
+(* --- executor: segment charging against a per-instruction reference ----
+
+   Random programs (ALU ops on registers, immediates and spill slots,
+   register-file traffic, [Inc_pc], counted loops with a [Poll], if/else
+   on a register or slot, jumped-over code, helper calls and memory
+   accesses whose fault handler answers [Retry], [Mmio_value] or
+   [Mmio_done]) run through [Exec] and through a stepper here that
+   charges [Exec.instr_cost] plus one cycle per [Slot] access before each
+   instruction, as charging per instruction would.  The handler and the
+   helper record the cycle count, the instruction count and the PC at
+   every call; both runs must record the same, and end in the same
+   state. *)
+
+type item =
+  | Straight of Hir.instr list
+  | Loop of int * item list (* trip count (counter r11, test r10), body *)
+  | If of Hir.operand * item list * item list
+  | Skip of Hir.instr list (* jumped over *)
+
+(* Addresses with bit 8 clear fault to [Retry] (the handler turns paging
+   off); the others to device emulation.  The helper turns paging back
+   on, after a load from a [Retry] address of its own. *)
+let seg_addrs = [| 0x2000L; 0x2008L; 0x2100L; 0x2108L; 0x3010L; 0x3110L |]
+
+type seen = string * int * int * int64 (* who, cycles, instructions, PC *)
+
+let seg_ctx ~budget =
+  let log : seen list ref = ref [] in
+  let note who ctx =
+    log := (who, ctx.Exec.machine.Machine.cycles, ctx.Exec.instrs_executed, Exec.get_pc ctx) :: !log
+  in
+  let helper =
+    {
+      Exec.fn =
+        (fun ctx args ->
+          note "helper" ctx;
+          let m = ctx.Exec.machine in
+          let v = Machine.mem_read m ~bits:64 0x2000L in
+          m.Machine.paging <- true;
+          Array.fold_left Int64.add v args);
+      cost = 7;
+    }
+  in
+  let handler ctx access va ~bits ~value =
+    note (Printf.sprintf "fault %Lx/%d/%s" va bits (Option.fold ~none:"-" ~some:Int64.to_string value)) ctx;
+    let m = ctx.Exec.machine in
+    if Int64.logand va 0x100L = 0L then begin
+      m.Machine.paging <- false;
+      Exec.Retry
+    end
+    else match access with Machine.Read -> Exec.Mmio_value (Int64.of_int m.Machine.cycles) | _ -> Exec.Mmio_done
+  in
+  let _, ctx = faulting_ctx ~helpers:[| helper |] handler in
+  ctx.Exec.poll_budget <- budget;
+  (ctx, log)
+
+let gen_program =
+  let open QCheck2.Gen in
+  let open Hir in
+  let reg = map (fun r -> Preg r) (int_range 0 9) in
+  let slot = map (fun s -> Slot s) (int_range 0 3) in
+  let imm = map (fun k -> Imm (Int64.of_int k)) (int_range (-300) 300) in
+  let dst = frequency [ (3, reg); (1, slot) ] in
+  let src = frequency [ (3, reg); (1, slot); (2, imm) ] in
+  let regimm = oneof [ reg; imm ] in
+  let addr = map (fun i -> seg_addrs.(i)) (int_bound (Array.length seg_addrs - 1)) in
+  let width = oneofl [ 8; 16; 32; 64 ] in
+  let off = map (fun k -> 8 * k) (int_bound 7) in
+  let op =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun (o, d) a b -> Alu (o, d, a, b))
+            (pair (oneofl [ Aadd; Asub; Axor; Amul; Ashl; Asar ]) dst)
+            reg src );
+        (2, map2 (fun d s -> Mov (d, s)) dst src);
+        (1, map3 (fun d a b -> Setcc (Cult, d, a, b)) dst reg src);
+        (1, map2 (fun d s -> Not (d, s)) dst src);
+        (1, map3 (fun d c a -> Cmov (d, c, a, Imm 1L)) dst reg src);
+        (2, map2 (fun d o -> Ldrf (d, o)) dst off);
+        (2, map2 (fun o s -> Strf (o, s)) off src);
+        (1, map (fun k -> Inc_pc (4 * k)) (int_range 1 3));
+        (1, map (fun d -> Load_pc d) reg);
+        (1, map (fun l -> Label (100 + l)) (int_bound 9)) (* no jump targets labels from 100 up *);
+      ]
+  in
+  let access =
+    frequency
+      [
+        (2, map3 (fun w d a -> [ Mov (Preg 12, Imm a); Mem_ld (w, d, Preg 12) ]) width reg addr);
+        (2, map3 (fun w v a -> [ Mov (Preg 12, Imm a); Mem_st (w, Preg 12, v) ]) width regimm addr);
+        (1, map3 (fun w d a -> [ Mem_ld (w, d, Imm a) ]) width reg addr);
+        (1, map3 (fun w v a -> [ Mem_st (w, Imm a, v) ]) width regimm addr);
+      ]
+  in
+  let call =
+    map2
+      (fun a ret -> [ Call (0, [| a; Imm 5L |], if ret then Some (Preg 3) else None) ])
+      regimm bool
+  in
+  let straight =
+    frequency
+      [
+        (6, map (fun l -> Straight l) (list_size (int_range 1 7) op));
+        (3, map (fun l -> Straight l) access);
+        (1, map (fun l -> Straight l) call);
+        (1, map (fun s -> Straight [ Poll s ]) (int_range 1 3));
+        (1, map (fun l -> Skip l) (list_size (int_range 1 3) op));
+      ]
+  in
+  let flat = list_size (int_range 0 4) straight in
+  let item =
+    frequency
+      [
+        (5, straight);
+        (2, map2 (fun k body -> Loop (k, body)) (int_range 1 4) flat);
+        (2, map3 (fun c t e -> If (c, t, e)) (oneof [ reg; slot ]) flat flat);
+      ]
+  in
+  let wb = oneofl [ [||]; [| (Preg 0, 64); (Preg 5, 72) |]; [| (Preg 1, 80); (Slot 2, 88) |] ] in
+  triple (list_size (int_range 1 10) item) wb (int_range 0 40)
+
+(* Lower the items to an index-form program: labels become the indices
+   of their [Label] instructions. *)
+let lower_program items =
+  let open Hir in
+  let next = ref 0 in
+  let fresh () =
+    incr next;
+    !next
+  in
+  let rec lower = function
+    | Straight l -> l
+    | Skip l ->
+      let out = fresh () in
+      (Jmp out :: l) @ [ Label out ]
+    | Loop (k, body) ->
+      let top = fresh () and out = fresh () in
+      [ Mov (Preg 11, Imm (Int64.of_int k)); Label top; Poll 1 ]
+      @ List.concat_map lower body
+      @ [
+          Alu (Asub, Preg 11, Preg 11, Imm 1L);
+          Setcc (Cne, Preg 10, Preg 11, Imm 0L);
+          Br (Preg 10, top, out);
+          Label out;
+        ]
+    | If (c, t, e) ->
+      let lt = fresh () and le = fresh () and join = fresh () in
+      (Br (c, lt, le) :: Label lt :: List.concat_map lower t)
+      @ (Jmp join :: Label le :: List.concat_map lower e)
+      @ [ Label join ]
+  in
+  let code = Array.of_list (List.concat_map lower items @ [ Exit 0 ]) in
+  let at = Hashtbl.create 16 in
+  Array.iteri (fun i ins -> match ins with Label l when l < 100 -> Hashtbl.replace at l i | _ -> ()) code;
+  Array.map (Hir.map_labels (fun l -> Option.value ~default:l (Hashtbl.find_opt at l))) code
+
+(* The reference: one instruction at a time, each charged in full before
+   it acts; faults delivered as [Exec] documents it. *)
+let reference_run ctx (p : Encode.program) =
+  let open Hir in
+  let m = ctx.Exec.machine in
+  ctx.Exec.slots <- Bytes.make (8 * p.Encode.n_slots) '\000';
+  let charge n = m.Machine.cycles <- m.Machine.cycles + n in
+  let get = function
+    | Preg r -> Exec.get_reg ctx r
+    | Imm k -> k
+    | Slot s -> Bytes.get_int64_ne ctx.Exec.slots (8 * s)
+    | Vreg _ -> assert false
+  in
+  (* a [Cmov] reads only the operand it selects *)
+  let slots_of ins =
+    let n = List.fold_left (fun n o -> match o with Slot _ -> n + 1 | _ -> n) 0 in
+    match ins with
+    | Cmov (d, c, a, b) -> n [ d; c; (if get c <> 0L then a else b) ]
+    | _ -> n (Option.to_list (Hir.dest ins) @ Hir.sources ins)
+  in
+  let set o v =
+    match o with
+    | Preg r -> Exec.set_reg ctx r v
+    | Slot s -> Bytes.set_int64_ne ctx.Exec.slots (8 * s) v
+    | _ -> assert false
+  in
+  let wb () =
+    Array.iter
+      (fun (o, off) ->
+        charge (match o with Slot _ -> 2 | _ -> 1);
+        ctx.Exec.rf_stores <- ctx.Exec.rf_stores + 1;
+        Exec.rf_write ctx off (get o))
+      p.Encode.wb_map
+  in
+  let rec step i =
+    let ins = p.Encode.code.(i) in
+    charge (Exec.instr_cost ins + slots_of ins);
+    ctx.Exec.instrs_executed <- ctx.Exec.instrs_executed + 1;
+    let fault va access =
+      m.Machine.faults <- m.Machine.faults + 1;
+      charge Cost.fault_roundtrip;
+      wb ();
+      let bits, value =
+        match ins with Mem_ld (w, _, _) -> (w, None) | Mem_st (w, _, v) -> (w, Some (get v)) | _ -> (0, None)
+      in
+      match (ctx.Exec.fault_handler ctx access va ~bits ~value, ins) with
+      | Exec.Retry, _ -> step i
+      | Exec.Mmio_value v, Mem_ld (_, d, _) ->
+        set d v;
+        step (i + 1)
+      | _ -> step (i + 1)
+    in
+    match ins with
+    | Exit s ->
+      wb ();
+      s
+    | Jmp t -> step t
+    | Br (c, t, f) -> step (if get c <> 0L then t else f)
+    | Poll s ->
+      let held = ctx.Exec.irq_held in
+      ctx.Exec.irq_held <- false;
+      if
+        Exec.get_reg ctx Hir.region_poison_preg <> 0L
+        || ctx.Exec.poll_budget <= 0
+        || m.Machine.cycles >= ctx.Exec.poll_deadline
+        || (Machine.irq_pending m && not held)
+      then begin
+        wb ();
+        s
+      end
+      else begin
+        ctx.Exec.poll_budget <- ctx.Exec.poll_budget - 1;
+        step (i + 1)
+      end
+    | Mem_ld (w, d, a) -> (
+      match Machine.mem_read m ~bits:w (get a) with
+      | v ->
+        set d v;
+        step (i + 1)
+      | exception Machine.Host_fault { va; access } -> fault va access)
+    | Mem_st (w, a, v) -> (
+      match Machine.mem_write m ~bits:w (get a) (get v) with
+      | () -> step (i + 1)
+      | exception Machine.Host_fault { va; access } -> fault va access)
+    | Call (h, args, ret) -> (
+      let helper = ctx.Exec.helpers.(h) in
+      charge helper.Exec.cost;
+      match helper.Exec.fn ctx (Array.map get args) with
+      | r ->
+        Option.iter (fun d -> set d r) ret;
+        step (i + 1)
+      | exception Machine.Host_fault { va; access } -> fault va access)
+    | _ ->
+      (match ins with
+      | Label _ | Wbmap _ -> ()
+      | Mov (d, s) -> set d (get s)
+      | Alu (op, d, a, b) -> set d (Exec.exec_alu op (get a) (get b))
+      | Setcc (c, d, a, b) -> set d (if Exec.cond_holds c (get a) (get b) then 1L else 0L)
+      | Not (d, s) -> set d (Int64.lognot (get s))
+      | Cmov (d, c, a, b) -> set d (if get c <> 0L then get a else get b)
+      | Ldrf (d, off) ->
+        ctx.Exec.rf_loads <- ctx.Exec.rf_loads + 1;
+        set d (Exec.rf_read ctx off)
+      | Strf (off, s) ->
+        ctx.Exec.rf_stores <- ctx.Exec.rf_stores + 1;
+        Exec.rf_write ctx off (get s)
+      | Inc_pc k -> Exec.set_pc ctx (Int64.add (Exec.get_pc ctx) (Int64.of_int k))
+      | Load_pc d -> set d (Exec.get_pc ctx)
+      | _ -> Alcotest.failf "reference: %s not modelled" (Hir.to_string ins));
+      step (i + 1)
+  in
+  step 0
+
+let seg_outcome ctx log slot =
+  let m = ctx.Exec.machine in
+  ( slot,
+    List.rev !log,
+    [
+      m.Machine.cycles; ctx.Exec.instrs_executed; ctx.Exec.rf_loads; ctx.Exec.rf_stores; m.Machine.faults;
+      ctx.Exec.poll_budget;
+    ],
+    Exec.get_pc ctx :: List.init 16 (Exec.get_reg ctx) @ List.init 12 (fun i -> Exec.rf_read ctx (8 * i))
+    @ List.init 4 (fun s -> Bytes.get_int64_ne ctx.Exec.slots (8 * s)) )
+
+let prop_segments_match_reference =
+  QCheck2.Test.make ~name:"exec: segment charging = per-instruction reference" ~count:300
+    ~print:(fun (items, wb_map, budget) ->
+      Printf.sprintf "budget %d, wb_map %d entries\n%s" budget (Array.length wb_map)
+        (String.concat "\n"
+           (Array.to_list (Array.mapi (Printf.sprintf "%3d  %s") (Array.map Hir.to_string (lower_program items))))))
+    gen_program
+    (fun (items, wb_map, budget) ->
+      let p = indexed ~n_slots:4 ~wb_map (lower_program items) in
+      let ctx, log = seg_ctx ~budget in
+      let slot = Exec.run ctx (Exec.compile p) in
+      let ref_ctx, ref_log = seg_ctx ~budget in
+      let ref_slot = reference_run ref_ctx p in
+      let got = seg_outcome ctx log slot and want = seg_outcome ref_ctx ref_log ref_slot in
+      got = want || QCheck2.Test.fail_reportf "executor and reference differ")
 
 (* --- executor: the memory fast path against the [Machine] path ---------
 
@@ -644,33 +942,61 @@ let test_quiet_window_edges () =
   Machine.phys_write m ~bits:32 0x0900_000CL 1L (* software-set line 1 *);
   Alcotest.(check bool) "Exec: the write closed the window" true (poll ())
 
-(* Loads and stores that hit, clz and bit reversal, and the run itself,
-   allocate nothing. *)
+(* Loads and stores that hit, clz and bit reversal, a segment longer than
+   the unrolled bodies, a region-shaped loop (a [Poll] at its head, a
+   register [Br] and a [Jmp] back), and the run itself, allocate
+   nothing. *)
 let test_fast_allocates_nothing () =
   let m, h = primed rw () in
   let ctx = Exec.create ~machine:m ~helpers:[||] ~fault_handler:h in
   let open Hir in
-  let code =
-    Exec.compile
-      (indexed
-         [|
-           Mov (Preg 1, Imm page_va);
-           Mem_ld (64, Preg 2, Preg 1);
-           Mem_st (32, Preg 1, Preg 2);
-           Mem_ld (8, Preg 3, Preg 1);
-           Mem_st (16, Preg 1, Imm 7L);
-           Bit1 (Bclz64, Preg 4, Preg 2);
-           Bit1 (Brbit64, Preg 5, Preg 2);
-           Exit 0;
-         |])
+  let memory =
+    [|
+      Mov (Preg 1, Imm page_va);
+      Mem_ld (64, Preg 2, Preg 1);
+      Mem_st (32, Preg 1, Preg 2);
+      Mem_ld (8, Preg 3, Preg 1);
+      Mem_st (16, Preg 1, Imm 7L);
+      Bit1 (Bclz64, Preg 4, Preg 2);
+      Bit1 (Brbit64, Preg 5, Preg 2);
+      Exit 0;
+    |]
   in
-  ignore (Exec.run ctx code);
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    ignore (Exec.run ctx code)
-  done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check bool) (Printf.sprintf "%.0f minor words < 100" words) true (words < 100.)
+  let long =
+    Array.append
+      (Array.init 9 (fun i -> Alu (Aadd, Preg (i mod 4), Preg ((i + 1) mod 4), Imm (Int64.of_int i))))
+      [| Strf (0, Preg 0); Exit 0 |]
+  in
+  let loop =
+    [|
+      Ldrf (Preg 0, 8);
+      Mov (Preg 1, Imm 20L);
+      Label 0;
+      Poll 1;
+      Alu (Aadd, Preg 0, Preg 0, Preg 1);
+      Alu (Asub, Preg 1, Preg 1, Imm 1L);
+      Setcc (Cne, Preg 3, Preg 1, Imm 0L);
+      Inc_pc 4;
+      Br (Preg 3, 9, 10);
+      Jmp 2;
+      Strf (8, Preg 0);
+      Exit 0;
+    |]
+  in
+  List.iter
+    (fun (name, p, per_run) ->
+      let code = Exec.compile (indexed p) in
+      let n0 = ctx.Exec.instrs_executed in
+      ignore (Exec.run ctx code);
+      Alcotest.(check int) (name ^ ": instructions per run") per_run (ctx.Exec.instrs_executed - n0);
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Exec.run ctx code)
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) (Printf.sprintf "%s: %.0f minor words < 100" name words) true (words < 100.))
+    (* the loop: 2 set-up, 20 iterations of 7, 19 jumps back, 2 after *)
+    [ ("memory", memory, 8); ("long segment", long, 11); ("region loop", loop, 2 + (20 * 7) + 19 + 2) ]
 
 (* The specialised register/immediate shapes agree with the generic
    interpreter (reached by putting an operand in a spill slot). *)
@@ -759,6 +1085,7 @@ let suite =
       Alcotest.test_case "exec fast path: MMIO, straddle, out of RAM, zero frame" `Quick test_fast_fallbacks;
       Alcotest.test_case "exec fast path: allocates nothing" `Quick test_fast_allocates_nothing;
       Alcotest.test_case "exec: quiet window edges" `Quick test_quiet_window_edges;
+      q prop_segments_match_reference;
       q prop_specialised_matches_generic;
       q prop_nzcv_matches_add_with_carry;
     ] )
