@@ -90,7 +90,6 @@ type phase_stats = Tally.phase_stats = {
   mutable absint_branches_folded : int; (* Br with decided condition -> Jmp *)
   mutable absint_consts_folded : int; (* pure results proved constant *)
   mutable absint_masks_dropped : int; (* redundant masks/extensions elided *)
-  mutable absint_divs_reduced : int; (* unsigned div/rem by 2^k reduced *)
   mutable absint_dead_deleted : int; (* cross-block dead definitions removed *)
   mutable absint_jumps_threaded : int; (* jumps removed by jump threading *)
   mutable absint_copies_retargeted : int; (* single-use temp/copy pairs merged *)

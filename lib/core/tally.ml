@@ -46,7 +46,6 @@ type phase_stats = {
   mutable absint_branches_folded : int;
   mutable absint_consts_folded : int;
   mutable absint_masks_dropped : int;
-  mutable absint_divs_reduced : int;
   mutable absint_dead_deleted : int;
   mutable absint_jumps_threaded : int;
   mutable absint_copies_retargeted : int;
@@ -115,7 +114,6 @@ let new_phase_stats () =
     absint_branches_folded = 0;
     absint_consts_folded = 0;
     absint_masks_dropped = 0;
-    absint_divs_reduced = 0;
     absint_dead_deleted = 0;
     absint_jumps_threaded = 0;
     absint_copies_retargeted = 0;
@@ -193,7 +191,6 @@ let counters =
     Count ("absint_branches_folded", (fun s -> s.absint_branches_folded), fun s v -> s.absint_branches_folded <- v);
     Count ("absint_consts_folded", (fun s -> s.absint_consts_folded), fun s v -> s.absint_consts_folded <- v);
     Count ("absint_masks_dropped", (fun s -> s.absint_masks_dropped), fun s v -> s.absint_masks_dropped <- v);
-    Count ("absint_divs_reduced", (fun s -> s.absint_divs_reduced), fun s v -> s.absint_divs_reduced <- v);
     Count ("absint_dead_deleted", (fun s -> s.absint_dead_deleted), fun s v -> s.absint_dead_deleted <- v);
     Count ("absint_jumps_threaded", (fun s -> s.absint_jumps_threaded), fun s v -> s.absint_jumps_threaded <- v);
     Count ("absint_copies_retargeted", (fun s -> s.absint_copies_retargeted), fun s v -> s.absint_copies_retargeted <- v);

@@ -417,75 +417,65 @@ let region_front (je : jit_env) (req : request) : result =
         Dag.raw dag (Hir.Exit (mi + 1))
       end)
     entries;
-  let instrs = Dag.finish dag in
-  let member_entry = List.map (fun (md, l) -> (md.md_va, l)) entries in
-  let instrs, rs = Hostir.Region.optimize ~dispatch:!dispatch ~member_entry instrs in
-  s.region_pc_writes_relativized <-
-    s.region_pc_writes_relativized + rs.Hostir.Region.pc_writes_relativized;
-  s.region_dispatch_straightened <-
-    s.region_dispatch_straightened + rs.Hostir.Region.dispatch_straightened;
+  let module P = Hostir.Pipeline in
+  let env =
+    {
+      P.dispatch = !dispatch;
+      member_entry = List.map (fun (md, l) -> (md.md_va, l)) entries;
+      classify = Common.helper_kind;
+      max_regs = promote_max_regs;
+    }
+  in
+  (* Each pipeline count is the engine counter of the same name. *)
+  let tally (st : P.state) = List.iter (fun (name, v) -> bump (count name) s v) st.P.counts in
+  let shaped = P.run P.Shape env (P.start (Dag.finish dag)) in
+  tally shaped;
   s.t_translate <- s.t_translate +. (now () -. t1);
   s.t_region <- s.t_region +. (now () -. t1);
   let t2 = now () in
   let t_simplify = ref 0. in
   let instrs, ra, promoted =
-    if not cfg.promote then (instrs, Regalloc.run instrs, [])
+    if not cfg.promote then (shaped.P.instrs, Regalloc.run shaped.P.instrs, [])
     else begin
       (* Promotion widens live ranges across the whole region, and a
          promoted access through a spill slot costs more than the
          [Ldrf] it replaced — so promotion is only accepted when
          allocation stays spill-free relative to the unpromoted
          stream, narrowing the candidate set until it does.  Width 0
-         still runs copy propagation and register-file forwarding. *)
-      let ra0 = Regalloc.run instrs in
+         still runs the promotion stage's cleanup and absint-simplify. *)
+      let ra0 = Regalloc.run shaped.P.instrs in
       let rec attempt k =
-        let promoted_instrs, promoted, ps =
-          Hostir.Promote.run ~max_regs:k ~classify:Common.helper_kind instrs
-        in
-        (* The O4 absint-simplify pass, on the flattened promoted
-           stream where its facts materialize: fold decided branches,
-           delete cross-block dead definitions, drop proved-redundant
-           masks, strength-reduce division.  The writeback discipline
-           is re-proved below on the simplified stream. *)
+        let pst = P.run P.Promote { env with max_regs = k } { shaped with P.counts = [] } in
         let ts = now () in
-        let instrs', ss = Hostir.Absint.simplify ~classify:Common.helper_kind promoted_instrs in
+        let sst = P.run P.Simplify env pst in
         t_simplify := !t_simplify +. (now () -. ts);
-        let ra' = Regalloc.run instrs' in
+        let ra' = Regalloc.run sst.P.instrs in
         if ra'.Regalloc.n_spilled <= ra0.Regalloc.n_spilled then begin
           (* Always-on safety net: a region whose safepoint, exit or
              faulting access is reachable with an uncovered dirty
              promoted register would silently corrupt guest state.
-             Checked on the promoter's own output first — a promotion
-             bug must surface here, before simplify's dead-code pass
-             can delete the dirty definition that would incriminate
-             it — and again on the simplified stream the engine
-             actually runs. *)
+             Checked on the promotion stage's output first — a
+             promotion bug must surface here, before simplify's
+             dead-code pass can delete the dirty definition that would
+             incriminate it — and again on the simplified stream the
+             engine actually runs. *)
           let wb_what pass = Printf.sprintf "%s pass=%s" (describe req) pass in
-          Hostir.Verify.check_wb_exn ~what:(wb_what "promote")
-            ~classify:Common.helper_kind ~promoted promoted_instrs;
+          let promoted = sst.P.promoted in
+          Hostir.Verify.check_wb_exn ~what:(wb_what "promote") ~classify:Common.helper_kind
+            ~promoted pst.P.instrs;
           Hostir.Verify.check_wb_exn ~what:(wb_what "absint-simplify")
-            ~classify:Common.helper_kind ~promoted instrs';
-          s.rf_promoted <- s.rf_promoted + ps.Hostir.Promote.promoted;
-          s.region_wb_entries <- s.region_wb_entries + ps.Hostir.Promote.wb_entries;
-          s.absint_branches_folded <-
-            s.absint_branches_folded + ss.Hostir.Absint.branches_folded;
-          s.absint_consts_folded <- s.absint_consts_folded + ss.Hostir.Absint.consts_folded;
-          s.absint_masks_dropped <- s.absint_masks_dropped + ss.Hostir.Absint.masks_dropped;
-          s.absint_divs_reduced <- s.absint_divs_reduced + ss.Hostir.Absint.divs_reduced;
-          s.absint_dead_deleted <- s.absint_dead_deleted + ss.Hostir.Absint.dead_deleted;
-          s.absint_jumps_threaded <- s.absint_jumps_threaded + ss.Hostir.Absint.jumps_threaded;
-          s.absint_copies_retargeted <-
-            s.absint_copies_retargeted + ss.Hostir.Absint.copies_retargeted;
-          (instrs', ra', promoted)
+            ~classify:Common.helper_kind ~promoted sst.P.instrs;
+          tally sst;
+          (sst.P.instrs, ra', promoted)
         end
-        else if k = 0 then (instrs, ra0, [])
+        else if k = 0 then (shaped.P.instrs, ra0, [])
         else attempt (k - 1)
       in
       attempt promote_max_regs
     end
   in
   s.spills <- s.spills + ra.Regalloc.n_spilled;
-  (* The simplify pass runs inside the allocation window; account it
+  (* The simplify stage runs inside the allocation window; account it
      to the analysis phase so the bench breakdown separates them. *)
   s.t_regalloc <- s.t_regalloc +. (now () -. t2 -. !t_simplify);
   s.t_analyze <- s.t_analyze +. !t_simplify;

@@ -587,30 +587,7 @@ let check_translation ?(classify = default_classify) ?(promoted = []) ?n_slots
   let wb = check_wb ~classify ~promoted instrs in
   rf @ frame @ wb
 
-(* --- the absint-simplify region pass --------------------------------------- *)
-
-type simplify_stats = {
-  mutable branches_folded : int; (* Br with a decided condition -> Jmp *)
-  mutable consts_folded : int; (* pure results proved constant -> Mov Imm *)
-  mutable masks_dropped : int; (* redundant And masks / extensions elided *)
-  mutable divs_reduced : int; (* unsigned div/rem by 2^k strength-reduced *)
-  mutable dead_deleted : int; (* cross-block dead vreg definitions removed *)
-  mutable jumps_threaded : int; (* Jmps removed by jump threading *)
-  mutable copies_retargeted : int; (* single-use temp/copy pairs merged *)
-}
-
-let empty_simplify_stats () =
-  {
-    branches_folded = 0;
-    consts_folded = 0;
-    masks_dropped = 0;
-    divs_reduced = 0;
-    dead_deleted = 0;
-    jumps_threaded = 0;
-    copies_retargeted = 0;
-  }
-
-let is_pow2 v = v <> 0L && Int64.logand v (Int64.sub v 1L) = 0L
+(* --- absint-simplify's passes ------------------------------------------------ *)
 
 (* Cross-block liveness DCE over vregs.  Deletable: pure instructions
    defining a vreg that is dead at the definition point — which catches
@@ -627,7 +604,7 @@ let wbmap_vregs (instrs : instr array) =
       | _ -> acc)
     Is.empty instrs
 
-let dead_code (instrs : instr array) stats : instr array =
+let dead_code (instrs : instr array) : instr array =
   let pinned = wbmap_vregs instrs in
   let cfg = Cfg.build instrs in
   (* Faint-variable liveness: a pure definition of a dead vreg reads
@@ -655,10 +632,7 @@ let dead_code (instrs : instr array) stats : instr array =
       let live = ref out in
       for idx = Cfg.block_end cfg b - 1 downto cfg.Cfg.starts.(b) do
         let ins = instrs.(idx) in
-        if dead !live ins then begin
-          keep.(idx) <- false;
-          stats.dead_deleted <- stats.dead_deleted + 1
-        end
+        if dead !live ins then keep.(idx) <- false
         else live := Cfg.live_step ~pinned !live ins
       done)
     live_out;
@@ -721,14 +695,15 @@ let copy_prop ~classify (instrs : instr array) : instr array =
     entry;
   out
 
-(* The O4 absint-simplify pass: runs on the flattened, promoted region
-   stream before register allocation.  Rewrites are fact-driven and
-   per-instruction, so the promoted-register discipline (rechecked by
-   the engine after this pass) is preserved: constants replace sources,
-   never the identity of a definition's destination. *)
-let simplify ?(classify = default_classify) (instrs : instr array) :
-    instr array * simplify_stats =
-  let stats = empty_simplify_stats () in
+(* absint-simplify's fact-driven folds, the head of the O4
+   absint-simplify stage ([Pipeline]) on the flattened, promoted region
+   stream before register allocation.  Rewrites are per-instruction, so
+   the promoted-register discipline (rechecked by the engine after the
+   stage) is preserved: constants replace sources, never the identity
+   of a definition's destination.  Returns the stream and the numbers
+   of branches, constants and masks folded. *)
+let fold ?(classify = default_classify) (instrs : instr array) : instr array * int * int * int =
+  let branches = ref 0 and consts = ref 0 and masks = ref 0 in
   let facts = analyze ~classify instrs in
   let out = Array.copy instrs in
   iter_facts facts (fun idx s ins ->
@@ -744,7 +719,7 @@ let simplify ?(classify = default_classify) (instrs : instr array) :
           | Some d -> (
             match V.is_const (read (transfer ~classify s ins) d) with
             | Some c ->
-              stats.consts_folded <- stats.consts_folded + 1;
+              incr consts;
               Some (Mov (d, Imm c))
             | _ -> None)
           | None -> None)
@@ -758,57 +733,31 @@ let simplify ?(classify = default_classify) (instrs : instr array) :
           | Br (c, t, f) -> (
             match V.is_const (read s c) with
             | Some 0L ->
-              stats.branches_folded <- stats.branches_folded + 1;
+              incr branches;
               Some (Jmp f)
             | Some _ ->
-              stats.branches_folded <- stats.branches_folded + 1;
+              incr branches;
               Some (Jmp t)
             | None ->
               if not (V.contains (read s c) 0L) then begin
-                stats.branches_folded <- stats.branches_folded + 1;
+                incr branches;
                 Some (Jmp t)
               end
               else None)
           | Alu (Aand, d, a, Imm m) when V.mask_redundant (read s a) m ->
             (* Every possibly-set bit of [a] survives the mask. *)
-            stats.masks_dropped <- stats.masks_dropped + 1;
+            incr masks;
             Some (Mov (d, a))
           | Ext (false, bits, d, src)
             when bits < 64 && V.fits ~bits ~signed:false (read s src) ->
-            stats.masks_dropped <- stats.masks_dropped + 1;
+            incr masks;
             Some (Mov (d, src))
           | Ext (true, bits, d, src)
             when bits < 64 && V.fits ~bits ~signed:true (read s src) ->
             (* Value provably fits below the sign bit: sext = identity. *)
-            stats.masks_dropped <- stats.masks_dropped + 1;
+            incr masks;
             Some (Mov (d, src))
-          | Divrem (false, false, d, a, Imm k) when is_pow2 k ->
-            stats.divs_reduced <- stats.divs_reduced + 1;
-            Some (Alu (Ashr, d, a, Imm (Int64.of_int (Bits.ctz k))))
-          | Divrem (false, true, d, a, Imm k) when is_pow2 k ->
-            stats.divs_reduced <- stats.divs_reduced + 1;
-            Some (Alu (Aand, d, a, Imm (Int64.sub k 1L)))
           | _ -> None)
       in
       match reduced with Some ins' -> out.(idx) <- ins' | None -> ());
-  let out = dead_code out stats |> Region.prune_unreachable in
-  (* Folded branches and deleted chunk bodies leave chains of jumps to
-     the next label, and promotion leaves single-use temporaries copied
-     into promoted registers: both cost an executed host instruction.
-     Once the chains are threaded and the dead PC reads deleted, PC
-     increments sink further into branch arms, where they often cancel
-     and leave an arm that only jumps; a jump to a lone branch takes
-     the branch, and threading runs again. *)
-  let jmps p = Array.fold_left (fun k -> function Jmp _ -> k + 1 | _ -> k) 0 p in
-  let threaded =
-    Region.thread_jumps out |> Region.coalesce_inc_pc |> Region.jump_to_branch
-    |> Region.thread_jumps
-  in
-  stats.jumps_threaded <- jmps out - jmps threaded;
-  (* With the jumps gone, copies meet across labels that were only
-     seams; the moves they leave dead go, and a zero test whose copies
-     resolved becomes its branch. *)
-  let propagated = dead_code (copy_prop ~classify threaded) stats |> Region.invert_branches in
-  let retargeted = Region.retarget_copies propagated in
-  stats.copies_retargeted <- Array.length propagated - Array.length retargeted;
-  (retargeted, stats)
+  (out, !branches, !consts, !masks)

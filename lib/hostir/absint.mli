@@ -9,7 +9,7 @@
 
     Consumers: {!check_translation} (the static obligation checker run
     by the engine over every translation when [config.check] is set),
-    {!simplify} (the O4 absint-simplify region pass), and
+    {!fold} (the head of the O4 absint-simplify region stage), and
     {!Verify.check_wb} (which delegates its promoted-register discipline
     fixpoint to {!check_wb}). *)
 
@@ -103,7 +103,7 @@ val check_wb :
     default every helper is a barrier.  A constant
     move into a promoted vreg right after a barrier that leaves the
     register file alone, whose slot the {!analyze} facts pin to the same
-    constant, is a reload (what {!simplify} folds a reload into). *)
+    constant, is a reload (what {!fold} folds a reload into). *)
 
 val check_translation :
   ?classify:(int -> Effects.helper_kind) ->
@@ -115,42 +115,31 @@ val check_translation :
     bounds, frame bounds (when [n_slots] is given), and writeback
     discipline (when [promoted] is non-empty). *)
 
-(** {1 The absint-simplify pass} *)
+(** {1 absint-simplify's passes}
 
-type simplify_stats = {
-  mutable branches_folded : int;  (** [Br] with a decided condition -> [Jmp] *)
-  mutable consts_folded : int;  (** pure results proved constant -> [Mov Imm] *)
-  mutable masks_dropped : int;  (** redundant [And] masks / extensions elided *)
-  mutable divs_reduced : int;  (** unsigned div/rem by [2^k] strength-reduced *)
-  mutable dead_deleted : int;  (** cross-block dead vreg definitions removed *)
-  mutable jumps_threaded : int;
-      (** [Jmp]s removed by {!Region.thread_jumps} and by jumps that take
-          the lone branch they target *)
-  mutable copies_retargeted : int;
-      (** instructions merged by {!Region.retarget_copies}: copies
-          retargeted and add chains folded *)
-}
+    The O4 absint-simplify stage runs on the flattened promoted region
+    stream before register allocation: {!fold}, then {!dead_code}, then
+    the control-flow tail {!Pipeline} declares, with {!copy_prop} and a
+    second {!dead_code} among it. *)
 
-val empty_simplify_stats : unit -> simplify_stats
-
-val simplify :
+val fold :
   ?classify:(int -> Effects.helper_kind) ->
   Hir.instr array ->
-  Hir.instr array * simplify_stats
-(** The O4 absint-simplify region pass, run on the flattened promoted
-    stream before register allocation: fold branches with known
-    conditions, rewrite fully-known pure results to constants, drop
-    masks and extensions the facts prove redundant, strength-reduce
-    unsigned division by powers of two, delete cross-block dead vreg
-    definitions (faint ones too: a dead definition's sources are not
-    uses), prune unreachable blocks (preserving the writeback map),
-    then the tail: thread jumps, sink PC increments into the arms that
-    now allow it, let a jump to a lone [Br] take that branch, and thread
-    again; propagate vreg copies across the CFG (never into or for a
-    writeback-map vreg, forgetting every copy at a barrier call) and
-    delete what that leaves dead; turn a [setne v <- c, $0] feeding
-    only a [Br v] into [Br c], and a [sete] into [Br c] with swapped
-    arms; finally retarget
-    single-use copies and fold adjacent add-immediate pairs
-    ({!Region.thread_jumps}, {!Region.coalesce_inc_pc},
-    {!Region.retarget_copies}). *)
+  Hir.instr array * int * int * int
+(** The fact-driven folds, from one {!analyze}: a [Br] whose condition
+    the facts decide becomes a [Jmp], a pure result they pin to one
+    value a constant move, and an [And] mask or extension they prove
+    redundant a move.  Returns the stream and the numbers of branches,
+    constants and masks folded. *)
+
+val dead_code : Hir.instr array -> Hir.instr array
+(** Delete pure definitions of vregs dead at the definition, by
+    faint-variable liveness over the CFG (a dead definition's sources
+    are not uses), so a dead chain goes in one sweep.  Vregs a
+    writeback map names are live everywhere. *)
+
+val copy_prop : classify:(int -> Effects.helper_kind) -> Hir.instr array -> Hir.instr array
+(** CFG-wide copy propagation: every use of [d] where the vreg copy
+    [d := s] is available on all paths reads [s] instead.  A copy into
+    a writeback-map vreg is never tracked and a [Wbmap]'s operands are
+    never rewritten, and a barrier call forgets every copy. *)

@@ -29,15 +29,6 @@
 
 open Hir
 
-type stats = {
-  promoted : int;  (** register-file offsets promoted to vregs *)
-  wb_entries : int;  (** dirty promoted offsets in the writeback map *)
-  loads_rewritten : int;  (** interior [Ldrf]s turned into moves *)
-  stores_rewritten : int;  (** interior [Strf]s turned into moves *)
-  copies_propagated : int;  (** source operands substituted by copy-prop *)
-  rf_loads_forwarded : int;  (** [Ldrf]s satisfied by an earlier rf access *)
-}
-
 (* ------------------------------------------------------------------ *)
 (* Guest-register promotion *)
 
@@ -118,11 +109,11 @@ let pick_candidates ~max_regs ~classify (instrs : instr array) : int list =
   |> List.map fst
 
 (* Rewrite the stream against a set of promoted offsets.  Returns the
-   new stream, the (vreg, offset) promotion list, the rewrite counts
-   and the ever-dirty offset list (= the writeback map's domain). *)
+   new stream, the (vreg, offset) promotion list and the number of
+   ever-dirty offsets (= the writeback map's entries). *)
 let promote_regs ~max_regs ~classify (instrs : instr array) =
   let cands = pick_candidates ~max_regs ~classify instrs in
-  if cands = [] then (instrs, [], 0, 0, [])
+  if cands = [] then (instrs, [], 0)
   else begin
     let base = max_vreg instrs + 1 in
     let pv_of = Hashtbl.create 8 in
@@ -135,7 +126,6 @@ let promote_regs ~max_regs ~classify (instrs : instr array) =
         | _ -> ())
       instrs;
     let dirty = List.filter (Hashtbl.mem ever_dirty) cands in
-    let loads_rw = ref 0 and stores_rw = ref 0 in
     let out = ref [] in
     let emit i = out := i :: !out in
     let pv off = Vreg (Hashtbl.find pv_of off) in
@@ -146,12 +136,8 @@ let promote_regs ~max_regs ~classify (instrs : instr array) =
     Array.iter
       (fun ins ->
         match ins with
-        | Ldrf (d, off) when Hashtbl.mem pv_of off ->
-          incr loads_rw;
-          emit (Mov (d, pv off))
-        | Strf (off, s) when Hashtbl.mem pv_of off ->
-          incr stores_rw;
-          emit (Mov (pv off, s))
+        | Ldrf (d, off) when Hashtbl.mem pv_of off -> emit (Mov (d, pv off))
+        | Strf (off, s) when Hashtbl.mem pv_of off -> emit (Mov (pv off, s))
         | Call (h, _, _) when Effects.barrier (classify h) ->
           (* Barrier: the helper may read and write the register file
              directly (or escape the translation without the ordinary
@@ -167,7 +153,7 @@ let promote_regs ~max_regs ~classify (instrs : instr array) =
     emit (Wbmap (Array.of_list (List.map (fun off -> (pv off, off)) dirty)));
     ( Array.of_list (List.rev !out),
       List.map (fun off -> (Hashtbl.find pv_of off, off)) cands,
-      !loads_rw, !stores_rw, dirty )
+      List.length dirty )
   end
 
 (* ------------------------------------------------------------------ *)
@@ -196,11 +182,10 @@ let canonicalize ins =
   | Alu (Amul, d, Imm 1L, b) -> Mov (d, b)
   | _ -> ins
 
-let copy_prop ~(promoted_offs : (int, unit) Hashtbl.t) (instrs : instr array) =
+let copy_prop ~(promoted : (int * int) list) (instrs : instr array) =
   let n = Array.length instrs in
   let out = Array.make n (Label 0) in
   let map = Hashtbl.create 16 in
-  let substituted = ref 0 in
   for i = 0 to n - 1 do
     let ins = instrs.(i) in
     (match ins with
@@ -208,14 +193,14 @@ let copy_prop ~(promoted_offs : (int, unit) Hashtbl.t) (instrs : instr array) =
      | _ -> ());
     let ins' =
       match ins with
-      | Strf (off, _) when Hashtbl.mem promoted_offs off -> ins
+      | Strf (off, _) when List.exists (fun (_, o) -> o = off) promoted -> ins
       | _ ->
         map_sources
           (fun o ->
             match o with
             | Vreg v -> (
               match Hashtbl.find_opt map v with
-              | Some repl -> incr substituted; repl
+              | Some repl -> repl
               | None -> o)
             | _ -> o)
           ins
@@ -239,7 +224,7 @@ let copy_prop ~(promoted_offs : (int, unit) Hashtbl.t) (instrs : instr array) =
      | _ -> ());
     out.(i) <- ins'
   done;
-  (out, !substituted)
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Register-file store-to-load forwarding *)
@@ -258,7 +243,6 @@ let rf_forward (instrs : instr array) =
   let n = Array.length instrs in
   let out = Array.make n (Label 0) in
   let avail : (int, operand) Hashtbl.t = Hashtbl.create 16 in
-  let forwarded = ref 0 in
   let kill_val d =
     let stale =
       Hashtbl.fold (fun off v acc -> if v = d then off :: acc else acc) avail []
@@ -271,9 +255,7 @@ let rf_forward (instrs : instr array) =
       match ins with
       | Ldrf (d, off) -> (
         match Hashtbl.find_opt avail off with
-        | Some v when v <> d ->
-          incr forwarded;
-          Mov (d, v)
+        | Some v when v <> d -> Mov (d, v)
         | _ -> ins)
       | _ -> ins
     in
@@ -287,28 +269,4 @@ let rf_forward (instrs : instr array) =
      | _ -> ());
     out.(i) <- ins'
   done;
-  (out, !forwarded)
-
-(* ------------------------------------------------------------------ *)
-
-(* Run the full pipeline; returns the rewritten stream, the (vreg,
-   register-file offset) promotion list and the pass statistics. *)
-let run ?(max_regs = 4) ?(classify = fun _ -> Effects.C_clobber) (instrs : instr array) :
-    instr array * (int * int) list * stats =
-  let instrs, promoted, loads_rw, stores_rw, dirty =
-    promote_regs ~max_regs ~classify instrs
-  in
-  let promoted_offs = Hashtbl.create 8 in
-  List.iter (fun (_, off) -> Hashtbl.replace promoted_offs off ()) promoted;
-  let instrs, cp1 = copy_prop ~promoted_offs instrs in
-  let instrs, rf_fwd = rf_forward instrs in
-  let instrs, cp2 = copy_prop ~promoted_offs instrs in
-  let stats =
-    { promoted = List.length promoted;
-      wb_entries = List.length dirty;
-      loads_rewritten = loads_rw;
-      stores_rewritten = stores_rw;
-      copies_propagated = cp1 + cp2;
-      rf_loads_forwarded = rf_fwd }
-  in
-  (instrs, promoted, stats)
+  out

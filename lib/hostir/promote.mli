@@ -1,38 +1,32 @@
-(** Region-scoped guest-register promotion.
+(** Region-scoped guest-register promotion and its cleanup passes, run
+    on the flattened instruction stream of a tier-1 region after the
+    {!Region} shaping passes and before register allocation, in the
+    order {!Pipeline} declares. *)
 
-    Runs after the {!Region} passes and before register allocation, on
-    the flattened instruction stream of a tier-1 region:
-
-    - the hottest register-file byte offsets are cached in dedicated
-      vregs for the region's whole lifetime, with helper calls as full
-      write-back/reload barriers and a {!Hir.Wbmap} giving the executor
-      a precise-state writeback map for faults, [Poll] exits and
-      [Exit]s;
-    - copy propagation cleans up the rewrite residue so promoted loads
-      become genuinely free after dead-code marking;
-    - register-file forwarding serves an unpromoted offset's later
-      loads from its last access in the same block. *)
-
-type stats = {
-  promoted : int;  (** register-file offsets promoted to vregs *)
-  wb_entries : int;  (** dirty promoted offsets in the writeback map *)
-  loads_rewritten : int;  (** interior [Ldrf]s turned into moves *)
-  stores_rewritten : int;  (** interior [Strf]s turned into moves *)
-  copies_propagated : int;  (** source operands substituted by copy-prop *)
-  rf_loads_forwarded : int;  (** [Ldrf]s satisfied by an earlier rf access *)
-}
-
-
-(** [run ?max_regs ?classify instrs] rewrites a region stream; returns
-    the new stream, the promotion list as [(vreg, register-file byte
-    offset)] pairs, and the pass statistics.  [max_regs] (default 4)
-    bounds the number of promoted offsets so register pressure stays
-    below the host's allocatable set.  [classify] (default: every
-    helper is a clobber) lets calls to helpers that cannot observe the
-    register file ({!Effects.C_pure}) skip the write-back/reload
-    barrier. *)
-val run :
-  ?max_regs:int ->
-  ?classify:(int -> Effects.helper_kind) ->
+(** [promote_regs ~max_regs ~classify instrs] caches the hottest
+    register-file byte offsets (at most [max_regs]) in dedicated vregs
+    for the region's whole lifetime, with barrier helper calls
+    ({!Effects.barrier} of [classify]) as full write-back/reload points
+    and a {!Hir.Wbmap} giving the executor a precise-state writeback map
+    for faults, [Poll] exits and [Exit]s.  Returns the new stream, the
+    promotion list as [(vreg, register-file byte offset)] pairs and the
+    number of writeback-map entries (the offsets ever stored). *)
+val promote_regs :
+  max_regs:int ->
+  classify:(int -> Effects.helper_kind) ->
   Hir.instr array ->
-  Hir.instr array * (int * int) list * stats
+  Hir.instr array * (int * int) list * int
+
+(** An identity ALU operation ([add d, s, $0], [and d, s, $-1], ...)
+    as the plain move it is; any other instruction unchanged. *)
+val canonicalize : Hir.instr -> Hir.instr
+
+(** Block-local forward copy propagation of vreg and immediate copies,
+    canonicalizing as it goes, so a promoted load's residue
+    ([Mov (d, pv)]) leaves [d] unused.  A barrier flush [Strf] of a
+    promoted offset keeps reading the cache register. *)
+val copy_prop : promoted:(int * int) list -> Hir.instr array -> Hir.instr array
+
+(** Register-file forwarding: the last value stored to or loaded from an
+    offset serves later loads of it in the same block. *)
+val rf_forward : Hir.instr array -> Hir.instr array

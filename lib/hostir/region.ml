@@ -4,7 +4,7 @@
    entry chunk and every other member sits behind a pre-created label, with
    a per-member PC-compare dispatch chunk at each member's end.  The passes
    below run over the flattened instruction stream before register
-   allocation, in this order:
+   allocation; [Pipeline] declares where each one runs:
 
    - [straighten] solves the guest PC forward over the region CFG and,
      where it is known, makes a [Store_pc] of a PC-derived value a
@@ -22,11 +22,12 @@
 
    - [coalesce_inc_pc] defers guest-PC increments to the next observation
      point, across branches into arms only they reach, eliminating the
-     per-instruction PC sync inside a member.
+     per-instruction PC sync inside a member;
 
-   absint-simplify's tail reuses [thread_jumps] and [coalesce_inc_pc]
-   and adds the peepholes [jump_to_branch], [invert_branches] and
-   [retarget_copies].  All passes are pure functions of the instruction stream, so regions
+   - the peepholes [jump_to_branch], [invert_branches] and
+     [retarget_copies], which absint-simplify's tail runs.
+
+   All passes are pure functions of the instruction stream, so regions
    stay deterministic and observation-free for the sanitizer's guard. *)
 
 open Hir
@@ -74,11 +75,6 @@ let pc_step facts ins =
   | Store_pc s -> { vals; pc = value facts s }
   | Call (h, _, _) when (Effects.summarize h).Effects.s_writes_pc -> { vals; pc = None }
   | _ -> { facts with vals }
-
-type stats = {
-  pc_writes_relativized : int; (* Store_pc of a PC-derived value -> Inc_pc *)
-  dispatch_straightened : int; (* dispatch-bound edges sent to a member entry *)
-}
 
 (* [straighten ~dispatch ~member_entry instrs] resolves the guest PC
    statically with one forward dataflow over the region CFG and makes
@@ -424,14 +420,3 @@ let coalesce_inc_pc (instrs : instr array) : instr array =
     instrs;
   flush ();
   Array.of_list (List.rev !out)
-
-(* The full region pipeline in canonical order, as run by the engine for
-   every tier-1 translation (promotion, which needs the member list and
-   acceptance policy, stays in the engine).  Exposed as one entry point
-   so the translation validator checks exactly what the engine runs. *)
-let optimize ~dispatch ~member_entry (instrs : instr array) : instr array * stats =
-  let straightened, pc_writes_relativized, dispatch_straightened =
-    straighten ~dispatch ~member_entry instrs
-  in
-  ( straightened |> thread_jumps |> coalesce_inc_pc,
-    { pc_writes_relativized; dispatch_straightened } )

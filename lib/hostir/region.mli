@@ -4,8 +4,8 @@
    entry chunk and every other member sits behind a pre-created label,
    with a per-member PC-compare dispatch chunk at each member's end.  The
    passes below run over the flattened instruction stream before register
-   allocation; [optimize] chains them in the canonical order.  All passes
-   are pure functions of the instruction stream. *)
+   allocation, in the order {!Pipeline} declares.  All passes are pure
+   functions of the instruction stream. *)
 
 (* Drop instructions unreachable from the region entry (index 0),
    keeping a writeback map ([Wbmap]) wherever it sits. *)
@@ -39,26 +39,22 @@ val retarget_copies : Hir.instr array -> Hir.instr array
    alone reaches (never into the region entry, block 0). *)
 val coalesce_inc_pc : Hir.instr array -> Hir.instr array
 
-(* What [optimize] rewrote: [Store_pc]s of a known PC-derived value
-   made relative ([Inc_pc]) and dispatch-bound edges sent straight to a
-   member entry. *)
-type stats = { pc_writes_relativized : int; dispatch_straightened : int }
-
-(* The full pipeline: straighten -> thread_jumps -> coalesce_inc_pc.  [straighten] solves the
-   guest PC forward over the region CFG — every member entry at its own
-   VA, helper calls transparent unless they may write the PC, vregs
-   holding [Load_pc] plus or minus an immediate tracked — and rewrites
-   [Store_pc v] with [v] and the PC known into [Inc_pc] of their
-   difference (never an absolute VA: the code cache is physically
+(* Resolve the guest PC forward over the region CFG — every member
+   entry at its own VA, helper calls transparent unless they may write
+   the PC, vregs holding [Load_pc] plus or minus an immediate tracked —
+   and rewrite [Store_pc v] with [v] and the PC known into [Inc_pc] of
+   their difference (never an absolute VA: the code cache is physically
    indexed, so a region may run under another VA mapping of its page),
    and a [Jmp] or fall-through into a dispatch chunk into a jump to the
    member entry when the known PC is one of that chunk's own compare
    targets, or to the chunk's [Exit] when it is any other VA.
    [dispatch] lists each dispatch chunk as (its label, its compare
    targets, the label of its [Exit]); [member_entry] maps each member's
-   guest VA to its entry label. *)
-val optimize :
+   guest VA to its entry label.  Returns the stream, the number of PC
+   stores made relative and the number of edges sent to a member
+   entry. *)
+val straighten :
   dispatch:(int * int64 list * int) list ->
   member_entry:(int64 * int) list ->
   Hir.instr array ->
-  Hir.instr array * stats
+  Hir.instr array * int * int

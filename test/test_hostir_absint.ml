@@ -230,7 +230,15 @@ let test_as_switch_transparent () = check_transparent Ef.h_as_switch
 
 (* --- the absint-simplify pass ---------------------------------------------------- *)
 
-let simplify = A.simplify ~classify:Ef.classify
+module Pl = Hostir.Pipeline
+
+(* The pipeline's absint-simplify stage: the stream and the stage's
+   counts. *)
+let simplify p =
+  let st = Pl.run Pl.Simplify { Pl.default_env with Pl.classify = Ef.classify } (Pl.start p) in
+  (st.Pl.instrs, st.Pl.counts)
+
+let n counts name = Option.value (List.assoc_opt name counts) ~default:0
 
 let test_simplify_folds_branch () =
   let out, ss =
@@ -247,7 +255,7 @@ let test_simplify_folds_branch () =
         Hir.Exit 0;
       |]
   in
-  Alcotest.(check int) "branch folded" 1 ss.A.branches_folded;
+  Alcotest.(check int) "branch folded" 1 (n ss "absint_branches_folded");
   Alcotest.(check bool) "no Br remains" false
     (Array.exists (function Hir.Br _ -> true | _ -> false) out);
   Alcotest.(check bool) "taken arm survives" true
@@ -260,7 +268,7 @@ let test_simplify_folds_consts () =
     simplify
       [| Hir.Label 0; Hir.Alu (Aadd, v 0, Imm 2L, Imm 3L); Hir.Strf (0, v 0); Hir.Exit 0 |]
   in
-  Alcotest.(check int) "const folded" 1 ss.A.consts_folded;
+  Alcotest.(check int) "const folded" 1 (n ss "absint_consts_folded");
   Alcotest.(check bool) "rewritten to a move" true
     (Array.exists (( = ) (Hir.Mov (v 0, Hir.Imm 5L))) out)
 
@@ -277,33 +285,13 @@ let test_simplify_drops_masks () =
         Hir.Exit 0;
       |]
   in
-  Alcotest.(check int) "mask dropped" 1 ss.A.masks_dropped;
+  Alcotest.(check int) "mask dropped" 1 (n ss "absint_masks_dropped");
   (* The mask became a move, which copy propagation then forwards into
      the store. *)
   Alcotest.(check bool) "no mask left" false
     (Array.exists (function Hir.Alu (Aand, _, _, _) -> true | _ -> false) out);
   Alcotest.(check bool) "the store reads the unmasked value" true
     (Array.exists (( = ) (Hir.Strf (0, v 0))) out)
-
-let test_simplify_reduces_division () =
-  let out, ss =
-    simplify
-      [|
-        Hir.Label 0;
-        Hir.Divrem (false, false, v 0, Hir.Preg 0, Imm 8L);
-        Hir.Strf (0, v 0);
-        Hir.Divrem (false, true, v 1, Hir.Preg 1, Imm 8L);
-        Hir.Strf (8, v 1);
-        Hir.Exit 0;
-      |]
-  in
-  Alcotest.(check int) "both reduced" 2 ss.A.divs_reduced;
-  Alcotest.(check bool) "div became a shift" true
-    (Array.exists (( = ) (Hir.Alu (Ashr, v 0, Hir.Preg 0, Hir.Imm 3L))) out);
-  Alcotest.(check bool) "rem became a mask" true
-    (Array.exists (( = ) (Hir.Alu (Aand, v 1, Hir.Preg 1, Hir.Imm 7L))) out);
-  Alcotest.(check bool) "no division remains" false
-    (Array.exists (function Hir.Divrem _ -> true | _ -> false) out)
 
 let test_simplify_deletes_dead_keeps_wbmap () =
   let out, ss =
@@ -319,7 +307,7 @@ let test_simplify_deletes_dead_keeps_wbmap () =
         Hir.Exit 0;
       |]
   in
-  Alcotest.(check bool) "dead def deleted" true (ss.A.dead_deleted >= 1);
+  Alcotest.(check bool) "dead def deleted" true (n ss "absint_dead_deleted" >= 1);
   Alcotest.(check bool) "dead def gone" false
     (Array.exists (( = ) (Hir.Alu (Aadd, v 0, Hir.Preg 0, Hir.Imm 1L))) out);
   Alcotest.(check bool) "wbmap-named def survives" true
@@ -346,7 +334,7 @@ let test_simplify_deletes_dead_chain () =
         Hir.Exit 2;
       |]
   in
-  Alcotest.(check int) "four dead defs deleted" 4 ss.A.dead_deleted;
+  Alcotest.(check int) "four dead defs deleted" 4 (n ss "absint_dead_deleted");
   Alcotest.(check bool) "Load_pc gone" false
     (Array.exists (function Hir.Load_pc _ -> true | _ -> false) out)
 
@@ -376,7 +364,7 @@ let test_folded_reload_keeps_discipline () =
   let findings p = List.map A.finding_to_string (A.check_wb ~classify:Ef.classify ~promoted p) in
   Alcotest.(check (list string)) "original stream" [] (findings stream);
   let out, ss = simplify stream in
-  Alcotest.(check int) "both reloads folded" 2 ss.A.consts_folded;
+  Alcotest.(check int) "both reloads folded" 2 (n ss "absint_consts_folded");
   Alcotest.(check (list string)) "simplified stream" [] (findings out)
 
 (* --- region stream rewrites ------------------------------------------------------- *)
@@ -592,8 +580,12 @@ let cond_loop =
     Hir.Exit 1;
   |]
 
+(* The pipeline's shaping stage with one dispatch chunk (label 9, exit
+   label 10): the stream and the stage's counts. *)
 let region_optimize ?(targets = [ head_va ]) ?(members = [ (head_va, 0) ]) p =
-  Region.optimize ~dispatch:[ (9, targets, 10) ] ~member_entry:members p
+  let env = { Pl.default_env with Pl.dispatch = [ (9, targets, 10) ]; member_entry = members } in
+  let st = Pl.run Pl.Shape env (Pl.start p) in
+  (st.Pl.instrs, st.Pl.counts)
 
 let imms p =
   List.sort_uniq compare
@@ -634,8 +626,8 @@ let test_region_cond_loop () =
     (List.map Hir.to_string (Array.to_list (Array.sub simplified 0 5)));
   Alcotest.(check int) "no Load_pc left: the exit arm skips the dispatch compare" 0
     (Array.fold_left (fun k -> function Hir.Load_pc _ -> k + 1 | _ -> k) 0 simplified);
-  Alcotest.(check int) "both branch-arm PC stores relativized" 2 st.Region.pc_writes_relativized;
-  Alcotest.(check int) "one dispatch edge straightened" 1 st.Region.dispatch_straightened;
+  Alcotest.(check int) "both branch-arm PC stores relativized" 2 (n st "region_pc_writes_relativized");
+  Alcotest.(check int) "one dispatch edge straightened" 1 (n st "region_dispatch_straightened");
   Alcotest.(check bool) "no PC store left" false
     (Array.exists (function Hir.Store_pc _ -> true | _ -> false) out);
   Alcotest.(check bool) "no new immediate" true
@@ -681,11 +673,11 @@ let test_region_call_blocks_rewrite () =
   let stores p = Array.exists (function Hir.Store_pc _ -> true | _ -> false) p in
   let out, st = region_optimize (stream Ef.h_take_exception) in
   Alcotest.(check bool) "clobber: PC store kept" true (stores out);
-  Alcotest.(check int) "clobber: nothing relativized" 0 st.Region.pc_writes_relativized;
+  Alcotest.(check int) "clobber: nothing relativized" 0 (n st "region_pc_writes_relativized");
   let out, st = region_optimize (stream Ef.h_as_switch) in
   Alcotest.(check bool) "as-switch: PC store gone" false (stores out);
-  Alcotest.(check int) "as-switch: relativized" 1 st.Region.pc_writes_relativized;
-  Alcotest.(check int) "as-switch: straightened" 1 st.Region.dispatch_straightened
+  Alcotest.(check int) "as-switch: relativized" 1 (n st "region_pc_writes_relativized");
+  Alcotest.(check int) "as-switch: straightened" 1 (n st "region_dispatch_straightened")
 
 (* A known PC that is a member VA but not one of the dispatch chunk's
    compare targets does not enter that member: the chunk would exit to
@@ -709,7 +701,7 @@ let test_region_other_member_not_redirected () =
   in
   let members = [ (head_va, 0); (0x1010L, 5) ] in
   let out, st = region_optimize ~members stream in
-  Alcotest.(check int) "not straightened" 0 st.Region.dispatch_straightened;
+  Alcotest.(check int) "not straightened" 0 (n st "region_dispatch_straightened");
   Alcotest.(check bool) "no jump to the other member" false
     (Array.exists (function Hir.Jmp 5 | Hir.Br (_, 5, _) | Hir.Br (_, _, 5) -> true | _ -> false) out);
   Alcotest.(check (list string)) "straight to the chunk's exit"
@@ -718,7 +710,7 @@ let test_region_other_member_not_redirected () =
   Alcotest.(check bool) "dispatch compare skipped" false
     (Array.exists (function Hir.Setcc (Ceq, _, _, Imm 0x1000L) -> true | _ -> false) out);
   let _, st = region_optimize ~members ~targets:[ head_va; 0x1010L ] stream in
-  Alcotest.(check int) "a target of the chunk is straightened" 1 st.Region.dispatch_straightened
+  Alcotest.(check int) "a target of the chunk is straightened" 1 (n st "region_dispatch_straightened")
 
 (* Run [prog] and its simplified [out] from the same random state and
    fail on any difference in exit slot, PC, the generator's host
@@ -1169,8 +1161,6 @@ let suite =
       Alcotest.test_case "simplify folds decided branches" `Quick test_simplify_folds_branch;
       Alcotest.test_case "simplify folds constants" `Quick test_simplify_folds_consts;
       Alcotest.test_case "simplify drops redundant masks" `Quick test_simplify_drops_masks;
-      Alcotest.test_case "simplify strength-reduces division" `Quick
-        test_simplify_reduces_division;
       Alcotest.test_case "simplify deletes dead defs, keeps the writeback map" `Quick
         test_simplify_deletes_dead_keeps_wbmap;
       Alcotest.test_case "simplify deletes a dead chain in one sweep" `Quick

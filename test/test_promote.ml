@@ -8,7 +8,7 @@
    faults are delivered from the middle of a promoted region. *)
 
 module H = Hostir.Hir
-module P = Hostir.Promote
+module Pl = Hostir.Pipeline
 module V = Hostir.Verify
 module A = Guest_arm.Arm_asm
 module CE = Captive.Engine
@@ -16,9 +16,15 @@ module K = Workloads.Kernel
 
 let v n = H.Vreg n
 
-(* --- Promote.run on synthetic streams ---------------------------------------------- *)
+(* --- the promotion stage on synthetic streams --------------------------------------- *)
 
 let count p instrs = Array.fold_left (fun a i -> if p i then a + 1 else a) 0 instrs
+
+(* The pipeline's promotion stage: the stream, the promotion list and
+   the stage's counts. *)
+let promote ?(classify = Pl.default_env.Pl.classify) stream =
+  let st = Pl.run Pl.Promote { Pl.default_env with Pl.classify } (Pl.start stream) in
+  (st.Pl.instrs, st.Pl.promoted, st.Pl.counts)
 
 let test_promotion_rewrite () =
   (* A two-offset loop body: both offsets are loop-weighted well past
@@ -38,11 +44,14 @@ let test_promotion_rewrite () =
       H.Exit 1;
     |]
   in
-  let out, promoted, st = P.run stream in
+  let out, promoted, counts = promote stream in
   Alcotest.(check int) "both offsets promoted" 2 (List.length promoted);
-  Alcotest.(check int) "2 loads rewritten" 2 st.P.loads_rewritten;
-  Alcotest.(check int) "2 stores rewritten" 2 st.P.stores_rewritten;
-  Alcotest.(check int) "both dirty offsets in the map" 2 st.P.wb_entries;
+  let pv o = match o with H.Vreg r -> List.mem_assoc r promoted | _ -> false in
+  Alcotest.(check int) "2 loads rewritten into moves from promoted registers" 2
+    (count (function H.Mov (_, s) -> pv s | _ -> false) out);
+  Alcotest.(check int) "2 stores rewritten into moves to promoted registers" 2
+    (count (function H.Mov (d, _) -> pv d | _ -> false) out);
+  Alcotest.(check int) "both dirty offsets in the map" 2 (List.assoc "region_wb_entries" counts);
   Alcotest.(check int) "one writeback map"
     1 (count (function H.Wbmap _ -> true | _ -> false) out);
   (* Interior accesses are gone: the only Ldrfs left are the two
@@ -73,9 +82,9 @@ let test_cost_model_prices_barriers () =
       H.Exit 1;
     |]
   in
-  let _, promoted, _ = P.run stream in
+  let _, promoted, _ = promote stream in
   Alcotest.(check int) "every call a barrier: not promoted" 0 (List.length promoted);
-  let out, promoted, _ = P.run ~classify:Hostir.Effects.classify stream in
+  let out, promoted, _ = promote ~classify:Hostir.Effects.classify stream in
   Alcotest.(check int) "transparent calls: promoted" 1 (List.length promoted);
   Alcotest.(check int) "no register-file access but the prologue" 1
     (count (function H.Ldrf _ | H.Strf _ -> true | _ -> false) out)
@@ -83,16 +92,18 @@ let test_cost_model_prices_barriers () =
 let test_rf_forward_and_canonicalize () =
   (* Below the promotion threshold, a register-file store still forwards
      into the next load of the same offset. *)
-  let out, promoted, st =
-    P.run [| H.Strf (24, v 0); H.Ldrf (v 1, 24); H.Exit 0 |]
+  let out, promoted, _ =
+    promote [| H.Strf (24, v 0); H.Ldrf (v 1, 24); H.Exit 0 |]
   in
   Alcotest.(check int) "cold offset not promoted" 0 (List.length promoted);
-  Alcotest.(check int) "rf load forwarded" 1 st.P.rf_loads_forwarded;
+  Alcotest.(check int) "rf load forwarded" 0 (count (function H.Ldrf _ -> true | _ -> false) out);
+  Alcotest.(check int) "the load reads the stored value" 1
+    (count (( = ) (H.Mov (v 1, v 0))) out);
   Alcotest.(check int) "the store still executes"
     1 (count (function H.Strf _ -> true | _ -> false) out);
   (* Identity ALUs become moves and propagate through to address uses. *)
   let out, _, _ =
-    P.run
+    promote
       [|
         H.Alu (H.Aadd, v 1, v 0, H.Imm 0L);
         H.Alu (H.Aand, v 2, v 1, H.Imm (-1L));

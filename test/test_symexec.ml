@@ -18,7 +18,7 @@
 module Hir = Hostir.Hir
 module S = Hostir.Symexec
 module E = Hostir.Equiv
-module P = Hostir.Promote
+module Pl = Hostir.Pipeline
 module Exec = Hostir.Exec
 module Encode = Hostir.Encode
 module Prng = Dbt_util.Prng
@@ -253,8 +253,14 @@ let promo_stream =
     Hir.Exit 1;
   |]
 
+(* The pipeline's promotion stage on [stream]: the stream and the
+   promotion list. *)
+let promote ?(classify = Pl.default_env.Pl.classify) stream =
+  let st = Pl.run Pl.Promote { Pl.default_env with Pl.classify } (Pl.start stream) in
+  (st.Pl.instrs, st.Pl.promoted)
+
 let promoted_stream () =
-  let out, promoted, _ = P.run promo_stream in
+  let out, promoted = promote promo_stream in
   Alcotest.(check bool) "promotion happened" true (promoted <> []);
   out
 
@@ -314,11 +320,14 @@ let test_rejects_widened_store () =
    result's single-use temporary is retargeted into its promoted
    register, and Equiv still accepts the stream. *)
 let simplified_stream () =
-  let out, ss =
-    Hostir.Absint.simplify ~classify:Hostir.Effects.classify (promoted_stream ())
+  let st =
+    Pl.run Pl.Simplify
+      { Pl.default_env with Pl.classify = Hostir.Effects.classify }
+      (Pl.start (promoted_stream ()))
   in
-  Alcotest.(check bool) "a copy was retargeted" true (ss.Hostir.Absint.copies_retargeted > 0);
-  out
+  Alcotest.(check bool) "a copy was retargeted" true
+    (List.assoc "absint_copies_retargeted" st.Pl.counts > 0);
+  st.Pl.instrs
 
 let test_equiv_accepts_rewrites () =
   let r = check_equiv ~opt:(simplified_stream ()) ~reference:promo_stream in
@@ -371,8 +380,8 @@ let check_calls ~opt h =
   E.check ~classify ~init_pc:(S.Const 0x1000L) ~opt ~reference:(call_stream h) ()
 
 let promote_calls h =
-  match P.run ~classify (call_stream h) with
-  | out, [ (pv, 8) ], _ -> (out, pv)
+  match promote ~classify (call_stream h) with
+  | out, [ (pv, 8) ] -> (out, pv)
   | _ -> Alcotest.fail "rf[8] not promoted"
 
 let call_rf_rejected what r =
