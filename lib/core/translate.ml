@@ -445,7 +445,7 @@ let region_front (je : jit_env) (req : request) : result =
          still runs the promotion stage's cleanup and absint-simplify. *)
       let ra0 = Regalloc.run shaped.P.instrs in
       let rec attempt k =
-        let pst = P.run P.Promote { env with max_regs = k } { shaped with P.counts = [] } in
+        let pst = P.run P.Promote { env with max_regs = k } (P.start shaped.P.instrs) in
         let ts = now () in
         let sst = P.run P.Simplify env pst in
         t_simplify := !t_simplify +. (now () -. ts);

@@ -643,15 +643,16 @@ let dead_code (instrs : instr array) : instr array =
 (* CFG-wide copy propagation: forward available copies [d := s]
    (vreg to vreg) over the region CFG, joined by intersection, each
    killed by a redefinition of either side; every use of [d] where the
-   copy is available reads [s] instead.  It sees across the labels that
-   Promote's block-local [copy_prop] stops at, once jump threading has
-   left them as plain joins.  Writeback-map vregs are never rewritten:
-   a [Wbmap]'s operands stay untouched ([map_sources]), and no copy
-   into a pinned vreg is tracked, so a use of one — the barrier flush
-   [Strf (off, pv)] included — keeps reading the authoritative cache
-   register.  A barrier call forgets every copy: a promoted register
-   is stale after it until reloaded, and a reload the dead-code pass
-   deleted must not be replaced by a use of the stale register. *)
+   copy is available reads [s] instead.  Run after promotion it leaves
+   a promoted load's residue dead; run after jump threading it sees
+   across labels that are only seams.  Writeback-map vregs are never
+   rewritten: a [Wbmap]'s operands stay untouched ([map_sources]), and
+   no copy into a pinned vreg is tracked, so a use of one — the
+   barrier flush [Strf (off, pv)] included — keeps reading the
+   authoritative cache register.  A barrier call forgets every copy: a
+   promoted register is stale after it until reloaded, and a reload
+   the dead-code pass deleted must not be replaced by a use of the
+   stale register. *)
 let copy_prop ~classify (instrs : instr array) : instr array =
   let pinned = wbmap_vregs instrs in
   let cfg = Cfg.build instrs in

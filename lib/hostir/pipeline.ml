@@ -56,8 +56,6 @@ let promote_regs env st =
   |> note "rf_promoted" (List.length promoted)
   |> note "region_wb_entries" wb_entries
 
-let local_copy_prop _ st = { st with instrs = Promote.copy_prop ~promoted:st.promoted st.instrs }
-
 let fold env st =
   let instrs, branches, consts, masks = Absint.fold ~classify:env.classify st.instrs in
   { st with instrs }
@@ -66,6 +64,7 @@ let fold env st =
   |> note "absint_masks_dropped" masks
 
 let copy_prop env st = { st with instrs = Absint.copy_prop ~classify:env.classify st.instrs }
+let canonicalize = rewrite (Array.map Promote.canonicalize)
 let dead_code = counted "absint_dead_deleted" removed Absint.dead_code
 let threaded f = counted "absint_jumps_threaded" jumps_removed f
 
@@ -84,9 +83,11 @@ let passes =
     ("thread_jumps", Shape, rewrite Region.thread_jumps);
     ("coalesce_inc_pc", Shape, rewrite Region.coalesce_inc_pc);
     ("promote_regs", Promote, promote_regs);
-    ("local_copy_prop", Promote, local_copy_prop);
+    ("canonicalize", Promote, canonicalize);
+    ("copy_prop", Promote, copy_prop);
     ("rf_forward", Promote, rewrite Promote.rf_forward);
-    ("local_copy_prop", Promote, local_copy_prop);
+    ("canonicalize", Promote, canonicalize);
+    ("copy_prop", Promote, copy_prop);
     ("fold", Simplify, fold);
     ("dead_code", Simplify, dead_code);
     ("prune_unreachable", Simplify, rewrite Region.prune_unreachable);

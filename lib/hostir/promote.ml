@@ -1,8 +1,7 @@
-(* Region-scoped guest-register promotion.
-
-   Three cooperating passes over a region's flattened instruction
-   stream, run after the [Region] passes and before register
-   allocation:
+(* Region-scoped guest-register promotion, and two helpers of the
+   cleanup that follows it, over a region's flattened instruction stream
+   after the [Region] shaping passes and before register allocation
+   ([Pipeline] declares the order):
 
    - promotion: the hottest register-file byte offsets are loaded into
      dedicated vregs once at region entry; every interior [Ldrf]/[Strf]
@@ -17,15 +16,17 @@
      region still delivers an architecturally consistent register
      state.
 
-   - copy propagation: forward substitution within a basic block so a
-     promoted load's residue ([Mov (d, pv)]) leaves [d] unused and the
-     register allocator's dead-marking erases it.  Without this the
-     rewrite would only swap a [Ldrf] for a [Mov] of identical cost.
+   - canonicalization: identity ALU operations become moves, so the
+     CFG-wide copy propagation that follows ([Absint.copy_prop]) sees
+     through them.  That pass leaves a promoted load's residue
+     ([Mov (d, pv)]) dead, and absint-simplify's dead-code pass erases
+     it; without both the rewrite would only swap a [Ldrf] for a [Mov]
+     of identical cost.
 
    - register-file forwarding: the last value stored to or loaded from
      an unpromoted offset serves later loads of it in the same block.
 
-   All three passes are pure functions of the instruction stream. *)
+   All three are pure functions of the instruction stream. *)
 
 open Hir
 
@@ -157,21 +158,11 @@ let promote_regs ~max_regs ~classify (instrs : instr array) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Copy propagation *)
+(* Canonicalization *)
 
-(* Forward substitution of [Mov (Vreg d, src)] copies within a basic
-   block.  The map is cleared at labels, terminators and safepoints; it
-   survives helper calls because helpers never touch vregs (they only
-   clobber the dedicated scratch pregs).  [map_sources] leaves a
-   [Wbmap]'s operands untouched: the writeback map must keep naming the
-   promoted vregs themselves, which stay live (and thus allocated and
-   up to date) precisely because the map references them.  For the same
-   reason a barrier flush [Strf (off, pv)] at a promoted offset is not
-   substituted into — the flush must read the authoritative cache
-   register, and [Verify.check_wb] rejects anything else. *)
 (* Identity ALU operations (the translator emits e.g. [add d, s, #0]
    for register moves with unused shifts) become plain copies, so copy
-   propagation and dead-marking can see through them. *)
+   propagation and dead-code deletion can see through them. *)
 let canonicalize ins =
   match ins with
   | Alu ((Aadd | Aor | Axor | Ashl | Ashr | Asar), d, a, Imm 0L) -> Mov (d, a)
@@ -181,50 +172,6 @@ let canonicalize ins =
   | Alu (Amul, d, a, Imm 1L) -> Mov (d, a)
   | Alu (Amul, d, Imm 1L, b) -> Mov (d, b)
   | _ -> ins
-
-let copy_prop ~(promoted : (int * int) list) (instrs : instr array) =
-  let n = Array.length instrs in
-  let out = Array.make n (Label 0) in
-  let map = Hashtbl.create 16 in
-  for i = 0 to n - 1 do
-    let ins = instrs.(i) in
-    (match ins with
-     | Label _ | Jmp _ | Br _ | Exit _ | Poll _ -> Hashtbl.reset map
-     | _ -> ());
-    let ins' =
-      match ins with
-      | Strf (off, _) when List.exists (fun (_, o) -> o = off) promoted -> ins
-      | _ ->
-        map_sources
-          (fun o ->
-            match o with
-            | Vreg v -> (
-              match Hashtbl.find_opt map v with
-              | Some repl -> repl
-              | None -> o)
-            | _ -> o)
-          ins
-    in
-    let ins' = canonicalize ins' in
-    (* Redefinition kills the dest's own entry and every entry whose
-       replacement reads the dest. *)
-    (match dest ins' with
-     | Some (Vreg d) ->
-       Hashtbl.remove map d;
-       let stale =
-         Hashtbl.fold
-           (fun v repl acc -> if repl = Vreg d then v :: acc else acc)
-           map []
-       in
-       List.iter (Hashtbl.remove map) stale
-     | _ -> ());
-    (match ins' with
-     | Mov (Vreg d, (Vreg _ | Imm _ as src)) when src <> Vreg d ->
-       Hashtbl.replace map d src
-     | _ -> ());
-    out.(i) <- ins'
-  done;
-  out
 
 (* ------------------------------------------------------------------ *)
 (* Register-file store-to-load forwarding *)

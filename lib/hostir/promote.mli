@@ -1,7 +1,7 @@
-(** Region-scoped guest-register promotion and its cleanup passes, run
-    on the flattened instruction stream of a tier-1 region after the
-    {!Region} shaping passes and before register allocation, in the
-    order {!Pipeline} declares. *)
+(** Region-scoped guest-register promotion and two helpers of its
+    cleanup, run on the flattened instruction stream of a tier-1 region
+    after the {!Region} shaping passes and before register allocation,
+    in the order {!Pipeline} declares. *)
 
 (** [promote_regs ~max_regs ~classify instrs] caches the hottest
     register-file byte offsets (at most [max_regs]) in dedicated vregs
@@ -20,12 +20,6 @@ val promote_regs :
 (** An identity ALU operation ([add d, s, $0], [and d, s, $-1], ...)
     as the plain move it is; any other instruction unchanged. *)
 val canonicalize : Hir.instr -> Hir.instr
-
-(** Block-local forward copy propagation of vreg and immediate copies,
-    canonicalizing as it goes, so a promoted load's residue
-    ([Mov (d, pv)]) leaves [d] unused.  A barrier flush [Strf] of a
-    promoted offset keeps reading the cache register. *)
-val copy_prop : promoted:(int * int) list -> Hir.instr array -> Hir.instr array
 
 (** Register-file forwarding: the last value stored to or loaded from an
     offset serves later loads of it in the same block. *)

@@ -25,10 +25,10 @@
    Because both the optimized and the reference program are normalized by
    the same rules, syntactic equality of the resulting terms is the
    equivalence check -- there is no solver.  The normalization must
-   therefore subsume every identity the optimizer (Promote.canonicalize,
-   copy propagation, rf forwarding, alias-aware load/store elimination)
-   exploits; see DESIGN.md "Translation validation" for the argument and
-   the known incompletenesses. *)
+   therefore subsume every identity the region pipeline (Pipeline)
+   exploits: identity-ALU canonicalization, copy propagation, rf
+   forwarding and absint-simplify's folds; see DESIGN.md "Translation
+   validation" for the argument and the known incompletenesses. *)
 
 open Hir
 module Bits = Dbt_util.Bits

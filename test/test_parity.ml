@@ -48,14 +48,14 @@ let expected : (string * int list) list =
   [
     ("arm/default",
       [
-        31; 2112711; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
-        1; 4; 4; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43; 205; 0; 0; 68;
+        31; 2111151; 103915; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 37; 1; 8127; 0; 2;
+        1; 4; 4; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 24; 0; 9; 103915; 80295; 23620; 43; 205; 0; 0; 68;
         0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/no-templates",
       [
-        31; 2795962; 788760; 43; 205; 1833; 11592; 5; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
-        1; 4; 4; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 24; 0; 3; 788760; 0; 788760; 0; 0; 0; 0; 0; 0; 0; 0;
+        31; 2794402; 787200; 43; 205; 1833; 11592; 5; 0; 8261; 76; 1; 1; 1; 1; 37; 1; 8127; 0; 2;
+        1; 4; 4; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 24; 0; 9; 787200; 0; 787200; 0; 0; 0; 0; 0; 0; 0; 0;
         0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/no-tiering",
@@ -66,20 +66,20 @@ let expected : (string * int list) list =
       ]);
     ("arm/trust-stack",
       [
-        31; 2112711; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
-        1; 4; 4; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43; 205; 0; 0; 68;
+        31; 2111151; 103915; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 37; 1; 8127; 0; 2;
+        1; 4; 4; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 24; 0; 9; 103915; 80295; 23620; 43; 205; 0; 0; 68;
         43; 1; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/aot-cold",
       [
-        31; 2112711; 105475; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 2;
-        1; 4; 4; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 24; 0; 3; 105475; 80295; 25180; 43; 205; 0; 0; 68;
+        31; 2111151; 103915; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 37; 1; 8127; 0; 2;
+        1; 4; 4; 43; 1; 0; 1; 43; 1; 0; 0; 0; 0; 24; 0; 9; 103915; 80295; 23620; 43; 205; 0; 0; 68;
         43; 1; 0; 0; 1; 44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("arm/aot-warm",
       [
-        31; 2009907; 2671; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 43; 1; 8127; 0; 0; 0;
-        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 2671; 2611; 60; 43; 205; 0; 0; 0; 43; 1; 0;
+        31; 2009906; 2670; 43; 205; 1913; 12317; 0; 0; 8261; 76; 1; 1; 1; 1; 37; 1; 8127; 0; 0; 0;
+        0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 2670; 2611; 59; 43; 205; 0; 0; 0; 43; 1; 0;
         44; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0
       ]);
     ("riscv/default",

@@ -1,11 +1,11 @@
-(* Register-promotion and memory-redundancy-elimination tests: the
-   Promote pass rewrites synthetic streams as specified (promotion,
-   store-to-load forwarding with width-exact zero extension, alias
-   kills, rf forwarding, identity-ALU canonicalization), the writeback
-   verifier rejects the documented bad shapes, and two differential
-   properties check that promoted regions are observationally
-   equivalent to per-block tier-0 execution — including when guest
-   faults are delivered from the middle of a promoted region. *)
+(* Register-promotion tests: the pipeline's promotion stage rewrites
+   synthetic streams as specified (promotion, rf forwarding,
+   identity-ALU canonicalization, one add for a promoted counter), the
+   writeback verifier rejects the documented bad shapes, and two
+   differential properties check that promoted regions are
+   observationally equivalent to per-block tier-0 execution — including
+   when guest faults are delivered from the middle of a promoted
+   region. *)
 
 module H = Hostir.Hir
 module Pl = Hostir.Pipeline
@@ -115,6 +115,39 @@ let test_rf_forward_and_canonicalize () =
     0 (count (function H.Alu _ -> true | _ -> false) out);
   Alcotest.(check int) "load address propagated to the original vreg"
     1 (count (function H.Mem_ld (64, _, H.Vreg 0) -> true | _ -> false) out)
+
+(* A promoted counter loop ([Ldrf]/add/[Strf] of rf[8], read again
+   later in the loop) through the promotion and absint-simplify stages:
+   the counter becomes one add on its promoted register, with no copy
+   left, and the later read uses that register.  A copy pass that
+   rewrote the later read to the add's temporary would give the
+   temporary two uses, so the add and its copy could not merge. *)
+let test_counter_loop_one_add () =
+  let stream =
+    [|
+      H.Label 0;
+      H.Ldrf (v 0, 8);
+      H.Alu (H.Aadd, v 1, v 0, H.Imm 1L);
+      H.Strf (8, v 1);
+      H.Ldrf (v 2, 8);
+      H.Setcc (H.Cult, v 3, v 2, H.Imm 100L);
+      H.Br (v 3, 0, 1);
+      H.Label 1;
+      H.Exit 1;
+    |]
+  in
+  let env = { Pl.default_env with Pl.classify = Hostir.Effects.classify } in
+  let st = Pl.run Pl.Simplify env (Pl.run Pl.Promote env (Pl.start stream)) in
+  let out = st.Pl.instrs in
+  let p = match st.Pl.promoted with [ (p, 8) ] -> v p | _ -> Alcotest.fail "rf[8] not promoted" in
+  Alcotest.(check (list string)) "one add on the promoted register"
+    [ H.to_string (H.Alu (H.Aadd, p, p, H.Imm 1L)) ]
+    (List.filter_map
+       (function H.Alu _ as i -> Some (H.to_string i) | _ -> None)
+       (Array.to_list out));
+  Alcotest.(check int) "no copy left" 0 (count (function H.Mov _ -> true | _ -> false) out);
+  Alcotest.(check int) "the later read uses the promoted register" 1
+    (count (( = ) (H.Setcc (H.Cult, v 3, p, H.Imm 100L))) out)
 
 (* --- Verify.check_wb fixtures ------------------------------------------------------ *)
 
@@ -313,6 +346,7 @@ let suite =
       Alcotest.test_case "cost model prices barrier calls only" `Quick
         test_cost_model_prices_barriers;
       Alcotest.test_case "rf forwarding + canonicalize" `Quick test_rf_forward_and_canonicalize;
+      Alcotest.test_case "promoted counter loop is one add" `Quick test_counter_loop_one_add;
       Alcotest.test_case "writeback verifier fixtures" `Quick test_wb_fixtures;
       Alcotest.test_case "guest faults mid-region" `Quick test_fault_mid_region;
       QCheck_alcotest.to_alcotest prop_promoted_vs_block;

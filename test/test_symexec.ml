@@ -253,14 +253,8 @@ let promo_stream =
     Hir.Exit 1;
   |]
 
-(* The pipeline's promotion stage on [stream]: the stream and the
-   promotion list. *)
-let promote ?(classify = Pl.default_env.Pl.classify) stream =
-  let st = Pl.run Pl.Promote { Pl.default_env with Pl.classify } (Pl.start stream) in
-  (st.Pl.instrs, st.Pl.promoted)
-
 let promoted_stream () =
-  let out, promoted = promote promo_stream in
+  let out, promoted, _ = Test_promote.promote promo_stream in
   Alcotest.(check bool) "promotion happened" true (promoted <> []);
   out
 
@@ -380,8 +374,8 @@ let check_calls ~opt h =
   E.check ~classify ~init_pc:(S.Const 0x1000L) ~opt ~reference:(call_stream h) ()
 
 let promote_calls h =
-  match promote ~classify (call_stream h) with
-  | out, [ (pv, 8) ] -> (out, pv)
+  match Test_promote.promote ~classify (call_stream h) with
+  | out, [ (pv, 8) ], _ -> (out, pv)
   | _ -> Alcotest.fail "rf[8] not promoted"
 
 let call_rf_rejected what r =
