@@ -317,22 +317,7 @@ let lint_guest ~json c failures (ops : Guest.Ops.ops) =
   Counters.bump c "absint-simplify statements folded" ~by:st.Ssa.Absint.stmts_folded;
   Counters.bump c "absint-simplify masks dropped" ~by:st.Ssa.Absint.masks_dropped;
   (* 3. HostIR on a representative translation of every O4 action *)
-  let cfg =
-    {
-      Hostir.Dag.bank_offset = ops.Guest.Ops.bank_offset;
-      slot_offset = ops.Guest.Ops.slot_offset;
-      lower_intrinsic =
-        (fun name ->
-          match Captive.Common.softfloat_index name with
-          | Some h -> Hostir.Dag.L_helper h
-          | None -> Hostir.Dag.L_inline);
-      effect_helper = Captive.Common.effect_helper_index;
-      coproc_read_helper = Captive.Common.h_coproc_read;
-      coproc_write_helper = Captive.Common.h_coproc_write;
-      split_va_check = false;
-      as_switch_helper = Captive.Common.h_as_switch;
-    }
-  in
+  let cfg = Captive.Common.dag_config ops ~hw_fp:false ~mmu_on:false in
   Hashtbl.iter
     (fun aname action ->
       (* A representative decoded instance: all fields zero, EL1.  Some

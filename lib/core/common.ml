@@ -70,6 +70,26 @@ let softfloat_index name =
   in
   go 0 softfloat_names
 
+(* The invocation-DAG configuration of one guest.  With [hw_fp] every
+   intrinsic is inlined; without it, the soft-FP ones call their softfloat
+   helper.  [mmu_on] adds the split-VA check to memory accesses. *)
+let dag_config (guest : Ops.ops) ~hw_fp ~mmu_on : Hostir.Dag.config =
+  let lower_intrinsic name =
+    match softfloat_index name with
+    | Some h when not hw_fp -> Hostir.Dag.L_helper h
+    | _ -> Hostir.Dag.L_inline
+  in
+  {
+    Hostir.Dag.bank_offset = guest.Ops.bank_offset;
+    slot_offset = guest.Ops.slot_offset;
+    lower_intrinsic;
+    effect_helper = effect_helper_index;
+    coproc_read_helper = h_coproc_read;
+    coproc_write_helper = h_coproc_write;
+    split_va_check = mmu_on;
+    as_switch_helper = h_as_switch;
+  }
+
 (* A softfloat helper evaluates the intrinsic via the ADL's own evaluator,
    so helper-based FP is bit-identical to translation-time folding.  The
    cost models QEMU's software FP routines (tens of cycles of integer

@@ -29,6 +29,11 @@ val effect_helper_index : string -> int
 val softfloat_names : string list
 val softfloat_index : string -> int option
 
+val dag_config : Guest.Ops.ops -> hw_fp:bool -> mmu_on:bool -> Hostir.Dag.config
+(** The guest's invocation-DAG configuration: these helper indices, FP
+    intrinsics inlined with [hw_fp] and softfloat helpers without it,
+    the split-VA check with [mmu_on]. *)
+
 val softfloat_helper : string -> Hostir.Exec.helper
 (** Softfloat helper evaluating the intrinsic through the ADL evaluator,
     bit-identical to translation-time folding. *)

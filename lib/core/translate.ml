@@ -8,12 +8,6 @@
 open Tally
 open State
 
-(* With [hw_fp] every intrinsic is inlined; without it, the soft-FP ones
-   call their softfloat helper. *)
-let lower_intrinsic config name : Dag.lowering =
-  if config.hw_fp then Dag.L_inline
-  else match Common.softfloat_index name with Some h -> Dag.L_helper h | None -> Dag.L_inline
-
 (* --- translation requests ---------------------------------------------------------- *)
 
 let field_of ~el (d : Adl.Decode.decoded) =
@@ -105,16 +99,7 @@ let equiv_items (je : jit_env) ~el decoded : Hostir.Equiv.item list =
     decoded
 
 let dag_config (je : jit_env) ~mmu_on =
-  {
-    Dag.bank_offset = je.je_guest.Ops.bank_offset;
-    slot_offset = je.je_guest.Ops.slot_offset;
-    lower_intrinsic = lower_intrinsic je.je_config;
-    effect_helper = Common.effect_helper_index;
-    coproc_read_helper = Common.h_coproc_read;
-    coproc_write_helper = Common.h_coproc_write;
-    split_va_check = mmu_on;
-    as_switch_helper = Common.h_as_switch;
-  }
+  Common.dag_config je.je_guest ~hw_fp:je.je_config.hw_fp ~mmu_on
 
 (* The per-guest template table, created on first use (the Dag config
    helpers above are not in scope at engine construction). *)
@@ -125,7 +110,7 @@ let templates_of (e : t) : Hostir.Template.t =
     let tt =
       Hostir.Template.create
         ~config:(fun ~mmu_on -> dag_config e.jenv ~mmu_on)
-        ~rf_bytes:e.jenv.je_rf_bytes ~insn_size:e.guest.Ops.insn_size
+        ~rf_bytes:e.jenv.je_rf_bytes
     in
     e.templates <- Some tt;
     tt

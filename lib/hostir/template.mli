@@ -12,21 +12,25 @@
     block translation can stitch with siblings at memcpy-like cost: no
     SSA walk, no DAG, no liveness, no linear scan per block.
 
-    Soundness model: the symbolic evaluator mirrors {!Ssa.Gen}'s partial
-    evaluator exactly, but folds field-dependent computation into
-    {!type:fexpr} trees instead of concrete constants.  Whenever a
-    field-dependent value would influence the {e structure} of the
-    emitted code (a branch direction, a register-bank index that feeds
-    the DAG's offset memoization, a [sign_extend] width that the
-    lowering bakes into an [Ext]), mining restarts with that field
-    pinned to the instance's witness value; the pin becomes part of the
-    template key, so each structural shape gets its own variant.  Every
-    template is mined twice with disjoint sentinel bases and the
-    hole-canonicalized streams compared, which rejects both sentinel
-    collisions with genuine guest constants and any nondeterminism.
-    Forms that exceed the variant or pin budget, or need dynamic
-    register-bank indices, are marked dead and fall back to the cold
-    pipeline. *)
+    Soundness model: there is no second evaluator.  Mining runs
+    {!Ssa.Gen.run}, the partial evaluator every other tier translates
+    with, with only the fields pinned so far fixed; the rest stay
+    symbolic ({!Ssa.Gen.Sym}) and fold into {!Ssa.Gen.fexpr} trees
+    where concrete translation folds constants.  The miner's hooks turn
+    a symbolic operand into a sentinel constant and a symbolic
+    register-bank index into a sentinel register-file offset.  Whenever
+    a symbolic value would influence the {e structure} of the emitted
+    code (a branch direction, a [sign_extend] width that the lowering
+    bakes into an [Ext]), Gen raises {!Ssa.Gen.Need_pin} and mining
+    restarts with those fields pinned to the instance's values; the
+    pins become part of the template key, so each structural shape gets
+    its own variant.  Every template is mined twice with disjoint
+    sentinel bases and the hole-canonicalized streams compared, which
+    rejects both sentinel collisions with genuine guest constants and
+    any nondeterminism.  Forms that raise {!Ssa.Gen.Unsupported} (a
+    dynamic register-bank index, an exceeded pin budget, a failed
+    audit) are marked dead; both they and instances beyond a form's
+    variant budget fall back to the cold pipeline. *)
 
 type t
 
@@ -34,11 +38,11 @@ type t
     streams with holes, plus the hole tables needed to patch them. *)
 type frag
 
-(** [create ~config ~rf_bytes ~insn_size] makes an empty template table.
+(** [create ~config ~rf_bytes] makes an empty template table.
     [config] supplies the DAG configuration per MMU regime (the regime
     is part of the template key because it changes the emitted guard
     code). *)
-val create : config:(mmu_on:bool -> Dag.config) -> rf_bytes:int -> insn_size:int -> t
+val create : config:(mmu_on:bool -> Dag.config) -> rf_bytes:int -> t
 
 type lookup =
   | Hit of frag  (** a cached variant matched this instance *)

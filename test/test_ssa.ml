@@ -121,7 +121,30 @@ let test_fixed_control_flow_detection () =
     (Gen.has_fixed_control_flow (build_opt 4 "loopy") ~field:(field_of "n" 7L));
   (* `csel` uses select, not branches: fixed. *)
   Alcotest.(check bool) "csel fixed" true
-    (Gen.has_fixed_control_flow (build_opt 4 "csel") ~field:(fun _ -> 0L))
+    (Gen.has_fixed_control_flow (build_opt 4 "csel") ~field:(fun _ -> 0L));
+  (* The symbolic half (the template miner's view): a field left unpinned
+     that steers the fixed loop must be pinned; one that only feeds
+     arithmetic reaches [mat] as a symbolic operand. *)
+  let operands = ref [] in
+  let ctx : unit Gen.ctx =
+    {
+      Gen.em = Emitter.null;
+      mat = (fun v -> operands := v :: !operands);
+      sym_load = (fun ~bank:_ _ -> ());
+      sym_store = (fun ~bank:_ _ () -> ());
+      clear = ignore;
+    }
+  in
+  let run name ~unpinned =
+    Gen.run ctx (build_opt 4 name) ~field:(fun _ -> 0L) ~pinned:(( <> ) unpinned) ~inc_pc:None
+  in
+  Alcotest.check_raises "loopy with n unpinned" (Gen.Need_pin [ "n" ]) (fun () ->
+      run "loopy" ~unpinned:"n");
+  run "add" ~unpinned:"imm";
+  Alcotest.(check bool) "add's unpinned imm reaches mat as Sym" true
+    (List.exists
+       (function Gen.Sym e -> List.mem "imm" (Gen.support [] e) | _ -> false)
+       !operands)
 
 let test_offline_fold_fp () =
   (* fp64_add over two constants must fold offline via softfloat. *)
